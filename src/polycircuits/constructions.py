@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .circuits import enumerate_circuits, is_edge_direction
+from .directions import CircuitSet
 from .errors import (
     DegenerateVertex,
     EdgeDirectionGiven,
@@ -51,11 +52,11 @@ from .polyhedron import (
     AffineMap,
     HPolyhedron,
     LinearMap,
+    _scaled_row,
     affine_image_description,
     cartesian_product,
     dim,
     is_pointed,
-    minimize_description,
     project,
     vrep,
 )
@@ -230,11 +231,6 @@ def transportation(n: int, k: int, kappa: Sequence[int]) -> HPolyhedron:
     return HPolyhedron.make(nv, A=eqs, b=rhs, B=neg, d=[0] * nv, name=name)
 
 
-def partition_polytope_system(inst: PartitionInstance) -> HPolyhedron:
-    """The transportation system for an instance's n, k, and sizes."""
-    return transportation(inst.n, inst.k, inst.sizes)
-
-
 def partition_projection(inst: PartitionInstance) -> LinearMap:
     """Map assignments to stacked cluster sums: y -> (c_1, .., c_k) with
     c_i = sum_j y_ij * point_j.  Block-diagonal, one d x n data block per
@@ -331,13 +327,7 @@ class NonInheritingExtension(NamedTuple):
     polyhedron: HPolyhedron
     projection: LinearMap
     family: DisjunctiveFamily
-
-
-def _scaled_row(normal: Vector, rhs: Fraction) -> tuple[Vector, Fraction]:
-    """Rescale a row to primitive integer coefficients, keeping orientation."""
-    prim = primitive(normal)
-    j = next(i for i, x in enumerate(normal) if x != 0)
-    return prim, rhs * prim[j] / normal[j]
+    circuits: CircuitSet  # the circuits of `polyhedron` the certificate checked
 
 
 def _point_polyhedron(v: Vector, name: str) -> HPolyhedron:
@@ -490,10 +480,10 @@ def non_inheriting_extension(
         proj = LinearMap(matrix(rows), name=f"{proj.name}_plus_{len(V.rays)}_rays")
     Q = Q.renamed(f"edge_free_extension({P.name or 'P'})")
 
-    projected = proj.image_directions(enumerate_circuits(Q, budget))
-    if canonicalize_direction(g) in projected:
+    CQ = enumerate_circuits(Q, budget)
+    if canonicalize_direction(g) in proj.image_directions(CQ):
         raise CorrespondenceViolation("extension still projects a circuit onto g")
-    return NonInheritingExtension(Q, proj, family)
+    return NonInheritingExtension(Q, proj, family, CQ)
 
 
 # ---------------------------------------------------------------------------
@@ -549,11 +539,19 @@ def transform_to_orthant_position(Q: HPolyhedron, v: Sequence) -> tuple[HPolyhed
     return moved, phi
 
 
+class AlphaProjection(NamedTuple):
+    alpha: int
+    projection: LinearMap
+    circuits: CircuitSet  # circuits of Q
+    image_circuits: CircuitSet  # circuits of the minimized image of Q
+
+
 def find_alpha_projection(
     Q: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET
-) -> tuple[int, LinearMap]:
+) -> AlphaProjection:
     """Smallest alpha >= 2 whose projection family member misses every
-    circuit line of Q, together with that projection.
+    circuit line of Q, together with that projection and the circuit sets
+    of Q and of its image that certify it.
 
     Q must be full-dimensional (>= 4), in orthant position.  Termination:
     the two-dimensional planes indexed by alpha pairwise intersect only at
@@ -578,13 +576,11 @@ def find_alpha_projection(
         alpha += 1
 
     pi = pi_alpha_matrix(m, alpha)
-    image = minimize_description(project(Q, pi))
+    CP = enumerate_circuits(project(Q, pi), budget)
     e3 = unit_vector(m - 1, 2)
-    witness_in = e3 in enumerate_circuits(image, budget)
-    witness_missed = e3 not in pi.image_directions(CQ)
-    if not (witness_in and witness_missed):
+    if not (e3 in CP and e3 not in pi.image_directions(CQ)):
         raise CorrespondenceViolation("alpha search postcondition failed")
-    return alpha, pi
+    return AlphaProjection(alpha, pi, CQ, CP)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,12 @@ instead of a finite direction list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .linalg import (
     Fraction,
-    Matrix,
     Vector,
     canonicalize_direction,
     is_zero,
@@ -58,25 +58,17 @@ class CircuitSet:
     def __iter__(self):
         return iter(self.directions)
 
+    @cached_property
+    def _direction_set(self) -> frozenset[Vector]:
+        return frozenset(self.directions)
+
     def __contains__(self, v) -> bool:
         cv = canonicalize_direction(vector(v))
         if is_zero(cv):
             return False
         if self.is_subspace:
             return rank(self.lineality) == rank(self.lineality + (cv,))
-        return cv in set(self.directions)
-
-    def union(self, other: "CircuitSet") -> "CircuitSet":
-        assert not (self.is_subspace or other.is_subspace)
-        return CircuitSet(directions=tuple(sorted(set(self.directions) | set(other.directions))))
-
-    def intersection(self, other: "CircuitSet") -> "CircuitSet":
-        assert not (self.is_subspace or other.is_subspace)
-        return CircuitSet(directions=tuple(sorted(set(self.directions) & set(other.directions))))
-
-    def difference(self, other: "CircuitSet") -> "CircuitSet":
-        assert not (self.is_subspace or other.is_subspace)
-        return CircuitSet(directions=tuple(sorted(set(self.directions) - set(other.directions))))
+        return cv in self._direction_set
 
     def same_lines(self, other: "CircuitSet") -> bool:
         """Equality of geometric content, ignoring provenance tags."""
@@ -104,9 +96,9 @@ class BasicSolutionSet:
     def __iter__(self):
         return iter(self.points)
 
-    def __contains__(self, p) -> bool:
-        return vector(p) in set(self.points)
+    @cached_property
+    def _point_set(self) -> frozenset[Vector]:
+        return frozenset(self.points)
 
-    def issuperset(self, ps: Iterable[Sequence[Fraction]]) -> bool:
-        mine = set(self.points)
-        return all(vector(p) in mine for p in ps)
+    def __contains__(self, p) -> bool:
+        return vector(p) in self._point_set

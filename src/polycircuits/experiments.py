@@ -43,8 +43,9 @@ from .errors import BudgetExceeded, PolyhedronError, PreconditionViolation
 from .inheritance import (
     ALL_INHERITED,
     NOT_ALL_INHERITED,
+    _descriptions_match,
+    balas_circuit_prediction,
     check_inheritance,
-    verify_balas_circuits,
     verify_cartesian_law,
     verify_hom_law,
     verify_isomorphism_law,
@@ -59,7 +60,6 @@ from .linalg import (
     vector,
     zero_vector,
 )
-from .lp import is_implied
 from .polyhedron import (
     DEFAULT_BUDGET,
     HPolyhedron,
@@ -166,18 +166,6 @@ class Recorder:
         return result
 
 
-def _descriptions_agree(P: HPolyhedron, Q: HPolyhedron) -> bool:
-    """Same point set, by mutual row implication."""
-
-    def implied(src, tgt):
-        for a, beta in zip(src.A, src.b):
-            if not (is_implied(a, beta, tgt) and is_implied([-x for x in a], -beta, tgt)):
-                return False
-        return all(is_implied(b, d, tgt) for b, d in zip(src.B, src.d))
-
-    return implied(P, Q) and implied(Q, P)
-
-
 # ---------------------------------------------------------------------------
 # experiments
 
@@ -195,7 +183,7 @@ def run_thm1(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -> R
 
     S = simplex(m)
     rep = check_inheritance(S, pi, budget=budget)
-    P = minimize_description(project(S, pi)).renamed(f"simplex_image_{n}_{m}")
+    P = rep.P.renamed(f"simplex_image_{n}_{m}")
     rec.save_poly("simplex_domain", S)
     rec.save_poly("simplex_image", P)
     rec.save_report("simplex_report", rep)
@@ -214,7 +202,7 @@ def run_thm1(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -> R
 
     O = orthant(m)
     repc = check_inheritance(O, pi, budget=budget)
-    R = minimize_description(project(O, pi)).renamed(f"orthant_image_{n}_{m}")
+    R = repc.P.renamed(f"orthant_image_{n}_{m}")
     V = vrep(R, budget)
     rec.save_poly("orthant_image", R)
     rec.save_report("orthant_report", repc)
@@ -314,7 +302,7 @@ def run_partpoly(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) 
     if int(params.get("n", 5)) != 5:
         raise PreconditionViolation("only the five-point clustering instance is scripted")
     rec = Recorder("partpoly", {"n": 5, "k": 2, "sizes": [1, 4]}, out_dir)
-    P3 = minimize_description(project(simplex(4), pi_matrix(3, 4)))
+    P3 = project(simplex(4), pi_matrix(3, 4))
     X = sorted(vrep(P3, budget).vertices)
     rec.claim("the point set has five points in R^3", (5, 3), (len(X), len(X[0])))
 
@@ -382,7 +370,7 @@ def run_thm5(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -> R
     """Single-direction exclusion: for every target polytope and non-edge
     direction, the disjunctive extension projects no circuit onto it."""
     rec = Recorder("thm5", {}, out_dir)
-    P3 = minimize_description(project(simplex(4), pi_matrix(3, 4))).renamed("simplex_image_3_4")
+    P3 = project(simplex(4), pi_matrix(3, 4)).renamed("simplex_image_3_4")
     cases: list[tuple[HPolyhedron, list]] = []
     non_edge = sorted(set(enumerate_circuits(P3, budget)) - set(edge_directions(P3, budget)))
     cases.append((P3, non_edge))
@@ -397,9 +385,9 @@ def run_thm5(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -> R
             ext = non_inheriting_extension(P, g, budget)
             rec.save_poly(f"ext_{tag}", ext.polyhedron)
             rec.save_map(f"proj_{tag}", ext.projection)
-            projected = ext.projection.image_directions(
-                enumerate_circuits(ext.polyhedron, budget)
-            )
+            # every target is a polytope, so ext.polyhedron is the Balas lift
+            # of ext.family and ext.circuits are its circuits
+            projected = ext.projection.image_directions(ext.circuits)
             rec.claim(
                 f"{P.name}: direction {tuple(int(x) for x in g)} is not projected",
                 False,
@@ -408,7 +396,7 @@ def run_thm5(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -> R
             rec.claim(
                 f"{P.name}: lifted circuit classes verified for {tuple(int(x) for x in g)}",
                 True,
-                verify_balas_circuits(ext.family, budget),
+                set(ext.circuits) == set(balas_circuit_prediction(ext.family, budget)),
             )
     return rec.finish()
 
@@ -420,22 +408,20 @@ def run_thm6(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -> R
     rec = Recorder("thm6", {"seed": seed}, out_dir)
     cases = [hypercube(4), simplex(4), perturbed_simple_4polytope(seed)]
     for Q in cases:
-        alpha, pi = find_alpha_projection(Q, budget)
+        alpha, pi, CQ, CP = find_alpha_projection(Q, budget)
         rec.save_poly(f"domain_{Q.name}", Q)
         rec.save_map(f"projection_{Q.name}", pi)
         rec.claim(f"{Q.name}: search terminated at an integer scale", True, alpha >= 2)
-        CQ = enumerate_circuits(Q, budget)
         m = Q.n
         k1 = vector([-1, alpha] + [0] * (m - 2))
         k2 = vector([0, 0, -1, alpha] + [0] * (m - 4))
         clean = not any(rank(matrix([k1, k2, c])) == 2 for c in CQ)
         rec.claim(f"{Q.name}: no circuit lies in the selected plane", True, clean)
-        image = minimize_description(project(Q, pi))
         e3 = unit_vector(m - 1, 2)
         rec.claim(
             f"{Q.name}: witness is a circuit of the image",
             True,
-            e3 in enumerate_circuits(image, budget),
+            e3 in CP,
         )
         rec.claim(
             f"{Q.name}: witness is not the image of any circuit",
@@ -451,7 +437,7 @@ def run_lemma17(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -
     pi = pi_prime_matrix(3, 6)
     S = simplex(6)
     rep = check_inheritance(S, pi, budget=budget)
-    P = minimize_description(project(S, pi)).renamed("prime_image_3_6")
+    P = rep.P.renamed("prime_image_3_6")
     rec.save_poly("image", P)
     rec.save_map("projection", pi)
     rec.save_report("report", rep)
@@ -467,7 +453,7 @@ def run_lemma17(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -
     rec.claim(
         "image equals the reference six-row system as a point set",
         True,
-        _descriptions_agree(P, expected_system),
+        _descriptions_match(P, expected_system),
     )
     e3 = vector((0, 0, 1))
     rec.claim("e3 is a circuit of the image", True, e3 in rep.P_circuits)

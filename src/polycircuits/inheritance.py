@@ -53,8 +53,13 @@ NOT_ALL_INHERITED = "NotAllInherited"
 
 @dataclass(frozen=True)
 class InheritanceReport:
-    """Classification of the circuits of P against those lifted from Q."""
+    """Classification of the circuits of P against those lifted from Q.
 
+    P is the image description the circuits were computed on: the supplied
+    one, or else the minimized projection of Q.
+    """
+
+    P: HPolyhedron
     P_circuits: CircuitSet
     Q_circuits: CircuitSet
     projected: CircuitSet
@@ -151,6 +156,7 @@ def check_inheritance(
             raise CorrespondenceViolation("an edge direction of the image lifts to no edge of Q")
 
     return InheritanceReport(
+        P=P,
         P_circuits=CP,
         Q_circuits=CQ,
         projected=projected,
@@ -202,18 +208,16 @@ def verify_hom_law(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -> bo
     return True
 
 
-def verify_balas_circuits(
+def balas_circuit_prediction(
     family: DisjunctiveFamily, budget: Optional[int] = DEFAULT_BUDGET
-) -> bool:
-    """Circuits of the disjunctive lift are exactly: single-slot copies of
-    piece circuits, plus weight swaps e_i - e_j carrying a basic solution of
-    piece i against a negated basic solution of piece j."""
+) -> CircuitSet:
+    """Circuits the disjunctive lift of `family` must have, from its pieces:
+    single-slot copies of piece circuits, plus weight swaps e_i - e_j
+    carrying a basic solution of piece i against a negated basic solution
+    of piece j."""
     for piece in family.pieces:
         if not is_pointed(piece):
             raise NotPointed(piece.name or "family piece")
-    Q, _ = balas_extension(family)
-    actual = set(enumerate_circuits(Q, budget))
-
     p, n = family.p, family.n
     piece_circuits = [list(enumerate_circuits(piece, budget)) for piece in family.pieces]
     piece_basics = [list(basic_solutions(piece, budget)) for piece in family.pieces]
@@ -241,7 +245,16 @@ def verify_balas_circuits(
                     blocks[i] = tuple(s)
                     blocks[j] = tuple(vec_neg(t))
                     expected.append(lifted(weights, blocks))
-    return actual == set(CircuitSet.of(expected))
+    return CircuitSet.of(expected)
+
+
+def verify_balas_circuits(
+    family: DisjunctiveFamily, budget: Optional[int] = DEFAULT_BUDGET
+) -> bool:
+    """Circuits of the disjunctive lift are exactly `balas_circuit_prediction`."""
+    expected = balas_circuit_prediction(family, budget)
+    Q, _ = balas_extension(family)
+    return set(enumerate_circuits(Q, budget)) == set(expected)
 
 
 def verify_isomorphism_law(

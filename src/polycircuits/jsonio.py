@@ -14,11 +14,7 @@ from typing import Sequence
 
 from .directions import BasicSolutionSet, CircuitSet
 from .linalg import Vector, frac, matrix, vector
-from .polyhedron import HPolyhedron, LinearMap, VRep
-
-
-def rat(x: Fraction) -> str:
-    return str(x)
+from .polyhedron import HPolyhedron, LinearMap
 
 
 def rat_vec(v: Sequence[Fraction]) -> list[str]:
@@ -75,10 +71,6 @@ def map_to_dict(pi: LinearMap) -> dict:
 
 def map_from_dict(data: dict) -> LinearMap:
     return LinearMap(parse_matrix(data["matrix"]), name=str(data.get("name", "")))
-
-
-def vrep_to_dict(rep: VRep) -> dict:
-    return {"vertices": rat_rows(rep.vertices), "rays": rat_rows(rep.rays)}
 
 
 # ---------------------------------------------------------------------------

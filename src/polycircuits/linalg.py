@@ -87,11 +87,6 @@ def matmul(M: Sequence[Sequence[Fraction]], N: Sequence[Sequence[Fraction]]) -> 
     return tuple(tuple(dot(row, col) for col in NT) for row in M)
 
 
-def hstack(M: Matrix, N: Matrix) -> Matrix:
-    assert len(M) == len(N)
-    return tuple(m + n for m, n in zip(M, N))
-
-
 def rref(M: Sequence[Sequence[Fraction]]) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices.
 

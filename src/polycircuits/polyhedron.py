@@ -2,9 +2,10 @@
 
 Descriptions matter here: several quantities computed downstream
 (circuits in particular) depend on the literal row system, not just on
-the point set, so operations never silently rewrite a description. The
-explicit `minimize_description` pass is the only place rows are
-promoted or dropped.
+the point set, so operations never silently rewrite a description. Rows
+are promoted or dropped only by `minimize_description` and by the pruning
+step of Fourier-Motzkin elimination inside `project`; both share one row
+normalizer and redundancy pass (`_irredundant_rows`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .linalg import (
     is_zero,
     kernel_basis,
     mat_vec,
-    matmul,
     matrix,
     primitive,
     rank,
@@ -98,9 +98,6 @@ class LinearMap:
 
     def __call__(self, x: Sequence[Fraction]) -> Vector:
         return mat_vec(self.matrix, x)
-
-    def compose(self, inner: "LinearMap") -> "LinearMap":
-        return LinearMap(matrix=matmul(self.matrix, inner.matrix))
 
     def image_directions(self, dirs: Iterable[Sequence[Fraction]]) -> CircuitSet:
         """Canonical nonzero images of a direction collection."""
@@ -184,38 +181,46 @@ def minimize_description(P: HPolyhedron) -> HPolyhedron:
     d = [rhs for i, rhs in enumerate(P.d) if i not in implicit]
 
     keep = row_space_basis_indices(A) if A else []
-    A = [A[i] for i in keep]
-    b = [b[i] for i in keep]
+    A = tuple(A[i] for i in keep)
+    b = tuple(b[i] for i in keep)
+    B, d = _irredundant_rows(P.n, A, b, B, d)
+    return HPolyhedron(n=P.n, A=A, b=b, B=B, d=d, name=P.name)
 
-    # Cheap syntactic pass first: scale to primitive normals, drop exact
-    # duplicates and dominated parallel rows.
+
+def _scaled_row(row: Sequence[Fraction], rhs: Fraction) -> tuple[Vector, Fraction]:
+    """Rescale a nonzero row to its primitive integer normal, keeping orientation."""
+    prim = primitive(row)
+    j = next(i for i, x in enumerate(row) if x != 0)
+    return prim, rhs * prim[j] / row[j]
+
+
+def _irredundant_rows(
+    n: int, A: Matrix, b: Vector, B: Sequence[Sequence[Fraction]], d: Sequence[Fraction]
+) -> tuple[Matrix, Vector]:
+    """Inequality rows of {A x = b, B x <= d} that no other row implies.
+
+    A cheap syntactic pass comes first: every row is scaled to its primitive
+    normal, and of each group of parallel rows only the tightest stays. Then
+    one LP per remaining row drops it when the rest imply it.
+    """
     seen: dict[Vector, Fraction] = {}
     for row, rhs in zip(B, d):
         if is_zero(row):
             continue  # 0 <= d is vacuous for feasible P
-        key = primitive(row)
-        scale = next(x for x in row if x != 0) / next(x for x in key if x != 0)
-        val = rhs / scale
+        key, val = _scaled_row(row, rhs)
         if key not in seen or val < seen[key]:
             seen[key] = val
-    B = list(seen.keys())
-    d = [seen[k] for k in B]
-
-    # LP pass: drop rows implied by the rest, one at a time.
+    B, d = list(seen), list(seen.values())
     i = 0
     while i < len(B):
         rest = HPolyhedron(
-            n=P.n,
-            A=tuple(A),
-            b=tuple(b),
-            B=tuple(B[:i] + B[i + 1 :]),
-            d=tuple(d[:i] + d[i + 1 :]),
+            n=n, A=A, b=b, B=tuple(B[:i] + B[i + 1 :]), d=tuple(d[:i] + d[i + 1 :])
         )
         if lp.is_implied(B[i], d[i], rest):
             del B[i], d[i]
         else:
             i += 1
-    return HPolyhedron(n=P.n, A=tuple(A), b=tuple(b), B=tuple(B), d=tuple(d), name=P.name)
+    return tuple(B), tuple(d)
 
 
 def vrep(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -> VRep:
@@ -402,31 +407,14 @@ class _Eliminator:
 
     def _prune(self) -> None:
         """Trim duplicates and LP-redundant inequality rows."""
-        seen: dict[Vector, Fraction] = {}
-        for r, rhs in self.ineqs:
-            if is_zero(r):
-                continue
-            key = primitive(r)
-            scale = next(x for x in r if x != 0) / next(x for x in key if x != 0)
-            val = rhs / scale
-            if key not in seen or val < seen[key]:
-                seen[key] = val
-        rows = [(list(k), v) for k, v in seen.items()]
-        i = 0
-        while i < len(rows):
-            others = rows[:i] + rows[i + 1 :]
-            probe = HPolyhedron(
-                n=len(self.live),
-                A=tuple(tuple(r) for r, _ in self.eqs),
-                b=tuple(rhs for _, rhs in self.eqs),
-                B=tuple(tuple(r) for r, _ in others),
-                d=tuple(rhs for _, rhs in others),
-            )
-            if lp.is_implied(tuple(rows[i][0]), rows[i][1], probe):
-                del rows[i]
-            else:
-                i += 1
-        self.ineqs = rows
+        B, d = _irredundant_rows(
+            len(self.live),
+            tuple(tuple(r) for r, _ in self.eqs),
+            tuple(rhs for _, rhs in self.eqs),
+            [r for r, _ in self.ineqs],
+            [rhs for _, rhs in self.ineqs],
+        )
+        self.ineqs = [(list(r), rhs) for r, rhs in zip(B, d)]
 
     def result(self, n: int) -> HPolyhedron:
         assert len(self.live) == n

@@ -458,20 +458,18 @@ class TestTransformToOrthantPosition:
 
 class TestFindAlphaProjection:
     def test_cube_accepts_first_candidate(self):
-        alpha, pi = find_alpha_projection(hypercube(4))
-        assert alpha == 2
-        assert pi.matrix == pi_alpha_matrix(4, 2).matrix
+        found = find_alpha_projection(hypercube(4))
+        assert found.alpha == 2
+        assert found.projection.matrix == pi_alpha_matrix(4, 2).matrix
 
     def test_simplex_accepts_first_candidate(self):
-        alpha, _ = find_alpha_projection(simplex(4))
-        assert alpha == 2
+        assert find_alpha_projection(simplex(4)).alpha == 2
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_perturbed_polytope_skips_alpha_two(self, seed):
         # the slanted facet contributes the circuit (1, -2, 0, 0), which lies
         # in the alpha = 2 plane, so the search must move on to 3
-        alpha, _ = find_alpha_projection(perturbed_simple_4polytope(seed))
-        assert alpha == 3
+        assert find_alpha_projection(perturbed_simple_4polytope(seed)).alpha == 3
 
     def test_rejects_small_dimensions(self):
         with pytest.raises(PreconditionViolation):

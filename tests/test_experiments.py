@@ -1,9 +1,12 @@
 """Experiment plumbing: claim records, result files, budget handling."""
 
 import json
+import sys
+from collections import Counter
 
 import pytest
 
+from polycircuits import circuits, polyhedron
 from polycircuits.experiments import Claim, Recorder, run_experiment
 
 
@@ -54,3 +57,58 @@ def test_experiment_artifacts_are_valid_json(tmp_path):
     for path in result.artifacts:
         payload = json.loads(open(path).read())
         assert isinstance(payload, dict)
+
+
+def _record_inputs(monkeypatch) -> Counter:
+    """Count the calls of project, minimize_description and
+    enumerate_circuits per input, wherever a polycircuits module binds them.
+
+    An input is keyed by its rows (and map), never by its name, so a renamed
+    copy of an object counts as the same input.
+    """
+    def rows(P):
+        return (P.n, P.A, P.b, P.B, P.d)
+
+    keys = {
+        polyhedron.project: lambda P, pi, *rest: (rows(P), pi.matrix),
+        polyhedron.minimize_description: lambda P, *rest: rows(P),
+        circuits.enumerate_circuits: lambda P, *rest: rows(P),
+    }
+    calls: Counter = Counter()
+
+    def counting(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__, key(*args)] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    wrappers = {fn: counting(fn, key) for fn, key in keys.items()}
+    for modname, mod in list(sys.modules.items()):
+        if modname == "polycircuits" or modname.startswith("polycircuits."):
+            for attr, value in list(vars(mod).items()):
+                if any(value is fn for fn in wrappers):
+                    monkeypatch.setattr(mod, attr, wrappers[value])
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, params", [("thm1", {"n": 3, "m": 4}), ("lemma17", {}), ("thm6", {"seed": 0})]
+)
+def test_experiment_computes_each_object_once(tmp_path, monkeypatch, name, params):
+    calls = _record_inputs(monkeypatch)
+    assert run_experiment(name, params, tmp_path).passed
+    assert calls
+    assert {key: n for key, n in calls.items() if n > 1} == {}
+
+
+def test_thm5_enumerates_each_lift_once(tmp_path, monkeypatch):
+    calls = _record_inputs(monkeypatch)
+    assert run_experiment("thm5", {}, tmp_path).passed
+    lifts = {
+        rows: n
+        for (fn, rows), n in calls.items()
+        if fn == "enumerate_circuits" and rows[0] >= 10
+    }
+    assert len(lifts) == 3
+    assert set(lifts.values()) == {1}

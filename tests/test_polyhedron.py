@@ -136,6 +136,7 @@ def test_project_orthant_through_pi34():
     R3 = project(orthant(4), PI34)
     assert R3.A == ()
     assert normalized_rows(R3) == R3_ROWS
+    assert minimize_description(R3) == R3
 
 
 def test_project_simplex_through_pi34():
@@ -146,6 +147,7 @@ def test_project_simplex_through_pi34():
     )
     P3 = project(S4, PI34)
     assert normalized_rows(P3) == R3_ROWS | {(vector([1, 1, 1]), Fraction(2))}
+    assert minimize_description(P3) == P3
     V = vrep(P3)
     assert V.rays == ()
     assert set(V.vertices) == {
@@ -156,10 +158,22 @@ def test_project_simplex_through_pi34():
 def test_project_composes():
     drop_last = LinearMap(matrix=matrix([[1, 0, 0], [0, 1, 0]]))
     first = project(orthant(4), PI34)
-    assert normalized_rows(project(first, drop_last)) == {
+    second = project(first, drop_last)
+    assert normalized_rows(second) == {
         (vector([-1, 0]), Fraction(0)),
         (vector([0, -1]), Fraction(0)),
     }
+    assert minimize_description(second) == second
+
+
+def test_project_lower_dimensional_image_is_minimal():
+    # y1 = y2 only as two opposite inequalities: the image promotes them to
+    # the one equality row (1, -1) and keeps the two bounds on y1
+    Q = HPolyhedron.make(2, B=[[1, -1], [-1, 1], [-1, 0], [1, 0]], d=[0, 0, 0, 1])
+    P = project(Q, LinearMap.identity(2))
+    assert P.A == (vector([1, -1]),) and P.b == vector([0])
+    assert normalized_rows(P) == {(vector([-1, 0]), Fraction(0)), (vector([1, 0]), Fraction(1))}
+    assert minimize_description(P) == P
 
 
 def test_project_empty_raises():
@@ -180,6 +194,7 @@ def test_minkowski_sum_of_segments():
     seg2 = HPolyhedron.make(2, A=[[1, 0]], b=[0], B=[[0, -1], [0, 1]], d=[0, 1])
     sq = minkowski_sum(seg1, seg2)
     assert normalized_rows(sq) == normalized_rows(unit_square())
+    assert minimize_description(sq) == sq
 
 
 def test_homogenize_layout():
