@@ -46,10 +46,12 @@ class LPResult:
 
 def lp_solve(objective: Sequence[Fraction], poly, sense: str = "max") -> LPResult:
     """Optimize objective over {A x = b, B x <= d} with free variables x."""
-    assert sense in ("max", "min")
+    if sense not in ("max", "min"):
+        raise ValueError(f"sense must be 'max' or 'min', not {sense!r}")
     c = vector(objective)
     n = poly.n
-    assert len(c) == n, "objective dimension mismatch"
+    if len(c) != n:
+        raise ValueError(f"objective has length {len(c)}, polyhedron dimension is {n}")
     # Internal solver minimizes; for max we minimize -c.
     cmin = tuple(-x for x in c) if sense == "max" else c
 
@@ -162,7 +164,7 @@ class _StandardLP:
         basis = [nz + i for i in range(m)]
         obj = self._reduced_obj([ZERO] * nz + [ONE] * m, tab, basis)
         status = self._iterate(tab, obj, basis, eligible=nz + m)
-        assert status is None, "phase 1 cannot be unbounded"
+        _assert(status is None, "phase 1 unbounded")
         if -obj[-1] != 0:
             self._check_farkas(tab, basis)
             return (INFEASIBLE,)
@@ -233,7 +235,7 @@ class _StandardLP:
     def _dual_from_basis(self, basis, cost) -> Vector:
         cols = tuple(tuple(self.M[i][j] for i in range(self.m)) for j in basis)
         y = solve(cols, tuple(cost[j] for j in basis))
-        assert y is not None
+        _assert(y is not None, "basis matrix singular")
         return y
 
     def _check_optimal(self, z: Vector, basis) -> None:
@@ -259,7 +261,7 @@ class _StandardLP:
             for j in basis
         )
         y = solve(cols, tuple(cost[j] for j in basis))
-        assert y is not None
+        _assert(y is not None, "phase-1 basis matrix singular")
         yorig = tuple(s * v for s, v in zip(sgn, y))
         _assert(all(dot(yorig, col) <= 0 for col in transpose(self.M)), "Farkas columns")
         _assert(dot(yorig, self.rhs) > 0, "Farkas rhs")

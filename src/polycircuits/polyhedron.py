@@ -17,7 +17,7 @@ from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .directions import CircuitSet
-from .errors import BudgetExceeded, EmptyPolyhedron, NotPointed
+from .errors import BudgetExceeded, EmptyPolyhedron, NotPointed, PreconditionViolation
 from .linalg import (
     ONE,
     ZERO,
@@ -58,9 +58,16 @@ class HPolyhedron:
     name: str = ""
 
     def __post_init__(self):
-        assert len(self.A) == len(self.b) and len(self.B) == len(self.d)
-        assert all(len(row) == self.n for row in self.A)
-        assert all(len(row) == self.n for row in self.B)
+        if len(self.A) != len(self.b):
+            raise PreconditionViolation(f"{len(self.A)} equality rows but {len(self.b)} right-hand sides")
+        if len(self.B) != len(self.d):
+            raise PreconditionViolation(f"{len(self.B)} inequality rows but {len(self.d)} right-hand sides")
+        for block, rows in (("A", self.A), ("B", self.B)):
+            for i, row in enumerate(rows):
+                if len(row) != self.n:
+                    raise PreconditionViolation(
+                        f"row {i} of {block} has length {len(row)}, expected n = {self.n}"
+                    )
 
     @staticmethod
     def make(n, A=(), b=(), B=(), d=(), name="") -> "HPolyhedron":

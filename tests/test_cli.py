@@ -1,10 +1,15 @@
 """Command-line contract: exit codes, JSON schemas, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import polycircuits
 from polycircuits import jsonio
 from polycircuits.circuits import enumerate_circuits
 from polycircuits.cli import main
@@ -178,6 +183,27 @@ def test_check_dimension_mismatch_is_input_error(tmp_path, capsys):
     qp, mp = write_pair(tmp_path, hypercube(3), pi_matrix(3, 4))
     code, _ = run_cli(["check", qp, mp], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_check_rows_longer_than_n_is_input_error(tmp_path, flags):
+    # B rows of length 3 in a file that declares n = 2. The check must not be
+    # an assert: under -O the rows would reach the simplex and fail as a claim.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 2, "B": [[-1, 0, 0], [0, -1, 0], [1, 1, 1]], "d": [0, 0, 1]}))
+    mp = tmp_path / "map.json"
+    mp.write_text(json.dumps({"matrix": [[1, 0]]}))
+    src = str(Path(polycircuits.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "polycircuits.cli", "check", str(bad), str(mp)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "input error" in proc.stderr and "row 0 of B has length 3" in proc.stderr
 
 
 # ---------------------------------------------------------------------------

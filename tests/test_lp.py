@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from polycircuits import lp
 from polycircuits.errors import CorrespondenceViolation
 from polycircuits.linalg import dot, vector
 from polycircuits.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, is_feasible, is_implied, lp_solve
@@ -108,3 +109,23 @@ def test_random_boxes_with_cuts(seed):
     # bounded feasible region: always optimal, never raises a certificate error
     assert res.status == OPTIMAL
     assert P.contains(res.point)
+
+
+def test_malformed_call_raises_value_error():
+    with pytest.raises(ValueError):
+        lp_solve([1, 1, 1], triangle())
+    with pytest.raises(ValueError):
+        lp_solve([1, 1], triangle(), sense="maximize")
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [triangle(), HPolyhedron.make(1, B=[[1], [-1]], d=[-1, 0])],
+    ids=["optimal", "infeasible"],
+)
+def test_singular_certificate_basis_is_a_correspondence_violation(monkeypatch, poly):
+    # The dual and Farkas multipliers come from `solve` on the final basis;
+    # a basis it reports singular must fail the check, also under -O.
+    monkeypatch.setattr(lp, "solve", lambda M, rhs: None)
+    with pytest.raises(CorrespondenceViolation):
+        lp_solve([1] * poly.n, poly)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from polycircuits.errors import EmptyPolyhedron, NotPointed
+from polycircuits.errors import EmptyPolyhedron, NotPointed, PreconditionViolation
 from polycircuits.linalg import matrix, primitive, vector
 from polycircuits.polyhedron import (
     AffineMap,
@@ -34,6 +34,21 @@ def normalized_rows(P):
         scale = next(x for x in row if x != 0) / next(x for x in key if x != 0)
         out.add((key, rhs / scale))
     return out
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        dict(A=((1, 0),), b=()),
+        dict(B=((1, 0),), d=(1, 2)),
+        dict(A=((1, 0, 0),), b=(0,)),
+        dict(B=((-1, 0), (1,)), d=(0, 1)),
+    ],
+    ids=["A-vs-b", "B-vs-d", "A-row-length", "B-row-length"],
+)
+def test_mismatched_rows_raise_precondition_violation(rows):
+    with pytest.raises(PreconditionViolation):
+        HPolyhedron(2, **rows)
 
 
 def unit_square():
