@@ -7,12 +7,24 @@ returned: a feasible point plus equal-value dual multipliers for
 optimal, a recession direction with positive growth for unbounded, and
 Farkas multipliers for infeasible. A certificate failure raises
 CorrespondenceViolation since it can only come from a bug here.
+
+The tableau runs on Python ints. Input rows are scaled to integers
+(`linalg._int_rows`), and each tableau row, the objective row included,
+is a list of integer numerators over one positive denominator, kept in
+lowest terms. A pivot divides the pivot row by its entry and turns every
+other row into (p*N_i - f*N_r) / (d_i*p); the ratio test compares
+cross-multiplied numerators. These rows stand for exactly the rationals
+of a Fraction tableau after every pivot, so Bland's rule makes the same
+choices and every answer is the same; Fractions are built only for the
+returned point or ray. The certificate checks run on the original
+Fraction data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from .errors import CorrespondenceViolation
@@ -20,6 +32,7 @@ from .linalg import (
     ONE,
     ZERO,
     Vector,
+    _int_rows,
     dot,
     is_zero,
     mat_vec,
@@ -135,7 +148,12 @@ def _solve_min(c: Vector, poly) -> LPResult:
 
 
 class _StandardLP:
-    """min c^T z, M z = rhs, z >= 0, with M of full row rank."""
+    """min c^T z, M z = rhs, z >= 0, with M of full row rank.
+
+    The tableau holds m constraint rows and, as row m, the objective row.
+    Row i stands for the rationals tab[i][j] / den[i]; den[i] > 0 and the
+    row is in lowest terms.
+    """
 
     def __init__(self, M: list[list[Fraction]], rhs: list[Fraction], c: list[Fraction]):
         self.M = M
@@ -154,82 +172,100 @@ class _StandardLP:
             ray[j] = ONE
             return (UNBOUNDED, vector(ray))
 
-        # Phase 1: artificial columns form the initial basis.
-        tab = []
-        for i in range(m):
-            sign = ONE if self.rhs[i] >= 0 else -ONE
-            art = [ZERO] * m
-            art[i] = ONE
-            tab.append([sign * x for x in self.M[i]] + art + [sign * self.rhs[i]])
+        # Phase 1: artificial columns form the initial basis. The appended
+        # ONE scales to the row's denominator, which is also its artificial
+        # entry; rows with rhs < 0 are negated, the artificial entry is not.
+        tab, den = [], []
+        for i, row in enumerate(_int_rows([[*row, r, ONE] for row, r in zip(self.M, self.rhs)])):
+            *coeffs, r, scale = row
+            if r < 0:
+                coeffs, r = [-x for x in coeffs], -r
+            art = [0] * m
+            art[i] = scale
+            tab.append(coeffs + art + [r])
+            den.append(scale)
         basis = [nz + i for i in range(m)]
-        obj = self._reduced_obj([ZERO] * nz + [ONE] * m, tab, basis)
-        status = self._iterate(tab, obj, basis, eligible=nz + m)
+        obj, scale = self._reduced_costs(tab, den, basis, [0] * nz + [1] * m + [0], 1)
+        tab.append(obj)
+        den.append(scale)
+        status = self._iterate(tab, den, basis, eligible=nz + m)
         _assert(status is None, "phase 1 unbounded")
-        if -obj[-1] != 0:
-            self._check_farkas(tab, basis)
+        if tab[m][-1] != 0:
+            self._check_farkas(basis)
             return (INFEASIBLE,)
 
         # Full row rank guarantees every artificial can be pivoted out.
         for i in range(m):
             if basis[i] >= nz:
                 col = next(j for j in range(nz) if tab[i][j] != 0)
-                self._pivot(tab, obj, basis, i, col)
-        for row in tab:
-            del row[nz:-1]
+                self._pivot(tab, den, basis, i, col)
+        for i in range(m):
+            del tab[i][nz:-1]
+            tab[i], den[i] = _lowest_terms(tab[i], den[i])
 
         # Phase 2 on the real columns.
-        obj = self._reduced_obj(list(self.c), tab, basis)
-        status = self._iterate(tab, obj, basis, eligible=nz)
+        *cost, scale = _int_rows([[*self.c, ONE]])[0]
+        tab[m], den[m] = self._reduced_costs(tab, den, basis, cost + [0], scale)
+        status = self._iterate(tab, den, basis, eligible=nz)
         if status is not None:
             enter = status
             ray = [ZERO] * nz
             ray[enter] = ONE
             for i in range(m):
-                ray[basis[i]] = -tab[i][enter]
+                ray[basis[i]] = Fraction(-tab[i][enter], den[i])
             self._check_ray(vector(ray))
             return (UNBOUNDED, vector(ray))
         z = [ZERO] * nz
         for i in range(m):
-            z[basis[i]] = tab[i][-1]
+            z[basis[i]] = Fraction(tab[i][-1], den[i])
         self._check_optimal(vector(z), basis)
         return (OPTIMAL, vector(z))
 
-    def _reduced_obj(self, c: list[Fraction], tab, basis) -> list[Fraction]:
-        obj = list(c) + [ZERO] * (len(tab[0]) - len(c)) if tab else list(c) + [ZERO]
+    @staticmethod
+    def _reduced_costs(tab, den, basis, cost: list[int], scale: int) -> tuple[list[int], int]:
+        """The objective row of cost / scale, priced out on the basis."""
         for i, j in enumerate(basis):
-            if obj[j] != 0:
-                f = obj[j]
-                obj[:] = [x - f * y for x, y in zip(obj, tab[i])]
-        return obj
+            if cost[j]:
+                cost, scale = _eliminate(cost, scale, tab[i], den[i], j)
+        return cost, scale
 
-    def _iterate(self, tab, obj, basis, eligible: int):
-        """Run Bland pivots to optimality; returns entering column if unbounded."""
+    def _iterate(self, tab, den, basis, eligible: int):
+        """Run Bland pivots to optimality; returns entering column if unbounded.
+
+        Entry signs are numerator signs. Ratios rhs_i / a_i share the row
+        denominator, so they compare by cross-multiplied numerators.
+        """
         while True:
+            obj = tab[-1]
             enter = next((j for j in range(eligible) if obj[j] < 0), None)
             if enter is None:
                 return None
-            leave, best = None, None
-            for i in range(len(tab)):
+            leave = None
+            for i in range(len(basis)):
                 a = tab[i][enter]
                 if a > 0:
-                    ratio = tab[i][-1] / a
-                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                        leave, best = i, ratio
+                    if leave is None:
+                        leave, num, div = i, tab[i][-1], a
+                        continue
+                    new, best = tab[i][-1] * div, num * a
+                    if new < best or (new == best and basis[i] < basis[leave]):
+                        leave, num, div = i, tab[i][-1], a
             if leave is None:
                 return enter
-            self._pivot(tab, obj, basis, leave, enter)
+            self._pivot(tab, den, basis, leave, enter)
 
     @staticmethod
-    def _pivot(tab, obj, basis, r: int, c: int) -> None:
-        inv = ONE / tab[r][c]
-        tab[r] = [x * inv for x in tab[r]]
-        for i in range(len(tab)):
-            if i != r and tab[i][c] != 0:
-                f = tab[i][c]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[r])]
-        if obj[c] != 0:
-            f = obj[c]
-            obj[:] = [x - f * y for x, y in zip(obj, tab[r])]
+    def _pivot(tab, den, basis, r: int, c: int) -> None:
+        """Divide row r by its entry in column c and clear c from every other row."""
+        prow = tab[r]
+        p = prow[c]
+        if p < 0:
+            prow, p = [-x for x in prow], -p
+        prow, p = _lowest_terms(prow, p)
+        tab[r], den[r] = prow, p
+        for i, row in enumerate(tab):
+            if i != r and row[c]:
+                tab[i], den[i] = _eliminate(row, den[i], prow, p, c)
         basis[r] = c
 
     def _dual_from_basis(self, basis, cost) -> Vector:
@@ -251,7 +287,7 @@ class _StandardLP:
         _assert(all(dot(row, ray) == 0 for row in self.M), "ray not in row kernel")
         _assert(dot(vector(self.c), ray) < 0, "ray does not decrease objective")
 
-    def _check_farkas(self, tab, basis) -> None:
+    def _check_farkas(self, basis) -> None:
         # Phase-1 dual: y^T M <= 0 on real columns yet y^T rhs > 0.
         sgn = [ONE if self.rhs[i] >= 0 else -ONE for i in range(self.m)]
         Msigned = [[sgn[i] * x for x in self.M[i]] for i in range(self.m)]
@@ -265,3 +301,19 @@ class _StandardLP:
         yorig = tuple(s * v for s, v in zip(sgn, y))
         _assert(all(dot(yorig, col) <= 0 for col in transpose(self.M)), "Farkas columns")
         _assert(dot(yorig, self.rhs) > 0, "Farkas rhs")
+
+
+def _eliminate(row: list[int], d: int, prow: list[int], p: int, c: int) -> tuple[list[int], int]:
+    """row/d minus (row[c]/d) times prow/p, whose entry in column c is 1.
+
+    That is (p*row - row[c]*prow) / (d*p), in lowest terms.
+    """
+    f = row[c]
+    return _lowest_terms([p * x - f * y for x, y in zip(row, prow)], d * p)
+
+
+def _lowest_terms(row: list[int], d: int) -> tuple[list[int], int]:
+    g = gcd(d, *row)
+    if g == 1:
+        return row, d
+    return [x // g for x in row], d // g

@@ -443,7 +443,10 @@ def project(P: HPolyhedron, pi: LinearMap) -> HPolyhedron:
     """
     m = P.n
     nt = pi.out_dim
-    assert pi.in_dim(m) == m, "map domain does not match polyhedron"
+    if pi.in_dim(m) != m:
+        raise PreconditionViolation(
+            f"map has domain dimension {pi.in_dim(m)}, polyhedron has dimension {m}"
+        )
     if not lp.is_feasible(P):
         raise EmptyPolyhedron(P.name or "polyhedron")
 
@@ -464,7 +467,8 @@ def project(P: HPolyhedron, pi: LinearMap) -> HPolyhedron:
 
 
 def minkowski_sum(P1: HPolyhedron, P2: HPolyhedron) -> HPolyhedron:
-    assert P1.n == P2.n
+    if P1.n != P2.n:
+        raise PreconditionViolation(f"summands have dimensions {P1.n} and {P2.n}")
     summing = LinearMap(matrix=tuple(row + row for row in identity(P1.n)))
     return project(cartesian_product(P1, P2), summing)
 

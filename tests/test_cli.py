@@ -206,6 +206,30 @@ def test_check_rows_longer_than_n_is_input_error(tmp_path, flags):
     assert "input error" in proc.stderr and "row 0 of B has length 3" in proc.stderr
 
 
+def test_check_output_is_the_same_under_optimize(tmp_path):
+    # The simplex certificate checks are not asserts, so a NotAllInherited
+    # verdict is reached through the same checks, with the same output,
+    # when python runs with -O.
+    from polycircuits.constructions import orthant
+
+    qp, mp = write_pair(tmp_path, orthant(4), pi_matrix(3, 4))
+    src = str(Path(polycircuits.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "polycircuits.cli", "check", qp, mp],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        for flags in ([], ["-O"])
+    ]
+    assert [proc.returncode for proc in runs] == [1, 1], [proc.stderr for proc in runs]
+    assert json.loads(runs[0].stdout)["verdict"] == "NotAllInherited"
+    assert runs[0].stdout == runs[1].stdout
+
+
 # ---------------------------------------------------------------------------
 # construct verb
 

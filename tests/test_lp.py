@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 
 from polycircuits import lp
+from polycircuits.constructions import cross_polytope, hypercube, orthant, pi_matrix
 from polycircuits.errors import CorrespondenceViolation
-from polycircuits.linalg import dot, vector
+from polycircuits.inheritance import check_inheritance
+from polycircuits.linalg import ONE, ZERO, dot, vector
 from polycircuits.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, is_feasible, is_implied, lp_solve
-from polycircuits.polyhedron import HPolyhedron
+from polycircuits.polyhedron import HPolyhedron, minimize_description
 
 
 def triangle():
@@ -129,3 +131,206 @@ def test_singular_certificate_basis_is_a_correspondence_violation(monkeypatch, p
     monkeypatch.setattr(lp, "solve", lambda M, rhs: None)
     with pytest.raises(CorrespondenceViolation):
         lp_solve([1] * poly.n, poly)
+
+
+@pytest.mark.parametrize(
+    "run, expected",
+    [
+        (lambda: minimize_description(hypercube(3)), 13),
+        (lambda: minimize_description(cross_polytope(3)), 17),
+        (lambda: check_inheritance(orthant(4), pi_matrix(3, 4)), 28),
+    ],
+    ids=["minimize-hypercube3", "minimize-cross-polytope3", "check-orthant4"],
+)
+def test_lp_counts_are_pinned(monkeypatch, run, expected):
+    # Every LP goes through lp.lp_solve (is_feasible and is_implied call it).
+    # A change that adds or saves LPs must update these counts on purpose.
+    calls = []
+    solve_lp = lp.lp_solve
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "lp_solve", counting)
+    run()
+    assert len(calls) == expected
+
+
+# ---------------------------------------------------------------------------
+# The integer tableau against a Fraction reference.
+#
+# `_FractionStandardLP` is the simplex tableau over Fractions that the
+# integer rows replaced: the same two phases and the same Bland rule, with
+# each row scaled by its pivot and every other row cleared entry by entry.
+# It shares the certificate checks, so only the tableau arithmetic differs.
+# Both hold the same rationals after every pivot, so they must take the
+# same pivots and return the same answer.
+
+
+class _FractionStandardLP(lp._StandardLP):
+    def solve(self):
+        m, nz = self.m, self.nz
+        if m == 0:
+            return super().solve()
+        tab = []
+        for i in range(m):
+            sign = ONE if self.rhs[i] >= 0 else -ONE
+            art = [ZERO] * m
+            art[i] = ONE
+            tab.append([sign * x for x in self.M[i]] + art + [sign * self.rhs[i]])
+        basis = [nz + i for i in range(m)]
+        obj = self._reduced_obj([ZERO] * nz + [ONE] * m, tab, basis)
+        status = self._iterate(tab, obj, basis, eligible=nz + m)
+        assert status is None
+        if -obj[-1] != 0:
+            self._check_farkas(basis)
+            return (INFEASIBLE,)
+        for i in range(m):
+            if basis[i] >= nz:
+                col = next(j for j in range(nz) if tab[i][j] != 0)
+                self._pivot(tab, obj, basis, i, col)
+        for row in tab:
+            del row[nz:-1]
+        obj = self._reduced_obj(list(self.c), tab, basis)
+        status = self._iterate(tab, obj, basis, eligible=nz)
+        if status is not None:
+            ray = [ZERO] * nz
+            ray[status] = ONE
+            for i in range(m):
+                ray[basis[i]] = -tab[i][status]
+            self._check_ray(vector(ray))
+            return (UNBOUNDED, vector(ray))
+        z = [ZERO] * nz
+        for i in range(m):
+            z[basis[i]] = tab[i][-1]
+        self._check_optimal(vector(z), basis)
+        return (OPTIMAL, vector(z))
+
+    @staticmethod
+    def _reduced_obj(c, tab, basis):
+        obj = list(c) + [ZERO] * (len(tab[0]) - len(c))
+        for i, j in enumerate(basis):
+            if obj[j] != 0:
+                f = obj[j]
+                obj[:] = [x - f * y for x, y in zip(obj, tab[i])]
+        return obj
+
+    def _iterate(self, tab, obj, basis, eligible):
+        while True:
+            enter = next((j for j in range(eligible) if obj[j] < 0), None)
+            if enter is None:
+                return None
+            leave, best = None, None
+            for i in range(len(tab)):
+                a = tab[i][enter]
+                if a > 0:
+                    ratio = tab[i][-1] / a
+                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                        leave, best = i, ratio
+            if leave is None:
+                return enter
+            self._pivot(tab, obj, basis, leave, enter)
+
+    @staticmethod
+    def _pivot(tab, obj, basis, r, c):
+        inv = ONE / tab[r][c]
+        tab[r] = [x * inv for x in tab[r]]
+        for i in range(len(tab)):
+            if i != r and tab[i][c] != 0:
+                f = tab[i][c]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[r])]
+        if obj[c] != 0:
+            f = obj[c]
+            obj[:] = [x - f * y for x, y in zip(obj, tab[r])]
+        basis[r] = c
+
+
+def _entry(rng):
+    k = rng.random()
+    if k < 0.3:
+        return Fraction(0)
+    if k < 0.65:
+        return Fraction(rng.randint(-5, 5))
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+
+def _random_lp(rng):
+    """(objective, poly, sense) around a point x0 of fractional coordinates.
+
+    Inequality rows are tight at x0 (degenerate vertices), slack there, or
+    violated by it (possibly infeasible); their right-hand sides take both
+    signs. Equality rows hold at x0, may repeat a scaled earlier row
+    (redundant) or shift its right-hand side (inconsistent). Few rows and
+    free variables make unbounded LPs common.
+    """
+    n = rng.randint(1, 4)
+    x0 = [_entry(rng) for _ in range(n)]
+    A = [[_entry(rng) for _ in range(n)] for _ in range(rng.choice([0, 0, 1, 2]))]
+    b = [dot(vector(row), vector(x0)) for row in A]
+    if A and rng.random() < 0.4:
+        scale = rng.choice([Fraction(1), Fraction(-3, 2), Fraction(2)])
+        A.append([scale * x for x in A[0]])
+        b.append(scale * b[0] + rng.choice([0, 0, 1]))
+    B, d = [], []
+    for _ in range(rng.randint(0, 6)):
+        row = [_entry(rng) for _ in range(n)]
+        B.append(row)
+        d.append(dot(vector(row), vector(x0)) + rng.choice([0, 0, Fraction(1, 2), 3, -1]))
+    objective = [_entry(rng) for _ in range(n)]
+    return objective, HPolyhedron.make(n, A=A, b=b, B=B, d=d), rng.choice(["max", "min"])
+
+
+def _solve_recording_pivots(monkeypatch, cls, objective, poly, sense):
+    pivots = []
+    pivot = cls._pivot
+
+    def recording(tab, obj, basis, r, c):
+        pivots.append((r, c, tab[r][-1] == 0, tab[r][c] < 0))
+        pivot(tab, obj, basis, r, c)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "_StandardLP", cls)
+        patch.setattr(cls, "_pivot", staticmethod(recording))
+        return lp_solve(objective, poly, sense), pivots
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_integer_tableau_matches_fraction_reference(monkeypatch, seed):
+    rng = random.Random(2000 + seed)
+    for _ in range(20):
+        objective, poly, sense = _random_lp(rng)
+        got, path = _solve_recording_pivots(monkeypatch, lp._StandardLP, objective, poly, sense)
+        ref, ref_path = _solve_recording_pivots(monkeypatch, _FractionStandardLP, objective, poly, sense)
+        assert path == ref_path
+        assert (got.status, got.value, got.point, got.ray) == (ref.status, ref.value, ref.point, ref.ray)
+        for x in (got.value, *(got.point or ()), *(got.ray or ())):
+            assert x is None or type(x) is Fraction
+
+
+def test_reference_lps_cover_every_case(monkeypatch):
+    # The seeded LPs above reach every status under both senses, pivot on
+    # degenerate vertices and on negative entries (an artificial pivoted out
+    # after phase 1), and carry redundant and inconsistent equality rows.
+    seen = set()
+    for seed in range(25):
+        rng = random.Random(2000 + seed)
+        for _ in range(20):
+            objective, poly, sense = _random_lp(rng)
+            res, path = _solve_recording_pivots(monkeypatch, lp._StandardLP, objective, poly, sense)
+            seen.add((res.status, sense))
+            if any(degenerate for _, _, degenerate, _ in path):
+                seen.add("degenerate pivot")
+            if any(negative for _, _, _, negative in path):
+                seen.add("negative pivot")
+            if len(poly.A) > lp.rank(poly.A):
+                consistent = lp.rank([row + (r,) for row, r in zip(poly.A, poly.b)]) == lp.rank(poly.A)
+                seen.add("redundant equalities" if consistent else "inconsistent equalities")
+            if any(r < 0 for r in poly.d):
+                seen.add("negative rhs")
+            if any(x.denominator > 1 for row in poly.B for x in row):
+                seen.add("fractional")
+    cases = {(s, sense) for s in (OPTIMAL, UNBOUNDED, INFEASIBLE) for sense in ("max", "min")}
+    cases |= {"redundant equalities", "inconsistent equalities", "negative rhs", "fractional"}
+    cases |= {"degenerate pivot", "negative pivot"}
+    assert cases <= seen

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import polycircuits
 from polycircuits.errors import EmptyPolyhedron, NotPointed, PreconditionViolation
 from polycircuits.linalg import matrix, primitive, vector
 from polycircuits.polyhedron import (
@@ -49,6 +54,42 @@ def normalized_rows(P):
 def test_mismatched_rows_raise_precondition_violation(rows):
     with pytest.raises(PreconditionViolation):
         HPolyhedron(2, **rows)
+
+
+_MISMATCHED_DIMENSIONS = """
+from polycircuits.constructions import hypercube
+from polycircuits.errors import PreconditionViolation
+from polycircuits.polyhedron import LinearMap, minkowski_sum, project
+
+for call in (
+    lambda: project(hypercube(3), LinearMap(((1, 0, 0, 0), (0, 1, 0, 0)))),
+    lambda: minkowski_sum(hypercube(3), hypercube(2)),
+):
+    try:
+        print("returned", call())
+    except PreconditionViolation as exc:
+        print("PreconditionViolation:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_dimension_mismatch_is_precondition_violation(flags):
+    # Not asserts: under -O, project would return the unit square and
+    # minkowski_sum would fail with an IndexError.
+    src = str(Path(polycircuits.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _MISMATCHED_DIMENSIONS],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "PreconditionViolation: map has domain dimension 4, polyhedron has dimension 3",
+        "PreconditionViolation: summands have dimensions 3 and 2",
+    ]
 
 
 def unit_square():
