@@ -11,29 +11,35 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Optional, Sequence
+from math import comb, gcd
+from operator import mul
+from typing import Iterable, Optional, Sequence
 
 from .directions import BasicSolutionSet, CircuitSet
 from .errors import CorrespondenceViolation, NotPointed
 from .linalg import (
+    _EMPTY,
+    _Echelon,
     Vector,
+    _fold,
+    _int_rows,
+    _kernel_line,
+    _subset_echelons,
     canonicalize_direction,
-    dot,
     identity,
     kernel_basis,
     mat_vec,
     matmul,
-    rank,
-    solve,
     transpose,
     vec_scale,
-    vec_sub,
     vector,
 )
 from .polyhedron import (
     DEFAULT_BUDGET,
     HPolyhedron,
+    _basic_points,
+    _int_system,
+    _slacks,
     check_budget,
     edge_directions,
     homogenize,
@@ -51,7 +57,7 @@ __all__ = [
 ]
 
 
-def _support_mask(v: Sequence[Fraction]) -> int:
+def _support_mask(v: Sequence) -> int:
     m = 0
     for i, x in enumerate(v):
         if x != 0:
@@ -59,13 +65,30 @@ def _support_mask(v: Sequence[Fraction]) -> int:
     return m
 
 
-def _keep_support_minimal(cands: dict[Vector, int]) -> list[Vector]:
-    masks = list(set(cands.values()))
-    out = []
-    for g, m in cands.items():
-        if not any(other != m and other & m == other for other in masks):
-            out.append(g)
-    return out
+def _minimal_masks(masks: Iterable[int]) -> set[int]:
+    """The masks of which no other mask in `masks` is a proper submask.
+
+    A proper submask has strictly fewer bits, so the masks are taken in
+    order of popcount and each is tested only against the minimal masks
+    of smaller popcount; any proper submask contains a minimal one.
+    """
+    minimal: list[int] = []
+    for _, group in itertools.groupby(sorted(set(masks), key=int.bit_count), key=int.bit_count):
+        minimal += [m for m in group if not any(o & m == o for o in minimal)]
+    return set(minimal)
+
+
+def _keep_support_minimal(cands: dict) -> list:
+    minimal = _minimal_masks(cands.values())
+    return [g for g, m in cands.items() if m in minimal]
+
+
+def _canonical(v: Sequence[int]) -> tuple[int, ...]:
+    """`canonicalize_direction` on a nonzero integer vector."""
+    g = gcd(*v)
+    if next(x for x in v if x) < 0:
+        g = -g
+    return tuple(x // g for x in v)
 
 
 def enumerate_circuits(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -> CircuitSet:
@@ -91,19 +114,21 @@ def enumerate_circuits(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -
 
     k = np_ - 1
     check_budget(comb(q, k), budget, "circuit candidate subsets")
-    cands: dict[Vector, int] = {}
-    seen: set[Vector] = set()
-    for S in itertools.combinations(range(q), k):
-        ker = kernel_basis([Bred[i] for i in S], np_)
-        if len(ker) != 1:
-            continue
-        ghat = canonicalize_direction(ker[0])
+    rows = _int_rows(Bred)
+    NT_int = _int_rows(NT)  # kernel_basis vectors are integral
+    cands: dict[tuple[int, ...], int] = {}
+    seen: set[tuple[int, ...]] = set()
+    for ech, pivots, det in _subset_echelons(_EMPTY, rows, k, np_):
+        ghat = _canonical(_kernel_line(ech, pivots, det, np_))
         if ghat in seen:
             continue
         seen.add(ghat)
-        g = canonicalize_direction(mat_vec(NT, ghat))
-        cands[g] = _support_mask(dot(row, ghat) for row in Bred)
-    return CircuitSet(directions=tuple(sorted(_keep_support_minimal(cands))), source="circuits")
+        g = _canonical([sum(map(mul, row, ghat)) for row in NT_int])
+        cands[g] = _support_mask([sum(map(mul, row, ghat)) for row in rows])
+    return CircuitSet(
+        directions=tuple(tuple(Fraction(x) for x in g) for g in sorted(_keep_support_minimal(cands))),
+        source="circuits",
+    )
 
 
 def enumerate_circuits_bruteforce(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -> CircuitSet:
@@ -144,44 +169,43 @@ def basic_solutions(
     if not is_pointed(P):
         raise NotPointed(P.name or "polyhedron")
     n, q = P.n, len(P.B)
-    k = n - (rank(P.A) if P.A else 0)
+    base, B, rank_A = _int_system(P)
+    k = n - rank_A
     check_budget(comb(q, k), budget, "basic solution subsets")
-    pts = set()
-    for S in itertools.combinations(range(q), k):
-        M = P.A + tuple(P.B[i] for i in S)
-        if rank(M) < n:
-            continue
-        x = solve(M, P.b + tuple(P.d[i] for i in S))
-        if x is not None:
-            pts.add(x)
+    pts = {tuple(Fraction(v, den) for v in num): (num, den) for num, den in _basic_points(base, B, k, n)}
     result = BasicSolutionSet.of(pts)
     if verify:
-        _verify_support_characterization(P, result)
+        _verify_support_characterization(P, result, pts, base, B)
     return result
 
 
-def _violation_mask(P: HPolyhedron, x: Vector) -> int:
-    return _support_mask(vec_sub(mat_vec(P.B, x), P.d))
-
-
-def _verify_support_characterization(P: HPolyhedron, sols: BasicSolutionSet) -> None:
-    masks = {x: _violation_mask(P, x) for x in sols}
-    values = list(set(masks.values()))
+def _verify_support_characterization(
+    P: HPolyhedron,
+    sols: BasicSolutionSet,
+    ints: dict[Vector, tuple[tuple[int, ...], int]],
+    base: _Echelon,
+    B: list[list[int]],
+) -> None:
+    """`ints` maps each point to (num, den); `base` and `B` are `_int_system(P)`."""
+    masks = {x: _support_mask(_slacks(B, *ints[x])) for x in sols}
+    minimal = _minimal_masks(masks.values())
     for x, m in masks.items():
-        if any(other != m and other & m == other for other in values):
+        if m not in minimal:
             raise CorrespondenceViolation(f"basic solution {x} is not support-minimal")
     # Non-basic sample: midpoints of basic pairs stay on the equality block.
-    half = Fraction(1, 2)
     pairs = itertools.islice(itertools.combinations(sols, 2), 50)
     for u, v in pairs:
-        z = vec_scale(half, vector(tuple(a + b for a, b in zip(u, v))))
-        tight = P.A + tuple(P.B[i] for i in P.tight_inequality_rows(z))
-        if (rank(tight) if tight else 0) == P.n:
+        (nu, du), (nv, dv) = ints[u], ints[v]
+        znum, zden = [a * dv + b * du for a, b in zip(nu, nv)], 2 * du * dv
+        z = tuple(Fraction(a, zden) for a in znum)
+        slacks = _slacks(B, znum, zden)
+        tight = [row for row, s in zip(B, slacks) if s == 0]
+        if len(_fold(base, tight, P.n)[1]) == P.n:
             if z not in sols:
                 raise CorrespondenceViolation(f"missed basic solution {z}")
             continue
-        zm = _violation_mask(P, z)
-        if not any(m != zm and m & zm == m for m in values):
+        zm = _support_mask(slacks)
+        if not any(m != zm and m & zm == m for m in minimal):
             raise CorrespondenceViolation(f"non-basic point {z} not dominated")
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .circuits import enumerate_circuits, is_edge_direction
+from .circuits import enumerate_circuits
 from .directions import CircuitSet
 from .errors import (
     DegenerateVertex,
@@ -52,6 +52,7 @@ from .polyhedron import (
     AffineMap,
     HPolyhedron,
     LinearMap,
+    _edge_directions_of,
     _scaled_row,
     affine_image_description,
     cartesian_product,
@@ -466,10 +467,10 @@ def non_inheriting_extension(
         raise PreconditionViolation("direction must be nonzero")
     if not is_pointed(P):
         raise NotPointed(P.name or "projection target")
-    if is_edge_direction(g, P, budget):
+    V = vrep(P, budget)
+    if canonicalize_direction(g) in _edge_directions_of(P, V):
         raise EdgeDirectionGiven("an edge direction is inherited from every extension")
 
-    V = vrep(P, budget)
     hull = _hull_of_vertices(V.vertices, P.n) if V.rays else P
     family = _edge_free_cover(hull, V.vertices, g)
     Q, proj = balas_extension(family)

@@ -5,22 +5,28 @@ point never enters. Vectors are tuples of Fractions and matrices are
 tuples of row tuples, so values are immutable and hashable and can be
 used as set members directly. Inside, elimination and `dot` run on
 Python ints: rows are scaled to integers (`_int_rows`) and reduced by
-fraction-free Gauss-Jordan elimination (`_echelon`, Bareiss 1968), and
-`dot` sums integer products over one common denominator, so the costly
-Fraction normalizations happen once per output entry.
+one fraction-free insertion step (`_insert`, Bareiss 1968), folded over a
+whole matrix by `_echelon` and run depth first over row subsets by
+`_subset_echelons`, which eliminates each shared prefix once. `dot` sums
+integer products over one common denominator, so the costly Fraction
+normalizations happen once per output entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# (rows, pivots, det): integer rows whose quotient by det is a reduced row
+# echelon form; row i has the entry det in column pivots[i].
+_Echelon = tuple[list[list[int]], list[int], int]
 
 
 def frac(x) -> Fraction:
@@ -121,44 +127,135 @@ def _int_rows(M: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     return out
 
 
-def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss) in place.
+def _insert(
+    rows: list[list[int]], pivots: list[int], det: int, x: Sequence[int], ncols: int
+) -> Optional[_Echelon]:
+    """One fraction-free insertion step into an echelon form (Bareiss 1968).
 
-    The pivot in each column is the first nonzero entry at or below the
-    current row. Every other row becomes (a*x - f*y) // prev, with a the
-    new pivot, f the row's entry in the pivot column and prev the previous
-    pivot; each entry is then a minor of the input, so the division is
-    exact. On return the pivot rows come first, in pivot-column order,
-    every pivot entry equals `det`, the rows below are zero, and
-    rows / det is the reduced row echelon form. Returns (pivots, det).
+    `rows` hold the RREF of the rows inserted so far, times `det`: row i
+    has the entry `det` in column `pivots[i]` and 0 in every other pivot
+    column. The new row becomes y = det*x - sum x[p_i]*R_i, which is zero
+    in every pivot column; its first nonzero entry a among the first
+    `ncols` columns is the new pivot, every old row becomes
+    (a*R_i - R_i[c]*y) // det, and a is the new `det`. Every entry stays
+    a minor of the input, so the division is exact, and the result is the
+    RREF of all rows times a. Returns None when x depends on the rows in
+    its first `ncols` columns. The inputs are not modified; unchanged rows
+    are shared with the result.
     """
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    m = len(rows)
+    y = x if det == 1 else [det * v for v in x]
+    for R, p in zip(rows, pivots):
+        f = x[p]
+        if f:
+            y = [u - f * v for u, v in zip(y, R)]
     for c in range(ncols):
-        for pivot in range(r, m):
-            if rows[pivot][c]:
-                break
-        else:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        prow = rows[r]
-        a = prow[c]
-        for i in range(m):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f:
-                rows[i] = [(a * x - f * y) // prev for x, y in zip(rows[i], prow)]
-            elif a != prev:
-                rows[i] = [a * x // prev for x in rows[i]]
-        pivots.append(c)
-        prev = a
-        r += 1
-        if r == m:
+        if y[c]:
             break
-    return pivots, prev
+    else:
+        return None
+    a = y[c]
+    out = []
+    for R in rows:
+        f = R[c]
+        if f:
+            out.append([(a * u - f * v) // det for u, v in zip(R, y)])
+        elif a != det:
+            out.append([a * u // det for u in R])
+        else:
+            out.append(R)
+    out.append(y)
+    return out, pivots + [c], a
+
+
+def _fold(
+    echelon: _Echelon, rows: Iterable[Sequence[int]], ncols: int
+) -> _Echelon:
+    """Insert `rows` one by one into `echelon`, skipping dependent rows."""
+    for x in rows:
+        step = _insert(*echelon, x, ncols)
+        if step is not None:
+            echelon = step
+    return echelon
+
+
+_EMPTY: _Echelon = ([], [], 1)
+
+
+def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan elimination in place, as a fold of `_insert`.
+
+    A column is a pivot when it holds the first nonzero entry of a row
+    after that row is reduced by the independent rows above it. On return
+    the pivot rows come first, in pivot-column order, every pivot entry
+    equals `det`, the rows below are zero, and rows / det is the reduced
+    row echelon form. Returns (pivots, det).
+    """
+    ech, pivots, det = _fold(_EMPTY, rows, ncols)
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    width = len(rows[0]) if rows else 0
+    rows[:] = [ech[i] for i in order] + [[0] * width for _ in range(len(rows) - len(ech))]
+    return [pivots[i] for i in order], det
+
+
+def _subset_echelons(
+    base: _Echelon, rows: Sequence[Sequence[int]], k: int, ncols: int
+) -> Iterator[_Echelon]:
+    """Echelon forms of `base` plus every independent k-subset of `rows`.
+
+    Depth first in lexicographic order: a subset's form is its prefix's
+    form plus one `_insert` step, so each visited prefix is eliminated
+    once. A row that depends on its prefix (in the first `ncols` columns)
+    makes every superset of that prefix dependent too, so that whole
+    subtree is skipped. Yields the (rows, pivots, det) forms; they share
+    rows with each other and must not be modified.
+    """
+    q = len(rows)
+    if k > q:
+        return
+    insert = _insert
+    forms = [base] + [None] * k
+    chosen = [0] * k
+    depth, i = 0, 0
+    while True:
+        if depth == k:
+            yield forms[k]
+        elif i <= q - k + depth:
+            step = insert(*forms[depth], rows[i], ncols)
+            if step is None:
+                i += 1
+            else:
+                chosen[depth] = i
+                depth += 1
+                forms[depth] = step
+                i += 1
+            continue
+        depth -= 1
+        if depth < 0:
+            return
+        i = chosen[depth] + 1
+
+
+def _kernel_vector(
+    rows: Sequence[Sequence[int]], pivots: Sequence[int], det: int, free: int, ncols: int
+) -> list[int]:
+    """Primitive integer kernel vector of an echelon form for one free column.
+
+    The RREF gives x[p] = -R[r][free] / det for x[free] = 1; scaled by det
+    and divided by the gcd, with x[free] > 0.
+    """
+    v = [0] * ncols
+    v[free] = det
+    for R, p in zip(rows, pivots):
+        v[p] = -R[free]
+    g = gcd(*v)
+    if det < 0:
+        g = -g
+    return [k // g for k in v]
+
+
+def _kernel_line(rows: Sequence[Sequence[int]], pivots: Sequence[int], det: int, ncols: int) -> list[int]:
+    """`_kernel_vector` of an echelon form that pivots in all but one of its first `ncols` columns."""
+    return _kernel_vector(rows, pivots, det, ncols * (ncols - 1) // 2 - sum(pivots), ncols)
 
 
 def rref(M: Sequence[Sequence[Fraction]]) -> tuple[Matrix, tuple[int, ...]]:
@@ -191,20 +288,12 @@ def kernel_basis(M: Sequence[Sequence[Fraction]], ncols: Optional[int] = None) -
         return [unit_vector(ncols, i) for i in range(ncols)]
     R = _int_rows(M)
     pivots, det = _echelon(R, len(R[0]))
-    sign = -1 if det < 0 else 1
     pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        # RREF gives x[p] = -R[r][free] / det for x[free] = 1; scaled by det.
-        v = [0] * ncols
-        v[free] = det
-        for r, p in enumerate(pivots):
-            v[p] = -R[r][free]
-        g = gcd(*v) * sign
-        basis.append(tuple(Fraction(k // g) for k in v))
-    return basis
+    return [
+        tuple(Fraction(k) for k in _kernel_vector(R, pivots, det, free, ncols))
+        for free in range(ncols)
+        if free not in pivot_set
+    ]
 
 
 def solve(M: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[Vector]:

@@ -13,16 +13,23 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb
-from typing import Iterable, Optional, Sequence
+from math import comb, gcd
+from operator import mul
+from typing import Callable, Iterable, Optional, Sequence
 
 from .directions import CircuitSet
 from .errors import BudgetExceeded, EmptyPolyhedron, NotPointed, PreconditionViolation
 from .linalg import (
+    _EMPTY,
+    _Echelon,
     ONE,
     ZERO,
     Matrix,
     Vector,
+    _fold,
+    _int_rows,
+    _kernel_line,
+    _subset_echelons,
     dot,
     identity,
     is_zero,
@@ -33,7 +40,6 @@ from .linalg import (
     rank,
     row_space_basis_indices,
     rref,
-    solve,
     transpose,
     vec_add,
     vec_scale,
@@ -230,6 +236,47 @@ def _irredundant_rows(
     return tuple(B), tuple(d)
 
 
+def _int_system(P: HPolyhedron) -> tuple[_Echelon, list[list[int]], int]:
+    """Echelon form of P's equality rows, P's inequality rows, and rank(A).
+
+    Every row carries its right-hand side as a last column and is scaled to
+    integers, which keeps every solution and the sign of every slack. The
+    echelon form pivots in the right-hand-side column exactly when A x = b
+    has no solution.
+    """
+    n = P.n
+    base = _fold(_EMPTY, _int_rows([row + (rhs,) for row, rhs in zip(P.A, P.b)]), n + 1)
+    B = _int_rows([row + (rhs,) for row, rhs in zip(P.B, P.d)])
+    return base, B, len(base[1]) - (n in base[1])
+
+
+def _slacks(B: Sequence[Sequence[int]], num: Sequence[int], den: int) -> list[int]:
+    """den * (d - B x) for x = num / den, den > 0, on `_int_system` rows."""
+    return [row[-1] * den - sum(map(mul, row, num)) for row in B]
+
+
+def _basic_points(
+    base: _Echelon, B: Sequence[Sequence[int]], k: int, n: int
+) -> set[tuple[tuple[int, ...], int]]:
+    """Distinct solutions of the equality rows plus k independent rows of B held tight.
+
+    Each point is (num, den) in lowest terms with den > 0. There are none
+    when the equality rows are inconsistent.
+    """
+    if n in base[1]:
+        return set()
+    pts = set()
+    for rows, pivots, det in _subset_echelons(base, B, k, n):
+        num = [0] * n
+        for R, p in zip(rows, pivots):
+            num[p] = R[n]
+        g = gcd(det, *num)
+        if det < 0:
+            g = -g
+        pts.add((tuple(v // g for v in num), det // g))
+    return pts
+
+
 def vrep(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -> VRep:
     """All vertices and extreme rays by tight-row enumeration.
 
@@ -242,57 +289,76 @@ def vrep(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -> VRep:
     if not lp.is_feasible(P):
         raise EmptyPolyhedron(P.name or "polyhedron")
     n, q = P.n, len(P.B)
-    rank_A = rank(P.A) if P.A else 0
+    base, B, rank_A = _int_system(P)
     k = n - rank_A  # pointedness guarantees k <= q
 
-    vertices = set()
     check_budget(comb(q, k), budget, "vertex candidates")
-    for S in itertools.combinations(range(q), k):
-        Msub = P.A + tuple(P.B[i] for i in S)
-        if rank(Msub) < n:
-            continue
-        x = solve(Msub, P.b + tuple(P.d[i] for i in S))
-        if x is not None and P.contains(x):
-            vertices.add(x)
+    vertices = sorted(
+        tuple(Fraction(v, den) for v in num)
+        for num, den in _basic_points(base, B, k, n)
+        if all(s >= 0 for s in _slacks(B, num, den))
+    )
 
     rays = set()
     if k >= 1:
         check_budget(comb(q, k - 1), budget, "ray candidates")
-        for S in itertools.combinations(range(q), k - 1):
-            Msub = P.A + tuple(P.B[i] for i in S)
-            ker = kernel_basis(Msub, n)
-            if len(ker) != 1:
-                continue
-            r = ker[0]
-            Br = mat_vec(P.B, r)
+        for rows, pivots, det in _subset_echelons(base, B, k - 1, n):
+            r = _kernel_line(rows, pivots, det, n)
+            Br = [sum(map(mul, row, r)) for row in B]
             if all(x <= 0 for x in Br):
-                rays.add(primitive(r))
+                rays.add(tuple(r))
             elif all(x >= 0 for x in Br):
-                rays.add(primitive(vec_scale(-ONE, r)))
-    return VRep(vertices=tuple(sorted(vertices)), rays=tuple(sorted(rays)))
+                rays.add(tuple(-x for x in r))
+    return VRep(
+        vertices=tuple(vertices),
+        rays=tuple(tuple(Fraction(x) for x in r) for r in sorted(rays)),
+    )
 
 
-def minimal_face_dim(P: HPolyhedron, x: Sequence[Fraction]) -> int:
-    """Dimension of the smallest face containing an interior point of it."""
-    assert P.contains(x)
-    tight = P.tight_inequality_rows(x)
-    rows = P.A + tuple(P.B[i] for i in tight)
-    return P.n - (rank(rows) if rows else 0)
+def _tight_mask(P: HPolyhedron, x: Sequence[Fraction]) -> int:
+    return sum(1 << i for i in P.tight_inequality_rows(x))
+
+
+def _edge_test(P: HPolyhedron) -> Callable[[int], bool]:
+    """Whether the rows in a tight-row mask, with A, leave a face of dimension one.
+
+    For two points u, v of P the rows tight at their midpoint are exactly
+    the rows tight at both, so `mask(u) & mask(v)` decides adjacency.
+    """
+    base, B, _ = _int_system(P)
+    n = P.n
+
+    def is_edge(mask: int) -> bool:
+        rows = [row for i, row in enumerate(B) if mask >> i & 1]
+        return len(_fold(base, rows, n)[1]) == n - 1
+
+    return is_edge
 
 
 def adjacent_vertices(P: HPolyhedron, u: Sequence[Fraction], v: Sequence[Fraction]) -> bool:
-    mid = vec_scale(Fraction(1, 2), vec_add(vector(u), vector(v)))
-    return minimal_face_dim(P, mid) == 1
+    """Whether the segment between the points u and v of P lies on an edge of P."""
+    for name, x in (("u", u), ("v", v)):
+        if not P.contains(x):
+            raise PreconditionViolation(
+                f"{name} = ({', '.join(map(str, vector(x)))}) is not a point of {P.name or 'the polyhedron'}"
+            )
+    return _edge_test(P)(_tight_mask(P, u) & _tight_mask(P, v))
+
+
+def _edge_directions_of(P: HPolyhedron, V: VRep) -> CircuitSet:
+    """Edge directions of P from its vertices and rays, `V = vrep(P)`."""
+    is_edge = _edge_test(P)
+    masks = [_tight_mask(P, x) for x in V.vertices]
+    dirs = list(V.rays)
+    for (u, mu), (v, mv) in itertools.combinations(zip(V.vertices, masks), 2):
+        if is_edge(mu & mv):
+            dirs.append(vec_sub(u, v))
+    return CircuitSet.of(dirs, source="edges")
 
 
 def edge_directions(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -> CircuitSet:
     """Directions of bounded edges (adjacent vertex differences) and extreme rays."""
-    V = vrep(P, budget=budget)
-    dirs = list(V.rays)
-    for u, v in itertools.combinations(V.vertices, 2):
-        if adjacent_vertices(P, u, v):
-            dirs.append(vec_sub(u, v))
-    return CircuitSet.of(dirs, source="edges")
+    return _edge_directions_of(P, vrep(P, budget=budget))
 
 
 def cartesian_product(P1: HPolyhedron, P2: HPolyhedron) -> HPolyhedron:

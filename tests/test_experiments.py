@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from polycircuits import circuits, polyhedron
+from polycircuits import circuits, constructions, polyhedron
 from polycircuits.experiments import Claim, Recorder, run_experiment
 
 
@@ -112,3 +112,31 @@ def test_thm5_enumerates_each_lift_once(tmp_path, monkeypatch):
     }
     assert len(lifts) == 3
     assert set(lifts.values()) == {1}
+
+
+def test_non_inheriting_extension_enumerates_vertices_once(tmp_path, monkeypatch):
+    # The edge-direction test and the construction share one vrep of the target.
+    vrep, extension = polyhedron.vrep, constructions.non_inheriting_extension
+    vrep_calls: list = []
+    per_extension: list[int] = []
+
+    def counting_vrep(*args, **kwargs):
+        vrep_calls.append(args[0])
+        return vrep(*args, **kwargs)
+
+    def recording_extension(*args, **kwargs):
+        start = len(vrep_calls)
+        result = extension(*args, **kwargs)
+        per_extension.append(len(vrep_calls) - start)
+        return result
+
+    for modname, mod in list(sys.modules.items()):
+        if modname == "polycircuits" or modname.startswith("polycircuits."):
+            for attr, value in list(vars(mod).items()):
+                if value is vrep:
+                    monkeypatch.setattr(mod, attr, counting_vrep)
+                elif value is extension:
+                    monkeypatch.setattr(mod, attr, recording_extension)
+    assert run_experiment("thm5", {}, tmp_path).passed
+    assert len(per_extension) >= 4
+    assert set(per_extension) == {1}

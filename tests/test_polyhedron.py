@@ -92,6 +92,38 @@ def test_dimension_mismatch_is_precondition_violation(flags):
     ]
 
 
+_OFF_POLYHEDRON = """
+from polycircuits.constructions import hypercube
+from polycircuits.errors import PreconditionViolation
+from polycircuits.polyhedron import adjacent_vertices
+
+for u, v in (((0, 0, 0), (2, 0, 0)), (("1/2", 0, -1), (0, 0, 0))):
+    try:
+        print("returned", adjacent_vertices(hypercube(3), u, v))
+    except PreconditionViolation as exc:
+        print("PreconditionViolation:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_adjacent_vertices_off_polyhedron_is_precondition_violation(flags):
+    # Not an assert: under -O the midpoint test would run on points outside P.
+    src = str(Path(polycircuits.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _OFF_POLYHEDRON],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "PreconditionViolation: v = (2, 0, 0) is not a point of cube3",
+        "PreconditionViolation: u = (1/2, 0, -1) is not a point of cube3",
+    ]
+
+
 def unit_square():
     return HPolyhedron.make(2, B=[[-1, 0], [0, -1], [1, 0], [0, 1]], d=[0, 0, 1, 1])
 
