@@ -96,9 +96,10 @@ def enumerate_circuits(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -
 
     Works in kernel coordinates of the equality block: candidate
     directions are the one-dimensional kernels of (n'-1)-row subsets of
-    the reduced inequality matrix, then non-support-minimal candidates
-    are discarded. A non-pointed system yields its lineality basis
-    instead (every nonzero lineality vector is a circuit there).
+    the reduced inequality matrix, each checked to be support-minimal
+    (CorrespondenceViolation if not). A non-pointed system yields its
+    lineality basis instead (every nonzero lineality vector is a circuit
+    there).
     """
     N = kernel_basis(P.A, P.n) if P.A else list(identity(P.n))
     np_ = len(N)
@@ -125,10 +126,14 @@ def enumerate_circuits(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -
         seen.add(ghat)
         g = _canonical([sum(map(mul, row, ghat)) for row in NT_int])
         cands[g] = _support_mask([sum(map(mul, row, ghat)) for row in rows])
-    return CircuitSet(
-        directions=tuple(tuple(Fraction(x) for x in g) for g in sorted(_keep_support_minimal(cands))),
-        source="circuits",
-    )
+    # Every candidate is support-minimal: it spans the kernel of k independent
+    # rows, and a vector of smaller support would be tight on those rows too,
+    # so it would lie on the same line. A candidate that is not is a bug.
+    minimal = _minimal_masks(cands.values())
+    for g, m in cands.items():
+        if m not in minimal:
+            raise CorrespondenceViolation(f"circuit candidate {g} is not support-minimal")
+    return CircuitSet(directions=tuple(tuple(Fraction(x) for x in g) for g in sorted(cands)), source="circuits")
 
 
 def enumerate_circuits_bruteforce(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -> CircuitSet:

@@ -16,8 +16,15 @@ other row into (p*N_i - f*N_r) / (d_i*p); the ratio test compares
 cross-multiplied numerators. These rows stand for exactly the rationals
 of a Fraction tableau after every pivot, so Bland's rule makes the same
 choices and every answer is the same; Fractions are built only for the
-returned point or ray. The certificate checks run on the original
-Fraction data.
+returned point or ray.
+
+The multipliers come from the final tableau. Each row has a unit column:
+its slack column, or, for an equality row, its artificial column, kept
+through phase 2 and never allowed to enter. The reduced cost of that
+column is its cost minus the row's multiplier. So the phase-2 objective
+row gives the duals and the phase-1 row the Farkas multipliers. The
+certificate checks then run on the original Fraction data, so a wrong
+reading fails a check rather than giving a wrong answer.
 """
 
 from __future__ import annotations
@@ -38,8 +45,6 @@ from .linalg import (
     mat_vec,
     rank,
     row_space_basis_indices,
-    solve,
-    transpose,
     vec_sub,
     vector,
 )
@@ -119,7 +124,6 @@ def _solve_min(c: Vector, poly) -> LPResult:
         p = len(A)
 
     # Standard form: z = (u, w, s) >= 0 with x = u - w, slack s on B rows.
-    nz = 2 * n + q
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     for i in range(p):
@@ -131,9 +135,8 @@ def _solve_min(c: Vector, poly) -> LPResult:
         rows.append(list(B[i]) + [-x for x in B[i]] + slack)
         rhs.append(d[i])
     cz = list(c) + [-x for x in c] + [ZERO] * q
-    m = len(rows)
 
-    std = _StandardLP(rows, rhs, cz)
+    std = _StandardLP(rows, rhs, cz, [None] * p + [2 * n + i for i in range(q)])
     out = std.solve()
 
     if out[0] == INFEASIBLE:
@@ -150,15 +153,21 @@ def _solve_min(c: Vector, poly) -> LPResult:
 class _StandardLP:
     """min c^T z, M z = rhs, z >= 0, with M of full row rank.
 
+    slack[i] is a zero-cost column of M equal to the i-th unit column, or
+    None when row i has none.
+
     The tableau holds m constraint rows and, as row m, the objective row.
     Row i stands for the rationals tab[i][j] / den[i]; den[i] > 0 and the
     row is in lowest terms.
     """
 
-    def __init__(self, M: list[list[Fraction]], rhs: list[Fraction], c: list[Fraction]):
+    def __init__(
+        self, M: list[list[Fraction]], rhs: list[Fraction], c: list[Fraction], slack: list[Optional[int]]
+    ):
         self.M = M
         self.rhs = rhs
         self.c = c
+        self.slack = slack
         self.m = len(M)
         self.nz = len(c)
 
@@ -175,9 +184,10 @@ class _StandardLP:
         # Phase 1: artificial columns form the initial basis. The appended
         # ONE scales to the row's denominator, which is also its artificial
         # entry; rows with rhs < 0 are negated, the artificial entry is not.
-        tab, den = [], []
+        tab, den, sign = [], [], []
         for i, row in enumerate(_int_rows([[*row, r, ONE] for row, r in zip(self.M, self.rhs)])):
             *coeffs, r, scale = row
+            sign.append(-1 if r < 0 else 1)
             if r < 0:
                 coeffs, r = [-x for x in coeffs], -r
             art = [0] * m
@@ -191,7 +201,7 @@ class _StandardLP:
         status = self._iterate(tab, den, basis, eligible=nz + m)
         _assert(status is None, "phase 1 unbounded")
         if tab[m][-1] != 0:
-            self._check_farkas(basis)
+            self._check_farkas(self._row_duals(tab[m], den[m], range(nz, nz + m), sign, [1] * m))
             return (INFEASIBLE,)
 
         # Full row rank guarantees every artificial can be pivoted out.
@@ -199,13 +209,18 @@ class _StandardLP:
             if basis[i] >= nz:
                 col = next(j for j in range(nz) if tab[i][j] != 0)
                 self._pivot(tab, den, basis, i, col)
+        # A row without a slack column keeps its artificial column, which
+        # never enters again; its reduced cost carries the row's dual.
+        kept = [i for i, s in enumerate(self.slack) if s is None]
         for i in range(m):
-            del tab[i][nz:-1]
-            tab[i], den[i] = _lowest_terms(tab[i], den[i])
+            tab[i], den[i] = _lowest_terms(tab[i][:nz] + [tab[i][nz + k] for k in kept] + tab[i][-1:], den[i])
+        art = iter(range(nz, nz + len(kept)))
+        dual_cols = [next(art) if s is None else s for s in self.slack]
+        dual_sign = [sign[i] if s is None else 1 for i, s in enumerate(self.slack)]
 
         # Phase 2 on the real columns.
         *cost, scale = _int_rows([[*self.c, ONE]])[0]
-        tab[m], den[m] = self._reduced_costs(tab, den, basis, cost + [0], scale)
+        tab[m], den[m] = self._reduced_costs(tab, den, basis, cost + [0] * len(kept) + [0], scale)
         status = self._iterate(tab, den, basis, eligible=nz)
         if status is not None:
             enter = status
@@ -218,7 +233,7 @@ class _StandardLP:
         z = [ZERO] * nz
         for i in range(m):
             z[basis[i]] = Fraction(tab[i][-1], den[i])
-        self._check_optimal(vector(z), basis)
+        self._check_optimal(vector(z), self._row_duals(tab[m], den[m], dual_cols, dual_sign, [0] * m))
         return (OPTIMAL, vector(z))
 
     @staticmethod
@@ -228,6 +243,15 @@ class _StandardLP:
             if cost[j]:
                 cost, scale = _eliminate(cost, scale, tab[i], den[i], j)
         return cost, scale
+
+    @staticmethod
+    def _row_duals(obj: list[int], scale: int, cols, sign, cost) -> Vector:
+        """Row multipliers y of M read off a final objective row obj / scale.
+
+        Column cols[i] is the unit column of row i, times sign[i] in M's row
+        orientation, at cost cost[i]; its reduced cost is cost[i] - sign[i]*y[i].
+        """
+        return tuple(s * (c - Fraction(obj[j], scale)) for j, s, c in zip(cols, sign, cost))
 
     def _iterate(self, tab, den, basis, eligible: int):
         """Run Bland pivots to optimality; returns entering column if unbounded.
@@ -268,18 +292,16 @@ class _StandardLP:
                 tab[i], den[i] = _eliminate(row, den[i], prow, p, c)
         basis[r] = c
 
-    def _dual_from_basis(self, basis, cost) -> Vector:
-        cols = tuple(tuple(self.M[i][j] for i in range(self.m)) for j in basis)
-        y = solve(cols, tuple(cost[j] for j in basis))
-        _assert(y is not None, "basis matrix singular")
-        return y
+    def _combination(self, y: Vector) -> list[Fraction]:
+        """y^T M, summed over the rows where y is nonzero."""
+        rows = [i for i, v in enumerate(y) if v]
+        ys = tuple(y[i] for i in rows)
+        return [dot(ys, tuple(self.M[i][j] for i in rows)) for j in range(self.nz)]
 
-    def _check_optimal(self, z: Vector, basis) -> None:
+    def _check_optimal(self, z: Vector, y: Vector) -> None:
         _assert(all(x >= 0 for x in z), "negative basic value")
         _assert(all(dot(row, z) == r for row, r in zip(self.M, self.rhs)), "point violates rows")
-        y = self._dual_from_basis(basis, self.c)
-        cols = transpose(self.M)
-        _assert(all(dot(y, cols[j]) <= self.c[j] for j in range(self.nz)), "dual infeasible")
+        _assert(all(v <= c for v, c in zip(self._combination(y), self.c)), "dual infeasible")
         _assert(dot(y, self.rhs) == dot(vector(self.c), z), "duality gap")
 
     def _check_ray(self, ray: Vector) -> None:
@@ -287,20 +309,10 @@ class _StandardLP:
         _assert(all(dot(row, ray) == 0 for row in self.M), "ray not in row kernel")
         _assert(dot(vector(self.c), ray) < 0, "ray does not decrease objective")
 
-    def _check_farkas(self, basis) -> None:
+    def _check_farkas(self, y: Vector) -> None:
         # Phase-1 dual: y^T M <= 0 on real columns yet y^T rhs > 0.
-        sgn = [ONE if self.rhs[i] >= 0 else -ONE for i in range(self.m)]
-        Msigned = [[sgn[i] * x for x in self.M[i]] for i in range(self.m)]
-        cost = [ZERO] * self.nz + [ONE] * self.m
-        cols = tuple(
-            tuple((Msigned[i][j] if j < self.nz else (ONE if j - self.nz == i else ZERO)) for i in range(self.m))
-            for j in basis
-        )
-        y = solve(cols, tuple(cost[j] for j in basis))
-        _assert(y is not None, "phase-1 basis matrix singular")
-        yorig = tuple(s * v for s, v in zip(sgn, y))
-        _assert(all(dot(yorig, col) <= 0 for col in transpose(self.M)), "Farkas columns")
-        _assert(dot(yorig, self.rhs) > 0, "Farkas rhs")
+        _assert(all(v <= 0 for v in self._combination(y)), "Farkas columns")
+        _assert(dot(y, self.rhs) > 0, "Farkas rhs")
 
 
 def _eliminate(row: list[int], d: int, prow: list[int], p: int, c: int) -> tuple[list[int], int]:

@@ -3,9 +3,22 @@
 Descriptions matter here: several quantities computed downstream
 (circuits in particular) depend on the literal row system, not just on
 the point set, so operations never silently rewrite a description. Rows
-are promoted or dropped only by `minimize_description` and by the pruning
-step of Fourier-Motzkin elimination inside `project`; both share one row
-normalizer and redundancy pass (`_irredundant_rows`).
+are promoted or dropped only by `minimize_description` and by `project`;
+both share one row normalizer and redundancy pass (`_irredundant_rows`).
+
+`project` asks each LP question once:
+- Fourier-Motzkin elimination prunes after every step, and a row that a
+  prune kept is not tested again (`_Eliminator`). Its witness, a point
+  that satisfies every other row and violates it, survives the later
+  steps: new rows are nonnegative combinations of rows it satisfies, and
+  substitution keeps the equality rows it satisfies.
+- After the last prune the implicit equalities are promoted, and the rows
+  are not pruned again. By Farkas, the implicit rows have a positive
+  combination that reads 0 <= 0 and uses no other row, so dropping any
+  other row keeps them implicit. Promoting them therefore leaves the
+  polyhedron that every row was tested against unchanged.
+- A row slack at some known point is not an implicit equality, so only
+  rows that no LP point has shown slack get an LP (`_implicit_rows`).
 """
 
 from __future__ import annotations
@@ -18,7 +31,13 @@ from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
 from .directions import CircuitSet
-from .errors import BudgetExceeded, EmptyPolyhedron, NotPointed, PreconditionViolation
+from .errors import (
+    BudgetExceeded,
+    CorrespondenceViolation,
+    EmptyPolyhedron,
+    NotPointed,
+    PreconditionViolation,
+)
 from .linalg import (
     _EMPTY,
     _Echelon,
@@ -164,15 +183,38 @@ def lineality_basis(P: HPolyhedron) -> list[Vector]:
     return kernel_basis(stacked, P.n)
 
 
+def _feasible_point(P: HPolyhedron) -> Vector:
+    """A point of P, from the zero-objective LP; raises EmptyPolyhedron."""
+    res = lp.lp_solve([ZERO] * P.n, P)
+    if res.status == lp.INFEASIBLE:
+        raise EmptyPolyhedron(P.name or "polyhedron")
+    return res.point
+
+
 def implicit_equality_rows(P: HPolyhedron) -> tuple[int, ...]:
     """Inequality rows that hold with equality on the whole polyhedron."""
-    if not lp.is_feasible(P):
-        raise EmptyPolyhedron(P.name or "polyhedron")
-    out = []
-    for i, (row, rhs) in enumerate(zip(P.B, P.d)):
-        if lp.is_implied(tuple(-x for x in row), -rhs, P):
-            out.append(i)
-    return tuple(out)
+    return _implicit_rows(P, _feasible_point(P))
+
+
+def _implicit_rows(P: HPolyhedron, x: Vector) -> tuple[int, ...]:
+    """`implicit_equality_rows` of P, given a point x of P.
+
+    A row that is slack at some point of P is not an implicit equality.
+    x is the first such witness; a row that no witness so far leaves slack
+    gets one LP, max -row.x over P. Its optimal point is a further witness,
+    and so is x + ray when it is unbounded: the ray leaves every row it
+    decreases slack.
+    """
+    slack = [dot(row, x) < rhs for row, rhs in zip(P.B, P.d)]
+    for i, row in enumerate(P.B):
+        if slack[i]:
+            continue
+        res = lp.lp_solve(tuple(-v for v in row), P)
+        if res.point is not None:
+            slack = [s or dot(r, res.point) < rhs for s, r, rhs in zip(slack, P.B, P.d)]
+        elif res.ray is not None:
+            slack = [s or dot(r, res.ray) < 0 for s, r in zip(slack, P.B)]
+    return tuple(i for i, s in enumerate(slack) if not s)
 
 
 def dim(P: HPolyhedron) -> int:
@@ -187,17 +229,25 @@ def minimize_description(P: HPolyhedron) -> HPolyhedron:
 
     The result has full-row-rank A and each inequality row facet-defining.
     """
-    implicit = set(implicit_equality_rows(P))  # raises on empty input
-    A = list(P.A) + [P.B[i] for i in sorted(implicit)]
-    b = list(P.b) + [P.d[i] for i in sorted(implicit)]
-    B = [row for i, row in enumerate(P.B) if i not in implicit]
-    d = [rhs for i, rhs in enumerate(P.d) if i not in implicit]
+    Q = _promoted(P, implicit_equality_rows(P))  # raises on empty input
+    B, d = _irredundant_rows(Q.n, Q.A, Q.b, Q.B, Q.d)
+    return replace(Q, B=B, d=d)
 
+
+def _promoted(P: HPolyhedron, implicit: Sequence[int]) -> HPolyhedron:
+    """P with its implicit equality rows moved to A and dependent A rows dropped."""
+    A = P.A + tuple(P.B[i] for i in implicit)
+    b = P.b + tuple(P.d[i] for i in implicit)
     keep = row_space_basis_indices(A) if A else []
-    A = tuple(A[i] for i in keep)
-    b = tuple(b[i] for i in keep)
-    B, d = _irredundant_rows(P.n, A, b, B, d)
-    return HPolyhedron(n=P.n, A=A, b=b, B=B, d=d, name=P.name)
+    promoted = set(implicit)
+    rest = [i for i in range(len(P.B)) if i not in promoted]
+    return replace(
+        P,
+        A=tuple(A[i] for i in keep),
+        b=tuple(b[i] for i in keep),
+        B=tuple(P.B[i] for i in rest),
+        d=tuple(P.d[i] for i in rest),
+    )
 
 
 def _scaled_row(row: Sequence[Fraction], rhs: Fraction) -> tuple[Vector, Fraction]:
@@ -208,31 +258,42 @@ def _scaled_row(row: Sequence[Fraction], rhs: Fraction) -> tuple[Vector, Fractio
 
 
 def _irredundant_rows(
-    n: int, A: Matrix, b: Vector, B: Sequence[Sequence[Fraction]], d: Sequence[Fraction]
+    n: int,
+    A: Matrix,
+    b: Vector,
+    B: Sequence[Sequence[Fraction]],
+    d: Sequence[Fraction],
+    certified: Optional[Sequence[bool]] = None,
 ) -> tuple[Matrix, Vector]:
     """Inequality rows of {A x = b, B x <= d} that no other row implies.
 
     A cheap syntactic pass comes first: every row is scaled to its primitive
     normal, and of each group of parallel rows only the tightest stays. Then
-    one LP per remaining row drops it when the rest imply it.
+    one LP per remaining row drops it when the rest imply it. A row flagged
+    in `certified` is known to be implied by no set of the other rows, so
+    it runs no LP and stays; every other row sees the same rest as without
+    the flags.
     """
-    seen: dict[Vector, Fraction] = {}
-    for row, rhs in zip(B, d):
+    seen: dict[Vector, tuple[Fraction, bool]] = {}
+    for row, rhs, cert in zip(B, d, certified or itertools.repeat(False)):
         if is_zero(row):
             continue  # 0 <= d is vacuous for feasible P
         key, val = _scaled_row(row, rhs)
-        if key not in seen or val < seen[key]:
-            seen[key] = val
-    B, d = list(seen), list(seen.values())
+        if key not in seen or val < seen[key][0]:
+            seen[key] = (val, cert)
+    B = list(seen)
+    d = [val for val, _ in seen.values()]
+    cert = [c for _, c in seen.values()]
     i = 0
     while i < len(B):
-        rest = HPolyhedron(
-            n=n, A=A, b=b, B=tuple(B[:i] + B[i + 1 :]), d=tuple(d[:i] + d[i + 1 :])
-        )
-        if lp.is_implied(B[i], d[i], rest):
-            del B[i], d[i]
-        else:
-            i += 1
+        if not cert[i]:
+            rest = HPolyhedron(
+                n=n, A=A, b=b, B=tuple(B[:i] + B[i + 1 :]), d=tuple(d[:i] + d[i + 1 :])
+            )
+            if lp.is_implied(B[i], d[i], rest):
+                del B[i], d[i], cert[i]
+                continue
+        i += 1
     return tuple(B), tuple(d)
 
 
@@ -400,7 +461,8 @@ def slack_standard_form(P: HPolyhedron) -> tuple[HPolyhedron, AffineMap]:
     )
     basis = kernel_basis(stacked, q + len(P.A)) if stacked else []
     U = tuple(v[:q] for v in basis)
-    assert (rank(U) == len(U)) if U else True, "equality rows must be independent"
+    if U and rank(U) != len(U):
+        raise PreconditionViolation("slack_standard_form needs independent equality rows")
     eq_rhs = tuple(dot(u, P.d) for u in U)
     S = HPolyhedron(
         n=q,
@@ -415,21 +477,33 @@ def slack_standard_form(P: HPolyhedron) -> tuple[HPolyhedron, AffineMap]:
 
 
 class _Eliminator:
-    """Fourier-Motzkin with equality substitution and exact redundancy pruning."""
+    """Fourier-Motzkin with equality substitution and exact redundancy pruning.
+
+    `certified[i]` says that inequality row i is implied by no set of the
+    other rows. A prune certifies every row it keeps, by a witness point
+    that satisfies every other row and violates row i. Substitution
+    through an equality row keeps every witness, since witnesses satisfy
+    the equality rows. A Fourier-Motzkin step keeps the witness of every
+    row it keeps, projected: the new rows are nonnegative combinations of
+    other rows, which the witness satisfies. Only the new rows need an LP.
+    """
 
     def __init__(self, nvars: int, eqs, ineqs):
         # Rows are (coeffs list over live variables, rhs).
         self.live = list(range(nvars))
         self.eqs = [(list(r), rhs) for r, rhs in eqs]
         self.ineqs = [(list(r), rhs) for r, rhs in ineqs]
+        self.certified = [False] * len(self.ineqs)
 
     def eliminate(self, target_vars: set[int]) -> None:
-        while True:
-            pending = [j for j, v in enumerate(self.live) if v in target_vars]
-            if not pending:
-                return
-            j = self._pick(pending)
-            self._eliminate_one(j)
+        """Eliminate every target variable, pruning after each step.
+
+        The rows are pruned at least once, so on return every row is certified.
+        """
+        while pending := [j for j, v in enumerate(self.live) if v in target_vars]:
+            self._eliminate_one(self._pick(pending))
+            self._prune()
+        if not all(self.certified):  # nothing was eliminated
             self._prune()
 
     def _pick(self, pending: list[int]) -> int:
@@ -467,13 +541,15 @@ class _Eliminator:
         else:
             pos = [(r, rhs) for r, rhs in self.ineqs if r[j] > 0]
             neg = [(r, rhs) for r, rhs in self.ineqs if r[j] < 0]
-            keep = [(r, rhs) for r, rhs in self.ineqs if r[j] == 0]
+            kept = [i for i, (r, _) in enumerate(self.ineqs) if r[j] == 0]
+            rows = [self.ineqs[i] for i in kept]
             for rp, bp in pos:
                 for rn, bn in neg:
                     a, c = rp[j], -rn[j]
                     row = [c * x + a * y for x, y in zip(rp, rn)]
-                    keep.append((row, c * bp + a * bn))
-            self.ineqs = keep
+                    rows.append((row, c * bp + a * bn))
+            self.certified = [self.certified[i] for i in kept] + [False] * (len(rows) - len(kept))
+            self.ineqs = rows
         del self.live[j]
         self.eqs = [(r[:j] + r[j + 1 :], rhs) for r, rhs in self.eqs]
         self.ineqs = [(r[:j] + r[j + 1 :], rhs) for r, rhs in self.ineqs]
@@ -486,11 +562,14 @@ class _Eliminator:
             tuple(rhs for _, rhs in self.eqs),
             [r for r, _ in self.ineqs],
             [rhs for _, rhs in self.ineqs],
+            self.certified,
         )
         self.ineqs = [(list(r), rhs) for r, rhs in zip(B, d)]
+        self.certified = [True] * len(self.ineqs)
 
     def result(self, n: int) -> HPolyhedron:
-        assert len(self.live) == n
+        if len(self.live) != n:
+            raise CorrespondenceViolation(f"{len(self.live)} variables left after elimination, expected {n}")
         return HPolyhedron(
             n=n,
             A=tuple(tuple(r) for r, _ in self.eqs),
@@ -506,6 +585,9 @@ def project(P: HPolyhedron, pi: LinearMap) -> HPolyhedron:
     Works on the graph system {x = pi(y), y in P} over (x, y) and
     eliminates all y variables, substituting through equality rows when
     possible and pruning redundant rows after every elimination step.
+    The implicit equalities of the pruned rows are then promoted; that
+    makes no row redundant (see the module docstring), so the rows are
+    not pruned again.
     """
     m = P.n
     nt = pi.out_dim
@@ -513,8 +595,7 @@ def project(P: HPolyhedron, pi: LinearMap) -> HPolyhedron:
         raise PreconditionViolation(
             f"map has domain dimension {pi.in_dim(m)}, polyhedron has dimension {m}"
         )
-    if not lp.is_feasible(P):
-        raise EmptyPolyhedron(P.name or "polyhedron")
+    y = _feasible_point(P)
 
     eqs = []
     for i in range(nt):
@@ -529,7 +610,11 @@ def project(P: HPolyhedron, pi: LinearMap) -> HPolyhedron:
 
     elim = _Eliminator(nt + m, eqs, ineqs)
     elim.eliminate(set(range(nt, nt + m)))
-    return minimize_description(elim.result(nt))
+    R = elim.result(nt)
+    x = pi(y)
+    if not R.contains(x):
+        raise CorrespondenceViolation(f"projection misses pi({', '.join(map(str, y))})")
+    return _promoted(R, _implicit_rows(R, x))
 
 
 def minkowski_sum(P1: HPolyhedron, P2: HPolyhedron) -> HPolyhedron:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from polycircuits import circuits
 from polycircuits.circuits import (
     basic_solutions,
     circuits_of_homogenization,
@@ -11,7 +12,7 @@ from polycircuits.circuits import (
     is_edge_direction,
 )
 from polycircuits.directions import CircuitSet
-from polycircuits.errors import BudgetExceeded, NotPointed
+from polycircuits.errors import BudgetExceeded, CorrespondenceViolation, NotPointed
 from polycircuits.linalg import matrix, vector
 from polycircuits.polyhedron import HPolyhedron, LinearMap, edge_directions, project
 
@@ -97,6 +98,27 @@ def test_nonpointed_returns_lineality():
     assert vector([0, -5]) in C and vector([1, 0]) not in C
     CB = enumerate_circuits_bruteforce(slab)
     assert CB.is_subspace and CB.lineality == C.lineality
+
+
+def test_non_minimal_circuit_candidate_is_a_correspondence_violation(monkeypatch):
+    # Every candidate spans the kernel of n'-1 independent rows, so it is
+    # support-minimal; enumerate_circuits reports one that is not instead of
+    # dropping it. Corrupt the first kernel line to (1, 1, 1), whose support
+    # on the cube's rows contains that of (1, 0, 0).
+    kernel_line = circuits._kernel_line
+    calls = []
+
+    def corrupted(rows, pivots, det, n):
+        calls.append(None)
+        return [1] * n if len(calls) == 1 else kernel_line(rows, pivots, det, n)
+
+    monkeypatch.setattr(circuits, "_kernel_line", corrupted)
+    with pytest.raises(CorrespondenceViolation, match="not support-minimal"):
+        enumerate_circuits(cube(3))
+    # The brute-force oracle keeps the definitional filter and is untouched.
+    assert enumerate_circuits_bruteforce(cube(3)).directions == tuple(
+        vector(v) for v in [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    )
 
 
 def test_budget_exceeded():

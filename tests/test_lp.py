@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +11,7 @@ from polycircuits import lp
 from polycircuits.constructions import cross_polytope, hypercube, orthant, pi_matrix
 from polycircuits.errors import CorrespondenceViolation
 from polycircuits.inheritance import check_inheritance
-from polycircuits.linalg import ONE, ZERO, dot, vector
+from polycircuits.linalg import ONE, ZERO, dot, solve, vector
 from polycircuits.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, is_feasible, is_implied, lp_solve
 from polycircuits.polyhedron import HPolyhedron, minimize_description
 
@@ -120,30 +124,66 @@ def test_malformed_call_raises_value_error():
         lp_solve([1, 1], triangle(), sense="maximize")
 
 
+_CORRUPT_MULTIPLIERS = """
+import sys
+from polycircuits import lp
+from polycircuits.errors import CorrespondenceViolation
+from polycircuits.polyhedron import HPolyhedron
+
+poly = {
+    "optimal": HPolyhedron.make(2, B=[[-1, 0], [0, -1], [1, 1]], d=[0, 0, 1]),
+    "infeasible": HPolyhedron.make(1, B=[[1], [-1]], d=[-1, 0]),
+}[sys.argv[1]]
+read = lp._StandardLP._row_duals
+for name, corrupt in (
+    ("zeroed", lambda y: tuple(0 * v for v in y)),
+    ("shifted", lambda y: tuple(v + 1 for v in y)),
+    ("negated", lambda y: tuple(-v for v in y)),
+):
+    lp._StandardLP._row_duals = staticmethod(lambda *args: corrupt(read(*args)))
+    try:
+        print(name, "returned", lp.lp_solve([1] * poly.n, poly).status)
+    except CorrespondenceViolation as exc:
+        print(name, "CorrespondenceViolation:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
 @pytest.mark.parametrize(
-    "poly",
-    [triangle(), HPolyhedron.make(1, B=[[1], [-1]], d=[-1, 0])],
+    "case, check",
+    [("optimal", "dual infeasible"), ("infeasible", "Farkas rhs")],
     ids=["optimal", "infeasible"],
 )
-def test_singular_certificate_basis_is_a_correspondence_violation(monkeypatch, poly):
-    # The dual and Farkas multipliers come from `solve` on the final basis;
-    # a basis it reports singular must fail the check, also under -O.
-    monkeypatch.setattr(lp, "solve", lambda M, rhs: None)
-    with pytest.raises(CorrespondenceViolation):
-        lp_solve([1] * poly.n, poly)
+def test_corrupt_certificate_multipliers_are_a_correspondence_violation(case, check, flags):
+    # The dual and Farkas multipliers are read off the final tableau; a
+    # wrong reading must fail the certificate check, also under -O.
+    src = str(Path(lp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _CORRUPT_MULTIPLIERS, case],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["zeroed", "shifted", "negated"]
+    assert all("CorrespondenceViolation: simplex certificate check failed" in line for line in lines), lines
+    assert any(line.endswith(check) for line in lines), lines
 
 
 @pytest.mark.parametrize(
     "run, expected",
     [
-        (lambda: minimize_description(hypercube(3)), 13),
-        (lambda: minimize_description(cross_polytope(3)), 17),
-        (lambda: check_inheritance(orthant(4), pi_matrix(3, 4)), 28),
+        (lambda: minimize_description(hypercube(3)), 10),
+        (lambda: minimize_description(cross_polytope(3)), 12),
+        (lambda: check_inheritance(orthant(4), pi_matrix(3, 4)), 14),
     ],
     ids=["minimize-hypercube3", "minimize-cross-polytope3", "check-orthant4"],
 )
 def test_lp_counts_are_pinned(monkeypatch, run, expected):
-    # Every LP goes through lp.lp_solve (is_feasible and is_implied call it).
+    # Every LP goes through lp.lp_solve.
     # A change that adds or saves LPs must update these counts on purpose.
     calls = []
     solve_lp = lp.lp_solve
@@ -163,9 +203,11 @@ def test_lp_counts_are_pinned(monkeypatch, run, expected):
 # `_FractionStandardLP` is the simplex tableau over Fractions that the
 # integer rows replaced: the same two phases and the same Bland rule, with
 # each row scaled by its pivot and every other row cleared entry by entry.
-# It shares the certificate checks, so only the tableau arithmetic differs.
-# Both hold the same rationals after every pivot, so they must take the
-# same pivots and return the same answer.
+# It finds the dual and Farkas multipliers by solving on the final basis
+# columns, a second route to the ones the integer tableau reads off its
+# reduced costs, and shares the certificate checks. Both hold the same
+# rationals after every pivot, so they must take the same pivots, pass the
+# checks the same multipliers and return the same answer.
 
 
 class _FractionStandardLP(lp._StandardLP):
@@ -184,7 +226,7 @@ class _FractionStandardLP(lp._StandardLP):
         status = self._iterate(tab, obj, basis, eligible=nz + m)
         assert status is None
         if -obj[-1] != 0:
-            self._check_farkas(basis)
+            self._check_farkas(self._farkas_from_basis(basis))
             return (INFEASIBLE,)
         for i in range(m):
             if basis[i] >= nz:
@@ -204,8 +246,25 @@ class _FractionStandardLP(lp._StandardLP):
         z = [ZERO] * nz
         for i in range(m):
             z[basis[i]] = tab[i][-1]
-        self._check_optimal(vector(z), basis)
+        self._check_optimal(vector(z), self._dual_from_basis(basis))
         return (OPTIMAL, vector(z))
+
+    def _dual_from_basis(self, basis):
+        cols = tuple(tuple(self.M[i][j] for i in range(self.m)) for j in basis)
+        y = solve(cols, tuple(self.c[j] for j in basis))
+        assert y is not None, "basis matrix singular"
+        return y
+
+    def _farkas_from_basis(self, basis):
+        # Phase-1 dual of the rows negated to rhs >= 0, turned back.
+        sgn = [ONE if r >= 0 else -ONE for r in self.rhs]
+        cols = tuple(
+            tuple(sgn[i] * self.M[i][j] if j < self.nz else (ONE if j - self.nz == i else ZERO) for i in range(self.m))
+            for j in basis
+        )
+        y = solve(cols, tuple(ZERO if j < self.nz else ONE for j in basis))
+        assert y is not None, "phase-1 basis matrix singular"
+        return tuple(s * v for s, v in zip(sgn, y))
 
     @staticmethod
     def _reduced_obj(c, tab, basis):
@@ -282,17 +341,29 @@ def _random_lp(rng):
 
 
 def _solve_recording_pivots(monkeypatch, cls, objective, poly, sense):
-    pivots = []
+    """lp_solve through `cls`; also the pivots taken and the multipliers checked."""
+    pivots, multipliers = [], []
     pivot = cls._pivot
+    check_optimal, check_farkas = cls._check_optimal, cls._check_farkas
 
     def recording(tab, obj, basis, r, c):
         pivots.append((r, c, tab[r][-1] == 0, tab[r][c] < 0))
         pivot(tab, obj, basis, r, c)
 
+    def optimal(self, z, y):
+        multipliers.append(("dual", tuple(y)))
+        check_optimal(self, z, y)
+
+    def farkas(self, y):
+        multipliers.append(("farkas", tuple(y)))
+        check_farkas(self, y)
+
     with monkeypatch.context() as patch:
         patch.setattr(lp, "_StandardLP", cls)
         patch.setattr(cls, "_pivot", staticmethod(recording))
-        return lp_solve(objective, poly, sense), pivots
+        patch.setattr(cls, "_check_optimal", optimal)
+        patch.setattr(cls, "_check_farkas", farkas)
+        return lp_solve(objective, poly, sense), pivots, multipliers
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -300,9 +371,10 @@ def test_integer_tableau_matches_fraction_reference(monkeypatch, seed):
     rng = random.Random(2000 + seed)
     for _ in range(20):
         objective, poly, sense = _random_lp(rng)
-        got, path = _solve_recording_pivots(monkeypatch, lp._StandardLP, objective, poly, sense)
-        ref, ref_path = _solve_recording_pivots(monkeypatch, _FractionStandardLP, objective, poly, sense)
+        got, path, certs = _solve_recording_pivots(monkeypatch, lp._StandardLP, objective, poly, sense)
+        ref, ref_path, ref_certs = _solve_recording_pivots(monkeypatch, _FractionStandardLP, objective, poly, sense)
         assert path == ref_path
+        assert certs == ref_certs
         assert (got.status, got.value, got.point, got.ray) == (ref.status, ref.value, ref.point, ref.ray)
         for x in (got.value, *(got.point or ()), *(got.ray or ())):
             assert x is None or type(x) is Fraction
@@ -312,13 +384,22 @@ def test_reference_lps_cover_every_case(monkeypatch):
     # The seeded LPs above reach every status under both senses, pivot on
     # degenerate vertices and on negative entries (an artificial pivoted out
     # after phase 1), and carry redundant and inconsistent equality rows.
+    # Their dual and Farkas multipliers are nonzero on equality rows (read
+    # from kept artificial columns) and on rows negated for phase 1.
     seen = set()
     for seed in range(25):
         rng = random.Random(2000 + seed)
         for _ in range(20):
             objective, poly, sense = _random_lp(rng)
-            res, path = _solve_recording_pivots(monkeypatch, lp._StandardLP, objective, poly, sense)
+            res, path, certs = _solve_recording_pivots(monkeypatch, lp._StandardLP, objective, poly, sense)
             seen.add((res.status, sense))
+            keep = lp.row_space_basis_indices(poly.A) if poly.A else ()
+            rhs = [poly.b[i] for i in keep] + list(poly.d)
+            for kind, y in certs:
+                if any(y[: len(keep)]):
+                    seen.add(f"{kind} on equality row")
+                if any(v and r < 0 for v, r in zip(y, rhs)):
+                    seen.add(f"{kind} on negated row")
             if any(degenerate for _, _, degenerate, _ in path):
                 seen.add("degenerate pivot")
             if any(negative for _, _, _, negative in path):
@@ -333,4 +414,5 @@ def test_reference_lps_cover_every_case(monkeypatch):
     cases = {(s, sense) for s in (OPTIMAL, UNBOUNDED, INFEASIBLE) for sense in ("max", "min")}
     cases |= {"redundant equalities", "inconsistent equalities", "negative rhs", "fractional"}
     cases |= {"degenerate pivot", "negative pivot"}
-    assert cases <= seen
+    cases |= {f"{kind} on {row} row" for kind in ("dual", "farkas") for row in ("equality", "negated")}
+    assert cases <= seen, cases - seen

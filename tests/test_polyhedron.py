@@ -124,6 +124,39 @@ def test_adjacent_vertices_off_polyhedron_is_precondition_violation(flags):
     ]
 
 
+_TYPED_ERRORS = """
+from polycircuits.errors import CorrespondenceViolation, PreconditionViolation
+from polycircuits.polyhedron import HPolyhedron, _Eliminator, slack_standard_form
+
+dependent = HPolyhedron.make(2, A=[[1, 0], [2, 0]], b=[0, 0], B=[[0, -1]], d=[0])
+for call in (lambda: _Eliminator(2, [], []).result(3), lambda: slack_standard_form(dependent)):
+    try:
+        print("returned", call())
+    except (CorrespondenceViolation, PreconditionViolation) as exc:
+        print(type(exc).__name__ + ":", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_eliminator_and_slack_form_checks_are_typed_errors(flags):
+    # Not asserts: under -O the eliminator would return a polyhedron of the
+    # wrong dimension and slack_standard_form a system with dependent rows.
+    src = str(Path(polycircuits.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _TYPED_ERRORS],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "CorrespondenceViolation: 2 variables left after elimination, expected 3",
+        "PreconditionViolation: slack_standard_form needs independent equality rows",
+    ]
+
+
 def unit_square():
     return HPolyhedron.make(2, B=[[-1, 0], [0, -1], [1, 0], [0, 1]], d=[0, 0, 1, 1])
 

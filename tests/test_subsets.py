@@ -245,7 +245,7 @@ def test_minimal_masks_match_pairwise_reference():
     [
         (lambda: enumerate_circuits(homogenize(cropped_cross_polytope(3))), 574),
         (lambda: basic_solutions(cropped_cross_polytope(3)), 477),
-        (lambda: edge_directions(hypercube(3)), 99),
+        (lambda: edge_directions(hypercube(3)), 93),
     ],
     ids=["circuits-hom-ccp3", "basic-solutions-ccp3", "edges-cube3"],
 )
