@@ -11,26 +11,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .directions import BasicSolutionSet, CircuitSet
 from .errors import CorrespondenceViolation, NotPointed
 from .linalg import (
-    _EMPTY,
-    _Echelon,
     Vector,
     _fold,
     _int_rows,
-    _kernel_line,
-    _subset_echelons,
     canonicalize_direction,
     identity,
     kernel_basis,
     mat_vec,
-    matmul,
-    transpose,
     vec_scale,
     vector,
 )
@@ -38,8 +31,8 @@ from .polyhedron import (
     DEFAULT_BUDGET,
     HPolyhedron,
     _basic_points,
+    _circuit_lines,
     _int_system,
-    _slacks,
     check_budget,
     edge_directions,
     homogenize,
@@ -78,62 +71,29 @@ def _minimal_masks(masks: Iterable[int]) -> set[int]:
     return set(minimal)
 
 
-def _keep_support_minimal(cands: dict) -> list:
-    minimal = _minimal_masks(cands.values())
-    return [g for g, m in cands.items() if m in minimal]
-
-
-def _canonical(v: Sequence[int]) -> tuple[int, ...]:
-    """`canonicalize_direction` on a nonzero integer vector."""
-    g = gcd(*v)
-    if next(x for x in v if x) < 0:
-        g = -g
-    return tuple(x // g for x in v)
-
-
 def enumerate_circuits(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -> CircuitSet:
     """All circuit directions of P's description, canonically represented.
 
-    Works in kernel coordinates of the equality block: candidate
-    directions are the one-dimensional kernels of (n'-1)-row subsets of
-    the reduced inequality matrix, each checked to be support-minimal
+    The candidates are the lines of the (n'-1)-row subset walk
+    (`_circuit_lines`), each checked to be support-minimal
     (CorrespondenceViolation if not). A non-pointed system yields its
     lineality basis instead (every nonzero lineality vector is a circuit
     there).
     """
-    N = kernel_basis(P.A, P.n) if P.A else list(identity(P.n))
-    np_ = len(N)
-    if np_ == 0:
-        return CircuitSet(source="circuits")
-    NT = transpose(tuple(N))  # n x n', maps reduced coords to ambient
-    Bred = matmul(P.B, NT) if P.B else ()
-    q = len(Bred)
-
-    lin = kernel_basis(Bred, np_) if Bred else list(identity(np_))
-    if lin:
-        return CircuitSet.subspace((mat_vec(NT, v) for v in lin), source="lineality")
-
-    k = np_ - 1
-    check_budget(comb(q, k), budget, "circuit candidate subsets")
-    rows = _int_rows(Bred)
-    NT_int = _int_rows(NT)  # kernel_basis vectors are integral
-    cands: dict[tuple[int, ...], int] = {}
-    seen: set[tuple[int, ...]] = set()
-    for ech, pivots, det in _subset_echelons(_EMPTY, rows, k, np_):
-        ghat = _canonical(_kernel_line(ech, pivots, det, np_))
-        if ghat in seen:
-            continue
-        seen.add(ghat)
-        g = _canonical([sum(map(mul, row, ghat)) for row in NT_int])
-        cands[g] = _support_mask([sum(map(mul, row, ghat)) for row in rows])
-    # Every candidate is support-minimal: it spans the kernel of k independent
-    # rows, and a vector of smaller support would be tight on those rows too,
-    # so it would lie on the same line. A candidate that is not is a bug.
-    minimal = _minimal_masks(cands.values())
-    for g, m in cands.items():
+    lineality, lines = _circuit_lines(P, budget)
+    if lineality:
+        return CircuitSet.subspace(lineality, source="lineality")
+    B = _int_rows(P.B)
+    masks = {g: _support_mask([sum(map(mul, row, g)) for row in B]) for g in lines}
+    # Every candidate is support-minimal: it spans the kernel of n'-1
+    # independent rows, and a vector of smaller support would be tight on
+    # those rows too, so it would lie on the same line. A candidate that is
+    # not is a bug.
+    minimal = _minimal_masks(masks.values())
+    for g, m in masks.items():
         if m not in minimal:
             raise CorrespondenceViolation(f"circuit candidate {g} is not support-minimal")
-    return CircuitSet(directions=tuple(tuple(Fraction(x) for x in g) for g in sorted(cands)), source="circuits")
+    return CircuitSet(directions=tuple(tuple(Fraction(x) for x in g) for g in sorted(masks)), source="circuits")
 
 
 def enumerate_circuits_bruteforce(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -> CircuitSet:
@@ -157,53 +117,48 @@ def enumerate_circuits_bruteforce(P: HPolyhedron, budget: Optional[int] = DEFAUL
             g = canonicalize_direction(ker[0])
             if g not in cands:
                 cands[g] = _support_mask(mat_vec(P.B, g))
-    return CircuitSet(directions=tuple(sorted(_keep_support_minimal(cands))), source="circuits-bruteforce")
+    minimal = _minimal_masks(cands.values())
+    directions = tuple(sorted(g for g, m in cands.items() if m in minimal))
+    return CircuitSet(directions=directions, source="circuits-bruteforce")
 
 
-def basic_solutions(
-    P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET, verify: bool = True
-) -> BasicSolutionSet:
+def basic_solutions(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -> BasicSolutionSet:
     """All points (feasible or not) whose tight rows have full column rank.
 
     Points satisfy every equality row; only inequality rows may be
-    violated. With `verify`, each returned point is checked to be
-    support-minimal against the others and a sample of non-basic points
-    is checked to be dominated, which is the support characterization
-    that makes these the degree-one homogenization circuits.
+    violated. Each returned point is checked to be support-minimal against
+    the others, and a sample of non-basic points is checked to be
+    dominated, which is the support characterization that makes these the
+    degree-one homogenization circuits.
     """
     if not is_pointed(P):
         raise NotPointed(P.name or "polyhedron")
-    n, q = P.n, len(P.B)
-    base, B, rank_A = _int_system(P)
-    k = n - rank_A
-    check_budget(comb(q, k), budget, "basic solution subsets")
-    pts = {tuple(Fraction(v, den) for v in num): (num, den) for num, den in _basic_points(base, B, k, n)}
+    pts = {
+        tuple(Fraction(v, den) for v in num): (den, slacks)
+        for (num, den), slacks in _basic_points(P, budget, "basic solution subsets").items()
+    }
     result = BasicSolutionSet.of(pts)
-    if verify:
-        _verify_support_characterization(P, result, pts, base, B)
+    _verify_support_characterization(P, result, pts)
     return result
 
 
 def _verify_support_characterization(
-    P: HPolyhedron,
-    sols: BasicSolutionSet,
-    ints: dict[Vector, tuple[tuple[int, ...], int]],
-    base: _Echelon,
-    B: list[list[int]],
+    P: HPolyhedron, sols: BasicSolutionSet, pts: dict[Vector, tuple[int, list[int]]]
 ) -> None:
-    """`ints` maps each point to (num, den); `base` and `B` are `_int_system(P)`."""
-    masks = {x: _support_mask(_slacks(B, *ints[x])) for x in sols}
+    """`pts` maps each point x = num / den to (den, den * (d - B x)), from `_basic_points`."""
+    base, B, _ = _int_system(P)
+    masks = {x: _support_mask(pts[x][1]) for x in sols}
     minimal = _minimal_masks(masks.values())
     for x, m in masks.items():
         if m not in minimal:
             raise CorrespondenceViolation(f"basic solution {x} is not support-minimal")
     # Non-basic sample: midpoints of basic pairs stay on the equality block.
+    # su * dv + sv * du is the midpoint's slack vector times 2 du dv.
     pairs = itertools.islice(itertools.combinations(sols, 2), 50)
     for u, v in pairs:
-        (nu, du), (nv, dv) = ints[u], ints[v]
-        znum, zden = [a * dv + b * du for a, b in zip(nu, nv)], 2 * du * dv
-        z = tuple(Fraction(a, zden) for a in znum)
-        slacks = _slacks(B, znum, zden)
+        (du, su), (dv, sv) = pts[u], pts[v]
+        z = tuple((a + b) / 2 for a, b in zip(u, v))
+        slacks = [a * dv + b * du for a, b in zip(su, sv)]
         tight = [row for row, s in zip(B, slacks) if s == 0]
         if len(_fold(base, tight, P.n)[1]) == P.n:
             if z not in sols:

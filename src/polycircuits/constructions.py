@@ -407,7 +407,8 @@ def _edge_free_cover(hull: HPolyhedron, verts: Sequence[Vector], g: Vector) -> D
     ]
     paired = {t for pair in pairs for t in pair}
     # three collinear vertices are impossible, so the pairs are disjoint
-    assert len(paired) == 2 * len(pairs)
+    if len(paired) != 2 * len(pairs):
+        raise CorrespondenceViolation(f"three collinear vertices along ({', '.join(map(str, gline))})")
     singles = sorted(t for t in verts if t not in paired)
     geoms = [_pair_geometry(hull, u, v) for u, v in sorted(pairs)]
 
@@ -610,7 +611,8 @@ def tau_transfer(pi: LinearMap, sigma: LinearMap) -> LinearMap:
 
     # right inverse of sigma, column by column, then tau0 = sigma^+ pi
     pinv_cols = [solve(Sg, unit_vector(n, i)) for i in range(n)]
-    assert all(c is not None for c in pinv_cols)
+    if any(c is None for c in pinv_cols):
+        raise CorrespondenceViolation("a full-row-rank map has no right inverse")
     tau = [list(row) for row in matmul(transpose(matrix(pinv_cols)), Pi)]
 
     ker_pi = kernel_basis(Pi, m)
@@ -620,7 +622,8 @@ def tau_transfer(pi: LinearMap, sigma: LinearMap) -> LinearMap:
         # makes tau injective on ker(pi); solve() picks the lowest-index
         # completion, so the whole construction is deterministic
         W = [solve(matrix(ker_pi), unit_vector(len(ker_pi), l)) for l in range(len(ker_pi))]
-        assert all(w is not None for w in W)
+        if any(w is None for w in W):
+            raise CorrespondenceViolation("a kernel basis has no left inverse")
         for t in range(m):
             for j in range(m):
                 tau[t][j] += sum(ks[t] * w[j] for ks, w in zip(ker_sg, W))

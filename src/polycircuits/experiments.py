@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 from . import jsonio
 from .circuits import (
-    basic_solutions,
+    circuits_of_homogenization,
     enumerate_circuits,
     enumerate_circuits_bruteforce,
 )
@@ -65,7 +65,6 @@ from .polyhedron import (
     HPolyhedron,
     LinearMap,
     edge_directions,
-    homogenize,
     minimize_description,
     preimage_description,
     project,
@@ -189,9 +188,7 @@ def run_thm1(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -> R
     rec.save_report("simplex_report", rep)
     rec.claim("bounded image is full-dimensional", 0, len(P.A))
     rec.claim(f"bounded image has n+2 = {n + 2} facets", n + 2, len(P.B))
-    rec.claim(
-        f"bounded image has n+2 = {n + 2} vertices", n + 2, len(vrep(P, budget).vertices)
-    )
+    rec.claim(f"bounded image has n+2 = {n + 2} vertices", n + 2, len(rep.P_vrep.vertices))
     rec.claim("e3 is a circuit of the bounded image", True, e3 in rep.P_circuits)
     rec.claim("e3 is not inherited from the simplex", True, e3 in rep.non_inherited)
     rec.claim(
@@ -203,7 +200,7 @@ def run_thm1(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -> R
     O = orthant(m)
     repc = check_inheritance(O, pi, budget=budget)
     R = repc.P.renamed(f"orthant_image_{n}_{m}")
-    V = vrep(R, budget)
+    V = repc.P_vrep
     rec.save_poly("orthant_image", R)
     rec.save_report("orthant_report", repc)
     rec.claim("cone image is full-dimensional", 0, len(R.A))
@@ -248,18 +245,17 @@ def run_thm2(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -> R
     delta = Fraction(params.get("delta", Fraction(3, 4)))
     rec = Recorder("thm2", {"n": n, "delta": str(delta)}, out_dir)
 
-    def surplus(nn: int) -> tuple[int, int, int]:
+    def hom_classes(nn: int):
+        # vertices are the basic solutions that lie in the polytope
         Qp = cropped_cross_polytope(nn, delta)
-        nverts = len(vrep(Qp, budget).vertices)
-        CH = enumerate_circuits(homogenize(Qp), budget)
-        return len(CH), nverts, len(CH) - nverts
+        CH, split = circuits_of_homogenization(Qp, budget)
+        return Qp, CH, split, [x for x in split.point_class if Qp.contains(x)]
 
-    Qp = cropped_cross_polytope(n, delta)
+    Qp, CH, split, verts = hom_classes(n)
+    basics = split.point_class
     rec.save_poly("cropped", Qp)
-    verts = vrep(Qp, budget).vertices
     rec.claim(f"vertex count is 4n(n-1) = {4 * n * (n - 1)}", 4 * n * (n - 1), len(verts))
 
-    basics = basic_solutions(Qp, budget)
     corners = [vector(s) for s in itertools.product((-delta, delta), repeat=n)]
     rec.save("basic_solutions", jsonio.basics_to_dict(basics))
     rec.claim(
@@ -269,13 +265,14 @@ def run_thm2(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -> R
     )
 
     if n == 3:
+        # circuits_of_homogenization has checked that the two classes are the
+        # circuits and the basic solutions of Qp; nothing may be left over
         rec.claim(
             "homogenization circuits split into circuits and basic solutions",
             True,
-            verify_hom_law(Qp, budget),
+            len(split.direction_class) + len(split.point_class) == len(CH),
         )
 
-    CH = enumerate_circuits(homogenize(Qp), budget)
     rec.save_circuits("hom_circuits", CH)
     lifted = CircuitSet.of([(Fraction(1),) + tuple(v) for v in verts])
     rec.claim(
@@ -291,8 +288,8 @@ def run_thm2(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -> R
     gap = len(CH) - len(verts)
     rec.claim("circuit count strictly exceeds the inherited count", True, gap > 0)
     if n == 4:
-        _, _, gap3 = surplus(3)
-        rec.claim("circuit surplus grows from n=3 to n=4", True, gap3 < gap)
+        _, CH3, _, verts3 = hom_classes(3)
+        rec.claim("circuit surplus grows from n=3 to n=4", True, len(CH3) - len(verts3) < gap)
     return rec.finish()
 
 

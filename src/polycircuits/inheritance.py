@@ -39,8 +39,10 @@ from .polyhedron import (
     DEFAULT_BUDGET,
     HPolyhedron,
     LinearMap,
+    VRep,
+    _edge_directions_of,
+    _vrep,
     cartesian_product,
-    edge_directions,
     is_pointed,
     minimize_description,
     project,
@@ -56,10 +58,12 @@ class InheritanceReport:
     """Classification of the circuits of P against those lifted from Q.
 
     P is the image description the circuits were computed on: the supplied
-    one, or else the minimized projection of Q.
+    one, or else the minimized projection of Q. P_vrep holds its vertices
+    and extreme rays.
     """
 
     P: HPolyhedron
+    P_vrep: VRep
     P_circuits: CircuitSet
     Q_circuits: CircuitSet
     projected: CircuitSet
@@ -146,17 +150,21 @@ def check_inheritance(
     inherited = CircuitSet.of((g for g in CP if g in projected), source="inherited")
     non_inherited = CircuitSet.of((g for g in CP if g not in projected), source="non-inherited")
 
-    edge_dirs = edge_directions(P, budget)
+    # P, and Q when CQ is not a subspace, are pointed: their extreme rays
+    # are among their circuits, and only the vertices need a walk
+    VP = _vrep(P, CP, budget)
+    edge_dirs = _edge_directions_of(P, VP)
     if any(e not in inherited for e in edge_dirs):
         raise CorrespondenceViolation("an edge direction of the image was not inherited")
     if not CQ.is_subspace:
         # stronger form of the same guarantee: edges come from edges
-        lifted_edges = pi.image_directions(edge_directions(Q, budget))
+        lifted_edges = pi.image_directions(_edge_directions_of(Q, _vrep(Q, CQ, budget)))
         if any(e not in lifted_edges for e in edge_dirs):
             raise CorrespondenceViolation("an edge direction of the image lifts to no edge of Q")
 
     return InheritanceReport(
         P=P,
+        P_vrep=VP,
         P_circuits=CP,
         Q_circuits=CQ,
         projected=projected,

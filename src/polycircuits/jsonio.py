@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .directions import BasicSolutionSet, CircuitSet
+from .errors import CorrespondenceViolation
 from .linalg import Vector, frac, matrix, vector
 from .polyhedron import HPolyhedron, LinearMap
 
@@ -26,7 +27,9 @@ def rat_rows(M) -> list[list[str]]:
 
 
 def int_vec(v: Sequence[Fraction]) -> list[int]:
-    assert all(x.denominator == 1 for x in v)
+    """A direction vector as JSON integers; directions are primitive integers."""
+    if any(x.denominator != 1 for x in v):
+        raise CorrespondenceViolation(f"direction ({', '.join(map(str, v))}) is not integral")
     return [int(x) for x in v]
 
 

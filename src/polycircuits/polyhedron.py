@@ -54,6 +54,7 @@ from .linalg import (
     is_zero,
     kernel_basis,
     mat_vec,
+    matmul,
     matrix,
     primitive,
     rank,
@@ -149,10 +150,6 @@ class AffineMap:
 
     def __call__(self, x: Sequence[Fraction]) -> Vector:
         return vec_add(mat_vec(self.matrix, x), self.offset)
-
-    @property
-    def linear(self) -> LinearMap:
-        return LinearMap(matrix=self.matrix)
 
 
 @dataclass(frozen=True)
@@ -311,21 +308,23 @@ def _int_system(P: HPolyhedron) -> tuple[_Echelon, list[list[int]], int]:
     return base, B, len(base[1]) - (n in base[1])
 
 
-def _slacks(B: Sequence[Sequence[int]], num: Sequence[int], den: int) -> list[int]:
-    """den * (d - B x) for x = num / den, den > 0, on `_int_system` rows."""
-    return [row[-1] * den - sum(map(mul, row, num)) for row in B]
-
-
 def _basic_points(
-    base: _Echelon, B: Sequence[Sequence[int]], k: int, n: int
-) -> set[tuple[tuple[int, ...], int]]:
-    """Distinct solutions of the equality rows plus k independent rows of B held tight.
+    P: HPolyhedron, budget: Optional[int], what: str
+) -> dict[tuple[tuple[int, ...], int], list[int]]:
+    """The basic solutions of P, each mapped to its slacks.
 
-    Each point is (num, den) in lowest terms with den > 0. There are none
-    when the equality rows are inconsistent.
+    A basic solution solves the equality rows with n - rank(A) independent
+    inequality rows held tight; there are none when the equality rows are
+    inconsistent. A point x = num / den (lowest terms, den > 0) maps to
+    den * (d - B x) on the `_int_system` rows. The budget caps the row
+    subsets walked, comb(q, n - rank(A)).
     """
+    n = P.n
+    base, B, rank_A = _int_system(P)
+    k = n - rank_A
+    check_budget(comb(len(B), k), budget, what)
     if n in base[1]:
-        return set()
+        return {}
     pts = set()
     for rows, pivots, det in _subset_echelons(base, B, k, n):
         num = [0] * n
@@ -335,45 +334,76 @@ def _basic_points(
         if det < 0:
             g = -g
         pts.add((tuple(v // g for v in num), det // g))
-    return pts
+    return {(num, den): [row[n] * den - sum(map(mul, row, num)) for row in B] for num, den in pts}
+
+
+def _canonical(v: Sequence[int]) -> tuple[int, ...]:
+    """`canonicalize_direction` on a nonzero integer vector."""
+    g = gcd(*v)
+    if next(x for x in v if x) < 0:
+        g = -g
+    return tuple(x // g for x in v)
+
+
+def _circuit_lines(
+    P: HPolyhedron, budget: Optional[int]
+) -> tuple[list[Vector], list[tuple[int, ...]]]:
+    """A lineality basis of P's description and, when it is empty, P's circuit lines.
+
+    Works in kernel coordinates of the equality block: each line is the
+    one-dimensional kernel of n'-1 independent rows of the reduced
+    inequality matrix, n' = n - rank(A), mapped back to a canonical integer
+    direction. The budget caps the row subsets walked, comb(q, n'-1).
+    """
+    N = kernel_basis(P.A, P.n) if P.A else list(identity(P.n))
+    np_ = len(N)
+    if np_ == 0:
+        return [], []
+    NT = transpose(tuple(N))  # n x n', maps reduced coords to ambient
+    Bred = matmul(P.B, NT) if P.B else ()
+    lin = kernel_basis(Bred, np_) if Bred else list(identity(np_))
+    if lin:
+        return [mat_vec(NT, v) for v in lin], []
+    check_budget(comb(len(Bred), np_ - 1), budget, "circuit candidate subsets")
+    NT_int = _int_rows(NT)  # kernel_basis vectors are integral
+    ghats = {
+        _canonical(_kernel_line(ech, pivots, det, np_))
+        for ech, pivots, det in _subset_echelons(_EMPTY, _int_rows(Bred), np_ - 1, np_)
+    }
+    return [], [_canonical([sum(map(mul, row, gh)) for row in NT_int]) for gh in ghats]
+
+
+def _vrep(P: HPolyhedron, lines: Iterable[Sequence], budget: Optional[int]) -> VRep:
+    """The vertices and extreme rays of a pointed P, given its circuit lines.
+
+    The vertices are the feasible basic solutions; a pointed polyhedron
+    with none is empty (EmptyPolyhedron). The extreme rays are the
+    sign-consistent circuits (Rockafellar 1969), oriented so that B r <= 0.
+    """
+    vertices = sorted(
+        tuple(Fraction(v, den) for v in num)
+        for (num, den), slacks in _basic_points(P, budget, "vertex candidates").items()
+        if all(s >= 0 for s in slacks)
+    )
+    if not vertices:
+        raise EmptyPolyhedron(P.name or "polyhedron")
+    B = _int_rows(P.B)
+    rays = []
+    for g in _int_rows(lines):  # integral lines, as ints: the sign tests build no Fraction
+        Bg = [sum(map(mul, row, g)) for row in B]
+        if all(x <= 0 for x in Bg):
+            rays.append(vector(g))
+        elif all(x >= 0 for x in Bg):
+            rays.append(vector(-x for x in g))
+    return VRep(vertices=tuple(vertices), rays=tuple(sorted(rays)))
 
 
 def vrep(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -> VRep:
-    """All vertices and extreme rays by tight-row enumeration.
-
-    Requires a pointed polyhedron: every vertex is the unique solution of
-    some n independent tight rows, every extreme ray spans the kernel of
-    some n-1 independent tight rows of the recession cone.
-    """
-    if not is_pointed(P):
+    """All vertices and extreme rays of a pointed polyhedron, with no LP (`_vrep`)."""
+    lineality, lines = _circuit_lines(P, budget)
+    if lineality:
         raise NotPointed(P.name or "polyhedron")
-    if not lp.is_feasible(P):
-        raise EmptyPolyhedron(P.name or "polyhedron")
-    n, q = P.n, len(P.B)
-    base, B, rank_A = _int_system(P)
-    k = n - rank_A  # pointedness guarantees k <= q
-
-    check_budget(comb(q, k), budget, "vertex candidates")
-    vertices = sorted(
-        tuple(Fraction(v, den) for v in num)
-        for num, den in _basic_points(base, B, k, n)
-        if all(s >= 0 for s in _slacks(B, num, den))
-    )
-
-    rays = set()
-    if k >= 1:
-        check_budget(comb(q, k - 1), budget, "ray candidates")
-        for rows, pivots, det in _subset_echelons(base, B, k - 1, n):
-            r = _kernel_line(rows, pivots, det, n)
-            Br = [sum(map(mul, row, r)) for row in B]
-            if all(x <= 0 for x in Br):
-                rays.add(tuple(r))
-            elif all(x >= 0 for x in Br):
-                rays.add(tuple(-x for x in r))
-    return VRep(
-        vertices=tuple(vertices),
-        rays=tuple(tuple(Fraction(x) for x in r) for r in sorted(rays)),
-    )
+    return _vrep(P, lines, budget)
 
 
 def _tight_mask(P: HPolyhedron, x: Sequence[Fraction]) -> int:

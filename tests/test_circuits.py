@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from polycircuits import circuits
+from polycircuits import circuits, polyhedron
 from polycircuits.circuits import (
     basic_solutions,
     circuits_of_homogenization,
@@ -105,14 +105,14 @@ def test_non_minimal_circuit_candidate_is_a_correspondence_violation(monkeypatch
     # support-minimal; enumerate_circuits reports one that is not instead of
     # dropping it. Corrupt the first kernel line to (1, 1, 1), whose support
     # on the cube's rows contains that of (1, 0, 0).
-    kernel_line = circuits._kernel_line
+    kernel_line = polyhedron._kernel_line
     calls = []
 
     def corrupted(rows, pivots, det, n):
         calls.append(None)
         return [1] * n if len(calls) == 1 else kernel_line(rows, pivots, det, n)
 
-    monkeypatch.setattr(circuits, "_kernel_line", corrupted)
+    monkeypatch.setattr(polyhedron, "_kernel_line", corrupted)
     with pytest.raises(CorrespondenceViolation, match="not support-minimal"):
         enumerate_circuits(cube(3))
     # The brute-force oracle keeps the definitional filter and is untouched.

@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, JSON schemas, determinism."""
 
+import ast
 import json
 import os
 import subprocess
@@ -183,6 +184,47 @@ def test_check_dimension_mismatch_is_input_error(tmp_path, capsys):
     qp, mp = write_pair(tmp_path, hypercube(3), pi_matrix(3, 4))
     code, _ = run_cli(["check", qp, mp], capsys)
     assert code == 2
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, so every check in the package raises a typed
+    # error instead.
+    package = Path(polycircuits.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+_FRACTIONAL_DIRECTION = """
+from fractions import Fraction
+from polycircuits import jsonio
+from polycircuits.errors import CorrespondenceViolation
+
+try:
+    print("returned", jsonio.int_vec((Fraction(1), Fraction(1, 2))))
+except CorrespondenceViolation as exc:
+    print("CorrespondenceViolation:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_fractional_direction_is_a_correspondence_violation(flags):
+    # Not an assert: under -O the direction would be written as [1, 0].
+    src = str(Path(polycircuits.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _FRACTIONAL_DIRECTION],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["CorrespondenceViolation: direction (1, 1/2) is not integral"]
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])

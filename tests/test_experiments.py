@@ -60,8 +60,10 @@ def test_experiment_artifacts_are_valid_json(tmp_path):
 
 
 def _record_inputs(monkeypatch) -> Counter:
-    """Count the calls of project, minimize_description and
-    enumerate_circuits per input, wherever a polycircuits module binds them.
+    """Count the calls of project, minimize_description, enumerate_circuits,
+    the vertex walk (the k-subsets of `_basic_points`) and the (n'-1)-subset
+    walk (`_circuit_lines`) per input, wherever a polycircuits module binds
+    them.
 
     An input is keyed by its rows (and map), never by its name, so a renamed
     copy of an object counts as the same input.
@@ -73,6 +75,8 @@ def _record_inputs(monkeypatch) -> Counter:
         polyhedron.project: lambda P, pi, *rest: (rows(P), pi.matrix),
         polyhedron.minimize_description: lambda P, *rest: rows(P),
         circuits.enumerate_circuits: lambda P, *rest: rows(P),
+        polyhedron._basic_points: lambda P, *rest: rows(P),
+        polyhedron._circuit_lines: lambda P, *rest: rows(P),
     }
     calls: Counter = Counter()
 
@@ -93,7 +97,14 @@ def _record_inputs(monkeypatch) -> Counter:
 
 
 @pytest.mark.parametrize(
-    "name, params", [("thm1", {"n": 3, "m": 4}), ("lemma17", {}), ("thm6", {"seed": 0})]
+    "name, params",
+    [
+        ("thm1", {"n": 3, "m": 4}),
+        ("lemma17", {}),
+        ("thm6", {"seed": 0}),
+        ("thm2", {"n": 3}),
+        ("thm3", {"seed": 0}),
+    ],
 )
 def test_experiment_computes_each_object_once(tmp_path, monkeypatch, name, params):
     calls = _record_inputs(monkeypatch)
