@@ -11,15 +11,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .directions import BasicSolutionSet, CircuitSet
 from .errors import CorrespondenceViolation, NotPointed
 from .linalg import (
     Vector,
-    _fold,
-    _int_rows,
+    _rank_upto,
     canonicalize_direction,
     identity,
     kernel_basis,
@@ -51,24 +49,7 @@ __all__ = [
 
 
 def _support_mask(v: Sequence) -> int:
-    m = 0
-    for i, x in enumerate(v):
-        if x != 0:
-            m |= 1 << i
-    return m
-
-
-def _minimal_masks(masks: Iterable[int]) -> set[int]:
-    """The masks of which no other mask in `masks` is a proper submask.
-
-    A proper submask has strictly fewer bits, so the masks are taken in
-    order of popcount and each is tested only against the minimal masks
-    of smaller popcount; any proper submask contains a minimal one.
-    """
-    minimal: list[int] = []
-    for _, group in itertools.groupby(sorted(set(masks), key=int.bit_count), key=int.bit_count):
-        minimal += [m for m in group if not any(o & m == o for o in minimal)]
-    return set(minimal)
+    return sum(1 << i for i, x in enumerate(v) if x != 0)
 
 
 def enumerate_circuits(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -> CircuitSet:
@@ -83,17 +64,8 @@ def enumerate_circuits(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -
     lineality, lines = _circuit_lines(P, budget)
     if lineality:
         return CircuitSet.subspace(lineality, source="lineality")
-    B = _int_rows(P.B)
-    masks = {g: _support_mask([sum(map(mul, row, g)) for row in B]) for g in lines}
-    # Every candidate is support-minimal: it spans the kernel of n'-1
-    # independent rows, and a vector of smaller support would be tight on
-    # those rows too, so it would lie on the same line. A candidate that is
-    # not is a bug.
-    minimal = _minimal_masks(masks.values())
-    for g, m in masks.items():
-        if m not in minimal:
-            raise CorrespondenceViolation(f"circuit candidate {g} is not support-minimal")
-    return CircuitSet(directions=tuple(tuple(Fraction(x) for x in g) for g in sorted(masks)), source="circuits")
+    directions = tuple(tuple(Fraction(x) for x in g) for g in sorted(lines))
+    return CircuitSet(directions=directions, source="circuits")
 
 
 def enumerate_circuits_bruteforce(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -> CircuitSet:
@@ -117,56 +89,52 @@ def enumerate_circuits_bruteforce(P: HPolyhedron, budget: Optional[int] = DEFAUL
             g = canonicalize_direction(ker[0])
             if g not in cands:
                 cands[g] = _support_mask(mat_vec(P.B, g))
-    minimal = _minimal_masks(cands.values())
-    directions = tuple(sorted(g for g, m in cands.items() if m in minimal))
-    return CircuitSet(directions=directions, source="circuits-bruteforce")
+    masks = set(cands.values())
+    minimal = (g for g, m in cands.items() if not any(o != m and o & m == o for o in masks))
+    return CircuitSet(directions=tuple(sorted(minimal)), source="circuits-bruteforce")
 
 
 def basic_solutions(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -> BasicSolutionSet:
     """All points (feasible or not) whose tight rows have full column rank.
 
     Points satisfy every equality row; only inequality rows may be
-    violated. Each returned point is checked to be support-minimal against
-    the others, and a sample of non-basic points is checked to be
+    violated. Each returned point is checked to be basic by the rank of its
+    own tight rows, and a sample of non-basic points is checked to be
     dominated, which is the support characterization that makes these the
     degree-one homogenization circuits.
     """
     if not is_pointed(P):
         raise NotPointed(P.name or "polyhedron")
-    pts = {
-        tuple(Fraction(v, den) for v in num): (den, slacks)
-        for (num, den), slacks in _basic_points(P, budget, "basic solution subsets").items()
-    }
-    result = BasicSolutionSet.of(pts)
-    _verify_support_characterization(P, result, pts)
-    return result
-
-
-def _verify_support_characterization(
-    P: HPolyhedron, sols: BasicSolutionSet, pts: dict[Vector, tuple[int, list[int]]]
-) -> None:
-    """`pts` maps each point x = num / den to (den, den * (d - B x)), from `_basic_points`."""
     base, B, _ = _int_system(P)
-    masks = {x: _support_mask(pts[x][1]) for x in sols}
-    minimal = _minimal_masks(masks.values())
-    for x, m in masks.items():
-        if m not in minimal:
+    n = P.n
+
+    def is_basic(slacks: list[int]) -> bool:
+        # slacks are den * (d - B x), from `_basic_points`
+        return _rank_upto(base, [row for row, s in zip(B, slacks) if s == 0], n, n) == n
+
+    pts = {}
+    for (num, den), slacks in _basic_points(P, budget, "basic solution subsets").items():
+        x = tuple(Fraction(v, den) for v in num)
+        if not is_basic(slacks):
             raise CorrespondenceViolation(f"basic solution {x} is not support-minimal")
-    # Non-basic sample: midpoints of basic pairs stay on the equality block.
+        pts[x] = (den, slacks)
+    sols = BasicSolutionSet.of(pts)
+    # Every point passed the rank test, so every mask is minimal. Non-basic
+    # sample: midpoints of basic pairs stay on the equality block;
     # su * dv + sv * du is the midpoint's slack vector times 2 du dv.
-    pairs = itertools.islice(itertools.combinations(sols, 2), 50)
-    for u, v in pairs:
+    masks = {_support_mask(slacks) for _, slacks in pts.values()}
+    for u, v in itertools.islice(itertools.combinations(sols, 2), 50):
         (du, su), (dv, sv) = pts[u], pts[v]
         z = tuple((a + b) / 2 for a, b in zip(u, v))
         slacks = [a * dv + b * du for a, b in zip(su, sv)]
-        tight = [row for row, s in zip(B, slacks) if s == 0]
-        if len(_fold(base, tight, P.n)[1]) == P.n:
+        if is_basic(slacks):
             if z not in sols:
                 raise CorrespondenceViolation(f"missed basic solution {z}")
             continue
         zm = _support_mask(slacks)
-        if not any(m != zm and m & zm == m for m in minimal):
+        if not any(m != zm and m & zm == m for m in masks):
             raise CorrespondenceViolation(f"non-basic point {z} not dominated")
+    return sols
 
 
 @dataclass(frozen=True)

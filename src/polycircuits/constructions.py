@@ -20,7 +20,6 @@ from .errors import (
     EdgeDirectionGiven,
     EmptyPolyhedron,
     CorrespondenceViolation,
-    NotPointed,
     PreconditionViolation,
 )
 from .linalg import (
@@ -53,13 +52,12 @@ from .polyhedron import (
     HPolyhedron,
     LinearMap,
     _edge_directions_of,
+    _pointed_vrep,
     _scaled_row,
     affine_image_description,
     cartesian_product,
     dim,
-    is_pointed,
     project,
-    vrep,
 )
 
 
@@ -466,10 +464,8 @@ def non_inheriting_extension(
     g = vector(g)
     if is_zero(g):
         raise PreconditionViolation("direction must be nonzero")
-    if not is_pointed(P):
-        raise NotPointed(P.name or "projection target")
-    V = vrep(P, budget)
-    if canonicalize_direction(g) in _edge_directions_of(P, V):
+    V, masks = _pointed_vrep(P, budget)
+    if canonicalize_direction(g) in _edge_directions_of(P, V, masks):
         raise EdgeDirectionGiven("an edge direction is inherited from every extension")
 
     hull = _hull_of_vertices(V.vertices, P.n) if V.rays else P

@@ -287,9 +287,11 @@ def run_thm2(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -> R
     )
     gap = len(CH) - len(verts)
     rec.claim("circuit count strictly exceeds the inherited count", True, gap > 0)
-    if n == 4:
-        _, CH3, _, verts3 = hom_classes(3)
-        rec.claim("circuit surplus grows from n=3 to n=4", True, len(CH3) - len(verts3) < gap)
+    if n >= 4:
+        _, CH_prev, _, verts_prev = hom_classes(n - 1)
+        rec.claim(
+            f"circuit surplus grows from n={n - 1} to n={n}", True, len(CH_prev) - len(verts_prev) < gap
+        )
     return rec.finish()
 
 
@@ -309,16 +311,16 @@ def run_partpoly(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) 
     rec.save_poly("transportation", T)
     rec.save_map("cluster_projection", piX)
 
-    CT = enumerate_circuits(T, budget)
-    ET = edge_directions(T, budget)
+    # the report holds T's circuits and edge directions
+    rep = check_inheritance(T, piX, budget=budget)
+    CT = rep.Q_circuits
     rec.save_circuits("source_circuits", CT)
     rec.claim(
         "every circuit of the transportation system is an edge direction",
         True,
-        set(CT) == set(ET),
+        set(CT) == set(rep.Q_edges),
     )
 
-    rep = check_inheritance(T, piX, budget=budget)
     rec.save_report("report", rep)
     rec.claim("the projected clustering polytope has non-inherited circuits",
               NOT_ALL_INHERITED, rep.verdict)

@@ -59,13 +59,15 @@ class InheritanceReport:
 
     P is the image description the circuits were computed on: the supplied
     one, or else the minimized projection of Q. P_vrep holds its vertices
-    and extreme rays.
+    and extreme rays. Q_edges holds the edge directions of Q, unprojected,
+    or None when Q has a lineality space.
     """
 
     P: HPolyhedron
     P_vrep: VRep
     P_circuits: CircuitSet
     Q_circuits: CircuitSet
+    Q_edges: Optional[CircuitSet]
     projected: CircuitSet
     inherited: CircuitSet
     non_inherited: CircuitSet
@@ -152,13 +154,15 @@ def check_inheritance(
 
     # P, and Q when CQ is not a subspace, are pointed: their extreme rays
     # are among their circuits, and only the vertices need a walk
-    VP = _vrep(P, CP, budget)
-    edge_dirs = _edge_directions_of(P, VP)
+    VP, masks = _vrep(P, CP, budget)
+    edge_dirs = _edge_directions_of(P, VP, masks)
     if any(e not in inherited for e in edge_dirs):
         raise CorrespondenceViolation("an edge direction of the image was not inherited")
+    Q_edges = None
     if not CQ.is_subspace:
         # stronger form of the same guarantee: edges come from edges
-        lifted_edges = pi.image_directions(_edge_directions_of(Q, _vrep(Q, CQ, budget)))
+        Q_edges = _edge_directions_of(Q, *_vrep(Q, CQ, budget))
+        lifted_edges = pi.image_directions(Q_edges)
         if any(e not in lifted_edges for e in edge_dirs):
             raise CorrespondenceViolation("an edge direction of the image lifts to no edge of Q")
 
@@ -167,6 +171,7 @@ def check_inheritance(
         P_vrep=VP,
         P_circuits=CP,
         Q_circuits=CQ,
+        Q_edges=Q_edges,
         projected=projected,
         inherited=inherited,
         non_inherited=non_inherited,

@@ -178,6 +178,24 @@ def _fold(
     return echelon
 
 
+def _rank_upto(echelon: _Echelon, rows: Iterable[Sequence[int]], r: int, ncols: int) -> int:
+    """The rank of `echelon` plus `rows` in their first `ncols` columns, or r once it reaches r.
+
+    Folds with `_insert` and stops at rank r. A pivot beyond `ncols`, as
+    in an inconsistent equality block that pivots in its right-hand-side
+    column, does not count.
+    """
+    rank = sum(p < ncols for p in echelon[1])
+    for x in rows:
+        if rank >= r:
+            break
+        step = _insert(*echelon, x, ncols)
+        if step is not None:
+            echelon = step
+            rank += 1
+    return min(rank, r)
+
+
 _EMPTY: _Echelon = ([], [], 1)
 
 

@@ -48,6 +48,7 @@ from .linalg import (
     _fold,
     _int_rows,
     _kernel_line,
+    _rank_upto,
     _subset_echelons,
     dot,
     identity,
@@ -167,17 +168,11 @@ def check_budget(count: int, budget: Optional[int], what: str) -> None:
 
 def is_pointed(P: HPolyhedron) -> bool:
     """Trivial lineality space: ker(A) meets ker(B) only at zero."""
-    stacked = P.A + P.B
-    if not stacked:
-        return P.n == 0
-    return rank(stacked) == P.n
+    return rank(P.A + P.B) == P.n
 
 
 def lineality_basis(P: HPolyhedron) -> list[Vector]:
-    stacked = P.A + P.B
-    if not stacked:
-        return [vector(v) for v in identity(P.n)]
-    return kernel_basis(stacked, P.n)
+    return kernel_basis(P.A + P.B, P.n)
 
 
 def _feasible_point(P: HPolyhedron) -> Vector:
@@ -353,7 +348,10 @@ def _circuit_lines(
     Works in kernel coordinates of the equality block: each line is the
     one-dimensional kernel of n'-1 independent rows of the reduced
     inequality matrix, n' = n - rank(A), mapped back to a canonical integer
-    direction. The budget caps the row subsets walked, comb(q, n'-1).
+    direction. Each line is checked to be support-minimal: the rows zero
+    on it must reach rank n'-1, so that it is their whole kernel
+    (CorrespondenceViolation if not). The budget caps the row subsets
+    walked, comb(q, n'-1).
     """
     N = kernel_basis(P.A, P.n) if P.A else list(identity(P.n))
     np_ = len(N)
@@ -366,26 +364,35 @@ def _circuit_lines(
         return [mat_vec(NT, v) for v in lin], []
     check_budget(comb(len(Bred), np_ - 1), budget, "circuit candidate subsets")
     NT_int = _int_rows(NT)  # kernel_basis vectors are integral
+    rows = _int_rows(Bred)
     ghats = {
         _canonical(_kernel_line(ech, pivots, det, np_))
-        for ech, pivots, det in _subset_echelons(_EMPTY, _int_rows(Bred), np_ - 1, np_)
+        for ech, pivots, det in _subset_echelons(_EMPTY, rows, np_ - 1, np_)
     }
-    return [], [_canonical([sum(map(mul, row, gh)) for row in NT_int]) for gh in ghats]
+    lines = []
+    for gh in ghats:
+        g = _canonical([sum(map(mul, row, gh)) for row in NT_int])
+        zero = [row for row in rows if not sum(map(mul, row, gh))]
+        if _rank_upto(_EMPTY, zero, np_ - 1, np_) < np_ - 1:
+            raise CorrespondenceViolation(f"circuit candidate {g} is not support-minimal")
+        lines.append(g)
+    return [], lines
 
 
-def _vrep(P: HPolyhedron, lines: Iterable[Sequence], budget: Optional[int]) -> VRep:
-    """The vertices and extreme rays of a pointed P, given its circuit lines.
+def _vrep(P: HPolyhedron, lines: Iterable[Sequence], budget: Optional[int]) -> tuple[VRep, list[int]]:
+    """The vertices and extreme rays of a pointed P, given its circuit lines,
+    and the tight-row mask of each vertex, in vertex order.
 
     The vertices are the feasible basic solutions; a pointed polyhedron
     with none is empty (EmptyPolyhedron). The extreme rays are the
     sign-consistent circuits (Rockafellar 1969), oriented so that B r <= 0.
     """
-    vertices = sorted(
-        tuple(Fraction(v, den) for v in num)
+    tight = sorted(
+        (tuple(Fraction(v, den) for v in num), sum(1 << i for i, s in enumerate(slacks) if s == 0))
         for (num, den), slacks in _basic_points(P, budget, "vertex candidates").items()
         if all(s >= 0 for s in slacks)
     )
-    if not vertices:
+    if not tight:
         raise EmptyPolyhedron(P.name or "polyhedron")
     B = _int_rows(P.B)
     rays = []
@@ -395,33 +402,36 @@ def _vrep(P: HPolyhedron, lines: Iterable[Sequence], budget: Optional[int]) -> V
             rays.append(vector(g))
         elif all(x >= 0 for x in Bg):
             rays.append(vector(-x for x in g))
-    return VRep(vertices=tuple(vertices), rays=tuple(sorted(rays)))
+    V = VRep(vertices=tuple(x for x, _ in tight), rays=tuple(sorted(rays)))
+    return V, [m for _, m in tight]
 
 
-def vrep(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -> VRep:
-    """All vertices and extreme rays of a pointed polyhedron, with no LP (`_vrep`)."""
+def _pointed_vrep(P: HPolyhedron, budget: Optional[int]) -> tuple[VRep, list[int]]:
+    """`_vrep` of P from its circuit walk; NotPointed when the walk finds a lineality space."""
     lineality, lines = _circuit_lines(P, budget)
     if lineality:
         raise NotPointed(P.name or "polyhedron")
     return _vrep(P, lines, budget)
 
 
-def _tight_mask(P: HPolyhedron, x: Sequence[Fraction]) -> int:
-    return sum(1 << i for i in P.tight_inequality_rows(x))
+def vrep(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -> VRep:
+    """All vertices and extreme rays of a pointed polyhedron, with no LP (`_vrep`)."""
+    return _pointed_vrep(P, budget)[0]
 
 
 def _edge_test(P: HPolyhedron) -> Callable[[int], bool]:
-    """Whether the rows in a tight-row mask, with A, leave a face of dimension one.
+    """Whether the rows in a tight-row mask, with A, have rank exactly n - 1.
 
     For two points u, v of P the rows tight at their midpoint are exactly
-    the rows tight at both, so `mask(u) & mask(v)` decides adjacency.
+    the rows tight at both, so `mask(u) & mask(v)` decides adjacency; a
+    vertex with itself reaches rank n and is not an edge.
     """
     base, B, _ = _int_system(P)
     n = P.n
 
     def is_edge(mask: int) -> bool:
         rows = [row for i, row in enumerate(B) if mask >> i & 1]
-        return len(_fold(base, rows, n)[1]) == n - 1
+        return _rank_upto(base, rows, n, n) == n - 1
 
     return is_edge
 
@@ -433,13 +443,13 @@ def adjacent_vertices(P: HPolyhedron, u: Sequence[Fraction], v: Sequence[Fractio
             raise PreconditionViolation(
                 f"{name} = ({', '.join(map(str, vector(x)))}) is not a point of {P.name or 'the polyhedron'}"
             )
-    return _edge_test(P)(_tight_mask(P, u) & _tight_mask(P, v))
+    common = set(P.tight_inequality_rows(u)).intersection(P.tight_inequality_rows(v))
+    return _edge_test(P)(sum(1 << i for i in common))
 
 
-def _edge_directions_of(P: HPolyhedron, V: VRep) -> CircuitSet:
-    """Edge directions of P from its vertices and rays, `V = vrep(P)`."""
+def _edge_directions_of(P: HPolyhedron, V: VRep, masks: Sequence[int]) -> CircuitSet:
+    """Edge directions of P from `_vrep(P, ...)`: its vertices, rays and vertex tight-row masks."""
     is_edge = _edge_test(P)
-    masks = [_tight_mask(P, x) for x in V.vertices]
     dirs = list(V.rays)
     for (u, mu), (v, mv) in itertools.combinations(zip(V.vertices, masks), 2):
         if is_edge(mu & mv):
@@ -449,7 +459,7 @@ def _edge_directions_of(P: HPolyhedron, V: VRep) -> CircuitSet:
 
 def edge_directions(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -> CircuitSet:
     """Directions of bounded edges (adjacent vertex differences) and extreme rays."""
-    return _edge_directions_of(P, vrep(P, budget=budget))
+    return _edge_directions_of(P, *_pointed_vrep(P, budget))
 
 
 def cartesian_product(P1: HPolyhedron, P2: HPolyhedron) -> HPolyhedron:

@@ -121,6 +121,23 @@ def test_non_minimal_circuit_candidate_is_a_correspondence_violation(monkeypatch
     )
 
 
+def test_lone_non_minimal_circuit_is_a_correspondence_violation(monkeypatch):
+    # Every kernel line of the square corrupted to (1, 1): the candidates
+    # agree with each other, so no comparison among them can see it. The
+    # rank test can: no row of the square is zero on (1, 1).
+    monkeypatch.setattr(polyhedron, "_kernel_line", lambda rows, pivots, det, n: [1] * n)
+    with pytest.raises(CorrespondenceViolation, match="not support-minimal"):
+        enumerate_circuits(cube(2))
+
+
+def test_lone_non_basic_point_is_a_correspondence_violation(monkeypatch):
+    # Only the edge midpoint (1/2, 0) of the square, as (num, den) with its
+    # slacks 2 * (d - B x): one tight row, rank 1 < 2, so it is not basic.
+    monkeypatch.setattr(circuits, "_basic_points", lambda P, *rest: {((1, 0), 2): [1, 0, 1, 2]})
+    with pytest.raises(CorrespondenceViolation, match="not support-minimal"):
+        basic_solutions(cube(2))
+
+
 def test_budget_exceeded():
     with pytest.raises(BudgetExceeded):
         enumerate_circuits(cube(8), budget=10)

@@ -272,6 +272,35 @@ def test_check_output_is_the_same_under_optimize(tmp_path):
     assert runs[0].stdout == runs[1].stdout
 
 
+def test_reproduce_artifacts_are_the_same_under_optimize(tmp_path):
+    # The rank tests of circuits and basic solutions and every other check
+    # are not asserts, so thm2 writes the same artifacts under -O.
+    src = str(Path(polycircuits.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    runs = []
+    for flags, name in (([], "asserts"), (["-O"], "optimized")):
+        out_dir = tmp_path / name
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "polycircuits.cli", "reproduce", "thm2", "--n", "3",
+             "--out-dir", str(out_dir)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        files = {}
+        for path in sorted(out_dir.iterdir()):
+            payload = json.loads(path.read_text())
+            if path.name == "result.json":  # artifact paths name the output directory
+                payload.pop("runtime_seconds")
+                payload["artifacts"] = [Path(a).name for a in payload["artifacts"]]
+            files[path.name] = payload
+        runs.append(files)
+    assert "result.json" in runs[0] and len(runs[0]) > 1
+    assert runs[0] == runs[1]
+
+
 # ---------------------------------------------------------------------------
 # construct verb
 

@@ -104,6 +104,7 @@ def _record_inputs(monkeypatch) -> Counter:
         ("thm6", {"seed": 0}),
         ("thm2", {"n": 3}),
         ("thm3", {"seed": 0}),
+        ("partpoly", {}),
     ],
 )
 def test_experiment_computes_each_object_once(tmp_path, monkeypatch, name, params):
@@ -126,27 +127,27 @@ def test_thm5_enumerates_each_lift_once(tmp_path, monkeypatch):
 
 
 def test_non_inheriting_extension_enumerates_vertices_once(tmp_path, monkeypatch):
-    # The edge-direction test and the construction share one vrep of the target.
-    vrep, extension = polyhedron.vrep, constructions.non_inheriting_extension
-    vrep_calls: list = []
+    # The edge-direction test and the construction share one vertex walk
+    # (`_basic_points`) of the target.
+    walk, extension = polyhedron._basic_points, constructions.non_inheriting_extension
+    walks: list = []
     per_extension: list[int] = []
 
-    def counting_vrep(*args, **kwargs):
-        vrep_calls.append(args[0])
-        return vrep(*args, **kwargs)
+    def counting_walk(*args):
+        walks.append(None)
+        return walk(*args)
 
     def recording_extension(*args, **kwargs):
-        start = len(vrep_calls)
+        start = len(walks)
         result = extension(*args, **kwargs)
-        per_extension.append(len(vrep_calls) - start)
+        per_extension.append(len(walks) - start)
         return result
 
+    monkeypatch.setattr(polyhedron, "_basic_points", counting_walk)
     for modname, mod in list(sys.modules.items()):
         if modname == "polycircuits" or modname.startswith("polycircuits."):
             for attr, value in list(vars(mod).items()):
-                if value is vrep:
-                    monkeypatch.setattr(mod, attr, counting_vrep)
-                elif value is extension:
+                if value is extension:
                     monkeypatch.setattr(mod, attr, recording_extension)
     assert run_experiment("thm5", {}, tmp_path).passed
     assert len(per_extension) >= 4

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from polycircuits import circuits, linalg, lp
+from polycircuits import linalg, lp
 from polycircuits.circuits import basic_solutions, enumerate_circuits
 from polycircuits.constructions import cropped_cross_polytope, hypercube
 from polycircuits.directions import BasicSolutionSet, CircuitSet
@@ -229,23 +229,12 @@ def test_reference_descriptions_cover_every_case():
     }, seen
 
 
-def test_minimal_masks_match_pairwise_reference():
-    # On valid descriptions every candidate is already support-minimal, so
-    # the enumerator comparison above cannot see this filter; test it alone.
-    rng = random.Random(0)
-    for _ in range(300):
-        width = rng.randint(1, 10)
-        masks = [rng.getrandbits(width) for _ in range(rng.randint(1, 40))]
-        expected = {m for m in masks if not any(o != m and o & m == o for o in masks)}
-        assert circuits._minimal_masks(masks) == expected
-
-
 @pytest.mark.parametrize(
     "run, expected",
     [
-        (lambda: enumerate_circuits(homogenize(cropped_cross_polytope(3))), 574),
-        (lambda: basic_solutions(cropped_cross_polytope(3)), 477),
-        (lambda: edge_directions(hypercube(3)), 93),
+        (lambda: enumerate_circuits(homogenize(cropped_cross_polytope(3))), 1027),
+        (lambda: basic_solutions(cropped_cross_polytope(3)), 903),
+        (lambda: edge_directions(hypercube(3)), 99),
     ],
     ids=["circuits-hom-ccp3", "basic-solutions-ccp3", "edges-cube3"],
 )
@@ -253,6 +242,8 @@ def test_subset_work_is_pinned(monkeypatch, run, expected):
     # Every elimination, over whole matrices or along the depth-first subset
     # walk, is a sequence of linalg._insert steps. A change that visits more
     # subsets or eliminates more rows must update these counts on purpose.
+    # They include the rank test of every circuit line and basic solution
+    # on its own zero or tight rows (linalg._rank_upto).
     calls = []
     insert = linalg._insert
 
