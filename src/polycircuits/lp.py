@@ -1,30 +1,39 @@
 """Exact two-phase primal simplex over rational data.
 
+`lp_solve` maximizes c^T x over {A x = b, B x <= d} with free x. Equality
+rows that depend on the others are dropped first; when they are
+inconsistent, an exact rank test decides the LP infeasible, and that
+answer carries no Farkas certificate. The rest is min -c^T x over the
+standard form z = (u, w, s) >= 0, x = u - w, with a slack s per B row.
 Bland's rule everywhere, so runs terminate and are deterministic for a
-fixed row and column order. Every answer ships with an exact
-certificate that is re-checked against the original data before it is
-returned: a feasible point plus equal-value dual multipliers for
-optimal, a recession direction with positive growth for unbounded, and
-Farkas multipliers for infeasible. A certificate failure raises
-CorrespondenceViolation since it can only come from a bug here.
+fixed row and column order.
 
-The tableau runs on Python ints. Input rows are scaled to integers
-(`linalg._int_rows`), and each tableau row, the objective row included,
-is a list of integer numerators over one positive denominator, kept in
-lowest terms. A pivot divides the pivot row by its entry and turns every
-other row into (p*N_i - f*N_r) / (d_i*p); the ratio test compares
-cross-multiplied numerators. These rows stand for exactly the rationals
-of a Fraction tableau after every pivot, so Bland's rule makes the same
-choices and every answer is the same; Fractions are built only for the
-returned point or ray.
+The standard form exists only as one integer tableau, built straight
+from the caller's rows: each row [a, rhs, 1] is scaled to integers
+(`linalg._int_rows`), giving the u entries a, the w entries -a and, on a
+B row, a slack entry equal to the scale. Each tableau row, the objective
+row included, is a list of integer numerators over one positive
+denominator, kept in lowest terms. A pivot divides the pivot row by its
+entry and turns every other row into (p*N_i - f*N_r) / (d_i*p); the
+ratio test compares cross-multiplied numerators. These rows stand for
+exactly the rationals of a Fraction tableau after every pivot, so
+Bland's rule makes the same choices and every answer is the same;
+Fractions are built only for the returned point or ray.
 
 The multipliers come from the final tableau. Each row has a unit column:
 its slack column, or, for an equality row, its artificial column, kept
 through phase 2 and never allowed to enter. The reduced cost of that
 column is its cost minus the row's multiplier. So the phase-2 objective
-row gives the duals and the phase-1 row the Farkas multipliers. The
-certificate checks then run on the original Fraction data, so a wrong
-reading fails a check rather than giving a wrong answer.
+row gives the duals and the phase-1 row the Farkas multipliers.
+
+Every answer's certificate is checked once, on the caller's rows, before
+it is returned, so a wrong reading fails a check rather than giving a
+wrong answer. Optimal: the point satisfies every row of the polyhedron,
+and multipliers y with y_B <= 0 and y^T [A; B] = -c have
+y^T (b, d) = -c^T x. Unbounded: a ray r with A r = 0, B r <= 0 and
+c^T r > 0. Infeasible: Farkas multipliers with y_B <= 0, y^T [A; B] = 0
+and y^T (b, d) > 0. A failed check raises CorrespondenceViolation since
+it can only come from a bug here.
 """
 
 from __future__ import annotations
@@ -35,19 +44,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .errors import CorrespondenceViolation
-from .linalg import (
-    ONE,
-    ZERO,
-    Vector,
-    _int_rows,
-    dot,
-    is_zero,
-    mat_vec,
-    rank,
-    row_space_basis_indices,
-    vec_sub,
-    vector,
-)
+from .linalg import ONE, ZERO, Vector, _int_rows, dot, rank, row_space_basis_indices, vector
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -62,30 +59,25 @@ class LPResult:
     ray: Optional[Vector] = None
 
 
-def lp_solve(objective: Sequence[Fraction], poly, sense: str = "max") -> LPResult:
-    """Optimize objective over {A x = b, B x <= d} with free variables x."""
-    if sense not in ("max", "min"):
-        raise ValueError(f"sense must be 'max' or 'min', not {sense!r}")
+def lp_solve(objective: Sequence[Fraction], poly) -> LPResult:
+    """Maximize objective over {A x = b, B x <= d} with free variables x."""
     c = vector(objective)
-    n = poly.n
-    if len(c) != n:
-        raise ValueError(f"objective has length {len(c)}, polyhedron dimension is {n}")
-    # Internal solver minimizes; for max we minimize -c.
-    cmin = tuple(-x for x in c) if sense == "max" else c
-
-    res = _solve_min(cmin, poly)
-
-    if res.status == OPTIMAL:
-        value = dot(c, res.point)
-        _assert(poly.contains(res.point), "optimal point infeasible")
-        return LPResult(OPTIMAL, value=value, point=res.point)
-    if res.status == UNBOUNDED:
-        r = res.ray
-        _assert(is_zero(mat_vec(poly.A, r)) if poly.A else True, "ray leaves equalities")
-        _assert(all(x <= 0 for x in mat_vec(poly.B, r)) if poly.B else True, "ray not recessive")
-        growth = dot(c, r)
-        _assert(growth > 0 if sense == "max" else growth < 0, "ray does not improve")
-        return LPResult(UNBOUNDED, ray=r)
+    if len(c) != poly.n:
+        raise ValueError(f"objective has length {len(c)}, polyhedron dimension is {poly.n}")
+    A, b = poly.A, poly.b
+    if A:
+        keep = row_space_basis_indices(A)
+        if len(keep) < len(A) and rank([row + (rhs,) for row, rhs in zip(A, b)]) > len(keep):
+            return LPResult(INFEASIBLE)
+        A = [A[i] for i in keep]
+        b = [b[i] for i in keep]
+    status, x = _StandardLP(poly.n, (*A, *poly.B), (*b, *poly.d), len(A), tuple(-v for v in c)).solve()
+    if status == OPTIMAL:
+        # The solver sees only the independent equality rows.
+        _assert(poly.contains(x), "point violates rows")
+        return LPResult(OPTIMAL, value=dot(c, x), point=x)
+    if status == UNBOUNDED:
+        return LPResult(UNBOUNDED, ray=x)
     return LPResult(INFEASIBLE)
 
 
@@ -95,7 +87,7 @@ def is_feasible(poly) -> bool:
 
 def is_implied(normal: Sequence[Fraction], rhs, poly) -> bool:
     """True iff a^T x <= rhs holds on all of poly (vacuously on empty)."""
-    res = lp_solve(normal, poly, sense="max")
+    res = lp_solve(normal, poly)
     if res.status == UNBOUNDED:
         return False
     if res.status == INFEASIBLE:
@@ -108,85 +100,39 @@ def _assert(cond: bool, msg: str) -> None:
         raise CorrespondenceViolation(f"simplex certificate check failed: {msg}")
 
 
-def _solve_min(c: Vector, poly) -> LPResult:
-    """Minimize c^T x over poly; point/ray are in original x coordinates."""
-    n, A, b, B, d = poly.n, poly.A, poly.b, poly.B, poly.d
-    p, q = len(A), len(B)
-
-    # Independent equality rows; inequality rows are always independent in
-    # standard form thanks to their slack columns.
-    if p:
-        keep = row_space_basis_indices(A)
-        if len(keep) < p and rank([row + (rhs,) for row, rhs in zip(A, b)]) > len(keep):
-            return LPResult(INFEASIBLE)
-        A = tuple(A[i] for i in keep)
-        b = tuple(b[i] for i in keep)
-        p = len(A)
-
-    # Standard form: z = (u, w, s) >= 0 with x = u - w, slack s on B rows.
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for i in range(p):
-        rows.append(list(A[i]) + [-x for x in A[i]] + [ZERO] * q)
-        rhs.append(b[i])
-    for i in range(q):
-        slack = [ZERO] * q
-        slack[i] = ONE
-        rows.append(list(B[i]) + [-x for x in B[i]] + slack)
-        rhs.append(d[i])
-    cz = list(c) + [-x for x in c] + [ZERO] * q
-
-    std = _StandardLP(rows, rhs, cz, [None] * p + [2 * n + i for i in range(q)])
-    out = std.solve()
-
-    if out[0] == INFEASIBLE:
-        return LPResult(INFEASIBLE)
-    if out[0] == UNBOUNDED:
-        zray = out[1]
-        xray = vec_sub(zray[:n], zray[n : 2 * n])
-        return LPResult(UNBOUNDED, ray=xray)
-    zpt = out[1]
-    x = vec_sub(zpt[:n], zpt[n : 2 * n])
-    return LPResult(OPTIMAL, value=dot(c, x), point=x)
-
-
 class _StandardLP:
-    """min c^T z, M z = rhs, z >= 0, with M of full row rank.
+    """min c^T x subject to rows[i] x = rhs[i] for i < p, rows[i] x <= rhs[i] after.
 
-    slack[i] is a zero-cost column of M equal to the i-th unit column, or
-    None when row i has none.
+    The first p rows must be linearly independent. `solve` returns
+    (status, x) with x the optimal point, the ray, or None when
+    infeasible, and checks the certificate of each answer on these rows.
 
-    The tableau holds m constraint rows and, as row m, the objective row.
-    Row i stands for the rationals tab[i][j] / den[i]; den[i] > 0 and the
-    row is in lowest terms.
+    Its tableau has the 2n + q columns of z = (u, w, s), then one
+    artificial column per row, then the right-hand side. The tableau holds
+    m constraint rows and, as row m, the objective row. Row i stands for
+    the rationals tab[i][j] / den[i]; den[i] > 0 and the row is in lowest
+    terms. With no rows the same steps apply: phase 2 has no basis, and the
+    first column of negative cost, u before w, is the ray.
     """
 
-    def __init__(
-        self, M: list[list[Fraction]], rhs: list[Fraction], c: list[Fraction], slack: list[Optional[int]]
-    ):
-        self.M = M
-        self.rhs = rhs
-        self.c = c
-        self.slack = slack
-        self.m = len(M)
-        self.nz = len(c)
+    def __init__(self, n: int, rows: Sequence[Vector], rhs: Sequence[Fraction], p: int, c: Vector):
+        self.n, self.rows, self.rhs, self.p, self.c = n, rows, rhs, p, c
+        self.m = len(rows)
+        self.nz = 2 * n + self.m - p
 
     def solve(self):
-        m, nz = self.m, self.nz
-        if m == 0:
-            j = next((j for j in range(nz) if self.c[j] < 0), None)
-            if j is None:
-                return (OPTIMAL, vector([ZERO] * nz))
-            ray = [ZERO] * nz
-            ray[j] = ONE
-            return (UNBOUNDED, vector(ray))
-
+        n, m, nz, p = self.n, self.m, self.nz, self.p
         # Phase 1: artificial columns form the initial basis. The appended
-        # ONE scales to the row's denominator, which is also its artificial
-        # entry; rows with rhs < 0 are negated, the artificial entry is not.
+        # ONE scales to the row's denominator, which is also its slack and
+        # artificial entry; rows with rhs < 0 are negated, the artificial
+        # entry is not.
         tab, den, sign = [], [], []
-        for i, row in enumerate(_int_rows([[*row, r, ONE] for row, r in zip(self.M, self.rhs)])):
-            *coeffs, r, scale = row
+        for i, row in enumerate(_int_rows([[*row, r, ONE] for row, r in zip(self.rows, self.rhs)])):
+            *a, r, scale = row
+            slack = [0] * (m - p)
+            if i >= p:
+                slack[i - p] = scale
+            coeffs = a + [-x for x in a] + slack
             sign.append(-1 if r < 0 else 1)
             if r < 0:
                 coeffs, r = [-x for x in coeffs], -r
@@ -202,39 +148,42 @@ class _StandardLP:
         _assert(status is None, "phase 1 unbounded")
         if tab[m][-1] != 0:
             self._check_farkas(self._row_duals(tab[m], den[m], range(nz, nz + m), sign, [1] * m))
-            return (INFEASIBLE,)
+            return (INFEASIBLE, None)
 
         # Full row rank guarantees every artificial can be pivoted out.
         for i in range(m):
             if basis[i] >= nz:
                 col = next(j for j in range(nz) if tab[i][j] != 0)
                 self._pivot(tab, den, basis, i, col)
-        # A row without a slack column keeps its artificial column, which
-        # never enters again; its reduced cost carries the row's dual.
-        kept = [i for i, s in enumerate(self.slack) if s is None]
+        # An equality row keeps its artificial column, which never enters
+        # again; its reduced cost carries the row's dual.
         for i in range(m):
-            tab[i], den[i] = _lowest_terms(tab[i][:nz] + [tab[i][nz + k] for k in kept] + tab[i][-1:], den[i])
-        art = iter(range(nz, nz + len(kept)))
-        dual_cols = [next(art) if s is None else s for s in self.slack]
-        dual_sign = [sign[i] if s is None else 1 for i, s in enumerate(self.slack)]
+            tab[i], den[i] = _lowest_terms(tab[i][: nz + p] + tab[i][-1:], den[i])
+        dual_cols = [*range(nz, nz + p), *range(2 * n, nz)]
+        dual_sign = sign[:p] + [1] * (m - p)
 
         # Phase 2 on the real columns.
         *cost, scale = _int_rows([[*self.c, ONE]])[0]
-        tab[m], den[m] = self._reduced_costs(tab, den, basis, cost + [0] * len(kept) + [0], scale)
-        status = self._iterate(tab, den, basis, eligible=nz)
-        if status is not None:
-            enter = status
-            ray = [ZERO] * nz
-            ray[enter] = ONE
-            for i in range(m):
-                ray[basis[i]] = Fraction(-tab[i][enter], den[i])
-            self._check_ray(vector(ray))
-            return (UNBOUNDED, vector(ray))
-        z = [ZERO] * nz
-        for i in range(m):
-            z[basis[i]] = Fraction(tab[i][-1], den[i])
-        self._check_optimal(vector(z), self._row_duals(tab[m], den[m], dual_cols, dual_sign, [0] * m))
-        return (OPTIMAL, vector(z))
+        tab[m], den[m] = self._reduced_costs(tab, den, basis, cost + [-x for x in cost] + [0] * (m + 1), scale)
+        enter = self._iterate(tab, den, basis, eligible=nz)
+        if enter is not None:
+            ray = self._x_of([(enter, ONE)] + [(basis[i], Fraction(-tab[i][enter], den[i])) for i in range(m)])
+            self._check_ray(ray)
+            return (UNBOUNDED, ray)
+        x = self._x_of([(basis[i], Fraction(tab[i][-1], den[i])) for i in range(m)])
+        self._check_optimal(x, self._row_duals(tab[m], den[m], dual_cols, dual_sign, [0] * m))
+        return (OPTIMAL, x)
+
+    def _x_of(self, z) -> Vector:
+        """x = u - w of a point or ray z of the standard form, given as (column, value) pairs."""
+        n = self.n
+        x = [ZERO] * n
+        for j, v in z:
+            if j < n:
+                x[j] += v
+            elif j < 2 * n:
+                x[j - n] -= v
+        return tuple(x)
 
     @staticmethod
     def _reduced_costs(tab, den, basis, cost: list[int], scale: int) -> tuple[list[int], int]:
@@ -246,10 +195,11 @@ class _StandardLP:
 
     @staticmethod
     def _row_duals(obj: list[int], scale: int, cols, sign, cost) -> Vector:
-        """Row multipliers y of M read off a final objective row obj / scale.
+        """Row multipliers y read off a final objective row obj / scale.
 
-        Column cols[i] is the unit column of row i, times sign[i] in M's row
-        orientation, at cost cost[i]; its reduced cost is cost[i] - sign[i]*y[i].
+        Column cols[i] is the unit column of row i, times sign[i] in the
+        row's orientation, at cost cost[i]; its reduced cost is
+        cost[i] - sign[i]*y[i].
         """
         return tuple(s * (c - Fraction(obj[j], scale)) for j, s, c in zip(cols, sign, cost))
 
@@ -292,26 +242,23 @@ class _StandardLP:
                 tab[i], den[i] = _eliminate(row, den[i], prow, p, c)
         basis[r] = c
 
-    def _combination(self, y: Vector) -> list[Fraction]:
-        """y^T M, summed over the rows where y is nonzero."""
+    def _combination(self, y: Vector) -> Vector:
+        """y^T rows, summed over the rows where y is nonzero."""
         rows = [i for i, v in enumerate(y) if v]
         ys = tuple(y[i] for i in rows)
-        return [dot(ys, tuple(self.M[i][j] for i in rows)) for j in range(self.nz)]
+        return tuple(dot(ys, tuple(self.rows[i][j] for i in rows)) for j in range(self.n))
 
-    def _check_optimal(self, z: Vector, y: Vector) -> None:
-        _assert(all(x >= 0 for x in z), "negative basic value")
-        _assert(all(dot(row, z) == r for row, r in zip(self.M, self.rhs)), "point violates rows")
-        _assert(all(v <= c for v, c in zip(self._combination(y), self.c)), "dual infeasible")
-        _assert(dot(y, self.rhs) == dot(vector(self.c), z), "duality gap")
+    def _check_optimal(self, x: Vector, y: Vector) -> None:
+        _assert(all(v <= 0 for v in y[self.p :]) and self._combination(y) == self.c, "dual infeasible")
+        _assert(dot(y, self.rhs) == dot(self.c, x), "duality gap")
 
-    def _check_ray(self, ray: Vector) -> None:
-        _assert(all(x >= 0 for x in ray), "ray leaves the cone")
-        _assert(all(dot(row, ray) == 0 for row in self.M), "ray not in row kernel")
-        _assert(dot(vector(self.c), ray) < 0, "ray does not decrease objective")
+    def _check_ray(self, r: Vector) -> None:
+        _assert(all(dot(row, r) == 0 for row in self.rows[: self.p]), "ray leaves equalities")
+        _assert(all(dot(row, r) <= 0 for row in self.rows[self.p :]), "ray not recessive")
+        _assert(dot(self.c, r) < 0, "ray does not improve")
 
     def _check_farkas(self, y: Vector) -> None:
-        # Phase-1 dual: y^T M <= 0 on real columns yet y^T rhs > 0.
-        _assert(all(v <= 0 for v in self._combination(y)), "Farkas columns")
+        _assert(all(v <= 0 for v in y[self.p :]) and not any(self._combination(y)), "Farkas columns")
         _assert(dot(y, self.rhs) > 0, "Farkas rhs")
 
 

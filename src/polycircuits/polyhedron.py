@@ -657,13 +657,6 @@ def project(P: HPolyhedron, pi: LinearMap) -> HPolyhedron:
     return _promoted(R, _implicit_rows(R, x))
 
 
-def minkowski_sum(P1: HPolyhedron, P2: HPolyhedron) -> HPolyhedron:
-    if P1.n != P2.n:
-        raise PreconditionViolation(f"summands have dimensions {P1.n} and {P2.n}")
-    summing = LinearMap(matrix=tuple(row + row for row in identity(P1.n)))
-    return project(cartesian_product(P1, P2), summing)
-
-
 def affine_image_description(P: HPolyhedron, phi: AffineMap) -> HPolyhedron:
     """Description of phi(P) for invertible linear part, by row composition."""
     Minv = _inverse(phi.matrix)

@@ -11,7 +11,7 @@ from polycircuits import lp
 from polycircuits.constructions import cross_polytope, hypercube, orthant, pi_matrix
 from polycircuits.errors import CorrespondenceViolation
 from polycircuits.inheritance import check_inheritance
-from polycircuits.linalg import ONE, ZERO, dot, solve, vector
+from polycircuits.linalg import ONE, ZERO, dot, solve, vec_sub, vector
 from polycircuits.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, is_feasible, is_implied, lp_solve
 from polycircuits.polyhedron import HPolyhedron, minimize_description
 
@@ -22,7 +22,7 @@ def triangle():
 
 
 def test_optimal_on_triangle():
-    res = lp_solve([1, 1], triangle(), sense="max")
+    res = lp_solve([1, 1], triangle())
     assert res.status == OPTIMAL
     assert res.value == 1
     assert triangle().contains(res.point)
@@ -30,7 +30,8 @@ def test_optimal_on_triangle():
 
 
 def test_min_sense():
-    res = lp_solve([1, 1], triangle(), sense="min")
+    # min x + y is the maximum of -x - y
+    res = lp_solve([-1, -1], triangle())
     assert res.status == OPTIMAL
     assert res.value == 0
     assert res.point == vector([0, 0])
@@ -38,7 +39,7 @@ def test_min_sense():
 
 def test_unbounded_with_certified_ray():
     orthant = HPolyhedron.make(2, B=[[-1, 0], [0, -1]], d=[0, 0])
-    res = lp_solve([1, 2], orthant, sense="max")
+    res = lp_solve([1, 2], orthant)
     assert res.status == UNBOUNDED
     assert all(x >= 0 for x in res.ray)
     assert dot(vector([1, 2]), res.ray) > 0
@@ -52,14 +53,14 @@ def test_infeasible():
 
 def test_equality_rows():
     P = HPolyhedron.make(2, A=[[1, 1]], b=[1], B=[[-1, 0], [0, -1]], d=[0, 0])
-    res = lp_solve([1, 0], P, sense="max")
+    res = lp_solve([1, 0], P)
     assert res.status == OPTIMAL
     assert res.value == 1 and res.point == vector([1, 0])
 
 
 def test_redundant_equality_rows_are_tolerated():
     P = HPolyhedron.make(2, A=[[1, 1], [2, 2]], b=[1, 2], B=[[-1, 0], [0, -1]], d=[0, 0])
-    assert lp_solve([0, 1], P, sense="max").value == 1
+    assert lp_solve([0, 1], P).value == 1
 
 
 def test_inconsistent_equality_rows():
@@ -81,16 +82,16 @@ def test_degenerate_vertex_terminates():
     P = HPolyhedron.make(
         2, B=[[-1, 0], [0, -1], [-1, -1], [1, 1], [1, 0], [0, 1]], d=[0, 0, 0, 2, 1, 1]
     )
-    res = lp_solve([1, 1], P, sense="max")
+    res = lp_solve([1, 1], P)
     assert res.status == OPTIMAL and res.value == 2
 
 
 def test_free_variable_lp():
     # single inequality in R^2: max along the normal hits the facet
     P = HPolyhedron.make(2, B=[[1, 1]], d=[3])
-    res = lp_solve([1, 1], P, sense="max")
+    res = lp_solve([1, 1], P)
     assert res.status == OPTIMAL and res.value == 3
-    assert lp_solve([1, -1], P, sense="max").status == UNBOUNDED
+    assert lp_solve([1, -1], P).status == UNBOUNDED
 
 
 def test_no_constraints():
@@ -111,7 +112,7 @@ def test_random_boxes_with_cuts(seed):
         d.append(rng.randint(0, 6))  # keeps the origin feasible
     P = HPolyhedron.make(n, B=B, d=d)
     c = [rng.randint(-4, 4) for _ in range(n)]
-    res = lp_solve(c, P, sense="max")
+    res = lp_solve(c, P)
     # bounded feasible region: always optimal, never raises a certificate error
     assert res.status == OPTIMAL
     assert P.contains(res.point)
@@ -120,8 +121,6 @@ def test_random_boxes_with_cuts(seed):
 def test_malformed_call_raises_value_error():
     with pytest.raises(ValueError):
         lp_solve([1, 1, 1], triangle())
-    with pytest.raises(ValueError):
-        lp_solve([1, 1], triangle(), sense="maximize")
 
 
 _CORRUPT_MULTIPLIERS = """
@@ -201,20 +200,39 @@ def test_lp_counts_are_pinned(monkeypatch, run, expected):
 # The integer tableau against a Fraction reference.
 #
 # `_FractionStandardLP` is the simplex tableau over Fractions that the
-# integer rows replaced: the same two phases and the same Bland rule, with
-# each row scaled by its pivot and every other row cleared entry by entry.
-# It finds the dual and Farkas multipliers by solving on the final basis
-# columns, a second route to the ones the integer tableau reads off its
-# reduced costs, and shares the certificate checks. Both hold the same
-# rationals after every pivot, so they must take the same pivots, pass the
-# checks the same multipliers and return the same answer.
+# integer rows replaced: it builds its own Fraction standard form from the
+# caller's rows, z = (u, w, s) with x = u - w and a unit slack column per
+# inequality row, and runs the same two phases and the same Bland rule on
+# it, with each row scaled by its pivot and every other row cleared entry
+# by entry. With no rows it takes its own route. It finds the dual and
+# Farkas multipliers by solving on the final basis columns, a second route
+# to the ones the integer tableau reads off its reduced costs, and shares
+# the certificate checks. Both hold the same rationals after every pivot,
+# so they must take the same pivots, pass the checks the same multipliers
+# and return the same answer.
 
 
 class _FractionStandardLP(lp._StandardLP):
     def solve(self):
-        m, nz = self.m, self.nz
+        n, m, p = self.n, self.m, self.p
+        q = m - p
+        self.M = [
+            list(row) + [-x for x in row] + [ONE if k == i - p else ZERO for k in range(q)]
+            for i, row in enumerate(self.rows)
+        ]
+        self.cz = list(self.c) + [-x for x in self.c] + [ZERO] * q
+        nz = len(self.cz)
         if m == 0:
-            return super().solve()
+            negative = [j for j in range(nz) if self.cz[j] < 0]
+            if not negative:
+                x = vector([ZERO] * n)
+                self._check_optimal(x, ())
+                return (OPTIMAL, x)
+            z = [ZERO] * nz
+            z[negative[0]] = ONE
+            ray = self._x(z)
+            self._check_ray(ray)
+            return (UNBOUNDED, ray)
         tab = []
         for i in range(m):
             sign = ONE if self.rhs[i] >= 0 else -ONE
@@ -227,42 +245,48 @@ class _FractionStandardLP(lp._StandardLP):
         assert status is None
         if -obj[-1] != 0:
             self._check_farkas(self._farkas_from_basis(basis))
-            return (INFEASIBLE,)
+            return (INFEASIBLE, None)
         for i in range(m):
             if basis[i] >= nz:
                 col = next(j for j in range(nz) if tab[i][j] != 0)
                 self._pivot(tab, obj, basis, i, col)
         for row in tab:
             del row[nz:-1]
-        obj = self._reduced_obj(list(self.c), tab, basis)
+        obj = self._reduced_obj(self.cz, tab, basis)
         status = self._iterate(tab, obj, basis, eligible=nz)
         if status is not None:
-            ray = [ZERO] * nz
-            ray[status] = ONE
+            z = [ZERO] * nz
+            z[status] = ONE
             for i in range(m):
-                ray[basis[i]] = -tab[i][status]
-            self._check_ray(vector(ray))
-            return (UNBOUNDED, vector(ray))
+                z[basis[i]] = -tab[i][status]
+            ray = self._x(z)
+            self._check_ray(ray)
+            return (UNBOUNDED, ray)
         z = [ZERO] * nz
         for i in range(m):
             z[basis[i]] = tab[i][-1]
-        self._check_optimal(vector(z), self._dual_from_basis(basis))
-        return (OPTIMAL, vector(z))
+        x = self._x(z)
+        self._check_optimal(x, self._dual_from_basis(basis))
+        return (OPTIMAL, x)
+
+    def _x(self, z):
+        return vec_sub(z[: self.n], z[self.n : 2 * self.n])
 
     def _dual_from_basis(self, basis):
         cols = tuple(tuple(self.M[i][j] for i in range(self.m)) for j in basis)
-        y = solve(cols, tuple(self.c[j] for j in basis))
+        y = solve(cols, tuple(self.cz[j] for j in basis))
         assert y is not None, "basis matrix singular"
         return y
 
     def _farkas_from_basis(self, basis):
         # Phase-1 dual of the rows negated to rhs >= 0, turned back.
+        nz = len(self.cz)
         sgn = [ONE if r >= 0 else -ONE for r in self.rhs]
         cols = tuple(
-            tuple(sgn[i] * self.M[i][j] if j < self.nz else (ONE if j - self.nz == i else ZERO) for i in range(self.m))
+            tuple(sgn[i] * self.M[i][j] if j < nz else (ONE if j - nz == i else ZERO) for i in range(self.m))
             for j in basis
         )
-        y = solve(cols, tuple(ZERO if j < self.nz else ONE for j in basis))
+        y = solve(cols, tuple(ZERO if j < nz else ONE for j in basis))
         assert y is not None, "phase-1 basis matrix singular"
         return tuple(s * v for s, v in zip(sgn, y))
 
@@ -315,13 +339,14 @@ def _entry(rng):
 
 
 def _random_lp(rng):
-    """(objective, poly, sense) around a point x0 of fractional coordinates.
+    """(objective, poly) around a point x0 of fractional coordinates.
 
     Inequality rows are tight at x0 (degenerate vertices), slack there, or
     violated by it (possibly infeasible); their right-hand sides take both
     signs. Equality rows hold at x0, may repeat a scaled earlier row
     (redundant) or shift its right-hand side (inconsistent). Few rows and
-    free variables make unbounded LPs common.
+    free variables make unbounded LPs common, and some LPs have no rows.
+    Half the objectives are negated, which makes the maximum a minimum.
     """
     n = rng.randint(1, 4)
     x0 = [_entry(rng) for _ in range(n)]
@@ -337,10 +362,12 @@ def _random_lp(rng):
         B.append(row)
         d.append(dot(vector(row), vector(x0)) + rng.choice([0, 0, Fraction(1, 2), 3, -1]))
     objective = [_entry(rng) for _ in range(n)]
-    return objective, HPolyhedron.make(n, A=A, b=b, B=B, d=d), rng.choice(["max", "min"])
+    if rng.choice([False, True]):
+        objective = [-x for x in objective]
+    return objective, HPolyhedron.make(n, A=A, b=b, B=B, d=d)
 
 
-def _solve_recording_pivots(monkeypatch, cls, objective, poly, sense):
+def _solve_recording_pivots(monkeypatch, cls, objective, poly):
     """lp_solve through `cls`; also the pivots taken and the multipliers checked."""
     pivots, multipliers = [], []
     pivot = cls._pivot
@@ -350,9 +377,9 @@ def _solve_recording_pivots(monkeypatch, cls, objective, poly, sense):
         pivots.append((r, c, tab[r][-1] == 0, tab[r][c] < 0))
         pivot(tab, obj, basis, r, c)
 
-    def optimal(self, z, y):
+    def optimal(self, x, y):
         multipliers.append(("dual", tuple(y)))
-        check_optimal(self, z, y)
+        check_optimal(self, x, y)
 
     def farkas(self, y):
         multipliers.append(("farkas", tuple(y)))
@@ -363,16 +390,16 @@ def _solve_recording_pivots(monkeypatch, cls, objective, poly, sense):
         patch.setattr(cls, "_pivot", staticmethod(recording))
         patch.setattr(cls, "_check_optimal", optimal)
         patch.setattr(cls, "_check_farkas", farkas)
-        return lp_solve(objective, poly, sense), pivots, multipliers
+        return lp_solve(objective, poly), pivots, multipliers
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_integer_tableau_matches_fraction_reference(monkeypatch, seed):
     rng = random.Random(2000 + seed)
     for _ in range(20):
-        objective, poly, sense = _random_lp(rng)
-        got, path, certs = _solve_recording_pivots(monkeypatch, lp._StandardLP, objective, poly, sense)
-        ref, ref_path, ref_certs = _solve_recording_pivots(monkeypatch, _FractionStandardLP, objective, poly, sense)
+        objective, poly = _random_lp(rng)
+        got, path, certs = _solve_recording_pivots(monkeypatch, lp._StandardLP, objective, poly)
+        ref, ref_path, ref_certs = _solve_recording_pivots(monkeypatch, _FractionStandardLP, objective, poly)
         assert path == ref_path
         assert certs == ref_certs
         assert (got.status, got.value, got.point, got.ray) == (ref.status, ref.value, ref.point, ref.ray)
@@ -381,18 +408,19 @@ def test_integer_tableau_matches_fraction_reference(monkeypatch, seed):
 
 
 def test_reference_lps_cover_every_case(monkeypatch):
-    # The seeded LPs above reach every status under both senses, pivot on
-    # degenerate vertices and on negative entries (an artificial pivoted out
-    # after phase 1), and carry redundant and inconsistent equality rows.
-    # Their dual and Farkas multipliers are nonzero on equality rows (read
-    # from kept artificial columns) and on rows negated for phase 1.
+    # The seeded LPs above reach every status, include LPs with no rows,
+    # pivot on degenerate vertices and on negative entries (an artificial
+    # pivoted out after phase 1), and carry redundant and inconsistent
+    # equality rows. Their dual and Farkas multipliers are nonzero on
+    # equality rows (read from kept artificial columns) and on rows negated
+    # for phase 1.
     seen = set()
     for seed in range(25):
         rng = random.Random(2000 + seed)
         for _ in range(20):
-            objective, poly, sense = _random_lp(rng)
-            res, path, certs = _solve_recording_pivots(monkeypatch, lp._StandardLP, objective, poly, sense)
-            seen.add((res.status, sense))
+            objective, poly = _random_lp(rng)
+            res, path, certs = _solve_recording_pivots(monkeypatch, lp._StandardLP, objective, poly)
+            seen.add(res.status)
             keep = lp.row_space_basis_indices(poly.A) if poly.A else ()
             rhs = [poly.b[i] for i in keep] + list(poly.d)
             for kind, y in certs:
@@ -404,6 +432,8 @@ def test_reference_lps_cover_every_case(monkeypatch):
                 seen.add("degenerate pivot")
             if any(negative for _, _, _, negative in path):
                 seen.add("negative pivot")
+            if not poly.A and not poly.B:
+                seen.add("no rows")
             if len(poly.A) > lp.rank(poly.A):
                 consistent = lp.rank([row + (r,) for row, r in zip(poly.A, poly.b)]) == lp.rank(poly.A)
                 seen.add("redundant equalities" if consistent else "inconsistent equalities")
@@ -411,7 +441,7 @@ def test_reference_lps_cover_every_case(monkeypatch):
                 seen.add("negative rhs")
             if any(x.denominator > 1 for row in poly.B for x in row):
                 seen.add("fractional")
-    cases = {(s, sense) for s in (OPTIMAL, UNBOUNDED, INFEASIBLE) for sense in ("max", "min")}
+    cases = {OPTIMAL, UNBOUNDED, INFEASIBLE, "no rows"}
     cases |= {"redundant equalities", "inconsistent equalities", "negative rhs", "fractional"}
     cases |= {"degenerate pivot", "negative pivot"}
     cases |= {f"{kind} on {row} row" for kind in ("dual", "farkas") for row in ("equality", "negated")}

@@ -23,7 +23,6 @@ from polycircuits.polyhedron import (
     is_pointed,
     lineality_basis,
     minimize_description,
-    minkowski_sum,
     preimage_description,
     project,
     slack_standard_form,
@@ -59,23 +58,18 @@ def test_mismatched_rows_raise_precondition_violation(rows):
 _MISMATCHED_DIMENSIONS = """
 from polycircuits.constructions import hypercube
 from polycircuits.errors import PreconditionViolation
-from polycircuits.polyhedron import LinearMap, minkowski_sum, project
+from polycircuits.polyhedron import LinearMap, project
 
-for call in (
-    lambda: project(hypercube(3), LinearMap(((1, 0, 0, 0), (0, 1, 0, 0)))),
-    lambda: minkowski_sum(hypercube(3), hypercube(2)),
-):
-    try:
-        print("returned", call())
-    except PreconditionViolation as exc:
-        print("PreconditionViolation:", exc)
+try:
+    print("returned", project(hypercube(3), LinearMap(((1, 0, 0, 0), (0, 1, 0, 0)))))
+except PreconditionViolation as exc:
+    print("PreconditionViolation:", exc)
 """
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
 def test_dimension_mismatch_is_precondition_violation(flags):
-    # Not asserts: under -O, project would return the unit square and
-    # minkowski_sum would fail with an IndexError.
+    # Not an assert: under -O, project would return the unit square.
     src = str(Path(polycircuits.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run(
@@ -88,7 +82,6 @@ def test_dimension_mismatch_is_precondition_violation(flags):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "PreconditionViolation: map has domain dimension 4, polyhedron has dimension 3",
-        "PreconditionViolation: summands have dimensions 3 and 2",
     ]
 
 
@@ -308,14 +301,6 @@ def test_cartesian_product_blocks():
     assert P.n == 3
     assert len(P.B) == 5
     assert P.B[4] == vector([0, 0, -1])
-
-
-def test_minkowski_sum_of_segments():
-    seg1 = HPolyhedron.make(2, A=[[0, 1]], b=[0], B=[[-1, 0], [1, 0]], d=[0, 1])
-    seg2 = HPolyhedron.make(2, A=[[1, 0]], b=[0], B=[[0, -1], [0, 1]], d=[0, 1])
-    sq = minkowski_sum(seg1, seg2)
-    assert normalized_rows(sq) == normalized_rows(unit_square())
-    assert minimize_description(sq) == sq
 
 
 def test_homogenize_layout():
