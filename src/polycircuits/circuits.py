@@ -16,14 +16,13 @@ from typing import Optional, Sequence
 from .directions import BasicSolutionSet, CircuitSet
 from .errors import CorrespondenceViolation, NotPointed
 from .linalg import (
-    Vector,
+    Direction,
     _rank_upto,
     canonicalize_direction,
     identity,
     kernel_basis,
     mat_vec,
     vec_scale,
-    vector,
 )
 from .polyhedron import (
     DEFAULT_BUDGET,
@@ -63,9 +62,8 @@ def enumerate_circuits(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -
     """
     lineality, lines = _circuit_lines(P, budget)
     if lineality:
-        return CircuitSet.subspace(lineality, source="lineality")
-    directions = tuple(tuple(Fraction(x) for x in g) for g in sorted(lines))
-    return CircuitSet(directions=directions, source="circuits")
+        return CircuitSet.subspace(lineality)
+    return CircuitSet(directions=tuple(sorted(lines)))
 
 
 def enumerate_circuits_bruteforce(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -> CircuitSet:
@@ -76,10 +74,10 @@ def enumerate_circuits_bruteforce(P: HPolyhedron, budget: Optional[int] = DEFAUL
     computed in ambient coordinates; minimality is then applied pairwise.
     """
     if not is_pointed(P):
-        return CircuitSet.subspace(lineality_basis(P), source="lineality")
+        return CircuitSet.subspace(lineality_basis(P))
     q = len(P.B)
     check_budget(2**q, budget, "brute-force row subsets")
-    cands: dict[Vector, int] = {}
+    cands: dict[Direction, int] = {}
     for size in range(q + 1):
         for S in itertools.combinations(range(q), size):
             M = P.A + tuple(P.B[i] for i in S)
@@ -91,7 +89,7 @@ def enumerate_circuits_bruteforce(P: HPolyhedron, budget: Optional[int] = DEFAUL
                 cands[g] = _support_mask(mat_vec(P.B, g))
     masks = set(cands.values())
     minimal = (g for g, m in cands.items() if not any(o != m and o & m == o for o in masks))
-    return CircuitSet(directions=tuple(sorted(minimal)), source="circuits-bruteforce")
+    return CircuitSet.of(minimal)
 
 
 def basic_solutions(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -> BasicSolutionSet:
@@ -157,15 +155,12 @@ def circuits_of_homogenization(
     if not is_pointed(P):
         raise NotPointed(P.name or "polyhedron")
     CH = enumerate_circuits(homogenize(P), budget)
-    dirs, points = [], []
-    for v in CH:
-        if v[0] == 0:
-            dirs.append(v[1:])
-        else:  # canonical representative has positive leading entry
-            points.append(vec_scale(Fraction(1, v[0]), v[1:]))
+    # CH is sorted and canonical: its lines with leading entry 0 come first,
+    # and dropping that entry leaves them sorted and canonical; every other
+    # line has a positive leading entry
     split = HomogenizationSplit(
-        direction_class=CircuitSet.of(dirs, source="hom-degree-0"),
-        point_class=BasicSolutionSet.of(points),
+        direction_class=CircuitSet(directions=tuple(v[1:] for v in CH if v[0] == 0)),
+        point_class=BasicSolutionSet.of(vec_scale(Fraction(1, v[0]), v[1:]) for v in CH if v[0]),
     )
     CP = enumerate_circuits(P, budget)
     BP = basic_solutions(P, budget)
@@ -177,4 +172,4 @@ def circuits_of_homogenization(
 
 
 def is_edge_direction(g: Sequence[Fraction], P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -> bool:
-    return canonicalize_direction(vector(g)) in edge_directions(P, budget=budget)
+    return g in edge_directions(P, budget=budget)

@@ -141,7 +141,6 @@ def cmd_reproduce(args) -> int:
         for key, value in (
             ("n", args.n),
             ("m", args.m),
-            ("alpha", args.alpha),
             ("delta", args.delta),
             ("seed", args.seed),
         )
@@ -191,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("experiment", choices=sorted(EXPERIMENTS))
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
-    p.add_argument("--alpha", type=int)
     p.add_argument("--delta", help="rational like 3/4")
     p.add_argument("--seed", type=int)
     p.add_argument("--budget", type=int)

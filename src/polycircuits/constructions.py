@@ -257,16 +257,15 @@ class DisjunctiveFamily:
     pieces: tuple[HPolyhedron, ...]
 
     @staticmethod
-    def make(pieces: Sequence[HPolyhedron], check_feasible: bool = True) -> "DisjunctiveFamily":
+    def make(pieces: Sequence[HPolyhedron]) -> "DisjunctiveFamily":
         pieces = tuple(pieces)
         if not pieces:
             raise PreconditionViolation("family needs at least one piece")
         if len({P.n for P in pieces}) != 1:
             raise PreconditionViolation("pieces must share an ambient dimension")
-        if check_feasible:
-            for i, P in enumerate(pieces):
-                if not is_feasible(P):
-                    raise EmptyPolyhedron(P.name or f"piece {i}")
+        for i, P in enumerate(pieces):
+            if not is_feasible(P):
+                raise EmptyPolyhedron(P.name or f"piece {i}")
         return DisjunctiveFamily(pieces=pieces)
 
     @property
@@ -431,7 +430,8 @@ def _edge_free_cover(hull: HPolyhedron, verts: Sequence[Vector], g: Vector) -> D
                 _separable_orthogonally(g, vs1, vs2)
                 for (_, vs1), (_, vs2) in itertools.combinations(pieces, 2)
             ):
-                return DisjunctiveFamily.make([p for p, _ in pieces], check_feasible=False)
+                # every piece holds its corners, so none is empty
+                return DisjunctiveFamily(pieces=tuple(p for p, _ in pieces))
         eps /= 2
     raise CorrespondenceViolation("no parallelogram width admitted the required separations")
 
@@ -465,7 +465,7 @@ def non_inheriting_extension(
     if is_zero(g):
         raise PreconditionViolation("direction must be nonzero")
     V, masks = _pointed_vrep(P, budget)
-    if canonicalize_direction(g) in _edge_directions_of(P, V, masks):
+    if g in _edge_directions_of(P, V, masks):
         raise EdgeDirectionGiven("an edge direction is inherited from every extension")
 
     hull = _hull_of_vertices(V.vertices, P.n) if V.rays else P
@@ -479,7 +479,7 @@ def non_inheriting_extension(
     Q = Q.renamed(f"edge_free_extension({P.name or 'P'})")
 
     CQ = enumerate_circuits(Q, budget)
-    if canonicalize_direction(g) in proj.image_directions(CQ):
+    if g in proj.image_directions(CQ):
         raise CorrespondenceViolation("extension still projects a circuit onto g")
     return NonInheritingExtension(Q, proj, family, CQ)
 

@@ -1,10 +1,12 @@
 """Canonical direction-set and point-set containers.
 
 A direction set stores one primitive integer representative per line
-through the origin (first nonzero entry positive), sorted, so two sets
-compare equal iff they describe the same collection of lines. A system
-with a nontrivial lineality space carries a basis of that subspace
-instead of a finite direction list.
+through the origin (first nonzero entry positive), as a tuple of Python
+ints, sorted, so two sets compare equal iff they describe the same
+collection of lines. Each entry is canonicalized once, by
+`canonicalize_direction`, or comes canonical from the subset walk. A
+system with a nontrivial lineality space carries a basis of that
+subspace instead of a finite direction list. Points stay Fractions.
 """
 
 from __future__ import annotations
@@ -13,40 +15,26 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .linalg import (
-    Fraction,
-    Vector,
-    canonicalize_direction,
-    is_zero,
-    rank,
-    vector,
-)
-
-
-def _canonical_tuple(vs: Iterable[Sequence[Fraction]]) -> tuple[Vector, ...]:
-    out = {canonicalize_direction(vector(v)) for v in vs}
-    out.discard(tuple())
-    return tuple(sorted(v for v in out if not is_zero(v)))
+from .linalg import Direction, Fraction, Vector, canonicalize_direction, rank, vector
 
 
 @dataclass(frozen=True)
 class CircuitSet:
     """Sorted canonical direction representatives, or a lineality basis."""
 
-    directions: tuple[Vector, ...] = ()
-    lineality: tuple[Vector, ...] = ()
-    source: str = ""
+    directions: tuple[Direction, ...] = ()
+    lineality: tuple[Direction, ...] = ()
 
     @staticmethod
-    def of(vs: Iterable[Sequence[Fraction]], source: str = "") -> "CircuitSet":
-        return CircuitSet(directions=_canonical_tuple(vs), source=source)
+    def of(vs: Iterable[Sequence[Fraction]]) -> "CircuitSet":
+        """The set of lines through the nonzero vectors of `vs` (ints or Fractions)."""
+        lines = {c for c in map(canonicalize_direction, vs) if any(c)}
+        return CircuitSet(directions=tuple(sorted(lines)))
 
     @staticmethod
-    def subspace(basis: Iterable[Sequence[Fraction]], source: str = "") -> "CircuitSet":
-        return CircuitSet(
-            lineality=tuple(canonicalize_direction(vector(v)) for v in basis),
-            source=source,
-        )
+    def subspace(basis: Iterable[Sequence[Fraction]]) -> "CircuitSet":
+        """The lineality set spanned by the nonzero vectors of `basis`; with none, the empty set."""
+        return CircuitSet(lineality=tuple(c for c in map(canonicalize_direction, basis) if any(c)))
 
     @property
     def is_subspace(self) -> bool:
@@ -59,19 +47,19 @@ class CircuitSet:
         return iter(self.directions)
 
     @cached_property
-    def _direction_set(self) -> frozenset[Vector]:
+    def _direction_set(self) -> frozenset[Direction]:
         return frozenset(self.directions)
 
     def __contains__(self, v) -> bool:
-        cv = canonicalize_direction(vector(v))
-        if is_zero(cv):
+        cv = canonicalize_direction(v)
+        if not any(cv):
             return False
         if self.is_subspace:
             return rank(self.lineality) == rank(self.lineality + (cv,))
         return cv in self._direction_set
 
     def same_lines(self, other: "CircuitSet") -> bool:
-        """Equality of geometric content, ignoring provenance tags."""
+        """Equality of geometric content: for lineality bases, the same subspace."""
         if self.is_subspace != other.is_subspace:
             return False
         if self.is_subspace:

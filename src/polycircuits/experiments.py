@@ -52,7 +52,6 @@ from .inheritance import (
     verify_slack_law,
 )
 from .linalg import (
-    canonicalize_direction,
     matmul,
     matrix,
     rank,
@@ -178,7 +177,7 @@ def run_thm1(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -> R
     pi = pi_matrix(n, m)
     rec.save_map("projection", pi)
     e3 = unit_vector(n, 2)
-    e12 = canonicalize_direction(vector([1, -1] + [0] * (n - 2)))
+    e12 = vector([1, -1] + [0] * (n - 2))
 
     S = simplex(m)
     rep = check_inheritance(S, pi, budget=budget)
@@ -390,7 +389,7 @@ def run_thm5(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -> R
             rec.claim(
                 f"{P.name}: direction {tuple(int(x) for x in g)} is not projected",
                 False,
-                canonicalize_direction(g) in projected,
+                g in projected,
             )
             rec.claim(
                 f"{P.name}: lifted circuit classes verified for {tuple(int(x) for x in g)}",

@@ -140,17 +140,12 @@ def check_inheritance(
     CQ = enumerate_circuits(Q, budget)
 
     if CQ.is_subspace:
-        projected = CircuitSet.subspace(
-            (w for w in (pi(v) for v in CQ.lineality) if not is_zero(w)),
-            source="projected",
-        )
-        if not projected.lineality:
-            projected = CircuitSet.of((), source="projected")
+        projected = CircuitSet.subspace(map(pi, CQ.lineality))
     else:
         projected = pi.image_directions(CQ)
 
-    inherited = CircuitSet.of((g for g in CP if g in projected), source="inherited")
-    non_inherited = CircuitSet.of((g for g in CP if g not in projected), source="non-inherited")
+    inherited = CircuitSet(directions=tuple(g for g in CP if g in projected))
+    non_inherited = CircuitSet(directions=tuple(g for g in CP if g not in projected))
 
     # P, and Q when CQ is not a subspace, are pointed: their extreme rays
     # are among their circuits, and only the vertices need a walk
@@ -176,7 +171,7 @@ def check_inheritance(
         inherited=inherited,
         non_inherited=non_inherited,
         edge_dirs=edge_dirs,
-        inherited_equals_edges=set(inherited) == set(edge_dirs),
+        inherited_equals_edges=inherited == edge_dirs,
         verdict=ALL_INHERITED if len(non_inherited) == 0 else NOT_ALL_INHERITED,
     )
 

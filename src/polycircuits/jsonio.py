@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .directions import BasicSolutionSet, CircuitSet
-from .errors import CorrespondenceViolation
-from .linalg import Vector, frac, matrix, vector
+from .errors import CorrespondenceViolation, PreconditionViolation
+from .linalg import Matrix, Vector, matrix, vector
 from .polyhedron import HPolyhedron, LinearMap
 
 
@@ -33,12 +33,35 @@ def int_vec(v: Sequence[Fraction]) -> list[int]:
     return [int(x) for x in v]
 
 
-def parse_vector(items: Sequence) -> Vector:
-    return vector([frac(x) for x in items])
+def _field(data, key: str, default):
+    if not isinstance(data, dict):
+        raise PreconditionViolation(f"expected a JSON object with field {key!r}, got {type(data).__name__}")
+    return data[key] if default is None else data.get(key, default)
 
 
-def parse_matrix(rows: Sequence[Sequence]):
-    return matrix([[frac(x) for x in row] for row in rows])
+def _rationals(items, key: str) -> Vector:
+    if not isinstance(items, list):
+        raise PreconditionViolation(f"field {key!r} must be a list, got {type(items).__name__}")
+    try:
+        return vector(items)
+    except TypeError:
+        raise PreconditionViolation(f"field {key!r} holds an entry that is not a rational") from None
+
+
+def parse_vector(data, key: str) -> Vector:
+    """The rational vector `data[key]`, or () when the key is absent."""
+    return _rationals(_field(data, key, []), key)
+
+
+def parse_matrix(data, key: str, default=None) -> Matrix:
+    """The rational matrix `data[key]`, a list of rows that are lists of rationals.
+
+    An absent key reads as `default`, or raises KeyError when that is None.
+    """
+    rows = _field(data, key, default)
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise PreconditionViolation(f"field {key!r} must be a list of rows, each a list")
+    return matrix(_rationals(row, key) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -57,15 +80,12 @@ def poly_to_dict(P: HPolyhedron) -> dict:
 
 
 def poly_from_dict(data: dict) -> HPolyhedron:
-    n = int(data["n"])
-    return HPolyhedron.make(
-        n,
-        A=parse_matrix(data.get("A", ())),
-        b=parse_vector(data.get("b", ())),
-        B=parse_matrix(data.get("B", ())),
-        d=parse_vector(data.get("d", ())),
-        name=str(data.get("name", "")),
-    )
+    A, b = parse_matrix(data, "A", []), parse_vector(data, "b")
+    B, d = parse_matrix(data, "B", []), parse_vector(data, "d")
+    n = data["n"]
+    if not isinstance(n, (int, str)):
+        raise PreconditionViolation(f"field 'n' must be an integer, got {type(n).__name__}")
+    return HPolyhedron(n=int(n), A=A, b=b, B=B, d=d, name=str(data.get("name", "")))
 
 
 def map_to_dict(pi: LinearMap) -> dict:
@@ -73,7 +93,7 @@ def map_to_dict(pi: LinearMap) -> dict:
 
 
 def map_from_dict(data: dict) -> LinearMap:
-    return LinearMap(parse_matrix(data["matrix"]), name=str(data.get("name", "")))
+    return LinearMap(parse_matrix(data, "matrix"), name=str(data.get("name", "")))
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +108,8 @@ def circuits_to_dict(C: CircuitSet) -> dict:
 
 def circuits_from_dict(data: dict) -> CircuitSet:
     if "lineality" in data:
-        return CircuitSet.subspace(parse_matrix(data["lineality"]))
-    return CircuitSet.of(parse_matrix(data["directions"]))
+        return CircuitSet.subspace(parse_matrix(data, "lineality"))
+    return CircuitSet.of(parse_matrix(data, "directions"))
 
 
 def basics_to_dict(B: BasicSolutionSet) -> dict:

@@ -1,15 +1,18 @@
 """Exact rational vectors, matrices, and Gaussian elimination.
 
-The API takes and returns `fractions.Fraction` values; floating
-point never enters. Vectors are tuples of Fractions and matrices are
-tuples of row tuples, so values are immutable and hashable and can be
-used as set members directly. Inside, elimination and `dot` run on
-Python ints: rows are scaled to integers (`_int_rows`) and reduced by
-one fraction-free insertion step (`_insert`, Bareiss 1968), folded over a
-whole matrix by `_echelon` and run depth first over row subsets by
-`_subset_echelons`, which eliminates each shared prefix once. `dot` sums
-integer products over one common denominator, so the costly Fraction
-normalizations happen once per output entry.
+The API takes Fractions (or ints) and returns Fractions; floating point
+never enters. Vectors are tuples of Fractions and matrices are tuples of
+row tuples, so values are immutable and hashable and can be used as set
+members directly. The one exception is `canonicalize_direction`: a line
+through the origin is named by its primitive integer representative, a
+tuple of Python ints (`Fraction(k) == k`, with the same hash and `str`).
+Inside, elimination and `dot` run on Python ints: rows are scaled to
+integers (`_int_rows`) and reduced by one fraction-free insertion step
+(`_insert`, Bareiss 1968), folded over a whole matrix by `_echelon` and
+run depth first over row subsets by `_subset_echelons`, which eliminates
+each shared prefix once. `dot` sums integer products over one common
+denominator, so the costly Fraction normalizations happen once per output
+entry.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
+Direction = tuple[int, ...]  # a canonical line representative
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -354,10 +358,17 @@ def primitive(v: Sequence[Fraction]) -> Vector:
     return tuple(Fraction(k // g) for k in ints)
 
 
-def canonicalize_direction(v: Sequence[Fraction]) -> Vector:
-    """Canonical line representative: primitive with first nonzero entry > 0."""
-    p = primitive(v)
-    lead = next((x for x in p if x != 0), None)
-    if lead is not None and lead < 0:
-        p = vec_neg(p)
-    return p
+def _canonical(v: Sequence[int]) -> Direction:
+    """The primitive multiple of an integer vector whose first nonzero entry is positive.
+
+    The zero vector maps to itself.
+    """
+    g = gcd(*v)
+    if g and next(x for x in v if x) < 0:
+        g = -g
+    return tuple(x // g for x in v) if g else tuple(v)
+
+
+def canonicalize_direction(v: Sequence[Fraction]) -> Direction:
+    """Canonical line representative, as ints: primitive with first nonzero entry > 0."""
+    return _canonical(_int_rows([v])[0])

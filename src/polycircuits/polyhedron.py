@@ -43,8 +43,10 @@ from .linalg import (
     _Echelon,
     ONE,
     ZERO,
+    Direction,
     Matrix,
     Vector,
+    _canonical,
     _fold,
     _int_rows,
     _kernel_line,
@@ -135,7 +137,7 @@ class LinearMap:
 
     def image_directions(self, dirs: Iterable[Sequence[Fraction]]) -> CircuitSet:
         """Canonical nonzero images of a direction collection."""
-        return CircuitSet.of(v for v in (self(g) for g in dirs) if not is_zero(v))
+        return CircuitSet.of(map(self, dirs))
 
     @staticmethod
     def identity(n: int) -> "LinearMap":
@@ -155,10 +157,10 @@ class AffineMap:
 
 @dataclass(frozen=True)
 class VRep:
-    """conv(vertices) + cone(rays); rays are primitive with fixed sign."""
+    """conv(vertices) + cone(rays); rays are primitive integer tuples with B r <= 0."""
 
     vertices: tuple[Vector, ...] = ()
-    rays: tuple[Vector, ...] = ()
+    rays: tuple[Direction, ...] = ()
 
 
 def check_budget(count: int, budget: Optional[int], what: str) -> None:
@@ -332,17 +334,7 @@ def _basic_points(
     return {(num, den): [row[n] * den - sum(map(mul, row, num)) for row in B] for num, den in pts}
 
 
-def _canonical(v: Sequence[int]) -> tuple[int, ...]:
-    """`canonicalize_direction` on a nonzero integer vector."""
-    g = gcd(*v)
-    if next(x for x in v if x) < 0:
-        g = -g
-    return tuple(x // g for x in v)
-
-
-def _circuit_lines(
-    P: HPolyhedron, budget: Optional[int]
-) -> tuple[list[Vector], list[tuple[int, ...]]]:
+def _circuit_lines(P: HPolyhedron, budget: Optional[int]) -> tuple[list[Vector], list[Direction]]:
     """A lineality basis of P's description and, when it is empty, P's circuit lines.
 
     Works in kernel coordinates of the equality block: each line is the
@@ -379,9 +371,9 @@ def _circuit_lines(
     return [], lines
 
 
-def _vrep(P: HPolyhedron, lines: Iterable[Sequence], budget: Optional[int]) -> tuple[VRep, list[int]]:
-    """The vertices and extreme rays of a pointed P, given its circuit lines,
-    and the tight-row mask of each vertex, in vertex order.
+def _vrep(P: HPolyhedron, lines: Iterable[Direction], budget: Optional[int]) -> tuple[VRep, list[int]]:
+    """The vertices and extreme rays of a pointed P, given its canonical
+    integer circuit lines, and the tight-row mask of each vertex, in vertex order.
 
     The vertices are the feasible basic solutions; a pointed polyhedron
     with none is empty (EmptyPolyhedron). The extreme rays are the
@@ -396,12 +388,12 @@ def _vrep(P: HPolyhedron, lines: Iterable[Sequence], budget: Optional[int]) -> t
         raise EmptyPolyhedron(P.name or "polyhedron")
     B = _int_rows(P.B)
     rays = []
-    for g in _int_rows(lines):  # integral lines, as ints: the sign tests build no Fraction
+    for g in lines:
         Bg = [sum(map(mul, row, g)) for row in B]
         if all(x <= 0 for x in Bg):
-            rays.append(vector(g))
+            rays.append(g)
         elif all(x >= 0 for x in Bg):
-            rays.append(vector(-x for x in g))
+            rays.append(tuple(-x for x in g))
     V = VRep(vertices=tuple(x for x, _ in tight), rays=tuple(sorted(rays)))
     return V, [m for _, m in tight]
 
@@ -454,7 +446,7 @@ def _edge_directions_of(P: HPolyhedron, V: VRep, masks: Sequence[int]) -> Circui
     for (u, mu), (v, mv) in itertools.combinations(zip(V.vertices, masks), 2):
         if is_edge(mu & mv):
             dirs.append(vec_sub(u, v))
-    return CircuitSet.of(dirs, source="edges")
+    return CircuitSet.of(dirs)
 
 
 def edge_directions(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -> CircuitSet:

@@ -71,7 +71,7 @@ def test_circuit_directions_serialize_as_integers():
     C = enumerate_circuits(hypercube(3))
     d = jsonio.circuits_to_dict(C)
     assert d == {"directions": [[0, 0, 1], [0, 1, 0], [1, 0, 0]]}
-    assert set(jsonio.circuits_from_dict(d)) == set(C)
+    assert jsonio.circuits_from_dict(d) == C
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +246,39 @@ def test_check_rows_longer_than_n_is_input_error(tmp_path, flags):
     )
     assert proc.returncode == 2, proc.stderr
     assert "input error" in proc.stderr and "row 0 of B has length 3" in proc.stderr
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+@pytest.mark.parametrize(
+    "verb, document",
+    [
+        ("circuits", []),
+        ("circuits", {"n": 2, "B": [1, 2], "d": [0, 0]}),
+        ("circuits", {"n": 2, "B": 5, "d": []}),
+        ("check", {"matrix": 7}),
+    ],
+    ids=["not-an-object", "rows-not-lists", "block-not-a-list", "map-not-a-list"],
+)
+def test_malformed_json_is_input_error(tmp_path, verb, document, flags):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(document))
+    if verb == "check":
+        ok = tmp_path / "ok.json"
+        jsonio.dump(jsonio.poly_to_dict(hypercube(2)), ok)
+        argv = ["check", str(ok), str(bad)]
+    else:
+        argv = ["circuits", str(bad)]
+    src = str(Path(polycircuits.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "polycircuits.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "input error" in proc.stderr
 
 
 def test_check_output_is_the_same_under_optimize(tmp_path):

@@ -51,19 +51,19 @@ def _ref_enumerate_circuits(P):
     N = kernel_basis(P.A, P.n) if P.A else list(identity(P.n))
     np_ = len(N)
     if np_ == 0:
-        return CircuitSet(source="circuits")
+        return CircuitSet()
     NT = transpose(tuple(N))
     Bred = matmul(P.B, NT) if P.B else ()
     lin = kernel_basis(Bred, np_) if Bred else list(identity(np_))
     if lin:
-        return CircuitSet.subspace((mat_vec(NT, v) for v in lin), source="lineality")
+        return CircuitSet.subspace((mat_vec(NT, v) for v in lin))
     cands = {}
     for S in itertools.combinations(range(len(Bred)), np_ - 1):
         ker = kernel_basis([Bred[i] for i in S], np_)
         if len(ker) == 1:
             ghat = canonicalize_direction(ker[0])
             cands[canonicalize_direction(mat_vec(NT, ghat))] = _mask(dot(row, ghat) for row in Bred)
-    return CircuitSet(directions=tuple(sorted(_ref_keep_support_minimal(cands))), source="circuits")
+    return CircuitSet(directions=tuple(sorted(_ref_keep_support_minimal(cands))))
 
 
 def _ref_basic_points(P):
@@ -119,7 +119,7 @@ def _ref_edge_directions(P):
     for u, v in itertools.combinations(V.vertices, 2):
         if _ref_face_dim(P, vec_scale(Fraction(1, 2), vec_add(u, v))) == 1:
             dirs.append(vec_sub(u, v))
-    return CircuitSet.of(dirs, source="edges")
+    return CircuitSet.of(dirs)
 
 
 # ---------------------------------------------------------------------------
