@@ -40,12 +40,20 @@ def _field(data, key: str, default):
 
 
 def _rationals(items, key: str) -> Vector:
+    """A list of rationals, each a JSON integer or a string such as "3/4".
+
+    A float or a boolean is refused: JSON floats are binary, so 0.1 would
+    load as 3602879701896397/36028797018963968, and true would load as 1.
+    """
     if not isinstance(items, list):
         raise PreconditionViolation(f"field {key!r} must be a list, got {type(items).__name__}")
-    try:
-        return vector(items)
-    except TypeError:
-        raise PreconditionViolation(f"field {key!r} holds an entry that is not a rational") from None
+    for x in items:
+        if type(x) not in (int, str):
+            raise PreconditionViolation(
+                f"field {key!r} holds the {type(x).__name__} {json.dumps(x)}; "
+                'write a rational as an integer or a string like "3/4"'
+            )
+    return vector(items)
 
 
 def parse_vector(data, key: str) -> Vector:
@@ -83,7 +91,7 @@ def poly_from_dict(data: dict) -> HPolyhedron:
     A, b = parse_matrix(data, "A", []), parse_vector(data, "b")
     B, d = parse_matrix(data, "B", []), parse_vector(data, "d")
     n = data["n"]
-    if not isinstance(n, (int, str)):
+    if type(n) not in (int, str):
         raise PreconditionViolation(f"field 'n' must be an integer, got {type(n).__name__}")
     return HPolyhedron(n=int(n), A=A, b=b, B=B, d=d, name=str(data.get("name", "")))
 

@@ -8,6 +8,12 @@ standard form z = (u, w, s) >= 0, x = u - w, with a slack s per B row.
 Bland's rule everywhere, so runs terminate and are deterministic for a
 fixed row and column order.
 
+Phase 1 starts on a slack crash basis (Chvatal 1983, ch. 8; Bixby 1992):
+a B row with rhs >= 0 starts in the basis on its slack, and only an
+equality row or a B row with rhs < 0 gets an artificial column. Phase 1
+minimizes the sum of those artificials, so an LP whose rows all start
+on their slacks makes no phase-1 pivot.
+
 The standard form exists only as one integer tableau, built straight
 from the caller's rows: each row [a, rhs, 1] is scaled to integers
 (`linalg._int_rows`), giving the u entries a, the w entries -a and, on a
@@ -20,11 +26,13 @@ exactly the rationals of a Fraction tableau after every pivot, so
 Bland's rule makes the same choices and every answer is the same;
 Fractions are built only for the returned point or ray.
 
-The multipliers come from the final tableau. Each row has a unit column:
-its slack column, or, for an equality row, its artificial column, kept
-through phase 2 and never allowed to enter. The reduced cost of that
-column is its cost minus the row's multiplier. So the phase-2 objective
-row gives the duals and the phase-1 row the Farkas multipliers.
+The multipliers come from the final tableau. Each row has a unit column.
+For the duals it is the row's slack column or, for an equality row, its
+artificial column, kept through phase 2 and never allowed to enter. For
+the Farkas multipliers it is the row's start column, an artificial at
+phase-1 cost 1 or a slack at cost 0. The reduced cost of that column is
+its cost minus the row's multiplier. So the phase-2 objective row gives
+the duals and the phase-1 row the Farkas multipliers.
 
 Every answer's certificate is checked once, on the caller's rows, before
 it is returned, so a wrong reading fails a check rather than giving a
@@ -108,11 +116,12 @@ class _StandardLP:
     infeasible, and checks the certificate of each answer on these rows.
 
     Its tableau has the 2n + q columns of z = (u, w, s), then one
-    artificial column per row, then the right-hand side. The tableau holds
-    m constraint rows and, as row m, the objective row. Row i stands for
-    the rationals tab[i][j] / den[i]; den[i] > 0 and the row is in lowest
-    terms. With no rows the same steps apply: phase 2 has no basis, and the
-    first column of negative cost, u before w, is the ray.
+    artificial column per row that does not start on its slack, then the
+    right-hand side. The tableau holds m constraint rows and, as row m, the
+    objective row. Row i stands for the rationals tab[i][j] / den[i];
+    den[i] > 0 and the row is in lowest terms. With no rows the same steps
+    apply: phase 2 has no basis, and the first column of negative cost, u
+    before w, is the ray.
     """
 
     def __init__(self, n: int, rows: Sequence[Vector], rhs: Sequence[Fraction], p: int, c: Vector):
@@ -122,10 +131,14 @@ class _StandardLP:
 
     def solve(self):
         n, m, nz, p = self.n, self.m, self.nz, self.p
-        # Phase 1: artificial columns form the initial basis. The appended
-        # ONE scales to the row's denominator, which is also its slack and
-        # artificial entry; rows with rhs < 0 are negated, the artificial
-        # entry is not.
+        # Phase 1 starts on the slack crash basis; equality rows take the
+        # first artificials. The appended ONE scales to the row's
+        # denominator, which is also its slack and artificial entry; rows
+        # with rhs < 0 are negated, the artificial entry is not.
+        start = [2 * n + i - p if i >= p and r >= 0 else None for i, r in enumerate(self.rhs)]
+        arts = [i for i in range(m) if start[i] is None]
+        for k, i in enumerate(arts):
+            start[i] = nz + k
         tab, den, sign = [], [], []
         for i, row in enumerate(_int_rows([[*row, r, ONE] for row, r in zip(self.rows, self.rhs)])):
             *a, r, scale = row
@@ -136,18 +149,17 @@ class _StandardLP:
             sign.append(-1 if r < 0 else 1)
             if r < 0:
                 coeffs, r = [-x for x in coeffs], -r
-            art = [0] * m
-            art[i] = scale
+            art = [scale if start[i] == nz + k else 0 for k in range(len(arts))]
             tab.append(coeffs + art + [r])
             den.append(scale)
-        basis = [nz + i for i in range(m)]
-        obj, scale = self._reduced_costs(tab, den, basis, [0] * nz + [1] * m + [0], 1)
+        basis = list(start)
+        obj, scale = self._reduced_costs(tab, den, basis, [0] * nz + [1] * len(arts) + [0], 1)
         tab.append(obj)
         den.append(scale)
-        status = self._iterate(tab, den, basis, eligible=nz + m)
+        status = self._iterate(tab, den, basis, eligible=nz + len(arts))
         _assert(status is None, "phase 1 unbounded")
         if tab[m][-1] != 0:
-            self._check_farkas(self._row_duals(tab[m], den[m], range(nz, nz + m), sign, [1] * m))
+            self._check_farkas(self._row_duals(tab[m], den[m], start, sign, [int(j >= nz) for j in start]))
             return (INFEASIBLE, None)
 
         # Full row rank guarantees every artificial can be pivoted out.

@@ -256,12 +256,27 @@ def test_check_rows_longer_than_n_is_input_error(tmp_path, flags):
         ("circuits", {"n": 2, "B": [1, 2], "d": [0, 0]}),
         ("circuits", {"n": 2, "B": 5, "d": []}),
         ("check", {"matrix": 7}),
+        ("circuits", {"n": 1, "B": [[1]], "d": [0.1]}),
+        ("circuits", '{"n": 1, "B": [[1]], "d": [1e400]}'),
+        ("circuits", {"n": 1, "B": [[True]], "d": [1]}),
+        ("circuits", {"n": True, "B": [[1]], "d": [1]}),
     ],
-    ids=["not-an-object", "rows-not-lists", "block-not-a-list", "map-not-a-list"],
+    ids=[
+        "not-an-object",
+        "rows-not-lists",
+        "block-not-a-list",
+        "map-not-a-list",
+        "float",
+        "float-overflow",
+        "bool",
+        "bool-dimension",
+    ],
 )
 def test_malformed_json_is_input_error(tmp_path, verb, document, flags):
+    # A str document is the file's text as it stands: json.dumps cannot
+    # write the literal 1e400, which json.load reads as an infinite float.
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(document))
+    bad.write_text(document if isinstance(document, str) else json.dumps(document))
     if verb == "check":
         ok = tmp_path / "ok.json"
         jsonio.dump(jsonio.poly_to_dict(hypercube(2)), ok)

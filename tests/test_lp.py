@@ -176,7 +176,7 @@ def test_corrupt_certificate_multipliers_are_a_correspondence_violation(case, ch
     "run, expected",
     [
         (lambda: minimize_description(hypercube(3)), 10),
-        (lambda: minimize_description(cross_polytope(3)), 12),
+        (lambda: minimize_description(cross_polytope(3)), 9),
         (lambda: check_inheritance(orthant(4), pi_matrix(3, 4)), 12),
     ],
     ids=["minimize-hypercube3", "minimize-cross-polytope3", "check-orthant4"],
@@ -196,6 +196,29 @@ def test_lp_counts_are_pinned(monkeypatch, run, expected):
     assert len(calls) == expected
 
 
+def test_rows_with_nonnegative_rhs_start_on_their_slacks(monkeypatch):
+    # With no equality rows and every rhs >= 0, each row starts in the
+    # basis on its slack: no artificial column exists, so phase 1 makes no
+    # pivot, and phase 2 does all the work.
+    phase, pivots = [0], []
+    reduced_costs, pivot = lp._StandardLP._reduced_costs, lp._StandardLP._pivot
+
+    def pricing(*args):
+        phase[0] += 1  # the phase-1 row is priced first, the phase-2 row second
+        return reduced_costs(*args)
+
+    def counting(*args):
+        pivots.append(phase[0])
+        pivot(*args)
+
+    monkeypatch.setattr(lp._StandardLP, "_reduced_costs", staticmethod(pricing))
+    monkeypatch.setattr(lp._StandardLP, "_pivot", staticmethod(counting))
+    cube = hypercube(3)
+    assert not cube.A and all(r >= 0 for r in cube.d)
+    assert is_implied(vector([1, 1, 1]), Fraction(3), cube)
+    assert pivots.count(1) == 0 and pivots.count(2) > 0, pivots
+
+
 # ---------------------------------------------------------------------------
 # The integer tableau against a Fraction reference.
 #
@@ -204,7 +227,9 @@ def test_lp_counts_are_pinned(monkeypatch, run, expected):
 # caller's rows, z = (u, w, s) with x = u - w and a unit slack column per
 # inequality row, and runs the same two phases and the same Bland rule on
 # it, with each row scaled by its pivot and every other row cleared entry
-# by entry. With no rows it takes its own route. It finds the dual and
+# by entry. Phase 1 starts on the same slack crash basis: the slack of each
+# inequality row with rhs >= 0, and an artificial column for every other
+# row. With no rows it takes its own route. It finds the dual and
 # Farkas multipliers by solving on the final basis columns, a second route
 # to the ones the integer tableau reads off its reduced costs, and shares
 # the certificate checks. Both hold the same rationals after every pivot,
@@ -233,18 +258,20 @@ class _FractionStandardLP(lp._StandardLP):
             ray = self._x(z)
             self._check_ray(ray)
             return (UNBOUNDED, ray)
+        arts = [i for i in range(m) if i < p or self.rhs[i] < 0]
+        basis = [2 * n + i - p for i in range(m)]
+        for k, i in enumerate(arts):
+            basis[i] = nz + k
         tab = []
         for i in range(m):
             sign = ONE if self.rhs[i] >= 0 else -ONE
-            art = [ZERO] * m
-            art[i] = ONE
+            art = [ONE if nz + k == basis[i] else ZERO for k in range(len(arts))]
             tab.append([sign * x for x in self.M[i]] + art + [sign * self.rhs[i]])
-        basis = [nz + i for i in range(m)]
-        obj = self._reduced_obj([ZERO] * nz + [ONE] * m, tab, basis)
-        status = self._iterate(tab, obj, basis, eligible=nz + m)
+        obj = self._reduced_obj([ZERO] * nz + [ONE] * len(arts), tab, basis)
+        status = self._iterate(tab, obj, basis, eligible=nz + len(arts))
         assert status is None
         if -obj[-1] != 0:
-            self._check_farkas(self._farkas_from_basis(basis))
+            self._check_farkas(self._farkas_from_basis(basis, arts))
             return (INFEASIBLE, None)
         for i in range(m):
             if basis[i] >= nz:
@@ -278,12 +305,13 @@ class _FractionStandardLP(lp._StandardLP):
         assert y is not None, "basis matrix singular"
         return y
 
-    def _farkas_from_basis(self, basis):
+    def _farkas_from_basis(self, basis, arts):
         # Phase-1 dual of the rows negated to rhs >= 0, turned back.
+        # Artificial column nz + k is the unit column of row arts[k].
         nz = len(self.cz)
         sgn = [ONE if r >= 0 else -ONE for r in self.rhs]
         cols = tuple(
-            tuple(sgn[i] * self.M[i][j] if j < nz else (ONE if j - nz == i else ZERO) for i in range(self.m))
+            tuple(sgn[i] * self.M[i][j] if j < nz else (ONE if arts[j - nz] == i else ZERO) for i in range(self.m))
             for j in basis
         )
         y = solve(cols, tuple(ZERO if j < nz else ONE for j in basis))
@@ -413,7 +441,8 @@ def test_reference_lps_cover_every_case(monkeypatch):
     # pivoted out after phase 1), and carry redundant and inconsistent
     # equality rows. Their dual and Farkas multipliers are nonzero on
     # equality rows (read from kept artificial columns) and on rows negated
-    # for phase 1.
+    # for phase 1, and their Farkas multipliers on inequality rows that
+    # start on their slack (read from the slack column at cost 0).
     seen = set()
     for seed in range(25):
         rng = random.Random(2000 + seed)
@@ -428,6 +457,8 @@ def test_reference_lps_cover_every_case(monkeypatch):
                     seen.add(f"{kind} on equality row")
                 if any(v and r < 0 for v, r in zip(y, rhs)):
                     seen.add(f"{kind} on negated row")
+                if any(v and r >= 0 for v, r in zip(y[len(keep) :], rhs[len(keep) :])):
+                    seen.add(f"{kind} on slack-start row")
             if any(degenerate for _, _, degenerate, _ in path):
                 seen.add("degenerate pivot")
             if any(negative for _, _, _, negative in path):
@@ -445,4 +476,5 @@ def test_reference_lps_cover_every_case(monkeypatch):
     cases |= {"redundant equalities", "inconsistent equalities", "negative rhs", "fractional"}
     cases |= {"degenerate pivot", "negative pivot"}
     cases |= {f"{kind} on {row} row" for kind in ("dual", "farkas") for row in ("equality", "negated")}
+    cases.add("farkas on slack-start row")
     assert cases <= seen, cases - seen

@@ -1,9 +1,12 @@
-"""Property tests of the canonical direction sets and their JSON form.
+"""Property tests of the canonical direction sets, their JSON form, and
+the simplex against vertex enumeration.
 
 A `CircuitSet` names each line through the origin by one primitive
 integer vector whose first nonzero entry is positive, so it must not
 depend on how its input vectors are scaled, signed, repeated or ordered.
-The examples are derandomized, so every run checks the same ones.
+On a polytope, the LP optimum is the best vertex, and `vrep` finds the
+vertices by subset enumeration, with no LP. The examples are
+derandomized, so every run checks the same ones.
 """
 
 from fractions import Fraction
@@ -14,7 +17,10 @@ from hypothesis import strategies as st
 
 from polycircuits import jsonio
 from polycircuits.directions import CircuitSet
-from polycircuits.linalg import canonicalize_direction
+from polycircuits.errors import EmptyPolyhedron
+from polycircuits.linalg import canonicalize_direction, dot
+from polycircuits.lp import INFEASIBLE, OPTIMAL, lp_solve
+from polycircuits.polyhedron import HPolyhedron, vrep
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100, database=None)
 
@@ -75,3 +81,45 @@ def test_membership_agrees_with_canonical_membership(vs, data):
 def test_json_round_trip_is_the_identity(vs):
     for C in (CircuitSet.of(vs), CircuitSet.subspace(vs)):
         assert jsonio.circuits_from_dict(jsonio.circuits_to_dict(C)) == C
+
+
+@st.composite
+def cut_boxes(draw):
+    """(objective, P): the box lo <= x <= lo + width, cut by up to three
+    inequality rows and at most one equality row with rational entries.
+
+    The bounds and right-hand sides take both signs, a zero width makes a
+    flat box, and the cuts may empty it, so every row kind of the simplex
+    start (slack, negated row, equality row) occurs.
+    """
+    n = draw(st.integers(1, 3))
+    lo = draw(st.lists(st.integers(-3, 2), min_size=n, max_size=n))
+    width = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    B = [tuple(-1 if j == i else 0 for j in range(n)) for i in range(n)]
+    B += [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    d = [-x for x in lo] + [x + w for x, w in zip(lo, width)]
+    cuts = draw(st.lists(st.tuples(vectors(n), rationals), max_size=3))
+    equalities = draw(st.lists(st.tuples(vectors(n), rationals), max_size=1))
+    P = HPolyhedron.make(
+        n,
+        A=[row for row, _ in equalities],
+        b=[r for _, r in equalities],
+        B=B + [row for row, _ in cuts],
+        d=d + [r for _, r in cuts],
+    )
+    return draw(vectors(n)), P
+
+
+@PROPERTY
+@given(cut_boxes())
+def test_lp_optimum_is_the_best_vertex(case):
+    c, P = case
+    res = lp_solve(c, P)
+    try:
+        V = vrep(P)
+    except EmptyPolyhedron:
+        assert res.status == INFEASIBLE
+        return
+    assert V.rays == ()
+    assert res.status == OPTIMAL
+    assert res.value == max(dot(c, v) for v in V.vertices)
