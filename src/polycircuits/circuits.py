@@ -19,7 +19,6 @@ from .linalg import (
     Direction,
     _rank_upto,
     canonicalize_direction,
-    identity,
     kernel_basis,
     mat_vec,
     vec_scale,
@@ -29,7 +28,6 @@ from .polyhedron import (
     HPolyhedron,
     _basic_points,
     _circuit_lines,
-    _int_system,
     check_budget,
     edge_directions,
     homogenize,
@@ -81,7 +79,7 @@ def enumerate_circuits_bruteforce(P: HPolyhedron, budget: Optional[int] = DEFAUL
     for size in range(q + 1):
         for S in itertools.combinations(range(q), size):
             M = P.A + tuple(P.B[i] for i in S)
-            ker = kernel_basis(M, P.n) if M else list(identity(P.n))
+            ker = kernel_basis(M, P.n)
             if len(ker) != 1:
                 continue
             g = canonicalize_direction(ker[0])
@@ -103,11 +101,11 @@ def basic_solutions(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -> B
     """
     if not is_pointed(P):
         raise NotPointed(P.name or "polyhedron")
-    base, B, _ = _int_system(P)
+    base, B = P._ints.base, P._ints.B
     n = P.n
 
     def is_basic(slacks: list[int]) -> bool:
-        # slacks are den * (d - B x), from `_basic_points`
+        # slacks are the `_slacks` of the point, from `_basic_points`
         return _rank_upto(base, [row for row, s in zip(B, slacks) if s == 0], n, n) == n
 
     pts = {}

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .linalg import (
     Vector,
+    _int_rows,
     canonicalize_direction,
     dot,
     frac,
@@ -337,7 +338,7 @@ def _parallelogram(mid: Vector, delta: Vector, z: Vector, eps: Fraction, name: s
     n = len(mid)
     eqs, erhs = [], []
     for normal in kernel_basis(matrix([delta, z]), n):
-        row, rhs = _scaled_row(normal, dot(normal, mid))
+        row, rhs = _scaled_row(_int_rows([(*normal, dot(normal, mid))])[0])
         eqs.append(row)
         erhs.append(rhs)
     svec = vec_scale(Fraction(2) / dot(delta, delta), delta)
@@ -345,7 +346,7 @@ def _parallelogram(mid: Vector, delta: Vector, z: Vector, eps: Fraction, name: s
     ineqs, irhs = [], []
     for ssign, tsign in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         normal = vec_add(vec_scale(frac(ssign), svec), vec_scale(frac(tsign), tvec))
-        row, rhs = _scaled_row(normal, Fraction(1) + dot(normal, mid))
+        row, rhs = _scaled_row(_int_rows([(*normal, Fraction(1) + dot(normal, mid))])[0])
         ineqs.append(row)
         irhs.append(rhs)
     return HPolyhedron.make(n, A=eqs, b=erhs, B=ineqs, d=irhs, name=name)
@@ -374,7 +375,7 @@ def _pair_geometry(hull: HPolyhedron, u: Vector, v: Vector) -> tuple[Vector, Vec
     mid = vec_scale(Fraction(1, 2), vec_add(u, v))
     tight = hull.tight_inequality_rows(mid)
     span_rows = hull.A + tuple(hull.B[i] for i in tight)
-    space = kernel_basis(span_rows, hull.n) if span_rows else list(identity(hull.n))
+    space = kernel_basis(span_rows, hull.n)
     if len(space) < 2:
         raise EdgeDirectionGiven(
             "the vertex hull joins this pair along an edge; no extension can drop it"

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Sequence
 
 from .linalg import Direction, Fraction, Vector, canonicalize_direction, rank, vector
@@ -76,7 +77,11 @@ class BasicSolutionSet:
 
     @staticmethod
     def of(ps: Iterable[Sequence[Fraction]]) -> "BasicSolutionSet":
-        return BasicSolutionSet(points=tuple(sorted({vector(p) for p in ps})))
+        """Sorted on integer keys: each point times the lcm of every denominator, which keeps the order."""
+        pts = {vector(p) for p in ps}
+        den = lcm(*(x.denominator for p in pts for x in p))
+        keyed = sorted(([x.numerator * (den // x.denominator) for x in p], p) for p in pts)
+        return BasicSolutionSet(points=tuple(p for _, p in keyed))
 
     def __len__(self) -> int:
         return len(self.points)

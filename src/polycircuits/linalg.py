@@ -280,6 +280,17 @@ def _kernel_line(rows: Sequence[Sequence[int]], pivots: Sequence[int], det: int,
     return _kernel_vector(rows, pivots, det, ncols * (ncols - 1) // 2 - sum(pivots), ncols)
 
 
+def _kernel(echelon: _Echelon, ncols: int) -> list[list[int]]:
+    """The `_kernel_vector` of each free column among the first `ncols`, in order.
+
+    A pivot past them, as of an inconsistent right-hand side, is left out.
+    """
+    rows, pivots, det = echelon
+    kept = [i for i, p in enumerate(pivots) if p < ncols]
+    rows, pivots = [rows[i] for i in kept], [pivots[i] for i in kept]
+    return [_kernel_vector(rows, pivots, det, free, ncols) for free in range(ncols) if free not in pivots]
+
+
 def rref(M: Sequence[Sequence[Fraction]]) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices.
 
@@ -294,10 +305,7 @@ def rref(M: Sequence[Sequence[Fraction]]) -> tuple[Matrix, tuple[int, ...]]:
 
 
 def rank(M: Sequence[Sequence[Fraction]]) -> int:
-    if not M:
-        return 0
-    rows = _int_rows(M)
-    return len(_echelon(rows, len(rows[0]))[0])
+    return len(_fold(_EMPTY, _int_rows(M), len(M[0]))[1]) if M else 0
 
 
 def kernel_basis(M: Sequence[Sequence[Fraction]], ncols: Optional[int] = None) -> list[Vector]:
@@ -306,16 +314,7 @@ def kernel_basis(M: Sequence[Sequence[Fraction]], ncols: Optional[int] = None) -
         if not M:
             raise ValueError("need ncols for an empty matrix")
         ncols = len(M[0])
-    if not M:
-        return [unit_vector(ncols, i) for i in range(ncols)]
-    R = _int_rows(M)
-    pivots, det = _echelon(R, len(R[0]))
-    pivot_set = set(pivots)
-    return [
-        tuple(Fraction(k) for k in _kernel_vector(R, pivots, det, free, ncols))
-        for free in range(ncols)
-        if free not in pivot_set
-    ]
+    return [tuple(map(Fraction, v)) for v in _kernel(_fold(_EMPTY, _int_rows(M), ncols), ncols)]
 
 
 def solve(M: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[Vector]:

@@ -1,47 +1,47 @@
 """Exact two-phase primal simplex over rational data.
 
-`lp_solve` maximizes c^T x over {A x = b, B x <= d} with free x. Equality
-rows that depend on the others are dropped first; when they are
-inconsistent, an exact rank test decides the LP infeasible, and that
-answer carries no Farkas certificate. The rest is min -c^T x over the
-standard form z = (u, w, s) >= 0, x = u - w, with a slack s per B row.
+`lp_solve` maximizes c^T x over {A x = b, B x <= d} with free x, as
+min -c^T x over the standard form z = (u, w, s) >= 0, x = u - w, with a
+slack s per B row. Every row enters, dependent equality rows included.
 Bland's rule everywhere, so runs terminate and are deterministic for a
 fixed row and column order.
 
 Phase 1 starts on a slack crash basis (Chvatal 1983, ch. 8; Bixby 1992):
 a B row with rhs >= 0 starts in the basis on its slack, and only an
-equality row or a B row with rhs < 0 gets an artificial column. Phase 1
-minimizes the sum of those artificials, so an LP whose rows all start
-on their slacks makes no phase-1 pivot.
+equality row or a B row with rhs < 0 gets an artificial column, whose
+sum phase 1 minimizes. When it reaches 0, each artificial still basic is
+pivoted out on a nonzero real entry of its row. A row with none is a
+combination of equality rows, one of which depends on the others; its
+artificial stays basic at zero through phase 2, where no pivot touches
+the row. Dependent rows that contradict the others leave phase 1 above
+0: the LP is infeasible, with Farkas multipliers like any other.
 
-The standard form exists only as one integer tableau, built straight
-from the caller's rows: each row [a, rhs, 1] is scaled to integers
-(`linalg._int_rows`), giving the u entries a, the w entries -a and, on a
-B row, a slack entry equal to the scale. Each tableau row, the objective
-row included, is a list of integer numerators over one positive
-denominator, kept in lowest terms. A pivot divides the pivot row by its
-entry and turns every other row into (p*N_i - f*N_r) / (d_i*p); the
-ratio test compares cross-multiplied numerators. These rows stand for
-exactly the rationals of a Fraction tableau after every pivot, so
-Bland's rule makes the same choices and every answer is the same;
-Fractions are built only for the returned point or ray.
+The standard form exists only as one integer tableau, built from the
+polyhedron's integer rows (`HPolyhedron._ints`): a row [a, rhs] times s,
+the lcm of its denominators, gives the u entries s*a, the w entries -s*a
+and, on a B row, a slack entry s. Each tableau row, the objective row
+included, is a list of integer numerators over one positive denominator,
+in lowest terms. A pivot divides the pivot row by its entry and turns
+every other row into (p*N_i - f*N_r) / (d_i*p); the ratio test compares
+cross-multiplied numerators. These rows stand for exactly the rationals
+of a Fraction tableau after every pivot, so Bland's rule makes the same
+choices; Fractions are built only for the returned point or ray.
 
-The multipliers come from the final tableau. Each row has a unit column.
-For the duals it is the row's slack column or, for an equality row, its
-artificial column, kept through phase 2 and never allowed to enter. For
-the Farkas multipliers it is the row's start column, an artificial at
-phase-1 cost 1 or a slack at cost 0. The reduced cost of that column is
-its cost minus the row's multiplier. So the phase-2 objective row gives
-the duals and the phase-1 row the Farkas multipliers.
+The multipliers come from the final tableau. Each row has a unit column:
+for the duals its slack column or, for an equality row, its artificial
+column, kept through phase 2 and never allowed to enter; for the Farkas
+multipliers its start column, an artificial at phase-1 cost 1 or a slack
+at cost 0. Its reduced cost is its cost minus the row's multiplier: the
+phase-2 objective row gives the duals, the phase-1 row the Farkas ones.
 
-Every answer's certificate is checked once, on the caller's rows, before
-it is returned, so a wrong reading fails a check rather than giving a
-wrong answer. Optimal: the point satisfies every row of the polyhedron,
-and multipliers y with y_B <= 0 and y^T [A; B] = -c have
-y^T (b, d) = -c^T x. Unbounded: a ray r with A r = 0, B r <= 0 and
-c^T r > 0. Infeasible: Farkas multipliers with y_B <= 0, y^T [A; B] = 0
-and y^T (b, d) > 0. A failed check raises CorrespondenceViolation since
-it can only come from a bug here.
+Every answer's certificate is checked once, on all of the caller's rows,
+before it is returned, so a wrong reading fails a check rather than
+giving a wrong answer. Optimal: the point satisfies every row, and
+multipliers y with y_B <= 0 and y^T [A; B] = -c have y^T (b, d) = -c^T x.
+Unbounded: a ray r with A r = 0, B r <= 0 and c^T r > 0. Infeasible:
+Farkas multipliers with y_B <= 0, y^T [A; B] = 0 and y^T (b, d) > 0. A
+failed check raises CorrespondenceViolation since it can only come from
+a bug here.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .errors import CorrespondenceViolation
-from .linalg import ONE, ZERO, Vector, _int_rows, dot, rank, row_space_basis_indices, vector
+from .linalg import ONE, ZERO, Vector, _int_rows, dot, vector
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -72,16 +72,8 @@ def lp_solve(objective: Sequence[Fraction], poly) -> LPResult:
     c = vector(objective)
     if len(c) != poly.n:
         raise ValueError(f"objective has length {len(c)}, polyhedron dimension is {poly.n}")
-    A, b = poly.A, poly.b
-    if A:
-        keep = row_space_basis_indices(A)
-        if len(keep) < len(A) and rank([row + (rhs,) for row, rhs in zip(A, b)]) > len(keep):
-            return LPResult(INFEASIBLE)
-        A = [A[i] for i in keep]
-        b = [b[i] for i in keep]
-    status, x = _StandardLP(poly.n, (*A, *poly.B), (*b, *poly.d), len(A), tuple(-v for v in c)).solve()
+    status, x = _StandardLP(poly, tuple(-v for v in c)).solve()
     if status == OPTIMAL:
-        # The solver sees only the independent equality rows.
         _assert(poly.contains(x), "point violates rows")
         return LPResult(OPTIMAL, value=dot(c, x), point=x)
     if status == UNBOUNDED:
@@ -96,11 +88,7 @@ def is_feasible(poly) -> bool:
 def is_implied(normal: Sequence[Fraction], rhs, poly) -> bool:
     """True iff a^T x <= rhs holds on all of poly (vacuously on empty)."""
     res = lp_solve(normal, poly)
-    if res.status == UNBOUNDED:
-        return False
-    if res.status == INFEASIBLE:
-        return True
-    return res.value <= rhs
+    return res.status == INFEASIBLE or (res.status == OPTIMAL and res.value <= rhs)
 
 
 def _assert(cond: bool, msg: str) -> None:
@@ -111,8 +99,8 @@ def _assert(cond: bool, msg: str) -> None:
 class _StandardLP:
     """min c^T x subject to rows[i] x = rhs[i] for i < p, rows[i] x <= rhs[i] after.
 
-    The first p rows must be linearly independent. `solve` returns
-    (status, x) with x the optimal point, the ray, or None when
+    The rows are the A rows, then the B rows, of a polyhedron. `solve`
+    returns (status, x) with x the optimal point, the ray, or None when
     infeasible, and checks the certificate of each answer on these rows.
 
     Its tableau has the 2n + q columns of z = (u, w, s), then one
@@ -124,34 +112,33 @@ class _StandardLP:
     before w, is the ray.
     """
 
-    def __init__(self, n: int, rows: Sequence[Vector], rhs: Sequence[Fraction], p: int, c: Vector):
-        self.n, self.rows, self.rhs, self.p, self.c = n, rows, rhs, p, c
-        self.m = len(rows)
-        self.nz = 2 * n + self.m - p
+    def __init__(self, poly, c: Vector):
+        self.poly, self.n, self.c = poly, poly.n, c
+        self.rows, self.rhs, self.p = (*poly.A, *poly.B), (*poly.b, *poly.d), len(poly.A)
+        self.m = len(self.rows)
+        self.nz = 2 * self.n + self.m - self.p
 
     def solve(self):
         n, m, nz, p = self.n, self.m, self.nz, self.p
         # Phase 1 starts on the slack crash basis; equality rows take the
-        # first artificials. The appended ONE scales to the row's
-        # denominator, which is also its slack and artificial entry; rows
-        # with rhs < 0 are negated, the artificial entry is not.
+        # first artificials. A row's scale is its denominator, which is also
+        # its slack and artificial entry; rows with rhs < 0 are negated, the
+        # artificial entry is not.
         start = [2 * n + i - p if i >= p and r >= 0 else None for i, r in enumerate(self.rhs)]
         arts = [i for i in range(m) if start[i] is None]
         for k, i in enumerate(arts):
             start[i] = nz + k
-        tab, den, sign = [], [], []
-        for i, row in enumerate(_int_rows([[*row, r, ONE] for row, r in zip(self.rows, self.rhs)])):
-            *a, r, scale = row
-            slack = [0] * (m - p)
-            if i >= p:
-                slack[i - p] = scale
+        ints = self.poly._ints
+        tab, den, sign = [], list(ints.scale), []
+        for i, (row, scale) in enumerate(zip(ints.A + ints.B, ints.scale)):
+            *a, r = row
+            slack = [scale if k == i - p else 0 for k in range(m - p)]
             coeffs = a + [-x for x in a] + slack
             sign.append(-1 if r < 0 else 1)
             if r < 0:
                 coeffs, r = [-x for x in coeffs], -r
             art = [scale if start[i] == nz + k else 0 for k in range(len(arts))]
             tab.append(coeffs + art + [r])
-            den.append(scale)
         basis = list(start)
         obj, scale = self._reduced_costs(tab, den, basis, [0] * nz + [1] * len(arts) + [0], 1)
         tab.append(obj)
@@ -162,13 +149,16 @@ class _StandardLP:
             self._check_farkas(self._row_duals(tab[m], den[m], start, sign, [int(j >= nz) for j in start]))
             return (INFEASIBLE, None)
 
-        # Full row rank guarantees every artificial can be pivoted out.
+        # An artificial whose row has no nonzero real entry stays basic at
+        # zero: that row is a combination of equality rows, so the
+        # artificial is an equality row's, whose column is kept below.
         for i in range(m):
             if basis[i] >= nz:
-                col = next(j for j in range(nz) if tab[i][j] != 0)
-                self._pivot(tab, den, basis, i, col)
+                col = next((j for j in range(nz) if tab[i][j] != 0), None)
+                if col is not None:
+                    self._pivot(tab, den, basis, i, col)
         # An equality row keeps its artificial column, which never enters
-        # again; its reduced cost carries the row's dual.
+        # again; its reduced cost carries the row's dual, 0 while basic.
         for i in range(m):
             tab[i], den[i] = _lowest_terms(tab[i][: nz + p] + tab[i][-1:], den[i])
         dual_cols = [*range(nz, nz + p), *range(2 * n, nz)]

@@ -4,7 +4,12 @@ Descriptions matter here: several quantities computed downstream
 (circuits in particular) depend on the literal row system, not just on
 the point set, so operations never silently rewrite a description. Rows
 are promoted or dropped only by `minimize_description` and by `project`;
-both share one row normalizer and redundancy pass (`_irredundant_rows`).
+both share one row normalizer (`_scaled_row`) and one redundancy pass
+(`_irredundant_rows`). No circuit, basic solution, edge or slack sign
+changes when a row and its right-hand side are scaled by a positive
+number, so the rows of a description become integers once, in its cached
+view `_IntRows`, which the walks, the slack tests and the simplex read.
+Fourier-Motzkin (`_Eliminator`) keeps integer rows of its own.
 
 `project` asks each LP question once:
 - Fourier-Motzkin elimination prunes after every step, and a row that a
@@ -26,7 +31,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb, gcd
+from functools import cached_property
+from math import comb, gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -49,21 +55,20 @@ from .linalg import (
     _canonical,
     _fold,
     _int_rows,
+    _kernel,
     _kernel_line,
     _rank_upto,
     _subset_echelons,
     dot,
     identity,
-    is_zero,
     kernel_basis,
     mat_vec,
-    matmul,
     matrix,
-    primitive,
     rank,
     row_space_basis_indices,
     rref,
     transpose,
+    unit_vector,
     vec_add,
     vec_scale,
     vec_sub,
@@ -87,6 +92,8 @@ class HPolyhedron:
     name: str = ""
 
     def __post_init__(self):
+        if self.n < 0:
+            raise PreconditionViolation(f"dimension n = {self.n} is negative")
         if len(self.A) != len(self.b):
             raise PreconditionViolation(f"{len(self.A)} equality rows but {len(self.b)} right-hand sides")
         if len(self.B) != len(self.d):
@@ -104,18 +111,56 @@ class HPolyhedron:
             n=n, A=matrix(A), b=vector(b), B=matrix(B), d=vector(d), name=name
         )
 
+    @cached_property
+    def _ints(self) -> "_IntRows":
+        return _IntRows(self)
+
+    def _slacks_at(self, x: Sequence[Fraction]) -> tuple[list[int], list[int]]:
+        """The `_slacks` of the A rows and of the B rows at the point x."""
+        num, den = _point(vector(x))
+        if len(num) != self.n:
+            raise ValueError(f"point has length {len(num)}, polyhedron dimension is {self.n}")
+        return _slacks(self._ints.A, num, den), _slacks(self._ints.B, num, den)
+
     def contains(self, x: Sequence[Fraction]) -> bool:
-        x = vector(x)
-        if any(dot(row, x) != rhs for row, rhs in zip(self.A, self.b)):
-            return False
-        return all(dot(row, x) <= rhs for row, rhs in zip(self.B, self.d))
+        eq, ineq = self._slacks_at(x)
+        return not any(eq) and all(s >= 0 for s in ineq)
 
     def tight_inequality_rows(self, x: Sequence[Fraction]) -> tuple[int, ...]:
-        x = vector(x)
-        return tuple(i for i, (row, rhs) in enumerate(zip(self.B, self.d)) if dot(row, x) == rhs)
+        return tuple(i for i, s in enumerate(self._slacks_at(x)[1]) if s == 0)
 
     def renamed(self, name: str) -> "HPolyhedron":
         return replace(self, name=name)
+
+
+class _IntRows:
+    """`HPolyhedron._ints`: each row [a | rhs] times s, the lcm of its denominators.
+
+    `scale` holds each s, A rows first. `base`, built on first use, is the
+    echelon form of the A rows; it pivots in column n iff A x = b has no
+    solution."""
+
+    def __init__(self, P: HPolyhedron):
+        rows = _int_rows([(*row, rhs, ONE) for row, rhs in zip((*P.A, *P.B), (*P.b, *P.d))])
+        self.scale = [row.pop() for row in rows]
+        self.A, self.B = rows[: len(P.A)], rows[len(P.A) :]
+        self.n = P.n
+
+    @cached_property
+    def base(self) -> _Echelon:
+        return _fold(_EMPTY, self.A, self.n + 1)
+
+
+def _point(x: Sequence[Fraction]) -> tuple[list[int], int]:
+    """x as num / den, den > 0 the lcm of its denominators."""
+    den = lcm(*(v.denominator for v in x))
+    return [v.numerator * (den // v.denominator) for v in x], den
+
+
+def _slacks(rows: Sequence[Sequence[int]], num: Sequence[int], den: int) -> list[int]:
+    """den * (rhs - a . x) of each integer row [a | rhs] at x = num / den: a positive
+    multiple of the row's slack. With den = 0 it is -a . num, the slack a ray adds."""
+    return [row[-1] * den - sum(map(mul, row, num)) for row in rows]
 
 
 @dataclass(frozen=True)
@@ -199,15 +244,17 @@ def _implicit_rows(P: HPolyhedron, x: Vector) -> tuple[int, ...]:
     and so is x + ray when it is unbounded: the ray leaves every row it
     decreases slack.
     """
-    slack = [dot(row, x) < rhs for row, rhs in zip(P.B, P.d)]
+    B = P._ints.B
+    slack = [s > 0 for s in _slacks(B, *_point(x))]
     for i, row in enumerate(P.B):
         if slack[i]:
             continue
         res = lp.lp_solve(tuple(-v for v in row), P)
         if res.point is not None:
-            slack = [s or dot(r, res.point) < rhs for s, r, rhs in zip(slack, P.B, P.d)]
-        elif res.ray is not None:
-            slack = [s or dot(r, res.ray) < 0 for s, r in zip(slack, P.B)]
+            num, den = _point(res.point)
+        else:  # P holds x, so the LP is unbounded
+            num, den = _point(res.ray)[0], 0
+        slack = [s or t > 0 for s, t in zip(slack, _slacks(B, num, den))]
     return tuple(i for i, s in enumerate(slack) if not s)
 
 
@@ -224,7 +271,7 @@ def minimize_description(P: HPolyhedron) -> HPolyhedron:
     The result has full-row-rank A and each inequality row facet-defining.
     """
     Q = _promoted(P, implicit_equality_rows(P))  # raises on empty input
-    B, d = _irredundant_rows(Q.n, Q.A, Q.b, Q.B, Q.d)
+    _, B, d = _irredundant_rows(Q.n, Q._ints.A, Q._ints.B)
     return replace(Q, B=B, d=d)
 
 
@@ -244,65 +291,41 @@ def _promoted(P: HPolyhedron, implicit: Sequence[int]) -> HPolyhedron:
     )
 
 
-def _scaled_row(row: Sequence[Fraction], rhs: Fraction) -> tuple[Vector, Fraction]:
-    """Rescale a nonzero row to its primitive integer normal, keeping orientation."""
-    prim = primitive(row)
-    j = next(i for i, x in enumerate(row) if x != 0)
-    return prim, rhs * prim[j] / row[j]
+def _scaled_row(row: Sequence[int]) -> tuple[Vector, Fraction]:
+    """A nonzero integer row [a | rhs] as its primitive integer normal and rhs, keeping orientation."""
+    g = gcd(*row[:-1])
+    return tuple(Fraction(x // g) for x in row[:-1]), Fraction(row[-1], g)
 
 
 def _irredundant_rows(
-    n: int,
-    A: Matrix,
-    b: Vector,
-    B: Sequence[Sequence[Fraction]],
-    d: Sequence[Fraction],
-    certified: Optional[Sequence[bool]] = None,
-) -> tuple[Matrix, Vector]:
-    """Inequality rows of {A x = b, B x <= d} that no other row implies.
+    n: int, A: Sequence[Sequence[int]], B: Sequence[Sequence[int]], certified: Optional[Sequence[bool]] = None
+) -> tuple[list[int], Matrix, Vector]:
+    """The integer rows [a | rhs] of B that no other row of {A, B} implies.
 
-    A cheap syntactic pass comes first: every row is scaled to its primitive
-    normal, and of each group of parallel rows only the tightest stays. Then
-    one LP per remaining row drops it when the rest imply it. A row flagged
-    in `certified` is known to be implied by no set of the other rows, so
-    it runs no LP and stays; every other row sees the same rest as without
-    the flags.
+    Returns their indices and their `_scaled_row` normals and right-hand
+    sides. A cheap syntactic pass comes first: of each group of parallel
+    rows only the tightest stays. Then one LP per remaining row drops it
+    when the rest imply it. A row flagged in `certified` is known to be
+    implied by no set of the other rows, so it runs no LP and stays; every
+    other row sees the same rest as without the flags.
     """
-    seen: dict[Vector, tuple[Fraction, bool]] = {}
-    for row, rhs, cert in zip(B, d, certified or itertools.repeat(False)):
-        if is_zero(row):
-            continue  # 0 <= d is vacuous for feasible P
-        key, val = _scaled_row(row, rhs)
-        if key not in seen or val < seen[key][0]:
-            seen[key] = (val, cert)
-    B = list(seen)
-    d = [val for val, _ in seen.values()]
-    cert = [c for _, c in seen.values()]
-    i = 0
-    while i < len(B):
-        if not cert[i]:
-            rest = HPolyhedron(
-                n=n, A=A, b=b, B=tuple(B[:i] + B[i + 1 :]), d=tuple(d[:i] + d[i + 1 :])
-            )
-            if lp.is_implied(B[i], d[i], rest):
-                del B[i], d[i], cert[i]
+    seen: dict[Vector, tuple[Fraction, int]] = {}
+    for i, row in enumerate(B):
+        if any(row[:-1]):  # 0 <= d is vacuous for feasible P
+            key, val = _scaled_row(row)
+            if key not in seen or val < seen[key][0]:
+                seen[key] = (val, i)
+    normals, d, keep = list(seen), [v for v, _ in seen.values()], [i for _, i in seen.values()]
+    eqs = tuple(tuple(map(Fraction, row[:-1])) for row in A), tuple(Fraction(row[-1]) for row in A)
+    k = 0
+    while k < len(keep):
+        if certified is None or not certified[keep[k]]:
+            rest = HPolyhedron(n, *eqs, tuple(normals[:k] + normals[k + 1 :]), tuple(d[:k] + d[k + 1 :]))
+            if lp.is_implied(normals[k], d[k], rest):
+                del normals[k], d[k], keep[k]
                 continue
-        i += 1
-    return tuple(B), tuple(d)
-
-
-def _int_system(P: HPolyhedron) -> tuple[_Echelon, list[list[int]], int]:
-    """Echelon form of P's equality rows, P's inequality rows, and rank(A).
-
-    Every row carries its right-hand side as a last column and is scaled to
-    integers, which keeps every solution and the sign of every slack. The
-    echelon form pivots in the right-hand-side column exactly when A x = b
-    has no solution.
-    """
-    n = P.n
-    base = _fold(_EMPTY, _int_rows([row + (rhs,) for row, rhs in zip(P.A, P.b)]), n + 1)
-    B = _int_rows([row + (rhs,) for row, rhs in zip(P.B, P.d)])
-    return base, B, len(base[1]) - (n in base[1])
+        k += 1
+    return keep, tuple(normals), tuple(d)
 
 
 def _basic_points(
@@ -313,12 +336,12 @@ def _basic_points(
     A basic solution solves the equality rows with n - rank(A) independent
     inequality rows held tight; there are none when the equality rows are
     inconsistent. A point x = num / den (lowest terms, den > 0) maps to
-    den * (d - B x) on the `_int_system` rows. The budget caps the row
+    its `_slacks` on the integer rows of `P._ints`. The budget caps the row
     subsets walked, comb(q, n - rank(A)).
     """
     n = P.n
-    base, B, rank_A = _int_system(P)
-    k = n - rank_A
+    base, B = P._ints.base, P._ints.B
+    k = n - sum(p < n for p in base[1])
     check_budget(comb(len(B), k), budget, what)
     if n in base[1]:
         return {}
@@ -331,39 +354,38 @@ def _basic_points(
         if det < 0:
             g = -g
         pts.add((tuple(v // g for v in num), det // g))
-    return {(num, den): [row[n] * den - sum(map(mul, row, num)) for row in B] for num, den in pts}
+    return {(num, den): _slacks(B, num, den) for num, den in pts}
 
 
-def _circuit_lines(P: HPolyhedron, budget: Optional[int]) -> tuple[list[Vector], list[Direction]]:
-    """A lineality basis of P's description and, when it is empty, P's circuit lines.
+def _circuit_lines(P: HPolyhedron, budget: Optional[int]) -> tuple[list[list[int]], list[Direction]]:
+    """An integer lineality basis of P's description and, when it is empty, P's circuit lines.
 
     Works in kernel coordinates of the equality block: each line is the
     one-dimensional kernel of n'-1 independent rows of the reduced
     inequality matrix, n' = n - rank(A), mapped back to a canonical integer
-    direction. Each line is checked to be support-minimal: the rows zero
-    on it must reach rank n'-1, so that it is their whole kernel
-    (CorrespondenceViolation if not). The budget caps the row subsets
-    walked, comb(q, n'-1).
+    direction. The kernel basis comes from the echelon form of `P._ints`,
+    and the reduced rows are its integer B rows times that basis. Each
+    line is checked to be support-minimal: the rows zero on it must reach
+    rank n'-1, so that it is their whole kernel (CorrespondenceViolation if
+    not). The budget caps the row subsets walked, comb(q, n'-1).
     """
-    N = kernel_basis(P.A, P.n) if P.A else list(identity(P.n))
+    N = _kernel(P._ints.base, P.n)
     np_ = len(N)
     if np_ == 0:
         return [], []
-    NT = transpose(tuple(N))  # n x n', maps reduced coords to ambient
-    Bred = matmul(P.B, NT) if P.B else ()
-    lin = kernel_basis(Bred, np_) if Bred else list(identity(np_))
+    NT = list(zip(*N))  # n x n', maps reduced coords to ambient
+    rows = [[sum(map(mul, row, v)) for v in N] for row in P._ints.B]
+    lin = _kernel(_fold(_EMPTY, rows, np_), np_)
     if lin:
-        return [mat_vec(NT, v) for v in lin], []
-    check_budget(comb(len(Bred), np_ - 1), budget, "circuit candidate subsets")
-    NT_int = _int_rows(NT)  # kernel_basis vectors are integral
-    rows = _int_rows(Bred)
+        return [[sum(map(mul, row, v)) for row in NT] for v in lin], []
+    check_budget(comb(len(rows), np_ - 1), budget, "circuit candidate subsets")
     ghats = {
         _canonical(_kernel_line(ech, pivots, det, np_))
         for ech, pivots, det in _subset_echelons(_EMPTY, rows, np_ - 1, np_)
     }
     lines = []
     for gh in ghats:
-        g = _canonical([sum(map(mul, row, gh)) for row in NT_int])
+        g = _canonical([sum(map(mul, row, gh)) for row in NT])
         zero = [row for row in rows if not sum(map(mul, row, gh))]
         if _rank_upto(_EMPTY, zero, np_ - 1, np_) < np_ - 1:
             raise CorrespondenceViolation(f"circuit candidate {g} is not support-minimal")
@@ -386,13 +408,12 @@ def _vrep(P: HPolyhedron, lines: Iterable[Direction], budget: Optional[int]) -> 
     )
     if not tight:
         raise EmptyPolyhedron(P.name or "polyhedron")
-    B = _int_rows(P.B)
     rays = []
     for g in lines:
-        Bg = [sum(map(mul, row, g)) for row in B]
-        if all(x <= 0 for x in Bg):
+        added = _slacks(P._ints.B, g, 0)  # -B g, row by row
+        if all(x >= 0 for x in added):
             rays.append(g)
-        elif all(x >= 0 for x in Bg):
+        elif all(x <= 0 for x in added):
             rays.append(tuple(-x for x in g))
     V = VRep(vertices=tuple(x for x, _ in tight), rays=tuple(sorted(rays)))
     return V, [m for _, m in tight]
@@ -418,7 +439,7 @@ def _edge_test(P: HPolyhedron) -> Callable[[int], bool]:
     the rows tight at both, so `mask(u) & mask(v)` decides adjacency; a
     vertex with itself reaches rank n and is not an edge.
     """
-    base, B, _ = _int_system(P)
+    base, B = P._ints.base, P._ints.B
     n = P.n
 
     def is_edge(mask: int) -> bool:
@@ -488,9 +509,7 @@ def slack_standard_form(P: HPolyhedron) -> tuple[HPolyhedron, AffineMap]:
     if not is_pointed(P):
         raise NotPointed(P.name or "polyhedron")
     q = len(P.B)
-    stacked = transpose(P.B) if not P.A else tuple(
-        br + ar for br, ar in zip(transpose(P.B), transpose(P.A))
-    )
+    stacked = transpose(P.B + P.A)
     basis = kernel_basis(stacked, q + len(P.A)) if stacked else []
     U = tuple(v[:q] for v in basis)
     if U and rank(U) != len(U):
@@ -508,8 +527,20 @@ def slack_standard_form(P: HPolyhedron) -> tuple[HPolyhedron, AffineMap]:
     return S, sigma
 
 
+def _divided(row: list[int]) -> tuple[list[int], int]:
+    """row over the gcd g of its entries, and g (1 for a zero row)."""
+    g = gcd(*row) or 1
+    return [x // g for x in row], g
+
+
 class _Eliminator:
     """Fourier-Motzkin with equality substitution and exact redundancy pruning.
+
+    Rows are integer lists [a | rhs] over the live variables, and each
+    substitution or combination divides out its gcd. A row is a positive
+    multiple of the one a Fraction elimination (pivot entries scaled to 1)
+    would hold; an equality row carries that multiple, so the result keeps
+    the Fraction elimination's equality rows.
 
     `certified[i]` says that inequality row i is implied by no set of the
     other rows. A prune certifies every row it keeps, by a witness point
@@ -520,11 +551,11 @@ class _Eliminator:
     other rows, which the witness satisfies. Only the new rows need an LP.
     """
 
-    def __init__(self, nvars: int, eqs, ineqs):
-        # Rows are (coeffs list over live variables, rhs).
+    def __init__(self, nvars: int, eqs: Iterable[tuple[list[int], int]], ineqs: Iterable[list[int]]):
+        # eqs pairs each integer row with the multiple it is of its Fraction row.
         self.live = list(range(nvars))
-        self.eqs = [(list(r), rhs) for r, rhs in eqs]
-        self.ineqs = [(list(r), rhs) for r, rhs in ineqs]
+        self.eqs = [(row, Fraction(scale)) for row, scale in eqs]
+        self.ineqs = list(ineqs)
         self.certified = [False] * len(self.ineqs)
 
     def eliminate(self, target_vars: set[int]) -> None:
@@ -541,74 +572,54 @@ class _Eliminator:
     def _pick(self, pending: list[int]) -> int:
         best, best_cost = None, None
         for j in pending:
-            if any(r[j] != 0 for r, _ in self.eqs):
+            if any(r[j] for r, _ in self.eqs):
                 return j  # substitution never adds rows
-            pos = sum(1 for r, _ in self.ineqs if r[j] > 0)
-            neg = sum(1 for r, _ in self.ineqs if r[j] < 0)
+            pos = sum(1 for r in self.ineqs if r[j] > 0)
+            neg = sum(1 for r in self.ineqs if r[j] < 0)
             cost = pos * neg - pos - neg
             if best_cost is None or cost < best_cost:
                 best, best_cost = j, cost
         return best
 
     def _eliminate_one(self, j: int) -> None:
-        pivot = next((i for i, (r, _) in enumerate(self.eqs) if r[j] != 0), None)
+        pivot = next((i for i, (r, _) in enumerate(self.eqs) if r[j]), None)
         if pivot is not None:
-            prow, prhs = self.eqs.pop(pivot)
-            inv = ONE / prow[j]
-            prow = [x * inv for x in prow]
-            prhs = prhs * inv
+            prow, _ = self.eqs.pop(pivot)
+            p = prow[j]
+            if p < 0:
+                prow, p = [-x for x in prow], -p
 
-            def subst(rows):
-                out = []
-                for r, rhs in rows:
-                    if r[j] != 0:
-                        f = r[j]
-                        r = [x - f * y for x, y in zip(r, prow)]
-                        rhs = rhs - f * prhs
-                    out.append((r, rhs))
-                return out
+            def subst(r: list[int]) -> tuple[list[int], int]:
+                # p * r - r[j] * prow over its gcd g: p / g times r - r[j] / p * prow
+                return _divided([p * x - r[j] * y for x, y in zip(r, prow)]) if r[j] else (r, p)
 
-            self.eqs = subst(self.eqs)
-            self.ineqs = subst(self.ineqs)
+            subs = [(subst(r), scale) for r, scale in self.eqs]
+            self.eqs = [(r, scale * Fraction(p, g)) for (r, g), scale in subs]
+            self.ineqs = [subst(r)[0] for r in self.ineqs]
         else:
-            pos = [(r, rhs) for r, rhs in self.ineqs if r[j] > 0]
-            neg = [(r, rhs) for r, rhs in self.ineqs if r[j] < 0]
-            kept = [i for i, (r, _) in enumerate(self.ineqs) if r[j] == 0]
+            pos = [r for r in self.ineqs if r[j] > 0]
+            neg = [r for r in self.ineqs if r[j] < 0]
+            kept = [i for i, r in enumerate(self.ineqs) if r[j] == 0]
             rows = [self.ineqs[i] for i in kept]
-            for rp, bp in pos:
-                for rn, bn in neg:
-                    a, c = rp[j], -rn[j]
-                    row = [c * x + a * y for x, y in zip(rp, rn)]
-                    rows.append((row, c * bp + a * bn))
+            rows += [_divided([-rn[j] * x + rp[j] * y for x, y in zip(rp, rn)])[0] for rp in pos for rn in neg]
             self.certified = [self.certified[i] for i in kept] + [False] * (len(rows) - len(kept))
             self.ineqs = rows
         del self.live[j]
-        self.eqs = [(r[:j] + r[j + 1 :], rhs) for r, rhs in self.eqs]
-        self.ineqs = [(r[:j] + r[j + 1 :], rhs) for r, rhs in self.ineqs]
+        self.eqs = [(r[:j] + r[j + 1 :], scale) for r, scale in self.eqs]
+        self.ineqs = [r[:j] + r[j + 1 :] for r in self.ineqs]
 
     def _prune(self) -> None:
         """Trim duplicates and LP-redundant inequality rows."""
-        B, d = _irredundant_rows(
-            len(self.live),
-            tuple(tuple(r) for r, _ in self.eqs),
-            tuple(rhs for _, rhs in self.eqs),
-            [r for r, _ in self.ineqs],
-            [rhs for _, rhs in self.ineqs],
-            self.certified,
-        )
-        self.ineqs = [(list(r), rhs) for r, rhs in zip(B, d)]
+        keep, _, _ = _irredundant_rows(len(self.live), [r for r, _ in self.eqs], self.ineqs, self.certified)
+        self.ineqs = [self.ineqs[i] for i in keep]
         self.certified = [True] * len(self.ineqs)
 
     def result(self, n: int) -> HPolyhedron:
         if len(self.live) != n:
             raise CorrespondenceViolation(f"{len(self.live)} variables left after elimination, expected {n}")
-        return HPolyhedron(
-            n=n,
-            A=tuple(tuple(r) for r, _ in self.eqs),
-            b=tuple(rhs for _, rhs in self.eqs),
-            B=tuple(tuple(r) for r, _ in self.ineqs),
-            d=tuple(rhs for _, rhs in self.ineqs),
-        )
+        A = tuple(tuple(x / scale for x in r[:-1]) for r, scale in self.eqs)
+        B, d = tuple(zip(*map(_scaled_row, self.ineqs))) or ((), ())
+        return HPolyhedron(n, A, tuple(r[-1] / scale for r, scale in self.eqs), B, d)
 
 
 def project(P: HPolyhedron, pi: LinearMap) -> HPolyhedron:
@@ -629,18 +640,13 @@ def project(P: HPolyhedron, pi: LinearMap) -> HPolyhedron:
         )
     y = _feasible_point(P)
 
-    eqs = []
-    for i in range(nt):
-        row = [ZERO] * (nt + m)
-        row[i] = ONE
-        for jj in range(m):
-            row[nt + jj] = -pi.matrix[i][jj]
-        eqs.append((row, ZERO))
-    for row, rhs in zip(P.A, P.b):
-        eqs.append(([ZERO] * nt + list(row), rhs))
-    ineqs = [([ZERO] * nt + list(row), rhs) for row, rhs in zip(P.B, P.d)]
-
-    elim = _Eliminator(nt + m, eqs, ineqs)
+    # The graph row x_i - pi_i y = 0 has x_i coefficient 1, so its integer
+    # row is its own multiple by the entry there.
+    graph = _int_rows([(*unit_vector(nt, i), *(-v for v in pi.matrix[i]), ZERO) for i in range(nt)])
+    ints = P._ints
+    eqs = [(row, row[i]) for i, row in enumerate(graph)]
+    eqs += [([0] * nt + row, scale) for row, scale in zip(ints.A, ints.scale)]
+    elim = _Eliminator(nt + m, eqs, [[0] * nt + row for row in ints.B])
     elim.eliminate(set(range(nt, nt + m)))
     R = elim.result(nt)
     x = pi(y)

@@ -260,6 +260,7 @@ def test_check_rows_longer_than_n_is_input_error(tmp_path, flags):
         ("circuits", '{"n": 1, "B": [[1]], "d": [1e400]}'),
         ("circuits", {"n": 1, "B": [[True]], "d": [1]}),
         ("circuits", {"n": True, "B": [[1]], "d": [1]}),
+        ("circuits", {"n": -2}),
     ],
     ids=[
         "not-an-object",
@@ -270,6 +271,7 @@ def test_check_rows_longer_than_n_is_input_error(tmp_path, flags):
         "float-overflow",
         "bool",
         "bool-dimension",
+        "negative-dimension",
     ],
 )
 def test_malformed_json_is_input_error(tmp_path, verb, document, flags):

@@ -11,7 +11,7 @@ from polycircuits import lp
 from polycircuits.constructions import cross_polytope, hypercube, orthant, pi_matrix
 from polycircuits.errors import CorrespondenceViolation
 from polycircuits.inheritance import check_inheritance
-from polycircuits.linalg import ONE, ZERO, dot, solve, vec_sub, vector
+from polycircuits.linalg import ONE, ZERO, dot, rank, solve, vec_sub, vector
 from polycircuits.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, is_feasible, is_implied, lp_solve
 from polycircuits.polyhedron import HPolyhedron, minimize_description
 
@@ -66,6 +66,33 @@ def test_redundant_equality_rows_are_tolerated():
 def test_inconsistent_equality_rows():
     P = HPolyhedron.make(2, A=[[1, 1], [2, 2]], b=[1, 3])
     assert lp_solve([0, 1], P).status == INFEASIBLE
+
+
+@pytest.mark.parametrize("objective", [[0, 1], [1, -1], [1, 1], [0, 0]])
+@pytest.mark.parametrize("B, d", [([], []), ([[-1, 0], [0, -1]], [0, 0])], ids=["free", "orthant"])
+def test_dependent_equality_row_changes_no_answer(objective, B, d):
+    # x + y = 1 and 2x + 2y = 2: every equality row enters phase 1, and the
+    # artificial of the dependent one stays basic at zero.
+    alone = lp_solve(objective, HPolyhedron.make(2, A=[[1, 1]], b=[1], B=B, d=d))
+    doubled = lp_solve(objective, HPolyhedron.make(2, A=[[1, 1], [2, 2]], b=[1, 2], B=B, d=d))
+    assert (doubled.status, doubled.value) == (alone.status, alone.value)
+
+
+def test_inconsistent_equality_rows_carry_a_checked_farkas_certificate(monkeypatch):
+    # x + y = 1 and 2x + 2y = 3 end phase 1 above 0, so the infeasible
+    # answer comes with Farkas multipliers that `_check_farkas` accepted.
+    checked = []
+    check = lp._StandardLP._check_farkas
+
+    def recording(self, y):
+        check(self, y)
+        checked.append(y)
+
+    monkeypatch.setattr(lp._StandardLP, "_check_farkas", recording)
+    P = HPolyhedron.make(2, A=[[1, 1], [2, 2]], b=[1, 3])
+    assert lp_solve([0, 1], P).status == INFEASIBLE
+    (y,) = checked
+    assert y[0] + 2 * y[1] == 0 and dot(y, P.b) > 0
 
 
 def test_is_implied():
@@ -229,7 +256,10 @@ def test_rows_with_nonnegative_rhs_start_on_their_slacks(monkeypatch):
 # it, with each row scaled by its pivot and every other row cleared entry
 # by entry. Phase 1 starts on the same slack crash basis: the slack of each
 # inequality row with rhs >= 0, and an artificial column for every other
-# row. With no rows it takes its own route. It finds the dual and
+# row. An artificial whose row has no nonzero real entry after phase 1
+# belongs to a dependent equality row and stays basic; the artificial
+# columns stay too, never eligible to enter and at cost 0 in phase 2.
+# With no rows it takes its own route. It finds the dual and
 # Farkas multipliers by solving on the final basis columns, a second route
 # to the ones the integer tableau reads off its reduced costs, and shares
 # the certificate checks. Both hold the same rationals after every pivot,
@@ -275,33 +305,36 @@ class _FractionStandardLP(lp._StandardLP):
             return (INFEASIBLE, None)
         for i in range(m):
             if basis[i] >= nz:
-                col = next(j for j in range(nz) if tab[i][j] != 0)
-                self._pivot(tab, obj, basis, i, col)
-        for row in tab:
-            del row[nz:-1]
+                col = next((j for j in range(nz) if tab[i][j] != 0), None)
+                if col is not None:
+                    self._pivot(tab, obj, basis, i, col)
         obj = self._reduced_obj(self.cz, tab, basis)
         status = self._iterate(tab, obj, basis, eligible=nz)
+        z = [ZERO] * (len(tab[0]) - 1)
         if status is not None:
-            z = [ZERO] * nz
             z[status] = ONE
             for i in range(m):
                 z[basis[i]] = -tab[i][status]
             ray = self._x(z)
             self._check_ray(ray)
             return (UNBOUNDED, ray)
-        z = [ZERO] * nz
         for i in range(m):
             z[basis[i]] = tab[i][-1]
         x = self._x(z)
-        self._check_optimal(x, self._dual_from_basis(basis))
+        self._check_optimal(x, self._dual_from_basis(basis, arts))
         return (OPTIMAL, x)
 
     def _x(self, z):
         return vec_sub(z[: self.n], z[self.n : 2 * self.n])
 
-    def _dual_from_basis(self, basis):
-        cols = tuple(tuple(self.M[i][j] for i in range(self.m)) for j in basis)
-        y = solve(cols, tuple(self.cz[j] for j in basis))
+    def _dual_from_basis(self, basis, arts):
+        # Artificial column nz + k, at cost 0, is a unit column of row arts[k].
+        nz = len(self.cz)
+        cols = tuple(
+            tuple(self.M[i][j] if j < nz else (ONE if arts[j - nz] == i else ZERO) for i in range(self.m))
+            for j in basis
+        )
+        y = solve(cols, tuple(self.cz[j] if j < nz else ZERO for j in basis))
         assert y is not None, "basis matrix singular"
         return y
 
@@ -430,6 +463,8 @@ def test_integer_tableau_matches_fraction_reference(monkeypatch, seed):
         ref, ref_path, ref_certs = _solve_recording_pivots(monkeypatch, _FractionStandardLP, objective, poly)
         assert path == ref_path
         assert certs == ref_certs
+        # every infeasible answer carries a checked Farkas certificate
+        assert (got.status == INFEASIBLE) == ([kind for kind, _ in certs] == ["farkas"])
         assert (got.status, got.value, got.point, got.ray) == (ref.status, ref.value, ref.point, ref.ray)
         for x in (got.value, *(got.point or ()), *(got.ray or ())):
             assert x is None or type(x) is Fraction
@@ -450,14 +485,13 @@ def test_reference_lps_cover_every_case(monkeypatch):
             objective, poly = _random_lp(rng)
             res, path, certs = _solve_recording_pivots(monkeypatch, lp._StandardLP, objective, poly)
             seen.add(res.status)
-            keep = lp.row_space_basis_indices(poly.A) if poly.A else ()
-            rhs = [poly.b[i] for i in keep] + list(poly.d)
+            p, rhs = len(poly.A), poly.b + poly.d
             for kind, y in certs:
-                if any(y[: len(keep)]):
+                if any(y[:p]):
                     seen.add(f"{kind} on equality row")
                 if any(v and r < 0 for v, r in zip(y, rhs)):
                     seen.add(f"{kind} on negated row")
-                if any(v and r >= 0 for v, r in zip(y[len(keep) :], rhs[len(keep) :])):
+                if any(v and r >= 0 for v, r in zip(y[p:], rhs[p:])):
                     seen.add(f"{kind} on slack-start row")
             if any(degenerate for _, _, degenerate, _ in path):
                 seen.add("degenerate pivot")
@@ -465,8 +499,8 @@ def test_reference_lps_cover_every_case(monkeypatch):
                 seen.add("negative pivot")
             if not poly.A and not poly.B:
                 seen.add("no rows")
-            if len(poly.A) > lp.rank(poly.A):
-                consistent = lp.rank([row + (r,) for row, r in zip(poly.A, poly.b)]) == lp.rank(poly.A)
+            if len(poly.A) > rank(poly.A):
+                consistent = rank([row + (r,) for row, r in zip(poly.A, poly.b)]) == rank(poly.A)
                 seen.add("redundant equalities" if consistent else "inconsistent equalities")
             if any(r < 0 for r in poly.d):
                 seen.add("negative rhs")

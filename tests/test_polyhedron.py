@@ -346,3 +346,26 @@ def test_affine_image_and_preimage_roundtrip():
     pre = preimage_description(sq, tau)
     assert pre.contains(vector([1, 0]))  # tau -> (1, 0), inside
     assert not pre.contains(vector([2, 0]))
+
+
+def test_int_rows_counts_are_pinned(monkeypatch):
+    # A description's rows become integers once, in its `_ints` view. The
+    # other calls scale an LP objective, a projection's graph rows or a
+    # direction to canonicalize. So
+    # rescaling the rows of a description that already has its view adds
+    # calls, and a change that does so must update this count on purpose.
+    from polycircuits import constructions, linalg, lp, polyhedron
+    from polycircuits.constructions import orthant, pi_matrix
+    from polycircuits.inheritance import check_inheritance
+
+    calls = []
+    scale = linalg._int_rows
+
+    def counting(M):
+        calls.append(M)
+        return scale(M)
+
+    for module in (linalg, polyhedron, lp, constructions):
+        monkeypatch.setattr(module, "_int_rows", counting)
+    check_inheritance(orthant(4), pi_matrix(3, 4))
+    assert len(calls) == 60

@@ -128,9 +128,9 @@ def _project_run(monkeypatch, Q, pi, reprune=True):
     implicit = polyhedron._implicit_rows
     certified, eliminated = [], []
 
-    def checked(n, A, b, B, d, flags=None):
-        got = irredundant(n, A, b, B, d, flags)
-        assert not reprune or got == irredundant(n, A, b, B, d)
+    def checked(n, A, B, flags=None):
+        got = irredundant(n, A, B, flags)
+        assert not reprune or got == irredundant(n, A, B)
         certified.append(sum(flags or ()))
         return got
 

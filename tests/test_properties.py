@@ -1,12 +1,15 @@
-"""Property tests of the canonical direction sets, their JSON form, and
-the simplex against vertex enumeration.
+"""Property tests of the canonical direction sets, their JSON form, the
+simplex against vertex enumeration, and the integer row view of a
+description against Fraction arithmetic.
 
 A `CircuitSet` names each line through the origin by one primitive
 integer vector whose first nonzero entry is positive, so it must not
 depend on how its input vectors are scaled, signed, repeated or ordered.
 On a polytope, the LP optimum is the best vertex, and `vrep` finds the
-vertices by subset enumeration, with no LP. The examples are
-derandomized, so every run checks the same ones.
+vertices by subset enumeration, with no LP. A description's integer
+rows are positive multiples of its rows, so its slack tests must agree
+with Fraction dot products. The examples are derandomized, so every run
+checks the same ones.
 """
 
 from fractions import Fraction
@@ -123,3 +126,38 @@ def test_lp_optimum_is_the_best_vertex(case):
     assert V.rays == ()
     assert res.status == OPTIMAL
     assert res.value == max(dot(c, v) for v in V.vertices)
+
+
+@st.composite
+def described_points(draw):
+    """(P, x): rational rows whose right-hand sides put x on, inside or
+    outside each row, so the slack tests see every case."""
+    n = draw(st.integers(0, 3))
+    x = draw(vectors(n))
+
+    def rows(kinds):
+        normals = draw(st.lists(vectors(n), max_size=4))
+        offsets = draw(st.lists(st.sampled_from(kinds), min_size=len(normals), max_size=len(normals)))
+        return normals, [dot(row, x) + off for row, off in zip(normals, offsets)]
+
+    A, b = rows([Fraction(0), Fraction(0), Fraction(0), Fraction(1, 3)])
+    B, d = rows([Fraction(0), Fraction(2, 3), Fraction(-1, 2)])
+    return HPolyhedron.make(n, A=A, b=b, B=B, d=d), x
+
+
+@PROPERTY
+@given(described_points())
+def test_integer_view_scales_each_row_and_keeps_every_slack(case):
+    # Each view row is s * (row, rhs) for an integer s > 0, and the slack
+    # tests that read the view agree with Fraction dot products.
+    P, x = case
+    ints = P._ints
+    for (row, rhs), view_row, s in zip(zip(P.A + P.B, P.b + P.d), ints.A + ints.B, ints.scale):
+        assert type(s) is int and s > 0
+        assert all(type(v) is int for v in view_row)
+        assert view_row == [s * v for v in (*row, rhs)]
+    inside = all(dot(row, x) == rhs for row, rhs in zip(P.A, P.b))
+    inside = inside and all(dot(row, x) <= rhs for row, rhs in zip(P.B, P.d))
+    assert P.contains(x) == inside
+    tight = tuple(i for i, (row, rhs) in enumerate(zip(P.B, P.d)) if dot(row, x) == rhs)
+    assert P.tight_inequality_rows(x) == tight
