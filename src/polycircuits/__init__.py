@@ -3,7 +3,6 @@
 from .errors import (
     BudgetExceeded,
     CorrespondenceViolation,
-    DegenerateVertex,
     EdgeDirectionGiven,
     EmptyPolyhedron,
     NotInjectiveOnQ,
@@ -30,7 +29,6 @@ from .circuits import (
     circuits_of_homogenization,
     enumerate_circuits,
     enumerate_circuits_bruteforce,
-    is_edge_direction,
 )
 from .inheritance import (
     ALL_INHERITED,
@@ -46,7 +44,6 @@ __all__ = [
     "CircuitSet",
     "CorrespondenceViolation",
     "DEFAULT_BUDGET",
-    "DegenerateVertex",
     "EdgeDirectionGiven",
     "EmptyPolyhedron",
     "Fraction",
@@ -70,7 +67,6 @@ __all__ = [
     "enumerate_circuits_bruteforce",
     "frac",
     "homogenize",
-    "is_edge_direction",
     "matrix",
     "minimize_description",
     "preimage_description",

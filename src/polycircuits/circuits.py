@@ -29,7 +29,6 @@ from .polyhedron import (
     _basic_points,
     _circuit_lines,
     check_budget,
-    edge_directions,
     homogenize,
     is_pointed,
     lineality_basis,
@@ -41,7 +40,6 @@ __all__ = [
     "enumerate_circuits",
     "enumerate_circuits_bruteforce",
     "HomogenizationSplit",
-    "is_edge_direction",
 ]
 
 
@@ -167,7 +165,3 @@ def circuits_of_homogenization(
     if split.point_class.points != BP.points:
         raise CorrespondenceViolation("degree-1 class does not match the basic solutions")
     return CH, split
-
-
-def is_edge_direction(g: Sequence[Fraction], P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -> bool:
-    return g in edge_directions(P, budget=budget)

@@ -16,7 +16,6 @@ from typing import NamedTuple, Optional, Sequence
 from .circuits import enumerate_circuits
 from .directions import CircuitSet
 from .errors import (
-    DegenerateVertex,
     EdgeDirectionGiven,
     EmptyPolyhedron,
     CorrespondenceViolation,
@@ -31,7 +30,6 @@ from .linalg import (
     identity,
     is_zero,
     kernel_basis,
-    mat_vec,
     matmul,
     matrix,
     primitive,
@@ -49,13 +47,11 @@ from .linalg import (
 from .lp import is_feasible
 from .polyhedron import (
     DEFAULT_BUDGET,
-    AffineMap,
     HPolyhedron,
     LinearMap,
     _edge_directions_of,
     _pointed_vrep,
     _scaled_row,
-    affine_image_description,
     cartesian_product,
     dim,
     project,
@@ -511,31 +507,6 @@ def check_orthant_position(Q: HPolyhedron) -> None:
         seen.add(nz[0])
     if seen != set(range(m)):
         raise PreconditionViolation("tight rows must cover every coordinate once")
-
-
-def transform_to_orthant_position(Q: HPolyhedron, v: Sequence) -> tuple[HPolyhedron, AffineMap]:
-    """Affine change of coordinates sending the non-degenerate vertex v to the
-    origin with inner cone equal to the nonnegative orthant.
-
-    The map is x -> -T(x - v) where T stacks the rows tight at v; each tight
-    normal becomes -e_i, so directional data transports by -T.
-    """
-    v = vector(v)
-    m = Q.n
-    if Q.A:
-        raise PreconditionViolation("equality rows contradict full-dimensionality")
-    if not Q.contains(v):
-        raise PreconditionViolation("not a point of the polyhedron")
-    tight = Q.tight_inequality_rows(v)
-    if len(tight) != m:
-        raise DegenerateVertex(f"{len(tight)} tight rows, need exactly {m}")
-    T = matrix([Q.B[i] for i in tight])
-    if rank(T) != m:
-        raise DegenerateVertex("tight rows are rank-deficient")
-    phi = AffineMap(matrix=matrix([vec_neg(row) for row in T]), offset=mat_vec(T, v))
-    moved = affine_image_description(Q, phi).renamed(f"orthant_position({Q.name or 'Q'})")
-    check_orthant_position(moved)
-    return moved, phi
 
 
 class AlphaProjection(NamedTuple):

@@ -22,10 +22,6 @@ class BudgetExceeded(PolyhedronError):
         super().__init__(f"{what}: {needed} candidates exceed budget {budget}")
 
 
-class DegenerateVertex(PolyhedronError):
-    """Vertex has more tight rows than the ambient dimension."""
-
-
 class PreconditionViolation(PolyhedronError):
     """Input fails a documented structural requirement of the operation."""
 

@@ -17,7 +17,7 @@ from .circuits import (
     circuits_of_homogenization,
     enumerate_circuits,
 )
-from .constructions import DisjunctiveFamily, balas_extension
+from .constructions import DisjunctiveFamily
 from .directions import CircuitSet
 from .errors import (
     CorrespondenceViolation,
@@ -59,15 +59,14 @@ class InheritanceReport:
 
     P is the image description the circuits were computed on: the supplied
     one, or else the minimized projection of Q. P_vrep holds its vertices
-    and extreme rays. Q_edges holds the edge directions of Q, unprojected,
-    or None when Q has a lineality space.
+    and extreme rays. Q_edges holds the edge directions of Q, unprojected.
     """
 
     P: HPolyhedron
     P_vrep: VRep
     P_circuits: CircuitSet
     Q_circuits: CircuitSet
-    Q_edges: Optional[CircuitSet]
+    Q_edges: CircuitSet
     projected: CircuitSet
     inherited: CircuitSet
     non_inherited: CircuitSet
@@ -78,9 +77,8 @@ class InheritanceReport:
     def summary(self) -> str:
         lines = [
             f"verdict: {self.verdict}",
-            f"|C(P)| = {len(self.P_circuits)}, "
-            f"|C(Q)| = {len(self.Q_circuits) if not self.Q_circuits.is_subspace else 'subspace'}, "
-            f"projected lines = {len(self.projected) if not self.projected.is_subspace else 'subspace'}",
+            f"|C(P)| = {len(self.P_circuits)}, |C(Q)| = {len(self.Q_circuits)}, "
+            f"projected lines = {len(self.projected)}",
             f"inherited = {len(self.inherited)}, non-inherited = {len(self.non_inherited)}, "
             f"edge directions = {len(self.edge_dirs)}",
             f"inherited equals edge directions: {self.inherited_equals_edges}",
@@ -117,8 +115,8 @@ def check_inheritance(
     (checked row by row); circuits of the image are then computed on that
     description, since circuit sets are description-sensitive.  Without it
     the image is derived by elimination and minimized.  Raises
-    NotPointed when the image has a lineality space, and fails loudly if the
-    computed data ever contradicts the edge-inheritance guarantee.
+    NotPointed when the image or Q has a lineality space, and fails loudly
+    if the computed data ever contradicts the edge-inheritance guarantee.
     """
     if pi.in_dim(Q.n) != Q.n:
         raise ProjectionMismatch(f"map expects {pi.in_dim(Q.n)} coordinates, Q has {Q.n}")
@@ -138,28 +136,27 @@ def check_inheritance(
     if CP.is_subspace:
         raise NotPointed(P.name or "projection image")
     CQ = enumerate_circuits(Q, budget)
-
     if CQ.is_subspace:
-        projected = CircuitSet.subspace(map(pi, CQ.lineality))
-    else:
-        projected = pi.image_directions(CQ)
+        # the image of a lineality vector of Q lies in the lineality space of
+        # P, so a pointed image has pi(lin Q) = 0 and inherits nothing
+        raise NotPointed(Q.name or "domain")
 
-    inherited = CircuitSet(directions=tuple(g for g in CP if g in projected))
-    non_inherited = CircuitSet(directions=tuple(g for g in CP if g not in projected))
+    projected = pi.image_directions(CQ)
+    lines = set(projected)
+    inherited = CircuitSet(directions=tuple(g for g in CP if g in lines))
+    non_inherited = CircuitSet(directions=tuple(g for g in CP if g not in lines))
 
-    # P, and Q when CQ is not a subspace, are pointed: their extreme rays
-    # are among their circuits, and only the vertices need a walk
+    # P and Q are pointed: their extreme rays are among their circuits, and
+    # only the vertices need a walk
     VP, masks = _vrep(P, CP, budget)
     edge_dirs = _edge_directions_of(P, VP, masks)
-    if any(e not in inherited for e in edge_dirs):
+    edges = set(edge_dirs)
+    if not edges <= set(inherited):
         raise CorrespondenceViolation("an edge direction of the image was not inherited")
-    Q_edges = None
-    if not CQ.is_subspace:
-        # stronger form of the same guarantee: edges come from edges
-        Q_edges = _edge_directions_of(Q, *_vrep(Q, CQ, budget))
-        lifted_edges = pi.image_directions(Q_edges)
-        if any(e not in lifted_edges for e in edge_dirs):
-            raise CorrespondenceViolation("an edge direction of the image lifts to no edge of Q")
+    # stronger form of the same guarantee: edges come from edges
+    Q_edges = _edge_directions_of(Q, *_vrep(Q, CQ, budget))
+    if not edges <= set(pi.image_directions(Q_edges)):
+        raise CorrespondenceViolation("an edge direction of the image lifts to no edge of Q")
 
     return InheritanceReport(
         P=P,
@@ -197,7 +194,7 @@ def verify_slack_law(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -> 
     inequality matrix.  Description-sensitive: P should be minimal."""
     if not is_pointed(P):
         raise NotPointed(P.name or "slack law input")
-    S, _ = slack_standard_form(P)
+    S = slack_standard_form(P)
     lhs = enumerate_circuits(S, budget)
     B = matrix(P.B)
     rhs = CircuitSet.of(mat_vec(B, g) for g in enumerate_circuits(P, budget))
@@ -254,15 +251,6 @@ def balas_circuit_prediction(
                     blocks[j] = tuple(vec_neg(t))
                     expected.append(lifted(weights, blocks))
     return CircuitSet.of(expected)
-
-
-def verify_balas_circuits(
-    family: DisjunctiveFamily, budget: Optional[int] = DEFAULT_BUDGET
-) -> bool:
-    """Circuits of the disjunctive lift are exactly `balas_circuit_prediction`."""
-    expected = balas_circuit_prediction(family, budget)
-    Q, _ = balas_extension(family)
-    return set(enumerate_circuits(Q, budget)) == set(expected)
 
 
 def verify_isomorphism_law(

@@ -8,7 +8,7 @@ through the origin is named by its primitive integer representative, a
 tuple of Python ints (`Fraction(k) == k`, with the same hash and `str`).
 Inside, elimination and `dot` run on Python ints: rows are scaled to
 integers (`_int_rows`) and reduced by one fraction-free insertion step
-(`_insert`, Bareiss 1968), folded over a whole matrix by `_echelon` and
+(`_insert`, Bareiss 1968), folded over a whole matrix by `_fold` and
 run depth first over row subsets by `_subset_echelons`, which eliminates
 each shared prefix once. `dot` sums integer products over one common
 denominator, so the costly Fraction normalizations happen once per output
@@ -203,22 +203,6 @@ def _rank_upto(echelon: _Echelon, rows: Iterable[Sequence[int]], r: int, ncols: 
 _EMPTY: _Echelon = ([], [], 1)
 
 
-def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
-    """Fraction-free Gauss-Jordan elimination in place, as a fold of `_insert`.
-
-    A column is a pivot when it holds the first nonzero entry of a row
-    after that row is reduced by the independent rows above it. On return
-    the pivot rows come first, in pivot-column order, every pivot entry
-    equals `det`, the rows below are zero, and rows / det is the reduced
-    row echelon form. Returns (pivots, det).
-    """
-    ech, pivots, det = _fold(_EMPTY, rows, ncols)
-    order = sorted(range(len(pivots)), key=pivots.__getitem__)
-    width = len(rows[0]) if rows else 0
-    rows[:] = [ech[i] for i in order] + [[0] * width for _ in range(len(rows) - len(ech))]
-    return [pivots[i] for i in order], det
-
-
 def _subset_echelons(
     base: _Echelon, rows: Sequence[Sequence[int]], k: int, ncols: int
 ) -> Iterator[_Echelon]:
@@ -291,19 +275,6 @@ def _kernel(echelon: _Echelon, ncols: int) -> list[list[int]]:
     return [_kernel_vector(rows, pivots, det, free, ncols) for free in range(ncols) if free not in pivots]
 
 
-def rref(M: Sequence[Sequence[Fraction]]) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot column indices.
-
-    Row order of the input does not survive; the result has pivot rows
-    first (in pivot-column order) followed by zero rows.
-    """
-    if not M:
-        return (), ()
-    rows = _int_rows(M)
-    pivots, det = _echelon(rows, len(rows[0]))
-    return tuple(tuple(Fraction(x, det) for x in row) for row in rows), tuple(pivots)
-
-
 def rank(M: Sequence[Sequence[Fraction]]) -> int:
     return len(_fold(_EMPTY, _int_rows(M), len(M[0]))[1]) if M else 0
 
@@ -325,13 +296,12 @@ def solve(M: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[
     if not M:
         return zero_vector(0) if is_zero(rhs) else None
     ncols = len(M[0])
-    R = _int_rows([tuple(row) + (r,) for row, r in zip(M, rhs)])
-    pivots, det = _echelon(R, ncols + 1)
-    if pivots and pivots[-1] == ncols:  # pivot in the rhs column
+    rows, pivots, det = _fold(_EMPTY, _int_rows([tuple(row) + (r,) for row, r in zip(M, rhs)]), ncols + 1)
+    if ncols in pivots:  # pivot in the rhs column
         return None
     x = [ZERO] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = Fraction(R[r][ncols], det)
+    for R, p in zip(rows, pivots):
+        x[p] = Fraction(R[ncols], det)
     return tuple(x)
 
 
@@ -342,7 +312,7 @@ def row_space_basis_indices(M: Sequence[Sequence[Fraction]]) -> list[int]:
     form is a pivot exactly when it is independent of the columns before it.
     """
     cols = [list(col) for col in zip(*_int_rows(M))]
-    return _echelon(cols, len(M))[0] if cols else []
+    return sorted(_fold(_EMPTY, cols, len(M))[1]) if cols else []
 
 
 def primitive(v: Sequence[Fraction]) -> Vector:

@@ -66,10 +66,8 @@ from .linalg import (
     matrix,
     rank,
     row_space_basis_indices,
-    rref,
     transpose,
     unit_vector,
-    vec_add,
     vec_scale,
     vec_sub,
     vector,
@@ -183,21 +181,6 @@ class LinearMap:
     def image_directions(self, dirs: Iterable[Sequence[Fraction]]) -> CircuitSet:
         """Canonical nonzero images of a direction collection."""
         return CircuitSet.of(map(self, dirs))
-
-    @staticmethod
-    def identity(n: int) -> "LinearMap":
-        return LinearMap(matrix=identity(n))
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """x -> M x + offset."""
-
-    matrix: Matrix
-    offset: Vector
-
-    def __call__(self, x: Sequence[Fraction]) -> Vector:
-        return vec_add(mat_vec(self.matrix, x), self.offset)
 
 
 @dataclass(frozen=True)
@@ -449,17 +432,6 @@ def _edge_test(P: HPolyhedron) -> Callable[[int], bool]:
     return is_edge
 
 
-def adjacent_vertices(P: HPolyhedron, u: Sequence[Fraction], v: Sequence[Fraction]) -> bool:
-    """Whether the segment between the points u and v of P lies on an edge of P."""
-    for name, x in (("u", u), ("v", v)):
-        if not P.contains(x):
-            raise PreconditionViolation(
-                f"{name} = ({', '.join(map(str, vector(x)))}) is not a point of {P.name or 'the polyhedron'}"
-            )
-    common = set(P.tight_inequality_rows(u)).intersection(P.tight_inequality_rows(v))
-    return _edge_test(P)(sum(1 << i for i in common))
-
-
 def _edge_directions_of(P: HPolyhedron, V: VRep, masks: Sequence[int]) -> CircuitSet:
     """Edge directions of P from `_vrep(P, ...)`: its vertices, rays and vertex tight-row masks."""
     is_edge = _edge_test(P)
@@ -499,8 +471,8 @@ def homogenize(P: HPolyhedron) -> HPolyhedron:
     )
 
 
-def slack_standard_form(P: HPolyhedron) -> tuple[HPolyhedron, AffineMap]:
-    """Standard-form copy in slack space plus the slack map x -> d - B x.
+def slack_standard_form(P: HPolyhedron) -> HPolyhedron:
+    """Standard-form copy of P in slack space, the image of the slack map x -> d - B x.
 
     The image polyhedron {s >= 0, U s = U d} uses the inequality parts of
     a kernel basis of [B^T A^T] as equality normals. Requires a pointed
@@ -515,7 +487,7 @@ def slack_standard_form(P: HPolyhedron) -> tuple[HPolyhedron, AffineMap]:
     if U and rank(U) != len(U):
         raise PreconditionViolation("slack_standard_form needs independent equality rows")
     eq_rhs = tuple(dot(u, P.d) for u in U)
-    S = HPolyhedron(
+    return HPolyhedron(
         n=q,
         A=U,
         b=eq_rhs,
@@ -523,8 +495,6 @@ def slack_standard_form(P: HPolyhedron) -> tuple[HPolyhedron, AffineMap]:
         d=zero_vector(q),
         name=f"slack({P.name})" if P.name else "",
     )
-    sigma = AffineMap(matrix=tuple(vec_scale(-ONE, row) for row in P.B), offset=P.d)
-    return S, sigma
 
 
 def _divided(row: list[int]) -> tuple[list[int], int]:
@@ -655,29 +625,9 @@ def project(P: HPolyhedron, pi: LinearMap) -> HPolyhedron:
     return _promoted(R, _implicit_rows(R, x))
 
 
-def affine_image_description(P: HPolyhedron, phi: AffineMap) -> HPolyhedron:
-    """Description of phi(P) for invertible linear part, by row composition."""
-    Minv = _inverse(phi.matrix)
-    # x = M y + t  =>  rows become (row . M^-1) x <= rhs + row . M^-1 t
-    A = tuple(mat_vec(transpose(Minv), row) for row in P.A)
-    B = tuple(mat_vec(transpose(Minv), row) for row in P.B)
-    b = tuple(rhs + dot(row, phi.offset) for row, rhs in zip(A, P.b))
-    d = tuple(rhs + dot(row, phi.offset) for row, rhs in zip(B, P.d))
-    return HPolyhedron(n=P.n, A=A, b=b, B=B, d=d, name=P.name)
-
-
 def preimage_description(P: HPolyhedron, tau: LinearMap) -> HPolyhedron:
     """{x : tau(x) in P} by composing rows with tau; tau need not be square."""
     mt = tau.matrix
     A = tuple(mat_vec(transpose(mt), row) for row in P.A)
     B = tuple(mat_vec(transpose(mt), row) for row in P.B)
     return HPolyhedron(n=tau.in_dim(P.n), A=A, b=P.b, B=B, d=P.d)
-
-
-def _inverse(M: Matrix) -> Matrix:
-    n = len(M)
-    aug = tuple(row + ident for row, ident in zip(M, identity(n)))
-    R, pivots = rref(aug)
-    if pivots[:n] != tuple(range(n)):
-        raise ValueError("matrix not invertible")
-    return tuple(row[n:] for row in R[:n])

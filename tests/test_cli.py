@@ -13,12 +13,18 @@ import pytest
 import polycircuits
 from polycircuits import jsonio
 from polycircuits.circuits import enumerate_circuits
-from polycircuits.cli import main
+from polycircuits.cli import CONSTRUCT_NAMES, main
 from polycircuits.constructions import (
     cropped_cross_polytope,
+    cross_polytope,
     hypercube,
+    orthant,
+    perturbed_simple_4polytope,
+    pi_alpha_matrix,
     pi_matrix,
+    pi_prime_matrix,
     simplex,
+    transportation,
 )
 from polycircuits.polyhedron import HPolyhedron, LinearMap
 
@@ -145,8 +151,6 @@ def write_pair(tmp_path, Q, pi):
 
 
 def test_check_orthant_projection_fails_with_witness(tmp_path, capsys):
-    from polycircuits.constructions import orthant
-
     qp, mp = write_pair(tmp_path, orthant(4), pi_matrix(3, 4))
     code, out = run_cli(["check", qp, mp], capsys)
     assert code == 1
@@ -156,8 +160,6 @@ def test_check_orthant_projection_fails_with_witness(tmp_path, capsys):
 
 
 def test_check_prime_projection_inherits_everything(tmp_path, capsys):
-    from polycircuits.constructions import pi_prime_matrix
-
     qp, mp = write_pair(tmp_path, simplex(6), pi_prime_matrix(3, 6))
     code, out = run_cli(["check", qp, mp], capsys)
     assert code == 0
@@ -184,6 +186,15 @@ def test_check_dimension_mismatch_is_input_error(tmp_path, capsys):
     qp, mp = write_pair(tmp_path, hypercube(3), pi_matrix(3, 4))
     code, _ = run_cli(["check", qp, mp], capsys)
     assert code == 2
+
+
+def test_check_nonpointed_domain_is_input_error(tmp_path, capsys):
+    # a domain with a lineality space is outside the claim, not a failed claim
+    qp, mp = tmp_path / "strip.json", tmp_path / "map.json"
+    qp.write_text('{"n": 2, "B": [[-1, 0], [1, 0]], "d": [0, 1]}\n')
+    mp.write_text('{"matrix": [[1, 0]]}\n')
+    assert main(["check", str(qp), str(mp)]) == 2
+    assert capsys.readouterr().err == "input error: domain\n"
 
 
 def test_package_has_no_assert_statements():
@@ -302,8 +313,6 @@ def test_check_output_is_the_same_under_optimize(tmp_path):
     # The simplex certificate checks are not asserts, so a NotAllInherited
     # verdict is reached through the same checks, with the same output,
     # when python runs with -O.
-    from polycircuits.constructions import orthant
-
     qp, mp = write_pair(tmp_path, orthant(4), pi_matrix(3, 4))
     src = str(Path(polycircuits.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
@@ -364,11 +373,34 @@ def test_construct_croppedcross_accepts_rational_delta(capsys):
 
 
 def test_construct_transport_matches_library(capsys):
-    from polycircuits.constructions import transportation
-
     code, out = run_cli(["construct", "transport", "--n", "5", "--k", "2", "--sizes", "1,4"], capsys)
     assert code == 0
     assert json.loads(out) == jsonio.poly_to_dict(transportation(5, 2, (1, 4)))
+
+
+_CONSTRUCTED = {
+    "cube": (["--m", "3"], lambda: jsonio.poly_to_dict(hypercube(3))),
+    "simplex": (["--n", "4"], lambda: jsonio.poly_to_dict(simplex(4))),
+    "orthant": (["--m", "5"], lambda: jsonio.poly_to_dict(orthant(5))),
+    "crosspoly": (["--n", "3"], lambda: jsonio.poly_to_dict(cross_polytope(3))),
+    "croppedcross": (["--n", "3"], lambda: jsonio.poly_to_dict(cropped_cross_polytope(3))),
+    "perturbed4": (["--seed", "7"], lambda: jsonio.poly_to_dict(perturbed_simple_4polytope(7))),
+    "transport": (
+        ["--n", "5", "--k", "2", "--sizes", "1,4"],
+        lambda: jsonio.poly_to_dict(transportation(5, 2, (1, 4))),
+    ),
+    "pi": (["--n", "3", "--m", "4"], lambda: jsonio.map_to_dict(pi_matrix(3, 4))),
+    "pialpha": (["--m", "5", "--alpha", "3"], lambda: jsonio.map_to_dict(pi_alpha_matrix(5, 3))),
+    "piprime": (["--n", "3", "--m", "6"], lambda: jsonio.map_to_dict(pi_prime_matrix(3, 6))),
+}
+
+
+@pytest.mark.parametrize("name", CONSTRUCT_NAMES)
+def test_construct_matches_library(name, capsys):
+    flags, build = _CONSTRUCTED[name]
+    code, out = run_cli(["construct", name, *flags], capsys)
+    assert code == 0
+    assert json.loads(out) == build()
 
 
 def test_construct_missing_flag_is_input_error(capsys):

@@ -29,11 +29,9 @@ from polycircuits.constructions import (
     pi_prime_matrix,
     simplex,
     tau_transfer,
-    transform_to_orthant_position,
     transportation,
 )
 from polycircuits.errors import (
-    DegenerateVertex,
     EdgeDirectionGiven,
     EmptyPolyhedron,
     NotPointed,
@@ -414,42 +412,6 @@ class TestOrthantPosition:
         flat = HPolyhedron.make(2, A=[[0, 1]], b=[0], B=[[-1, 0], [1, 0]], d=[0, 1])
         with pytest.raises(PreconditionViolation):
             check_orthant_position(flat)
-
-
-class TestTransformToOrthantPosition:
-    def test_cube_at_origin_is_fixed(self):
-        moved, phi = transform_to_orthant_position(hypercube(3), (0, 0, 0))
-        assert phi.matrix == identity(3)
-        assert phi.offset == vector([0, 0, 0])
-        assert vertex_set(moved) == vertex_set(hypercube(3))
-
-    def test_cube_at_opposite_corner_reflects(self):
-        moved, phi = transform_to_orthant_position(hypercube(3), (1, 1, 1))
-        assert phi(vector([1, 1, 1])) == vector([0, 0, 0])
-        assert vertex_set(moved) == vertex_set(hypercube(3))
-
-    def test_simplex_at_a_nonzero_vertex(self):
-        moved, phi = transform_to_orthant_position(simplex(3), (1, 0, 0))
-        assert phi(vector([1, 0, 0])) == vector([0, 0, 0])
-        assert vertex_set(moved) == vertex_set(simplex(3))
-
-    def test_rejects_degenerate_vertices(self):
-        pyramid = HPolyhedron.make(
-            3,
-            B=[[0, 0, -1], [1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]],
-            d=[0, 1, 1, 1, 1],
-            name="pyramid",
-        )
-        with pytest.raises(DegenerateVertex):
-            transform_to_orthant_position(pyramid, (0, 0, 1))
-
-    def test_rejects_interior_points(self):
-        with pytest.raises(DegenerateVertex):
-            transform_to_orthant_position(hypercube(2), (Fraction(1, 2), Fraction(1, 2)))
-
-    def test_rejects_outside_points(self):
-        with pytest.raises(PreconditionViolation):
-            transform_to_orthant_position(hypercube(2), (2, 0))
 
 
 # ---------------------------------------------------------------------------

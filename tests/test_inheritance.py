@@ -13,6 +13,7 @@ import pytest
 from polycircuits.circuits import circuits_of_homogenization, enumerate_circuits
 from polycircuits.constructions import (
     DisjunctiveFamily,
+    balas_extension,
     cropped_cross_polytope,
     hypercube,
     non_inheriting_extension,
@@ -26,7 +27,7 @@ from polycircuits.inheritance import (
     ALL_INHERITED,
     NOT_ALL_INHERITED,
     check_inheritance,
-    verify_balas_circuits,
+    balas_circuit_prediction,
     verify_cartesian_law,
     verify_hom_law,
     verify_isomorphism_law,
@@ -126,6 +127,23 @@ class TestCheckInheritance:
         rep = check_inheritance(simplex(3), skew)
         assert rep.verdict == ALL_INHERITED
 
+    def test_nonpointed_domain_rejected(self):
+        # the strip 0 <= x <= 1 has lineality y; its image [0, 1] is pointed
+        strip = HPolyhedron.make(2, B=[[-1, 0], [1, 0]], d=[0, 1], name="strip")
+        with pytest.raises(NotPointed, match="strip"):
+            check_inheritance(strip, LinearMap(matrix([[1, 0]])))
+
+    def test_description_with_equality_row(self):
+        # {x = y, 0 <= x <= 1} under the identity: the equality row must
+        # describe the same line, a positive or negative multiple of x - y
+        Q = HPolyhedron.make(2, B=[[1, -1], [-1, 1], [-1, 0], [1, 0]], d=[0, 0, 0, 1])
+        ident = LinearMap(matrix([[1, 0], [0, 1]]))
+        same = HPolyhedron.make(2, A=[[2, -2]], b=[0], B=[[-1, 0], [1, 0]], d=[0, 1])
+        assert check_inheritance(Q, ident, P_desc=same).P == same
+        other = HPolyhedron.make(2, A=[[1, -2]], b=[0], B=[[-1, 0], [1, 0]], d=[0, 1])
+        with pytest.raises(ProjectionMismatch):
+            check_inheritance(Q, ident, P_desc=other)
+
 
 # ---------------------------------------------------------------------------
 # laws
@@ -184,28 +202,33 @@ class TestHomLaw:
             assert V(signs) in set(split.point_class)
 
 
+def balas_law_holds(fam):
+    """The disjunctive lift's circuits are exactly the ones its pieces predict."""
+    return enumerate_circuits(balas_extension(fam)[0]) == balas_circuit_prediction(fam)
+
+
 class TestBalasLaw:
     def test_two_singletons(self):
         fam = DisjunctiveFamily.make([point_piece((0, 0)), point_piece((1, 2))])
-        assert verify_balas_circuits(fam)
+        assert balas_law_holds(fam)
 
     def test_point_plus_segment(self):
         fam = DisjunctiveFamily.make([point_piece((0,)), hypercube(1)])
-        assert verify_balas_circuits(fam)
+        assert balas_law_holds(fam)
 
     def test_square_plus_segment(self):
         seg = HPolyhedron.make(2, A=[[0, 1]], b=[0], B=[[-1, 0], [1, 0]], d=[0, 1])
         fam = DisjunctiveFamily.make([hypercube(2), seg])
-        assert verify_balas_circuits(fam)
+        assert balas_law_holds(fam)
 
     def test_extension_family_for_square_diagonal(self):
         ext = non_inheriting_extension(hypercube(2), (1, 1))
-        assert verify_balas_circuits(ext.family)
+        assert balas_law_holds(ext.family)
 
     def test_rejects_nonpointed_piece(self):
         slab = HPolyhedron.make(2, B=[[1, 0], [-1, 0]], d=[1, 0])
         with pytest.raises(NotPointed):
-            verify_balas_circuits(DisjunctiveFamily.make([slab]))
+            balas_circuit_prediction(DisjunctiveFamily.make([slab]))
 
 
 class TestIsomorphismLaw:

@@ -17,7 +17,6 @@ from polycircuits.linalg import (
     primitive,
     rank,
     row_space_basis_indices,
-    rref,
     solve,
     transpose,
     unit_vector,
@@ -32,9 +31,13 @@ M34_RREF = matrix([["1", "0", "0", "-1/2"], [0, 1, 0, 1], [0, 0, 1, "1/2"]])
 
 
 def test_rref_hand_eliminated():
-    R, pivots = rref(M34)
-    assert R == M34_RREF
-    assert pivots == (0, 1, 2)
+    # the fraction-free echelon form over its det, rows in pivot order
+    rows, pivots, det = linalg._fold(linalg._EMPTY, linalg._int_rows(M34), 4)
+    assert sorted(pivots) == [0, 1, 2]
+    R = sorted(zip(pivots, rows))
+    assert tuple(tuple(Fraction(x, det) for x in row) for _, row in R) == M34_RREF
+    # M34 read as [M | rhs]: its last RREF column is the solution
+    assert solve([row[:3] for row in M34], [row[3] for row in M34]) == tuple(row[3] for row in M34_RREF)
 
 
 def test_kernel_of_m34_is_one_dimensional():
@@ -221,10 +224,10 @@ def _assert_fractions(values):
 
 def _check_against_reference(M):
     n = len(M[0])
-    R, pivots = rref(M)
-    assert (R, pivots) == _ref_rref(M)
-    for row in R:
-        _assert_fractions(row)
+    rows, pivots, det = linalg._fold(linalg._EMPTY, linalg._int_rows(M), n)
+    R, ref_pivots = _ref_rref(M)
+    assert sorted(pivots) == list(ref_pivots)
+    assert [tuple(Fraction(x, det) for x in row) for _, row in sorted(zip(pivots, rows))] == list(R[: len(pivots)])
     assert rank(M) == _ref_rank(M)
 
     basis = kernel_basis(M)
@@ -264,10 +267,10 @@ def test_kernel_sign_with_negative_determinant():
     # One pivot, -2, so the scaled kernel vectors come out negated and must
     # be flipped back: x0 = x1 / 2 gives (1, 2, 0); x2 is free.
     M = matrix([[-2, 1, 0]])
-    assert linalg._echelon(linalg._int_rows(M), 3)[1] == -2
+    assert linalg._fold(linalg._EMPTY, linalg._int_rows(M), 3)[2] == -2
     assert kernel_basis(M) == [vector([1, 2, 0]), vector([0, 0, 1])]
     M = matrix([[0, -3, 1], ["1/2", 0, 2]])
-    assert linalg._echelon(linalg._int_rows(M), 3)[1] < 0
+    assert linalg._fold(linalg._EMPTY, linalg._int_rows(M), 3)[2] < 0
     _check_against_reference(M)
 
 
