@@ -23,6 +23,7 @@ from .polyhedron import (
     preimage_description,
     project,
     vrep,
+    work_budget,
 )
 from .circuits import (
     basic_solutions,
@@ -73,4 +74,5 @@ __all__ = [
     "project",
     "vector",
     "vrep",
+    "work_budget",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .directions import BasicSolutionSet, CircuitSet
 from .errors import CorrespondenceViolation, NotPointed
@@ -24,7 +24,6 @@ from .linalg import (
     vec_scale,
 )
 from .polyhedron import (
-    DEFAULT_BUDGET,
     HPolyhedron,
     _basic_points,
     _circuit_lines,
@@ -47,7 +46,7 @@ def _support_mask(v: Sequence) -> int:
     return sum(1 << i for i, x in enumerate(v) if x != 0)
 
 
-def enumerate_circuits(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -> CircuitSet:
+def enumerate_circuits(P: HPolyhedron) -> CircuitSet:
     """All circuit directions of P's description, canonically represented.
 
     The candidates are the lines of the (n'-1)-row subset walk
@@ -56,13 +55,13 @@ def enumerate_circuits(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -
     lineality basis instead (every nonzero lineality vector is a circuit
     there).
     """
-    lineality, lines = _circuit_lines(P, budget)
+    lineality, lines = _circuit_lines(P)
     if lineality:
         return CircuitSet.subspace(lineality)
     return CircuitSet(directions=tuple(sorted(lines)))
 
 
-def enumerate_circuits_bruteforce(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -> CircuitSet:
+def enumerate_circuits_bruteforce(P: HPolyhedron) -> CircuitSet:
     """Literal transcription of the circuit definition, for cross-checking.
 
     Candidates come from every inequality-row subset whose kernel
@@ -72,7 +71,7 @@ def enumerate_circuits_bruteforce(P: HPolyhedron, budget: Optional[int] = DEFAUL
     if not is_pointed(P):
         return CircuitSet.subspace(lineality_basis(P))
     q = len(P.B)
-    check_budget(2**q, budget, "brute-force row subsets")
+    check_budget(2**q, "brute-force row subsets")
     cands: dict[Direction, int] = {}
     for size in range(q + 1):
         for S in itertools.combinations(range(q), size):
@@ -88,7 +87,7 @@ def enumerate_circuits_bruteforce(P: HPolyhedron, budget: Optional[int] = DEFAUL
     return CircuitSet.of(minimal)
 
 
-def basic_solutions(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -> BasicSolutionSet:
+def basic_solutions(P: HPolyhedron) -> BasicSolutionSet:
     """All points (feasible or not) whose tight rows have full column rank.
 
     Points satisfy every equality row; only inequality rows may be
@@ -107,7 +106,7 @@ def basic_solutions(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -> B
         return _rank_upto(base, [row for row, s in zip(B, slacks) if s == 0], n, n) == n
 
     pts = {}
-    for (num, den), slacks in _basic_points(P, budget, "basic solution subsets").items():
+    for (num, den), slacks in _basic_points(P, "basic solution subsets").items():
         x = tuple(Fraction(v, den) for v in num)
         if not is_basic(slacks):
             raise CorrespondenceViolation(f"basic solution {x} is not support-minimal")
@@ -139,9 +138,7 @@ class HomogenizationSplit:
     point_class: BasicSolutionSet  # leading coordinate rescaled to 1
 
 
-def circuits_of_homogenization(
-    P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET
-) -> tuple[CircuitSet, HomogenizationSplit]:
+def circuits_of_homogenization(P: HPolyhedron) -> tuple[CircuitSet, HomogenizationSplit]:
     """Circuits of the homogenization cone, with the verified two-class split.
 
     Expects a pointed P with minimized description. Raises
@@ -150,7 +147,7 @@ def circuits_of_homogenization(
     """
     if not is_pointed(P):
         raise NotPointed(P.name or "polyhedron")
-    CH = enumerate_circuits(homogenize(P), budget)
+    CH = enumerate_circuits(homogenize(P))
     # CH is sorted and canonical: its lines with leading entry 0 come first,
     # and dropping that entry leaves them sorted and canonical; every other
     # line has a positive leading entry
@@ -158,8 +155,8 @@ def circuits_of_homogenization(
         direction_class=CircuitSet(directions=tuple(v[1:] for v in CH if v[0] == 0)),
         point_class=BasicSolutionSet.of(vec_scale(Fraction(1, v[0]), v[1:]) for v in CH if v[0]),
     )
-    CP = enumerate_circuits(P, budget)
-    BP = basic_solutions(P, budget)
+    CP = enumerate_circuits(P)
+    BP = basic_solutions(P)
     if split.direction_class.directions != CP.directions:
         raise CorrespondenceViolation("degree-0 class does not match the circuits")
     if split.point_class.points != BP.points:

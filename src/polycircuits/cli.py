@@ -16,7 +16,6 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from typing import Optional
 
 from . import jsonio
 from .circuits import enumerate_circuits
@@ -40,7 +39,7 @@ from .errors import (
 )
 from .experiments import EXPERIMENTS, run_experiment
 from .inheritance import ALL_INHERITED, check_inheritance
-from .polyhedron import DEFAULT_BUDGET, minimize_description
+from .polyhedron import DEFAULT_BUDGET, minimize_description, work_budget
 
 EXIT_OK = 0
 EXIT_FAILED_CLAIM = 1
@@ -61,8 +60,13 @@ CONSTRUCT_NAMES = (
 )
 
 
-def _budget(args) -> Optional[int]:
-    return args.budget if args.budget is not None else DEFAULT_BUDGET
+def _rational(text: str) -> str:
+    """A `--delta` value as typed, once it reads as a rational with a nonzero denominator."""
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
+    return text
 
 
 def _need(value, flag: str, name: str):
@@ -121,7 +125,7 @@ def cmd_circuits(args) -> int:
     P = jsonio.poly_from_dict(jsonio.load(args.input))
     if args.minimize:
         P = minimize_description(P)
-    C = enumerate_circuits(P, _budget(args))
+    C = enumerate_circuits(P)
     sys.stdout.write(jsonio.dumps(jsonio.circuits_to_dict(C)))
     return EXIT_OK
 
@@ -130,7 +134,7 @@ def cmd_check(args) -> int:
     Q = jsonio.poly_from_dict(jsonio.load(args.domain))
     pi = jsonio.map_from_dict(jsonio.load(args.map))
     P = jsonio.poly_from_dict(jsonio.load(args.image)) if args.image else None
-    report = check_inheritance(Q, pi, P_desc=P, budget=_budget(args))
+    report = check_inheritance(Q, pi, P_desc=P)
     sys.stdout.write(jsonio.dumps(jsonio.report_to_dict(report)))
     return EXIT_OK if report.verdict == ALL_INHERITED else EXIT_FAILED_CLAIM
 
@@ -147,10 +151,10 @@ def cmd_reproduce(args) -> int:
         if value is not None
     }
     out_dir = args.out_dir if args.out_dir else os.path.join("runs", args.experiment)
-    result = run_experiment(args.experiment, params, out_dir, _budget(args))
+    result = run_experiment(args.experiment, params, out_dir)
     sys.stdout.write(jsonio.dumps(result.to_dict()))
-    if result.error:
-        return EXIT_BUDGET if "budget" in result.error else EXIT_FAILED_CLAIM
+    if result.error:  # set only for a blown budget
+        return EXIT_BUDGET
     return EXIT_OK if result.passed else EXIT_FAILED_CLAIM
 
 
@@ -166,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--alpha", type=int)
-    p.add_argument("--delta", help="rational like 3/4")
+    p.add_argument("--delta", type=_rational, help="rational like 3/4")
     p.add_argument("--seed", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--sizes", help="comma-separated cluster sizes, e.g. 1,4")
@@ -190,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("experiment", choices=sorted(EXPERIMENTS))
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
-    p.add_argument("--delta", help="rational like 3/4")
+    p.add_argument("--delta", type=_rational, help="rational like 3/4")
     p.add_argument("--seed", type=int)
     p.add_argument("--budget", type=int)
     p.add_argument("--out-dir", dest="out_dir")
@@ -200,8 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    budget = getattr(args, "budget", None)
     try:
-        return args.func(args)
+        with work_budget(DEFAULT_BUDGET if budget is None else budget):
+            return args.func(args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -11,7 +11,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .circuits import enumerate_circuits
 from .directions import CircuitSet
@@ -46,14 +46,12 @@ from .linalg import (
 )
 from .lp import is_feasible
 from .polyhedron import (
-    DEFAULT_BUDGET,
     HPolyhedron,
     LinearMap,
     _edge_directions_of,
     _pointed_vrep,
     _scaled_row,
     cartesian_product,
-    dim,
     project,
 )
 
@@ -445,9 +443,7 @@ def _hull_of_vertices(verts: Sequence[Vector], n: int) -> HPolyhedron:
     return project(weights, LinearMap(cols, name="hull"))
 
 
-def non_inheriting_extension(
-    P: HPolyhedron, g: Sequence, budget: Optional[int] = DEFAULT_BUDGET
-) -> NonInheritingExtension:
+def non_inheriting_extension(P: HPolyhedron, g: Sequence) -> NonInheritingExtension:
     """Extension of P none of whose circuits projects onto the direction g.
 
     Exists exactly when g is not an edge direction of P.  Bounded P: lift the
@@ -461,7 +457,7 @@ def non_inheriting_extension(
     g = vector(g)
     if is_zero(g):
         raise PreconditionViolation("direction must be nonzero")
-    V, masks = _pointed_vrep(P, budget)
+    V, masks = _pointed_vrep(P)
     if g in _edge_directions_of(P, V, masks):
         raise EdgeDirectionGiven("an edge direction is inherited from every extension")
 
@@ -475,7 +471,7 @@ def non_inheriting_extension(
         proj = LinearMap(matrix(rows), name=f"{proj.name}_plus_{len(V.rays)}_rays")
     Q = Q.renamed(f"edge_free_extension({P.name or 'P'})")
 
-    CQ = enumerate_circuits(Q, budget)
+    CQ = enumerate_circuits(Q)
     if g in proj.image_directions(CQ):
         raise CorrespondenceViolation("extension still projects a circuit onto g")
     return NonInheritingExtension(Q, proj, family, CQ)
@@ -516,14 +512,14 @@ class AlphaProjection(NamedTuple):
     image_circuits: CircuitSet  # circuits of the minimized image of Q
 
 
-def find_alpha_projection(
-    Q: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET
-) -> AlphaProjection:
+def find_alpha_projection(Q: HPolyhedron) -> AlphaProjection:
     """Smallest alpha >= 2 whose projection family member misses every
     circuit line of Q, together with that projection and the circuit sets
     of Q and of its image that certify it.
 
-    Q must be full-dimensional (>= 4), in orthant position.  Termination:
+    Q must be in orthant position in dimension m >= 4, which makes it
+    full-dimensional: it has no equality rows, and eps * (1, ..., 1) for a
+    small eps > 0 satisfies every row strictly.  Termination:
     the two-dimensional planes indexed by alpha pairwise intersect only at
     the origin while Q has finitely many circuit lines.  Before returning,
     the witness property is re-checked from scratch: the third unit vector
@@ -533,10 +529,8 @@ def find_alpha_projection(
     if m < 4:
         raise PreconditionViolation(f"ambient dimension must be at least 4, got {m}")
     check_orthant_position(Q)
-    if dim(Q) != m:
-        raise PreconditionViolation("polyhedron must be full-dimensional")
 
-    CQ = enumerate_circuits(Q, budget)
+    CQ = enumerate_circuits(Q)
     alpha = 2
     while True:
         k1 = vec_sub(vec_scale(frac(alpha), unit_vector(m, 1)), unit_vector(m, 0))
@@ -546,7 +540,7 @@ def find_alpha_projection(
         alpha += 1
 
     pi = pi_alpha_matrix(m, alpha)
-    CP = enumerate_circuits(project(Q, pi), budget)
+    CP = enumerate_circuits(project(Q, pi))
     e3 = unit_vector(m - 1, 2)
     if not (e3 in CP and e3 not in pi.image_directions(CQ)):
         raise CorrespondenceViolation("alpha search postcondition failed")

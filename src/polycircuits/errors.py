@@ -14,12 +14,12 @@ class NotPointed(PolyhedronError):
 
 
 class BudgetExceeded(PolyhedronError):
-    """A subset enumeration would exceed the configured work budget."""
+    """A subset enumeration would exceed the cap of the work budget in force."""
 
-    def __init__(self, needed: int, budget: int, what: str = "row subsets"):
+    def __init__(self, needed: int, cap: int, what: str = "row subsets"):
         self.needed = needed
-        self.budget = budget
-        super().__init__(f"{what}: {needed} candidates exceed budget {budget}")
+        self.cap = cap
+        super().__init__(f"{what}: {needed} candidates exceed budget {cap}")
 
 
 class PreconditionViolation(PolyhedronError):

@@ -15,7 +15,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 from . import jsonio
 from .circuits import (
@@ -60,7 +60,6 @@ from .linalg import (
     zero_vector,
 )
 from .polyhedron import (
-    DEFAULT_BUDGET,
     HPolyhedron,
     LinearMap,
     edge_directions,
@@ -168,7 +167,7 @@ class Recorder:
 # experiments
 
 
-def run_thm1(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -> ReproductionResult:
+def run_thm1(params: dict, out_dir) -> ReproductionResult:
     """Bounded and conic images of one projection: facet and vertex counts,
     the non-inherited witnesses, and the inherited-equals-edges identity."""
     n = int(params.get("n", 3))
@@ -180,7 +179,7 @@ def run_thm1(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -> R
     e12 = vector([1, -1] + [0] * (n - 2))
 
     S = simplex(m)
-    rep = check_inheritance(S, pi, budget=budget)
+    rep = check_inheritance(S, pi)
     P = rep.P.renamed(f"simplex_image_{n}_{m}")
     rec.save_poly("simplex_domain", S)
     rec.save_poly("simplex_image", P)
@@ -197,7 +196,7 @@ def run_thm1(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -> R
     )
 
     O = orthant(m)
-    repc = check_inheritance(O, pi, budget=budget)
+    repc = check_inheritance(O, pi)
     R = repc.P.renamed(f"orthant_image_{n}_{m}")
     V = repc.P_vrep
     rec.save_poly("orthant_image", R)
@@ -220,12 +219,12 @@ def run_thm1(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -> R
     return rec.finish()
 
 
-def run_zonotope(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -> ReproductionResult:
+def run_zonotope(params: dict, out_dir) -> ReproductionResult:
     """Cube images: inherited circuits collapse to the edge directions."""
     rec = Recorder("zonotope", {}, out_dir)
     for n, m in ((3, 4), (4, 6)):
         pi = pi_matrix(n, m)
-        rep = check_inheritance(hypercube(m), pi, budget=budget)
+        rep = check_inheritance(hypercube(m), pi)
         rec.save_report(f"report_{n}_{m}", rep)
         e3 = unit_vector(n, 2)
         rec.claim(
@@ -237,7 +236,7 @@ def run_zonotope(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) 
     return rec.finish()
 
 
-def run_thm2(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -> ReproductionResult:
+def run_thm2(params: dict, out_dir) -> ReproductionResult:
     """Cropped cross-polytope: vertex count, box-corner basic solutions, and
     the circuit surplus of the homogenization over the orthant extension."""
     n = int(params.get("n", 3))
@@ -247,7 +246,7 @@ def run_thm2(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -> R
     def hom_classes(nn: int):
         # vertices are the basic solutions that lie in the polytope
         Qp = cropped_cross_polytope(nn, delta)
-        CH, split = circuits_of_homogenization(Qp, budget)
+        CH, split = circuits_of_homogenization(Qp)
         return Qp, CH, split, [x for x in split.point_class if Qp.contains(x)]
 
     Qp, CH, split, verts = hom_classes(n)
@@ -294,14 +293,14 @@ def run_thm2(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -> R
     return rec.finish()
 
 
-def run_partpoly(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -> ReproductionResult:
+def run_partpoly(params: dict, out_dir) -> ReproductionResult:
     """Clustering projection of the transportation system: its image has new
     circuits even though every circuit of the source is an edge direction."""
     if int(params.get("n", 5)) != 5:
         raise PreconditionViolation("only the five-point clustering instance is scripted")
     rec = Recorder("partpoly", {"n": 5, "k": 2, "sizes": [1, 4]}, out_dir)
     P3 = project(simplex(4), pi_matrix(3, 4))
-    X = sorted(vrep(P3, budget).vertices)
+    X = sorted(vrep(P3).vertices)
     rec.claim("the point set has five points in R^3", (5, 3), (len(X), len(X[0])))
 
     inst = PartitionInstance.make(X, 2, (1, 4))
@@ -311,7 +310,7 @@ def run_partpoly(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) 
     rec.save_map("cluster_projection", piX)
 
     # the report holds T's circuits and edge directions
-    rep = check_inheritance(T, piX, budget=budget)
+    rep = check_inheritance(T, piX)
     CT = rep.Q_circuits
     rec.save_circuits("source_circuits", CT)
     rec.claim(
@@ -334,7 +333,7 @@ def _random_full_rank_map(rng: random.Random, rows: int, cols: int) -> LinearMap
             return LinearMap(M, name=f"random_{rows}x{cols}")
 
 
-def run_thm3(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -> ReproductionResult:
+def run_thm3(params: dict, out_dir) -> ReproductionResult:
     """Transfer the known counterexample onto a random surjection R^5 -> R^3
     via an invertible change of coordinates."""
     seed = int(params.get("seed", 0))
@@ -353,7 +352,7 @@ def run_thm3(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -> R
 
     Qt = preimage_description(simplex(5), tau).renamed(f"transferred_domain_seed{seed}")
     rec.save_poly("transferred_domain", Qt)
-    rep = check_inheritance(Qt, pi, budget=budget)
+    rep = check_inheritance(Qt, pi)
     rec.save_report("report", rep)
     rec.claim("the image has non-inherited circuits", NOT_ALL_INHERITED, rep.verdict)
     rec.claim(
@@ -364,13 +363,13 @@ def run_thm3(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -> R
     return rec.finish()
 
 
-def run_thm5(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -> ReproductionResult:
+def run_thm5(params: dict, out_dir) -> ReproductionResult:
     """Single-direction exclusion: for every target polytope and non-edge
     direction, the disjunctive extension projects no circuit onto it."""
     rec = Recorder("thm5", {}, out_dir)
     P3 = project(simplex(4), pi_matrix(3, 4)).renamed("simplex_image_3_4")
     cases: list[tuple[HPolyhedron, list]] = []
-    non_edge = sorted(set(enumerate_circuits(P3, budget)) - set(edge_directions(P3, budget)))
+    non_edge = sorted(set(enumerate_circuits(P3)) - set(edge_directions(P3)))
     cases.append((P3, non_edge))
     # boxes have no non-edge circuits; diagonals exercise the construction
     cases.append((hypercube(2).renamed("square"), [vector((1, 1))]))
@@ -380,7 +379,7 @@ def run_thm5(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -> R
         rec.claim(f"{P.name}: found at least one target direction", True, len(directions) > 0)
         for g in directions:
             tag = f"{P.name}_{'_'.join(str(int(x)) for x in g)}"
-            ext = non_inheriting_extension(P, g, budget)
+            ext = non_inheriting_extension(P, g)
             rec.save_poly(f"ext_{tag}", ext.polyhedron)
             rec.save_map(f"proj_{tag}", ext.projection)
             # every target is a polytope, so ext.polyhedron is the Balas lift
@@ -394,19 +393,19 @@ def run_thm5(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -> R
             rec.claim(
                 f"{P.name}: lifted circuit classes verified for {tuple(int(x) for x in g)}",
                 True,
-                set(ext.circuits) == set(balas_circuit_prediction(ext.family, budget)),
+                set(ext.circuits) == set(balas_circuit_prediction(ext.family)),
             )
     return rec.finish()
 
 
-def run_thm6(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -> ReproductionResult:
+def run_thm6(params: dict, out_dir) -> ReproductionResult:
     """Scaled-projection search: a witness circuit of the image that no
     circuit of the domain maps onto."""
     seed = int(params.get("seed", 0))
     rec = Recorder("thm6", {"seed": seed}, out_dir)
     cases = [hypercube(4), simplex(4), perturbed_simple_4polytope(seed)]
     for Q in cases:
-        alpha, pi, CQ, CP = find_alpha_projection(Q, budget)
+        alpha, pi, CQ, CP = find_alpha_projection(Q)
         rec.save_poly(f"domain_{Q.name}", Q)
         rec.save_map(f"projection_{Q.name}", pi)
         rec.claim(f"{Q.name}: search terminated at an integer scale", True, alpha >= 2)
@@ -429,12 +428,12 @@ def run_thm6(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -> R
     return rec.finish()
 
 
-def run_lemma17(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -> ReproductionResult:
+def run_lemma17(params: dict, out_dir) -> ReproductionResult:
     """The positive instance: full inheritance without affine triviality."""
     rec = Recorder("lemma17", {"n": 3, "m": 6}, out_dir)
     pi = pi_prime_matrix(3, 6)
     S = simplex(6)
-    rep = check_inheritance(S, pi, budget=budget)
+    rep = check_inheritance(S, pi)
     P = rep.P.renamed("prime_image_3_6")
     rec.save_poly("image", P)
     rec.save_map("projection", pi)
@@ -505,44 +504,44 @@ def _random_system(rng: random.Random, max_dim: int = 6) -> HPolyhedron:
     return HPolyhedron.make(n, A=A, b=b, B=B, d=d)
 
 
-def law_cartesian(rng: random.Random, budget) -> bool:
+def law_cartesian(rng: random.Random) -> bool:
     n1, n2 = rng.randint(1, 2), rng.randint(1, 3)
     P1 = _random_polytope(rng, n1, extra=1) if rng.random() < 0.7 else _random_pointed(rng, n1)
     P2 = _random_polytope(rng, n2, extra=1)
-    return verify_cartesian_law(P1, P2, budget)
+    return verify_cartesian_law(P1, P2)
 
 
-def law_slack(rng: random.Random, budget) -> bool:
+def law_slack(rng: random.Random) -> bool:
     P = minimize_description(_random_polytope(rng, rng.randint(2, 3)))
-    return verify_slack_law(P, budget)
+    return verify_slack_law(P)
 
 
-def law_hom(rng: random.Random, budget) -> bool:
+def law_hom(rng: random.Random) -> bool:
     n = rng.randint(1, 3)
     P = _random_polytope(rng, n) if rng.random() < 0.7 else _random_pointed(rng, n)
-    return verify_hom_law(minimize_description(P), budget)
+    return verify_hom_law(minimize_description(P))
 
 
-def law_edge_inheritance(rng: random.Random, budget) -> bool:
+def law_edge_inheritance(rng: random.Random) -> bool:
     Q = _random_polytope(rng, rng.randint(2, 3), extra=1)
     k = rng.randint(1, Q.n)
     pi = _random_full_rank_map(rng, k, Q.n)
     # check_inheritance raises if an image edge direction is not inherited
-    rep = check_inheritance(Q, pi, budget=budget)
+    rep = check_inheritance(Q, pi)
     inherited, non_inherited = set(rep.inherited), set(rep.non_inherited)
     ok = inherited | non_inherited == set(rep.P_circuits)
     ok = ok and not inherited & non_inherited
     return ok and set(rep.edge_dirs) <= inherited
 
 
-def law_isomorphism(rng: random.Random, budget) -> bool:
+def law_isomorphism(rng: random.Random) -> bool:
     n = rng.randint(2, 3)
     P = _random_polytope(rng, n, extra=1)
     M = _random_full_rank_map(rng, n, n)
-    return verify_isomorphism_law(P, M, budget)
+    return verify_isomorphism_law(P, M)
 
 
-def law_dimension_triviality(rng: random.Random, budget) -> bool:
+def law_dimension_triviality(rng: random.Random) -> bool:
     if rng.random() < 0.5:
         # a domain of dimension at most three inherits everything
         Q = _random_polytope(rng, 3, extra=1)
@@ -552,17 +551,17 @@ def law_dimension_triviality(rng: random.Random, budget) -> bool:
         # an image of dimension at most two inherits everything
         Q = _random_polytope(rng, 4, extra=1)
         pi = _random_full_rank_map(rng, 2, 4)
-    return check_inheritance(Q, pi, budget=budget).verdict == ALL_INHERITED
+    return check_inheritance(Q, pi).verdict == ALL_INHERITED
 
 
-def law_oracle(rng: random.Random, budget) -> bool:
+def law_oracle(rng: random.Random) -> bool:
     P = _random_system(rng)
-    fast = enumerate_circuits(P, budget)
-    slow = enumerate_circuits_bruteforce(P, budget)
+    fast = enumerate_circuits(P)
+    slow = enumerate_circuits_bruteforce(P)
     return fast.same_lines(slow)
 
 
-LAW_SUITES: dict[str, Callable[[random.Random, Optional[int]], bool]] = {
+LAW_SUITES: dict[str, Callable[[random.Random], bool]] = {
     "cartesian": law_cartesian,
     "slack": law_slack,
     "hom": law_hom,
@@ -573,7 +572,7 @@ LAW_SUITES: dict[str, Callable[[random.Random, Optional[int]], bool]] = {
 }
 
 
-def run_laws(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -> ReproductionResult:
+def run_laws(params: dict, out_dir) -> ReproductionResult:
     """Randomized law suites: every identity on every seeded instance."""
     seed = int(params.get("seed", 0))
     count = int(params.get("count", 100))
@@ -583,7 +582,7 @@ def run_laws(params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET) -> R
         for i in range(count):
             rng = random.Random(seed * 1_000_003 + suite_index * 10_007 + i)
             try:
-                ok = fn(rng, budget)
+                ok = fn(rng)
             except BudgetExceeded:
                 raise
             except PolyhedronError:
@@ -607,14 +606,12 @@ EXPERIMENTS: dict[str, Callable] = {
 }
 
 
-def run_experiment(
-    name: str, params: dict, out_dir, budget: Optional[int] = DEFAULT_BUDGET
-) -> ReproductionResult:
+def run_experiment(name: str, params: dict, out_dir) -> ReproductionResult:
     """Dispatch one experiment; on a blown budget, persist the partial log."""
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {name!r}")
     try:
-        return EXPERIMENTS[name](params, out_dir, budget)
+        return EXPERIMENTS[name](params, out_dir)
     except BudgetExceeded as exc:
         rec = Recorder(name, dict(params), out_dir)
         return rec.finish(error=f"budget exceeded: {exc}")

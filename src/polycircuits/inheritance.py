@@ -26,7 +26,6 @@ from .errors import (
     ProjectionMismatch,
 )
 from .linalg import (
-    is_zero,
     kernel_basis,
     mat_vec,
     matrix,
@@ -36,7 +35,6 @@ from .linalg import (
 )
 from .lp import is_implied
 from .polyhedron import (
-    DEFAULT_BUDGET,
     HPolyhedron,
     LinearMap,
     VRep,
@@ -103,12 +101,7 @@ def _descriptions_match(P_desc: HPolyhedron, image: HPolyhedron) -> bool:
     return rows_implied(P_desc, image) and rows_implied(image, P_desc)
 
 
-def check_inheritance(
-    Q: HPolyhedron,
-    pi: LinearMap,
-    P_desc: Optional[HPolyhedron] = None,
-    budget: Optional[int] = DEFAULT_BUDGET,
-) -> InheritanceReport:
+def check_inheritance(Q: HPolyhedron, pi: LinearMap, P_desc: Optional[HPolyhedron] = None) -> InheritanceReport:
     """Full inheritance classification for the projection of Q under pi.
 
     When P_desc is given it must describe pi(Q) exactly as a point set
@@ -132,10 +125,10 @@ def check_inheritance(
     else:
         P = image
 
-    CP = enumerate_circuits(P, budget)
+    CP = enumerate_circuits(P)
     if CP.is_subspace:
         raise NotPointed(P.name or "projection image")
-    CQ = enumerate_circuits(Q, budget)
+    CQ = enumerate_circuits(Q)
     if CQ.is_subspace:
         # the image of a lineality vector of Q lies in the lineality space of
         # P, so a pointed image has pi(lin Q) = 0 and inherits nothing
@@ -148,13 +141,13 @@ def check_inheritance(
 
     # P and Q are pointed: their extreme rays are among their circuits, and
     # only the vertices need a walk
-    VP, masks = _vrep(P, CP, budget)
+    VP, masks = _vrep(P, CP)
     edge_dirs = _edge_directions_of(P, VP, masks)
     edges = set(edge_dirs)
     if not edges <= set(inherited):
         raise CorrespondenceViolation("an edge direction of the image was not inherited")
     # stronger form of the same guarantee: edges come from edges
-    Q_edges = _edge_directions_of(Q, *_vrep(Q, CQ, budget))
+    Q_edges = _edge_directions_of(Q, *_vrep(Q, CQ))
     if not edges <= set(pi.image_directions(Q_edges)):
         raise CorrespondenceViolation("an edge direction of the image lifts to no edge of Q")
 
@@ -177,45 +170,41 @@ def check_inheritance(
 # structural laws, each verified by enumerating both sides independently
 
 
-def verify_cartesian_law(
-    P1: HPolyhedron, P2: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET
-) -> bool:
+def verify_cartesian_law(P1: HPolyhedron, P2: HPolyhedron) -> bool:
     """Circuits of a product are the two factor circuit sets, zero-padded."""
     if not (is_pointed(P1) and is_pointed(P2)):
         raise NotPointed("cartesian law needs pointed factors")
-    lhs = enumerate_circuits(cartesian_product(P1, P2), budget)
-    padded = [tuple(g) + tuple(zero_vector(P2.n)) for g in enumerate_circuits(P1, budget)]
-    padded += [tuple(zero_vector(P1.n)) + tuple(g) for g in enumerate_circuits(P2, budget)]
+    lhs = enumerate_circuits(cartesian_product(P1, P2))
+    padded = [tuple(g) + tuple(zero_vector(P2.n)) for g in enumerate_circuits(P1)]
+    padded += [tuple(zero_vector(P1.n)) + tuple(g) for g in enumerate_circuits(P2)]
     return set(lhs) == set(CircuitSet.of(padded))
 
 
-def verify_slack_law(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -> bool:
+def verify_slack_law(P: HPolyhedron) -> bool:
     """Circuits of the slack embedding are the images of C(P) under the
     inequality matrix.  Description-sensitive: P should be minimal."""
     if not is_pointed(P):
         raise NotPointed(P.name or "slack law input")
     S = slack_standard_form(P)
-    lhs = enumerate_circuits(S, budget)
+    lhs = enumerate_circuits(S)
     B = matrix(P.B)
-    rhs = CircuitSet.of(mat_vec(B, g) for g in enumerate_circuits(P, budget))
+    rhs = CircuitSet.of(mat_vec(B, g) for g in enumerate_circuits(P))
     return set(lhs) == set(rhs)
 
 
-def verify_hom_law(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -> bool:
+def verify_hom_law(P: HPolyhedron) -> bool:
     """Circuits of the homogenization split into the level-zero copies of
     C(P) and the level-one basic solutions, with nothing left over."""
     if not is_pointed(P):
         raise NotPointed(P.name or "hom law input")
     try:
-        circuits_of_homogenization(P, budget)
+        circuits_of_homogenization(P)
     except CorrespondenceViolation:
         return False
     return True
 
 
-def balas_circuit_prediction(
-    family: DisjunctiveFamily, budget: Optional[int] = DEFAULT_BUDGET
-) -> CircuitSet:
+def balas_circuit_prediction(family: DisjunctiveFamily) -> CircuitSet:
     """Circuits the disjunctive lift of `family` must have, from its pieces:
     single-slot copies of piece circuits, plus weight swaps e_i - e_j
     carrying a basic solution of piece i against a negated basic solution
@@ -224,8 +213,8 @@ def balas_circuit_prediction(
         if not is_pointed(piece):
             raise NotPointed(piece.name or "family piece")
     p, n = family.p, family.n
-    piece_circuits = [list(enumerate_circuits(piece, budget)) for piece in family.pieces]
-    piece_basics = [list(basic_solutions(piece, budget)) for piece in family.pieces]
+    piece_circuits = [list(enumerate_circuits(piece)) for piece in family.pieces]
+    piece_basics = [list(basic_solutions(piece)) for piece in family.pieces]
 
     def lifted(weights, blocks):
         out = list(weights)
@@ -253,15 +242,15 @@ def balas_circuit_prediction(
     return CircuitSet.of(expected)
 
 
-def verify_isomorphism_law(
-    Q: HPolyhedron, pi: LinearMap, budget: Optional[int] = DEFAULT_BUDGET
-) -> bool:
+def verify_isomorphism_law(Q: HPolyhedron, pi: LinearMap) -> bool:
     """Under a map injective on Q's affine hull, circuits transfer exactly.
 
     Both sides are computed on minimal descriptions: Q is minimized first so
     its implicit equalities are explicit, and the image is minimized by the
     elimination step.
     """
+    if not is_pointed(Q):
+        raise NotPointed(Q.name or "isomorphism law input")
     Qm = minimize_description(Q)
     ker = kernel_basis(pi.matrix, Q.n)
     hull_dirs = kernel_basis(Qm.A, Q.n)
@@ -270,15 +259,7 @@ def verify_isomorphism_law(
         if stacked != len(ker) + len(hull_dirs):
             raise NotInjectiveOnQ("map kernel meets the affine hull of Q")
 
-    CQ = enumerate_circuits(Qm, budget)
-    lhs = enumerate_circuits(project(Qm, pi), budget)
-    if CQ.is_subspace or lhs.is_subspace:
-        if not (CQ.is_subspace and lhs.is_subspace):
-            return False
-        mapped = [pi(v) for v in CQ.lineality]
-        both = list(lhs.lineality) + [m for m in mapped if not is_zero(m)]
-        return rank(matrix(both)) == rank(matrix(lhs.lineality)) == rank(
-            matrix([m for m in mapped if not is_zero(m)])
-        )
+    CQ = enumerate_circuits(Qm)
+    lhs = enumerate_circuits(project(Qm, pi))
     rhs = pi.image_directions(CQ)
     return set(lhs) == set(rhs)

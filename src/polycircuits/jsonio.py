@@ -53,7 +53,10 @@ def _rationals(items, key: str) -> Vector:
                 f"field {key!r} holds the {type(x).__name__} {json.dumps(x)}; "
                 'write a rational as an integer or a string like "3/4"'
             )
-    return vector(items)
+    try:
+        return vector(items)
+    except ZeroDivisionError:
+        raise PreconditionViolation(f"field {key!r} holds a rational with a zero denominator") from None
 
 
 def parse_vector(data, key: str) -> Vector:

@@ -29,12 +29,14 @@ Fourier-Motzkin (`_Eliminator`) keeps integer rows of its own.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, lcm
 from operator import mul
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .directions import CircuitSet
 from .errors import (
@@ -76,6 +78,17 @@ from .linalg import (
 from . import lp
 
 DEFAULT_BUDGET = 10**7
+_BUDGET: ContextVar[int] = ContextVar("work_budget", default=DEFAULT_BUDGET)
+
+
+@contextmanager
+def work_budget(cap: int) -> Iterator[None]:
+    """Cap every subset walk in the `with` block at `cap` candidates; restore the cap on exit."""
+    token = _BUDGET.set(cap)
+    try:
+        yield
+    finally:
+        _BUDGET.reset(token)
 
 
 @dataclass(frozen=True)
@@ -191,9 +204,11 @@ class VRep:
     rays: tuple[Direction, ...] = ()
 
 
-def check_budget(count: int, budget: Optional[int], what: str) -> None:
-    if budget is not None and count > budget:
-        raise BudgetExceeded(count, budget, what)
+def check_budget(count: int, what: str) -> None:
+    """BudgetExceeded when a walk of `count` candidates would pass the cap of `work_budget`."""
+    cap = _BUDGET.get()
+    if count > cap:
+        raise BudgetExceeded(count, cap, what)
 
 
 def is_pointed(P: HPolyhedron) -> bool:
@@ -311,21 +326,19 @@ def _irredundant_rows(
     return keep, tuple(normals), tuple(d)
 
 
-def _basic_points(
-    P: HPolyhedron, budget: Optional[int], what: str
-) -> dict[tuple[tuple[int, ...], int], list[int]]:
+def _basic_points(P: HPolyhedron, what: str) -> dict[tuple[tuple[int, ...], int], list[int]]:
     """The basic solutions of P, each mapped to its slacks.
 
     A basic solution solves the equality rows with n - rank(A) independent
     inequality rows held tight; there are none when the equality rows are
     inconsistent. A point x = num / den (lowest terms, den > 0) maps to
-    its `_slacks` on the integer rows of `P._ints`. The budget caps the row
-    subsets walked, comb(q, n - rank(A)).
+    its `_slacks` on the integer rows of `P._ints`. The work budget caps the
+    row subsets walked, comb(q, n - rank(A)).
     """
     n = P.n
     base, B = P._ints.base, P._ints.B
     k = n - sum(p < n for p in base[1])
-    check_budget(comb(len(B), k), budget, what)
+    check_budget(comb(len(B), k), what)
     if n in base[1]:
         return {}
     pts = set()
@@ -340,7 +353,7 @@ def _basic_points(
     return {(num, den): _slacks(B, num, den) for num, den in pts}
 
 
-def _circuit_lines(P: HPolyhedron, budget: Optional[int]) -> tuple[list[list[int]], list[Direction]]:
+def _circuit_lines(P: HPolyhedron) -> tuple[list[list[int]], list[Direction]]:
     """An integer lineality basis of P's description and, when it is empty, P's circuit lines.
 
     Works in kernel coordinates of the equality block: each line is the
@@ -350,7 +363,7 @@ def _circuit_lines(P: HPolyhedron, budget: Optional[int]) -> tuple[list[list[int
     and the reduced rows are its integer B rows times that basis. Each
     line is checked to be support-minimal: the rows zero on it must reach
     rank n'-1, so that it is their whole kernel (CorrespondenceViolation if
-    not). The budget caps the row subsets walked, comb(q, n'-1).
+    not). The work budget caps the row subsets walked, comb(q, n'-1).
     """
     N = _kernel(P._ints.base, P.n)
     np_ = len(N)
@@ -361,7 +374,7 @@ def _circuit_lines(P: HPolyhedron, budget: Optional[int]) -> tuple[list[list[int
     lin = _kernel(_fold(_EMPTY, rows, np_), np_)
     if lin:
         return [[sum(map(mul, row, v)) for row in NT] for v in lin], []
-    check_budget(comb(len(rows), np_ - 1), budget, "circuit candidate subsets")
+    check_budget(comb(len(rows), np_ - 1), "circuit candidate subsets")
     ghats = {
         _canonical(_kernel_line(ech, pivots, det, np_))
         for ech, pivots, det in _subset_echelons(_EMPTY, rows, np_ - 1, np_)
@@ -376,7 +389,7 @@ def _circuit_lines(P: HPolyhedron, budget: Optional[int]) -> tuple[list[list[int
     return [], lines
 
 
-def _vrep(P: HPolyhedron, lines: Iterable[Direction], budget: Optional[int]) -> tuple[VRep, list[int]]:
+def _vrep(P: HPolyhedron, lines: Iterable[Direction]) -> tuple[VRep, list[int]]:
     """The vertices and extreme rays of a pointed P, given its canonical
     integer circuit lines, and the tight-row mask of each vertex, in vertex order.
 
@@ -386,7 +399,7 @@ def _vrep(P: HPolyhedron, lines: Iterable[Direction], budget: Optional[int]) -> 
     """
     tight = sorted(
         (tuple(Fraction(v, den) for v in num), sum(1 << i for i, s in enumerate(slacks) if s == 0))
-        for (num, den), slacks in _basic_points(P, budget, "vertex candidates").items()
+        for (num, den), slacks in _basic_points(P, "vertex candidates").items()
         if all(s >= 0 for s in slacks)
     )
     if not tight:
@@ -402,17 +415,17 @@ def _vrep(P: HPolyhedron, lines: Iterable[Direction], budget: Optional[int]) -> 
     return V, [m for _, m in tight]
 
 
-def _pointed_vrep(P: HPolyhedron, budget: Optional[int]) -> tuple[VRep, list[int]]:
+def _pointed_vrep(P: HPolyhedron) -> tuple[VRep, list[int]]:
     """`_vrep` of P from its circuit walk; NotPointed when the walk finds a lineality space."""
-    lineality, lines = _circuit_lines(P, budget)
+    lineality, lines = _circuit_lines(P)
     if lineality:
         raise NotPointed(P.name or "polyhedron")
-    return _vrep(P, lines, budget)
+    return _vrep(P, lines)
 
 
-def vrep(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -> VRep:
+def vrep(P: HPolyhedron) -> VRep:
     """All vertices and extreme rays of a pointed polyhedron, with no LP (`_vrep`)."""
-    return _pointed_vrep(P, budget)[0]
+    return _pointed_vrep(P)[0]
 
 
 def _edge_test(P: HPolyhedron) -> Callable[[int], bool]:
@@ -442,9 +455,9 @@ def _edge_directions_of(P: HPolyhedron, V: VRep, masks: Sequence[int]) -> Circui
     return CircuitSet.of(dirs)
 
 
-def edge_directions(P: HPolyhedron, budget: Optional[int] = DEFAULT_BUDGET) -> CircuitSet:
+def edge_directions(P: HPolyhedron) -> CircuitSet:
     """Directions of bounded edges (adjacent vertex differences) and extreme rays."""
-    return _edge_directions_of(P, *_pointed_vrep(P, budget))
+    return _edge_directions_of(P, *_pointed_vrep(P))
 
 
 def cartesian_product(P1: HPolyhedron, P2: HPolyhedron) -> HPolyhedron:

@@ -13,7 +13,14 @@ from polycircuits.circuits import (
 from polycircuits.directions import CircuitSet
 from polycircuits.errors import BudgetExceeded, CorrespondenceViolation, NotPointed
 from polycircuits.linalg import matrix, vector
-from polycircuits.polyhedron import HPolyhedron, LinearMap, edge_directions, project
+from polycircuits.polyhedron import (
+    DEFAULT_BUDGET,
+    HPolyhedron,
+    LinearMap,
+    edge_directions,
+    project,
+    work_budget,
+)
 
 
 def cube(n):
@@ -138,8 +145,29 @@ def test_lone_non_basic_point_is_a_correspondence_violation(monkeypatch):
 
 
 def test_budget_exceeded():
-    with pytest.raises(BudgetExceeded):
-        enumerate_circuits(cube(8), budget=10)
+    with work_budget(10), pytest.raises(BudgetExceeded):
+        enumerate_circuits(cube(8))
+
+
+def _cap_in_force() -> int:
+    # cube(30) would walk comb(60, 29) > DEFAULT_BUDGET row subsets, so the
+    # walk stops before it starts and reports the cap it was held to
+    with pytest.raises(BudgetExceeded) as exc:
+        enumerate_circuits(cube(30))
+    return exc.value.cap
+
+
+def test_work_budget_is_restored_after_the_block():
+    assert _cap_in_force() == DEFAULT_BUDGET
+    with work_budget(7):
+        assert _cap_in_force() == 7
+        with work_budget(5):
+            assert _cap_in_force() == 5
+        assert _cap_in_force() == 7
+    assert _cap_in_force() == DEFAULT_BUDGET
+    with pytest.raises(BudgetExceeded), work_budget(5):
+        enumerate_circuits(cube(30))
+    assert _cap_in_force() == DEFAULT_BUDGET
 
 
 @pytest.mark.parametrize(

@@ -210,6 +210,21 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_no_function_takes_a_budget_parameter():
+    # the work budget is one scoped setting, set by `work_budget(cap)` and
+    # read by `check_budget`; no function passes it on
+    package = Path(polycircuits.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
+        if arg.arg == "budget"
+    ]
+    assert found == []
+
+
 _FRACTIONAL_DIRECTION = """
 from fractions import Fraction
 from polycircuits import jsonio
@@ -272,6 +287,7 @@ def test_check_rows_longer_than_n_is_input_error(tmp_path, flags):
         ("circuits", {"n": 1, "B": [[True]], "d": [1]}),
         ("circuits", {"n": True, "B": [[1]], "d": [1]}),
         ("circuits", {"n": -2}),
+        ("circuits", {"n": 1, "B": [[1]], "d": ["1/0"]}),
     ],
     ids=[
         "not-an-object",
@@ -283,6 +299,7 @@ def test_check_rows_longer_than_n_is_input_error(tmp_path, flags):
         "bool",
         "bool-dimension",
         "negative-dimension",
+        "zero-denominator",
     ],
 )
 def test_malformed_json_is_input_error(tmp_path, verb, document, flags):
@@ -370,6 +387,21 @@ def test_construct_croppedcross_accepts_rational_delta(capsys):
     payload = json.loads(out)
     assert payload["n"] == 3
     assert payload["d"].count("2/3") == 6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["construct", "croppedcross", "--n", "3", "--out"], ["reproduce", "thm2", "--out-dir"]],
+    ids=["construct", "reproduce"],
+)
+def test_zero_denominator_delta_is_input_error(tmp_path, capsys, argv):
+    # refused while parsing, before any file is written
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, str(out), "--delta", "1/0"])
+    assert exc.value.code == 2
+    assert "argument --delta: not a rational: '1/0'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_construct_transport_matches_library(capsys):

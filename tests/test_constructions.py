@@ -48,7 +48,8 @@ from polycircuits.linalg import (
     transpose,
     vector,
 )
-from polycircuits.polyhedron import HPolyhedron, LinearMap, dim, vrep
+from polycircuits.inheritance import _descriptions_match
+from polycircuits.polyhedron import HPolyhedron, LinearMap, cartesian_product, dim, project, vrep
 
 
 def V(p):
@@ -374,6 +375,17 @@ class TestNonInheritingExtension:
         assert len(ext.projection.matrix[0]) == 8
         projected = ext.projection.image_directions(enumerate_circuits(ext.polyhedron))
         assert canonicalize_direction(vector([0, 0, 1])) not in projected
+
+    def test_unbounded_target_with_several_vertices(self):
+        # five vertices and one ray: the vertex hull gets its own description
+        P = cartesian_product(project(simplex(4), pi_matrix(3, 4)), orthant(1))
+        assert (len(vrep(P).vertices), len(vrep(P).rays)) == (5, 1)
+        g = vector([0, 0, 1, 0])
+        ext = non_inheriting_extension(P, g)
+        assert ext.polyhedron.n == 26
+        assert len(ext.circuits) == 11
+        assert g not in ext.projection.image_directions(ext.circuits)
+        assert _descriptions_match(project(ext.polyhedron, ext.projection), P)
 
     def test_rejects_edge_directions(self):
         with pytest.raises(EdgeDirectionGiven):

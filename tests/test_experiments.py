@@ -8,6 +8,7 @@ import pytest
 
 from polycircuits import circuits, constructions, polyhedron
 from polycircuits.experiments import Claim, Recorder, run_experiment
+from polycircuits.polyhedron import work_budget
 
 
 def test_claim_passes_on_exact_equality():
@@ -43,7 +44,8 @@ def test_unknown_experiment_is_a_key_error(tmp_path):
 
 
 def test_blown_budget_leaves_partial_log(tmp_path):
-    result = run_experiment("thm2", {"n": 4}, tmp_path, budget=50)
+    with work_budget(50):
+        result = run_experiment("thm2", {"n": 4}, tmp_path)
     assert not result.passed
     assert result.error.startswith("budget exceeded")
     on_disk = json.loads((tmp_path / "result.json").read_text())

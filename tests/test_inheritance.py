@@ -251,6 +251,11 @@ class TestIsomorphismLaw:
         with pytest.raises(NotInjectiveOnQ):
             verify_isomorphism_law(simplex(2), LinearMap(matrix([[1, 1]])))
 
+    def test_rejects_nonpointed_domain(self):
+        slab = HPolyhedron.make(2, B=[[1, 0], [-1, 0]], d=[1, 0], name="slab")
+        with pytest.raises(NotPointed, match="slab"):
+            verify_isomorphism_law(slab, LinearMap(identity(2)))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_random_unimodular_maps(self, seed):
         rng = random.Random(seed)
