@@ -13,9 +13,10 @@ import itertools
 import os
 import random
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Optional
 
 from . import jsonio
 from .circuits import (
@@ -114,6 +115,11 @@ class ReproductionResult:
         }
 
 
+# The Recorder opened last in this context: `run_experiment` finishes it
+# when the work budget runs out part way through an experiment.
+_RECORDER: ContextVar[Optional["Recorder"]] = ContextVar("recorder", default=None)
+
+
 class Recorder:
     """Claim collector and artifact writer for one run directory."""
 
@@ -125,6 +131,7 @@ class Recorder:
         self.artifacts: list[str] = []
         self._start = time.monotonic()
         os.makedirs(self.out_dir, exist_ok=True)
+        _RECORDER.set(self)
 
     def claim(self, description: str, expected, observed) -> bool:
         c = Claim(description, expected, observed)
@@ -607,11 +614,18 @@ EXPERIMENTS: dict[str, Callable] = {
 
 
 def run_experiment(name: str, params: dict, out_dir) -> ReproductionResult:
-    """Dispatch one experiment; on a blown budget, persist the partial log."""
+    """Dispatch one experiment; on a blown budget, persist the partial log.
+
+    The partial log is the experiment's own Recorder, with the parameters,
+    claims and artifacts it recorded before the budget ran out; a budget
+    that runs out before the experiment opens one gets a fresh Recorder."""
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {name!r}")
+    token = _RECORDER.set(None)
     try:
         return EXPERIMENTS[name](params, out_dir)
     except BudgetExceeded as exc:
-        rec = Recorder(name, dict(params), out_dir)
+        rec = _RECORDER.get() or Recorder(name, dict(params), out_dir)
         return rec.finish(error=f"budget exceeded: {exc}")
+    finally:
+        _RECORDER.reset(token)

@@ -8,17 +8,21 @@ through the origin is named by its primitive integer representative, a
 tuple of Python ints (`Fraction(k) == k`, with the same hash and `str`).
 Inside, elimination and `dot` run on Python ints: rows are scaled to
 integers (`_int_rows`) and reduced by one fraction-free insertion step
-(`_insert`, Bareiss 1968), folded over a whole matrix by `_fold` and
-run depth first over row subsets by `_subset_echelons`, which eliminates
-each shared prefix once. `dot` sums integer products over one common
-denominator, so the costly Fraction normalizations happen once per output
-entry.
+(`_insert`, Bareiss 1968), folded over a whole matrix by `_fold`. The
+subset walk `_subset_lines` finds the kernel line of every independent
+k-subset of rows: it eliminates each shared (k-1)-prefix once, depth
+first, and stops one row early, reducing each later row to its two
+coordinates on the prefix's two-dimensional kernel, which gives one line
+per parallel class of those pairs with no echelon form at the leaves.
+`dot` sums integer products over one common denominator, so the costly
+Fraction normalizations happen once per output entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -203,37 +207,55 @@ def _rank_upto(echelon: _Echelon, rows: Iterable[Sequence[int]], r: int, ncols: 
 _EMPTY: _Echelon = ([], [], 1)
 
 
-def _subset_echelons(
-    base: _Echelon, rows: Sequence[Sequence[int]], k: int, ncols: int
-) -> Iterator[_Echelon]:
-    """Echelon forms of `base` plus every independent k-subset of `rows`.
+def _subset_lines(
+    base: _Echelon, rows: Sequence[Sequence[int]], k: int, ncols: int, width: int
+) -> Iterator[Direction]:
+    """The kernel line of `base` plus each independent k-subset of `rows`, as a `_canonical` vector.
 
-    Depth first in lexicographic order: a subset's form is its prefix's
-    form plus one `_insert` step, so each visited prefix is eliminated
-    once. A row that depends on its prefix (in the first `ncols` columns)
-    makes every superset of that prefix dependent too, so that whole
-    subtree is skipped. Yields the (rows, pivots, det) forms; they share
-    rows with each other and must not be modified.
+    Rows have `width` columns; independence and pivots count only the first
+    `ncols`, and `base` plus k independent rows must leave one free column.
+    The walk stops one row early: it eliminates the independent
+    (k-1)-prefixes depth first in lexicographic order, one `_insert` step
+    each, and skips the subtree of a row that depends on its prefix. A
+    prefix leaves two free columns f < g with the unscaled kernel vectors
+    K_f and K_g (K[free] = det, K[p] = -R[free]). A later row x has the
+    Bareiss residual entries a = x.K_f and b = x.K_g in those columns, so x
+    extends the prefix iff a != 0 or (b != 0 and g < ncols), and the kernel
+    of the prefix plus x is the line b K_f - a K_g. Rows with parallel
+    (a, b) give the same line, which is yielded once per prefix; different
+    prefixes may still yield the same line.
     """
-    q = len(rows)
-    if k > q:
+    if k == 0:
+        yield _canonical(_kernel_vector(*base, next(c for c in range(width) if c not in base[1]), width))
         return
+    q = len(rows)
     insert = _insert
-    forms = [base] + [None] * k
-    chosen = [0] * k
+    forms = [base] + [None] * (k - 1)
+    chosen = [0] * (k - 1)
     depth, i = 0, 0
     while True:
-        if depth == k:
-            yield forms[k]
+        if depth == k - 1:
+            echelon, pivots, det = forms[depth]
+            f, g = (c for c in range(width) if c not in pivots)
+            Kf, Kg = [0] * width, [0] * width
+            Kf[f] = Kg[g] = det
+            for R, p in zip(echelon, pivots):
+                Kf[p], Kg[p] = -R[f], -R[g]
+            pairs = set()
+            for x in rows[i:]:
+                a, b = sum(map(mul, x, Kf)), sum(map(mul, x, Kg))
+                if a or b and g < ncols:
+                    d = gcd(a, b) if a > 0 or not a and b > 0 else -gcd(a, b)
+                    pairs.add((a // d, b // d))
+            for a, b in pairs:
+                yield _canonical([b * u - a * v for u, v in zip(Kf, Kg)])
         elif i <= q - k + depth:
             step = insert(*forms[depth], rows[i], ncols)
-            if step is None:
-                i += 1
-            else:
+            if step is not None:
                 chosen[depth] = i
                 depth += 1
                 forms[depth] = step
-                i += 1
+            i += 1
             continue
         depth -= 1
         if depth < 0:
@@ -257,11 +279,6 @@ def _kernel_vector(
     if det < 0:
         g = -g
     return [k // g for k in v]
-
-
-def _kernel_line(rows: Sequence[Sequence[int]], pivots: Sequence[int], det: int, ncols: int) -> list[int]:
-    """`_kernel_vector` of an echelon form that pivots in all but one of its first `ncols` columns."""
-    return _kernel_vector(rows, pivots, det, ncols * (ncols - 1) // 2 - sum(pivots), ncols)
 
 
 def _kernel(echelon: _Echelon, ncols: int) -> list[list[int]]:

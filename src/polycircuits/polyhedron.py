@@ -58,9 +58,8 @@ from .linalg import (
     _fold,
     _int_rows,
     _kernel,
-    _kernel_line,
     _rank_upto,
-    _subset_echelons,
+    _subset_lines,
     dot,
     identity,
     kernel_basis,
@@ -83,7 +82,12 @@ _BUDGET: ContextVar[int] = ContextVar("work_budget", default=DEFAULT_BUDGET)
 
 @contextmanager
 def work_budget(cap: int) -> Iterator[None]:
-    """Cap every subset walk in the `with` block at `cap` candidates; restore the cap on exit."""
+    """Cap every subset walk in the `with` block at `cap` candidates; restore the cap on exit.
+
+    A negative cap is an input error (PreconditionViolation); a cap of 0
+    lets only an empty walk through."""
+    if cap < 0:
+        raise PreconditionViolation(f"work budget {cap} is negative")
     token = _BUDGET.set(cap)
     try:
         yield
@@ -331,9 +335,15 @@ def _basic_points(P: HPolyhedron, what: str) -> dict[tuple[tuple[int, ...], int]
 
     A basic solution solves the equality rows with n - rank(A) independent
     inequality rows held tight; there are none when the equality rows are
-    inconsistent. A point x = num / den (lowest terms, den > 0) maps to
-    its `_slacks` on the integer rows of `P._ints`. The work budget caps the
-    row subsets walked, comb(q, n - rank(A)).
+    inconsistent. The walk (`_subset_lines`) runs on the rows [a | rhs] of
+    `P._ints`, width n + 1, on top of the echelon form of A, and stops one
+    row early: each (k-1)-prefix leaves a kernel of dimension two, and a
+    later row that meets it only in the right-hand-side column does not
+    extend the prefix. The line v of a k-subset gives the point
+    -v[:n] / v[n]; different subsets reach the same point, so the points
+    are kept in a set. A point x = num / den (lowest terms, den > 0) maps
+    to its `_slacks` on the integer rows of `P._ints`. The work budget caps
+    the row subsets walked, comb(q, n - rank(A)).
     """
     n = P.n
     base, B = P._ints.base, P._ints.B
@@ -342,14 +352,9 @@ def _basic_points(P: HPolyhedron, what: str) -> dict[tuple[tuple[int, ...], int]
     if n in base[1]:
         return {}
     pts = set()
-    for rows, pivots, det in _subset_echelons(base, B, k, n):
-        num = [0] * n
-        for R, p in zip(rows, pivots):
-            num[p] = R[n]
-        g = gcd(det, *num)
-        if det < 0:
-            g = -g
-        pts.add((tuple(v // g for v in num), det // g))
+    for v in _subset_lines(base, B, k, n, n + 1):
+        s = -1 if v[n] > 0 else 1
+        pts.add((tuple(s * x for x in v[:n]), -s * v[n]))
     return {(num, den): _slacks(B, num, den) for num, den in pts}
 
 
@@ -360,8 +365,12 @@ def _circuit_lines(P: HPolyhedron) -> tuple[list[list[int]], list[Direction]]:
     one-dimensional kernel of n'-1 independent rows of the reduced
     inequality matrix, n' = n - rank(A), mapped back to a canonical integer
     direction. The kernel basis comes from the echelon form of `P._ints`,
-    and the reduced rows are its integer B rows times that basis. Each
-    line is checked to be support-minimal: the rows zero on it must reach
+    and the reduced rows are its integer B rows times that basis. The walk
+    (`_subset_lines`) stops one row early: each independent (n'-2)-prefix
+    is eliminated once, and every later row is reduced to its two
+    coordinates on the prefix's kernel, one line per parallel class.
+    Different prefixes reach the same line, so the lines are kept in a
+    set. Each line is checked to be support-minimal: the rows zero on it must reach
     rank n'-1, so that it is their whole kernel (CorrespondenceViolation if
     not). The work budget caps the row subsets walked, comb(q, n'-1).
     """
@@ -375,10 +384,7 @@ def _circuit_lines(P: HPolyhedron) -> tuple[list[list[int]], list[Direction]]:
     if lin:
         return [[sum(map(mul, row, v)) for row in NT] for v in lin], []
     check_budget(comb(len(rows), np_ - 1), "circuit candidate subsets")
-    ghats = {
-        _canonical(_kernel_line(ech, pivots, det, np_))
-        for ech, pivots, det in _subset_echelons(_EMPTY, rows, np_ - 1, np_)
-    }
+    ghats = set(_subset_lines(_EMPTY, rows, np_ - 1, np_, np_))
     lines = []
     for gh in ghats:
         g = _canonical([sum(map(mul, row, gh)) for row in NT])

@@ -11,7 +11,7 @@ from polycircuits.circuits import (
     enumerate_circuits_bruteforce,
 )
 from polycircuits.directions import CircuitSet
-from polycircuits.errors import BudgetExceeded, CorrespondenceViolation, NotPointed
+from polycircuits.errors import BudgetExceeded, CorrespondenceViolation, NotPointed, PreconditionViolation
 from polycircuits.linalg import matrix, vector
 from polycircuits.polyhedron import (
     DEFAULT_BUDGET,
@@ -109,16 +109,17 @@ def test_nonpointed_returns_lineality():
 def test_non_minimal_circuit_candidate_is_a_correspondence_violation(monkeypatch):
     # Every candidate spans the kernel of n'-1 independent rows, so it is
     # support-minimal; enumerate_circuits reports one that is not instead of
-    # dropping it. Corrupt the first kernel line to (1, 1, 1), whose support
-    # on the cube's rows contains that of (1, 0, 0).
-    kernel_line = polyhedron._kernel_line
-    calls = []
+    # dropping it. Corrupt the first line of the subset walk to (1, 1, 1),
+    # whose support on the cube's rows contains that of (1, 0, 0).
+    subset_lines = polyhedron._subset_lines
 
-    def corrupted(rows, pivots, det, n):
-        calls.append(None)
-        return [1] * n if len(calls) == 1 else kernel_line(rows, pivots, det, n)
+    def corrupted(base, rows, k, ncols, width):
+        lines = subset_lines(base, rows, k, ncols, width)
+        yield (1,) * width
+        next(lines)
+        yield from lines
 
-    monkeypatch.setattr(polyhedron, "_kernel_line", corrupted)
+    monkeypatch.setattr(polyhedron, "_subset_lines", corrupted)
     with pytest.raises(CorrespondenceViolation, match="not support-minimal"):
         enumerate_circuits(cube(3))
     # The brute-force oracle keeps the definitional filter and is untouched.
@@ -128,10 +129,16 @@ def test_non_minimal_circuit_candidate_is_a_correspondence_violation(monkeypatch
 
 
 def test_lone_non_minimal_circuit_is_a_correspondence_violation(monkeypatch):
-    # Every kernel line of the square corrupted to (1, 1): the candidates
-    # agree with each other, so no comparison among them can see it. The
-    # rank test can: no row of the square is zero on (1, 1).
-    monkeypatch.setattr(polyhedron, "_kernel_line", lambda rows, pivots, det, n: [1] * n)
+    # Every line of the square's subset walk corrupted to (1, 1): the
+    # candidates agree with each other, so no comparison among them can see
+    # it. The rank test can: no row of the square is zero on (1, 1).
+    subset_lines = polyhedron._subset_lines
+
+    def corrupted(base, rows, k, ncols, width):
+        for _ in subset_lines(base, rows, k, ncols, width):
+            yield (1,) * width
+
+    monkeypatch.setattr(polyhedron, "_subset_lines", corrupted)
     with pytest.raises(CorrespondenceViolation, match="not support-minimal"):
         enumerate_circuits(cube(2))
 
@@ -168,6 +175,14 @@ def test_work_budget_is_restored_after_the_block():
     with pytest.raises(BudgetExceeded), work_budget(5):
         enumerate_circuits(cube(30))
     assert _cap_in_force() == DEFAULT_BUDGET
+
+
+def test_negative_work_budget_is_a_precondition_violation():
+    with pytest.raises(PreconditionViolation, match="negative"), work_budget(-1):
+        enumerate_circuits(cube(2))
+    assert _cap_in_force() == DEFAULT_BUDGET
+    with work_budget(0), pytest.raises(BudgetExceeded):
+        enumerate_circuits(cube(2))
 
 
 @pytest.mark.parametrize(

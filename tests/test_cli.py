@@ -138,6 +138,14 @@ def test_circuits_tiny_budget_exits_three(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("budget, code", [("-1", 2), ("0", 3)], ids=["negative", "zero"])
+def test_circuits_budget_sign(tmp_path, capsys, budget, code):
+    # a negative cap is an input error; a cap of 0 is a budget that any walk exceeds
+    path = tmp_path / "cube8.json"
+    jsonio.dump(jsonio.poly_to_dict(hypercube(8)), path)
+    assert run_cli(["circuits", str(path), "--budget", budget], capsys)[0] == code
+
+
 # ---------------------------------------------------------------------------
 # check verb
 

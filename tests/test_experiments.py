@@ -1,6 +1,7 @@
 """Experiment plumbing: claim records, result files, budget handling."""
 
 import json
+import os
 import sys
 from collections import Counter
 
@@ -51,6 +52,17 @@ def test_blown_budget_leaves_partial_log(tmp_path):
     on_disk = json.loads((tmp_path / "result.json").read_text())
     assert on_disk["pass"] is False
     assert "budget" in on_disk["error"]
+    # the parameters the experiment records, not the raw ones it was given
+    assert on_disk["parameters"] == {"n": 4, "delta": "3/4"}
+    # what ran before the budget ran out stays in the log
+    with work_budget(200):
+        result = run_experiment("thm5", {}, tmp_path / "thm5")
+    assert result.error.startswith("budget exceeded")
+    on_disk = json.loads((tmp_path / "thm5" / "result.json").read_text())
+    written = sorted(p.name for p in (tmp_path / "thm5").iterdir() if p.name != "result.json")
+    assert len(written) == 4
+    assert sorted(os.path.basename(p) for p in on_disk["artifacts"]) == written
+    assert len(on_disk["claims"]) == len(result.claims) > 0
 
 
 def test_experiment_artifacts_are_valid_json(tmp_path):

@@ -8,8 +8,10 @@ depend on how its input vectors are scaled, signed, repeated or ordered.
 On a polytope, the LP optimum is the best vertex, and `vrep` finds the
 vertices by subset enumeration, with no LP. A description's integer
 rows are positive multiples of its rows, so its slack tests must agree
-with Fraction dot products. The examples are derandomized, so every run
-checks the same ones.
+with Fraction dot products. The subset walks behind circuits, basic
+solutions, vertices and edges must agree with the per-subset references
+of `test_subsets.py` on degenerate descriptions. The examples are
+derandomized, so every run checks the same ones.
 """
 
 from fractions import Fraction
@@ -19,11 +21,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycircuits import jsonio
+from polycircuits.circuits import basic_solutions, enumerate_circuits
 from polycircuits.directions import CircuitSet
 from polycircuits.errors import EmptyPolyhedron
 from polycircuits.linalg import canonicalize_direction, dot
 from polycircuits.lp import INFEASIBLE, OPTIMAL, lp_solve
-from polycircuits.polyhedron import HPolyhedron, vrep
+from polycircuits.polyhedron import HPolyhedron, edge_directions, vrep
+from test_subsets import (
+    _outcome,
+    _ref_basic_solutions,
+    _ref_edge_directions,
+    _ref_enumerate_circuits,
+    _ref_vrep,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100, database=None)
 
@@ -161,3 +171,44 @@ def test_integer_view_scales_each_row_and_keeps_every_slack(case):
     assert P.contains(x) == inside
     tight = tuple(i for i, (row, rhs) in enumerate(zip(P.B, P.d)) if dot(row, x) == rhs)
     assert P.tight_inequality_rows(x) == tight
+
+
+@st.composite
+def degenerate_descriptions(draw):
+    """{A x = b, B x <= d} whose inequality rows crowd through one point.
+
+    At least n inequality rows pass through the integer point x0, so x0 is
+    often a degenerate vertex; a few more rows pass at some distance.
+    Copies of drawn rows scaled by a positive or negative factor add
+    duplicate, parallel and opposite rows, zero rows may be feasible or
+    not, the equality rows pass through x0 or miss it, and the rows come
+    in any order.
+    """
+    n = draw(st.integers(1, 4))
+    x0 = [Fraction(v) for v in draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))]
+    normals = st.lists(st.integers(-2, 2).map(Fraction), min_size=n, max_size=n).filter(any)
+
+    def rows(count, offsets):
+        rs = draw(st.lists(normals, min_size=count[0], max_size=count[1]))
+        return [(r, dot(r, x0) + draw(st.sampled_from(offsets))) for r in rs]
+
+    A = rows((0, 2), [0, 0, 0, 1])
+    B = rows((n, n + 3), [0]) + rows((0, 3), [-1, 1, 1, 2])
+    factors = st.sampled_from([Fraction(-1), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(-3)])
+    copies = st.lists(st.tuples(st.integers(0, 99), factors, st.sampled_from([0, 0, 1])), max_size=3)
+    for i, c, off in draw(copies):
+        r, rhs = B[i % len(B)]
+        B.append(([c * v for v in r], c * rhs + off))
+    zero_rhs = draw(st.lists(st.sampled_from([0, 1, -1]), max_size=1))
+    B += [([Fraction(0)] * n, Fraction(rhs)) for rhs in zero_rhs]
+    B = draw(st.permutations(B))
+    return HPolyhedron.make(n, [r for r, _ in A], [v for _, v in A], [r for r, _ in B], [v for _, v in B])
+
+
+@PROPERTY
+@given(degenerate_descriptions())
+def test_subset_walks_match_per_subset_references(P):
+    assert enumerate_circuits(P) == _ref_enumerate_circuits(P)
+    assert _outcome(basic_solutions, P) == _outcome(_ref_basic_solutions, P)
+    assert _outcome(vrep, P) == _outcome(_ref_vrep, P)
+    assert _outcome(edge_directions, P) == _outcome(_ref_edge_directions, P)

@@ -1,8 +1,9 @@
 """The depth-first subset enumerators against per-subset references.
 
 `enumerate_circuits`, `vrep`, `basic_solutions` and `edge_directions`
-visit row subsets depth first and reuse each prefix's echelon form
-(`linalg._subset_echelons`); edges are decided by tight-row masks. The
+visit row subsets depth first, reuse each prefix's echelon form and
+reduce the last row of a subset to two coordinates on its prefix's kernel
+(`linalg._subset_lines`); edges are decided by tight-row masks. The
 references below are the per-subset loops they replaced: every subset is
 eliminated from scratch through the public `rank`, `solve` and
 `kernel_basis`, and adjacency is the dimension of the face at the
@@ -232,16 +233,17 @@ def test_reference_descriptions_cover_every_case():
 @pytest.mark.parametrize(
     "run, expected",
     [
-        (lambda: enumerate_circuits(homogenize(cropped_cross_polytope(3))), 1027),
-        (lambda: basic_solutions(cropped_cross_polytope(3)), 903),
-        (lambda: edge_directions(hypercube(3)), 99),
+        (lambda: enumerate_circuits(homogenize(cropped_cross_polytope(3))), 572),
+        (lambda: basic_solutions(cropped_cross_polytope(3)), 572),
+        (lambda: edge_directions(hypercube(3)), 67),
     ],
     ids=["circuits-hom-ccp3", "basic-solutions-ccp3", "edges-cube3"],
 )
 def test_subset_work_is_pinned(monkeypatch, run, expected):
     # Every elimination, over whole matrices or along the depth-first subset
-    # walk, is a sequence of linalg._insert steps. A change that visits more
-    # subsets or eliminates more rows must update these counts on purpose.
+    # walk, is a sequence of linalg._insert steps; the walk's last row is
+    # reduced to two kernel coordinates without one. A change that visits
+    # more subsets or eliminates more rows must update these counts on purpose.
     # They include the rank test of every circuit line and basic solution
     # on its own zero or tight rows (linalg._rank_upto).
     calls = []
