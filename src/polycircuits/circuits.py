@@ -10,18 +10,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .directions import BasicSolutionSet, CircuitSet
 from .errors import CorrespondenceViolation, NotPointed
 from .linalg import (
     Direction,
+    _canonical,
     _rank_upto,
     canonicalize_direction,
     kernel_basis,
     mat_vec,
-    vec_scale,
 )
 from .polyhedron import (
     HPolyhedron,
@@ -105,28 +104,27 @@ def basic_solutions(P: HPolyhedron) -> BasicSolutionSet:
         # slacks are the `_slacks` of the point, from `_basic_points`
         return _rank_upto(base, [row for row, s in zip(B, slacks) if s == 0], n, n) == n
 
-    pts = {}
-    for (num, den), slacks in _basic_points(P, "basic solution subsets").items():
-        x = tuple(Fraction(v, den) for v in num)
+    pts = _basic_points(P, "basic solution subsets")
+    for v, slacks in pts.items():
         if not is_basic(slacks):
-            raise CorrespondenceViolation(f"basic solution {x} is not support-minimal")
-        pts[x] = (den, slacks)
+            raise CorrespondenceViolation(f"basic solution line {v} is not support-minimal")
     sols = BasicSolutionSet.of(pts)
     # Every point passed the rank test, so every mask is minimal. Non-basic
-    # sample: midpoints of basic pairs stay on the equality block;
-    # su * dv + sv * du is the midpoint's slack vector times 2 du dv.
-    masks = {_support_mask(slacks) for _, slacks in pts.values()}
-    for u, v in itertools.islice(itertools.combinations(sols, 2), 50):
-        (du, su), (dv, sv) = pts[u], pts[v]
-        z = tuple((a + b) / 2 for a, b in zip(u, v))
-        slacks = [a * dv + b * du for a, b in zip(su, sv)]
+    # sample: midpoints of basic pairs stay on the equality block; that of
+    # (du, *nu) and (dv, *nv) is the line of (2 du dv, nu dv + nv du), and
+    # su * dv + sv * du is its slack vector times 2 du dv.
+    masks = {_support_mask(slacks) for slacks in pts.values()}
+    for u, v in itertools.islice(itertools.combinations(sols.lines, 2), 50):
+        (du, *nu), (dv, *nv) = u, v
+        z = _canonical([2 * du * dv, *(a * dv + b * du for a, b in zip(nu, nv))])
+        slacks = [a * dv + b * du for a, b in zip(pts[u], pts[v])]
         if is_basic(slacks):
-            if z not in sols:
-                raise CorrespondenceViolation(f"missed basic solution {z}")
+            if z not in pts:
+                raise CorrespondenceViolation(f"missed basic solution line {z}")
             continue
         zm = _support_mask(slacks)
         if not any(m != zm and m & zm == m for m in masks):
-            raise CorrespondenceViolation(f"non-basic point {z} not dominated")
+            raise CorrespondenceViolation(f"non-basic midpoint line {z} not dominated")
     return sols
 
 
@@ -135,7 +133,7 @@ class HomogenizationSplit:
     """Homogenization circuits split by the leading coordinate."""
 
     direction_class: CircuitSet  # leading coordinate 0, dehomogenized
-    point_class: BasicSolutionSet  # leading coordinate rescaled to 1
+    point_class: BasicSolutionSet  # leading coordinate positive: the lines (den, *num)
 
 
 def circuits_of_homogenization(P: HPolyhedron) -> tuple[CircuitSet, HomogenizationSplit]:
@@ -153,12 +151,12 @@ def circuits_of_homogenization(P: HPolyhedron) -> tuple[CircuitSet, Homogenizati
     # line has a positive leading entry
     split = HomogenizationSplit(
         direction_class=CircuitSet(directions=tuple(v[1:] for v in CH if v[0] == 0)),
-        point_class=BasicSolutionSet.of(vec_scale(Fraction(1, v[0]), v[1:]) for v in CH if v[0]),
+        point_class=BasicSolutionSet.of(v for v in CH if v[0]),
     )
     CP = enumerate_circuits(P)
     BP = basic_solutions(P)
     if split.direction_class.directions != CP.directions:
         raise CorrespondenceViolation("degree-0 class does not match the circuits")
-    if split.point_class.points != BP.points:
+    if split.point_class.lines != BP.lines:
         raise CorrespondenceViolation("degree-1 class does not match the basic solutions")
     return CH, split

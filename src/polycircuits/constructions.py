@@ -151,11 +151,14 @@ def cross_polytope(n: int) -> HPolyhedron:
 def cropped_cross_polytope(n: int, delta=Fraction(3, 4)) -> HPolyhedron:
     """Cross-polytope intersected with the box [-delta, delta]^n.
 
-    For delta strictly between 1/2 and 1, every one of the 2^n + 2n rows is
-    facet-defining, the vertex count is 4n(n-1), and all 2^n box corners are
-    basic solutions without being vertices.  Row order: sign rows as in
-    cross_polytope, then x_i <= delta, then -x_i <= delta.
+    For n >= 2 and delta strictly between 1/2 and 1 (PreconditionViolation
+    otherwise), every one of the 2^n + 2n rows is facet-defining, the vertex
+    count is 4n(n-1), and all 2^n box corners are basic solutions without
+    being vertices.  Row order: sign rows as in cross_polytope, then
+    x_i <= delta, then -x_i <= delta.
     """
+    if n < 2:
+        raise PreconditionViolation(f"cropped cross-polytope needs n >= 2, got {n}")
     d = frac(delta)
     if not Fraction(1, 2) < d < 1:
         raise PreconditionViolation(f"delta must lie strictly in (1/2, 1), got {d}")

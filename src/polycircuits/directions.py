@@ -6,7 +6,8 @@ ints, sorted, so two sets compare equal iff they describe the same
 collection of lines. Each entry is canonicalized once, by
 `canonicalize_direction`, or comes canonical from the subset walk. A
 system with a nontrivial lineality space carries a basis of that
-subspace instead of a finite direction list. Points stay Fractions.
+subspace instead of a finite direction list. A basic solution x is the
+canonical line (den, *num) of (1, x); its Fraction view is built on demand.
 """
 
 from __future__ import annotations
@@ -71,27 +72,30 @@ class CircuitSet:
 
 @dataclass(frozen=True)
 class BasicSolutionSet:
-    """Sorted rational points whose tight rows have full column rank."""
+    """Basic solutions as canonical lines (den, *num), den > 0, sorted by point."""
 
-    points: tuple[Vector, ...] = ()
+    lines: tuple[Direction, ...] = ()
 
     @staticmethod
-    def of(ps: Iterable[Sequence[Fraction]]) -> "BasicSolutionSet":
-        """Sorted on integer keys: each point times the lcm of every denominator, which keeps the order."""
-        pts = {vector(p) for p in ps}
-        den = lcm(*(x.denominator for p in pts for x in p))
-        keyed = sorted(([x.numerator * (den // x.denominator) for x in p], p) for p in pts)
-        return BasicSolutionSet(points=tuple(p for _, p in keyed))
+    def of(lines: Iterable[Direction]) -> "BasicSolutionSet":
+        """Sorted on integer keys: each point times the lcm of every den, which keeps the order."""
+        lines = set(lines)
+        den = lcm(*(v[0] for v in lines))
+        return BasicSolutionSet(lines=tuple(sorted(lines, key=lambda v: [x * (den // v[0]) for x in v[1:]])))
+
+    @cached_property
+    def points(self) -> tuple[Vector, ...]:
+        return tuple(tuple(Fraction(x, v[0]) for x in v[1:]) for v in self.lines)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.lines)
 
     def __iter__(self):
         return iter(self.points)
 
     @cached_property
-    def _point_set(self) -> frozenset[Vector]:
-        return frozenset(self.points)
+    def _line_set(self) -> frozenset[Direction]:
+        return frozenset(self.lines)
 
     def __contains__(self, p) -> bool:
-        return vector(p) in self._point_set
+        return canonicalize_direction((1, *vector(p))) in self._line_set

@@ -63,6 +63,7 @@ from .linalg import (
 from .polyhedron import (
     HPolyhedron,
     LinearMap,
+    _slacks,
     edge_directions,
     minimize_description,
     preimage_description,
@@ -254,7 +255,9 @@ def run_thm2(params: dict, out_dir) -> ReproductionResult:
         # vertices are the basic solutions that lie in the polytope
         Qp = cropped_cross_polytope(nn, delta)
         CH, split = circuits_of_homogenization(Qp)
-        return Qp, CH, split, [x for x in split.point_class if Qp.contains(x)]
+        B = Qp._ints.B
+        verts = [v for v in split.point_class.lines if all(s >= 0 for s in _slacks(B, v[1:], v[0]))]
+        return Qp, CH, split, verts
 
     Qp, CH, split, verts = hom_classes(n)
     basics = split.point_class
@@ -279,7 +282,7 @@ def run_thm2(params: dict, out_dir) -> ReproductionResult:
         )
 
     rec.save_circuits("hom_circuits", CH)
-    lifted = CircuitSet.of([(Fraction(1),) + tuple(v) for v in verts])
+    lifted = CircuitSet(directions=tuple(sorted(verts)))
     rec.claim(
         "orthant extension contributes one inherited line per vertex",
         len(verts),

@@ -9,6 +9,7 @@ they double as cross-checks of the enumeration machinery.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -213,32 +214,18 @@ def balas_circuit_prediction(family: DisjunctiveFamily) -> CircuitSet:
         if not is_pointed(piece):
             raise NotPointed(piece.name or "family piece")
     p, n = family.p, family.n
-    piece_circuits = [list(enumerate_circuits(piece)) for piece in family.pieces]
-    piece_basics = [list(basic_solutions(piece)) for piece in family.pieces]
-
-    def lifted(weights, blocks):
-        out = list(weights)
-        for blk in blocks:
-            out.extend(blk)
-        return out
-
     expected = []
-    zero_blk = tuple(zero_vector(n))
-    for i in range(p):
-        for g in piece_circuits[i]:
-            blocks = [zero_blk] * p
-            blocks[i] = tuple(g)
-            expected.append(lifted(zero_vector(p), blocks))
-    for i in range(p):
-        for j in range(i + 1, p):
-            for s in piece_basics[i]:
-                for t in piece_basics[j]:
-                    weights = list(zero_vector(p))
-                    weights[i], weights[j] = 1, -1
-                    blocks = [zero_blk] * p
-                    blocks[i] = tuple(s)
-                    blocks[j] = tuple(vec_neg(t))
-                    expected.append(lifted(weights, blocks))
+    for i, piece in enumerate(family.pieces):
+        for g in enumerate_circuits(piece):
+            expected.append([0] * (p + n * i) + list(g) + [0] * (n * (p - i - 1)))
+    basics = [basic_solutions(piece).lines for piece in family.pieces]
+    for i, j in itertools.combinations(range(p), 2):
+        # the swap for the basic solution lines (ds, *s) and (dt, *t), times ds dt
+        for (ds, *s), (dt, *t) in itertools.product(basics[i], basics[j]):
+            weights, blocks = [0] * p, [[0] * n] * p
+            weights[i], weights[j] = ds * dt, -ds * dt
+            blocks[i], blocks[j] = [x * dt for x in s], [-x * ds for x in t]
+            expected.append(weights + sum(blocks, []))
     return CircuitSet.of(expected)
 
 

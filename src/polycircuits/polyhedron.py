@@ -38,7 +38,7 @@ from math import comb, gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .directions import CircuitSet
+from .directions import BasicSolutionSet, CircuitSet
 from .errors import (
     BudgetExceeded,
     CorrespondenceViolation,
@@ -330,8 +330,8 @@ def _irredundant_rows(
     return keep, tuple(normals), tuple(d)
 
 
-def _basic_points(P: HPolyhedron, what: str) -> dict[tuple[tuple[int, ...], int], list[int]]:
-    """The basic solutions of P, each mapped to its slacks.
+def _basic_points(P: HPolyhedron, what: str) -> dict[Direction, list[int]]:
+    """The basic solutions of P, as lines (den, *num), each mapped to its slacks.
 
     A basic solution solves the equality rows with n - rank(A) independent
     inequality rows held tight; there are none when the equality rows are
@@ -340,10 +340,10 @@ def _basic_points(P: HPolyhedron, what: str) -> dict[tuple[tuple[int, ...], int]
     row early: each (k-1)-prefix leaves a kernel of dimension two, and a
     later row that meets it only in the right-hand-side column does not
     extend the prefix. The line v of a k-subset gives the point
-    -v[:n] / v[n]; different subsets reach the same point, so the points
-    are kept in a set. A point x = num / den (lowest terms, den > 0) maps
-    to its `_slacks` on the integer rows of `P._ints`. The work budget caps
-    the row subsets walked, comb(q, n - rank(A)).
+    x = -v[:n] / v[n], named by its line (den, *num) = ±(v[n], -v[:n]),
+    den > 0; different subsets reach the same point, so the lines are kept
+    in a set. Each maps to its `_slacks` on the integer rows of `P._ints`.
+    The work budget caps the row subsets walked, comb(q, n - rank(A)).
     """
     n = P.n
     base, B = P._ints.base, P._ints.B
@@ -354,8 +354,8 @@ def _basic_points(P: HPolyhedron, what: str) -> dict[tuple[tuple[int, ...], int]
     pts = set()
     for v in _subset_lines(base, B, k, n, n + 1):
         s = -1 if v[n] > 0 else 1
-        pts.add((tuple(s * x for x in v[:n]), -s * v[n]))
-    return {(num, den): _slacks(B, num, den) for num, den in pts}
+        pts.add((-s * v[n], *(s * x for x in v[:n])))
+    return {v: _slacks(B, v[1:], v[0]) for v in pts}
 
 
 def _circuit_lines(P: HPolyhedron) -> tuple[list[list[int]], list[Direction]]:
@@ -403,12 +403,12 @@ def _vrep(P: HPolyhedron, lines: Iterable[Direction]) -> tuple[VRep, list[int]]:
     with none is empty (EmptyPolyhedron). The extreme rays are the
     sign-consistent circuits (Rockafellar 1969), oriented so that B r <= 0.
     """
-    tight = sorted(
-        (tuple(Fraction(v, den) for v in num), sum(1 << i for i, s in enumerate(slacks) if s == 0))
-        for (num, den), slacks in _basic_points(P, "vertex candidates").items()
+    masks = {
+        v: sum(1 << i for i, s in enumerate(slacks) if s == 0)
+        for v, slacks in _basic_points(P, "vertex candidates").items()
         if all(s >= 0 for s in slacks)
-    )
-    if not tight:
+    }
+    if not masks:
         raise EmptyPolyhedron(P.name or "polyhedron")
     rays = []
     for g in lines:
@@ -417,8 +417,9 @@ def _vrep(P: HPolyhedron, lines: Iterable[Direction]) -> tuple[VRep, list[int]]:
             rays.append(g)
         elif all(x <= 0 for x in added):
             rays.append(tuple(-x for x in g))
-    V = VRep(vertices=tuple(x for x, _ in tight), rays=tuple(sorted(rays)))
-    return V, [m for _, m in tight]
+    vertices = BasicSolutionSet.of(masks)
+    V = VRep(vertices=vertices.points, rays=tuple(sorted(rays)))
+    return V, [masks[v] for v in vertices.lines]
 
 
 def _pointed_vrep(P: HPolyhedron) -> tuple[VRep, list[int]]:

@@ -10,6 +10,7 @@ from polycircuits.circuits import (
     enumerate_circuits,
     enumerate_circuits_bruteforce,
 )
+from polycircuits.constructions import cropped_cross_polytope
 from polycircuits.directions import CircuitSet
 from polycircuits.errors import BudgetExceeded, CorrespondenceViolation, NotPointed, PreconditionViolation
 from polycircuits.linalg import matrix, vector
@@ -144,9 +145,9 @@ def test_lone_non_minimal_circuit_is_a_correspondence_violation(monkeypatch):
 
 
 def test_lone_non_basic_point_is_a_correspondence_violation(monkeypatch):
-    # Only the edge midpoint (1/2, 0) of the square, as (num, den) with its
-    # slacks 2 * (d - B x): one tight row, rank 1 < 2, so it is not basic.
-    monkeypatch.setattr(circuits, "_basic_points", lambda P, *rest: {((1, 0), 2): [1, 0, 1, 2]})
+    # Only the edge midpoint (1/2, 0) of the square, as its line (den, *num)
+    # with its slacks 2 * (d - B x): one tight row, rank 1 < 2, so it is not basic.
+    monkeypatch.setattr(circuits, "_basic_points", lambda P, *rest: {(2, 1, 0): [1, 0, 1, 2]})
     with pytest.raises(CorrespondenceViolation, match="not support-minimal"):
         basic_solutions(cube(2))
 
@@ -230,6 +231,22 @@ def test_basic_solutions_require_equality_rows_satisfied():
     P = HPolyhedron.make(2, A=[[1, 1]], b=[1], B=[[-1, 0], [0, -1]], d=[0, 0])
     pts = basic_solutions(P)
     assert set(pts) == {vector([0, 1]), vector([1, 0])}
+
+
+def test_basic_solutions_build_no_fraction_until_points_are_read(monkeypatch):
+    # The walk, the rank tests and the midpoint sample all run on the integer
+    # lines (den, *num); only the `points` view builds Fractions.
+    P = cropped_cross_polytope(3)
+    new, calls = Fraction.__new__, []
+
+    def counting(cls, *args, **kwargs):
+        calls.append(None)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    sols = basic_solutions(P)
+    assert calls == []
+    assert len(sols.points) == len(sols) and calls
 
 
 def test_basic_solutions_not_pointed():

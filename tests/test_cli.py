@@ -412,6 +412,17 @@ def test_zero_denominator_delta_is_input_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["construct", "croppedcross", "--n", "1", "--out"], ["reproduce", "thm2", "--n", "1", "--out-dir"]],
+    ids=["construct", "reproduce"],
+)
+def test_cropped_cross_below_two_dimensions_is_input_error(tmp_path, capsys, argv):
+    # its facet and 4n(n-1) vertex guarantees need n >= 2
+    assert main([*argv, str(tmp_path / "out")]) == 2
+    assert "needs n >= 2" in capsys.readouterr().err
+
+
 def test_construct_transport_matches_library(capsys):
     code, out = run_cli(["construct", "transport", "--n", "5", "--k", "2", "--sizes", "1,4"], capsys)
     assert code == 0

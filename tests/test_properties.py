@@ -28,6 +28,7 @@ from polycircuits.linalg import canonicalize_direction, dot
 from polycircuits.lp import INFEASIBLE, OPTIMAL, lp_solve
 from polycircuits.polyhedron import HPolyhedron, edge_directions, vrep
 from test_subsets import (
+    _check_basic_solution_set,
     _outcome,
     _ref_basic_solutions,
     _ref_edge_directions,
@@ -209,6 +210,8 @@ def degenerate_descriptions(draw):
 @given(degenerate_descriptions())
 def test_subset_walks_match_per_subset_references(P):
     assert enumerate_circuits(P) == _ref_enumerate_circuits(P)
-    assert _outcome(basic_solutions, P) == _outcome(_ref_basic_solutions, P)
+    sols = _outcome(basic_solutions, P)
+    assert sols == _outcome(_ref_basic_solutions, P)
+    _check_basic_solution_set(sols)
     assert _outcome(vrep, P) == _outcome(_ref_vrep, P)
     assert _outcome(edge_directions, P) == _outcome(_ref_edge_directions, P)

@@ -87,7 +87,7 @@ def _is_pointed(P):
 def _ref_basic_solutions(P):
     if not _is_pointed(P):
         raise NotPointed(P.name)
-    return BasicSolutionSet.of(_ref_basic_points(P)[0])
+    return BasicSolutionSet.of(canonicalize_direction((1, *x)) for x in _ref_basic_points(P)[0])
 
 
 def _ref_vrep(P):
@@ -121,6 +121,21 @@ def _ref_edge_directions(P):
         if _ref_face_dim(P, vec_scale(Fraction(1, 2), vec_add(u, v))) == 1:
             dirs.append(vec_sub(u, v))
     return CircuitSet.of(dirs)
+
+
+def _check_basic_solution_set(S):
+    """A `BasicSolutionSet` holds canonical lines (den, *num), den > 0, sorted
+    by point; `in` takes a point as ints, Fractions or strings in any terms
+    and refuses one of the wrong length."""
+    if not isinstance(S, BasicSolutionSet):
+        return
+    assert all(v[0] > 0 and canonicalize_direction(v) == v for v in S.lines)
+    assert list(S.points) == sorted(S.points)
+    for x in S.points[:4]:
+        assert x in S
+        assert [c.numerator if c.denominator == 1 else c for c in x] in S
+        assert [f"{2 * c.numerator}/{2 * c.denominator}" for c in x] in S
+        assert (*x, 0) not in S and x[1:] not in S
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +206,9 @@ def test_subset_enumerators_match_reference(chunk):
         P = _description(seed)
         assert enumerate_circuits(P) == _ref_enumerate_circuits(P), seed
         assert _outcome(vrep, P) == _outcome(_ref_vrep, P), seed
-        assert _outcome(basic_solutions, P) == _outcome(_ref_basic_solutions, P), seed
+        sols = _outcome(basic_solutions, P)
+        assert sols == _outcome(_ref_basic_solutions, P), seed
+        _check_basic_solution_set(sols)
         assert _outcome(edge_directions, P) == _outcome(_ref_edge_directions, P), seed
 
 
