@@ -25,7 +25,6 @@ from .linalg import (
 from .polyhedron import (
     HPolyhedron,
     _basic_points,
-    _circuit_lines,
     check_budget,
     homogenize,
     is_pointed,
@@ -49,15 +48,15 @@ def enumerate_circuits(P: HPolyhedron) -> CircuitSet:
     """All circuit directions of P's description, canonically represented.
 
     The candidates are the lines of the (n'-1)-row subset walk
-    (`_circuit_lines`), each checked to be support-minimal
+    (`_circuit_lines`, cached on P), each checked to be support-minimal
     (CorrespondenceViolation if not). A non-pointed system yields its
     lineality basis instead (every nonzero lineality vector is a circuit
     there).
     """
-    lineality, lines = _circuit_lines(P)
+    lineality, lines = P._circuit_walk
     if lineality:
         return CircuitSet.subspace(lineality)
-    return CircuitSet(directions=tuple(sorted(lines)))
+    return CircuitSet(directions=lines)
 
 
 def enumerate_circuits_bruteforce(P: HPolyhedron) -> CircuitSet:

@@ -48,11 +48,11 @@ from .lp import is_feasible
 from .polyhedron import (
     HPolyhedron,
     LinearMap,
-    _edge_directions_of,
-    _pointed_vrep,
     _scaled_row,
     cartesian_product,
+    edge_directions,
     project,
+    vrep,
 )
 
 
@@ -323,7 +323,6 @@ class NonInheritingExtension(NamedTuple):
     polyhedron: HPolyhedron
     projection: LinearMap
     family: DisjunctiveFamily
-    circuits: CircuitSet  # the circuits of `polyhedron` the certificate checked
 
 
 def _point_polyhedron(v: Vector, name: str) -> HPolyhedron:
@@ -455,14 +454,14 @@ def non_inheriting_extension(P: HPolyhedron, g: Sequence) -> NonInheritingExtens
     distinct pieces, and both families avoid g by construction.  Unbounded P:
     handle the vertex hull as above and append one nonnegative recession
     variable per extreme ray.  The returned system is certified by a full
-    circuit enumeration before being handed back.
+    circuit enumeration before being handed back, and keeps that walk cached.
     """
     g = vector(g)
     if is_zero(g):
         raise PreconditionViolation("direction must be nonzero")
-    V, masks = _pointed_vrep(P)
-    if g in _edge_directions_of(P, V, masks):
+    if g in edge_directions(P):
         raise EdgeDirectionGiven("an edge direction is inherited from every extension")
+    V = vrep(P)
 
     hull = _hull_of_vertices(V.vertices, P.n) if V.rays else P
     family = _edge_free_cover(hull, V.vertices, g)
@@ -474,10 +473,9 @@ def non_inheriting_extension(P: HPolyhedron, g: Sequence) -> NonInheritingExtens
         proj = LinearMap(matrix(rows), name=f"{proj.name}_plus_{len(V.rays)}_rays")
     Q = Q.renamed(f"edge_free_extension({P.name or 'P'})")
 
-    CQ = enumerate_circuits(Q)
-    if g in proj.image_directions(CQ):
+    if g in proj.image_directions(enumerate_circuits(Q)):
         raise CorrespondenceViolation("extension still projects a circuit onto g")
-    return NonInheritingExtension(Q, proj, family, CQ)
+    return NonInheritingExtension(Q, proj, family)
 
 
 # ---------------------------------------------------------------------------

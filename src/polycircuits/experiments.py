@@ -194,7 +194,7 @@ def run_thm1(params: dict, out_dir) -> ReproductionResult:
     rec.save_report("simplex_report", rep)
     rec.claim("bounded image is full-dimensional", 0, len(P.A))
     rec.claim(f"bounded image has n+2 = {n + 2} facets", n + 2, len(P.B))
-    rec.claim(f"bounded image has n+2 = {n + 2} vertices", n + 2, len(rep.P_vrep.vertices))
+    rec.claim(f"bounded image has n+2 = {n + 2} vertices", n + 2, len(vrep(rep.P).vertices))
     rec.claim("e3 is a circuit of the bounded image", True, e3 in rep.P_circuits)
     rec.claim("e3 is not inherited from the simplex", True, e3 in rep.non_inherited)
     rec.claim(
@@ -206,7 +206,7 @@ def run_thm1(params: dict, out_dir) -> ReproductionResult:
     O = orthant(m)
     repc = check_inheritance(O, pi)
     R = repc.P.renamed(f"orthant_image_{n}_{m}")
-    V = repc.P_vrep
+    V = vrep(repc.P)
     rec.save_poly("orthant_image", R)
     rec.save_report("orthant_report", repc)
     rec.claim("cone image is full-dimensional", 0, len(R.A))
@@ -319,14 +319,14 @@ def run_partpoly(params: dict, out_dir) -> ReproductionResult:
     rec.save_poly("transportation", T)
     rec.save_map("cluster_projection", piX)
 
-    # the report holds T's circuits and edge directions
+    # the report holds T's circuits, and T keeps the vertex walk it ran
     rep = check_inheritance(T, piX)
     CT = rep.Q_circuits
     rec.save_circuits("source_circuits", CT)
     rec.claim(
         "every circuit of the transportation system is an edge direction",
         True,
-        set(CT) == set(rep.Q_edges),
+        set(CT) == set(edge_directions(T)),
     )
 
     rec.save_report("report", rep)
@@ -393,8 +393,9 @@ def run_thm5(params: dict, out_dir) -> ReproductionResult:
             rec.save_poly(f"ext_{tag}", ext.polyhedron)
             rec.save_map(f"proj_{tag}", ext.projection)
             # every target is a polytope, so ext.polyhedron is the Balas lift
-            # of ext.family and ext.circuits are its circuits
-            projected = ext.projection.image_directions(ext.circuits)
+            # of ext.family; its circuits are cached from the certificate
+            CQ = enumerate_circuits(ext.polyhedron)
+            projected = ext.projection.image_directions(CQ)
             rec.claim(
                 f"{P.name}: direction {tuple(int(x) for x in g)} is not projected",
                 False,
@@ -403,7 +404,7 @@ def run_thm5(params: dict, out_dir) -> ReproductionResult:
             rec.claim(
                 f"{P.name}: lifted circuit classes verified for {tuple(int(x) for x in g)}",
                 True,
-                set(ext.circuits) == set(balas_circuit_prediction(ext.family)),
+                set(CQ) == set(balas_circuit_prediction(ext.family)),
             )
     return rec.finish()
 

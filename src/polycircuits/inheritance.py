@@ -38,10 +38,8 @@ from .lp import is_implied
 from .polyhedron import (
     HPolyhedron,
     LinearMap,
-    VRep,
-    _edge_directions_of,
-    _vrep,
     cartesian_product,
+    edge_directions,
     is_pointed,
     minimize_description,
     project,
@@ -57,15 +55,14 @@ class InheritanceReport:
     """Classification of the circuits of P against those lifted from Q.
 
     P is the image description the circuits were computed on: the supplied
-    one, or else the minimized projection of Q. P_vrep holds its vertices
-    and extreme rays. Q_edges holds the edge directions of Q, unprojected.
+    one, or else the minimized projection of Q. P and Q keep the walks
+    `check_inheritance` ran, so `vrep(report.P)` or `edge_directions(Q)`
+    afterwards walks nothing.
     """
 
     P: HPolyhedron
-    P_vrep: VRep
     P_circuits: CircuitSet
     Q_circuits: CircuitSet
-    Q_edges: CircuitSet
     projected: CircuitSet
     inherited: CircuitSet
     non_inherited: CircuitSet
@@ -140,24 +137,20 @@ def check_inheritance(Q: HPolyhedron, pi: LinearMap, P_desc: Optional[HPolyhedro
     inherited = CircuitSet(directions=tuple(g for g in CP if g in lines))
     non_inherited = CircuitSet(directions=tuple(g for g in CP if g not in lines))
 
-    # P and Q are pointed: their extreme rays are among their circuits, and
-    # only the vertices need a walk
-    VP, masks = _vrep(P, CP)
-    edge_dirs = _edge_directions_of(P, VP, masks)
+    # P and Q are pointed, and their circuit walks are cached: only the
+    # vertices need a walk
+    edge_dirs = edge_directions(P)
     edges = set(edge_dirs)
     if not edges <= set(inherited):
         raise CorrespondenceViolation("an edge direction of the image was not inherited")
     # stronger form of the same guarantee: edges come from edges
-    Q_edges = _edge_directions_of(Q, *_vrep(Q, CQ))
-    if not edges <= set(pi.image_directions(Q_edges)):
+    if not edges <= set(pi.image_directions(edge_directions(Q))):
         raise CorrespondenceViolation("an edge direction of the image lifts to no edge of Q")
 
     return InheritanceReport(
         P=P,
-        P_vrep=VP,
         P_circuits=CP,
         Q_circuits=CQ,
-        Q_edges=Q_edges,
         projected=projected,
         inherited=inherited,
         non_inherited=non_inherited,

@@ -34,9 +34,12 @@ def int_vec(v: Sequence[Fraction]) -> list[int]:
 
 
 def _field(data, key: str, default):
+    """`data[key]`, or `default` when the key is absent; with no default the key is required."""
     if not isinstance(data, dict):
         raise PreconditionViolation(f"expected a JSON object with field {key!r}, got {type(data).__name__}")
-    return data[key] if default is None else data.get(key, default)
+    if default is None and key not in data:
+        raise PreconditionViolation(f"missing field {key!r}")
+    return data.get(key, default)
 
 
 def _rationals(items, key: str) -> Vector:
@@ -67,7 +70,7 @@ def parse_vector(data, key: str) -> Vector:
 def parse_matrix(data, key: str, default=None) -> Matrix:
     """The rational matrix `data[key]`, a list of rows that are lists of rationals.
 
-    An absent key reads as `default`, or raises KeyError when that is None.
+    An absent key reads as `default`, or is an input error when that is None.
     """
     rows = _field(data, key, default)
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
@@ -93,10 +96,15 @@ def poly_to_dict(P: HPolyhedron) -> dict:
 def poly_from_dict(data: dict) -> HPolyhedron:
     A, b = parse_matrix(data, "A", []), parse_vector(data, "b")
     B, d = parse_matrix(data, "B", []), parse_vector(data, "d")
-    n = data["n"]
-    if type(n) not in (int, str):
-        raise PreconditionViolation(f"field 'n' must be an integer, got {type(n).__name__}")
-    return HPolyhedron(n=int(n), A=A, b=b, B=B, d=d, name=str(data.get("name", "")))
+    n = _field(data, "n", None)
+    if type(n) is str:
+        try:
+            n = int(n)
+        except ValueError:
+            pass
+    if type(n) is not int:
+        raise PreconditionViolation(f"field 'n' must be an integer, got {json.dumps(n)}")
+    return HPolyhedron(n=n, A=A, b=b, B=B, d=d, name=str(data.get("name", "")))
 
 
 def map_to_dict(pi: LinearMap) -> dict:

@@ -11,6 +11,14 @@ number, so the rows of a description become integers once, in its cached
 view `_IntRows`, which the walks, the slack tests and the simplex read.
 Fourier-Motzkin (`_Eliminator`) keeps integer rows of its own.
 
+Each description is walked once. `HPolyhedron` caches its circuit walk
+(`_circuit_lines`) and its vertex walk (`_vrep`: vertices, rays and
+tight-row masks) on first use; `enumerate_circuits`, `vrep` and
+`edge_directions` read those caches. A cache hit runs no walk and charges
+no work budget; a walk that raises, `BudgetExceeded` included, is not
+cached. The cache belongs to the object: a `renamed` copy or any new
+description walks afresh.
+
 `project` asks each LP question once:
 - Fourier-Motzkin elimination prunes after every step, and a row that a
   prune kept is not tested again (`_Eliminator`). Its witness, a point
@@ -36,7 +44,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, lcm
 from operator import mul
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .directions import BasicSolutionSet, CircuitSet
 from .errors import (
@@ -129,6 +137,14 @@ class HPolyhedron:
     @cached_property
     def _ints(self) -> "_IntRows":
         return _IntRows(self)
+
+    @cached_property
+    def _circuit_walk(self) -> tuple[tuple[Direction, ...], tuple[Direction, ...]]:
+        return _circuit_lines(self)
+
+    @cached_property
+    def _vertex_walk(self) -> tuple["VRep", tuple[int, ...]]:
+        return _vrep(self)
 
     def _slacks_at(self, x: Sequence[Fraction]) -> tuple[list[int], list[int]]:
         """The `_slacks` of the A rows and of the B rows at the point x."""
@@ -358,8 +374,8 @@ def _basic_points(P: HPolyhedron, what: str) -> dict[Direction, list[int]]:
     return {v: _slacks(B, v[1:], v[0]) for v in pts}
 
 
-def _circuit_lines(P: HPolyhedron) -> tuple[list[list[int]], list[Direction]]:
-    """An integer lineality basis of P's description and, when it is empty, P's circuit lines.
+def _circuit_lines(P: HPolyhedron) -> tuple[tuple[Direction, ...], tuple[Direction, ...]]:
+    """An integer lineality basis of P's description and, when it is empty, P's sorted circuit lines.
 
     Works in kernel coordinates of the equality block: each line is the
     one-dimensional kernel of n'-1 independent rows of the reduced
@@ -377,12 +393,12 @@ def _circuit_lines(P: HPolyhedron) -> tuple[list[list[int]], list[Direction]]:
     N = _kernel(P._ints.base, P.n)
     np_ = len(N)
     if np_ == 0:
-        return [], []
+        return (), ()
     NT = list(zip(*N))  # n x n', maps reduced coords to ambient
     rows = [[sum(map(mul, row, v)) for v in N] for row in P._ints.B]
     lin = _kernel(_fold(_EMPTY, rows, np_), np_)
     if lin:
-        return [[sum(map(mul, row, v)) for row in NT] for v in lin], []
+        return tuple(tuple(sum(map(mul, row, v)) for row in NT) for v in lin), ()
     check_budget(comb(len(rows), np_ - 1), "circuit candidate subsets")
     ghats = set(_subset_lines(_EMPTY, rows, np_ - 1, np_, np_))
     lines = []
@@ -392,17 +408,22 @@ def _circuit_lines(P: HPolyhedron) -> tuple[list[list[int]], list[Direction]]:
         if _rank_upto(_EMPTY, zero, np_ - 1, np_) < np_ - 1:
             raise CorrespondenceViolation(f"circuit candidate {g} is not support-minimal")
         lines.append(g)
-    return [], lines
+    lines.sort()  # in place: a sorted copy added 2 MB to the peak RSS of thm2 --n 5
+    return (), tuple(lines)
 
 
-def _vrep(P: HPolyhedron, lines: Iterable[Direction]) -> tuple[VRep, list[int]]:
-    """The vertices and extreme rays of a pointed P, given its canonical
-    integer circuit lines, and the tight-row mask of each vertex, in vertex order.
+def _vrep(P: HPolyhedron) -> tuple[VRep, tuple[int, ...]]:
+    """The vertices and extreme rays of a pointed P, and the tight-row mask
+    of each vertex, in vertex order; NotPointed when P has a lineality space.
 
     The vertices are the feasible basic solutions; a pointed polyhedron
     with none is empty (EmptyPolyhedron). The extreme rays are the
-    sign-consistent circuits (Rockafellar 1969), oriented so that B r <= 0.
+    sign-consistent circuits (Rockafellar 1969) of P's cached circuit walk,
+    oriented so that B r <= 0.
     """
+    lineality, lines = P._circuit_walk
+    if lineality:
+        raise NotPointed(P.name or "polyhedron")
     masks = {
         v: sum(1 << i for i, s in enumerate(slacks) if s == 0)
         for v, slacks in _basic_points(P, "vertex candidates").items()
@@ -419,52 +440,31 @@ def _vrep(P: HPolyhedron, lines: Iterable[Direction]) -> tuple[VRep, list[int]]:
             rays.append(tuple(-x for x in g))
     vertices = BasicSolutionSet.of(masks)
     V = VRep(vertices=vertices.points, rays=tuple(sorted(rays)))
-    return V, [masks[v] for v in vertices.lines]
-
-
-def _pointed_vrep(P: HPolyhedron) -> tuple[VRep, list[int]]:
-    """`_vrep` of P from its circuit walk; NotPointed when the walk finds a lineality space."""
-    lineality, lines = _circuit_lines(P)
-    if lineality:
-        raise NotPointed(P.name or "polyhedron")
-    return _vrep(P, lines)
+    return V, tuple(masks[v] for v in vertices.lines)
 
 
 def vrep(P: HPolyhedron) -> VRep:
-    """All vertices and extreme rays of a pointed polyhedron, with no LP (`_vrep`)."""
-    return _pointed_vrep(P)[0]
-
-
-def _edge_test(P: HPolyhedron) -> Callable[[int], bool]:
-    """Whether the rows in a tight-row mask, with A, have rank exactly n - 1.
-
-    For two points u, v of P the rows tight at their midpoint are exactly
-    the rows tight at both, so `mask(u) & mask(v)` decides adjacency; a
-    vertex with itself reaches rank n and is not an edge.
-    """
-    base, B = P._ints.base, P._ints.B
-    n = P.n
-
-    def is_edge(mask: int) -> bool:
-        rows = [row for i, row in enumerate(B) if mask >> i & 1]
-        return _rank_upto(base, rows, n, n) == n - 1
-
-    return is_edge
-
-
-def _edge_directions_of(P: HPolyhedron, V: VRep, masks: Sequence[int]) -> CircuitSet:
-    """Edge directions of P from `_vrep(P, ...)`: its vertices, rays and vertex tight-row masks."""
-    is_edge = _edge_test(P)
-    dirs = list(V.rays)
-    for (u, mu), (v, mv) in itertools.combinations(zip(V.vertices, masks), 2):
-        if is_edge(mu & mv):
-            dirs.append(vec_sub(u, v))
-    return CircuitSet.of(dirs)
+    """All vertices and extreme rays of a pointed polyhedron, with no LP (`_vrep`, walked once per P)."""
+    return P._vertex_walk[0]
 
 
 def edge_directions(P: HPolyhedron) -> CircuitSet:
-    """Directions of bounded edges (adjacent vertex differences) and extreme rays."""
-    return _edge_directions_of(P, *_pointed_vrep(P))
+    """Directions of bounded edges (adjacent vertex differences) and extreme rays.
+
+    For two points u, v of P the rows tight at their midpoint are exactly
+    the rows tight at both, so u and v are adjacent iff the rows in
+    `mask(u) & mask(v)`, with A, have rank exactly n - 1; a vertex with
+    itself reaches rank n.
+    """
+    # through `vrep`, so a trace (perfbench/tracer.py) sees the vertex set of the pairs
+    V, masks = vrep(P), P._vertex_walk[1]
+    base, B, n = P._ints.base, P._ints.B, P.n
+    dirs = list(V.rays)
+    for (u, mu), (v, mv) in itertools.combinations(zip(V.vertices, masks), 2):
+        rows = [row for i, row in enumerate(B) if (mu & mv) >> i & 1]
+        if _rank_upto(base, rows, n, n) == n - 1:
+            dirs.append(vec_sub(u, v))
+    return CircuitSet.of(dirs)
 
 
 def cartesian_product(P1: HPolyhedron, P2: HPolyhedron) -> HPolyhedron:

@@ -233,6 +233,23 @@ def test_no_function_takes_a_budget_parameter():
     assert found == []
 
 
+def test_only_circuits_imports_the_walk_internals():
+    # each description caches its own walks; every other module asks for
+    # circuits, vertices and edges through the public functions
+    package = Path(polycircuits.__file__).resolve().parent
+    internals = {"_circuit_lines", "_basic_points", "_vrep"}
+    found = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in sorted(package.glob("*.py"))
+        if path.name not in ("polyhedron.py", "circuits.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and node.module in ("polyhedron", "polycircuits.polyhedron")
+        for alias in node.names
+        if alias.name in internals
+    ]
+    assert found == []
+
+
 _FRACTIONAL_DIRECTION = """
 from fractions import Fraction
 from polycircuits import jsonio
@@ -284,18 +301,22 @@ def test_check_rows_longer_than_n_is_input_error(tmp_path, flags):
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
 @pytest.mark.parametrize(
-    "verb, document",
+    "verb, document, field",
     [
-        ("circuits", []),
-        ("circuits", {"n": 2, "B": [1, 2], "d": [0, 0]}),
-        ("circuits", {"n": 2, "B": 5, "d": []}),
-        ("check", {"matrix": 7}),
-        ("circuits", {"n": 1, "B": [[1]], "d": [0.1]}),
-        ("circuits", '{"n": 1, "B": [[1]], "d": [1e400]}'),
-        ("circuits", {"n": 1, "B": [[True]], "d": [1]}),
-        ("circuits", {"n": True, "B": [[1]], "d": [1]}),
-        ("circuits", {"n": -2}),
-        ("circuits", {"n": 1, "B": [[1]], "d": ["1/0"]}),
+        ("circuits", [], "A"),
+        ("circuits", {"n": 2, "B": [1, 2], "d": [0, 0]}, "B"),
+        ("circuits", {"n": 2, "B": 5, "d": []}, "B"),
+        ("check", {"matrix": 7}, "matrix"),
+        ("circuits", {"n": 1, "B": [[1]], "d": [0.1]}, "d"),
+        ("circuits", '{"n": 1, "B": [[1]], "d": [1e400]}', "d"),
+        ("circuits", {"n": 1, "B": [[True]], "d": [1]}, "B"),
+        ("circuits", {"n": True, "B": [[1]], "d": [1]}, "n"),
+        ("circuits", {"n": -2}, None),
+        ("circuits", {"n": 1, "B": [[1]], "d": ["1/0"]}, "d"),
+        ("circuits", {"B": [[1]], "d": [1]}, "n"),
+        ("check", {"name": "m"}, "matrix"),
+        ("circuits", {"n": "x"}, "n"),
+        ("circuits", {"n": "2/1"}, "n"),
     ],
     ids=[
         "not-an-object",
@@ -308,9 +329,13 @@ def test_check_rows_longer_than_n_is_input_error(tmp_path, flags):
         "bool-dimension",
         "negative-dimension",
         "zero-denominator",
+        "missing-dimension",
+        "missing-matrix",
+        "word-dimension",
+        "fraction-dimension",
     ],
 )
-def test_malformed_json_is_input_error(tmp_path, verb, document, flags):
+def test_malformed_json_is_input_error(tmp_path, verb, document, field, flags):
     # A str document is the file's text as it stands: json.dumps cannot
     # write the literal 1e400, which json.load reads as an infinite float.
     bad = tmp_path / "bad.json"
@@ -332,6 +357,8 @@ def test_malformed_json_is_input_error(tmp_path, verb, document, flags):
     )
     assert proc.returncode == 2, proc.stderr
     assert "input error" in proc.stderr
+    if field is not None:
+        assert f"field {field!r}" in proc.stderr, proc.stderr
 
 
 def test_check_output_is_the_same_under_optimize(tmp_path):

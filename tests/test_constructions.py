@@ -383,8 +383,9 @@ class TestNonInheritingExtension:
         g = vector([0, 0, 1, 0])
         ext = non_inheriting_extension(P, g)
         assert ext.polyhedron.n == 26
-        assert len(ext.circuits) == 11
-        assert g not in ext.projection.image_directions(ext.circuits)
+        CQ = enumerate_circuits(ext.polyhedron)
+        assert len(CQ) == 11
+        assert g not in ext.projection.image_directions(CQ)
         assert _descriptions_match(project(ext.polyhedron, ext.projection), P)
 
     def test_rejects_edge_directions(self):

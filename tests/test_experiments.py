@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from polycircuits import circuits, constructions, polyhedron
+from polycircuits import circuits, polyhedron
 from polycircuits.experiments import Claim, Recorder, run_experiment
 from polycircuits.polyhedron import work_budget
 
@@ -134,35 +134,35 @@ def test_thm5_enumerates_each_lift_once(tmp_path, monkeypatch):
     lifts = {
         rows: n
         for (fn, rows), n in calls.items()
-        if fn == "enumerate_circuits" and rows[0] >= 10
+        if fn == "_circuit_lines" and rows[0] >= 10
     }
     assert len(lifts) == 3
     assert set(lifts.values()) == {1}
 
 
-def test_non_inheriting_extension_enumerates_vertices_once(tmp_path, monkeypatch):
-    # The edge-direction test and the construction share one vertex walk
-    # (`_basic_points`) of the target.
-    walk, extension = polyhedron._basic_points, constructions.non_inheriting_extension
+def test_thm5_walks_each_target_once(tmp_path, monkeypatch):
+    # The circuit and edge tests of run_thm5 and every non_inheriting_extension
+    # call on one target read the walks cached on that target. Walks are
+    # counted per object: a renamed copy holds no cache and would walk again.
     walks: list = []
-    per_extension: list[int] = []
 
-    def counting_walk(*args):
-        walks.append(None)
-        return walk(*args)
+    def counting(fn):
+        def wrapper(P, *rest):
+            walks.append((fn.__name__, P))
+            return fn(P, *rest)
 
-    def recording_extension(*args, **kwargs):
-        start = len(walks)
-        result = extension(*args, **kwargs)
-        per_extension.append(len(walks) - start)
-        return result
+        return wrapper
 
-    monkeypatch.setattr(polyhedron, "_basic_points", counting_walk)
+    wrappers = {fn: counting(fn) for fn in (polyhedron._circuit_lines, polyhedron._basic_points)}
     for modname, mod in list(sys.modules.items()):
         if modname == "polycircuits" or modname.startswith("polycircuits."):
             for attr, value in list(vars(mod).items()):
-                if value is extension:
-                    monkeypatch.setattr(mod, attr, recording_extension)
+                if any(value is fn for fn in wrappers):
+                    monkeypatch.setattr(mod, attr, wrappers[value])
     assert run_experiment("thm5", {}, tmp_path).passed
-    assert len(per_extension) >= 4
-    assert set(per_extension) == {1}
+    names = ("simplex_image_3_4", "square", "cube")
+    # `walks` holds every walked object, so no two of them share an id
+    targets = {id(P): P.name for _, P in walks if P.name in names}
+    assert sorted(targets.values()) == sorted(names)
+    per_target = Counter((fn, targets[id(P)]) for fn, P in walks if id(P) in targets)
+    assert per_target == {(fn, name): 1 for fn in ("_circuit_lines", "_basic_points") for name in names}

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import polycircuits
-from polycircuits.errors import EmptyPolyhedron, NotPointed, PreconditionViolation
+from polycircuits import polyhedron
+from polycircuits.circuits import enumerate_circuits
+from polycircuits.errors import BudgetExceeded, EmptyPolyhedron, NotPointed, PreconditionViolation
 from polycircuits.linalg import matrix, primitive, vector
 from polycircuits.polyhedron import (
     HPolyhedron,
@@ -24,6 +26,7 @@ from polycircuits.polyhedron import (
     project,
     slack_standard_form,
     vrep,
+    work_budget,
 )
 
 
@@ -210,6 +213,35 @@ def test_edge_directions_square_and_cone():
         vector([1, 0, 1]),
         vector([0, 1, 1]),
     }
+
+
+def test_each_description_is_walked_once(monkeypatch):
+    # the circuit walk and the vertex walk are cached on the description,
+    # one `_subset_lines` call each, however often the public API asks
+    calls = []
+    walk = polyhedron._subset_lines
+
+    def counting(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(polyhedron, "_subset_lines", counting)
+    P = cartesian_product(unit_square(), HPolyhedron.make(1, B=[[-1], [1]], d=[0, 1]))
+    assert len(enumerate_circuits(P)) == 3
+    assert len(vrep(P).vertices) == 8
+    assert len(edge_directions(P)) == 3
+    assert len(vrep(P).vertices) == 8
+    assert len(calls) == 2
+
+
+def test_a_walk_that_raises_is_not_cached():
+    P = cartesian_product(unit_square(), unit_square())
+    with work_budget(0), pytest.raises(BudgetExceeded):
+        enumerate_circuits(P)
+    assert enumerate_circuits(P) == enumerate_circuits(P.renamed("copy"))
+    # a cache hit charges no budget
+    with work_budget(0):
+        assert len(enumerate_circuits(P)) == 4
 
 
 def test_project_orthant_through_pi34():
