@@ -65,6 +65,7 @@ from .polyhedron import (
     LinearMap,
     _slacks,
     edge_directions,
+    is_pointed,
     minimize_description,
     preimage_description,
     project,
@@ -572,6 +573,26 @@ def law_oracle(rng: random.Random) -> bool:
     return fast.same_lines(slow)
 
 
+def law_two_route_projection(rng: random.Random) -> bool:
+    """Projection by incidence against projection by LP, on a pointed Q
+    (bounded or not) under a map with fractional entries: the two
+    descriptions are equal, every image of a vertex or ray of Q satisfies
+    it, and every vertex of the image is the image of a vertex of Q."""
+    n = rng.randint(2, 4)
+    Q = _random_polytope(rng, n, extra=1) if rng.random() < 0.5 else _random_pointed(rng, n)
+    k = rng.randint(1, n)
+    pi = LinearMap(matrix([[Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(n)]
+                           for _ in range(k)]))
+    V = vrep(Q)
+    P = project(Q, pi, V)
+    if P != project(Q, pi):
+        return False
+    cone = HPolyhedron(k, P.A, zero_vector(len(P.A)), P.B, zero_vector(len(P.B)))
+    if not (all(P.contains(pi(v)) for v in V.vertices) and all(cone.contains(pi(w)) for w in V.rays)):
+        return False
+    return not is_pointed(P) or set(vrep(P).vertices) <= {pi(v) for v in V.vertices}
+
+
 LAW_SUITES: dict[str, Callable[[random.Random], bool]] = {
     "cartesian": law_cartesian,
     "slack": law_slack,
@@ -580,6 +601,7 @@ LAW_SUITES: dict[str, Callable[[random.Random], bool]] = {
     "isomorphism": law_isomorphism,
     "dimension_triviality": law_dimension_triviality,
     "oracle": law_oracle,
+    "two_route_projection": law_two_route_projection,
 }
 
 

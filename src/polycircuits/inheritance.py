@@ -44,6 +44,7 @@ from .polyhedron import (
     minimize_description,
     project,
     slack_standard_form,
+    vrep,
 )
 
 ALL_INHERITED = "AllInherited"
@@ -111,7 +112,11 @@ def check_inheritance(Q: HPolyhedron, pi: LinearMap, P_desc: Optional[HPolyhedro
     """
     if pi.in_dim(Q.n) != Q.n:
         raise ProjectionMismatch(f"map expects {pi.in_dim(Q.n)} coordinates, Q has {Q.n}")
-    image = project(Q, pi)
+    CQ = enumerate_circuits(Q)
+    # A pointed Q hands its vertices and rays to the elimination, which then
+    # prunes by incidence instead of by LPs; `edge_directions(Q)` reuses the
+    # walk. A non-pointed Q is projected by LPs and raises NotPointed below.
+    image = project(Q, pi, None if CQ.is_subspace else vrep(Q))
     if P_desc is not None:
         if P_desc.n != pi.out_dim:
             raise ProjectionMismatch(
@@ -126,7 +131,6 @@ def check_inheritance(Q: HPolyhedron, pi: LinearMap, P_desc: Optional[HPolyhedro
     CP = enumerate_circuits(P)
     if CP.is_subspace:
         raise NotPointed(P.name or "projection image")
-    CQ = enumerate_circuits(Q)
     if CQ.is_subspace:
         # the image of a lineality vector of Q lies in the lineality space of
         # P, so a pointed image has pi(lin Q) = 0 and inherits nothing

@@ -5,21 +5,26 @@ Descriptions matter here: several quantities computed downstream
 the point set, so operations never silently rewrite a description. Rows
 are promoted or dropped only by `minimize_description` and by `project`;
 both share one row normalizer (`_scaled_row`) and one redundancy pass
-(`_irredundant_rows`). No circuit, basic solution, edge or slack sign
-changes when a row and its right-hand side are scaled by a positive
-number, so the rows of a description become integers once, in its cached
-view `_IntRows`, which the walks, the slack tests and the simplex read.
-Fourier-Motzkin (`_Eliminator`) keeps integer rows of its own.
+(`_irredundant_rows`), whose syntactic part (`_distinct_rows`) the
+incidence prune of `project` shares. No circuit, basic solution, edge or
+slack sign changes when a row and its right-hand side are scaled by a
+positive number, so the rows of a description become integers once, in
+its cached view `_IntRows`, which the walks, the slack tests and the
+simplex read. Fourier-Motzkin (`_Eliminator`) keeps integer rows of its
+own.
 
 Each description is walked once. `HPolyhedron` caches its circuit walk
-(`_circuit_lines`) and its vertex walk (`_vrep`: vertices, rays and
-tight-row masks) on first use; `enumerate_circuits`, `vrep` and
-`edge_directions` read those caches. A cache hit runs no walk and charges
-no work budget; a walk that raises, `BudgetExceeded` included, is not
-cached. The cache belongs to the object: a `renamed` copy or any new
+(`_circuit_lines`), its vertex walk (`_vrep`: vertices, rays and
+tight-row masks) and its edge walk (`_edges`) on first use;
+`enumerate_circuits`, `vrep` and `edge_directions` read those caches. A
+cache hit runs no walk and charges no work budget; a walk that raises,
+`BudgetExceeded` included, is not cached. The cache belongs to the object: a `renamed` copy or any new
 description walks afresh.
 
-`project` asks each LP question once:
+`project` has two routes to the same description. Given the domain's
+vertices and rays, it reads every prune and the implicit equalities off
+their incidences with the rows, with no LP (`_Eliminator`). Without them
+it asks each LP question once:
 - Fourier-Motzkin elimination prunes after every step, and a row that a
   prune kept is not tested again (`_Eliminator`). Its witness, a point
   that satisfies every other row and violates it, survives the later
@@ -145,6 +150,10 @@ class HPolyhedron:
     @cached_property
     def _vertex_walk(self) -> tuple["VRep", tuple[int, ...]]:
         return _vrep(self)
+
+    @cached_property
+    def _edge_walk(self) -> CircuitSet:
+        return _edges(self)
 
     def _slacks_at(self, x: Sequence[Fraction]) -> tuple[list[int], list[int]]:
         """The `_slacks` of the A rows and of the B rows at the point x."""
@@ -315,24 +324,33 @@ def _scaled_row(row: Sequence[int]) -> tuple[Vector, Fraction]:
     return tuple(Fraction(x // g) for x in row[:-1]), Fraction(row[-1], g)
 
 
-def _irredundant_rows(
-    n: int, A: Sequence[Sequence[int]], B: Sequence[Sequence[int]], certified: Optional[Sequence[bool]] = None
-) -> tuple[list[int], Matrix, Vector]:
-    """The integer rows [a | rhs] of B that no other row of {A, B} implies.
-
-    Returns their indices and their `_scaled_row` normals and right-hand
-    sides. A cheap syntactic pass comes first: of each group of parallel
-    rows only the tightest stays. Then one LP per remaining row drops it
-    when the rest imply it. A row flagged in `certified` is known to be
-    implied by no set of the other rows, so it runs no LP and stays; every
-    other row sees the same rest as without the flags.
-    """
+def _distinct_rows(B: Sequence[Sequence[int]]) -> dict[Vector, tuple[Fraction, int]]:
+    """The syntactic pass of `_irredundant_rows`: each `_scaled_row` normal of
+    the integer rows B, in order of first appearance, mapped to its least
+    rhs and the first row index that has it. Zero rows are left out."""
     seen: dict[Vector, tuple[Fraction, int]] = {}
     for i, row in enumerate(B):
         if any(row[:-1]):  # 0 <= d is vacuous for feasible P
             key, val = _scaled_row(row)
             if key not in seen or val < seen[key][0]:
                 seen[key] = (val, i)
+    return seen
+
+
+def _irredundant_rows(
+    n: int, A: Sequence[Sequence[int]], B: Sequence[Sequence[int]], certified: Optional[Sequence[bool]] = None
+) -> tuple[list[int], Matrix, Vector]:
+    """The integer rows [a | rhs] of B that no other row of {A, B} implies.
+
+    Returns their indices and their `_scaled_row` normals and right-hand
+    sides. A cheap syntactic pass comes first (`_distinct_rows`): of each
+    group of parallel rows only the tightest stays. Then one LP per
+    remaining row, in that order, drops it when the rest imply it. A row
+    flagged in `certified` is known to be implied by no set of the other
+    rows, so it runs no LP and stays; every other row sees the same rest as
+    without the flags.
+    """
+    seen = _distinct_rows(B)
     normals, d, keep = list(seen), [v for v, _ in seen.values()], [i for _, i in seen.values()]
     eqs = tuple(tuple(map(Fraction, row[:-1])) for row in A), tuple(Fraction(row[-1]) for row in A)
     k = 0
@@ -449,15 +467,20 @@ def vrep(P: HPolyhedron) -> VRep:
 
 
 def edge_directions(P: HPolyhedron) -> CircuitSet:
-    """Directions of bounded edges (adjacent vertex differences) and extreme rays.
+    """Directions of bounded edges (adjacent vertex differences) and extreme rays (`_edges`, walked once per P)."""
+    vrep(P)  # so a trace (perfbench/tracer.py) sees the vertex set of the pairs
+    return P._edge_walk
+
+
+def _edges(P: HPolyhedron) -> CircuitSet:
+    """`edge_directions` of P, from its cached vertex walk.
 
     For two points u, v of P the rows tight at their midpoint are exactly
     the rows tight at both, so u and v are adjacent iff the rows in
     `mask(u) & mask(v)`, with A, have rank exactly n - 1; a vertex with
     itself reaches rank n.
     """
-    # through `vrep`, so a trace (perfbench/tracer.py) sees the vertex set of the pairs
-    V, masks = vrep(P), P._vertex_walk[1]
+    V, masks = P._vertex_walk
     base, B, n = P._ints.base, P._ints.B, P.n
     dirs = list(V.rays)
     for (u, mu), (v, mv) in itertools.combinations(zip(V.vertices, masks), 2):
@@ -532,21 +555,50 @@ class _Eliminator:
     would hold; an equality row carries that multiple, so the result keeps
     the Fraction elimination's equality rows.
 
-    `certified[i]` says that inequality row i is implied by no set of the
-    other rows. A prune certifies every row it keeps, by a witness point
-    that satisfies every other row and violates row i. Substitution
-    through an equality row keeps every witness, since witnesses satisfy
-    the equality rows. A Fourier-Motzkin step keeps the witness of every
-    row it keeps, projected: the new rows are nonnegative combinations of
-    other rows, which the witness satisfies. Only the new rows need an LP.
+    Every system the eliminator holds is a coordinate projection of the
+    first one, so it can carry generators of its polyhedron, points v and
+    rays w with conv(v) + cone(w) equal to it. `gens` holds them as integer
+    vectors [*z, -h], positive multiples of (v, 1) and (w, 0). A row
+    [a | rhs] reads a.z - rhs h <= 0 on each, and a generator is tight on
+    the row where it reads 0. Eliminating a variable deletes its coordinate
+    from every generator. After each step the rows are pruned by one of two
+    routes, and both keep the same rows in the same order.
+
+    By incidence, when `gens` is given. Let r be the rank of the
+    generators. When no inequality row is tight on every generator, the
+    system has no implicit equality, so a row is implied by no set of the
+    other rows iff it defines a facet that no later row defines. It defines
+    a facet iff the generators tight on it include a point, so that its
+    face is not empty, and reach rank r - 1 (Ziegler, Lectures on
+    Polytopes, ch. 2). Rows that define the same facet have the same tight
+    set; of these the last in `_irredundant_rows` order stays, the row its
+    sequential LPs keep. A prune that meets a row tight on every generator
+    takes the LP route; once no row is, the incidence test is exact again.
+
+    By LP (`_irredundant_rows`), otherwise. `certified[i]` says that
+    inequality row i is implied by no set of the other rows. A prune
+    certifies every row it keeps, by a witness point that satisfies every
+    other row and violates row i; a row kept by incidence has one as well.
+    Substitution through an equality row keeps every witness, since
+    witnesses satisfy the equality rows. A Fourier-Motzkin step keeps the
+    witness of every row it keeps, projected: the new rows are nonnegative
+    combinations of other rows, which the witness satisfies. Only the new
+    rows need an LP.
     """
 
-    def __init__(self, nvars: int, eqs: Iterable[tuple[list[int], int]], ineqs: Iterable[list[int]]):
+    def __init__(
+        self,
+        nvars: int,
+        eqs: Iterable[tuple[list[int], int]],
+        ineqs: Iterable[list[int]],
+        gens: Optional[list[list[int]]] = None,
+    ):
         # eqs pairs each integer row with the multiple it is of its Fraction row.
         self.live = list(range(nvars))
         self.eqs = [(row, Fraction(scale)) for row, scale in eqs]
         self.ineqs = list(ineqs)
         self.certified = [False] * len(self.ineqs)
+        self.gens = gens
 
     def eliminate(self, target_vars: set[int]) -> None:
         """Eliminate every target variable, pruning after each step.
@@ -597,12 +649,44 @@ class _Eliminator:
         del self.live[j]
         self.eqs = [(r[:j] + r[j + 1 :], scale) for r, scale in self.eqs]
         self.ineqs = [r[:j] + r[j + 1 :] for r in self.ineqs]
+        if self.gens is not None:
+            self.gens = [g[:j] + g[j + 1 :] for g in self.gens]
 
     def _prune(self) -> None:
-        """Trim duplicates and LP-redundant inequality rows."""
-        keep, _, _ = _irredundant_rows(len(self.live), [r for r, _ in self.eqs], self.ineqs, self.certified)
+        """Trim duplicates and redundant inequality rows, by incidence when it can."""
+        keep = None if self.gens is None else self._incident_rows()
+        if keep is None:
+            keep, _, _ = _irredundant_rows(len(self.live), [r for r, _ in self.eqs], self.ineqs, self.certified)
         self.ineqs = [self.ineqs[i] for i in keep]
         self.certified = [True] * len(self.ineqs)
+
+    def _tight(self, row: Sequence[int]) -> list[bool]:
+        """Whether each generator is tight on `row`; CorrespondenceViolation if one violates it."""
+        reads = [sum(map(mul, row, g)) for g in self.gens]
+        if any(x > 0 for x in reads):
+            raise CorrespondenceViolation("a generator of the domain violates an eliminated row")
+        return [x == 0 for x in reads]
+
+    def _incident_rows(self) -> Optional[list[int]]:
+        """The rows `_irredundant_rows` keeps, read off the generators; None
+        when a row is tight on every generator."""
+        width = len(self.live) + 1
+        r = len(_fold(_EMPTY, self.gens, width)[1])
+        keep = [i for _, i in _distinct_rows(self.ineqs).values()]
+        masks, last = [], {}
+        for i in keep:
+            mask = tuple(self._tight(self.ineqs[i]))
+            if all(mask):
+                return None
+            tight = [g for g, t in zip(self.gens, mask) if t]
+            if any(g[-1] for g in tight) and _rank_upto(_EMPTY, tight, r - 1, width) == r - 1:
+                last[mask] = i
+            masks.append(mask)
+        return [i for i, mask in zip(keep, masks) if last.get(mask) == i]
+
+    def implicit_rows(self) -> tuple[int, ...]:
+        """The inequality rows tight on every generator: the implicit equalities."""
+        return tuple(i for i, row in enumerate(self.ineqs) if all(self._tight(row)))
 
     def result(self, n: int) -> HPolyhedron:
         if len(self.live) != n:
@@ -612,7 +696,7 @@ class _Eliminator:
         return HPolyhedron(n, A, tuple(r[-1] / scale for r, scale in self.eqs), B, d)
 
 
-def project(P: HPolyhedron, pi: LinearMap) -> HPolyhedron:
+def project(P: HPolyhedron, pi: LinearMap, V: Optional[VRep] = None) -> HPolyhedron:
     """Minimized description of pi(P) by Fourier-Motzkin elimination.
 
     Works on the graph system {x = pi(y), y in P} over (x, y) and
@@ -621,6 +705,16 @@ def project(P: HPolyhedron, pi: LinearMap) -> HPolyhedron:
     The implicit equalities of the pruned rows are then promoted; that
     makes no row redundant (see the module docstring), so the rows are
     not pruned again.
+
+    V, when given, must be `vrep(P)`. Its vertices v and rays w give the
+    graph system's generators (pi v, v, 1) and (pi w, w, 0), and the prunes
+    read incidences off them instead of solving LPs (`_Eliminator`); a
+    prune that meets a row tight on every generator still solves LPs. The
+    implicit equalities are the rows tight on every generator, and the
+    first vertex is the point the result is checked to hold. Without V, an
+    LP finds that point, every prune solves LPs and `_implicit_rows` finds
+    the implicit equalities. Both routes return the same description.
+    `project` never walks P's vertices itself: that walk is exponential.
     """
     m = P.n
     nt = pi.out_dim
@@ -628,7 +722,12 @@ def project(P: HPolyhedron, pi: LinearMap) -> HPolyhedron:
         raise PreconditionViolation(
             f"map has domain dimension {pi.in_dim(m)}, polyhedron has dimension {m}"
         )
-    y = _feasible_point(P)
+    if V is None:
+        y, gens = _feasible_point(P), None
+    else:
+        y = V.vertices[0]
+        gens = [_point((*pi(v), *v, -ONE))[0] for v in V.vertices]
+        gens += [_point((*pi(w), *w, ZERO))[0] for w in V.rays]
 
     # The graph row x_i - pi_i y = 0 has x_i coefficient 1, so its integer
     # row is its own multiple by the entry there.
@@ -636,13 +735,13 @@ def project(P: HPolyhedron, pi: LinearMap) -> HPolyhedron:
     ints = P._ints
     eqs = [(row, row[i]) for i, row in enumerate(graph)]
     eqs += [([0] * nt + row, scale) for row, scale in zip(ints.A, ints.scale)]
-    elim = _Eliminator(nt + m, eqs, [[0] * nt + row for row in ints.B])
+    elim = _Eliminator(nt + m, eqs, [[0] * nt + row for row in ints.B], gens)
     elim.eliminate(set(range(nt, nt + m)))
     R = elim.result(nt)
     x = pi(y)
     if not R.contains(x):
         raise CorrespondenceViolation(f"projection misses pi({', '.join(map(str, y))})")
-    return _promoted(R, _implicit_rows(R, x))
+    return _promoted(R, _implicit_rows(R, x) if V is None else elim.implicit_rows())
 
 
 def preimage_description(P: HPolyhedron, tau: LinearMap) -> HPolyhedron:

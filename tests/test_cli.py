@@ -535,3 +535,29 @@ def test_reproduce_partpoly_rejects_other_sizes(tmp_path, capsys):
         ["reproduce", "partpoly", "--n", "6", "--out-dir", str(tmp_path / "x")], capsys
     )
     assert code == 2
+
+
+def test_check_empty_domain_is_input_error(tmp_path, capsys):
+    empty = HPolyhedron.make(1, B=[[1], [-1]], d=[-1, 0], name="empty")
+    qp, mp = write_pair(tmp_path, empty, LinearMap([[1]], name="ident1"))
+    assert main(["check", qp, mp]) == 2
+    assert capsys.readouterr().err == "input error: empty\n"
+
+
+def test_check_budget_below_the_domain_vertex_walk_exits_three(tmp_path):
+    # The cube's circuit walk visits comb(6, 2) = 15 row subsets and its
+    # vertex walk comb(6, 3) = 20. check_inheritance walks Q's vertices
+    # before it projects, so a budget of 15 runs out there.
+    flatten = LinearMap([[1, 0, 0], [0, 1, 0]], name="flatten")
+    qp, mp = write_pair(tmp_path, hypercube(3), flatten)
+    src = str(Path(polycircuits.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "polycircuits.cli", "check", qp, mp, "--budget", "15"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == "budget exceeded: vertex candidates: 20 candidates exceed budget 15\n"

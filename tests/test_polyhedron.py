@@ -244,6 +244,18 @@ def test_a_walk_that_raises_is_not_cached():
         assert len(enumerate_circuits(P)) == 4
 
 
+def test_edge_walk_is_cached_and_a_raising_one_is_not():
+    P = cartesian_product(unit_square(), unit_square())
+    with work_budget(0), pytest.raises(BudgetExceeded):
+        edge_directions(P)
+    first = edge_directions(P)
+    assert len(first) == 4
+    # a cache hit runs no walk and charges no budget
+    with work_budget(0):
+        assert edge_directions(P) is first
+    assert edge_directions(P.renamed("copy")) == first
+
+
 def test_project_orthant_through_pi34():
     R3 = project(orthant(4), PI34)
     assert R3.A == ()
@@ -368,4 +380,4 @@ def test_int_rows_counts_are_pinned(monkeypatch):
     for module in (linalg, polyhedron, lp, constructions):
         monkeypatch.setattr(module, "_int_rows", counting)
     check_inheritance(orthant(4), pi_matrix(3, 4))
-    assert len(calls) == 40
+    assert len(calls) == 20

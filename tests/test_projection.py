@@ -7,22 +7,32 @@ witness point has shown slack. The references are the routes without
 those reuses: one LP per row for implicit equalities, a full re-prune at
 every step, and `minimize_description` on the eliminated rows. Both must
 return exactly the same rows in the same order.
+
+Given the domain's vertices and rays, `project` prunes by incidence
+instead; its reference is the LP route, which must return the same
+description.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from polycircuits import lp, polyhedron
-from polycircuits.errors import EmptyPolyhedron
+from polycircuits.errors import CorrespondenceViolation, EmptyPolyhedron, NotPointed, ProjectionMismatch
+from polycircuits.inheritance import check_inheritance
 from polycircuits.linalg import dot, vector
 from polycircuits.polyhedron import (
     HPolyhedron,
     LinearMap,
+    _Eliminator,
+    _irredundant_rows,
     implicit_equality_rows,
+    is_pointed,
     minimize_description,
     project,
+    vrep,
 )
 
 
@@ -211,3 +221,172 @@ def test_reference_descriptions_cover_every_case(monkeypatch):
         "empty", "implicit rows", "row settled by a witness", "ray witness",
         "empty projection", "certified rows", "projection with equality rows", "zero row",
     }, seen
+
+
+# ---------------------------------------------------------------------------
+# Projection by incidence against projection by LP
+
+
+def _counting(monkeypatch):
+    """Count LPs and the prunes decided by incidence or handed to the LPs."""
+    seen = Counter()
+    incident, solve = _Eliminator._incident_rows, lp.lp_solve
+
+    def routed(self):
+        keep = incident(self)
+        seen["LP prune" if keep is None else "incidence prune"] += 1
+        seen["ray generators"] += any(g[-1] == 0 for g in self.gens)
+        return keep
+
+    def counting(*args, **kwargs):
+        seen["LP"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(_Eliminator, "_incident_rows", routed)
+    monkeypatch.setattr(lp, "lp_solve", counting)
+    return seen
+
+
+def _random_rational_pair(rng):
+    """`_random_description` under a map with entries like -2..2 over 1, 2 or 3."""
+    m = rng.randint(2, 4)
+    Q = _random_description(rng, m)
+    k = rng.randint(1, min(m, 3))
+    pi = LinearMap(matrix=tuple(
+        tuple(Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2, 3))) for _ in range(m)) for _ in range(k)
+    ))
+    return Q, pi
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_incidence_prune_matches_lp_prune(seed):
+    rng = random.Random(8000 + seed)
+    for _ in range(20):
+        Q, pi = _random_rational_pair(rng)
+        if not is_pointed(Q):
+            continue
+        try:
+            V = vrep(Q)
+        except EmptyPolyhedron:
+            with pytest.raises(EmptyPolyhedron):
+                project(Q, pi)
+            continue
+        assert project(Q, pi, V) == project(Q, pi), (Q, pi)
+
+
+def test_incidence_references_cover_every_case(monkeypatch):
+    # The seeded pairs above have projections pruned by incidence alone,
+    # with no LP, prunes that meet a row tight on every generator, domains
+    # with rays, and images with implicit equalities.
+    seen = set()
+    for seed in range(10):
+        rng = random.Random(8000 + seed)
+        for _ in range(20):
+            Q, pi = _random_rational_pair(rng)
+            if not is_pointed(Q):
+                seen.add("not pointed")
+                continue
+            try:
+                V = vrep(Q)
+            except EmptyPolyhedron:
+                seen.add("empty")
+                continue
+            with monkeypatch.context() as patch:
+                counts = _counting(patch)
+                P = project(Q, pi, V)
+            if not counts["LP"]:
+                seen.add("no LP")
+            if counts["LP prune"]:
+                seen.add("LP fallback")
+            if counts["ray generators"]:
+                seen.add("rays")
+            if P.A:
+                seen.add("equality rows")
+    assert seen == {"not pointed", "empty", "no LP", "LP fallback", "rays", "equality rows"}, seen
+
+
+def test_rows_that_differ_by_an_equality_row_keep_the_last():
+    # On the segment from (0, 0) to (1, 1), x1 <= 1 and x2 <= 1 differ by
+    # the equality row x1 - x2 = 0 and define the same facet, the vertex
+    # (1, 1). The sequential LP prune drops the first, since the second
+    # still implies it; the incidence prune keeps the last of equal tight
+    # sets, the same row.
+    rows = [[1, 0, 1], [0, 1, 1], [-1, 0, 0]]
+    elim = _Eliminator(2, [([1, -1, 0], 1)], rows, gens=[[0, 0, -1], [1, 1, -1]])
+    assert elim._incident_rows() == [1, 2]
+    assert _irredundant_rows(2, [[1, -1, 0]], rows)[0] == [1, 2]
+    Q = HPolyhedron.make(2, A=[[1, -1]], b=[0], B=[[1, 0], [0, 1], [-1, 0]], d=[1, 1, 0])
+    ident = LinearMap(matrix=((1, 0), (0, 1)))
+    assert project(Q, ident, vrep(Q)) == project(Q, ident)
+
+
+def test_a_row_tight_on_every_generator_sends_that_prune_to_the_lps(monkeypatch):
+    # x1 = x2 only as two opposite inequalities: both are tight on every
+    # generator, so the prune solves LPs; the result is unchanged.
+    Q = HPolyhedron.make(2, B=[[1, -1], [-1, 1], [-1, 0], [1, 0]], d=[0, 0, 0, 1])
+    ident = LinearMap(matrix=((1, 0), (0, 1)))
+    reference = project(Q, ident)
+    counts = _counting(monkeypatch)
+    P = project(Q, ident, vrep(Q))
+    assert P == reference and P.A == (vector([1, -1]),)
+    assert counts["LP prune"] > 0 and counts["LP"] > 0
+
+
+def test_rays_are_generators_at_infinity(monkeypatch):
+    # The orthant of R^4 is its vertex 0 and four rays: generators with h = 0.
+    Q = HPolyhedron.make(4, B=[[-int(i == j) for j in range(4)] for i in range(4)], d=[0] * 4)
+    pi = LinearMap(matrix=((2, 1, 0, 0), (0, 0, 2, 1), (0, 1, 0, 1)))
+    reference = project(Q, pi)
+    counts = _counting(monkeypatch)
+    assert project(Q, pi, vrep(Q)) == reference
+    assert counts["ray generators"] > 0 and counts["LP"] == 0
+
+
+def test_a_row_tight_only_on_rays_defines_no_facet():
+    # The ray from 0 along (1, 1), given by y1 - y2 = 0 and y1 >= 0, with the
+    # slack row y1 - y2 <= 1. That row differs from the equality row by its
+    # rhs alone, so only the ray is tight on it, and the ray reaches rank
+    # r - 1 = 1. It defines no facet, since no vertex is tight on it: both
+    # routes drop it.
+    Q = HPolyhedron.make(2, A=[[1, -1]], b=[0], B=[[-1, 0], [1, -1]], d=[0, 1])
+    ident = LinearMap(matrix=((1, 0), (0, 1)))
+    P = project(Q, ident, vrep(Q))
+    assert P == project(Q, ident)
+    assert (P.B, P.d) == (((-1, 0),), (0,))
+
+
+def test_wrong_generators_are_a_correspondence_violation():
+    square = HPolyhedron.make(2, B=[[-1, 0], [0, -1], [1, 0], [0, 1]], d=[0, 0, 1, 1])
+    bigger = HPolyhedron.make(2, B=[[-1, 0], [0, -1], [1, 0], [0, 1]], d=[0, 0, 2, 2])
+    with pytest.raises(CorrespondenceViolation):
+        project(square, LinearMap(matrix=((1, 1),)), vrep(bigger))
+
+
+@pytest.mark.parametrize(
+    "Q, pi, P_desc, error, match",
+    [
+        # the image is a halfplane: the image is tested for a lineality
+        # space before the domain
+        (HPolyhedron.make(2, B=[[1, 0]], d=[1], name="halfplane"), ((1, 0), (0, 1)), None,
+         NotPointed, "projection image"),
+        (HPolyhedron.make(2, B=[[-1, 0], [1, 0]], d=[0, 1], name="strip"), ((1, 0),), None,
+         NotPointed, "strip"),
+        # a wrong image description is found before either lineality space
+        (HPolyhedron.make(2, B=[[-1, 0], [1, 0]], d=[0, 1], name="strip"), ((1, 0),),
+         HPolyhedron.make(1, B=[[-1], [1]], d=[0, 2]), ProjectionMismatch, "not the image"),
+        (HPolyhedron.make(2, B=[[1, 0], [-1, 0]], d=[-1, 0], name="emptystrip"), ((1, 0),), None,
+         EmptyPolyhedron, "emptystrip"),
+    ],
+    ids=["image-halfplane", "strip", "strip-wrong-image", "empty-strip"],
+)
+def test_nonpointed_domain_keeps_the_lp_route_and_its_errors(monkeypatch, Q, pi, P_desc, error, match):
+    counts = _counting(monkeypatch)
+    with pytest.raises(error, match=match):
+        check_inheritance(Q, LinearMap(matrix=pi), P_desc)
+    assert counts["LP"] > 0 and counts["incidence prune"] + counts["LP prune"] == 0
+
+
+def test_empty_pointed_domain_raises_empty_polyhedron():
+    empty = HPolyhedron.make(1, B=[[1], [-1]], d=[-1, 0], name="empty")
+    with pytest.raises(EmptyPolyhedron, match="empty"):
+        check_inheritance(empty, LinearMap(matrix=((1,),)))
