@@ -23,7 +23,8 @@ from .errors import (
 )
 from .linalg import (
     Vector,
-    _int_rows,
+    _int_vector,
+    _scaled_row,
     canonicalize_direction,
     dot,
     frac,
@@ -48,7 +49,6 @@ from .lp import is_feasible
 from .polyhedron import (
     HPolyhedron,
     LinearMap,
-    _scaled_row,
     cartesian_product,
     edge_directions,
     project,
@@ -334,7 +334,7 @@ def _parallelogram(mid: Vector, delta: Vector, z: Vector, eps: Fraction, name: s
     n = len(mid)
     eqs, erhs = [], []
     for normal in kernel_basis(matrix([delta, z]), n):
-        row, rhs = _scaled_row(_int_rows([(*normal, dot(normal, mid))])[0])
+        row, rhs = _scaled_row(_int_vector((*normal, dot(normal, mid)))[0])
         eqs.append(row)
         erhs.append(rhs)
     svec = vec_scale(Fraction(2) / dot(delta, delta), delta)
@@ -342,7 +342,7 @@ def _parallelogram(mid: Vector, delta: Vector, z: Vector, eps: Fraction, name: s
     ineqs, irhs = [], []
     for ssign, tsign in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         normal = vec_add(vec_scale(frac(ssign), svec), vec_scale(frac(tsign), tvec))
-        row, rhs = _scaled_row(_int_rows([(*normal, Fraction(1) + dot(normal, mid))])[0])
+        row, rhs = _scaled_row(_int_vector((*normal, Fraction(1) + dot(normal, mid)))[0])
         ineqs.append(row)
         irhs.append(rhs)
     return HPolyhedron.make(n, A=eqs, b=erhs, B=ineqs, d=irhs, name=name)

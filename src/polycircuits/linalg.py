@@ -6,16 +6,18 @@ row tuples, so values are immutable and hashable and can be used as set
 members directly. The one exception is `canonicalize_direction`: a line
 through the origin is named by its primitive integer representative, a
 tuple of Python ints (`Fraction(k) == k`, with the same hash and `str`).
-Inside, elimination and `dot` run on Python ints: rows are scaled to
-integers (`_int_rows`) and reduced by one fraction-free insertion step
-(`_insert`, Bareiss 1968), folded over a whole matrix by `_fold`. The
-subset walk `_subset_lines` finds the kernel line of every independent
-k-subset of rows: it eliminates each shared (k-1)-prefix once, depth
-first, and stops one row early, reducing each later row to its two
-coordinates on the prefix's two-dimensional kernel, which gives one line
-per parallel class of those pairs with no echelon form at the leaves.
-`dot` sums integer products over one common denominator, so the costly
-Fraction normalizations happen once per output entry.
+Inside, elimination and `dot` run on Python ints, and this module alone
+decides how rationals become integers and how integers are reduced:
+`_int_vector` (row by row, `_int_rows`) writes a vector as integers over
+the lcm of its denominators, `_primitive` divides an integer vector by
+its gcd and keeps its sign, `_scaled_row` gives an integer row [a | rhs]
+as its primitive normal and rhs, and `_canonical` names a line. Rows are
+reduced by one fraction-free insertion step (`_insert`, Bareiss 1968),
+folded over a whole matrix by `_fold`. The subset walk `_subset_lines`
+finds the kernel line of every independent k-subset of rows, eliminating
+each shared (k-1)-prefix once and stopping one row early. `dot` sums
+integer products over one common denominator, so the costly Fraction
+normalizations happen once per output entry.
 """
 
 from __future__ import annotations
@@ -118,21 +120,35 @@ def matmul(M: Sequence[Sequence[Fraction]], N: Sequence[Sequence[Fraction]]) -> 
     return tuple(tuple(dot(row, col) for col in NT) for row in M)
 
 
+def _int_vector(v: Sequence[Fraction]) -> tuple[list[int], int]:
+    """v as num / den: Python ints num and den > 0, the lcm of the denominators of v (ints or Fractions)."""
+    dens = [x.denominator for x in v]
+    den = lcm(*dens)
+    if den == 1:
+        return [x.numerator for x in v], 1
+    return [x.numerator * (den // d) for x, d in zip(v, dens)], den
+
+
 def _int_rows(M: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """Each row times the lcm of its denominators, as Python ints.
+    """Each row times the lcm of its denominators (`_int_vector`).
 
     Positive row scaling leaves rank, kernel, RREF and the solution set of
     an augmented system unchanged, so elimination may run on these rows.
     """
-    out = []
-    for row in M:
-        dens = [x.denominator for x in row]
-        den = lcm(*dens)
-        if den == 1:
-            out.append([x.numerator for x in row])
-        else:
-            out.append([x.numerator * (den // d) for x, d in zip(row, dens)])
-    return out
+    return [_int_vector(row)[0] for row in M]
+
+
+def _primitive(v: Sequence[int]) -> tuple[list[int], int]:
+    """An integer vector over the gcd g > 0 of its entries, and g; the sign
+    is kept, and a zero vector comes back as it is, with g = 1."""
+    g = gcd(*v) or 1
+    return [x // g for x in v], g
+
+
+def _scaled_row(row: Sequence[int]) -> tuple[Vector, Fraction]:
+    """A nonzero integer row [a | rhs] as its primitive integer normal and rhs, keeping orientation."""
+    normal, g = _primitive(row[:-1])
+    return tuple(map(Fraction, normal)), Fraction(row[-1], g)
 
 
 def _insert(
@@ -275,10 +291,8 @@ def _kernel_vector(
     v[free] = det
     for R, p in zip(rows, pivots):
         v[p] = -R[free]
-    g = gcd(*v)
-    if det < 0:
-        g = -g
-    return [k // g for k in v]
+    v, _ = _primitive(v)
+    return v if det > 0 else [-k for k in v]
 
 
 def _kernel(echelon: _Echelon, ncols: int) -> list[list[int]]:
@@ -337,11 +351,7 @@ def primitive(v: Sequence[Fraction]) -> Vector:
 
     The sign pattern is preserved; the zero vector maps to itself.
     """
-    ints = _int_rows([v])[0]
-    g = gcd(*ints)
-    if g == 0:
-        return vector(v)
-    return tuple(Fraction(k // g) for k in ints)
+    return tuple(map(Fraction, _primitive(_int_vector(v)[0])[0]))
 
 
 def _canonical(v: Sequence[int]) -> Direction:
@@ -357,4 +367,4 @@ def _canonical(v: Sequence[int]) -> Direction:
 
 def canonicalize_direction(v: Sequence[Fraction]) -> Direction:
     """Canonical line representative, as ints: primitive with first nonzero entry > 0."""
-    return _canonical(_int_rows([v])[0])
+    return _canonical(_int_vector(v)[0])

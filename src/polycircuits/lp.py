@@ -52,7 +52,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .errors import CorrespondenceViolation
-from .linalg import ONE, ZERO, Vector, _int_rows, dot, vector
+from .linalg import ONE, ZERO, Vector, _int_vector, dot, vector
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -165,7 +165,7 @@ class _StandardLP:
         dual_sign = sign[:p] + [1] * (m - p)
 
         # Phase 2 on the real columns.
-        *cost, scale = _int_rows([[*self.c, ONE]])[0]
+        cost, scale = _int_vector(self.c)
         tab[m], den[m] = self._reduced_costs(tab, den, basis, cost + [-x for x in cost] + [0] * (m + 1), scale)
         enter = self._iterate(tab, den, basis, eligible=nz)
         if enter is not None:

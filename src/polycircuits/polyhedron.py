@@ -4,18 +4,19 @@ Descriptions matter here: several quantities computed downstream
 (circuits in particular) depend on the literal row system, not just on
 the point set, so operations never silently rewrite a description. Rows
 are promoted or dropped only by `minimize_description` and by `project`;
-both share one row normalizer (`_scaled_row`) and one redundancy pass
-(`_irredundant_rows`), whose syntactic part (`_distinct_rows`) the
-incidence prune of `project` shares. No circuit, basic solution, edge or
-slack sign changes when a row and its right-hand side are scaled by a
-positive number, so the rows of a description become integers once, in
-its cached view `_IntRows`, which the walks, the slack tests and the
-simplex read. Fourier-Motzkin (`_Eliminator`) keeps integer rows of its
-own.
+both share one redundancy pass (`_irredundant_rows`), whose syntactic
+part (`_distinct_rows`) the incidence prune of `project` shares. No
+circuit, basic solution, edge, slack sign or redundancy test changes
+when a row and its right-hand side are scaled by a positive number, so
+a description's rows become integers once, in its cached view `_IntRows`,
+and stay integers through the walks, the slack tests, the simplex,
+Fourier-Motzkin (`_Eliminator`) and the redundancy pass; the edge walk
+reads the vertex walk's integer lines. `linalg` makes and reduces the
+integers, and Fractions are made only for what a caller gets back.
 
 Each description is walked once. `HPolyhedron` caches its circuit walk
-(`_circuit_lines`), its vertex walk (`_vrep`: vertices, rays and
-tight-row masks) and its edge walk (`_edges`) on first use;
+(`_circuit_lines`), its vertex walk (`_vrep`: vertices, rays, integer
+vertex lines and tight-row masks) and its edge walk (`_edges`) on first use;
 `enumerate_circuits`, `vrep` and `edge_directions` read those caches. A
 cache hit runs no walk and charges no work budget; a walk that raises,
 `BudgetExceeded` included, is not cached. The cache belongs to the object: a `renamed` copy or any new
@@ -47,7 +48,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from math import comb, gcd, lcm
+from math import comb
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -70,8 +71,11 @@ from .linalg import (
     _canonical,
     _fold,
     _int_rows,
+    _int_vector,
     _kernel,
+    _primitive,
     _rank_upto,
+    _scaled_row,
     _subset_lines,
     dot,
     identity,
@@ -83,7 +87,6 @@ from .linalg import (
     transpose,
     unit_vector,
     vec_scale,
-    vec_sub,
     vector,
     zero_vector,
 )
@@ -148,7 +151,7 @@ class HPolyhedron:
         return _circuit_lines(self)
 
     @cached_property
-    def _vertex_walk(self) -> tuple["VRep", tuple[int, ...]]:
+    def _vertex_walk(self) -> tuple["VRep", tuple[Direction, ...], tuple[int, ...]]:
         return _vrep(self)
 
     @cached_property
@@ -157,7 +160,7 @@ class HPolyhedron:
 
     def _slacks_at(self, x: Sequence[Fraction]) -> tuple[list[int], list[int]]:
         """The `_slacks` of the A rows and of the B rows at the point x."""
-        num, den = _point(vector(x))
+        num, den = _int_vector(vector(x))
         if len(num) != self.n:
             raise ValueError(f"point has length {len(num)}, polyhedron dimension is {self.n}")
         return _slacks(self._ints.A, num, den), _slacks(self._ints.B, num, den)
@@ -181,20 +184,14 @@ class _IntRows:
     solution."""
 
     def __init__(self, P: HPolyhedron):
-        rows = _int_rows([(*row, rhs, ONE) for row, rhs in zip((*P.A, *P.B), (*P.b, *P.d))])
-        self.scale = [row.pop() for row in rows]
+        ints = [_int_vector((*row, rhs)) for row, rhs in zip((*P.A, *P.B), (*P.b, *P.d))]
+        rows, self.scale = [num for num, _ in ints], [den for _, den in ints]
         self.A, self.B = rows[: len(P.A)], rows[len(P.A) :]
         self.n = P.n
 
     @cached_property
     def base(self) -> _Echelon:
         return _fold(_EMPTY, self.A, self.n + 1)
-
-
-def _point(x: Sequence[Fraction]) -> tuple[list[int], int]:
-    """x as num / den, den > 0 the lcm of its denominators."""
-    den = lcm(*(v.denominator for v in x))
-    return [v.numerator * (den // v.denominator) for v in x], den
 
 
 def _slacks(rows: Sequence[Sequence[int]], num: Sequence[int], den: int) -> list[int]:
@@ -272,15 +269,15 @@ def _implicit_rows(P: HPolyhedron, x: Vector) -> tuple[int, ...]:
     decreases slack.
     """
     B = P._ints.B
-    slack = [s > 0 for s in _slacks(B, *_point(x))]
+    slack = [s > 0 for s in _slacks(B, *_int_vector(x))]
     for i, row in enumerate(P.B):
         if slack[i]:
             continue
         res = lp.lp_solve(tuple(-v for v in row), P)
         if res.point is not None:
-            num, den = _point(res.point)
+            num, den = _int_vector(res.point)
         else:  # P holds x, so the LP is unbounded
-            num, den = _point(res.ray)[0], 0
+            num, den = _int_vector(res.ray)[0], 0
         slack = [s or t > 0 for s, t in zip(slack, _slacks(B, num, den))]
     return tuple(i for i, s in enumerate(slack) if not s)
 
@@ -298,7 +295,8 @@ def minimize_description(P: HPolyhedron) -> HPolyhedron:
     The result has full-row-rank A and each inequality row facet-defining.
     """
     Q = _promoted(P, implicit_equality_rows(P))  # raises on empty input
-    _, B, d = _irredundant_rows(Q.n, Q._ints.A, Q._ints.B)
+    keep = _irredundant_rows(Q.n, Q._ints.A, Q._ints.B)
+    B, d = tuple(zip(*(_scaled_row(Q._ints.B[i]) for i in keep))) or ((), ())
     return replace(Q, B=B, d=d)
 
 
@@ -318,50 +316,45 @@ def _promoted(P: HPolyhedron, implicit: Sequence[int]) -> HPolyhedron:
     )
 
 
-def _scaled_row(row: Sequence[int]) -> tuple[Vector, Fraction]:
-    """A nonzero integer row [a | rhs] as its primitive integer normal and rhs, keeping orientation."""
-    g = gcd(*row[:-1])
-    return tuple(Fraction(x // g) for x in row[:-1]), Fraction(row[-1], g)
-
-
-def _distinct_rows(B: Sequence[Sequence[int]]) -> dict[Vector, tuple[Fraction, int]]:
-    """The syntactic pass of `_irredundant_rows`: each `_scaled_row` normal of
-    the integer rows B, in order of first appearance, mapped to its least
-    rhs and the first row index that has it. Zero rows are left out."""
-    seen: dict[Vector, tuple[Fraction, int]] = {}
+def _distinct_rows(B: Sequence[Sequence[int]]) -> list[int]:
+    """The syntactic pass of `_irredundant_rows`: the integer rows B grouped by their
+    `_primitive` normal, in order of each group's first row, and the index of each
+    group's first row with the least rhs over its normal's gcd."""
+    seen: dict[tuple[int, ...], tuple[int, int, int]] = {}
     for i, row in enumerate(B):
-        if any(row[:-1]):  # 0 <= d is vacuous for feasible P
-            key, val = _scaled_row(row)
-            if key not in seen or val < seen[key][0]:
-                seen[key] = (val, i)
-    return seen
+        normal, g = _primitive(row[:-1])
+        key = tuple(normal)  # a zero row is left out: 0 <= d is vacuous for feasible P
+        if any(key) and (key not in seen or row[-1] * seen[key][1] < seen[key][0] * g):
+            seen[key] = (row[-1], g, i)
+    return [i for _, _, i in seen.values()]
 
 
 def _irredundant_rows(
     n: int, A: Sequence[Sequence[int]], B: Sequence[Sequence[int]], certified: Optional[Sequence[bool]] = None
-) -> tuple[list[int], Matrix, Vector]:
-    """The integer rows [a | rhs] of B that no other row of {A, B} implies.
+) -> list[int]:
+    """The indices of the integer rows [a | rhs] of B that no other row of {A, B} implies.
 
-    Returns their indices and their `_scaled_row` normals and right-hand
-    sides. A cheap syntactic pass comes first (`_distinct_rows`): of each
-    group of parallel rows only the tightest stays. Then one LP per
-    remaining row, in that order, drops it when the rest imply it. A row
-    flagged in `certified` is known to be implied by no set of the other
-    rows, so it runs no LP and stays; every other row sees the same rest as
-    without the flags.
+    A cheap syntactic pass comes first (`_distinct_rows`): of each group of
+    parallel rows only the tightest stays. Then one LP per remaining row,
+    in that order, drops it when the rest imply it; the LPs read the
+    integer rows as they are, since scaling a row by a positive number
+    changes neither the polyhedron nor the simplex's pivots. A row flagged
+    in `certified` is known to be implied by no set of the other rows, so
+    it runs no LP and stays; every other row sees the same rest as without
+    the flags.
     """
-    seen = _distinct_rows(B)
-    normals, d, keep = list(seen), [v for v, _ in seen.values()], [i for _, i in seen.values()]
-    eqs = tuple(tuple(map(Fraction, row[:-1])) for row in A), tuple(Fraction(row[-1]) for row in A)
+    keep = _distinct_rows(B)
+    eqs = tuple(row[:-1] for row in A), tuple(row[-1] for row in A)
     k = 0
     while k < len(keep):
         if certified is None or not certified[keep[k]]:
-            rest = HPolyhedron(n, *eqs, tuple(normals[:k] + normals[k + 1 :]), tuple(d[:k] + d[k + 1 :]))
-            if lp.is_implied(normals[k], d[k], rest):
-                del normals[k], d[k], keep[k]
+            rest = [B[i] for i in keep[:k] + keep[k + 1 :]]
+            P = HPolyhedron(n, *eqs, tuple(row[:-1] for row in rest), tuple(row[-1] for row in rest))
+            if lp.is_implied(B[keep[k]][:-1], B[keep[k]][-1], P):
+                del keep[k]
                 continue
         k += 1
-    return keep, tuple(normals), tuple(d)
+    return keep
 
 
 def _basic_points(P: HPolyhedron, what: str) -> dict[Direction, list[int]]:
@@ -430,9 +423,10 @@ def _circuit_lines(P: HPolyhedron) -> tuple[tuple[Direction, ...], tuple[Directi
     return (), tuple(lines)
 
 
-def _vrep(P: HPolyhedron) -> tuple[VRep, tuple[int, ...]]:
-    """The vertices and extreme rays of a pointed P, and the tight-row mask
-    of each vertex, in vertex order; NotPointed when P has a lineality space.
+def _vrep(P: HPolyhedron) -> tuple[VRep, tuple[Direction, ...], tuple[int, ...]]:
+    """The vertices and extreme rays of a pointed P, and the integer line
+    (den, *num) and the tight-row mask of each vertex, in vertex order;
+    NotPointed when P has a lineality space.
 
     The vertices are the feasible basic solutions; a pointed polyhedron
     with none is empty (EmptyPolyhedron). The extreme rays are the
@@ -458,7 +452,7 @@ def _vrep(P: HPolyhedron) -> tuple[VRep, tuple[int, ...]]:
             rays.append(tuple(-x for x in g))
     vertices = BasicSolutionSet.of(masks)
     V = VRep(vertices=vertices.points, rays=tuple(sorted(rays)))
-    return V, tuple(masks[v] for v in vertices.lines)
+    return V, vertices.lines, tuple(masks[v] for v in vertices.lines)
 
 
 def vrep(P: HPolyhedron) -> VRep:
@@ -478,16 +472,18 @@ def _edges(P: HPolyhedron) -> CircuitSet:
     For two points u, v of P the rows tight at their midpoint are exactly
     the rows tight at both, so u and v are adjacent iff the rows in
     `mask(u) & mask(v)`, with A, have rank exactly n - 1; a vertex with
-    itself reaches rank n.
+    itself reaches rank n. The direction of an edge comes from the
+    vertices' integer lines: u - v is a positive multiple of
+    num_u den_v - num_v den_u, whose `_canonical` names the line.
     """
-    V, masks = P._vertex_walk
+    V, lines, masks = P._vertex_walk
     base, B, n = P._ints.base, P._ints.B, P.n
-    dirs = list(V.rays)
-    for (u, mu), (v, mv) in itertools.combinations(zip(V.vertices, masks), 2):
+    dirs = {_canonical(r) for r in V.rays}
+    for (u, mu), (v, mv) in itertools.combinations(zip(lines, masks), 2):
         rows = [row for i, row in enumerate(B) if (mu & mv) >> i & 1]
         if _rank_upto(base, rows, n, n) == n - 1:
-            dirs.append(vec_sub(u, v))
-    return CircuitSet.of(dirs)
+            dirs.add(_canonical([x * v[0] - y * u[0] for x, y in zip(u[1:], v[1:])]))
+    return CircuitSet(directions=tuple(sorted(dirs)))
 
 
 def cartesian_product(P1: HPolyhedron, P2: HPolyhedron) -> HPolyhedron:
@@ -538,12 +534,6 @@ def slack_standard_form(P: HPolyhedron) -> HPolyhedron:
         d=zero_vector(q),
         name=f"slack({P.name})" if P.name else "",
     )
-
-
-def _divided(row: list[int]) -> tuple[list[int], int]:
-    """row over the gcd g of its entries, and g (1 for a zero row)."""
-    g = gcd(*row) or 1
-    return [x // g for x in row], g
 
 
 class _Eliminator:
@@ -633,7 +623,7 @@ class _Eliminator:
 
             def subst(r: list[int]) -> tuple[list[int], int]:
                 # p * r - r[j] * prow over its gcd g: p / g times r - r[j] / p * prow
-                return _divided([p * x - r[j] * y for x, y in zip(r, prow)]) if r[j] else (r, p)
+                return _primitive([p * x - r[j] * y for x, y in zip(r, prow)]) if r[j] else (r, p)
 
             subs = [(subst(r), scale) for r, scale in self.eqs]
             self.eqs = [(r, scale * Fraction(p, g)) for (r, g), scale in subs]
@@ -643,7 +633,7 @@ class _Eliminator:
             neg = [r for r in self.ineqs if r[j] < 0]
             kept = [i for i, r in enumerate(self.ineqs) if r[j] == 0]
             rows = [self.ineqs[i] for i in kept]
-            rows += [_divided([-rn[j] * x + rp[j] * y for x, y in zip(rp, rn)])[0] for rp in pos for rn in neg]
+            rows += [_primitive([-rn[j] * x + rp[j] * y for x, y in zip(rp, rn)])[0] for rp in pos for rn in neg]
             self.certified = [self.certified[i] for i in kept] + [False] * (len(rows) - len(kept))
             self.ineqs = rows
         del self.live[j]
@@ -656,7 +646,7 @@ class _Eliminator:
         """Trim duplicates and redundant inequality rows, by incidence when it can."""
         keep = None if self.gens is None else self._incident_rows()
         if keep is None:
-            keep, _, _ = _irredundant_rows(len(self.live), [r for r, _ in self.eqs], self.ineqs, self.certified)
+            keep = _irredundant_rows(len(self.live), [r for r, _ in self.eqs], self.ineqs, self.certified)
         self.ineqs = [self.ineqs[i] for i in keep]
         self.certified = [True] * len(self.ineqs)
 
@@ -672,7 +662,7 @@ class _Eliminator:
         when a row is tight on every generator."""
         width = len(self.live) + 1
         r = len(_fold(_EMPTY, self.gens, width)[1])
-        keep = [i for _, i in _distinct_rows(self.ineqs).values()]
+        keep = _distinct_rows(self.ineqs)
         masks, last = [], {}
         for i in keep:
             mask = tuple(self._tight(self.ineqs[i]))
@@ -726,8 +716,8 @@ def project(P: HPolyhedron, pi: LinearMap, V: Optional[VRep] = None) -> HPolyhed
         y, gens = _feasible_point(P), None
     else:
         y = V.vertices[0]
-        gens = [_point((*pi(v), *v, -ONE))[0] for v in V.vertices]
-        gens += [_point((*pi(w), *w, ZERO))[0] for w in V.rays]
+        gens = [_int_vector((*pi(v), *v, -ONE))[0] for v in V.vertices]
+        gens += [_int_vector((*pi(w), *w, ZERO))[0] for w in V.rays]
 
     # The graph row x_i - pi_i y = 0 has x_i coefficient 1, so its integer
     # row is its own multiple by the entry there.

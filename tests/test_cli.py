@@ -233,6 +233,29 @@ def test_no_function_takes_a_budget_parameter():
     assert found == []
 
 
+def test_linalg_alone_makes_and_reduces_integers():
+    # how a rational vector becomes integers, and how an integer vector or
+    # row is reduced, is decided once, in linalg; polyhedron and
+    # constructions call its helpers and do no gcd or lcm of their own
+    package = Path(polycircuits.__file__).resolve().parent
+    helpers = {"_int_vector", "_primitive", "_scaled_row"}
+    found = []
+    for path in sorted(package.glob("*.py")):
+        geometry = path.name in ("polyhedron.py", "constructions.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                if geometry and names & {"gcd", "lcm"}:
+                    found.append(f"{path.name}:{node.lineno} imports gcd or lcm")
+                if names & helpers and node.module not in ("linalg", "polycircuits.linalg"):
+                    found.append(f"{path.name}:{node.lineno} imports a normalizer from {node.module}")
+            elif geometry and isinstance(node, ast.Attribute) and node.attr in ("gcd", "lcm"):
+                found.append(f"{path.name}:{node.lineno} uses {node.attr}")
+            elif isinstance(node, ast.FunctionDef) and node.name in helpers and path.name != "linalg.py":
+                found.append(f"{path.name}:{node.lineno} defines {node.name}")
+    assert found == []
+
+
 def test_only_circuits_imports_the_walk_internals():
     # each description caches its own walks; every other module asks for
     # circuits, vertices and edges through the public functions

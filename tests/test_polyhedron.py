@@ -360,24 +360,26 @@ def test_affine_image_and_preimage_roundtrip():
 
 
 def test_int_rows_counts_are_pinned(monkeypatch):
-    # A description's rows become integers once, in its `_ints` view. The
-    # other calls scale an LP objective, a projection's graph rows or a
-    # direction to canonicalize; a direction that is already canonical is
-    # looked up as it is. So rescaling the rows of a description that
-    # already has its view adds calls, and a change that does so must
-    # update this count on purpose.
+    # Every rational vector becomes integers through `linalg._int_vector`
+    # (`_int_rows` maps it over rows). A description's rows become integers
+    # once, one call per row, in its `_ints` view. The other calls scale an
+    # LP objective, a projection's graph rows and generators, or a direction
+    # to canonicalize; a direction that is already canonical is looked up as
+    # it is. So rescaling the rows of a description that already has its
+    # view adds calls, and a change that does so must update this count on
+    # purpose.
     from polycircuits import constructions, linalg, lp, polyhedron
     from polycircuits.constructions import orthant, pi_matrix
     from polycircuits.inheritance import check_inheritance
 
     calls = []
-    scale = linalg._int_rows
+    scale = linalg._int_vector
 
-    def counting(M):
-        calls.append(M)
-        return scale(M)
+    def counting(v):
+        calls.append(v)
+        return scale(v)
 
     for module in (linalg, polyhedron, lp, constructions):
-        monkeypatch.setattr(module, "_int_rows", counting)
+        monkeypatch.setattr(module, "_int_vector", counting)
     check_inheritance(orthant(4), pi_matrix(3, 4))
-    assert len(calls) == 20
+    assert len(calls) == 29

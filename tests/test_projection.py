@@ -314,7 +314,7 @@ def test_rows_that_differ_by_an_equality_row_keep_the_last():
     rows = [[1, 0, 1], [0, 1, 1], [-1, 0, 0]]
     elim = _Eliminator(2, [([1, -1, 0], 1)], rows, gens=[[0, 0, -1], [1, 1, -1]])
     assert elim._incident_rows() == [1, 2]
-    assert _irredundant_rows(2, [[1, -1, 0]], rows)[0] == [1, 2]
+    assert _irredundant_rows(2, [[1, -1, 0]], rows) == [1, 2]
     Q = HPolyhedron.make(2, A=[[1, -1]], b=[0], B=[[1, 0], [0, 1], [-1, 0]], d=[1, 1, 0])
     ident = LinearMap(matrix=((1, 0), (0, 1)))
     assert project(Q, ident, vrep(Q)) == project(Q, ident)

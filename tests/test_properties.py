@@ -10,12 +10,15 @@ vertices by subset enumeration, with no LP. A description's integer
 rows are positive multiples of its rows, so its slack tests must agree
 with Fraction dot products. The subset walks behind circuits, basic
 solutions, vertices and edges must agree with the per-subset references
-of `test_subsets.py` on degenerate descriptions. The examples are
+of `test_subsets.py` on degenerate descriptions. The integer normalizers
+of `linalg` and the syntactic redundancy pass must agree with the
+Fraction formulas they replace, which live here. The examples are
 derandomized, so every run checks the same ones.
 """
 
 from fractions import Fraction
-from math import gcd
+from functools import reduce
+from math import gcd, lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,9 +27,9 @@ from polycircuits import jsonio
 from polycircuits.circuits import basic_solutions, enumerate_circuits
 from polycircuits.directions import CircuitSet
 from polycircuits.errors import EmptyPolyhedron
-from polycircuits.linalg import canonicalize_direction, dot
+from polycircuits.linalg import _int_vector, _primitive, _scaled_row, canonicalize_direction, dot
 from polycircuits.lp import INFEASIBLE, OPTIMAL, lp_solve
-from polycircuits.polyhedron import HPolyhedron, edge_directions, vrep
+from polycircuits.polyhedron import HPolyhedron, _distinct_rows, edge_directions, vrep
 from test_subsets import (
     _check_basic_solution_set,
     _outcome,
@@ -215,3 +218,78 @@ def test_subset_walks_match_per_subset_references(P):
     _check_basic_solution_set(sols)
     assert _outcome(vrep, P) == _outcome(_ref_vrep, P)
     assert _outcome(edge_directions, P) == _outcome(_ref_edge_directions, P)
+
+
+# Vectors of length 0 to 4 with Fraction or int entries; zero and negative
+# entries, and so zero vectors, occur.
+mixed_vectors = st.integers(0, 4).flatmap(
+    lambda n: st.lists(st.one_of(rationals, st.integers(-6, 6)), min_size=n, max_size=n)
+)
+int_vectors = st.integers(0, 4).flatmap(lambda n: st.lists(st.integers(-12, 12), min_size=n, max_size=n))
+
+
+def _ref_scaled_row(row):
+    """The Fraction formula: the normal a and the rhs of [a | rhs], each over the gcd of a."""
+    g = reduce(gcd, row[:-1], 0)
+    return tuple(Fraction(x) / g for x in row[:-1]), Fraction(row[-1]) / g
+
+
+def _ref_distinct_rows(B):
+    """Group the nonzero rows by their `_ref_scaled_row` normal and keep, in
+    order of each group's first row, the first row with the least scaled rhs."""
+    seen = {}
+    for i, row in enumerate(B):
+        if any(row[:-1]):
+            key, val = _ref_scaled_row(row)
+            if key not in seen or val < seen[key][0]:
+                seen[key] = (val, i)
+    return [i for _, i in seen.values()]
+
+
+@PROPERTY
+@given(mixed_vectors)
+def test_int_vector_writes_a_vector_over_the_lcm_of_its_denominators(v):
+    num, den = _int_vector(v)
+    assert type(den) is int and den == reduce(lcm, (Fraction(x).denominator for x in v), 1)
+    assert all(type(x) is int for x in num)
+    assert [Fraction(x, den) for x in num] == [Fraction(x) for x in v]
+
+
+@PROPERTY
+@given(int_vectors)
+def test_primitive_is_a_coprime_positive_submultiple(v):
+    w, g = _primitive(v)
+    assert type(g) is int and g > 0
+    assert [Fraction(x, g) for x in v] == w
+    assert reduce(gcd, w, 0) == (1 if any(v) else 0)
+
+
+@PROPERTY
+@given(int_vectors.filter(lambda v: any(v[:-1])))
+def test_scaled_row_equals_the_fraction_formula(row):
+    normal, rhs = _scaled_row(row)
+    assert (normal, rhs) == _ref_scaled_row(row)
+    assert all(type(x) is Fraction for x in (*normal, rhs))
+
+
+@st.composite
+def parallel_rows(draw):
+    """Integer rows [a | rhs], many of them positive or negative multiples
+    of a few normals with assorted right-hand sides, zero rows included."""
+    n = draw(st.integers(1, 3))
+    normals = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=1, max_size=3))
+    rows = draw(
+        st.lists(
+            st.tuples(st.sampled_from(normals), st.sampled_from([-2, -1, 1, 2, 3]), st.integers(-6, 6)).map(
+                lambda t: [t[1] * x for x in t[0]] + [t[2]]
+            ),
+            max_size=8,
+        )
+    )
+    return rows + draw(st.lists(st.lists(st.integers(-4, 4), min_size=n + 1, max_size=n + 1), max_size=2))
+
+
+@PROPERTY
+@given(parallel_rows())
+def test_distinct_rows_keeps_what_fraction_keys_keep(B):
+    assert _distinct_rows(B) == _ref_distinct_rows(B)
