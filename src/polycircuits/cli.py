@@ -69,6 +69,14 @@ def _rational(text: str) -> str:
     return text
 
 
+def _sizes(text: str) -> tuple[int, ...]:
+    """A `--sizes` value, comma-separated integers such as 1,4."""
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
+
+
 def _need(value, flag: str, name: str):
     if value is None:
         raise PreconditionViolation(f"construct {name} requires {flag}")
@@ -93,8 +101,7 @@ def _construct_payload(args) -> dict:
     if name == "transport":
         n = int(_need(args.n, "--n", name))
         k = int(_need(args.k, "--k", name))
-        sizes = tuple(int(s) for s in _need(args.sizes, "--sizes", name).split(","))
-        return jsonio.poly_to_dict(transportation(n, k, sizes))
+        return jsonio.poly_to_dict(transportation(n, k, _need(args.sizes, "--sizes", name)))
     if name == "pi":
         n = int(_need(args.n, "--n", name))
         m = int(_need(args.m, "--m", name))
@@ -173,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=_rational, help="rational like 3/4")
     p.add_argument("--seed", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--sizes", help="comma-separated cluster sizes, e.g. 1,4")
+    p.add_argument("--sizes", type=_sizes, help="comma-separated cluster sizes, e.g. 1,4")
     p.add_argument("--out", help="write here instead of stdout")
     p.set_defaults(func=cmd_construct)
 

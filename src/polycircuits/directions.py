@@ -4,7 +4,8 @@ A direction set stores one primitive integer representative per line
 through the origin (first nonzero entry positive), as a tuple of Python
 ints, sorted, so two sets compare equal iff they describe the same
 collection of lines. Each entry is canonicalized once, by
-`canonicalize_direction`, or comes canonical from the subset walk. A
+`canonicalize_direction`, or comes canonical from the subset walk or
+from a map's integer images (`LinearMap.image_directions`). A
 system with a nontrivial lineality space carries a basis of that
 subspace instead of a finite direction list. A basic solution x is the
 canonical line (den, *num) of (1, x); its Fraction view is built on demand.

@@ -6,11 +6,18 @@ class PolyhedronError(Exception):
 
 
 class EmptyPolyhedron(PolyhedronError):
-    """The feasible region is empty."""
+    """The feasible region is empty; the message reads "<name> is empty"."""
+
+    def __init__(self, name: str):
+        super().__init__(f"{name} is empty")
 
 
 class NotPointed(PolyhedronError):
-    """Operation requires a pointed polyhedron (trivial lineality space)."""
+    """Operation requires a pointed polyhedron (trivial lineality space); the
+    message reads "<name> is not pointed"."""
+
+    def __init__(self, name: str):
+        super().__init__(f"{name} is not pointed")
 
 
 class BudgetExceeded(PolyhedronError):

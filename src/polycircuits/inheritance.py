@@ -28,7 +28,6 @@ from .errors import (
 )
 from .linalg import (
     kernel_basis,
-    mat_vec,
     matrix,
     rank,
     vec_neg,
@@ -170,8 +169,9 @@ def check_inheritance(Q: HPolyhedron, pi: LinearMap, P_desc: Optional[HPolyhedro
 
 def verify_cartesian_law(P1: HPolyhedron, P2: HPolyhedron) -> bool:
     """Circuits of a product are the two factor circuit sets, zero-padded."""
-    if not (is_pointed(P1) and is_pointed(P2)):
-        raise NotPointed("cartesian law needs pointed factors")
+    for P in (P1, P2):
+        if not is_pointed(P):
+            raise NotPointed(P.name or "cartesian law factor")
     lhs = enumerate_circuits(cartesian_product(P1, P2))
     padded = [tuple(g) + tuple(zero_vector(P2.n)) for g in enumerate_circuits(P1)]
     padded += [tuple(zero_vector(P1.n)) + tuple(g) for g in enumerate_circuits(P2)]
@@ -185,8 +185,7 @@ def verify_slack_law(P: HPolyhedron) -> bool:
         raise NotPointed(P.name or "slack law input")
     S = slack_standard_form(P)
     lhs = enumerate_circuits(S)
-    B = matrix(P.B)
-    rhs = CircuitSet.of(mat_vec(B, g) for g in enumerate_circuits(P))
+    rhs = LinearMap(P.B).image_directions(enumerate_circuits(P))
     return set(lhs) == set(rhs)
 
 

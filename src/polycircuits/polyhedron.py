@@ -7,12 +7,14 @@ are promoted or dropped only by `minimize_description` and by `project`;
 both share one redundancy pass (`_irredundant_rows`), whose syntactic
 part (`_distinct_rows`) the incidence prune of `project` shares. No
 circuit, basic solution, edge, slack sign or redundancy test changes
-when a row and its right-hand side are scaled by a positive number, so
-a description's rows become integers once, in its cached view `_IntRows`,
-and stay integers through the walks, the slack tests, the simplex,
-Fourier-Motzkin (`_Eliminator`) and the redundancy pass; the edge walk
-reads the vertex walk's integer lines. `linalg` makes and reduces the
-integers, and Fractions are made only for what a caller gets back.
+when a row and its right-hand side are scaled by a positive number, and
+no image line when the whole map is, so a description's rows become
+integers once, in its cached view `_IntRows`, and a map once, in
+`LinearMap._ints`. They stay integers through the walks, the slack tests,
+the simplex, both row blocks of Fourier-Motzkin (`_Eliminator`) and the
+redundancy pass; the edge walk reads the vertex walk's integer lines.
+`linalg` makes and reduces the integers, and Fractions are made only for
+what a caller gets back.
 
 Each description is walked once. `HPolyhedron` caches its circuit walk
 (`_circuit_lines`), its vertex walk (`_vrep`: vertices, rays, integer
@@ -70,7 +72,6 @@ from .linalg import (
     Vector,
     _canonical,
     _fold,
-    _int_rows,
     _int_vector,
     _kernel,
     _primitive,
@@ -85,7 +86,6 @@ from .linalg import (
     rank,
     row_space_basis_indices,
     transpose,
-    unit_vector,
     vec_scale,
     vector,
     zero_vector,
@@ -202,7 +202,8 @@ def _slacks(rows: Sequence[Sequence[int]], num: Sequence[int], den: int) -> list
 
 @dataclass(frozen=True)
 class LinearMap:
-    """x -> M x."""
+    """x -> M x. `_ints`, built on first use, is (N, D): D > 0 the lcm of every
+    denominator of M and N = D M; one D for all rows keeps the line of each image."""
 
     matrix: Matrix
     name: str = ""
@@ -214,12 +215,20 @@ class LinearMap:
     def in_dim(self, default: int = 0) -> int:
         return len(self.matrix[0]) if self.matrix else default
 
+    @cached_property
+    def _ints(self) -> tuple[list[list[int]], int]:
+        num, D = _int_vector([x for row in self.matrix for x in row])
+        w = self.in_dim()
+        return [num[i * w : (i + 1) * w] for i in range(self.out_dim)], D
+
     def __call__(self, x: Sequence[Fraction]) -> Vector:
         return mat_vec(self.matrix, x)
 
-    def image_directions(self, dirs: Iterable[Sequence[Fraction]]) -> CircuitSet:
-        """Canonical nonzero images of a direction collection."""
-        return CircuitSet.of(map(self, dirs))
+    def image_directions(self, dirs: Iterable[Sequence[int]]) -> CircuitSet:
+        """The lines of the nonzero images N g of integer directions g, canonical and sorted."""
+        N = self._ints[0]
+        lines = {_canonical([sum(map(mul, row, g)) for row in N]) for g in dirs}
+        return CircuitSet(directions=tuple(sorted(c for c in lines if any(c))))
 
 
 @dataclass(frozen=True)
@@ -539,11 +548,11 @@ def slack_standard_form(P: HPolyhedron) -> HPolyhedron:
 class _Eliminator:
     """Fourier-Motzkin with equality substitution and exact redundancy pruning.
 
-    Rows are integer lists [a | rhs] over the live variables, and each
-    substitution or combination divides out its gcd. A row is a positive
-    multiple of the one a Fraction elimination (pivot entries scaled to 1)
-    would hold; an equality row carries that multiple, so the result keeps
-    the Fraction elimination's equality rows.
+    Rows, equality and inequality alike, are integer lists [a | rhs] over
+    the live variables, and each substitution or combination divides out
+    its gcd: a positive multiple of the row a Fraction elimination would
+    hold, which names the same hyperplane or halfspace. `result` writes
+    both blocks as primitive integer normals with their right-hand sides.
 
     Every system the eliminator holds is a coordinate projection of the
     first one, so it can carry generators of its polyhedron, points v and
@@ -579,13 +588,12 @@ class _Eliminator:
     def __init__(
         self,
         nvars: int,
-        eqs: Iterable[tuple[list[int], int]],
+        eqs: Iterable[list[int]],
         ineqs: Iterable[list[int]],
         gens: Optional[list[list[int]]] = None,
     ):
-        # eqs pairs each integer row with the multiple it is of its Fraction row.
         self.live = list(range(nvars))
-        self.eqs = [(row, Fraction(scale)) for row, scale in eqs]
+        self.eqs = list(eqs)
         self.ineqs = list(ineqs)
         self.certified = [False] * len(self.ineqs)
         self.gens = gens
@@ -604,7 +612,7 @@ class _Eliminator:
     def _pick(self, pending: list[int]) -> int:
         best, best_cost = None, None
         for j in pending:
-            if any(r[j] for r, _ in self.eqs):
+            if any(r[j] for r in self.eqs):
                 return j  # substitution never adds rows
             pos = sum(1 for r in self.ineqs if r[j] > 0)
             neg = sum(1 for r in self.ineqs if r[j] < 0)
@@ -614,20 +622,19 @@ class _Eliminator:
         return best
 
     def _eliminate_one(self, j: int) -> None:
-        pivot = next((i for i, (r, _) in enumerate(self.eqs) if r[j]), None)
+        pivot = next((i for i, r in enumerate(self.eqs) if r[j]), None)
         if pivot is not None:
-            prow, _ = self.eqs.pop(pivot)
+            prow = self.eqs.pop(pivot)
             p = prow[j]
             if p < 0:
                 prow, p = [-x for x in prow], -p
 
-            def subst(r: list[int]) -> tuple[list[int], int]:
-                # p * r - r[j] * prow over its gcd g: p / g times r - r[j] / p * prow
-                return _primitive([p * x - r[j] * y for x, y in zip(r, prow)]) if r[j] else (r, p)
+            def subst(r: list[int]) -> list[int]:
+                # p * r - r[j] * prow over its gcd: a positive multiple of r - r[j] / p * prow
+                return _primitive([p * x - r[j] * y for x, y in zip(r, prow)])[0] if r[j] else r
 
-            subs = [(subst(r), scale) for r, scale in self.eqs]
-            self.eqs = [(r, scale * Fraction(p, g)) for (r, g), scale in subs]
-            self.ineqs = [subst(r)[0] for r in self.ineqs]
+            self.eqs = [subst(r) for r in self.eqs]
+            self.ineqs = [subst(r) for r in self.ineqs]
         else:
             pos = [r for r in self.ineqs if r[j] > 0]
             neg = [r for r in self.ineqs if r[j] < 0]
@@ -637,7 +644,7 @@ class _Eliminator:
             self.certified = [self.certified[i] for i in kept] + [False] * (len(rows) - len(kept))
             self.ineqs = rows
         del self.live[j]
-        self.eqs = [(r[:j] + r[j + 1 :], scale) for r, scale in self.eqs]
+        self.eqs = [r[:j] + r[j + 1 :] for r in self.eqs]
         self.ineqs = [r[:j] + r[j + 1 :] for r in self.ineqs]
         if self.gens is not None:
             self.gens = [g[:j] + g[j + 1 :] for g in self.gens]
@@ -646,7 +653,7 @@ class _Eliminator:
         """Trim duplicates and redundant inequality rows, by incidence when it can."""
         keep = None if self.gens is None else self._incident_rows()
         if keep is None:
-            keep = _irredundant_rows(len(self.live), [r for r, _ in self.eqs], self.ineqs, self.certified)
+            keep = _irredundant_rows(len(self.live), self.eqs, self.ineqs, self.certified)
         self.ineqs = [self.ineqs[i] for i in keep]
         self.certified = [True] * len(self.ineqs)
 
@@ -681,28 +688,31 @@ class _Eliminator:
     def result(self, n: int) -> HPolyhedron:
         if len(self.live) != n:
             raise CorrespondenceViolation(f"{len(self.live)} variables left after elimination, expected {n}")
-        A = tuple(tuple(x / scale for x in r[:-1]) for r, scale in self.eqs)
+        A, b = tuple(zip(*map(_scaled_row, self.eqs))) or ((), ())
         B, d = tuple(zip(*map(_scaled_row, self.ineqs))) or ((), ())
-        return HPolyhedron(n, A, tuple(r[-1] / scale for r, scale in self.eqs), B, d)
+        return HPolyhedron(n, A, b, B, d)
 
 
 def project(P: HPolyhedron, pi: LinearMap, V: Optional[VRep] = None) -> HPolyhedron:
     """Minimized description of pi(P) by Fourier-Motzkin elimination.
 
-    Works on the graph system {x = pi(y), y in P} over (x, y) and
+    Works on the graph system {x = pi(y), y in P} over (x, y), whose rows
+    [D e_i | -N_i | 0] come from the map's integer view (N, D), and
     eliminates all y variables, substituting through equality rows when
     possible and pruning redundant rows after every elimination step.
     The implicit equalities of the pruned rows are then promoted; that
     makes no row redundant (see the module docstring), so the rows are
-    not pruned again.
+    not pruned again. Both row blocks come back as primitive integer
+    normals with their right-hand sides.
 
-    V, when given, must be `vrep(P)`. Its vertices v and rays w give the
-    graph system's generators (pi v, v, 1) and (pi w, w, 0), and the prunes
-    read incidences off them instead of solving LPs (`_Eliminator`); a
-    prune that meets a row tight on every generator still solves LPs. The
-    implicit equalities are the rows tight on every generator, and the
-    first vertex is the point the result is checked to hold. Without V, an
-    LP finds that point, every prune solves LPs and `_implicit_rows` finds
+    V, when given, must be `vrep(P)`. A vertex num / den and a ray w give
+    the generators [N num | D num | -D den] and [N w | D w | 0], and the
+    prunes read incidences off them instead of solving LPs (`_Eliminator`);
+    a prune that meets a row tight on every generator still solves LPs.
+    The implicit equalities are the rows tight on every generator, and pi
+    of the first vertex, the one Fraction image `project` computes, is the
+    point the result is checked to hold. Without V, an LP finds the point
+    of P to map, every prune solves LPs and `_implicit_rows` finds
     the implicit equalities. Both routes return the same description.
     `project` never walks P's vertices itself: that walk is exponential.
     """
@@ -712,20 +722,16 @@ def project(P: HPolyhedron, pi: LinearMap, V: Optional[VRep] = None) -> HPolyhed
         raise PreconditionViolation(
             f"map has domain dimension {pi.in_dim(m)}, polyhedron has dimension {m}"
         )
+    N, D = pi._ints
     if V is None:
         y, gens = _feasible_point(P), None
     else:
         y = V.vertices[0]
-        gens = [_int_vector((*pi(v), *v, -ONE))[0] for v in V.vertices]
-        gens += [_int_vector((*pi(w), *w, ZERO))[0] for w in V.rays]
-
-    # The graph row x_i - pi_i y = 0 has x_i coefficient 1, so its integer
-    # row is its own multiple by the entry there.
-    graph = _int_rows([(*unit_vector(nt, i), *(-v for v in pi.matrix[i]), ZERO) for i in range(nt)])
-    ints = P._ints
-    eqs = [(row, row[i]) for i, row in enumerate(graph)]
-    eqs += [([0] * nt + row, scale) for row, scale in zip(ints.A, ints.scale)]
-    elim = _Eliminator(nt + m, eqs, [[0] * nt + row for row in ints.B], gens)
+        lines = [_int_vector(v) for v in V.vertices] + [(w, 0) for w in V.rays]
+        gens = [[*(sum(map(mul, row, num)) for row in N), *(D * x for x in num), -D * den] for num, den in lines]
+    eqs = [[*(D * (k == i) for k in range(nt)), *(-x for x in row), 0] for i, row in enumerate(N)]
+    eqs += [[0] * nt + row for row in P._ints.A]
+    elim = _Eliminator(nt + m, eqs, [[0] * nt + row for row in P._ints.B], gens)
     elim.eliminate(set(range(nt, nt + m)))
     R = elim.result(nt)
     x = pi(y)

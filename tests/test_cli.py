@@ -202,7 +202,7 @@ def test_check_nonpointed_domain_is_input_error(tmp_path, capsys):
     qp.write_text('{"n": 2, "B": [[-1, 0], [1, 0]], "d": [0, 1]}\n')
     mp.write_text('{"matrix": [[1, 0]]}\n')
     assert main(["check", str(qp), str(mp)]) == 2
-    assert capsys.readouterr().err == "input error: domain\n"
+    assert capsys.readouterr().err == "input error: domain is not pointed\n"
 
 
 def test_package_has_no_assert_statements():
@@ -564,7 +564,31 @@ def test_check_empty_domain_is_input_error(tmp_path, capsys):
     empty = HPolyhedron.make(1, B=[[1], [-1]], d=[-1, 0], name="empty")
     qp, mp = write_pair(tmp_path, empty, LinearMap([[1]], name="ident1"))
     assert main(["check", qp, mp]) == 2
-    assert capsys.readouterr().err == "input error: empty\n"
+    assert capsys.readouterr().err == "input error: empty is empty\n"
+
+
+@pytest.mark.parametrize(
+    "domain, pi, err",
+    [
+        (HPolyhedron.make(1, B=[[1], [-1]], d=[-1, 0]), [[1]], "polyhedron is empty"),
+        (HPolyhedron.make(2, B=[[1, 0], [-1, 0]], d=[1, 0]), [[1, 0], [0, 1]], "projection image is not pointed"),
+    ],
+    ids=["empty", "slab"],
+)
+def test_check_error_of_an_unnamed_input_is_a_sentence(tmp_path, capsys, domain, pi, err):
+    # with no name the message names what the input is
+    qp, mp = tmp_path / "domain.json", tmp_path / "map.json"
+    jsonio.dump(jsonio.poly_to_dict(domain), qp)
+    jsonio.dump(jsonio.map_to_dict(LinearMap(pi)), mp)
+    assert main(["check", str(qp), str(mp)]) == 2
+    assert capsys.readouterr().err == f"input error: {err}\n"
+
+
+def test_construct_sizes_that_are_not_integers_are_refused_by_the_parser(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "transport", "--n", "2", "--k", "2", "--sizes", "a"])
+    assert exc.value.code == 2
+    assert "argument --sizes: not comma-separated integers: 'a'" in capsys.readouterr().err
 
 
 def test_check_budget_below_the_domain_vertex_walk_exits_three(tmp_path):

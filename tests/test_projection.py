@@ -312,7 +312,7 @@ def test_rows_that_differ_by_an_equality_row_keep_the_last():
     # still implies it; the incidence prune keeps the last of equal tight
     # sets, the same row.
     rows = [[1, 0, 1], [0, 1, 1], [-1, 0, 0]]
-    elim = _Eliminator(2, [([1, -1, 0], 1)], rows, gens=[[0, 0, -1], [1, 1, -1]])
+    elim = _Eliminator(2, [[1, -1, 0]], rows, gens=[[0, 0, -1], [1, 1, -1]])
     assert elim._incident_rows() == [1, 2]
     assert _irredundant_rows(2, [[1, -1, 0]], rows) == [1, 2]
     Q = HPolyhedron.make(2, A=[[1, -1]], b=[0], B=[[1, 0], [0, 1], [-1, 0]], d=[1, 1, 0])
@@ -390,3 +390,34 @@ def test_empty_pointed_domain_raises_empty_polyhedron():
     empty = HPolyhedron.make(1, B=[[1], [-1]], d=[-1, 0], name="empty")
     with pytest.raises(EmptyPolyhedron, match="empty"):
         check_inheritance(empty, LinearMap(matrix=((1,),)))
+
+
+@pytest.mark.parametrize("route", ["lp", "incidence"])
+def test_projected_equality_rows_are_primitive_integer_normals(route):
+    # The segment x1 = x2, 0 <= x1 <= 1 maps onto the segment from (0, 0)
+    # to (3, 7/2), on the line 7 x1 - 6 x2 = 0. Fourier-Motzkin keeps
+    # integer rows, and the equality rows come back as primitive integer
+    # normals with their right-hand sides, as the inequality rows do.
+    Q = HPolyhedron.make(2, A=[[1, -1]], b=[0], B=[[-1, 0], [1, 0]], d=[0, 1])
+    pi = LinearMap(matrix=((Fraction(2), Fraction(1)), (Fraction(1, 2), Fraction(3))))
+    P = project(Q, pi, vrep(Q) if route == "incidence" else None)
+    assert (P.A, P.b) == (((7, -6),), (0,))
+    assert all(type(x) is Fraction for row in (*P.A, *P.B) for x in row)
+    assert P.contains((3, Fraction(7, 2))) and not P.contains((3, 3))
+
+
+def test_check_calls_the_map_once(monkeypatch):
+    # Every internal use of the map reads its integer view; the one Fraction
+    # image is the point the projection is checked to hold.
+    from polycircuits.constructions import orthant, pi_matrix
+
+    calls = []
+    call = LinearMap.__call__
+
+    def counting(self, x):
+        calls.append(x)
+        return call(self, x)
+
+    monkeypatch.setattr(LinearMap, "__call__", counting)
+    check_inheritance(orthant(4), pi_matrix(3, 4))
+    assert len(calls) == 1

@@ -11,9 +11,10 @@ rows are positive multiples of its rows, so its slack tests must agree
 with Fraction dot products. The subset walks behind circuits, basic
 solutions, vertices and edges must agree with the per-subset references
 of `test_subsets.py` on degenerate descriptions. The integer normalizers
-of `linalg` and the syntactic redundancy pass must agree with the
-Fraction formulas they replace, which live here. The examples are
-derandomized, so every run checks the same ones.
+of `linalg`, the syntactic redundancy pass and the integer images of a
+`LinearMap` must agree with the Fraction formulas they replace, which
+live here. The examples are derandomized, so every run checks the same
+ones.
 """
 
 from fractions import Fraction
@@ -29,7 +30,7 @@ from polycircuits.directions import CircuitSet
 from polycircuits.errors import EmptyPolyhedron
 from polycircuits.linalg import _int_vector, _primitive, _scaled_row, canonicalize_direction, dot
 from polycircuits.lp import INFEASIBLE, OPTIMAL, lp_solve
-from polycircuits.polyhedron import HPolyhedron, _distinct_rows, edge_directions, vrep
+from polycircuits.polyhedron import HPolyhedron, LinearMap, _distinct_rows, edge_directions, vrep
 from test_subsets import (
     _check_basic_solution_set,
     _outcome,
@@ -293,3 +294,41 @@ def parallel_rows(draw):
 @given(parallel_rows())
 def test_distinct_rows_keeps_what_fraction_keys_keep(B):
     assert _distinct_rows(B) == _ref_distinct_rows(B)
+
+
+def _ref_image_lines(M, dirs):
+    """The Fraction formula: each nonzero image M g divided by its first nonzero entry."""
+    lines = set()
+    for g in dirs:
+        image = [sum((Fraction(a) * x for a, x in zip(row, g)), Fraction(0)) for row in M]
+        lead = next((x for x in image if x), None)
+        if lead is not None:
+            lines.add(tuple(x / lead for x in image))
+    return lines
+
+
+@st.composite
+def maps_and_directions(draw):
+    """A map with fractional and negative entries, zero rows and zero columns
+    (0 x n included), and integer directions, the zero vector among them."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    M = [list(draw(vectors(n))) for _ in range(k)]
+    for i in draw(st.sets(st.integers(0, k - 1), max_size=1)) if k else ():
+        M[i] = [Fraction(0)] * n
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=1)):
+        for row in M:
+            row[j] = Fraction(0)
+    dirs = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n).map(tuple), max_size=6))
+    return tuple(map(tuple, M)), dirs
+
+
+@PROPERTY
+@given(maps_and_directions())
+def test_image_directions_are_the_fraction_image_lines(case):
+    M, dirs = case
+    C = LinearMap(M).image_directions(CircuitSet(directions=tuple(dirs)))
+    assert list(C.directions) == sorted(set(C.directions))
+    for c in C.directions:
+        assert all(type(x) is int for x in c) and reduce(gcd, c, 0) == 1
+        assert next(x for x in c if x) > 0
+    assert {tuple(Fraction(x) / next(y for y in c if y) for x in c) for c in C.directions} == _ref_image_lines(M, dirs)
