@@ -47,16 +47,13 @@ def _support_mask(v: Sequence) -> int:
 def enumerate_circuits(P: HPolyhedron) -> CircuitSet:
     """All circuit directions of P's description, canonically represented.
 
-    The candidates are the lines of the (n'-1)-row subset walk
-    (`_circuit_lines`, cached on P), each checked to be support-minimal
-    (CorrespondenceViolation if not). A non-pointed system yields its
-    lineality basis instead (every nonzero lineality vector is a circuit
-    there).
+    The set is P's cached circuit walk (`_circuit_lines`), so every call on
+    one P returns the same object: the lines of the (n'-1)-row subset walk,
+    each checked to be support-minimal (CorrespondenceViolation if not). A
+    non-pointed system yields its lineality basis instead (every nonzero
+    lineality vector is a circuit there).
     """
-    lineality, lines = P._circuit_walk
-    if lineality:
-        return CircuitSet.subspace(lineality)
-    return CircuitSet(directions=lines)
+    return P._circuit_walk
 
 
 def enumerate_circuits_bruteforce(P: HPolyhedron) -> CircuitSet:

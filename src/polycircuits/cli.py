@@ -161,6 +161,7 @@ def cmd_reproduce(args) -> int:
     result = run_experiment(args.experiment, params, out_dir)
     sys.stdout.write(jsonio.dumps(result.to_dict()))
     if result.error:  # set only for a blown budget
+        print(result.error, file=sys.stderr)
         return EXIT_BUDGET
     return EXIT_OK if result.passed else EXIT_FAILED_CLAIM
 

@@ -50,6 +50,7 @@ from .polyhedron import (
     HPolyhedron,
     LinearMap,
     cartesian_product,
+    check_budget,
     edge_directions,
     project,
     vrep,
@@ -141,9 +142,12 @@ def simplex(m: int) -> HPolyhedron:
 
 
 def cross_polytope(n: int) -> HPolyhedron:
-    """All 2^n sign rows s.x <= 1, s in {-1,1}^n in lexicographic order."""
+    """All 2^n sign rows s.x <= 1, s in {-1,1}^n in lexicographic order.
+
+    The n 2^n entries count against the work budget (BudgetExceeded)."""
     if n < 1:
         raise PreconditionViolation("dimension must be positive")
+    check_budget(n * 2**n, "cross-polytope entries")
     rows = [list(s) for s in itertools.product((-1, 1), repeat=n)]
     return HPolyhedron.make(n, B=rows, d=[1] * len(rows), name=f"crosspoly{n}")
 

@@ -132,7 +132,6 @@ class Recorder:
         self.claims: list[Claim] = []
         self.artifacts: list[str] = []
         self._start = time.monotonic()
-        os.makedirs(self.out_dir, exist_ok=True)
         _RECORDER.set(self)
 
     def claim(self, description: str, expected, observed) -> bool:
@@ -140,8 +139,13 @@ class Recorder:
         self.claims.append(c)
         return c.passed
 
+    def _path(self, filename: str) -> str:
+        # the directory is made on the first write, so an input error leaves none
+        os.makedirs(self.out_dir, exist_ok=True)
+        return os.path.join(self.out_dir, filename)
+
     def save(self, stem: str, payload: dict) -> str:
-        path = os.path.join(self.out_dir, f"{stem}.json")
+        path = self._path(f"{stem}.json")
         jsonio.dump(payload, path)
         self.artifacts.append(path)
         return path
@@ -168,7 +172,7 @@ class Recorder:
             error=error,
         )
         # runtime_seconds varies run to run; every other byte is stable
-        jsonio.dump(result.to_dict(), os.path.join(self.out_dir, "result.json"))
+        jsonio.dump(result.to_dict(), self._path("result.json"))
         return result
 
 

@@ -12,17 +12,17 @@ no image line when the whole map is, so a description's rows become
 integers once, in its cached view `_IntRows`, and a map once, in
 `LinearMap._ints`. They stay integers through the walks, the slack tests,
 the simplex, both row blocks of Fourier-Motzkin (`_Eliminator`) and the
-redundancy pass; the edge walk reads the vertex walk's integer lines.
+redundancy pass; the edge walk and `project` read the vertex lines.
 `linalg` makes and reduces the integers, and Fractions are made only for
 what a caller gets back.
 
-Each description is walked once. `HPolyhedron` caches its circuit walk
-(`_circuit_lines`), its vertex walk (`_vrep`: vertices, rays, integer
-vertex lines and tight-row masks) and its edge walk (`_edges`) on first use;
-`enumerate_circuits`, `vrep` and `edge_directions` read those caches. A
-cache hit runs no walk and charges no work budget; a walk that raises,
-`BudgetExceeded` included, is not cached. The cache belongs to the object: a `renamed` copy or any new
-description walks afresh.
+Each description is walked once. `HPolyhedron` caches each walk on first
+use as the object its reader returns: `_circuit_lines` the `CircuitSet`
+of `enumerate_circuits`, `_vrep` the `VRep` of `vrep` (vertex lines and
+rays) with each vertex's tight-row mask, `_edges` the `CircuitSet` of
+`edge_directions`. A cache hit runs no walk and charges no work budget;
+a walk that raises, `BudgetExceeded` included, is not cached. The cache
+belongs to the object: a `renamed` copy or any new description walks afresh.
 
 `project` has two routes to the same description. Given the domain's
 vertices and rays, it reads every prune and the implicit equalities off
@@ -147,11 +147,11 @@ class HPolyhedron:
         return _IntRows(self)
 
     @cached_property
-    def _circuit_walk(self) -> tuple[tuple[Direction, ...], tuple[Direction, ...]]:
+    def _circuit_walk(self) -> CircuitSet:
         return _circuit_lines(self)
 
     @cached_property
-    def _vertex_walk(self) -> tuple["VRep", tuple[Direction, ...], tuple[int, ...]]:
+    def _vertex_walk(self) -> tuple["VRep", tuple[int, ...]]:
         return _vrep(self)
 
     @cached_property
@@ -233,10 +233,15 @@ class LinearMap:
 
 @dataclass(frozen=True)
 class VRep:
-    """conv(vertices) + cone(rays); rays are primitive integer tuples with B r <= 0."""
+    """conv(vertices) + cone(rays): `lines` holds the vertices as canonical lines (den, *num),
+    sorted by point, `vertices` their Fraction view, built on demand; rays are primitive, B r <= 0."""
 
-    vertices: tuple[Vector, ...] = ()
+    lines: tuple[Direction, ...] = ()
     rays: tuple[Direction, ...] = ()
+
+    @cached_property
+    def vertices(self) -> tuple[Vector, ...]:
+        return BasicSolutionSet(self.lines).points
 
 
 def check_budget(count: int, what: str) -> None:
@@ -394,8 +399,8 @@ def _basic_points(P: HPolyhedron, what: str) -> dict[Direction, list[int]]:
     return {v: _slacks(B, v[1:], v[0]) for v in pts}
 
 
-def _circuit_lines(P: HPolyhedron) -> tuple[tuple[Direction, ...], tuple[Direction, ...]]:
-    """An integer lineality basis of P's description and, when it is empty, P's sorted circuit lines.
+def _circuit_lines(P: HPolyhedron) -> CircuitSet:
+    """The `CircuitSet` of P's description: its sorted circuit lines, or its lineality basis.
 
     Works in kernel coordinates of the equality block: each line is the
     one-dimensional kernel of n'-1 independent rows of the reduced
@@ -413,12 +418,12 @@ def _circuit_lines(P: HPolyhedron) -> tuple[tuple[Direction, ...], tuple[Directi
     N = _kernel(P._ints.base, P.n)
     np_ = len(N)
     if np_ == 0:
-        return (), ()
+        return CircuitSet()
     NT = list(zip(*N))  # n x n', maps reduced coords to ambient
     rows = [[sum(map(mul, row, v)) for v in N] for row in P._ints.B]
     lin = _kernel(_fold(_EMPTY, rows, np_), np_)
     if lin:
-        return tuple(tuple(sum(map(mul, row, v)) for row in NT) for v in lin), ()
+        return CircuitSet.subspace([sum(map(mul, row, v)) for row in NT] for v in lin)
     check_budget(comb(len(rows), np_ - 1), "circuit candidate subsets")
     ghats = set(_subset_lines(_EMPTY, rows, np_ - 1, np_, np_))
     lines = []
@@ -429,21 +434,20 @@ def _circuit_lines(P: HPolyhedron) -> tuple[tuple[Direction, ...], tuple[Directi
             raise CorrespondenceViolation(f"circuit candidate {g} is not support-minimal")
         lines.append(g)
     lines.sort()  # in place: a sorted copy added 2 MB to the peak RSS of thm2 --n 5
-    return (), tuple(lines)
+    return CircuitSet(directions=tuple(lines))
 
 
-def _vrep(P: HPolyhedron) -> tuple[VRep, tuple[Direction, ...], tuple[int, ...]]:
-    """The vertices and extreme rays of a pointed P, and the integer line
-    (den, *num) and the tight-row mask of each vertex, in vertex order;
-    NotPointed when P has a lineality space.
+def _vrep(P: HPolyhedron) -> tuple[VRep, tuple[int, ...]]:
+    """The `VRep` of a pointed P and the tight-row mask of each vertex, in
+    `VRep.lines` order; NotPointed when P has a lineality space.
 
     The vertices are the feasible basic solutions; a pointed polyhedron
     with none is empty (EmptyPolyhedron). The extreme rays are the
     sign-consistent circuits (Rockafellar 1969) of P's cached circuit walk,
     oriented so that B r <= 0.
     """
-    lineality, lines = P._circuit_walk
-    if lineality:
+    C = P._circuit_walk
+    if C.is_subspace:
         raise NotPointed(P.name or "polyhedron")
     masks = {
         v: sum(1 << i for i, s in enumerate(slacks) if s == 0)
@@ -453,15 +457,14 @@ def _vrep(P: HPolyhedron) -> tuple[VRep, tuple[Direction, ...], tuple[int, ...]]
     if not masks:
         raise EmptyPolyhedron(P.name or "polyhedron")
     rays = []
-    for g in lines:
+    for g in C.directions:
         added = _slacks(P._ints.B, g, 0)  # -B g, row by row
         if all(x >= 0 for x in added):
             rays.append(g)
         elif all(x <= 0 for x in added):
             rays.append(tuple(-x for x in g))
-    vertices = BasicSolutionSet.of(masks)
-    V = VRep(vertices=vertices.points, rays=tuple(sorted(rays)))
-    return V, vertices.lines, tuple(masks[v] for v in vertices.lines)
+    lines = BasicSolutionSet.of(masks).lines
+    return VRep(lines=lines, rays=tuple(sorted(rays))), tuple(masks[v] for v in lines)
 
 
 def vrep(P: HPolyhedron) -> VRep:
@@ -482,13 +485,13 @@ def _edges(P: HPolyhedron) -> CircuitSet:
     the rows tight at both, so u and v are adjacent iff the rows in
     `mask(u) & mask(v)`, with A, have rank exactly n - 1; a vertex with
     itself reaches rank n. The direction of an edge comes from the
-    vertices' integer lines: u - v is a positive multiple of
+    vertex lines `V.lines`: u - v is a positive multiple of
     num_u den_v - num_v den_u, whose `_canonical` names the line.
     """
-    V, lines, masks = P._vertex_walk
+    V, masks = P._vertex_walk
     base, B, n = P._ints.base, P._ints.B, P.n
     dirs = {_canonical(r) for r in V.rays}
-    for (u, mu), (v, mv) in itertools.combinations(zip(lines, masks), 2):
+    for (u, mu), (v, mv) in itertools.combinations(zip(V.lines, masks), 2):
         rows = [row for i, row in enumerate(B) if (mu & mv) >> i & 1]
         if _rank_upto(base, rows, n, n) == n - 1:
             dirs.add(_canonical([x * v[0] - y * u[0] for x, y in zip(u[1:], v[1:])]))
@@ -705,15 +708,15 @@ def project(P: HPolyhedron, pi: LinearMap, V: Optional[VRep] = None) -> HPolyhed
     not pruned again. Both row blocks come back as primitive integer
     normals with their right-hand sides.
 
-    V, when given, must be `vrep(P)`. A vertex num / den and a ray w give
-    the generators [N num | D num | -D den] and [N w | D w | 0], and the
-    prunes read incidences off them instead of solving LPs (`_Eliminator`);
-    a prune that meets a row tight on every generator still solves LPs.
-    The implicit equalities are the rows tight on every generator, and pi
-    of the first vertex, the one Fraction image `project` computes, is the
-    point the result is checked to hold. Without V, an LP finds the point
-    of P to map, every prune solves LPs and `_implicit_rows` finds
-    the implicit equalities. Both routes return the same description.
+    V, when given, must be `vrep(P)`. A vertex line (den, *num) of V.lines
+    and a ray w give the generators [N num | D num | -D den] and [N w | D w | 0],
+    and the prunes read incidences off them instead of solving LPs
+    (`_Eliminator`); a prune that meets a row tight on every generator
+    still solves LPs. The implicit equalities are the rows tight on every
+    generator, and pi of the first vertex, the one Fraction point `project`
+    makes, is the point the result is checked to hold. Without V, an LP
+    finds the point of P to map, every prune solves LPs and `_implicit_rows`
+    finds the implicit equalities. Both routes return the same description.
     `project` never walks P's vertices itself: that walk is exponential.
     """
     m = P.n
@@ -726,9 +729,9 @@ def project(P: HPolyhedron, pi: LinearMap, V: Optional[VRep] = None) -> HPolyhed
     if V is None:
         y, gens = _feasible_point(P), None
     else:
-        y = V.vertices[0]
-        lines = [_int_vector(v) for v in V.vertices] + [(w, 0) for w in V.rays]
-        gens = [[*(sum(map(mul, row, num)) for row in N), *(D * x for x in num), -D * den] for num, den in lines]
+        y = BasicSolutionSet(V.lines[:1]).points[0]
+        lines = [*V.lines, *((0, *w) for w in V.rays)]  # a ray w as the line (0, *w)
+        gens = [[*(sum(map(mul, row, v[1:])) for row in N), *(D * x for x in v[1:]), -D * v[0]] for v in lines]
     eqs = [[*(D * (k == i) for k in range(nt)), *(-x for x in row), 0] for i, row in enumerate(N)]
     eqs += [[0] * nt + row for row in P._ints.A]
     elim = _Eliminator(nt + m, eqs, [[0] * nt + row for row in P._ints.B], gens)

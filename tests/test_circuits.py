@@ -107,6 +107,16 @@ def test_nonpointed_returns_lineality():
     assert CB.is_subspace and CB.lineality == C.lineality
 
 
+@pytest.mark.parametrize(
+    "P", [cube(3), HPolyhedron.make(2, B=[[1, 0], [-1, 0]], d=[1, 0])], ids=["pointed", "slab"]
+)
+def test_enumerate_circuits_returns_the_cached_set(P):
+    # the circuit walk is cached as the `CircuitSet` itself, lineality basis
+    # or directions, so a second call rebuilds nothing
+    assert enumerate_circuits(P) is enumerate_circuits(P)
+    assert enumerate_circuits(P).is_subspace == (P.n == 2)
+
+
 def test_non_minimal_circuit_candidate_is_a_correspondence_violation(monkeypatch):
     # Every candidate spans the kernel of n'-1 independent rows, so it is
     # support-minimal; enumerate_circuits reports one that is not instead of

@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -258,18 +259,20 @@ def test_linalg_alone_makes_and_reduces_integers():
 
 def test_only_circuits_imports_the_walk_internals():
     # each description caches its own walks; every other module asks for
-    # circuits, vertices and edges through the public functions
+    # circuits, vertices and edges through the public functions, so a new
+    # walk can replace a cached one without touching its callers
     package = Path(polycircuits.__file__).resolve().parent
     internals = {"_circuit_lines", "_basic_points", "_vrep"}
-    found = [
-        f"{path.name}:{node.lineno} {alias.name}"
-        for path in sorted(package.glob("*.py"))
-        if path.name not in ("polyhedron.py", "circuits.py")
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-        if isinstance(node, ast.ImportFrom) and node.module in ("polyhedron", "polycircuits.polyhedron")
-        for alias in node.names
-        if alias.name in internals
-    ]
+    caches = {"_circuit_walk", "_vertex_walk", "_edge_walk"}
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name in ("polyhedron.py", "circuits.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("polyhedron", "polycircuits.polyhedron"):
+                found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names if alias.name in internals]
+            elif isinstance(node, ast.Attribute) and node.attr in caches:
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert found == []
 
 
@@ -469,8 +472,55 @@ def test_zero_denominator_delta_is_input_error(tmp_path, capsys, argv):
 )
 def test_cropped_cross_below_two_dimensions_is_input_error(tmp_path, capsys, argv):
     # its facet and 4n(n-1) vertex guarantees need n >= 2
-    assert main([*argv, str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    assert main([*argv, str(out)]) == 2
     assert "needs n >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["thm1", "--n", "3", "--m", "3"], "need m > n >= 3, got n=3, m=3"),
+        (["thm2", "--delta", "2"], "delta must lie strictly in (1/2, 1), got 2"),
+    ],
+    ids=["thm1", "thm2-delta"],
+)
+def test_reproduce_input_error_leaves_no_run_directory(tmp_path, capsys, argv, err):
+    # the run directory is made on the first artifact written
+    out = tmp_path / "out"
+    assert main(["reproduce", *argv, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"input error: {err}\n"
+    assert not out.exists()
+
+
+def _limit_address_space():
+    # a construction that allocates without bound fails here instead of
+    # taking the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["construct", "crosspoly", "--n", "40"], ["reproduce", "thm2", "--n", "40", "--out-dir"]],
+    ids=["construct", "reproduce"],
+)
+def test_cross_polytope_rows_count_against_the_budget(tmp_path, argv):
+    # its n 2^n entries are checked against the budget before a row is built
+    src = str(Path(polycircuits.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    extra = [str(tmp_path / "out")] if argv[-1] == "--out-dir" else []
+    proc = subprocess.run(
+        [sys.executable, "-m", "polycircuits.cli", *argv, *extra],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 3, proc.stderr
+    entries = 40 * 2**40
+    assert proc.stderr == f"budget exceeded: cross-polytope entries: {entries} candidates exceed budget 10000000\n"
 
 
 def test_construct_transport_matches_library(capsys):

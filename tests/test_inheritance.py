@@ -40,6 +40,7 @@ from polycircuits.polyhedron import (
     dim,
     minimize_description,
     project,
+    vrep,
 )
 
 
@@ -116,6 +117,16 @@ class TestCheckInheritance:
         rep = check_inheritance(hypercube(4), pi_matrix(3, 4))
         assert rep.inherited_equals_edges
         assert V((0, 0, 1)) in rep.non_inherited
+
+    @pytest.mark.parametrize("Q", [orthant(4), hypercube(4)], ids=["cone", "polytope"])
+    def test_check_builds_no_fraction_vertex_view(self, Q):
+        # the vertex walks hold integer lines, and the generators of the
+        # projection and the edges read them: Fraction vertices are built
+        # only for a caller that reads `VRep.vertices`
+        rep = check_inheritance(Q, pi_matrix(3, 4))
+        for V in (vrep(Q), vrep(rep.P)):
+            assert V.lines and "vertices" not in vars(V)
+            assert len(V.vertices) == len(V.lines) and "vertices" in vars(V)
 
     def test_low_image_dimension_is_trivially_inherited(self):
         flatten = LinearMap(matrix([[1, 0, 0], [0, 1, 0]]))

@@ -364,11 +364,11 @@ def test_int_rows_counts_are_pinned(monkeypatch):
     # (`_int_rows` maps it over rows). A description's rows become integers
     # once, one call per row, in its `_ints` view: 12 here. The map is
     # converted once, in `LinearMap._ints`, and its graph rows, generators
-    # and direction images are read off that view. The other calls scale a
-    # projection's vertex (orthant(4) has one) and the point the result is
-    # checked to hold. So rescaling the rows of a description that already
-    # has its view adds calls, and a change that does so must update this
-    # count on purpose.
+    # and direction images are read off that view; the generators' vertices
+    # come as integer lines from the vertex walk. The other call scales the
+    # point the result is checked to hold. So rescaling the rows of a
+    # description that already has its view adds calls, and a change that
+    # does so must update this count on purpose.
     from polycircuits import constructions, linalg, lp, polyhedron
     from polycircuits.constructions import orthant, pi_matrix
     from polycircuits.inheritance import check_inheritance
@@ -383,4 +383,4 @@ def test_int_rows_counts_are_pinned(monkeypatch):
     for module in (linalg, polyhedron, lp, constructions):
         monkeypatch.setattr(module, "_int_vector", counting)
     check_inheritance(orthant(4), pi_matrix(3, 4))
-    assert len(calls) == 15
+    assert len(calls) == 14

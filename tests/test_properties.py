@@ -38,6 +38,7 @@ from test_subsets import (
     _ref_edge_directions,
     _ref_enumerate_circuits,
     _ref_vrep,
+    _vertices_and_rays,
 )
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100, database=None)
@@ -217,7 +218,7 @@ def test_subset_walks_match_per_subset_references(P):
     sols = _outcome(basic_solutions, P)
     assert sols == _outcome(_ref_basic_solutions, P)
     _check_basic_solution_set(sols)
-    assert _outcome(vrep, P) == _outcome(_ref_vrep, P)
+    assert _outcome(_vertices_and_rays, P) == _outcome(_ref_vrep, P)
     assert _outcome(edge_directions, P) == _outcome(_ref_edge_directions, P)
 
 
