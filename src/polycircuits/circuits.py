@@ -91,14 +91,19 @@ def basic_solutions(P: HPolyhedron) -> BasicSolutionSet:
     dominated, which is the support characterization that makes these the
     degree-one homogenization circuits.
     """
+    return _basic_solutions(P)[0]
+
+
+def _basic_solutions(P: HPolyhedron) -> tuple[BasicSolutionSet, dict[Direction, list[int]]]:
+    """`basic_solutions` of P, and the slacks of each of its lines (`_basic_points`)."""
     if not is_pointed(P):
         raise NotPointed(P.name or "polyhedron")
-    base, B = P._ints.base, P._ints.B
-    n = P.n
+    _, R, np_ = P._ints.reduced
 
     def is_basic(slacks: list[int]) -> bool:
-        # slacks are the `_slacks` of the point, from `_basic_points`
-        return _rank_upto(base, [row for row, s in zip(B, slacks) if s == 0], n, n) == n
+        # slacks are the `_slacks` of the point, from `_basic_points`; its
+        # tight rows of R in `P._ints.reduced` must reach rank n' = n - rank(A)
+        return _rank_upto([row for row, s in zip(R, slacks) if s == 0], np_, np_) == np_
 
     pts = _basic_points(P, "basic solution subsets")
     for v, slacks in pts.items():
@@ -121,7 +126,7 @@ def basic_solutions(P: HPolyhedron) -> BasicSolutionSet:
         zm = _support_mask(slacks)
         if not any(m != zm and m & zm == m for m in masks):
             raise CorrespondenceViolation(f"non-basic midpoint line {z} not dominated")
-    return sols
+    return sols, pts
 
 
 @dataclass(frozen=True)
@@ -130,6 +135,7 @@ class HomogenizationSplit:
 
     direction_class: CircuitSet  # leading coordinate 0, dehomogenized
     point_class: BasicSolutionSet  # leading coordinate positive: the lines (den, *num)
+    vertices: tuple[Direction, ...]  # the point-class lines with no negative slack, in order
 
 
 def circuits_of_homogenization(P: HPolyhedron) -> tuple[CircuitSet, HomogenizationSplit]:
@@ -145,14 +151,13 @@ def circuits_of_homogenization(P: HPolyhedron) -> tuple[CircuitSet, Homogenizati
     # CH is sorted and canonical: its lines with leading entry 0 come first,
     # and dropping that entry leaves them sorted and canonical; every other
     # line has a positive leading entry
-    split = HomogenizationSplit(
-        direction_class=CircuitSet(directions=tuple(v[1:] for v in CH if v[0] == 0)),
-        point_class=BasicSolutionSet.of(v for v in CH if v[0]),
-    )
+    directions = CircuitSet(directions=tuple(v[1:] for v in CH if v[0] == 0))
+    points = BasicSolutionSet.of(v for v in CH if v[0])
     CP = enumerate_circuits(P)
-    BP = basic_solutions(P)
-    if split.direction_class.directions != CP.directions:
+    BP, slacks = _basic_solutions(P)
+    if directions.directions != CP.directions:
         raise CorrespondenceViolation("degree-0 class does not match the circuits")
-    if split.point_class.lines != BP.lines:
+    if points.lines != BP.lines:
         raise CorrespondenceViolation("degree-1 class does not match the basic solutions")
-    return CH, split
+    vertices = tuple(v for v in points.lines if all(s >= 0 for s in slacks[v]))
+    return CH, HomogenizationSplit(direction_class=directions, point_class=points, vertices=vertices)

@@ -63,7 +63,6 @@ from .linalg import (
 from .polyhedron import (
     HPolyhedron,
     LinearMap,
-    _slacks,
     edge_directions,
     is_pointed,
     minimize_description,
@@ -256,15 +255,9 @@ def run_thm2(params: dict, out_dir) -> ReproductionResult:
     delta = Fraction(params.get("delta", Fraction(3, 4)))
     rec = Recorder("thm2", {"n": n, "delta": str(delta)}, out_dir)
 
-    def hom_classes(nn: int):
-        # vertices are the basic solutions that lie in the polytope
-        Qp = cropped_cross_polytope(nn, delta)
-        CH, split = circuits_of_homogenization(Qp)
-        B = Qp._ints.B
-        verts = [v for v in split.point_class.lines if all(s >= 0 for s in _slacks(B, v[1:], v[0]))]
-        return Qp, CH, split, verts
-
-    Qp, CH, split, verts = hom_classes(n)
+    Qp = cropped_cross_polytope(n, delta)
+    CH, split = circuits_of_homogenization(Qp)
+    verts = split.vertices  # the basic solutions that lie in the polytope
     basics = split.point_class
     rec.save_poly("cropped", Qp)
     rec.claim(f"vertex count is 4n(n-1) = {4 * n * (n - 1)}", 4 * n * (n - 1), len(verts))
@@ -301,9 +294,9 @@ def run_thm2(params: dict, out_dir) -> ReproductionResult:
     gap = len(CH) - len(verts)
     rec.claim("circuit count strictly exceeds the inherited count", True, gap > 0)
     if n >= 4:
-        _, CH_prev, _, verts_prev = hom_classes(n - 1)
+        CH_prev, split_prev = circuits_of_homogenization(cropped_cross_polytope(n - 1, delta))
         rec.claim(
-            f"circuit surplus grows from n={n - 1} to n={n}", True, len(CH_prev) - len(verts_prev) < gap
+            f"circuit surplus grows from n={n - 1} to n={n}", True, len(CH_prev) - len(split_prev.vertices) < gap
         )
     return rec.finish()
 

@@ -202,14 +202,15 @@ def _fold(
     return echelon
 
 
-def _rank_upto(echelon: _Echelon, rows: Iterable[Sequence[int]], r: int, ncols: int) -> int:
-    """The rank of `echelon` plus `rows` in their first `ncols` columns, or r once it reaches r.
+_EMPTY: _Echelon = ([], [], 1)
 
-    Folds with `_insert` and stops at rank r. A pivot beyond `ncols`, as
-    in an inconsistent equality block that pivots in its right-hand-side
-    column, does not count.
+
+def _rank_upto(rows: Iterable[Sequence[int]], r: int, ncols: int) -> int:
+    """The rank of `rows` in their first `ncols` columns, or r once it reaches r.
+
+    Folds with `_insert` and stops at rank r.
     """
-    rank = sum(p < ncols for p in echelon[1])
+    echelon, rank = _EMPTY, 0
     for x in rows:
         if rank >= r:
             break
@@ -217,36 +218,31 @@ def _rank_upto(echelon: _Echelon, rows: Iterable[Sequence[int]], r: int, ncols: 
         if step is not None:
             echelon = step
             rank += 1
-    return min(rank, r)
+    return rank
 
 
-_EMPTY: _Echelon = ([], [], 1)
-
-
-def _subset_lines(
-    base: _Echelon, rows: Sequence[Sequence[int]], k: int, ncols: int, width: int
-) -> Iterator[Direction]:
-    """The kernel line of `base` plus each independent k-subset of `rows`, as a `_canonical` vector.
+def _subset_lines(rows: Sequence[Sequence[int]], k: int, ncols: int, width: int) -> Iterator[Direction]:
+    """The kernel line of each independent k-subset of `rows`, as a `_canonical` vector.
 
     Rows have `width` columns; independence and pivots count only the first
-    `ncols`, and `base` plus k independent rows must leave one free column.
-    The walk stops one row early: it eliminates the independent
-    (k-1)-prefixes depth first in lexicographic order, one `_insert` step
-    each, and skips the subtree of a row that depends on its prefix. A
-    prefix leaves two free columns f < g with the unscaled kernel vectors
-    K_f and K_g (K[free] = det, K[p] = -R[free]). A later row x has the
-    Bareiss residual entries a = x.K_f and b = x.K_g in those columns, so x
-    extends the prefix iff a != 0 or (b != 0 and g < ncols), and the kernel
-    of the prefix plus x is the line b K_f - a K_g. Rows with parallel
-    (a, b) give the same line, which is yielded once per prefix; different
-    prefixes may still yield the same line.
+    `ncols`, and k independent rows must leave one free column. The walk
+    stops one row early: it eliminates the independent (k-1)-prefixes depth
+    first in lexicographic order, one `_insert` step each, and skips the
+    subtree of a row that depends on its prefix. A prefix leaves two free
+    columns f < g with the unscaled kernel vectors K_f and K_g (K[free] =
+    det, K[p] = -R[free]). A later row x has the Bareiss residual entries
+    a = x.K_f and b = x.K_g in those columns, so x extends the prefix iff
+    a != 0 or (b != 0 and g < ncols), and the kernel of the prefix plus x
+    is the line b K_f - a K_g. Rows with parallel (a, b) give the same
+    line, which is yielded once per prefix; different prefixes may still
+    yield the same line.
     """
     if k == 0:
-        yield _canonical(_kernel_vector(*base, next(c for c in range(width) if c not in base[1]), width))
+        yield (1,)  # no row to choose: the one column is free
         return
     q = len(rows)
     insert = _insert
-    forms = [base] + [None] * (k - 1)
+    forms = [_EMPTY] + [None] * (k - 1)
     chosen = [0] * (k - 1)
     depth, i = 0, 0
     while True:
@@ -296,13 +292,8 @@ def _kernel_vector(
 
 
 def _kernel(echelon: _Echelon, ncols: int) -> list[list[int]]:
-    """The `_kernel_vector` of each free column among the first `ncols`, in order.
-
-    A pivot past them, as of an inconsistent right-hand side, is left out.
-    """
+    """The `_kernel_vector` of each free column among the first `ncols`, in order."""
     rows, pivots, det = echelon
-    kept = [i for i, p in enumerate(pivots) if p < ncols]
-    rows, pivots = [rows[i] for i in kept], [pivots[i] for i in kept]
     return [_kernel_vector(rows, pivots, det, free, ncols) for free in range(ncols) if free not in pivots]
 
 

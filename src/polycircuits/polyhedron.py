@@ -10,9 +10,10 @@ circuit, basic solution, edge, slack sign or redundancy test changes
 when a row and its right-hand side are scaled by a positive number, and
 no image line when the whole map is, so a description's rows become
 integers once, in its cached view `_IntRows`, and a map once, in
-`LinearMap._ints`. They stay integers through the walks, the slack tests,
-the simplex, both row blocks of Fourier-Motzkin (`_Eliminator`) and the
-redundancy pass; the edge walk and `project` read the vertex lines.
+`LinearMap._ints`; `_IntRows` also eliminates the equality block once for
+every walk and rank test. They stay integers through the walks, the slack
+tests, the simplex, both row blocks of Fourier-Motzkin (`_Eliminator`) and
+the redundancy pass; the edge walk and `project` read the vertex lines.
 `linalg` makes and reduces the integers, and Fractions are made only for
 what a caller gets back.
 
@@ -64,7 +65,6 @@ from .errors import (
 )
 from .linalg import (
     _EMPTY,
-    _Echelon,
     ONE,
     ZERO,
     Direction,
@@ -179,9 +179,11 @@ class HPolyhedron:
 class _IntRows:
     """`HPolyhedron._ints`: each row [a | rhs] times s, the lcm of its denominators.
 
-    `scale` holds each s, A rows first. `base`, built on first use, is the
-    echelon form of the A rows; it pivots in column n iff A x = b has no
-    solution."""
+    `scale` holds each s, A rows first. `reduced`, built on first use by one
+    fold of the A rows, is (K, R, n'): K is their integer kernel in n + 1
+    columns, the n' = n - rank(A) vectors of ker(A) (0 in column n), then,
+    iff A x = b is consistent, (-c x0, c) with c > 0 and A x0 = b; R holds
+    each B row times K, so a B row reads on K v what its R row reads on v."""
 
     def __init__(self, P: HPolyhedron):
         ints = [_int_vector((*row, rhs)) for row, rhs in zip((*P.A, *P.B), (*P.b, *P.d))]
@@ -190,8 +192,10 @@ class _IntRows:
         self.n = P.n
 
     @cached_property
-    def base(self) -> _Echelon:
-        return _fold(_EMPTY, self.A, self.n + 1)
+    def reduced(self) -> tuple[list[list[int]], list[list[int]], int]:
+        K = _kernel(_fold(_EMPTY, self.A, self.n + 1), self.n + 1)
+        R = [[sum(map(mul, row, v)) for v in K] for row in self.B]
+        return K, R, sum(not v[-1] for v in K)
 
 
 def _slacks(rows: Sequence[Sequence[int]], num: Sequence[int], den: int) -> list[int]:
@@ -374,63 +378,64 @@ def _irredundant_rows(
 def _basic_points(P: HPolyhedron, what: str) -> dict[Direction, list[int]]:
     """The basic solutions of P, as lines (den, *num), each mapped to its slacks.
 
-    A basic solution solves the equality rows with n - rank(A) independent
-    inequality rows held tight; there are none when the equality rows are
-    inconsistent. The walk (`_subset_lines`) runs on the rows [a | rhs] of
-    `P._ints`, width n + 1, on top of the echelon form of A, and stops one
-    row early: each (k-1)-prefix leaves a kernel of dimension two, and a
-    later row that meets it only in the right-hand-side column does not
-    extend the prefix. The line v of a k-subset gives the point
-    x = -v[:n] / v[n], named by its line (den, *num) = ±(v[n], -v[:n]),
-    den > 0; different subsets reach the same point, so the lines are kept
-    in a set. Each maps to its `_slacks` on the integer rows of `P._ints`.
-    The work budget caps the row subsets walked, comb(q, n - rank(A)).
+    A basic solution solves the equality rows with n' = n - rank(A)
+    independent inequality rows held tight; there are none when the
+    equality rows are inconsistent. The walk (`_subset_lines`) runs on the
+    reduced rows R of `P._ints.reduced`, width n' + 1, and stops one row
+    early: each (n'-1)-prefix leaves a kernel of dimension two, and a later
+    row that meets it only in the last column does not extend the prefix.
+    Different subsets reach the same line, so the lines are kept in a set.
+    Each line v maps back to the line w = K v of (x, t), which holds the
+    point x = -w[:n] / w[n], named by its line (den, *num) = ±(w[n], -w[:n]),
+    den > 0, and maps to its `_slacks` on the integer rows of `P._ints`.
+    The work budget caps the row subsets walked, comb(q, n').
     """
-    n = P.n
-    base, B = P._ints.base, P._ints.B
-    k = n - sum(p < n for p in base[1])
-    check_budget(comb(len(B), k), what)
-    if n in base[1]:
+    n, B = P.n, P._ints.B
+    K, R, np_ = P._ints.reduced
+    check_budget(comb(len(B), np_), what)
+    if len(K) == np_:  # no particular solution
         return {}
-    pts = set()
-    for v in _subset_lines(base, B, k, n, n + 1):
-        s = -1 if v[n] > 0 else 1
-        pts.add((-s * v[n], *(s * x for x in v[:n])))
-    return {v: _slacks(B, v[1:], v[0]) for v in pts}
+    KT = list(zip(*K))
+    pts = {}
+    for v in set(_subset_lines(R, np_, np_, np_ + 1)):
+        w, _ = _primitive([sum(map(mul, row, v)) for row in KT])
+        s = -1 if w[n] > 0 else 1
+        line = (-s * w[n], *(s * x for x in w[:n]))
+        pts[line] = _slacks(B, line[1:], line[0])
+    return pts
 
 
 def _circuit_lines(P: HPolyhedron) -> CircuitSet:
     """The `CircuitSet` of P's description: its sorted circuit lines, or its lineality basis.
 
     Works in kernel coordinates of the equality block: each line is the
-    one-dimensional kernel of n'-1 independent rows of the reduced
-    inequality matrix, n' = n - rank(A), mapped back to a canonical integer
-    direction. The kernel basis comes from the echelon form of `P._ints`,
-    and the reduced rows are its integer B rows times that basis. The walk
-    (`_subset_lines`) stops one row early: each independent (n'-2)-prefix
-    is eliminated once, and every later row is reduced to its two
-    coordinates on the prefix's kernel, one line per parallel class.
-    Different prefixes reach the same line, so the lines are kept in a
-    set. Each line is checked to be support-minimal: the rows zero on it must reach
-    rank n'-1, so that it is their whole kernel (CorrespondenceViolation if
-    not). The work budget caps the row subsets walked, comb(q, n'-1).
+    one-dimensional kernel of n'-1 independent rows among the first n'
+    columns of the reduced rows R of `P._ints.reduced`, n' = n - rank(A),
+    mapped back through the first n' vectors of K to a canonical integer
+    direction. The walk (`_subset_lines`) stops one row early: each
+    independent (n'-2)-prefix is eliminated once, and every later row is
+    reduced to its two coordinates on the prefix's kernel, one line per
+    parallel class. Different prefixes reach the same line, so the lines
+    are kept in a set. Each line is checked to be support-minimal: the rows
+    zero on it must reach rank n'-1, so that it is their whole kernel
+    (CorrespondenceViolation if not). The work budget caps the row subsets
+    walked, comb(q, n'-1).
     """
-    N = _kernel(P._ints.base, P.n)
-    np_ = len(N)
+    K, R, np_ = P._ints.reduced
     if np_ == 0:
         return CircuitSet()
-    NT = list(zip(*N))  # n x n', maps reduced coords to ambient
-    rows = [[sum(map(mul, row, v)) for v in N] for row in P._ints.B]
+    NT = list(zip(*K[:np_]))[: P.n]  # n x n', maps reduced coords to ambient
+    rows = [row[:np_] for row in R]
     lin = _kernel(_fold(_EMPTY, rows, np_), np_)
     if lin:
         return CircuitSet.subspace([sum(map(mul, row, v)) for row in NT] for v in lin)
     check_budget(comb(len(rows), np_ - 1), "circuit candidate subsets")
-    ghats = set(_subset_lines(_EMPTY, rows, np_ - 1, np_, np_))
+    ghats = set(_subset_lines(rows, np_ - 1, np_, np_))
     lines = []
     for gh in ghats:
         g = _canonical([sum(map(mul, row, gh)) for row in NT])
         zero = [row for row in rows if not sum(map(mul, row, gh))]
-        if _rank_upto(_EMPTY, zero, np_ - 1, np_) < np_ - 1:
+        if _rank_upto(zero, np_ - 1, np_) < np_ - 1:
             raise CorrespondenceViolation(f"circuit candidate {g} is not support-minimal")
         lines.append(g)
     lines.sort()  # in place: a sorted copy added 2 MB to the peak RSS of thm2 --n 5
@@ -483,17 +488,19 @@ def _edges(P: HPolyhedron) -> CircuitSet:
 
     For two points u, v of P the rows tight at their midpoint are exactly
     the rows tight at both, so u and v are adjacent iff the rows in
-    `mask(u) & mask(v)`, with A, have rank exactly n - 1; a vertex with
-    itself reaches rank n. The direction of an edge comes from the
-    vertex lines `V.lines`: u - v is a positive multiple of
-    num_u den_v - num_v den_u, whose `_canonical` names the line.
+    `mask(u) & mask(v)` have rank exactly n' - 1 on the reduced rows R of
+    `P._ints.reduced`, n' = n - rank(A); a vertex with itself reaches rank
+    n'. The work budget caps the vertex pairs tested. The direction of an
+    edge comes from the vertex lines `V.lines`: u - v is a positive
+    multiple of num_u den_v - num_v den_u, whose `_canonical` names the line.
     """
     V, masks = P._vertex_walk
-    base, B, n = P._ints.base, P._ints.B, P.n
+    _, R, np_ = P._ints.reduced
+    check_budget(comb(len(V.lines), 2), "vertex pairs")
     dirs = {_canonical(r) for r in V.rays}
     for (u, mu), (v, mv) in itertools.combinations(zip(V.lines, masks), 2):
-        rows = [row for i, row in enumerate(B) if (mu & mv) >> i & 1]
-        if _rank_upto(base, rows, n, n) == n - 1:
+        rows = [row for i, row in enumerate(R) if (mu & mv) >> i & 1]
+        if _rank_upto(rows, np_, np_) == np_ - 1:
             dirs.add(_canonical([x * v[0] - y * u[0] for x, y in zip(u[1:], v[1:])]))
     return CircuitSet(directions=tuple(sorted(dirs)))
 
@@ -679,7 +686,7 @@ class _Eliminator:
             if all(mask):
                 return None
             tight = [g for g, t in zip(self.gens, mask) if t]
-            if any(g[-1] for g in tight) and _rank_upto(_EMPTY, tight, r - 1, width) == r - 1:
+            if any(g[-1] for g in tight) and _rank_upto(tight, r - 1, width) == r - 1:
                 last[mask] = i
             masks.append(mask)
         return [i for i, mask in zip(keep, masks) if last.get(mask) == i]

@@ -124,8 +124,8 @@ def test_non_minimal_circuit_candidate_is_a_correspondence_violation(monkeypatch
     # whose support on the cube's rows contains that of (1, 0, 0).
     subset_lines = polyhedron._subset_lines
 
-    def corrupted(base, rows, k, ncols, width):
-        lines = subset_lines(base, rows, k, ncols, width)
+    def corrupted(rows, k, ncols, width):
+        lines = subset_lines(rows, k, ncols, width)
         yield (1,) * width
         next(lines)
         yield from lines
@@ -145,8 +145,8 @@ def test_lone_non_minimal_circuit_is_a_correspondence_violation(monkeypatch):
     # it. The rank test can: no row of the square is zero on (1, 1).
     subset_lines = polyhedron._subset_lines
 
-    def corrupted(base, rows, k, ncols, width):
-        for _ in subset_lines(base, rows, k, ncols, width):
+    def corrupted(rows, k, ncols, width):
+        for _ in subset_lines(rows, k, ncols, width):
             yield (1,) * width
 
     monkeypatch.setattr(polyhedron, "_subset_lines", corrupted)

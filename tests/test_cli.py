@@ -257,23 +257,36 @@ def test_linalg_alone_makes_and_reduces_integers():
     assert found == []
 
 
+def _private_uses(owners, imports, attributes):
+    """Where a package module other than `owners` imports one of `imports`
+    from `polyhedron` or reads an attribute named in `attributes`."""
+    package = Path(polycircuits.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name in owners:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("polyhedron", "polycircuits.polyhedron"):
+                found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names if alias.name in imports]
+            elif isinstance(node, ast.Attribute) and node.attr in attributes:
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
+    return found
+
+
 def test_only_circuits_imports_the_walk_internals():
     # each description caches its own walks; every other module asks for
     # circuits, vertices and edges through the public functions, so a new
     # walk can replace a cached one without touching its callers
-    package = Path(polycircuits.__file__).resolve().parent
     internals = {"_circuit_lines", "_basic_points", "_vrep"}
     caches = {"_circuit_walk", "_vertex_walk", "_edge_walk"}
-    found = []
-    for path in sorted(package.glob("*.py")):
-        if path.name in ("polyhedron.py", "circuits.py"):
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
-            if isinstance(node, ast.ImportFrom) and node.module in ("polyhedron", "polycircuits.polyhedron"):
-                found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names if alias.name in internals]
-            elif isinstance(node, ast.Attribute) and node.attr in caches:
-                found.append(f"{path.name}:{node.lineno} .{node.attr}")
-    assert found == []
+    assert _private_uses(("polyhedron.py", "circuits.py"), internals, caches) == []
+
+
+def test_only_the_walks_and_the_simplex_read_the_integer_rows():
+    # a description's integer rows and their slack test belong to the walks
+    # and the simplex; every other module reads slacks and vertices through
+    # the public functions and results, so the row format can change in one place
+    assert _private_uses(("polyhedron.py", "circuits.py", "lp.py"), {"_slacks"}, {"_ints"}) == []
 
 
 _FRACTIONAL_DIRECTION = """

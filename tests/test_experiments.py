@@ -170,17 +170,18 @@ def test_thm5_walks_each_target_once(tmp_path, monkeypatch):
 
 def test_partpoly_tests_each_vertex_pair_of_the_transportation_polytope_once(tmp_path, monkeypatch):
     # An adjacency test is the one `_rank_upto` call whose cap equals its
-    # column count, n. The transportation polytope T lives in R^10 and has
-    # five vertices: check_inheritance(T, piX) tests its ten vertex pairs,
-    # and the claim that every circuit of T is an edge direction reads the
-    # edge walk cached on T instead of testing them again (20 calls before).
+    # column count, n' = n - rank(A). The transportation polytope T lives in
+    # R^10 with n' = 4 and has five vertices: check_inheritance(T, piX) tests
+    # its ten vertex pairs, and the claim that every circuit of T is an edge
+    # direction reads the edge walk cached on T instead of testing them
+    # again (20 calls before).
     calls: Counter = Counter()
     rank_upto = polyhedron._rank_upto
 
-    def counting(echelon, rows, r, ncols):
+    def counting(rows, r, ncols):
         calls[r, ncols] += 1
-        return rank_upto(echelon, rows, r, ncols)
+        return rank_upto(rows, r, ncols)
 
     monkeypatch.setattr(polyhedron, "_rank_upto", counting)
     assert run_experiment("partpoly", {}, tmp_path).passed
-    assert calls[10, 10] == 10
+    assert calls[4, 4] == 10

@@ -9,6 +9,7 @@ import pytest
 import polycircuits
 from polycircuits import polyhedron
 from polycircuits.circuits import enumerate_circuits
+from polycircuits.constructions import hypercube
 from polycircuits.errors import BudgetExceeded, EmptyPolyhedron, NotPointed, PreconditionViolation
 from polycircuits.linalg import matrix, primitive, vector
 from polycircuits.polyhedron import (
@@ -254,6 +255,18 @@ def test_edge_walk_is_cached_and_a_raising_one_is_not():
     with work_budget(0):
         assert edge_directions(P) is first
     assert edge_directions(P.renamed("copy")) == first
+
+
+def test_vertex_pairs_are_charged_to_the_budget():
+    # hypercube(8): the vertex walk visits comb(16, 8) = 12,870 subsets and
+    # passes the cap; its 256 vertices make comb(256, 2) = 32,640 pairs, which do not
+    P = hypercube(8)
+    with work_budget(20000), pytest.raises(BudgetExceeded) as exc:
+        edge_directions(P)
+    assert str(exc.value) == "vertex pairs: 32640 candidates exceed budget 20000"
+    # the vertex walk that ran before the pairs were charged stays cached
+    with work_budget(0):
+        assert len(vrep(P).lines) == 256
 
 
 def test_project_orthant_through_pi34():

@@ -12,13 +12,14 @@ midpoint. Both must return exactly the same objects.
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from polycircuits import linalg, lp
 from polycircuits.circuits import basic_solutions, enumerate_circuits
-from polycircuits.constructions import cropped_cross_polytope, hypercube
+from polycircuits.constructions import cropped_cross_polytope, hypercube, transportation
 from polycircuits.directions import BasicSolutionSet, CircuitSet
 from polycircuits.errors import EmptyPolyhedron, NotPointed
 from polycircuits.linalg import (
@@ -234,6 +235,9 @@ def test_reference_descriptions_cover_every_case():
             seen.add("fractional")
         if any(all(x == 0 for x in row) for row in P.B):
             seen.add("zero row")
+        for row, rhs in zip(P.A, P.b):
+            if not any(row):  # the rhs column is the first pivot of the A rows when rhs != 0
+                seen.add("zero equality row, 0 = c != 0" if rhs else "zero equality row")
         if "parallel rows" not in seen and any(
             rank((r, s)) == 1 for r, s in itertools.combinations(P.B, 2) if any(r) and any(s)
         ):
@@ -251,7 +255,7 @@ def test_reference_descriptions_cover_every_case():
     assert seen >= {
         "k=0", "k=1", "k=2", "k=3", "k=4",
         "inconsistent equalities", "dependent equalities", "fractional",
-        "zero row", "parallel rows", "rays", "bounded", "degenerate vertex",
+        "zero row", "zero equality row", "zero equality row, 0 = c != 0", "parallel rows", "rays", "bounded", "degenerate vertex",
         "edges", "NotPointed", "EmptyPolyhedron",
     }, seen
 
@@ -282,3 +286,27 @@ def test_subset_work_is_pinned(monkeypatch, run, expected):
     monkeypatch.setattr(linalg, "_insert", counting)
     run()
     assert len(calls) == expected
+
+
+def test_walks_and_rank_tests_read_the_reduced_rows(monkeypatch):
+    # The equality block is eliminated once per description: its rows
+    # [a | rhs], n + 1 wide, are folded once into `_ints.reduced`, and every
+    # subset walk and rank test after that inserts reduced rows, at most
+    # n' + 1 wide. transportation(5, 2, (1, 4)) has n = 10 and seven
+    # equality rows of rank 6, so n' = 4. The rows n wide are the Fraction
+    # `rank` of [A; B] in `is_pointed`.
+    P = transportation(5, 2, (1, 4))
+    widths = []
+    insert = linalg._insert
+
+    def recording(rows, pivots, det, x, ncols):
+        widths.append(len(x))
+        return insert(rows, pivots, det, x, ncols)
+
+    monkeypatch.setattr(linalg, "_insert", recording)
+    basic_solutions(P)
+    vrep(P)
+    edge_directions(P)
+    wide = Counter(w for w in widths if w > 5)
+    assert wide == {11: len(P.A), 10: len(P.A) + len(P.B)}
+    assert len(widths) == 720
