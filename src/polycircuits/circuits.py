@@ -105,7 +105,7 @@ def _basic_solutions(P: HPolyhedron) -> tuple[BasicSolutionSet, dict[Direction, 
         # tight rows of R in `P._ints.reduced` must reach rank n' = n - rank(A)
         return _rank_upto([row for row, s in zip(R, slacks) if s == 0], np_, np_) == np_
 
-    pts = _basic_points(P, "basic solution subsets")
+    pts = _basic_points(P)
     for v, slacks in pts.items():
         if not is_basic(slacks):
             raise CorrespondenceViolation(f"basic solution line {v} is not support-minimal")

@@ -20,6 +20,7 @@ from typing import Callable, Optional
 
 from . import jsonio
 from .circuits import (
+    basic_solutions,
     circuits_of_homogenization,
     enumerate_circuits,
     enumerate_circuits_bruteforce,
@@ -53,10 +54,13 @@ from .inheritance import (
     verify_slack_law,
 )
 from .linalg import (
+    dot,
+    mat_vec,
     matmul,
     matrix,
     rank,
     unit_vector,
+    vec_sub,
     vector,
     zero_vector,
 )
@@ -317,7 +321,7 @@ def run_partpoly(params: dict, out_dir) -> ReproductionResult:
     rec.save_poly("transportation", T)
     rec.save_map("cluster_projection", piX)
 
-    # the report holds T's circuits, and T keeps the vertex walk it ran
+    # the report holds T's circuits, and T keeps the vertices it computed
     rep = check_inheritance(T, piX)
     CT = rep.Q_circuits
     rec.save_circuits("source_circuits", CT)
@@ -590,6 +594,48 @@ def law_two_route_projection(rng: random.Random) -> bool:
     return not is_pointed(P) or set(vrep(P).vertices) <= {pi(v) for v in V.vertices}
 
 
+def law_two_route_vertices(rng: random.Random) -> bool:
+    """Double description against the subset walks, on a pointed P, bounded or
+    not, with or without equality rows and a redundant row: the vertices of
+    `vrep` are the basic solutions that P contains, its rays are the
+    sign-consistent circuits oriented so that B r <= 0, and `edge_directions`
+    holds those rays and u - v for each pair of those basic solutions whose
+    common tight rows reach rank n - 1 together with the equality rows."""
+    n = rng.randint(2, 4)
+    Q = _random_polytope(rng, n, extra=1) if rng.random() < 0.5 else _random_pointed(rng, n)
+    B, d = list(Q.B), list(Q.d)
+    if rng.random() < 0.5:  # implied by two other rows
+        i, j = rng.sample(range(len(B)), 2)
+        B.append([x + y for x, y in zip(B[i], B[j])])
+        d.append(d[i] + d[j] + rng.randint(0, 1))
+    x0 = vector(Fraction(rng.randint(0, 2), rng.choice((2, 3))) for _ in range(n))
+    if not Q.contains(x0):
+        x0 = zero_vector(n)  # the origin is a point of every random Q
+    A = [[Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2))) for _ in range(n)] for _ in range(rng.randint(0, 2))]
+    P = HPolyhedron.make(n, A, [dot(row, x0) for row in A], B, d)
+    V = vrep(P)
+    sols = basic_solutions(P)
+    vertices = [(v, x) for v, x in zip(sols.lines, sols.points) if P.contains(x)]
+    if V.lines != tuple(v for v, _ in vertices):
+        return False
+    rays = []
+    for g in enumerate_circuits(P):
+        reads = mat_vec(P.B, g)
+        if all(x <= 0 for x in reads):
+            rays.append(g)
+        elif all(x >= 0 for x in reads):
+            rays.append(tuple(-x for x in g))
+    if V.rays != tuple(sorted(rays)):
+        return False
+    edges = list(rays)
+    for (_, u), (_, v) in itertools.combinations(vertices, 2):
+        common = set(P.tight_inequality_rows(u)) & set(P.tight_inequality_rows(v))
+        rows = P.A + tuple(P.B[i] for i in sorted(common))
+        if rank(rows) == n - 1:
+            edges.append(vec_sub(u, v))
+    return edge_directions(P) == CircuitSet.of(edges)
+
+
 LAW_SUITES: dict[str, Callable[[random.Random], bool]] = {
     "cartesian": law_cartesian,
     "slack": law_slack,
@@ -599,6 +645,7 @@ LAW_SUITES: dict[str, Callable[[random.Random], bool]] = {
     "dimension_triviality": law_dimension_triviality,
     "oracle": law_oracle,
     "two_route_projection": law_two_route_projection,
+    "two_route_vertices": law_two_route_vertices,
 }
 
 

@@ -140,8 +140,8 @@ def check_inheritance(Q: HPolyhedron, pi: LinearMap, P_desc: Optional[HPolyhedro
     inherited = CircuitSet(directions=tuple(g for g in CP if g in lines))
     non_inherited = CircuitSet(directions=tuple(g for g in CP if g not in lines))
 
-    # P and Q are pointed, and their circuit walks are cached: only the
-    # vertices need a walk
+    # P and Q are pointed, and their circuit walks and Q's vertices are
+    # cached: only P's vertices are computed here
     edge_dirs = edge_directions(P)
     edges = set(edge_dirs)
     if not edges <= set(inherited):

@@ -18,12 +18,14 @@ the redundancy pass; the edge walk and `project` read the vertex lines.
 what a caller gets back.
 
 Each description is walked once. `HPolyhedron` caches each walk on first
-use as the object its reader returns: `_circuit_lines` the `CircuitSet`
-of `enumerate_circuits`, `_vrep` the `VRep` of `vrep` (vertex lines and
-rays) with each vertex's tight-row mask, `_edges` the `CircuitSet` of
-`edge_directions`. A cache hit runs no walk and charges no work budget;
-a walk that raises, `BudgetExceeded` included, is not cached. The cache
-belongs to the object: a `renamed` copy or any new description walks afresh.
+use as the object its reader returns: `_circuit_lines`, a subset walk,
+the `CircuitSet` of `enumerate_circuits`; `_vrep`, a double description
+of the homogenization cone (`_extreme_rays`), not a subset walk, the
+`VRep` of `vrep` (vertex lines and rays) with each vertex's tight-row
+mask; `_edges` the `CircuitSet` of `edge_directions`. A cache hit runs
+no walk and charges no work budget; a walk that raises, `BudgetExceeded`
+included, is not cached. The cache belongs to the object: a `renamed`
+copy or any new description walks afresh.
 
 `project` has two routes to the same description. Given the domain's
 vertices and rays, it reads every prune and the implicit equalities off
@@ -98,7 +100,8 @@ _BUDGET: ContextVar[int] = ContextVar("work_budget", default=DEFAULT_BUDGET)
 
 @contextmanager
 def work_budget(cap: int) -> Iterator[None]:
-    """Cap every subset walk in the `with` block at `cap` candidates; restore the cap on exit.
+    """Cap every subset walk and double description in the `with` block at `cap`
+    candidates; restore the cap on exit.
 
     A negative cap is an input error (PreconditionViolation); a cap of 0
     lets only an empty walk through."""
@@ -183,7 +186,10 @@ class _IntRows:
     fold of the A rows, is (K, R, n'): K is their integer kernel in n + 1
     columns, the n' = n - rank(A) vectors of ker(A) (0 in column n), then,
     iff A x = b is consistent, (-c x0, c) with c > 0 and A x0 = b; R holds
-    each B row times K, so a B row reads on K v what its R row reads on v."""
+    each B row times K, so a B row reads on K v what its R row reads on v.
+    With no A rows K is the identity and R is B itself. `lineality`, the
+    kernel of the first n' columns of R, is P's lineality space in kernel
+    coordinates: P is pointed iff it is empty."""
 
     def __init__(self, P: HPolyhedron):
         ints = [_int_vector((*row, rhs)) for row, rhs in zip((*P.A, *P.B), (*P.b, *P.d))]
@@ -194,8 +200,13 @@ class _IntRows:
     @cached_property
     def reduced(self) -> tuple[list[list[int]], list[list[int]], int]:
         K = _kernel(_fold(_EMPTY, self.A, self.n + 1), self.n + 1)
-        R = [[sum(map(mul, row, v)) for v in K] for row in self.B]
+        R = [[sum(map(mul, row, v)) for v in K] for row in self.B] if self.A else self.B
         return K, R, sum(not v[-1] for v in K)
+
+    @cached_property
+    def lineality(self) -> list[list[int]]:
+        _, R, np_ = self.reduced
+        return _kernel(_fold(_EMPTY, [row[:np_] for row in R], np_), np_)
 
 
 def _slacks(rows: Sequence[Sequence[int]], num: Sequence[int], den: int) -> list[int]:
@@ -375,7 +386,7 @@ def _irredundant_rows(
     return keep
 
 
-def _basic_points(P: HPolyhedron, what: str) -> dict[Direction, list[int]]:
+def _basic_points(P: HPolyhedron) -> dict[Direction, list[int]]:
     """The basic solutions of P, as lines (den, *num), each mapped to its slacks.
 
     A basic solution solves the equality rows with n' = n - rank(A)
@@ -392,13 +403,14 @@ def _basic_points(P: HPolyhedron, what: str) -> dict[Direction, list[int]]:
     """
     n, B = P.n, P._ints.B
     K, R, np_ = P._ints.reduced
-    check_budget(comb(len(B), np_), what)
+    check_budget(comb(len(B), np_), "basic solution subsets")
     if len(K) == np_:  # no particular solution
         return {}
     KT = list(zip(*K))
     pts = {}
     for v in set(_subset_lines(R, np_, np_, np_ + 1)):
-        w, _ = _primitive([sum(map(mul, row, v)) for row in KT])
+        # with no A rows K is the identity, and v is already primitive
+        w = _primitive([sum(map(mul, row, v)) for row in KT])[0] if P._ints.A else v
         s = -1 if w[n] > 0 else 1
         line = (-s * w[n], *(s * x for x in w[:n]))
         pts[line] = _slacks(B, line[1:], line[0])
@@ -426,7 +438,7 @@ def _circuit_lines(P: HPolyhedron) -> CircuitSet:
         return CircuitSet()
     NT = list(zip(*K[:np_]))[: P.n]  # n x n', maps reduced coords to ambient
     rows = [row[:np_] for row in R]
-    lin = _kernel(_fold(_EMPTY, rows, np_), np_)
+    lin = P._ints.lineality
     if lin:
         return CircuitSet.subspace([sum(map(mul, row, v)) for row in NT] for v in lin)
     check_budget(comb(len(rows), np_ - 1), "circuit candidate subsets")
@@ -442,38 +454,111 @@ def _circuit_lines(P: HPolyhedron) -> CircuitSet:
     return CircuitSet(directions=tuple(lines))
 
 
+def _extreme_rays(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
+    """The extreme rays of the pointed cone {v : row . v >= 0 for every row}, as
+    primitive integer vectors, by double description (Motzkin, Raiffa, Thompson
+    & Thrall 1953; Fukuda & Prodon 1996). `rows` must reach rank `width`.
+
+    The first `width` independent rows cut a simplicial start cone, whose rays
+    are the kernel lines of each `width` - 1 of them, each oriented so that the
+    row left out reads > 0. The other rows are added in order. Adding a row a
+    keeps the rays with a . v >= 0 and adds the ray (a . p) q - (a . q) p, on
+    which a reads 0, for every adjacent pair with a . p > 0 > a . q. Each ray
+    carries the mask of the rows added so far that are tight on it, and p and q
+    are adjacent iff `mask(p) & mask(q)` holds at least `width` - 2 rows and no
+    other ray's mask contains it (the combinatorial test of Fukuda & Prodon).
+    The work budget caps the pairs tested, a running count checked before each
+    row's pairs.
+    """
+    start, echelon = [], _EMPTY
+    for i, row in enumerate(rows):
+        if len(start) == width:
+            break
+        grown = _fold(echelon, (row,), width)  # `echelon` itself when row depends on it
+        if grown is not echelon:
+            echelon = grown
+            start.append(i)
+    tight = sum(1 << i for i in start)
+    rays, masks = [], []
+    for i in start:
+        (v,) = _kernel(_fold(_EMPTY, [rows[j] for j in start if j != i], width), width)
+        rays.append(v if sum(map(mul, rows[i], v)) > 0 else [-x for x in v])
+        masks.append(tight & ~(1 << i))
+
+    def adjacent(z: int) -> bool:
+        hits = 0  # the masks of p and q contain z
+        for m in masks:
+            if m & z == z:
+                hits += 1
+                if hits > 2:
+                    return False
+        return True
+
+    pairs = 0
+    for i in sorted(set(range(len(rows))) - set(start)):
+        a, bit = rows[i], 1 << i
+        reads = [sum(map(mul, a, v)) for v in rays]
+        pos = [k for k, s in enumerate(reads) if s > 0]
+        neg = [k for k, s in enumerate(reads) if s < 0]
+        pairs += len(pos) * len(neg)
+        check_budget(pairs, "double description pairs")
+        new = [
+            (_primitive([reads[p] * x - reads[q] * y for x, y in zip(rays[q], rays[p])])[0], z | bit)
+            for p in pos
+            for q in neg
+            if (z := masks[p] & masks[q]).bit_count() >= width - 2 and adjacent(z)
+        ]
+        keep = [k for k, s in enumerate(reads) if s >= 0]
+        masks = [masks[k] | bit if reads[k] == 0 else masks[k] for k in keep] + [m for _, m in new]
+        rays = [rays[k] for k in keep] + [v for v, _ in new]
+    return rays
+
+
 def _vrep(P: HPolyhedron) -> tuple[VRep, tuple[int, ...]]:
     """The `VRep` of a pointed P and the tight-row mask of each vertex, in
     `VRep.lines` order; NotPointed when P has a lineality space.
 
-    The vertices are the feasible basic solutions; a pointed polyhedron
-    with none is empty (EmptyPolyhedron). The extreme rays are the
-    sign-consistent circuits (Rockafellar 1969) of P's cached circuit walk,
-    oriented so that B r <= 0.
+    The vertices and extreme rays are read off the extreme rays v of the
+    homogenization cone {v : t >= 0, R v >= 0} of the reduced rows R of
+    `P._ints.reduced`, t = v[n'] the coefficient of the particular solution
+    (`_extreme_rays`). With t > 0, v maps to the line w = K v of (x, t),
+    which holds the vertex x = -w[:n] / w[n], named by its line (den, *num);
+    with t = 0, to the extreme ray -w[:n] of P. A pointed polyhedron with no
+    vertex is empty (EmptyPolyhedron). Each vertex is checked to have no
+    negative slack and tight rows of rank n', and each ray r to have
+    B r <= 0 (CorrespondenceViolation if not).
     """
-    C = P._circuit_walk
-    if C.is_subspace:
+    ints, n = P._ints, P.n
+    K, R, np_ = ints.reduced
+    if ints.lineality:
         raise NotPointed(P.name or "polyhedron")
-    masks = {
-        v: sum(1 << i for i, s in enumerate(slacks) if s == 0)
-        for v, slacks in _basic_points(P, "vertex candidates").items()
-        if all(s >= 0 for s in slacks)
-    }
+    if len(K) == np_:  # no particular solution
+        raise EmptyPolyhedron(P.name or "polyhedron")
+    KT = list(zip(*K))
+    masks, rays = {}, []
+    for v in _extreme_rays([[0] * np_ + [1], *R], np_ + 1):
+        # with no A rows K is the identity, and v is already primitive
+        w = _primitive([sum(map(mul, row, v)) for row in KT])[0] if ints.A else v
+        if not w[n]:
+            r = [-x for x in w[:n]]
+            if any(s < 0 for s in _slacks(ints.B, r, 0)):
+                raise CorrespondenceViolation(f"extreme ray {tuple(r)} leaves the polyhedron")
+            rays.append(tuple(r))
+            continue
+        line = (w[n], *(-x for x in w[:n]))
+        slacks = _slacks(ints.B, line[1:], line[0])
+        tight = [row for row, s in zip(R, slacks) if s == 0]  # of rank n' iff v is extreme in the cone
+        if any(s < 0 for s in slacks) or _rank_upto(tight, np_, np_ + 1) < np_:
+            raise CorrespondenceViolation(f"vertex line {line} is not a vertex")
+        masks[line] = sum(1 << i for i, s in enumerate(slacks) if s == 0)
     if not masks:
         raise EmptyPolyhedron(P.name or "polyhedron")
-    rays = []
-    for g in C.directions:
-        added = _slacks(P._ints.B, g, 0)  # -B g, row by row
-        if all(x >= 0 for x in added):
-            rays.append(g)
-        elif all(x <= 0 for x in added):
-            rays.append(tuple(-x for x in g))
     lines = BasicSolutionSet.of(masks).lines
     return VRep(lines=lines, rays=tuple(sorted(rays))), tuple(masks[v] for v in lines)
 
 
 def vrep(P: HPolyhedron) -> VRep:
-    """All vertices and extreme rays of a pointed polyhedron, with no LP (`_vrep`, walked once per P)."""
+    """All vertices and extreme rays of a pointed polyhedron, with no LP (`_vrep`, run once per P)."""
     return P._vertex_walk[0]
 
 
@@ -484,13 +569,15 @@ def edge_directions(P: HPolyhedron) -> CircuitSet:
 
 
 def _edges(P: HPolyhedron) -> CircuitSet:
-    """`edge_directions` of P, from its cached vertex walk.
+    """`edge_directions` of P, from its cached vertices (`_vrep`).
 
     For two points u, v of P the rows tight at their midpoint are exactly
     the rows tight at both, so u and v are adjacent iff the rows in
     `mask(u) & mask(v)` have rank exactly n' - 1 on the reduced rows R of
     `P._ints.reduced`, n' = n - rank(A); a vertex with itself reaches rank
-    n'. The work budget caps the vertex pairs tested. The direction of an
+    n'. A pair with fewer than n' - 1 common tight rows cannot reach rank
+    n' - 1 and skips the rank test. The work budget caps the vertex pairs
+    tested, all of them, skipped or not. The direction of an
     edge comes from the vertex lines `V.lines`: u - v is a positive
     multiple of num_u den_v - num_v den_u, whose `_canonical` names the line.
     """
@@ -499,6 +586,8 @@ def _edges(P: HPolyhedron) -> CircuitSet:
     check_budget(comb(len(V.lines), 2), "vertex pairs")
     dirs = {_canonical(r) for r in V.rays}
     for (u, mu), (v, mv) in itertools.combinations(zip(V.lines, masks), 2):
+        if (mu & mv).bit_count() < np_ - 1:  # too few rows to reach rank n' - 1
+            continue
         rows = [row for i, row in enumerate(R) if (mu & mv) >> i & 1]
         if _rank_upto(rows, np_, np_) == np_ - 1:
             dirs.add(_canonical([x * v[0] - y * u[0] for x, y in zip(u[1:], v[1:])]))
@@ -724,7 +813,7 @@ def project(P: HPolyhedron, pi: LinearMap, V: Optional[VRep] = None) -> HPolyhed
     makes, is the point the result is checked to hold. Without V, an LP
     finds the point of P to map, every prune solves LPs and `_implicit_rows`
     finds the implicit equalities. Both routes return the same description.
-    `project` never walks P's vertices itself: that walk is exponential.
+    `project` never enumerates P's vertices itself: their number is exponential.
     """
     m = P.n
     nt = pi.out_dim

@@ -151,5 +151,5 @@ def test_criterion_10_law_suites(tmp_path):
     result = run_experiment("laws", {"seed": 0, "count": 100}, tmp_path)
     seconds = time.monotonic() - start
     ok = result.passed and seconds < 600.0
-    _verdict(10, "eight law suites, one hundred seeded instances each", ok,
+    _verdict(10, "nine law suites, one hundred seeded instances each", ok,
              "; ".join(_failed(result)) or f"took {seconds:.1f}s")

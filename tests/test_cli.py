@@ -656,8 +656,9 @@ def test_construct_sizes_that_are_not_integers_are_refused_by_the_parser(capsys)
 
 def test_check_budget_below_the_domain_vertex_walk_exits_three(tmp_path):
     # The cube's circuit walk visits comb(6, 2) = 15 row subsets and its
-    # vertex walk comb(6, 3) = 20. check_inheritance walks Q's vertices
-    # before it projects, so a budget of 15 runs out there.
+    # double description tests 7 ray pairs, both within a budget of 15. The
+    # budget runs out on the last walk of check_inheritance, the edges of Q,
+    # which charges its comb(8, 2) = 28 vertex pairs up front.
     flatten = LinearMap([[1, 0, 0], [0, 1, 0]], name="flatten")
     qp, mp = write_pair(tmp_path, hypercube(3), flatten)
     src = str(Path(polycircuits.__file__).resolve().parents[1])
@@ -670,4 +671,4 @@ def test_check_budget_below_the_domain_vertex_walk_exits_three(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 3, proc.stderr
-    assert proc.stderr == "budget exceeded: vertex candidates: 20 candidates exceed budget 15\n"
+    assert proc.stderr == "budget exceeded: vertex pairs: 28 candidates exceed budget 15\n"

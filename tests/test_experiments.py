@@ -75,9 +75,9 @@ def test_experiment_artifacts_are_valid_json(tmp_path):
 
 def _record_inputs(monkeypatch) -> Counter:
     """Count the calls of project, minimize_description, enumerate_circuits,
-    the vertex walk (the k-subsets of `_basic_points`) and the (n'-1)-subset
-    walk (`_circuit_lines`) per input, wherever a polycircuits module binds
-    them.
+    the basic solution walk (the k-subsets of `_basic_points`), the double
+    description of the vertices (`_vrep`) and the (n'-1)-subset walk
+    (`_circuit_lines`) per input, wherever a polycircuits module binds them.
 
     An input is keyed by its rows (and map), never by its name, so a renamed
     copy of an object counts as the same input.
@@ -90,6 +90,7 @@ def _record_inputs(monkeypatch) -> Counter:
         polyhedron.minimize_description: lambda P, *rest: rows(P),
         circuits.enumerate_circuits: lambda P, *rest: rows(P),
         polyhedron._basic_points: lambda P, *rest: rows(P),
+        polyhedron._vrep: lambda P, *rest: rows(P),
         polyhedron._circuit_lines: lambda P, *rest: rows(P),
     }
     calls: Counter = Counter()
@@ -144,6 +145,8 @@ def test_thm5_walks_each_target_once(tmp_path, monkeypatch):
     # The circuit and edge tests of run_thm5 and every non_inheriting_extension
     # call on one target read the walks cached on that target. Walks are
     # counted per object: a renamed copy holds no cache and would walk again.
+    # Only the simplex image's circuits are asked for; the vertices and rays
+    # of `vrep` come from double description, which reads no circuit walk.
     walks: list = []
 
     def counting(fn):
@@ -153,7 +156,7 @@ def test_thm5_walks_each_target_once(tmp_path, monkeypatch):
 
         return wrapper
 
-    wrappers = {fn: counting(fn) for fn in (polyhedron._circuit_lines, polyhedron._basic_points)}
+    wrappers = {fn: counting(fn) for fn in (polyhedron._circuit_lines, polyhedron._vrep)}
     for modname, mod in list(sys.modules.items()):
         if modname == "polycircuits" or modname.startswith("polycircuits."):
             for attr, value in list(vars(mod).items()):
@@ -165,7 +168,7 @@ def test_thm5_walks_each_target_once(tmp_path, monkeypatch):
     targets = {id(P): P.name for _, P in walks if P.name in names}
     assert sorted(targets.values()) == sorted(names)
     per_target = Counter((fn, targets[id(P)]) for fn, P in walks if id(P) in targets)
-    assert per_target == {(fn, name): 1 for fn in ("_circuit_lines", "_basic_points") for name in names}
+    assert per_target == {("_circuit_lines", "simplex_image_3_4"): 1, **{("_vrep", name): 1 for name in names}}
 
 
 def test_partpoly_tests_each_vertex_pair_of_the_transportation_polytope_once(tmp_path, monkeypatch):

@@ -217,22 +217,26 @@ def test_edge_directions_square_and_cone():
 
 
 def test_each_description_is_walked_once(monkeypatch):
-    # the circuit walk and the vertex walk are cached on the description,
-    # one `_subset_lines` call each, however often the public API asks
+    # the circuit walk and the vertices are cached on the description, one
+    # `_subset_lines` call and one double description, however often the
+    # public API asks
     calls = []
-    walk = polyhedron._subset_lines
 
-    def counting(*args):
-        calls.append(args)
-        return walk(*args)
+    def counting(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
 
-    monkeypatch.setattr(polyhedron, "_subset_lines", counting)
+        return wrapper
+
+    for fn in (polyhedron._subset_lines, polyhedron._extreme_rays):
+        monkeypatch.setattr(polyhedron, fn.__name__, counting(fn))
     P = cartesian_product(unit_square(), HPolyhedron.make(1, B=[[-1], [1]], d=[0, 1]))
     assert len(enumerate_circuits(P)) == 3
     assert len(vrep(P).vertices) == 8
     assert len(edge_directions(P)) == 3
     assert len(vrep(P).vertices) == 8
-    assert len(calls) == 2
+    assert sorted(calls) == ["_extreme_rays", "_subset_lines"]
 
 
 def test_a_walk_that_raises_is_not_cached():
@@ -258,8 +262,8 @@ def test_edge_walk_is_cached_and_a_raising_one_is_not():
 
 
 def test_vertex_pairs_are_charged_to_the_budget():
-    # hypercube(8): the vertex walk visits comb(16, 8) = 12,870 subsets and
-    # passes the cap; its 256 vertices make comb(256, 2) = 32,640 pairs, which do not
+    # hypercube(8): the double description tests 255 ray pairs and passes
+    # the cap; its 256 vertices make comb(256, 2) = 32,640 pairs, which do not
     P = hypercube(8)
     with work_budget(20000), pytest.raises(BudgetExceeded) as exc:
         edge_directions(P)
@@ -267,6 +271,18 @@ def test_vertex_pairs_are_charged_to_the_budget():
     # the vertex walk that ran before the pairs were charged stays cached
     with work_budget(0):
         assert len(vrep(P).lines) == 256
+
+
+def test_double_description_pairs_are_charged_to_the_budget():
+    # hypercube(10): adding x_k <= 1 pairs each of the 2^(k-1) vertices found
+    # so far with the ray e_k, 1 + 2 + ... + 512 = 1,023 pairs in all, where a
+    # walk of the basic points would visit comb(20, 10) = 184,756 subsets
+    P = hypercube(10)
+    with work_budget(1022), pytest.raises(BudgetExceeded) as exc:
+        vrep(P)
+    assert str(exc.value) == "double description pairs: 1023 candidates exceed budget 1022"
+    assert len(vrep(P).lines) == 1024
+    assert len(edge_directions(P)) == 10
 
 
 def test_project_orthant_through_pi34():

@@ -1,13 +1,14 @@
-"""The depth-first subset enumerators against per-subset references.
+"""The subset enumerators and the double description against per-subset references.
 
-`enumerate_circuits`, `vrep`, `basic_solutions` and `edge_directions`
-visit row subsets depth first, reuse each prefix's echelon form and
-reduce the last row of a subset to two coordinates on its prefix's kernel
-(`linalg._subset_lines`); edges are decided by tight-row masks. The
-references below are the per-subset loops they replaced: every subset is
-eliminated from scratch through the public `rank`, `solve` and
-`kernel_basis`, and adjacency is the dimension of the face at the
-midpoint. Both must return exactly the same objects.
+`enumerate_circuits` and `basic_solutions` visit row subsets depth first,
+reuse each prefix's echelon form and reduce the last row of a subset to
+two coordinates on its prefix's kernel (`linalg._subset_lines`); `vrep`
+runs the double description of the homogenization cone
+(`polyhedron._extreme_rays`), and edges are decided by tight-row masks.
+The references below are per-subset loops: every subset is eliminated
+from scratch through the public `rank`, `solve` and `kernel_basis`, and
+adjacency is the dimension of the face at the midpoint. Both must return
+exactly the same objects.
 """
 
 import itertools
@@ -265,7 +266,7 @@ def test_reference_descriptions_cover_every_case():
     [
         (lambda: enumerate_circuits(homogenize(cropped_cross_polytope(3))), 572),
         (lambda: basic_solutions(cropped_cross_polytope(3)), 572),
-        (lambda: edge_directions(hypercube(3)), 67),
+        (lambda: edge_directions(hypercube(3)), 70),
     ],
     ids=["circuits-hom-ccp3", "basic-solutions-ccp3", "edges-cube3"],
 )
@@ -274,8 +275,9 @@ def test_subset_work_is_pinned(monkeypatch, run, expected):
     # walk, is a sequence of linalg._insert steps; the walk's last row is
     # reduced to two kernel coordinates without one. A change that visits
     # more subsets or eliminates more rows must update these counts on purpose.
-    # They include the rank test of every circuit line and basic solution
-    # on its own zero or tight rows (linalg._rank_upto).
+    # They include the rank test of every circuit line, basic solution and
+    # vertex on its own zero or tight rows (linalg._rank_upto), and the start
+    # cone of the double description.
     calls = []
     insert = linalg._insert
 
@@ -291,8 +293,8 @@ def test_subset_work_is_pinned(monkeypatch, run, expected):
 def test_walks_and_rank_tests_read_the_reduced_rows(monkeypatch):
     # The equality block is eliminated once per description: its rows
     # [a | rhs], n + 1 wide, are folded once into `_ints.reduced`, and every
-    # subset walk and rank test after that inserts reduced rows, at most
-    # n' + 1 wide. transportation(5, 2, (1, 4)) has n = 10 and seven
+    # subset walk, rank test and double description step after that inserts
+    # reduced rows, at most n' + 1 wide. transportation(5, 2, (1, 4)) has n = 10 and seven
     # equality rows of rank 6, so n' = 4. The rows n wide are the Fraction
     # `rank` of [A; B] in `is_pointed`.
     P = transportation(5, 2, (1, 4))
@@ -309,4 +311,4 @@ def test_walks_and_rank_tests_read_the_reduced_rows(monkeypatch):
     edge_directions(P)
     wide = Counter(w for w in widths if w > 5)
     assert wide == {11: len(P.A), 10: len(P.A) + len(P.B)}
-    assert len(widths) == 720
+    assert len(widths) == 578
