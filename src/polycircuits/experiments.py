@@ -67,6 +67,7 @@ from .linalg import (
 from .polyhedron import (
     HPolyhedron,
     LinearMap,
+    _project,
     edge_directions,
     is_pointed,
     minimize_description,
@@ -575,9 +576,9 @@ def law_oracle(rng: random.Random) -> bool:
 
 
 def law_two_route_projection(rng: random.Random) -> bool:
-    """Projection by incidence against projection by LP, on a pointed Q
-    (bounded or not) under a map with fractional entries: the two
-    descriptions are equal, every image of a vertex or ray of Q satisfies
+    """`project`, by incidence here, against its LP route `_project(Q, pi, None)`
+    on a pointed Q (bounded or not) under a map with fractional entries: the
+    two descriptions are equal, every image of a vertex or ray of Q satisfies
     it, and every vertex of the image is the image of a vertex of Q."""
     n = rng.randint(2, 4)
     Q = _random_polytope(rng, n, extra=1) if rng.random() < 0.5 else _random_pointed(rng, n)
@@ -585,8 +586,8 @@ def law_two_route_projection(rng: random.Random) -> bool:
     pi = LinearMap(matrix([[Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(n)]
                            for _ in range(k)]))
     V = vrep(Q)
-    P = project(Q, pi, V)
-    if P != project(Q, pi):
+    P = project(Q, pi)
+    if P != _project(Q, pi, None):
         return False
     cone = HPolyhedron(k, P.A, zero_vector(len(P.A)), P.B, zero_vector(len(P.B)))
     if not (all(P.contains(pi(v)) for v in V.vertices) and all(cone.contains(pi(w)) for w in V.rays)):

@@ -43,7 +43,6 @@ from .polyhedron import (
     minimize_description,
     project,
     slack_standard_form,
-    vrep,
 )
 
 ALL_INHERITED = "AllInherited"
@@ -56,8 +55,8 @@ class InheritanceReport:
 
     P is the image description the circuits were computed on: the supplied
     one, or else the minimized projection of Q. P and Q keep the walks
-    `check_inheritance` ran, so `vrep(report.P)` or `edge_directions(Q)`
-    afterwards walks nothing.
+    `check_inheritance` and `project` ran, so `vrep(report.P)` or
+    `edge_directions(Q)` afterwards walks nothing.
     """
 
     P: HPolyhedron
@@ -111,11 +110,8 @@ def check_inheritance(Q: HPolyhedron, pi: LinearMap, P_desc: Optional[HPolyhedro
     """
     if pi.in_dim(Q.n) != Q.n:
         raise ProjectionMismatch(f"map expects {pi.in_dim(Q.n)} coordinates, Q has {Q.n}")
-    CQ = enumerate_circuits(Q)
-    # A pointed Q hands its vertices and rays to the elimination, which then
-    # prunes by incidence instead of by LPs; `edge_directions(Q)` reuses the
-    # walk. A non-pointed Q is projected by LPs and raises NotPointed below.
-    image = project(Q, pi, None if CQ.is_subspace else vrep(Q))
+    CQ = enumerate_circuits(Q)  # first, so its errors and budget come before the projection's
+    image = project(Q, pi)
     if P_desc is not None:
         if P_desc.n != pi.out_dim:
             raise ProjectionMismatch(

@@ -27,10 +27,10 @@ no walk and charges no work budget; a walk that raises, `BudgetExceeded`
 included, is not cached. The cache belongs to the object: a `renamed`
 copy or any new description walks afresh.
 
-`project` has two routes to the same description. Given the domain's
-vertices and rays, it reads every prune and the implicit equalities off
-their incidences with the rows, with no LP (`_Eliminator`). Without them
-it asks each LP question once:
+`project` picks its route from P; both return the same description. For a
+pointed P it reads every prune and the implicit equalities off the rows'
+incidences with the vertices and rays of `vrep(P)`, with no LP. Otherwise
+`_project`, the reference of that route, asks each LP question once:
 - Fourier-Motzkin elimination prunes after every step, and a row that a
   prune kept is not tested again (`_Eliminator`). Its witness, a point
   that satisfies every other row and violates it, survives the later
@@ -792,7 +792,7 @@ class _Eliminator:
         return HPolyhedron(n, A, b, B, d)
 
 
-def project(P: HPolyhedron, pi: LinearMap, V: Optional[VRep] = None) -> HPolyhedron:
+def project(P: HPolyhedron, pi: LinearMap) -> HPolyhedron:
     """Minimized description of pi(P) by Fourier-Motzkin elimination.
 
     Works on the graph system {x = pi(y), y in P} over (x, y), whose rows
@@ -802,25 +802,26 @@ def project(P: HPolyhedron, pi: LinearMap, V: Optional[VRep] = None) -> HPolyhed
     The implicit equalities of the pruned rows are then promoted; that
     makes no row redundant (see the module docstring), so the rows are
     not pruned again. Both row blocks come back as primitive integer
-    normals with their right-hand sides.
-
-    V, when given, must be `vrep(P)`. A vertex line (den, *num) of V.lines
-    and a ray w give the generators [N num | D num | -D den] and [N w | D w | 0],
-    and the prunes read incidences off them instead of solving LPs
-    (`_Eliminator`); a prune that meets a row tight on every generator
-    still solves LPs. The implicit equalities are the rows tight on every
-    generator, and pi of the first vertex, the one Fraction point `project`
-    makes, is the point the result is checked to hold. Without V, an LP
-    finds the point of P to map, every prune solves LPs and `_implicit_rows`
-    finds the implicit equalities. Both routes return the same description.
-    `project` never enumerates P's vertices itself: their number is exponential.
+    normals with their right-hand sides. A pointed P is pruned by the
+    generators of `vrep(P)`, whose double description the work budget
+    caps, and a P with a lineality space by LPs (`_project`).
     """
-    m = P.n
-    nt = pi.out_dim
-    if pi.in_dim(m) != m:
-        raise PreconditionViolation(
-            f"map has domain dimension {pi.in_dim(m)}, polyhedron has dimension {m}"
-        )
+    if pi.in_dim(P.n) != P.n:
+        raise PreconditionViolation(f"map has domain dimension {pi.in_dim(P.n)}, polyhedron has dimension {P.n}")
+    return _project(P, pi, None if P._ints.lineality else vrep(P))
+
+
+def _project(P: HPolyhedron, pi: LinearMap, V: Optional[VRep]) -> HPolyhedron:
+    """`project` of P, pruned by incidence when V is `vrep(P)` and by LPs when V is None.
+
+    A vertex line (den, *num) of V.lines and a ray w give the generators
+    [N num | D num | -D den] and [N w | D w | 0] (`_Eliminator`). The
+    implicit equalities are the rows tight on every generator, and pi of
+    the first vertex, the one Fraction point `project` makes, is the point
+    the result is checked to hold. Without V, an LP finds that point and
+    `_implicit_rows` the implicit equalities.
+    """
+    m, nt = P.n, pi.out_dim
     N, D = pi._ints
     if V is None:
         y, gens = _feasible_point(P), None

@@ -282,6 +282,12 @@ def test_only_circuits_imports_the_walk_internals():
     assert _private_uses(("polyhedron.py", "circuits.py"), internals, caches) == []
 
 
+def test_only_the_projection_law_takes_the_lp_route():
+    # every other caller projects through `project`, which picks its route
+    # from the domain; the law checks one route against the other
+    assert _private_uses(("polyhedron.py", "experiments.py"), {"_project"}, {"_project"}) == []
+
+
 def test_only_the_walks_and_the_simplex_read_the_integer_rows():
     # a description's integer rows and their slack test belong to the walks
     # and the simplex; every other module reads slacks and vertices through

@@ -8,11 +8,12 @@ those reuses: one LP per row for implicit equalities, a full re-prune at
 every step, and `minimize_description` on the eliminated rows. Both must
 return exactly the same rows in the same order.
 
-Given the domain's vertices and rays, `project` prunes by incidence
-instead; its reference is the LP route, which must return the same
-description.
+A pointed domain `project` prunes by incidence with its vertices and
+rays instead; its reference is the LP route, `_project` with no
+generators, which must return the same description.
 """
 
+import inspect
 import random
 from collections import Counter
 from fractions import Fraction
@@ -20,7 +21,14 @@ from fractions import Fraction
 import pytest
 
 from polycircuits import lp, polyhedron
-from polycircuits.errors import CorrespondenceViolation, EmptyPolyhedron, NotPointed, ProjectionMismatch
+from polycircuits.constructions import find_alpha_projection, hypercube, pi_matrix, simplex
+from polycircuits.errors import (
+    BudgetExceeded,
+    CorrespondenceViolation,
+    EmptyPolyhedron,
+    NotPointed,
+    ProjectionMismatch,
+)
 from polycircuits.inheritance import check_inheritance
 from polycircuits.linalg import dot, vector
 from polycircuits.polyhedron import (
@@ -28,11 +36,13 @@ from polycircuits.polyhedron import (
     LinearMap,
     _Eliminator,
     _irredundant_rows,
+    _project,
     implicit_equality_rows,
     is_pointed,
     minimize_description,
     project,
     vrep,
+    work_budget,
 )
 
 
@@ -129,7 +139,7 @@ def test_implicit_equality_rows_match_per_row_reference(seed):
 
 
 def _project_run(monkeypatch, Q, pi, reprune=True):
-    """project(Q, pi), with every prune checked against a full re-prune.
+    """project(Q, pi) by LPs, with every prune checked against a full re-prune.
 
     Returns the projection, or EmptyPolyhedron, the rows it eliminated
     down to, and the number of rows each prune took as certified.
@@ -152,7 +162,7 @@ def _project_run(monkeypatch, Q, pi, reprune=True):
         patch.setattr(polyhedron, "_irredundant_rows", checked)
         patch.setattr(polyhedron, "_implicit_rows", capture)
         try:
-            return project(Q, pi), eliminated, certified
+            return _project(Q, pi, None), eliminated, certified
         except EmptyPolyhedron:
             return EmptyPolyhedron, eliminated, certified
 
@@ -266,12 +276,12 @@ def test_incidence_prune_matches_lp_prune(seed):
         if not is_pointed(Q):
             continue
         try:
-            V = vrep(Q)
+            vrep(Q)
         except EmptyPolyhedron:
             with pytest.raises(EmptyPolyhedron):
-                project(Q, pi)
+                _project(Q, pi, None)
             continue
-        assert project(Q, pi, V) == project(Q, pi), (Q, pi)
+        assert project(Q, pi) == _project(Q, pi, None), (Q, pi)
 
 
 def test_incidence_references_cover_every_case(monkeypatch):
@@ -287,13 +297,13 @@ def test_incidence_references_cover_every_case(monkeypatch):
                 seen.add("not pointed")
                 continue
             try:
-                V = vrep(Q)
+                vrep(Q)
             except EmptyPolyhedron:
                 seen.add("empty")
                 continue
             with monkeypatch.context() as patch:
                 counts = _counting(patch)
-                P = project(Q, pi, V)
+                P = project(Q, pi)
             if not counts["LP"]:
                 seen.add("no LP")
             if counts["LP prune"]:
@@ -317,7 +327,7 @@ def test_rows_that_differ_by_an_equality_row_keep_the_last():
     assert _irredundant_rows(2, [[1, -1, 0]], rows) == [1, 2]
     Q = HPolyhedron.make(2, A=[[1, -1]], b=[0], B=[[1, 0], [0, 1], [-1, 0]], d=[1, 1, 0])
     ident = LinearMap(matrix=((1, 0), (0, 1)))
-    assert project(Q, ident, vrep(Q)) == project(Q, ident)
+    assert project(Q, ident) == _project(Q, ident, None)
 
 
 def test_a_row_tight_on_every_generator_sends_that_prune_to_the_lps(monkeypatch):
@@ -325,9 +335,9 @@ def test_a_row_tight_on_every_generator_sends_that_prune_to_the_lps(monkeypatch)
     # generator, so the prune solves LPs; the result is unchanged.
     Q = HPolyhedron.make(2, B=[[1, -1], [-1, 1], [-1, 0], [1, 0]], d=[0, 0, 0, 1])
     ident = LinearMap(matrix=((1, 0), (0, 1)))
-    reference = project(Q, ident)
+    reference = _project(Q, ident, None)
     counts = _counting(monkeypatch)
-    P = project(Q, ident, vrep(Q))
+    P = project(Q, ident)
     assert P == reference and P.A == (vector([1, -1]),)
     assert counts["LP prune"] > 0 and counts["LP"] > 0
 
@@ -336,9 +346,9 @@ def test_rays_are_generators_at_infinity(monkeypatch):
     # The orthant of R^4 is its vertex 0 and four rays: generators with h = 0.
     Q = HPolyhedron.make(4, B=[[-int(i == j) for j in range(4)] for i in range(4)], d=[0] * 4)
     pi = LinearMap(matrix=((2, 1, 0, 0), (0, 0, 2, 1), (0, 1, 0, 1)))
-    reference = project(Q, pi)
+    reference = _project(Q, pi, None)
     counts = _counting(monkeypatch)
-    assert project(Q, pi, vrep(Q)) == reference
+    assert project(Q, pi) == reference
     assert counts["ray generators"] > 0 and counts["LP"] == 0
 
 
@@ -350,16 +360,35 @@ def test_a_row_tight_only_on_rays_defines_no_facet():
     # routes drop it.
     Q = HPolyhedron.make(2, A=[[1, -1]], b=[0], B=[[-1, 0], [1, -1]], d=[0, 1])
     ident = LinearMap(matrix=((1, 0), (0, 1)))
-    P = project(Q, ident, vrep(Q))
-    assert P == project(Q, ident)
+    P = project(Q, ident)
+    assert P == _project(Q, ident, None)
     assert (P.B, P.d) == (((-1, 0),), (0,))
+
+
+def test_pointed_projection_solves_no_lp(monkeypatch):
+    # A pointed domain is pruned by the generators of its double
+    # description: the image of the 4-simplex and the alpha search on the
+    # 4-cube ran 13 and 23 LPs when they took the LP route.
+    assert list(inspect.signature(project).parameters) == ["P", "pi"]
+    counts = _counting(monkeypatch)
+    project(simplex(4), pi_matrix(3, 4))
+    assert find_alpha_projection(hypercube(4)).alpha == 2
+    assert counts["LP"] == 0 and counts["incidence prune"] > 0
+
+
+def test_the_work_budget_caps_the_projection():
+    # `project` runs the double description of a pointed domain, which
+    # charges its vertex pairs to the work budget.
+    with work_budget(20), pytest.raises(BudgetExceeded) as err:
+        project(hypercube(6), pi_matrix(3, 6))
+    assert str(err.value) == "double description pairs: 31 candidates exceed budget 20"
 
 
 def test_wrong_generators_are_a_correspondence_violation():
     square = HPolyhedron.make(2, B=[[-1, 0], [0, -1], [1, 0], [0, 1]], d=[0, 0, 1, 1])
     bigger = HPolyhedron.make(2, B=[[-1, 0], [0, -1], [1, 0], [0, 1]], d=[0, 0, 2, 2])
     with pytest.raises(CorrespondenceViolation):
-        project(square, LinearMap(matrix=((1, 1),)), vrep(bigger))
+        _project(square, LinearMap(matrix=((1, 1),)), vrep(bigger))
 
 
 @pytest.mark.parametrize(
@@ -400,7 +429,7 @@ def test_projected_equality_rows_are_primitive_integer_normals(route):
     # normals with their right-hand sides, as the inequality rows do.
     Q = HPolyhedron.make(2, A=[[1, -1]], b=[0], B=[[-1, 0], [1, 0]], d=[0, 1])
     pi = LinearMap(matrix=((Fraction(2), Fraction(1)), (Fraction(1, 2), Fraction(3))))
-    P = project(Q, pi, vrep(Q) if route == "incidence" else None)
+    P = project(Q, pi) if route == "incidence" else _project(Q, pi, None)
     assert (P.A, P.b) == (((7, -6),), (0,))
     assert all(type(x) is Fraction for row in (*P.A, *P.B) for x in row)
     assert P.contains((3, Fraction(7, 2))) and not P.contains((3, 3))
