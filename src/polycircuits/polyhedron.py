@@ -29,7 +29,10 @@ copy or any new description walks afresh.
 
 `project` picks its route from P; both return the same description. For a
 pointed P it reads every prune and the implicit equalities off the rows'
-incidences with the vertices and rays of `vrep(P)`, with no LP. Otherwise
+incidences with the vertices and rays of `vrep(P)`, with no LP: facets, like
+the adjacencies of the double description and the edge walk (`_adjacent`),
+are decided by containment of tight-row masks, and rank tests only check
+outputs (vertices, circuit lines, basic solutions). Otherwise
 `_project`, the reference of that route, asks each LP question once:
 - Fourier-Motzkin elimination prunes after every step, and a row that a
   prune kept is not tested again (`_Eliminator`). Its witness, a point
@@ -454,6 +457,17 @@ def _circuit_lines(P: HPolyhedron) -> CircuitSet:
     return CircuitSet(directions=tuple(lines))
 
 
+def _adjacent(masks: Sequence[int], z: int) -> bool:
+    """Whether two extreme rays of a pointed cone, or two vertices of a pointed
+    polyhedron, are adjacent, given z, the mask of the rows tight on both, and
+    the masks of all its rays, or vertices: iff no third mask contains z
+    (Fukuda & Prodon 1996), as z cuts out the least face holding both, which
+    holds those whose masks contain z. Callers first skip a z of fewer rows
+    than the dimension less one, which no edge has."""
+    third = itertools.islice((m for m in masks if m & z == z), 2, None)  # the masks past two that contain z
+    return next(third, None) is None
+
+
 def _extreme_rays(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
     """The extreme rays of the pointed cone {v : row . v >= 0 for every row}, as
     primitive integer vectors, by double description (Motzkin, Raiffa, Thompson
@@ -465,8 +479,8 @@ def _extreme_rays(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
     keeps the rays with a . v >= 0 and adds the ray (a . p) q - (a . q) p, on
     which a reads 0, for every adjacent pair with a . p > 0 > a . q. Each ray
     carries the mask of the rows added so far that are tight on it, and p and q
-    are adjacent iff `mask(p) & mask(q)` holds at least `width` - 2 rows and no
-    other ray's mask contains it (the combinatorial test of Fukuda & Prodon).
+    are adjacent iff `_adjacent` holds on the masks of the rays so far: a face
+    of the cone with three dimensions or more has three extreme rays or more.
     The work budget caps the pairs tested, a running count checked before each
     row's pairs.
     """
@@ -485,15 +499,6 @@ def _extreme_rays(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
         rays.append(v if sum(map(mul, rows[i], v)) > 0 else [-x for x in v])
         masks.append(tight & ~(1 << i))
 
-    def adjacent(z: int) -> bool:
-        hits = 0  # the masks of p and q contain z
-        for m in masks:
-            if m & z == z:
-                hits += 1
-                if hits > 2:
-                    return False
-        return True
-
     pairs = 0
     for i in sorted(set(range(len(rows))) - set(start)):
         a, bit = rows[i], 1 << i
@@ -506,7 +511,7 @@ def _extreme_rays(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
             (_primitive([reads[p] * x - reads[q] * y for x, y in zip(rays[q], rays[p])])[0], z | bit)
             for p in pos
             for q in neg
-            if (z := masks[p] & masks[q]).bit_count() >= width - 2 and adjacent(z)
+            if (z := masks[p] & masks[q]).bit_count() >= width - 2 and _adjacent(masks, z)
         ]
         keep = [k for k, s in enumerate(reads) if s >= 0]
         masks = [masks[k] | bit if reads[k] == 0 else masks[k] for k in keep] + [m for _, m in new]
@@ -569,27 +574,24 @@ def edge_directions(P: HPolyhedron) -> CircuitSet:
 
 
 def _edges(P: HPolyhedron) -> CircuitSet:
-    """`edge_directions` of P, from its cached vertices (`_vrep`).
+    """`edge_directions` of P, from its cached vertices and their tight-row masks (`_vrep`).
 
-    For two points u, v of P the rows tight at their midpoint are exactly
-    the rows tight at both, so u and v are adjacent iff the rows in
-    `mask(u) & mask(v)` have rank exactly n' - 1 on the reduced rows R of
-    `P._ints.reduced`, n' = n - rank(A); a vertex with itself reaches rank
-    n'. A pair with fewer than n' - 1 common tight rows cannot reach rank
-    n' - 1 and skips the rank test. The work budget caps the vertex pairs
-    tested, all of them, skipped or not. The direction of an
-    edge comes from the vertex lines `V.lines`: u - v is a positive
-    multiple of num_u den_v - num_v den_u, whose `_canonical` names the line.
+    Vertices u and v are adjacent iff `_adjacent` holds on the vertex masks,
+    after a pair with fewer than n' - 1 common tight rows, n' = n - rank(A),
+    is skipped. The test is exact although the rays of P take no part: if
+    the least face F holding u and v has dimension 2 or more, it holds a
+    third vertex, since the bounded edges of the pointed F connect its
+    vertices and an edge from u to v would be a smaller face holding both.
+    The work budget caps the vertex pairs tested. The direction of an edge
+    comes from the vertex lines `V.lines`: u - v is a positive multiple of
+    num_u den_v - num_v den_u, whose `_canonical` names the line.
     """
     V, masks = P._vertex_walk
-    _, R, np_ = P._ints.reduced
+    np_ = P._ints.reduced[2]
     check_budget(comb(len(V.lines), 2), "vertex pairs")
     dirs = {_canonical(r) for r in V.rays}
     for (u, mu), (v, mv) in itertools.combinations(zip(V.lines, masks), 2):
-        if (mu & mv).bit_count() < np_ - 1:  # too few rows to reach rank n' - 1
-            continue
-        rows = [row for i, row in enumerate(R) if (mu & mv) >> i & 1]
-        if _rank_upto(rows, np_, np_) == np_ - 1:
+        if (z := mu & mv).bit_count() >= np_ - 1 and _adjacent(masks, z):
             dirs.add(_canonical([x * v[0] - y * u[0] for x, y in zip(u[1:], v[1:])]))
     return CircuitSet(directions=tuple(sorted(dirs)))
 
@@ -662,16 +664,20 @@ class _Eliminator:
     from every generator. After each step the rows are pruned by one of two
     routes, and both keep the same rows in the same order.
 
-    By incidence, when `gens` is given. Let r be the rank of the
-    generators. When no inequality row is tight on every generator, the
-    system has no implicit equality, so a row is implied by no set of the
-    other rows iff it defines a facet that no later row defines. It defines
-    a facet iff the generators tight on it include a point, so that its
-    face is not empty, and reach rank r - 1 (Ziegler, Lectures on
-    Polytopes, ch. 2). Rows that define the same facet have the same tight
-    set; of these the last in `_irredundant_rows` order stays, the row its
-    sequential LPs keep. A prune that meets a row tight on every generator
-    takes the LP route; once no row is, the incidence test is exact again.
+    By incidence, when `gens` is given. A row's tight set is the mask of
+    the generators tight on it. When no inequality row is tight on every
+    generator, the system has no implicit equality, so a row is implied by
+    no set of the other rows iff it defines a facet that no later row
+    defines. It does iff its tight set holds a point, so that its face is
+    not empty, and no other row's tight set strictly contains it: every
+    facet is defined by some row, and a face strictly inside another has a
+    strictly smaller tight set (Ziegler, Lectures on Polytopes, ch. 2), so
+    a nonempty face that is no facet lies strictly in a facet, and a facet
+    only in the whole polyhedron, on which every generator is tight. Rows
+    that define the same facet have the same tight set; of these the last
+    in `_irredundant_rows` order stays, the row its sequential LPs keep. A
+    prune that meets a row tight on every generator takes the LP route;
+    once no row is, the incidence test is exact again.
 
     By LP (`_irredundant_rows`), otherwise. `certified[i]` says that
     inequality row i is implied by no set of the other rows. A prune
@@ -756,33 +762,27 @@ class _Eliminator:
         self.ineqs = [self.ineqs[i] for i in keep]
         self.certified = [True] * len(self.ineqs)
 
-    def _tight(self, row: Sequence[int]) -> list[bool]:
-        """Whether each generator is tight on `row`; CorrespondenceViolation if one violates it."""
+    def _tight(self, row: Sequence[int]) -> int:
+        """The mask of the generators tight on `row`; CorrespondenceViolation if one violates it."""
         reads = [sum(map(mul, row, g)) for g in self.gens]
         if any(x > 0 for x in reads):
             raise CorrespondenceViolation("a generator of the domain violates an eliminated row")
-        return [x == 0 for x in reads]
+        return sum(1 << k for k, x in enumerate(reads) if not x)
 
     def _incident_rows(self) -> Optional[list[int]]:
         """The rows `_irredundant_rows` keeps, read off the generators; None
         when a row is tight on every generator."""
-        width = len(self.live) + 1
-        r = len(_fold(_EMPTY, self.gens, width)[1])
+        points = sum(1 << k for k, g in enumerate(self.gens) if g[-1])
         keep = _distinct_rows(self.ineqs)
-        masks, last = [], {}
-        for i in keep:
-            mask = tuple(self._tight(self.ineqs[i]))
-            if all(mask):
-                return None
-            tight = [g for g, t in zip(self.gens, mask) if t]
-            if any(g[-1] for g in tight) and _rank_upto(tight, r - 1, width) == r - 1:
-                last[mask] = i
-            masks.append(mask)
-        return [i for i, mask in zip(keep, masks) if last.get(mask) == i]
+        masks = [self._tight(self.ineqs[i]) for i in keep]
+        if (1 << len(self.gens)) - 1 in masks:
+            return None
+        last = {m: i for i, m in zip(keep, masks) if m & points and not any(m != o and m & o == m for o in masks)}
+        return [i for i, m in zip(keep, masks) if last.get(m) == i]
 
     def implicit_rows(self) -> tuple[int, ...]:
         """The inequality rows tight on every generator: the implicit equalities."""
-        return tuple(i for i, row in enumerate(self.ineqs) if all(self._tight(row)))
+        return tuple(i for i, row in enumerate(self.ineqs) if self._tight(row) == (1 << len(self.gens)) - 1)
 
     def result(self, n: int) -> HPolyhedron:
         if len(self.live) != n:

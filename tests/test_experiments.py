@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 from polycircuits import circuits, polyhedron
+from polycircuits.constructions import transportation
 from polycircuits.experiments import Claim, Recorder, run_experiment
 from polycircuits.polyhedron import work_budget
 
@@ -172,19 +173,28 @@ def test_thm5_walks_each_target_once(tmp_path, monkeypatch):
 
 
 def test_partpoly_tests_each_vertex_pair_of_the_transportation_polytope_once(tmp_path, monkeypatch):
-    # An adjacency test is the one `_rank_upto` call whose cap equals its
-    # column count, n' = n - rank(A). The transportation polytope T lives in
-    # R^10 with n' = 4 and has five vertices: check_inheritance(T, piX) tests
-    # its ten vertex pairs, and the claim that every circuit of T is an edge
-    # direction reads the edge walk cached on T instead of testing them
-    # again (20 calls before).
-    calls: Counter = Counter()
-    rank_upto = polyhedron._rank_upto
+    # The edge walk decides each vertex pair that shares n' - 1 tight rows by
+    # one `_adjacent` call, which the double description makes too, so only
+    # the calls inside `_edges` count. The transportation polytope T has five
+    # vertices, any two adjacent: check_inheritance(T, piX) tests its ten
+    # vertex pairs, and the claim that every circuit of T is an edge direction
+    # reads the edge walk cached on T instead of testing them again.
+    walking, calls = [], Counter()
+    edges, adjacent = polyhedron._edges, polyhedron._adjacent
 
-    def counting(rows, r, ncols):
-        calls[r, ncols] += 1
-        return rank_upto(rows, r, ncols)
+    def walk(P):
+        walking.append(P.name)
+        try:
+            return edges(P)
+        finally:
+            walking.pop()
 
-    monkeypatch.setattr(polyhedron, "_rank_upto", counting)
+    def counting(masks, z):
+        if walking:
+            calls[walking[-1]] += 1
+        return adjacent(masks, z)
+
+    monkeypatch.setattr(polyhedron, "_edges", walk)
+    monkeypatch.setattr(polyhedron, "_adjacent", counting)
     assert run_experiment("partpoly", {}, tmp_path).passed
-    assert calls[4, 4] == 10
+    assert calls[transportation(5, 2, (1, 4)).name] == 10

@@ -21,7 +21,7 @@ from fractions import Fraction
 import pytest
 
 from polycircuits import lp, polyhedron
-from polycircuits.constructions import find_alpha_projection, hypercube, pi_matrix, simplex
+from polycircuits.constructions import cropped_cross_polytope, find_alpha_projection, hypercube, pi_matrix, simplex
 from polycircuits.errors import (
     BudgetExceeded,
     CorrespondenceViolation,
@@ -37,6 +37,7 @@ from polycircuits.polyhedron import (
     _Eliminator,
     _irredundant_rows,
     _project,
+    edge_directions,
     implicit_equality_rows,
     is_pointed,
     minimize_description,
@@ -246,6 +247,10 @@ def _counting(monkeypatch):
         keep = incident(self)
         seen["LP prune" if keep is None else "incidence prune"] += 1
         seen["ray generators"] += any(g[-1] == 0 for g in self.gens)
+        if keep is not None:  # a dropped row whose face holds a point and is not a kept facet
+            points = sum(1 << k for k, g in enumerate(self.gens) if g[-1])
+            kept = {self._tight(self.ineqs[i]) for i in keep}
+            seen["face, not facet"] += any(m & points and m not in kept for m in map(self._tight, self.ineqs))
         return keep
 
     def counting(*args, **kwargs):
@@ -286,7 +291,8 @@ def test_incidence_prune_matches_lp_prune(seed):
 
 def test_incidence_references_cover_every_case(monkeypatch):
     # The seeded pairs above have projections pruned by incidence alone,
-    # with no LP, prunes that meet a row tight on every generator, domains
+    # with no LP, prunes that meet a row tight on every generator, prunes
+    # that drop a row whose face holds a point but is not a facet, domains
     # with rays, and images with implicit equalities.
     seen = set()
     for seed in range(10):
@@ -310,9 +316,11 @@ def test_incidence_references_cover_every_case(monkeypatch):
                 seen.add("LP fallback")
             if counts["ray generators"]:
                 seen.add("rays")
+            if counts["face, not facet"]:
+                seen.add("face, not facet")
             if P.A:
                 seen.add("equality rows")
-    assert seen == {"not pointed", "empty", "no LP", "LP fallback", "rays", "equality rows"}, seen
+    assert seen == {"not pointed", "empty", "no LP", "LP fallback", "face, not facet", "rays", "equality rows"}, seen
 
 
 def test_rows_that_differ_by_an_equality_row_keep_the_last():
@@ -355,9 +363,9 @@ def test_rays_are_generators_at_infinity(monkeypatch):
 def test_a_row_tight_only_on_rays_defines_no_facet():
     # The ray from 0 along (1, 1), given by y1 - y2 = 0 and y1 >= 0, with the
     # slack row y1 - y2 <= 1. That row differs from the equality row by its
-    # rhs alone, so only the ray is tight on it, and the ray reaches rank
-    # r - 1 = 1. It defines no facet, since no vertex is tight on it: both
-    # routes drop it.
+    # rhs alone, so only the ray is tight on it, and no other row's tight
+    # set contains the ray. It defines no facet, since no vertex is tight on
+    # it: both routes drop it.
     Q = HPolyhedron.make(2, A=[[1, -1]], b=[0], B=[[-1, 0], [1, -1]], d=[0, 1])
     ident = LinearMap(matrix=((1, 0), (0, 1)))
     P = project(Q, ident)
@@ -374,6 +382,29 @@ def test_pointed_projection_solves_no_lp(monkeypatch):
     project(simplex(4), pi_matrix(3, 4))
     assert find_alpha_projection(hypercube(4)).alpha == 2
     assert counts["LP"] == 0 and counts["incidence prune"] > 0
+
+
+@pytest.mark.parametrize(
+    "Q, pi",
+    [
+        (cropped_cross_polytope(3), LinearMap(matrix=((2, 1, 0), (0, 1, 2)))),
+        (cropped_cross_polytope(3), LinearMap(matrix=((1, 1, 1),))),
+        (hypercube(4), pi_matrix(3, 4)),
+    ],
+    ids=["ccp3-plane", "ccp3-line", "cube4"],
+)
+def test_faces_are_decided_by_tight_sets_alone(monkeypatch, Q, pi):
+    # With vrep(Q) cached, the incidence prunes of `project` and the edge
+    # walk compare tight-row masks: they fold no rows and run no rank test.
+    reference = _project(Q, pi, None)
+    vrep(Q)
+    counts, calls = _counting(monkeypatch), Counter()
+    for name in ("_rank_upto", "_fold"):
+        fn = getattr(polyhedron, name)
+        monkeypatch.setattr(polyhedron, name, lambda *args, fn=fn, name=name: calls.update([name]) or fn(*args))
+    assert project(Q, pi) == reference
+    assert edge_directions(Q)
+    assert not calls and counts["incidence prune"] > 0 and counts["LP"] == 0
 
 
 def test_the_work_budget_caps_the_projection():

@@ -251,13 +251,19 @@ def test_reference_descriptions_cover_every_case():
                 seen.add("degenerate vertex")
             if "edges" not in seen and len(_ref_edge_directions(P)) > len(rays):
                 seen.add("edges")
+            if "n' - 1 common tight rows, no edge" not in seen and any(
+                len(set(P.tight_inequality_rows(u)) & set(P.tight_inequality_rows(v))) >= P.n - rank_A - 1
+                and _ref_face_dim(P, vec_scale(Fraction(1, 2), vec_add(u, v))) > 1
+                for u, v in itertools.combinations(vertices, 2)
+            ):
+                seen.add("n' - 1 common tight rows, no edge")
         else:
             seen.add(V.__name__)
     assert seen >= {
         "k=0", "k=1", "k=2", "k=3", "k=4",
         "inconsistent equalities", "dependent equalities", "fractional",
         "zero row", "zero equality row", "zero equality row, 0 = c != 0", "parallel rows", "rays", "bounded", "degenerate vertex",
-        "edges", "NotPointed", "EmptyPolyhedron",
+        "edges", "n' - 1 common tight rows, no edge", "NotPointed", "EmptyPolyhedron",
     }, seen
 
 
@@ -266,7 +272,7 @@ def test_reference_descriptions_cover_every_case():
     [
         (lambda: enumerate_circuits(homogenize(cropped_cross_polytope(3))), 572),
         (lambda: basic_solutions(cropped_cross_polytope(3)), 572),
-        (lambda: edge_directions(hypercube(3)), 70),
+        (lambda: edge_directions(hypercube(3)), 46),
     ],
     ids=["circuits-hom-ccp3", "basic-solutions-ccp3", "edges-cube3"],
 )
@@ -277,7 +283,8 @@ def test_subset_work_is_pinned(monkeypatch, run, expected):
     # more subsets or eliminates more rows must update these counts on purpose.
     # They include the rank test of every circuit line, basic solution and
     # vertex on its own zero or tight rows (linalg._rank_upto), and the start
-    # cone of the double description.
+    # cone of the double description; edges are decided by tight-row masks,
+    # with no rank test.
     calls = []
     insert = linalg._insert
 
@@ -294,7 +301,7 @@ def test_walks_and_rank_tests_read_the_reduced_rows(monkeypatch):
     # The equality block is eliminated once per description: its rows
     # [a | rhs], n + 1 wide, are folded once into `_ints.reduced`, and every
     # subset walk, rank test and double description step after that inserts
-    # reduced rows, at most n' + 1 wide. transportation(5, 2, (1, 4)) has n = 10 and seven
+    # reduced rows, at most n' + 1 wide; the edge walk inserts none. transportation(5, 2, (1, 4)) has n = 10 and seven
     # equality rows of rank 6, so n' = 4. The rows n wide are the Fraction
     # `rank` of [A; B] in `is_pointed`.
     P = transportation(5, 2, (1, 4))
@@ -311,4 +318,4 @@ def test_walks_and_rank_tests_read_the_reduced_rows(monkeypatch):
     edge_directions(P)
     wide = Counter(w for w in widths if w > 5)
     assert wide == {11: len(P.A), 10: len(P.A) + len(P.B)}
-    assert len(widths) == 578
+    assert len(widths) == 548
