@@ -15,9 +15,11 @@ as its primitive normal and rhs, and `_canonical` names a line. Rows are
 reduced by one fraction-free insertion step (`_insert`, Bareiss 1968),
 folded over a whole matrix by `_fold`. The subset walk `_subset_lines`
 finds the kernel line of every independent k-subset of rows, eliminating
-each shared (k-1)-prefix once and stopping one row early. `dot` sums
-integer products over one common denominator, so the costly Fraction
-normalizations happen once per output entry.
+each shared (k-2)-prefix once and stopping two rows early: the last two
+rows of a subset meet in one cross product of their three coordinates on
+the prefix's kernel. `dot` sums integer products over one common
+denominator, so the costly Fraction normalizations happen once per
+output entry.
 """
 
 from __future__ import annotations
@@ -225,42 +227,59 @@ def _subset_lines(rows: Sequence[Sequence[int]], k: int, ncols: int, width: int)
     """The kernel line of each independent k-subset of `rows`, as a `_canonical` vector.
 
     Rows have `width` columns; independence and pivots count only the first
-    `ncols`, and k independent rows must leave one free column. The walk
-    stops one row early: it eliminates the independent (k-1)-prefixes depth
-    first in lexicographic order, one `_insert` step each, and skips the
-    subtree of a row that depends on its prefix. A prefix leaves two free
-    columns f < g with the unscaled kernel vectors K_f and K_g (K[free] =
-    det, K[p] = -R[free]). A later row x has the Bareiss residual entries
-    a = x.K_f and b = x.K_g in those columns, so x extends the prefix iff
-    a != 0 or (b != 0 and g < ncols), and the kernel of the prefix plus x
-    is the line b K_f - a K_g. Rows with parallel (a, b) give the same
-    line, which is yielded once per prefix; different prefixes may still
-    yield the same line.
+    `ncols`, and k independent rows must leave one free column, so
+    width = k + 1 and ncols is width or width - 1. The walk stops two rows
+    early: it eliminates the independent (k-2)-prefixes depth first in
+    lexicographic order, one `_insert` step each, and skips the subtree of a
+    row that depends on its prefix. A prefix leaves three free columns
+    f < g < h with the unscaled kernel vectors K_f, K_g and K_h (K[free] =
+    det, K[p] = -R[free]); when ncols < width, h is the last column, which
+    never pivots. A later row x has the Bareiss residual entries
+    r = (x.K_f, x.K_g, x.K_h) in those columns, and rows with parallel r
+    meet the prefix's kernel alike, so each later row counts once, as the
+    `_canonical` point of r; a row with r = 0 depends on the prefix. Two
+    distinct points r and s extend the prefix to a k-subset with the kernel
+    line c_f K_f + c_g K_g + c_h K_h, c = r x s, independent in the first
+    `ncols` columns iff c_h != 0 or h < ncols. Each line is yielded once per
+    prefix; different prefixes may still yield the same line. With k = 1
+    the empty prefix leaves the columns 0 and 1 free, and a row (a, b, ...)
+    gives the line (b, -a).
     """
     if k == 0:
         yield (1,)  # no row to choose: the one column is free
         return
+    if k == 1:
+        yield from {_canonical((x[1], -x[0])) for x in rows if x[0] or x[1] and 1 < ncols}
+        return
     q = len(rows)
     insert = _insert
-    forms = [_EMPTY] + [None] * (k - 1)
-    chosen = [0] * (k - 1)
+    forms = [_EMPTY] + [None] * (k - 2)
+    chosen = [0] * (k - 2)
     depth, i = 0, 0
     while True:
-        if depth == k - 1:
+        if depth == k - 2:
             echelon, pivots, det = forms[depth]
-            f, g = (c for c in range(width) if c not in pivots)
-            Kf, Kg = [0] * width, [0] * width
-            Kf[f] = Kg[g] = det
+            f, g, h = (c for c in range(width) if c not in pivots)
+            Kf, Kg, Kh = [0] * width, [0] * width, [0] * width
+            Kf[f] = Kg[g] = Kh[h] = det
             for R, p in zip(echelon, pivots):
-                Kf[p], Kg[p] = -R[f], -R[g]
-            pairs = set()
+                Kf[p], Kg[p], Kh[p] = -R[f], -R[g], -R[h]
+            points = set()
             for x in rows[i:]:
-                a, b = sum(map(mul, x, Kf)), sum(map(mul, x, Kg))
-                if a or b and g < ncols:
-                    d = gcd(a, b) if a > 0 or not a and b > 0 else -gcd(a, b)
-                    pairs.add((a // d, b // d))
-            for a, b in pairs:
-                yield _canonical([b * u - a * v for u, v in zip(Kf, Kg)])
+                a, b, c = sum(map(mul, x, Kf)), sum(map(mul, x, Kg)), sum(map(mul, x, Kh))
+                if a or b or c:  # `_canonical`, inline: (a or b or c) is the first nonzero entry
+                    d = gcd(a, b, c) if (a or b or c) > 0 else -gcd(a, b, c)
+                    points.add((a // d, b // d, c // d))
+            points = list(points)
+            lines = set()
+            for j, (a, b, c) in enumerate(points):
+                for u, v, w in points[j + 1 :]:
+                    x, y, z = b * w - c * v, c * u - a * w, a * v - b * u
+                    if z or h < ncols:  # distinct points are not parallel, so x, y, z are not all 0
+                        d = gcd(x, y, z) if (x or y or z) > 0 else -gcd(x, y, z)
+                        lines.add((x // d, y // d, z // d))
+            for a, b, c in lines:
+                yield _canonical([a * u + b * v + c * w for u, v, w in zip(Kf, Kg, Kh)])
         elif i <= q - k + depth:
             step = insert(*forms[depth], rows[i], ncols)
             if step is not None:
@@ -351,9 +370,9 @@ def _canonical(v: Sequence[int]) -> Direction:
     The zero vector maps to itself.
     """
     g = gcd(*v)
-    if g and next(x for x in v if x) < 0:
+    if g and next(filter(None, v)) < 0:
         g = -g
-    return tuple(x // g for x in v) if g else tuple(v)
+    return tuple([x // g for x in v]) if g else tuple(v)
 
 
 def canonicalize_direction(v: Sequence[Fraction]) -> Direction:

@@ -395,10 +395,13 @@ def _basic_points(P: HPolyhedron) -> dict[Direction, list[int]]:
     A basic solution solves the equality rows with n' = n - rank(A)
     independent inequality rows held tight; there are none when the
     equality rows are inconsistent. The walk (`_subset_lines`) runs on the
-    reduced rows R of `P._ints.reduced`, width n' + 1, and stops one row
-    early: each (n'-1)-prefix leaves a kernel of dimension two, and a later
-    row that meets it only in the last column does not extend the prefix.
-    Different subsets reach the same line, so the lines are kept in a set.
+    reduced rows R of `P._ints.reduced`, width n' + 1, and stops two rows
+    early: each (n'-2)-prefix leaves a kernel of dimension three, each later
+    row becomes its three coordinates on it, and each pair of distinct
+    points gives a line by their cross product. The product's entry in the
+    last column must not vanish, or the subset would be dependent in the
+    first n' columns. Different subsets reach the same line, so the lines
+    are kept in a set.
     Each line v maps back to the line w = K v of (x, t), which holds the
     point x = -w[:n] / w[n], named by its line (den, *num) = ±(w[n], -w[:n]),
     den > 0, and maps to its `_slacks` on the integer rows of `P._ints`.
@@ -427,10 +430,11 @@ def _circuit_lines(P: HPolyhedron) -> CircuitSet:
     one-dimensional kernel of n'-1 independent rows among the first n'
     columns of the reduced rows R of `P._ints.reduced`, n' = n - rank(A),
     mapped back through the first n' vectors of K to a canonical integer
-    direction. The walk (`_subset_lines`) stops one row early: each
-    independent (n'-2)-prefix is eliminated once, and every later row is
-    reduced to its two coordinates on the prefix's kernel, one line per
-    parallel class. Different prefixes reach the same line, so the lines
+    direction. The walk (`_subset_lines`) stops two rows early: each
+    independent (n'-3)-prefix is eliminated once, every later row is
+    reduced to its three coordinates on the prefix's kernel, one point per
+    parallel class, and each pair of distinct points gives one line by
+    their cross product. Different prefixes reach the same line, so the lines
     are kept in a set. Each line is checked to be support-minimal: the rows
     zero on it must reach rank n'-1, so that it is their whole kernel
     (CorrespondenceViolation if not). The work budget caps the row subsets

@@ -1,8 +1,9 @@
 """The subset enumerators and the double description against per-subset references.
 
 `enumerate_circuits` and `basic_solutions` visit row subsets depth first,
-reuse each prefix's echelon form and reduce the last row of a subset to
-two coordinates on its prefix's kernel (`linalg._subset_lines`); `vrep`
+reuse each prefix's echelon form and stop two rows early: each later row
+becomes three coordinates on the kernel of a (k-2)-prefix, and the last two
+rows of a subset meet in one cross product (`linalg._subset_lines`); `vrep`
 runs the double description of the homogenization cone
 (`polyhedron._extreme_rays`), and edges are decided by tight-row masks.
 The references below are per-subset loops: every subset is eliminated
@@ -267,19 +268,70 @@ def test_reference_descriptions_cover_every_case():
     }, seen
 
 
+def _ref_subset_lines(rows, k, ncols, width):
+    """The canonical kernel line of every k-subset of `rows` independent in
+    its first `ncols` columns, each subset eliminated from scratch."""
+    lines = set()
+    for S in itertools.combinations(rows, k):
+        if len(kernel_basis([r[:ncols] for r in S], ncols)) == ncols - k:
+            (v,) = kernel_basis(S, width)
+            lines.add(canonicalize_direction(v))
+    return lines
+
+
+def _walk_rows(rng, q, width, seen):
+    """q random integer rows, `width` wide, with zero rows, duplicate rows,
+    parallel rows of either sign and rows dependent on two earlier rows."""
+    rows = []
+    for _ in range(q):
+        kind = rng.choice(("random", "random", "random", "zero", "duplicate", "parallel", "dependent"))
+        if kind == "zero":
+            row = [0] * width
+        elif kind == "duplicate" and rows:
+            row = list(rng.choice(rows))
+        elif kind == "parallel" and rows:
+            c = rng.choice((-3, -2, -1, 2))
+            row = [c * x for x in rng.choice(rows)]
+        elif kind == "dependent" and len(rows) >= 2:
+            (s, t), a, b = rng.sample(rows, 2), rng.choice((-2, -1, 1, 3)), rng.choice((-1, 1, 2))
+            row = [a * x + b * y for x, y in zip(s, t)]
+        else:
+            kind, row = "random", [rng.randint(-3, 3) for _ in range(width)]
+        seen.add(kind)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("last_column_pivots", [True, False], ids=["ncols=width", "ncols=width-1"])
+def test_subset_lines_match_per_subset_reference(last_column_pivots):
+    # The walk stops two rows early (a cross product of three kernel
+    # coordinates per pair of later rows); the reference eliminates every
+    # k-subset through `kernel_basis`.
+    rng, seen = random.Random(2601 + last_column_pivots), set()
+    for trial in range(150):
+        k = 1 + trial % 5
+        width = k + 1
+        ncols = width if last_column_pivots else width - 1
+        rows = _walk_rows(rng, rng.randint(0, 8), width, seen)
+        expected = _ref_subset_lines(rows, k, ncols, width)
+        assert set(linalg._subset_lines(rows, k, ncols, width)) == expected, (rows, k, ncols)
+    assert seen == {"random", "zero", "duplicate", "parallel", "dependent"}
+
+
 @pytest.mark.parametrize(
     "run, expected",
     [
-        (lambda: enumerate_circuits(homogenize(cropped_cross_polytope(3))), 572),
-        (lambda: basic_solutions(cropped_cross_polytope(3)), 572),
+        (lambda: enumerate_circuits(homogenize(cropped_cross_polytope(3))), 481),
+        (lambda: basic_solutions(cropped_cross_polytope(3)), 494),
         (lambda: edge_directions(hypercube(3)), 46),
     ],
     ids=["circuits-hom-ccp3", "basic-solutions-ccp3", "edges-cube3"],
 )
 def test_subset_work_is_pinned(monkeypatch, run, expected):
     # Every elimination, over whole matrices or along the depth-first subset
-    # walk, is a sequence of linalg._insert steps; the walk's last row is
-    # reduced to two kernel coordinates without one. A change that visits
+    # walk, is a sequence of linalg._insert steps; the walk's last two rows
+    # take none: each becomes three coordinates on its prefix's kernel, and
+    # a pair of them meets in one cross product. A change that visits
     # more subsets or eliminates more rows must update these counts on purpose.
     # They include the rank test of every circuit line, basic solution and
     # vertex on its own zero or tight rows (linalg._rank_upto), and the start
@@ -318,4 +370,4 @@ def test_walks_and_rank_tests_read_the_reduced_rows(monkeypatch):
     edge_directions(P)
     wide = Counter(w for w in widths if w > 5)
     assert wide == {11: len(P.A), 10: len(P.A) + len(P.B)}
-    assert len(widths) == 548
+    assert len(widths) == 470
