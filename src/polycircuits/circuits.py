@@ -17,7 +17,7 @@ from .errors import CorrespondenceViolation, NotPointed
 from .linalg import (
     Direction,
     _canonical,
-    _rank_upto,
+    _ranks_reach,
     canonicalize_direction,
     kernel_basis,
     mat_vec,
@@ -86,10 +86,12 @@ def basic_solutions(P: HPolyhedron) -> BasicSolutionSet:
     """All points (feasible or not) whose tight rows have full column rank.
 
     Points satisfy every equality row; only inequality rows may be
-    violated. Each returned point is checked to be basic by the rank of its
-    own tight rows, and a sample of non-basic points is checked to be
-    dominated, which is the support characterization that makes these the
-    degree-one homogenization circuits.
+    violated. Each returned point is checked to be basic: its own tight rows
+    must reach rank n', and one `_ranks_reach` pass checks the tight-row
+    sets of all points. A sample of non-basic points is checked to be
+    dominated, their tight set strictly inside that of a basic point, which
+    is the support characterization that makes these the degree-one
+    homogenization circuits.
     """
     return _basic_solutions(P)[0]
 
@@ -100,31 +102,35 @@ def _basic_solutions(P: HPolyhedron) -> tuple[BasicSolutionSet, dict[Direction, 
         raise NotPointed(P.name or "polyhedron")
     _, R, np_ = P._ints.reduced
 
-    def is_basic(slacks: list[int]) -> bool:
-        # slacks are the `_slacks` of the point, from `_basic_points`; its
-        # tight rows of R in `P._ints.reduced` must reach rank n' = n - rank(A)
-        return _rank_upto([row for row, s in zip(R, slacks) if s == 0], np_, np_) == np_
+    def tight(slacks: list[int]) -> tuple[int, ...]:
+        # slacks are the `_slacks` of a point, from `_basic_points`; the point
+        # is basic iff its tight rows of R in `P._ints.reduced` reach rank
+        # n' = n - rank(A)
+        return tuple(i for i, s in enumerate(slacks) if s == 0)
 
     pts = _basic_points(P)
-    for v, slacks in pts.items():
-        if not is_basic(slacks):
-            raise CorrespondenceViolation(f"basic solution line {v} is not support-minimal")
-    sols = BasicSolutionSet.of(pts)
-    # Every point passed the rank test, so every mask is minimal. Non-basic
-    # sample: midpoints of basic pairs stay on the equality block; that of
-    # (du, *nu) and (dv, *nv) is the line of (2 du dv, nu dv + nv du), and
-    # su * dv + sv * du is its slack vector times 2 du dv.
-    masks = {_support_mask(slacks) for slacks in pts.values()}
+    sols = BasicSolutionSet.of(pts)  # first, so that its sort keys and the tight sets never coexist
+    tights = [tight(slacks) for slacks in pts.values()]
+    bad = _ranks_reach(tights, R, np_, np_)
+    if bad is not None:
+        raise CorrespondenceViolation(f"basic solution line {list(pts)[bad]} is not support-minimal")
+    # Every point passed the rank test, so every tight set is maximal, and a
+    # point is dominated iff a basic point's tight set strictly contains its
+    # own. Non-basic sample: midpoints of basic pairs stay on the equality
+    # block; that of (du, *nu) and (dv, *nv) is the line of
+    # (2 du dv, nu dv + nv du), and su * dv + sv * du is its slack vector
+    # times 2 du dv.
+    masks = {sum(1 << i for i in t) for t in tights}
     for u, v in itertools.islice(itertools.combinations(sols.lines, 2), 50):
         (du, *nu), (dv, *nv) = u, v
         z = _canonical([2 * du * dv, *(a * dv + b * du for a, b in zip(nu, nv))])
-        slacks = [a * dv + b * du for a, b in zip(pts[u], pts[v])]
-        if is_basic(slacks):
+        t = tight([a * dv + b * du for a, b in zip(pts[u], pts[v])])
+        if _ranks_reach([t], R, np_, np_) is None:
             if z not in pts:
                 raise CorrespondenceViolation(f"missed basic solution line {z}")
             continue
-        zm = _support_mask(slacks)
-        if not any(m != zm and m & zm == m for m in masks):
+        zm = sum(1 << i for i in t)
+        if not any(m != zm and m & zm == zm for m in masks):
             raise CorrespondenceViolation(f"non-basic midpoint line {z} not dominated")
     return sols, pts
 

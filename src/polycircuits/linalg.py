@@ -13,11 +13,15 @@ the lcm of its denominators, `_primitive` divides an integer vector by
 its gcd and keeps its sign, `_scaled_row` gives an integer row [a | rhs]
 as its primitive normal and rhs, and `_canonical` names a line. Rows are
 reduced by one fraction-free insertion step (`_insert`, Bareiss 1968),
-folded over a whole matrix by `_fold`. The subset walk `_subset_lines`
-finds the kernel line of every independent k-subset of rows, eliminating
-each shared (k-2)-prefix once and stopping two rows early: the last two
-rows of a subset meet in one cross product of their three coordinates on
-the prefix's kernel. `dot` sums integer products over one common
+folded over a whole matrix by `_fold`; its first half, the residual of a
+row on an echelon form, is `_residual`. `_ranks_reach` checks the rank of
+many row subsets in one pass: it visits them in sorted order, resumes each
+from the echelon form of the prefix it shares with the subset before it,
+and only reduces the row that would reach the target rank. The subset
+walk `_subset_lines` finds the kernel line of every independent k-subset
+of rows, eliminating each shared (k-2)-prefix once and stopping two rows
+early: the last two rows of a subset meet in one cross product of their
+three coordinates on the prefix's kernel. `dot` sums integer products over one common
 denominator, so the costly Fraction normalizations happen once per
 output entry.
 """
@@ -153,6 +157,18 @@ def _scaled_row(row: Sequence[int]) -> tuple[Vector, Fraction]:
     return tuple(map(Fraction, normal)), Fraction(row[-1], g)
 
 
+def _residual(rows: list[list[int]], pivots: list[int], det: int, x: Sequence[int]) -> Sequence[int]:
+    """The Bareiss residual y = det*x - sum x[p_i]*R_i of x on an echelon form
+    (`_insert`): zero in every pivot column, and zero in any leading columns
+    that hold every pivot iff x depends on the rows in those columns."""
+    y = x if det == 1 else [det * v for v in x]
+    for R, p in zip(rows, pivots):
+        f = x[p]
+        if f:
+            y = [u - f * v for u, v in zip(y, R)]
+    return y
+
+
 def _insert(
     rows: list[list[int]], pivots: list[int], det: int, x: Sequence[int], ncols: int
 ) -> Optional[_Echelon]:
@@ -169,11 +185,7 @@ def _insert(
     its first `ncols` columns. The inputs are not modified; unchanged rows
     are shared with the result.
     """
-    y = x if det == 1 else [det * v for v in x]
-    for R, p in zip(rows, pivots):
-        f = x[p]
-        if f:
-            y = [u - f * v for u, v in zip(y, R)]
+    y = _residual(rows, pivots, det, x)
     for c in range(ncols):
         if y[c]:
             break
@@ -207,20 +219,41 @@ def _fold(
 _EMPTY: _Echelon = ([], [], 1)
 
 
-def _rank_upto(rows: Iterable[Sequence[int]], r: int, ncols: int) -> int:
-    """The rank of `rows` in their first `ncols` columns, or r once it reaches r.
+def _ranks_reach(sets: Sequence[Sequence[int]], rows: Sequence[Sequence[int]], r: int, ncols: int) -> Optional[int]:
+    """The position in `sets` of a set whose rows stay below rank r in their
+    first `ncols` columns, or None when every set reaches rank r.
 
-    Folds with `_insert` and stops at rank r.
+    Each set holds ascending indices into `rows` and is folded in that order
+    with `_insert`, skipping dependent rows, until its rank reaches r. The
+    sets are visited in sorted order, so a set shares its longest prefix with
+    the one before it, and it resumes from the echelon form that set left
+    after that prefix. A row met at rank r - 1 is only reduced
+    (`_residual`): a nonzero residual in the first `ncols` columns decides
+    the set, and a zero one leaves the next row to try. Of several failing
+    sets, the first in sorted order is returned.
     """
-    echelon, rank = _EMPTY, 0
-    for x in rows:
-        if rank >= r:
-            break
-        step = _insert(*echelon, x, ncols)
-        if step is not None:
-            echelon = step
-            rank += 1
-    return rank
+    if r <= 0:
+        return None
+    forms, last = [_EMPTY], ()  # forms[j]: the echelon form of the first j rows of `last`
+    for pos in sorted(range(len(sets)), key=sets.__getitem__):
+        s = sets[pos]
+        common = 0
+        for i, j in zip(s, last):
+            if i != j:
+                break
+            common += 1
+        del forms[common + 1 :]
+        last = s
+        for i in s[len(forms) - 1 :]:
+            echelon = forms[-1]
+            if len(echelon[1]) < r - 1:
+                echelon = _insert(*echelon, rows[i], ncols) or echelon
+            elif any(_residual(*echelon, rows[i])[:ncols]):
+                break
+            forms.append(echelon)
+        else:
+            return pos
+    return None
 
 
 def _subset_lines(rows: Sequence[Sequence[int]], k: int, ncols: int, width: int) -> Iterator[Direction]:

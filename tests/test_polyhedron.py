@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +11,13 @@ import polycircuits
 from polycircuits import polyhedron
 from polycircuits.circuits import enumerate_circuits
 from polycircuits.constructions import hypercube
-from polycircuits.errors import BudgetExceeded, EmptyPolyhedron, NotPointed, PreconditionViolation
+from polycircuits.errors import (
+    BudgetExceeded,
+    CorrespondenceViolation,
+    EmptyPolyhedron,
+    NotPointed,
+    PreconditionViolation,
+)
 from polycircuits.linalg import matrix, primitive, vector
 from polycircuits.polyhedron import (
     HPolyhedron,
@@ -190,6 +197,38 @@ def test_vrep_square_and_orthant():
     V3 = vrep(orthant(3))
     assert V3.vertices == (vector([0, 0, 0]),)
     assert set(V3.rays) == {vector([1, 0, 0]), vector([0, 1, 0]), vector([0, 0, 1])}
+
+
+# The homogenization cone of a polyhedron with no equality rows holds a
+# vertex x as the ray (-x, 1) (`polyhedron._vrep`).
+CUT_SQUARE = HPolyhedron.make(2, B=[[-1, 0], [0, -1], [1, 0], [0, 1], [2, 2]], d=[0, 0, 1, 1, 3])
+
+
+@pytest.mark.parametrize(
+    "P, bad, line",
+    [
+        # (0, 0, 1) + (-1, 0, 1), the rays of the adjacent vertices (0, 0)
+        # and (1, 0): the midpoint (1/2, 0) of their edge, one tight row
+        (unit_square(), [-1, 0, 2], (2, 1, 0)),
+        # (1, 1), tight on x <= 1 and y <= 1 (rank 2), violates 2x + 2y <= 3
+        (CUT_SQUARE, [-1, -1, 1], (1, 1, 1)),
+    ],
+    ids=["not-extreme", "negative-slack"],
+)
+def test_a_wrong_vertex_is_a_correspondence_violation(monkeypatch, P, bad, line):
+    # Every ray of the cone's double description with t > 0 must be a point
+    # of P whose tight rows reach rank n'; one bad ray among the correct ones
+    # is reported, whichever check it fails.
+    extreme_rays = polyhedron._extreme_rays
+
+    def with_bad_ray(rows, width):
+        rays = extreme_rays(rows, width)
+        assert [0, 0, 1] in rays and [-1, 0, 1] in rays and bad not in rays
+        return rays + [bad]
+
+    monkeypatch.setattr(polyhedron, "_extreme_rays", with_bad_ray)
+    with pytest.raises(CorrespondenceViolation, match=re.escape(f"vertex line {line} is not a vertex")):
+        vrep(P)
 
 
 def test_vrep_requires_pointed():

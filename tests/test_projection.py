@@ -399,7 +399,7 @@ def test_faces_are_decided_by_tight_sets_alone(monkeypatch, Q, pi):
     reference = _project(Q, pi, None)
     vrep(Q)
     counts, calls = _counting(monkeypatch), Counter()
-    for name in ("_rank_upto", "_fold"):
+    for name in ("_ranks_reach", "_fold"):
         fn = getattr(polyhedron, name)
         monkeypatch.setattr(polyhedron, name, lambda *args, fn=fn, name=name: calls.update([name]) or fn(*args))
     assert project(Q, pi) == reference

@@ -9,7 +9,10 @@ runs the double description of the homogenization cone
 The references below are per-subset loops: every subset is eliminated
 from scratch through the public `rank`, `solve` and `kernel_basis`, and
 adjacency is the dimension of the face at the midpoint. Both must return
-exactly the same objects.
+exactly the same objects. Every output is checked on its own zero or
+tight rows by one `linalg._ranks_reach` pass over the sorted row sets,
+which resumes each set from the prefix it shares with the set before it;
+its reference folds every set afresh.
 """
 
 import itertools
@@ -318,12 +321,87 @@ def test_subset_lines_match_per_subset_reference(last_column_pivots):
     assert seen == {"random", "zero", "duplicate", "parallel", "dependent"}
 
 
+def _ref_rank_upto(rows, r, ncols):
+    """The rank of `rows` in their first `ncols` columns, or r once it reaches
+    r: one fresh fold per row set."""
+    echelon, rank = linalg._EMPTY, 0
+    for x in rows:
+        if rank >= r:
+            break
+        step = linalg._insert(*echelon, x, ncols)
+        if step is not None:
+            echelon = step
+            rank += 1
+    return rank
+
+
+def _rank_sets(rng, q, seen):
+    """Ascending index sets into q rows: fresh ones, which diverge early from
+    the others, and ones that keep a prefix of an earlier set."""
+    sets = []
+    for _ in range(rng.randint(1, 8)):
+        base = rng.choice(sets) if sets and rng.random() < 0.5 else ()
+        cut = rng.randint(0, len(base))
+        rest = range(base[cut - 1] + 1 if cut else 0, q)
+        sets.append(base[:cut] + tuple(sorted(rng.sample(rest, rng.randint(0, len(rest))))))
+    ordered = sorted(sets)
+    for s, t in zip(ordered, ordered[1:]):
+        if s and t and s[0] != t[0]:
+            seen.add("diverge at the first row")
+        elif s and t and s[0] == t[0] and s != t:
+            seen.add("shared prefix")
+    if () in sets:
+        seen.add("empty set")
+    return sets
+
+
+def test_ranks_reach_matches_a_fold_per_set():
+    # `_ranks_reach` folds the sorted sets in one pass, resuming each from the
+    # prefix it shares with the set before it and only reducing the row that
+    # would reach rank r; the reference folds every set afresh.
+    rng, seen = random.Random(2701), set()
+    for trial in range(400):
+        width = rng.randint(1, 5)
+        ncols = width - 1 if width > 1 and rng.random() < 0.5 else width
+        rows = _walk_rows(rng, rng.randint(0, 9), width, seen)
+        if ncols < width and rows:
+            # equal to another row in the first ncols columns only
+            for _ in range(rng.randint(1, 2)):
+                row = list(rng.choice(rows))
+                row[-1] += rng.choice((-2, -1, 1, 3))
+                rows.insert(rng.randint(0, len(rows)), row)
+            seen.add("ncols < width")
+        r = rng.randint(0, ncols)
+        seen.add("r = 0" if r == 0 else "r > 0")
+        sets = _rank_sets(rng, len(rows), seen)
+        passes = [_ref_rank_upto([rows[i] for i in s], r, ncols) >= r for s in sets]
+        for s, ok in zip(sets, passes):
+            assert (linalg._ranks_reach([s], rows, r, ncols) is None) == ok, (rows, s, r, ncols)
+        failing = [p for p, ok in enumerate(passes) if not ok]
+        expected = min(failing, key=lambda p: (sets[p], p)) if failing else None
+        assert linalg._ranks_reach(sets, rows, r, ncols) == expected, (rows, sets, r, ncols)
+        # every passing set and one failing set, in shuffled positions
+        good = [s for s, ok in zip(sets, passes) if ok]
+        for p in failing:
+            mixed = good + [sets[p]]
+            rng.shuffle(mixed)
+            at = mixed.index(sets[p])
+            assert linalg._ranks_reach(mixed, rows, r, ncols) == at, (rows, mixed, r, ncols)
+            place = sorted(mixed).index(sets[p])
+            if len(set(mixed)) > 2:
+                seen.add("fails first" if place == 0 else "fails last" if sets[p] == max(mixed) else "fails in the middle")
+    assert seen == {
+        "random", "zero", "duplicate", "parallel", "dependent", "ncols < width", "r = 0", "r > 0",
+        "diverge at the first row", "shared prefix", "empty set", "fails first", "fails in the middle", "fails last",
+    }, seen
+
+
 @pytest.mark.parametrize(
     "run, expected",
     [
-        (lambda: enumerate_circuits(homogenize(cropped_cross_polytope(3))), 481),
-        (lambda: basic_solutions(cropped_cross_polytope(3)), 494),
-        (lambda: edge_directions(hypercube(3)), 46),
+        (lambda: enumerate_circuits(homogenize(cropped_cross_polytope(3))), 109),
+        (lambda: basic_solutions(cropped_cross_polytope(3)), 141),
+        (lambda: edge_directions(hypercube(3)), 33),
     ],
     ids=["circuits-hom-ccp3", "basic-solutions-ccp3", "edges-cube3"],
 )
@@ -334,9 +412,11 @@ def test_subset_work_is_pinned(monkeypatch, run, expected):
     # a pair of them meets in one cross product. A change that visits
     # more subsets or eliminates more rows must update these counts on purpose.
     # They include the rank test of every circuit line, basic solution and
-    # vertex on its own zero or tight rows (linalg._rank_upto), and the start
-    # cone of the double description; edges are decided by tight-row masks,
-    # with no rank test.
+    # vertex on its own zero or tight rows (linalg._ranks_reach, one pass
+    # over the sorted row sets that resumes each from the echelon form of
+    # the prefix it shares with the set before it; the last row of each check
+    # is reduced, not inserted), and the start cone of the double
+    # description; edges are decided by tight-row masks, with no rank test.
     calls = []
     insert = linalg._insert
 
@@ -353,9 +433,11 @@ def test_walks_and_rank_tests_read_the_reduced_rows(monkeypatch):
     # The equality block is eliminated once per description: its rows
     # [a | rhs], n + 1 wide, are folded once into `_ints.reduced`, and every
     # subset walk, rank test and double description step after that inserts
-    # reduced rows, at most n' + 1 wide; the edge walk inserts none. transportation(5, 2, (1, 4)) has n = 10 and seven
-    # equality rows of rank 6, so n' = 4. The rows n wide are the Fraction
-    # `rank` of [A; B] in `is_pointed`.
+    # reduced rows, at most n' + 1 wide; the edge walk inserts none, and the
+    # last row of each rank test is reduced, not inserted.
+    # transportation(5, 2, (1, 4)) has n = 10 and seven equality rows of
+    # rank 6, so n' = 4. The rows n wide are the Fraction `rank` of [A; B]
+    # in `is_pointed`.
     P = transportation(5, 2, (1, 4))
     widths = []
     insert = linalg._insert
@@ -370,4 +452,4 @@ def test_walks_and_rank_tests_read_the_reduced_rows(monkeypatch):
     edge_directions(P)
     wide = Counter(w for w in widths if w > 5)
     assert wide == {11: len(P.A), 10: len(P.A) + len(P.B)}
-    assert len(widths) == 470
+    assert len(widths) == 292
