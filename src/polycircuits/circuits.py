@@ -93,11 +93,6 @@ def basic_solutions(P: HPolyhedron) -> BasicSolutionSet:
     is the support characterization that makes these the degree-one
     homogenization circuits.
     """
-    return _basic_solutions(P)[0]
-
-
-def _basic_solutions(P: HPolyhedron) -> tuple[BasicSolutionSet, dict[Direction, list[int]]]:
-    """`basic_solutions` of P, and the slacks of each of its lines (`_basic_points`)."""
     if not is_pointed(P):
         raise NotPointed(P.name or "polyhedron")
     _, R, np_ = P._ints.reduced
@@ -132,7 +127,7 @@ def _basic_solutions(P: HPolyhedron) -> tuple[BasicSolutionSet, dict[Direction, 
         zm = sum(1 << i for i in t)
         if not any(m != zm and m & zm == zm for m in masks):
             raise CorrespondenceViolation(f"non-basic midpoint line {z} not dominated")
-    return sols, pts
+    return sols
 
 
 @dataclass(frozen=True)
@@ -141,7 +136,6 @@ class HomogenizationSplit:
 
     direction_class: CircuitSet  # leading coordinate 0, dehomogenized
     point_class: BasicSolutionSet  # leading coordinate positive: the lines (den, *num)
-    vertices: tuple[Direction, ...]  # the point-class lines with no negative slack, in order
 
 
 def circuits_of_homogenization(P: HPolyhedron) -> tuple[CircuitSet, HomogenizationSplit]:
@@ -160,10 +154,9 @@ def circuits_of_homogenization(P: HPolyhedron) -> tuple[CircuitSet, Homogenizati
     directions = CircuitSet(directions=tuple(v[1:] for v in CH if v[0] == 0))
     points = BasicSolutionSet.of(v for v in CH if v[0])
     CP = enumerate_circuits(P)
-    BP, slacks = _basic_solutions(P)
+    BP = basic_solutions(P)
     if directions.directions != CP.directions:
         raise CorrespondenceViolation("degree-0 class does not match the circuits")
     if points.lines != BP.lines:
         raise CorrespondenceViolation("degree-1 class does not match the basic solutions")
-    vertices = tuple(v for v in points.lines if all(s >= 0 for s in slacks[v]))
-    return CH, HomogenizationSplit(direction_class=directions, point_class=points, vertices=vertices)
+    return CH, HomogenizationSplit(direction_class=directions, point_class=points)

@@ -262,7 +262,7 @@ def run_thm2(params: dict, out_dir) -> ReproductionResult:
 
     Qp = cropped_cross_polytope(n, delta)
     CH, split = circuits_of_homogenization(Qp)
-    verts = split.vertices  # the basic solutions that lie in the polytope
+    verts = vrep(Qp).lines  # by double description, apart from the walks of CH
     basics = split.point_class
     rec.save_poly("cropped", Qp)
     rec.claim(f"vertex count is 4n(n-1) = {4 * n * (n - 1)}", 4 * n * (n - 1), len(verts))
@@ -299,9 +299,10 @@ def run_thm2(params: dict, out_dir) -> ReproductionResult:
     gap = len(CH) - len(verts)
     rec.claim("circuit count strictly exceeds the inherited count", True, gap > 0)
     if n >= 4:
-        CH_prev, split_prev = circuits_of_homogenization(cropped_cross_polytope(n - 1, delta))
+        Qprev = cropped_cross_polytope(n - 1, delta)
+        CH_prev, _ = circuits_of_homogenization(Qprev)
         rec.claim(
-            f"circuit surplus grows from n={n - 1} to n={n}", True, len(CH_prev) - len(split_prev.vertices) < gap
+            f"circuit surplus grows from n={n - 1} to n={n}", True, len(CH_prev) - len(vrep(Qprev).lines) < gap
         )
     return rec.finish()
 

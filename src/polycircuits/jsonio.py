@@ -132,7 +132,9 @@ def circuits_from_dict(data: dict) -> CircuitSet:
 
 
 def basics_to_dict(B: BasicSolutionSet) -> dict:
-    return {"points": rat_rows(B.points)}
+    """The points as rational strings, read off the lines (den, *num): the set's
+    Fraction view of every point is not built, nor kept for the rest of a run."""
+    return {"points": [[str(Fraction(x, v[0])) for x in v[1:]] for v in B.lines]}
 
 
 # ---------------------------------------------------------------------------

@@ -27,25 +27,25 @@ no walk and charges no work budget; a walk that raises, `BudgetExceeded`
 included, is not cached. The cache belongs to the object: a `renamed`
 copy or any new description walks afresh.
 
-`project` picks its route from P; both return the same description. For a
-pointed P it reads every prune and the implicit equalities off the rows'
-incidences with the vertices and rays of `vrep(P)`, with no LP: facets, like
-the adjacencies of the double description and the edge walk (`_adjacent`),
-are decided by containment of tight-row masks, and rank tests only check
-outputs (vertices, circuit lines, basic solutions). Otherwise
-`_project`, the reference of that route, asks each LP question once:
-- Fourier-Motzkin elimination prunes after every step, and a row that a
-  prune kept is not tested again (`_Eliminator`). Its witness, a point
-  that satisfies every other row and violates it, survives the later
-  steps: new rows are nonnegative combinations of rows it satisfies, and
-  substitution keeps the equality rows it satisfies.
-- After the last prune the implicit equalities are promoted, and the rows
-  are not pruned again. By Farkas, the implicit rows have a positive
-  combination that reads 0 <= 0 and uses no other row, so dropping any
-  other row keeps them implicit. Promoting them therefore leaves the
-  polyhedron that every row was tested against unchanged.
-- A row slack at some known point is not an implicit equality, so only
-  rows that no LP point has shown slack get an LP (`_implicit_rows`).
+`project` has one route. It prunes every domain, pointed or not, by the
+rows' incidences with generators of P: the vertices and rays of `vrep(P)`,
+or for a P with a lineality space L those of P ∩ L^⊥ and ± each line of
+L. Facets, like the adjacencies of the double description and the edge
+walk (`_adjacent`), are decided by containment of tight-row masks, and
+rank tests only check outputs (vertices, circuit lines, basic solutions).
+Only the implicit equalities of a prune, the rows tight on every
+generator, meet an LP, and those LPs see only them and the equality rows
+(`_Eliminator`). After the last prune the implicit equalities are
+promoted, and the rows are not pruned again. By Farkas, the implicit rows
+have a positive combination that reads 0 <= 0 and uses no other row, so
+dropping any other row keeps them implicit. Promoting them therefore
+leaves the polyhedron that every row was tested against unchanged.
+
+`_project` without generators is the LP route that `project` is checked
+against. Every prune tests every row against the others that are left
+(`_irredundant_rows`), and the implicit equalities come from LPs: a row
+slack at some known point is not one, so only rows that no LP point has
+shown slack get an LP (`_implicit_rows`).
 """
 
 from __future__ import annotations
@@ -361,31 +361,25 @@ def _distinct_rows(B: Sequence[Sequence[int]]) -> list[int]:
     return [i for _, _, i in seen.values()]
 
 
-def _irredundant_rows(
-    n: int, A: Sequence[Sequence[int]], B: Sequence[Sequence[int]], certified: Optional[Sequence[bool]] = None
-) -> list[int]:
+def _irredundant_rows(n: int, A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> list[int]:
     """The indices of the integer rows [a | rhs] of B that no other row of {A, B} implies.
 
     A cheap syntactic pass comes first (`_distinct_rows`): of each group of
     parallel rows only the tightest stays. Then one LP per remaining row,
     in that order, drops it when the rest imply it; the LPs read the
     integer rows as they are, since scaling a row by a positive number
-    changes neither the polyhedron nor the simplex's pivots. A row flagged
-    in `certified` is known to be implied by no set of the other rows, so
-    it runs no LP and stays; every other row sees the same rest as without
-    the flags.
+    changes neither the polyhedron nor the simplex's pivots.
     """
     keep = _distinct_rows(B)
     eqs = tuple(row[:-1] for row in A), tuple(row[-1] for row in A)
     k = 0
     while k < len(keep):
-        if certified is None or not certified[keep[k]]:
-            rest = [B[i] for i in keep[:k] + keep[k + 1 :]]
-            P = HPolyhedron(n, *eqs, tuple(row[:-1] for row in rest), tuple(row[-1] for row in rest))
-            if lp.is_implied(B[keep[k]][:-1], B[keep[k]][-1], P):
-                del keep[k]
-                continue
-        k += 1
+        rest = [B[i] for i in keep[:k] + keep[k + 1 :]]
+        P = HPolyhedron(n, *eqs, tuple(row[:-1] for row in rest), tuple(row[-1] for row in rest))
+        if lp.is_implied(B[keep[k]][:-1], B[keep[k]][-1], P):
+            del keep[k]
+        else:
+            k += 1
     return keep
 
 
@@ -672,33 +666,31 @@ class _Eliminator:
     vectors [*z, -h], positive multiples of (v, 1) and (w, 0). A row
     [a | rhs] reads a.z - rhs h <= 0 on each, and a generator is tight on
     the row where it reads 0. Eliminating a variable deletes its coordinate
-    from every generator. After each step the rows are pruned by one of two
-    routes, and both keep the same rows in the same order.
+    from every generator. After each step the rows are pruned: by the
+    generators when `gens` is given, else by `_irredundant_rows`, which
+    tests every row in order against the others that are left. Both keep
+    the same rows in the same order.
 
-    By incidence, when `gens` is given. A row's tight set is the mask of
-    the generators tight on it. When no inequality row is tight on every
-    generator, the system has no implicit equality, so a row is implied by
-    no set of the other rows iff it defines a facet that no later row
-    defines. It does iff its tight set holds a point, so that its face is
-    not empty, and no other row's tight set strictly contains it: every
-    facet is defined by some row, and a face strictly inside another has a
-    strictly smaller tight set (Ziegler, Lectures on Polytopes, ch. 2), so
-    a nonempty face that is no facet lies strictly in a facet, and a facet
-    only in the whole polyhedron, on which every generator is tight. Rows
-    that define the same facet have the same tight set; of these the last
-    in `_irredundant_rows` order stays, the row its sequential LPs keep. A
-    prune that meets a row tight on every generator takes the LP route;
-    once no row is, the incidence test is exact again.
-
-    By LP (`_irredundant_rows`), otherwise. `certified[i]` says that
-    inequality row i is implied by no set of the other rows. A prune
-    certifies every row it keeps, by a witness point that satisfies every
-    other row and violates row i; a row kept by incidence has one as well.
-    Substitution through an equality row keeps every witness, since
-    witnesses satisfy the equality rows. A Fourier-Motzkin step keeps the
-    witness of every row it keeps, projected: the new rows are nonnegative
-    combinations of other rows, which the witness satisfies. Only the new
-    rows need an LP.
+    The prune by generators reads each row's tight set, the mask of the
+    generators tight on it. A row is an implicit equality iff its tight set
+    is full; let I be those rows. No prune changes the polyhedron, so the
+    sequential LPs drop a row iff the rows left when it is tested still cut
+    out the polyhedron without it.
+    - A row outside I is implied by the rest iff its face holds no point, is
+      no facet, or is a facet that a later row also defines: every facet is
+      defined by some row, and the earlier rows that define it are gone by
+      then. Its face holds a point iff its tight set does. A nonempty face
+      strictly inside another has a strictly smaller tight set (Ziegler,
+      Lectures on Polytopes, ch. 2), so it is a facet iff no tight set
+      strictly contains it but a full one; rows that define the same facet
+      have the same tight set, and of these the last stays.
+    - A row of I that the rest implies is, by Farkas (Schrijver 1986,
+      ch. 8), a nonnegative combination of them and the equality rows with
+      no larger right-hand side. It reads its rhs on the whole nonempty
+      polyhedron, so every row with a positive multiplier is tight there
+      too, and is in I. So `_irredundant_rows` on the equality rows and I
+      alone, in the same order, drops the same rows of I, and only when I
+      is nonempty does a prune solve an LP.
     """
 
     def __init__(
@@ -711,18 +703,14 @@ class _Eliminator:
         self.live = list(range(nvars))
         self.eqs = list(eqs)
         self.ineqs = list(ineqs)
-        self.certified = [False] * len(self.ineqs)
         self.gens = gens
 
     def eliminate(self, target_vars: set[int]) -> None:
-        """Eliminate every target variable, pruning after each step.
-
-        The rows are pruned at least once, so on return every row is certified.
-        """
+        """Eliminate every target variable, pruning after each step, and at least once."""
+        if not any(v in target_vars for v in self.live):
+            self._prune()
         while pending := [j for j, v in enumerate(self.live) if v in target_vars]:
             self._eliminate_one(self._pick(pending))
-            self._prune()
-        if not all(self.certified):  # nothing was eliminated
             self._prune()
 
     def _pick(self, pending: list[int]) -> int:
@@ -754,10 +742,8 @@ class _Eliminator:
         else:
             pos = [r for r in self.ineqs if r[j] > 0]
             neg = [r for r in self.ineqs if r[j] < 0]
-            kept = [i for i, r in enumerate(self.ineqs) if r[j] == 0]
-            rows = [self.ineqs[i] for i in kept]
+            rows = [r for r in self.ineqs if r[j] == 0]
             rows += [_primitive([-rn[j] * x + rp[j] * y for x, y in zip(rp, rn)])[0] for rp in pos for rn in neg]
-            self.certified = [self.certified[i] for i in kept] + [False] * (len(rows) - len(kept))
             self.ineqs = rows
         del self.live[j]
         self.eqs = [r[:j] + r[j + 1 :] for r in self.eqs]
@@ -766,12 +752,12 @@ class _Eliminator:
             self.gens = [g[:j] + g[j + 1 :] for g in self.gens]
 
     def _prune(self) -> None:
-        """Trim duplicates and redundant inequality rows, by incidence when it can."""
-        keep = None if self.gens is None else self._incident_rows()
-        if keep is None:
-            keep = _irredundant_rows(len(self.live), self.eqs, self.ineqs, self.certified)
+        """Trim duplicates and redundant inequality rows, by the generators when there are any."""
+        if self.gens is None:
+            keep = _irredundant_rows(len(self.live), self.eqs, self.ineqs)
+        else:
+            keep = self._incident_rows()
         self.ineqs = [self.ineqs[i] for i in keep]
-        self.certified = [True] * len(self.ineqs)
 
     def _tight(self, row: Sequence[int]) -> int:
         """The mask of the generators tight on `row`; CorrespondenceViolation if one violates it."""
@@ -780,16 +766,18 @@ class _Eliminator:
             raise CorrespondenceViolation("a generator of the domain violates an eliminated row")
         return sum(1 << k for k, x in enumerate(reads) if not x)
 
-    def _incident_rows(self) -> Optional[list[int]]:
-        """The rows `_irredundant_rows` keeps, read off the generators; None
-        when a row is tight on every generator."""
-        points = sum(1 << k for k, g in enumerate(self.gens) if g[-1])
+    def _incident_rows(self) -> list[int]:
+        """The rows `_irredundant_rows` keeps: those outside I read off the
+        generators, and those of I from its LPs on I and the equality rows."""
+        full, points = (1 << len(self.gens)) - 1, sum(1 << k for k, g in enumerate(self.gens) if g[-1])
         keep = _distinct_rows(self.ineqs)
         masks = [self._tight(self.ineqs[i]) for i in keep]
-        if (1 << len(self.gens)) - 1 in masks:
-            return None
-        last = {m: i for i, m in zip(keep, masks) if m & points and not any(m != o and m & o == m for o in masks)}
-        return [i for i, m in zip(keep, masks) if last.get(m) == i]
+        faces = [m for m in masks if m != full]
+        last = {m: i for i, m in zip(keep, masks) if m & points and not any(m != o and m & o == m for o in faces)}
+        if implicit := [i for i, m in zip(keep, masks) if m == full]:
+            rows = _irredundant_rows(len(self.live), self.eqs, [self.ineqs[i] for i in implicit])
+            implicit = [implicit[k] for k in rows]
+        return [i for i, m in zip(keep, masks) if (i in implicit if m == full else last.get(m) == i)]
 
     def implicit_rows(self) -> tuple[int, ...]:
         """The inequality rows tight on every generator: the implicit equalities."""
@@ -813,24 +801,33 @@ def project(P: HPolyhedron, pi: LinearMap) -> HPolyhedron:
     The implicit equalities of the pruned rows are then promoted; that
     makes no row redundant (see the module docstring), so the rows are
     not pruned again. Both row blocks come back as primitive integer
-    normals with their right-hand sides. A pointed P is pruned by the
-    generators of `vrep(P)`, whose double description the work budget
-    caps, and a P with a lineality space by LPs (`_project`).
+    normals with their right-hand sides.
+
+    Every prune reads the generators of P (`_project`). A pointed P has
+    those of `vrep(P)`. A P with a lineality space L is (P ∩ L^⊥) + L: the
+    primitive lines l of L's basis (the lineality set of its circuit walk),
+    appended to A as the rows l.x = 0, cut out the pointed P ∩ L^⊥, whose
+    `vrep` gives the vertices and rays, and each ±l is one more ray. Every
+    row of P reads 0 on ±l, so their bits sit in every tight set. The work
+    budget caps the double description either way.
     """
     if pi.in_dim(P.n) != P.n:
         raise PreconditionViolation(f"map has domain dimension {pi.in_dim(P.n)}, polyhedron has dimension {P.n}")
-    return _project(P, pi, None if P._ints.lineality else vrep(P))
+    lin = P._circuit_walk.lineality if P._ints.lineality else ()
+    V = vrep(replace(P, A=P.A + matrix(lin), b=P.b + zero_vector(len(lin))) if lin else P)
+    return _project(P, pi, VRep(V.lines, V.rays + tuple(tuple(s * x for x in l) for l in lin for s in (1, -1))))
 
 
 def _project(P: HPolyhedron, pi: LinearMap, V: Optional[VRep]) -> HPolyhedron:
-    """`project` of P, pruned by incidence when V is `vrep(P)` and by LPs when V is None.
+    """`project` of P, pruned by the generators of V, or by LPs when V is None.
 
     A vertex line (den, *num) of V.lines and a ray w give the generators
     [N num | D num | -D den] and [N w | D w | 0] (`_Eliminator`). The
     implicit equalities are the rows tight on every generator, and pi of
     the first vertex, the one Fraction point `project` makes, is the point
     the result is checked to hold. Without V, an LP finds that point and
-    `_implicit_rows` the implicit equalities.
+    `_implicit_rows` the implicit equalities: that route is the reference
+    that `law_two_route_projection` and the tests compare `project` with.
     """
     m, nt = P.n, pi.out_dim
     N, D = pi._ints

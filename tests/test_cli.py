@@ -13,7 +13,7 @@ import pytest
 
 import polycircuits
 from polycircuits import jsonio
-from polycircuits.circuits import enumerate_circuits
+from polycircuits.circuits import basic_solutions, enumerate_circuits
 from polycircuits.cli import CONSTRUCT_NAMES, main
 from polycircuits.constructions import (
     cropped_cross_polytope,
@@ -79,6 +79,16 @@ def test_circuit_directions_serialize_as_integers():
     d = jsonio.circuits_to_dict(C)
     assert d == {"directions": [[0, 0, 1], [0, 1, 0], [1, 0, 0]]}
     assert jsonio.circuits_from_dict(d) == C
+
+
+def test_basic_solutions_serialize_from_their_lines():
+    # thm2 saves 36,186 basic solutions at n = 5; their Fraction view, built
+    # and cached by the save, set that run's peak resident memory
+    B = basic_solutions(cropped_cross_polytope(3))
+    d = jsonio.basics_to_dict(B)
+    assert "points" not in vars(B)
+    assert d == {"points": jsonio.rat_rows(B.points)}
+    assert ["-7/4", "-3/4", "0"] in d["points"]
 
 
 # ---------------------------------------------------------------------------

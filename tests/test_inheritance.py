@@ -211,10 +211,11 @@ class TestHomLaw:
 
         for signs in itertools.product((-d, d), repeat=3):
             assert V(signs) in set(split.point_class)
-        # the box corners are cut off; the split's vertices are the feasible
-        # basic solutions, in point order, as the vertex walk finds them
-        assert split.vertices == vrep(P).lines
-        assert len(split.vertices) == 24 < len(split.point_class)
+        # the box corners are cut off; the vertices of the double description
+        # are the point-class lines that P holds, in point order
+        basics = split.point_class
+        assert vrep(P).lines == tuple(v for v, x in zip(basics.lines, basics.points) if P.contains(x))
+        assert len(vrep(P).lines) == 24 < len(split.point_class)
 
 
 def balas_law_holds(fam):

@@ -1,16 +1,15 @@
 """Projection and implicit equalities against the routes they replaced.
 
-`project` prunes once per Fourier-Motzkin step and LP-tests only rows no
-earlier prune kept, then promotes the implicit equalities without a second
-pruning pass; `implicit_equality_rows` runs an LP only for rows that no
-witness point has shown slack. The references are the routes without
-those reuses: one LP per row for implicit equalities, a full re-prune at
-every step, and `minimize_description` on the eliminated rows. Both must
-return exactly the same rows in the same order.
-
-A pointed domain `project` prunes by incidence with its vertices and
-rays instead; its reference is the LP route, `_project` with no
-generators, which must return the same description.
+`implicit_equality_rows` runs an LP only for rows that no witness point
+has shown slack; its reference is one LP per row. `project` prunes every
+domain, pointed or not, by incidence with its generators: the vertices
+and rays of its double description, and ± each lineality line. Only the
+rows tight on every generator, the implicit equalities, meet an LP, and
+those LPs see only those rows and the equality rows. Its reference is
+the LP route, `_project` with no generators, which tests every row at
+every Fourier-Motzkin step, and that route's reference is
+`minimize_description` on the eliminated rows. All of them must return
+exactly the same rows in the same order.
 """
 
 import inspect
@@ -21,7 +20,15 @@ from fractions import Fraction
 import pytest
 
 from polycircuits import lp, polyhedron
-from polycircuits.constructions import cropped_cross_polytope, find_alpha_projection, hypercube, pi_matrix, simplex
+from polycircuits.constructions import (
+    cropped_cross_polytope,
+    cross_polytope,
+    find_alpha_projection,
+    hypercube,
+    orthant,
+    pi_matrix,
+    simplex,
+)
 from polycircuits.errors import (
     BudgetExceeded,
     CorrespondenceViolation,
@@ -35,8 +42,10 @@ from polycircuits.polyhedron import (
     HPolyhedron,
     LinearMap,
     _Eliminator,
+    _distinct_rows,
     _irredundant_rows,
     _project,
+    cartesian_product,
     edge_directions,
     implicit_equality_rows,
     is_pointed,
@@ -139,37 +148,35 @@ def test_implicit_equality_rows_match_per_row_reference(seed):
         assert got == ref, P
 
 
-def _project_run(monkeypatch, Q, pi, reprune=True):
-    """project(Q, pi) by LPs, with every prune checked against a full re-prune.
-
-    Returns the projection, or EmptyPolyhedron, the rows it eliminated
-    down to, and the number of rows each prune took as certified.
-    """
+def _project_run(monkeypatch, Q, pi):
+    """_project(Q, pi, None), the LP route, or EmptyPolyhedron; also the rows it
+    eliminated down to, and the number of rows each of its prunes tested."""
     irredundant = polyhedron._irredundant_rows
     implicit = polyhedron._implicit_rows
-    certified, eliminated = [], []
+    prunes, eliminated = [], []
 
-    def checked(n, A, B, flags=None):
-        got = irredundant(n, A, B, flags)
-        assert not reprune or got == irredundant(n, A, B)
-        certified.append(sum(flags or ()))
-        return got
+    def counted(n, A, B):
+        prunes.append(len(B))
+        return irredundant(n, A, B)
 
     def capture(R, x):
         eliminated.append(R)
         return implicit(R, x)
 
     with monkeypatch.context() as patch:
-        patch.setattr(polyhedron, "_irredundant_rows", checked)
+        patch.setattr(polyhedron, "_irredundant_rows", counted)
         patch.setattr(polyhedron, "_implicit_rows", capture)
         try:
-            return _project(Q, pi, None), eliminated, certified
+            return _project(Q, pi, None), eliminated, prunes
         except EmptyPolyhedron:
-            return EmptyPolyhedron, eliminated, certified
+            return EmptyPolyhedron, eliminated, prunes
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_project_matches_full_prune_and_minimize_reference(monkeypatch, seed):
+    # The LP route re-tests every row at every prune; `project` prunes by
+    # incidence. Both must give the description `minimize_description`
+    # gives on the eliminated rows, and raise on the same empty domains.
     rng = random.Random(7000 + seed)
     for _ in range(20):
         Q, pi = _random_pair(rng)
@@ -177,28 +184,34 @@ def test_project_matches_full_prune_and_minimize_reference(monkeypatch, seed):
         if P is EmptyPolyhedron:
             with pytest.raises(EmptyPolyhedron):
                 minimize_description(Q)
+            with pytest.raises(EmptyPolyhedron):
+                project(Q, pi)
             continue
         # The route before: minimize_description on the eliminated rows.
         assert minimize_description(eliminated[0]) == P
         assert minimize_description(P) == P
+        assert project(Q, pi) == P, (Q, pi)
 
 
 def test_project_with_nothing_to_eliminate_prunes_once(monkeypatch):
     # A point in R^0 mapped to R^2: no variable to eliminate, yet the rows
-    # (0 <= 1 twice, 0 <= 0) still go through the one redundancy pass.
+    # (0 <= 1 twice, 0 <= 0) still go through one prune on either route.
     Q = HPolyhedron(n=0, B=((), (), ()), d=(Fraction(1), Fraction(1), Fraction(0)))
     pi = LinearMap(matrix=((), ()))
-    P, eliminated, certified = _project_run(monkeypatch, Q, pi)
-    assert certified == [0]
+    P, eliminated, prunes = _project_run(monkeypatch, Q, pi)
+    assert prunes == [3]
     assert P == minimize_description(eliminated[0])
     assert (P.A, P.b, P.B, P.d) == (((1, 0), (0, 1)), (0, 0), (), ())
+    counts = _counting(monkeypatch)
+    assert project(Q, pi) == P
+    assert counts["incidence prune"] == 1 and counts["LP"] == 0
 
 
 def test_reference_descriptions_cover_every_case(monkeypatch):
     # The seeded inputs above have implicit equalities, rows a witness
     # point shows slack before their LP, unbounded LPs whose ray is the
-    # witness, empty polyhedra, zero rows, and projections whose prunes
-    # take rows as certified.
+    # witness, empty polyhedra, zero rows, and projections whose LP route
+    # prunes more than once, so that it re-tests rows an earlier prune kept.
     seen = set()
     for seed in range(10):
         rng = random.Random(6000 + seed)
@@ -218,19 +231,19 @@ def test_reference_descriptions_cover_every_case(monkeypatch):
         rng = random.Random(7000 + seed)
         for _ in range(20):
             Q, pi = _random_pair(rng)
-            P, _, certified = _project_run(monkeypatch, Q, pi, reprune=False)
+            P, _, prunes = _project_run(monkeypatch, Q, pi)
             if P is EmptyPolyhedron:
                 seen.add("empty projection")
                 continue
-            if any(certified):
-                seen.add("certified rows")
+            if len(prunes) > 1:
+                seen.add("several prunes")
             if P.A and any(len(row) for row in P.A):
                 seen.add("projection with equality rows")
             if any(not any(row) for row in Q.B):
                 seen.add("zero row")
     assert seen == {
         "empty", "implicit rows", "row settled by a witness", "ray witness",
-        "empty projection", "certified rows", "projection with equality rows", "zero row",
+        "empty projection", "several prunes", "projection with equality rows", "zero row",
     }, seen
 
 
@@ -239,23 +252,38 @@ def test_reference_descriptions_cover_every_case(monkeypatch):
 
 
 def _counting(monkeypatch):
-    """Count LPs and the prunes decided by incidence or handed to the LPs."""
-    seen = Counter()
+    """Count LPs, incidence prunes, and the implicit rows (tight on every
+    generator) that the prunes keep or drop. "narrowed LPs" counts the
+    prunes with implicit rows whose LPs see only those rows and the
+    equality rows; "LP beyond I" any LP of a prune that sees another row."""
+    seen, lps = Counter(), []
     incident, solve = _Eliminator._incident_rows, lp.lp_solve
 
     def routed(self):
+        lps.clear()
         keep = incident(self)
-        seen["LP prune" if keep is None else "incidence prune"] += 1
+        seen["incidence prune"] += 1
         seen["ray generators"] += any(g[-1] == 0 for g in self.gens)
-        if keep is not None:  # a dropped row whose face holds a point and is not a kept facet
-            points = sum(1 << k for k, g in enumerate(self.gens) if g[-1])
-            kept = {self._tight(self.ineqs[i]) for i in keep}
-            seen["face, not facet"] += any(m & points and m not in kept for m in map(self._tight, self.ineqs))
+        full = (1 << len(self.gens)) - 1
+        points = sum(1 << k for k, g in enumerate(self.gens) if g[-1])
+        masks = [self._tight(row) for row in self.ineqs]
+        implicit = [i for i in _distinct_rows(self.ineqs) if masks[i] == full]
+        seen["implicit rows kept"] += sum(i in keep for i in implicit)
+        seen["implicit rows dropped"] += sum(i not in keep for i in implicit)
+        rows = {tuple(self.ineqs[i][:-1]) for i in implicit}
+        eqs = tuple(tuple(row[:-1]) for row in self.eqs)
+        narrowed = all(set(map(tuple, P.B)) <= rows and tuple(map(tuple, P.A)) == eqs for P in lps)
+        seen["narrowed LPs"] += bool(implicit) and bool(lps) and narrowed
+        seen["LP beyond I"] += not narrowed or (bool(lps) and not implicit)
+        # a dropped row whose face holds a point and is not a kept facet
+        kept = {masks[i] for i in keep}
+        seen["face, not facet"] += any(m & points and m != full and m not in kept for m in masks)
         return keep
 
-    def counting(*args, **kwargs):
+    def counting(c, P, *args, **kwargs):
         seen["LP"] += 1
-        return solve(*args, **kwargs)
+        lps.append(P)
+        return solve(c, P, *args, **kwargs)
 
     monkeypatch.setattr(_Eliminator, "_incident_rows", routed)
     monkeypatch.setattr(lp, "lp_solve", counting)
@@ -274,53 +302,62 @@ def _random_rational_pair(rng):
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_incidence_prune_matches_lp_prune(seed):
+def test_incidence_prune_matches_lp_prune(monkeypatch, seed):
+    # Each prune by incidence keeps the rows that the sequential LPs keep on
+    # the same system, and the projections are equal.
+    incident = _Eliminator._incident_rows
+
+    def checked(self):
+        keep = incident(self)
+        assert keep == _irredundant_rows(len(self.live), self.eqs, self.ineqs)
+        return keep
+
+    monkeypatch.setattr(_Eliminator, "_incident_rows", checked)
     rng = random.Random(8000 + seed)
     for _ in range(20):
         Q, pi = _random_rational_pair(rng)
-        if not is_pointed(Q):
-            continue
         try:
-            vrep(Q)
+            reference = _project(Q, pi, None)
         except EmptyPolyhedron:
             with pytest.raises(EmptyPolyhedron):
-                _project(Q, pi, None)
+                project(Q, pi)
             continue
-        assert project(Q, pi) == _project(Q, pi, None), (Q, pi)
+        assert project(Q, pi) == reference, (Q, pi)
 
 
 def test_incidence_references_cover_every_case(monkeypatch):
-    # The seeded pairs above have projections pruned by incidence alone,
-    # with no LP, prunes that meet a row tight on every generator, prunes
-    # that drop a row whose face holds a point but is not a facet, domains
-    # with rays, and images with implicit equalities.
+    # The seeded pairs above have domains with a lineality space, empty
+    # domains, projections with no LP, prunes whose implicit rows go to LPs
+    # that see only them and the equality rows, implicit rows those LPs
+    # keep and rows they drop, prunes that drop a row whose face holds a
+    # point but is not a facet, domains with rays, and images with
+    # implicit equalities.
     seen = set()
     for seed in range(10):
         rng = random.Random(8000 + seed)
         for _ in range(20):
             Q, pi = _random_rational_pair(rng)
             if not is_pointed(Q):
-                seen.add("not pointed")
-                continue
-            try:
-                vrep(Q)
-            except EmptyPolyhedron:
-                seen.add("empty")
-                continue
+                seen.add("lineality")
             with monkeypatch.context() as patch:
                 counts = _counting(patch)
-                P = project(Q, pi)
+                try:
+                    P = project(Q, pi)
+                except EmptyPolyhedron:
+                    seen.add("empty")
+                    continue
+            cases = ("narrowed LPs", "LP beyond I", "implicit rows kept", "implicit rows dropped", "face, not facet")
+            seen.update(k for k in cases if counts[k])
             if not counts["LP"]:
                 seen.add("no LP")
-            if counts["LP prune"]:
-                seen.add("LP fallback")
             if counts["ray generators"]:
                 seen.add("rays")
-            if counts["face, not facet"]:
-                seen.add("face, not facet")
             if P.A:
                 seen.add("equality rows")
-    assert seen == {"not pointed", "empty", "no LP", "LP fallback", "face, not facet", "rays", "equality rows"}, seen
+    assert seen == {
+        "lineality", "empty", "no LP", "narrowed LPs", "implicit rows kept", "implicit rows dropped",
+        "face, not facet", "rays", "equality rows",
+    }, seen
 
 
 def test_rows_that_differ_by_an_equality_row_keep_the_last():
@@ -340,14 +377,15 @@ def test_rows_that_differ_by_an_equality_row_keep_the_last():
 
 def test_a_row_tight_on_every_generator_sends_that_prune_to_the_lps(monkeypatch):
     # x1 = x2 only as two opposite inequalities: both are tight on every
-    # generator, so the prune solves LPs; the result is unchanged.
+    # generator, so the prune solves LPs, which see only those two rows;
+    # the other rows are decided by incidence and the result is unchanged.
     Q = HPolyhedron.make(2, B=[[1, -1], [-1, 1], [-1, 0], [1, 0]], d=[0, 0, 0, 1])
     ident = LinearMap(matrix=((1, 0), (0, 1)))
     reference = _project(Q, ident, None)
     counts = _counting(monkeypatch)
     P = project(Q, ident)
     assert P == reference and P.A == (vector([1, -1]),)
-    assert counts["LP prune"] > 0 and counts["LP"] > 0
+    assert counts["narrowed LPs"] > 0 and counts["LP"] > 0 and counts["LP beyond I"] == 0
 
 
 def test_rays_are_generators_at_infinity(monkeypatch):
@@ -439,11 +477,48 @@ def test_wrong_generators_are_a_correspondence_violation():
     ],
     ids=["image-halfplane", "strip", "strip-wrong-image", "empty-strip"],
 )
-def test_nonpointed_domain_keeps_the_lp_route_and_its_errors(monkeypatch, Q, pi, P_desc, error, match):
+def test_nonpointed_domain_keeps_its_errors(monkeypatch, Q, pi, P_desc, error, match):
+    # A domain with a lineality space is projected by incidence too; only
+    # the check of a supplied image description solves LPs.
     counts = _counting(monkeypatch)
     with pytest.raises(error, match=match):
         check_inheritance(Q, LinearMap(matrix=pi), P_desc)
-    assert counts["LP"] > 0 and counts["incidence prune"] + counts["LP prune"] == 0
+    assert bool(counts["LP"]) == (P_desc is not None)
+    assert bool(counts["incidence prune"]) == (error is not EmptyPolyhedron)
+
+
+def test_an_image_with_a_lineality_space_is_not_pointed():
+    # The orthant is pointed, but its image under x1 - x2 is the whole line.
+    with pytest.raises(NotPointed, match="^projection image is not pointed$"):
+        check_inheritance(orthant(2), LinearMap(matrix=((1, -1),)))
+
+
+def _cross_times_line(k):
+    """The cross-polytope of R^k times R: its rows padded with a zero column."""
+    return cartesian_product(cross_polytope(k), HPolyhedron(n=1))
+
+
+@pytest.mark.parametrize(
+    "row2, match",
+    [((0,) * 6 + (0,), "^domain is not pointed$"), ((0,) * 6 + (1,), "^projection image is not pointed$")],
+    ids=["two-coordinates", "free-coordinate"],
+)
+def test_lineality_domain_check_solves_no_lp(monkeypatch, row2, match):
+    # The 64 rows of cross6 x R took 421 LPs on the LP route before the same
+    # NotPointed; the incidence route takes none.
+    counts = _counting(monkeypatch)
+    pi = LinearMap(matrix=((1,) + (0,) * 6, tuple(a + b for a, b in zip((0, 1) + (0,) * 5, row2))))
+    with pytest.raises(NotPointed, match=match):
+        check_inheritance(_cross_times_line(6), pi)
+    assert counts["LP"] == 0 and counts["incidence prune"] > 0
+
+
+def test_the_work_budget_caps_a_lineality_domain():
+    # The double description of P ∩ L^⊥ charges its pairs as a pointed domain's does.
+    Q = _cross_times_line(4)
+    with work_budget(20), pytest.raises(BudgetExceeded) as err:
+        project(Q, LinearMap(matrix=((1, 0, 0, 0, 0), (0, 1, 0, 0, 0))))
+    assert str(err.value) == "double description pairs: 21 candidates exceed budget 20"
 
 
 def test_empty_pointed_domain_raises_empty_polyhedron():
