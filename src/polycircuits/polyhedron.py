@@ -681,8 +681,8 @@ class _Eliminator:
       defined by some row, and the earlier rows that define it are gone by
       then. Its face holds a point iff its tight set does. A nonempty face
       strictly inside another has a strictly smaller tight set (Ziegler,
-      Lectures on Polytopes, ch. 2), so it is a facet iff no tight set
-      strictly contains it but a full one; rows that define the same facet
+      Lectures on Polytopes, ch. 2), so it is a facet iff no tight set but
+      a full one strictly contains it; rows that define the same facet
       have the same tight set, and of these the last stays.
     - A row of I that the rest implies is, by Farkas (Schrijver 1986,
       ch. 8), a nonnegative combination of them and the equality rows with
