@@ -395,7 +395,7 @@ def _edge_free_cover(hull: HPolyhedron, verts: Sequence[Vector], g: Vector) -> D
     pieces inside their minimal common face; every other vertex stays a
     singleton.  The parallelogram half-width shrinks by halving until all
     pieces fit and every two pieces admit a strict separating hyperplane
-    orthogonal to g, each certified by an exact feasibility solve.
+    orthogonal to g, each checked by an exact feasibility solve.
     """
     gline = canonicalize_direction(g)
     pairs = [
@@ -457,7 +457,7 @@ def non_inheriting_extension(P: HPolyhedron, g: Sequence) -> NonInheritingExtens
     only project to piece edge directions or to differences of points in
     distinct pieces, and both families avoid g by construction.  Unbounded P:
     handle the vertex hull as above and append one nonnegative recession
-    variable per extreme ray.  The returned system is certified by a full
+    variable per extreme ray.  The returned system is checked by a full
     circuit enumeration before being handed back, and keeps that walk cached.
     """
     g = vector(g)
