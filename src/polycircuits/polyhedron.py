@@ -3,29 +3,31 @@
 Descriptions matter here: several quantities computed downstream
 (circuits in particular) depend on the literal row system, not just on
 the point set, so operations never silently rewrite a description. Rows
-are promoted or dropped only by `minimize_description` and by `project`;
-both share one redundancy pass (`_irredundant_rows`), whose syntactic
-part (`_distinct_rows`) the incidence prune of `project` shares. No
-circuit, basic solution, edge, slack sign or redundancy test changes
-when a row and its right-hand side are scaled by a positive number, and
-no image line when the whole map is, so a description's rows become
-integers once, in its cached view `_IntRows`, and a map once, in
-`LinearMap._ints`; `_IntRows` also eliminates the equality block once for
-every walk and rank test. They stay integers through the walks, the slack
-tests, the simplex, both row blocks of Fourier-Motzkin (`_Eliminator`) and
-the redundancy pass; the edge walk and `project` read the vertex lines.
-`linalg` makes and reduces the integers, and Fractions are made only for
-what a caller gets back.
+are promoted or dropped only by `minimize_description` and by `project`.
+Their prunes keep the rows of one sequential redundancy pass
+(`_irredundant_rows`, one LP per row), and all of them start with its
+syntactic part (`_distinct_rows`); each skips the LPs whose answer it
+can prove otherwise. No circuit, basic solution, edge, slack sign or
+redundancy test changes when a row and its right-hand side are scaled by
+a positive number, and no image line when the whole map is, so a
+description's rows become integers once, in its cached view `_IntRows`,
+and a map once, in `LinearMap._ints`; `_IntRows` also eliminates the
+equality block once for every walk and rank test. They stay integers
+through the walks, the slack tests, the simplex, both row blocks of
+Fourier-Motzkin (`_Eliminator`) and the redundancy pass; the edge walk
+and `project` read the vertex lines. `linalg` makes and reduces the
+integers, and Fractions are made only for what a caller gets back.
 
 Each description is walked once. `HPolyhedron` caches each walk on first
 use as the object its reader returns: `_circuit_lines`, a subset walk,
 the `CircuitSet` of `enumerate_circuits`; `_vrep`, a double description
 of the homogenization cone (`_extreme_rays`), not a subset walk, the
 `VRep` of `vrep` (vertex lines and rays) with each vertex's tight-row
-mask; `_edges` the `CircuitSet` of `edge_directions`. A cache hit runs
-no walk and charges no work budget; a walk that raises, `BudgetExceeded`
-included, is not cached. The cache belongs to the object: a `renamed`
-copy or any new description walks afresh.
+mask; `_edges` the `CircuitSet` of `edge_directions`; and
+`_domain_generators` the generators that `project` prunes by. A cache
+hit runs no walk and charges no work budget; a walk that raises,
+`BudgetExceeded` included, is not cached. The cache belongs to the
+object: a `renamed` copy or any new description walks afresh.
 
 `project` has one route. It prunes every domain, pointed or not, by the
 rows' incidences with generators of P: the vertices and rays of `vrep(P)`,
@@ -46,6 +48,14 @@ against. Every prune tests every row against the others that are left
 (`_irredundant_rows`), and the implicit equalities come from LPs: a row
 slack at some known point is not one, so only rows that no LP point has
 shown slack get an LP (`_implicit_rows`).
+
+`minimize_description` has no generators, but the witnesses of its
+implicit equalities sum to a point strictly inside every other row. From
+that point it shoots a ray at each row (`_shot_facets`); a row the ray
+meets first, and alone, defines a facet on its own, so it keeps its
+place without an LP, after its witness is checked on the rows. Only the
+rows the rays cannot prove meet an LP, against the same rows as in the
+LP-only pass.
 """
 
 from __future__ import annotations
@@ -164,6 +174,10 @@ class HPolyhedron:
     def _edge_walk(self) -> CircuitSet:
         return _edges(self)
 
+    @cached_property
+    def _generators(self) -> "VRep":
+        return _domain_generators(self)
+
     def _slacks_at(self, x: Sequence[Fraction]) -> tuple[list[int], list[int]]:
         """The `_slacks` of the A rows and of the B rows at the point x."""
         num, den = _int_vector(vector(x))
@@ -202,14 +216,21 @@ class _IntRows:
 
     @cached_property
     def reduced(self) -> tuple[list[list[int]], list[list[int]], int]:
-        K = _kernel(_fold(_EMPTY, self.A, self.n + 1), self.n + 1)
-        R = [[sum(map(mul, row, v)) for v in K] for row in self.B] if self.A else self.B
-        return K, R, sum(not v[-1] for v in K)
+        return _reduced(self.n, self.A, self.B)
 
     @cached_property
     def lineality(self) -> list[list[int]]:
         _, R, np_ = self.reduced
         return _kernel(_fold(_EMPTY, [row[:np_] for row in R], np_), np_)
+
+
+def _reduced(
+    n: int, A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]
+) -> tuple[list[list[int]], list[list[int]], int]:
+    """`_IntRows.reduced` of the integer rows [a | rhs] of A and B over n variables."""
+    K = _kernel(_fold(_EMPTY, A, n + 1), n + 1)
+    R = [[sum(map(mul, row, v)) for v in K] for row in B] if A else B
+    return K, R, sum(not v[-1] for v in K)
 
 
 def _slacks(rows: Sequence[Sequence[int]], num: Sequence[int], den: int) -> list[int]:
@@ -288,30 +309,35 @@ def _feasible_point(P: HPolyhedron) -> Vector:
 
 def implicit_equality_rows(P: HPolyhedron) -> tuple[int, ...]:
     """Inequality rows that hold with equality on the whole polyhedron."""
-    return _implicit_rows(P, _feasible_point(P))
+    return _implicit_rows(P, _feasible_point(P))[0]
 
 
-def _implicit_rows(P: HPolyhedron, x: Vector) -> tuple[int, ...]:
-    """`implicit_equality_rows` of P, given a point x of P.
+def _implicit_rows(P: HPolyhedron, x: Vector) -> tuple[tuple[int, ...], Direction]:
+    """`implicit_equality_rows` of P, given a point x of P, and the line
+    (den, *num) of a point of P strictly inside every other row.
 
     A row that is slack at some point of P is not an implicit equality.
-    x is the first such witness; a row that no witness so far leaves slack
-    gets one LP, max -row.x over P. Its optimal point is a further witness,
-    and so is x + ray when it is unbounded: the ray leaves every row it
-    decreases slack.
+    x is the first witness; a row that no witness so far leaves slack gets
+    one LP, max -row.x over P. Its optimal point is a further witness, and
+    so is its ray (the line (0, *ray)) when it is unbounded: the ray
+    leaves every row it decreases slack. The witnesses' lines (den, *num)
+    are summed. A row's `_slacks` on the sum is the sum of its `_slacks` on
+    the witnesses, none of them negative, so it is 0 iff every witness is
+    tight on the row: the rows that read 0 on the sum are the implicit
+    equalities, and the sum, a point since x is one, is strictly inside
+    every other row.
     """
     B = P._ints.B
-    slack = [s > 0 for s in _slacks(B, *_int_vector(x))]
+    num, den = _int_vector(x)
+    line = [den, *num]
     for i, row in enumerate(P.B):
-        if slack[i]:
+        if _slacks([B[i]], line[1:], line[0])[0]:
             continue
         res = lp.lp_solve(tuple(-v for v in row), P)
-        if res.point is not None:
-            num, den = _int_vector(res.point)
-        else:  # P holds x, so the LP is unbounded
-            num, den = _int_vector(res.ray)[0], 0
-        slack = [s or t > 0 for s, t in zip(slack, _slacks(B, num, den))]
-    return tuple(i for i, s in enumerate(slack) if not s)
+        # P holds x, so the LP is optimal or unbounded
+        num, den = _int_vector(res.point) if res.point is not None else (_int_vector(res.ray)[0], 0)
+        line = [a + b for a, b in zip(line, (den, *num))]
+    return tuple(i for i, s in enumerate(_slacks(B, line[1:], line[0])) if not s), tuple(line)
 
 
 def dim(P: HPolyhedron) -> int:
@@ -325,9 +351,15 @@ def minimize_description(P: HPolyhedron) -> HPolyhedron:
     """Promote implicit equalities, then drop every redundant row.
 
     The result has full-row-rank A and each inequality row facet-defining.
+    The implicit equalities come from witnesses (`_implicit_rows`), whose
+    summed line is a point strictly inside every row that is not promoted,
+    a relative-interior point of P. `_irredundant_rows` shoots rays from
+    it, so that only the rows it cannot prove to be facets on their own
+    meet a redundancy LP.
     """
-    Q = _promoted(P, implicit_equality_rows(P))  # raises on empty input
-    keep = _irredundant_rows(Q.n, Q._ints.A, Q._ints.B)
+    implicit, inside = _implicit_rows(P, _feasible_point(P))  # raises on empty input
+    Q = _promoted(P, implicit)
+    keep = _irredundant_rows(Q.n, Q._ints.A, Q._ints.B, inside)
     B, d = tuple(zip(*(_scaled_row(Q._ints.B[i]) for i in keep))) or ((), ())
     return replace(Q, B=B, d=d)
 
@@ -361,7 +393,12 @@ def _distinct_rows(B: Sequence[Sequence[int]]) -> list[int]:
     return [i for _, _, i in seen.values()]
 
 
-def _irredundant_rows(n: int, A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> list[int]:
+def _irredundant_rows(
+    n: int,
+    A: Sequence[Sequence[int]],
+    B: Sequence[Sequence[int]],
+    inside: Optional[Sequence[int]] = None,
+) -> list[int]:
     """The indices of the integer rows [a | rhs] of B that no other row of {A, B} implies.
 
     A cheap syntactic pass comes first (`_distinct_rows`): of each group of
@@ -369,11 +406,23 @@ def _irredundant_rows(n: int, A: Sequence[Sequence[int]], B: Sequence[Sequence[i
     in that order, drops it when the rest imply it; the LPs read the
     integer rows as they are, since scaling a row by a positive number
     changes neither the polyhedron nor the simplex's pivots.
+
+    Given `inside`, the line (den, *num) of a point strictly inside every
+    row, a row that ray shooting from it proves to define a facet on its
+    own (`_shot_facets`) keeps its place without an LP. The sequential LPs
+    would keep it too: the other rows left when it is tested are rows of
+    the syntactic pass, which the proof's witness holds strictly. Kept
+    rows stay in `rest`, so every other row's LP sees the same rows as
+    without `inside`, and the simplex makes the same pivots.
     """
     keep = _distinct_rows(B)
+    proved = _shot_facets(n, A, B, keep, inside) if inside is not None else set()
     eqs = tuple(row[:-1] for row in A), tuple(row[-1] for row in A)
     k = 0
     while k < len(keep):
+        if keep[k] in proved:
+            k += 1
+            continue
         rest = [B[i] for i in keep[:k] + keep[k + 1 :]]
         P = HPolyhedron(n, *eqs, tuple(row[:-1] for row in rest), tuple(row[-1] for row in rest))
         if lp.is_implied(B[keep[k]][:-1], B[keep[k]][-1], P):
@@ -381,6 +430,48 @@ def _irredundant_rows(n: int, A: Sequence[Sequence[int]], B: Sequence[Sequence[i
         else:
             k += 1
     return keep
+
+
+def _shot_facets(
+    n: int, A: Sequence[Sequence[int]], B: Sequence[Sequence[int]], keep: Sequence[int], inside: Sequence[int]
+) -> set[int]:
+    """The rows of `keep` that no other row of `keep` and A implies, proved by
+    ray shooting from the point x0 of the line `inside` (Fukuda's polyhedral
+    computation notes).
+
+    Every row must be slack at x0 (its `_slacks` s > 0) and every equality
+    row tight, or the point is no proof (CorrespondenceViolation). Row k is
+    shot along d_k = sum_j R_k[j] K_j over the first n' vectors of the
+    reduced rows (K, R, n') of {A, B} (`_reduced`): d_k keeps A x = b, and
+    row i reads a_i . d_k = G_ik = R_i[:n'] . R_k[:n'] on it. With
+    G_kk > 0, row k is the only one the ray meets first iff
+    s_k G_ik < s_i G_kk for every other row i with G_ik > 0. Its witness
+    y = x0 + (s_k / G_kk) d_k then lies in A x = b, on row k and strictly
+    inside every other row, so a step past y leaves row k alone: no set of
+    the other rows implies it, and it alone defines a facet. Each witness is
+    checked on the integer rows themselves (CorrespondenceViolation if
+    not), so a wrong G or d_k cannot drop a row the LPs would keep.
+    A row the ray does not prove this way may be a facet all the same.
+    """
+    K, R, np_ = _reduced(n, A, B)
+    num, den = inside[1:], inside[0]
+    slack = _slacks(B, num, den)
+    if den <= 0 or any(_slacks(A, num, den)) or any(slack[i] <= 0 for i in keep):
+        raise CorrespondenceViolation("the interior point is not strictly inside every row")
+    KT = list(zip(*K[:np_]))[:n]  # n x n', maps reduced coords to ambient
+    normals = {i: R[i][:np_] for i in keep}
+    proved = set()
+    for k in keep:
+        G = {i: sum(map(mul, normals[i], normals[k])) for i in keep}
+        s, gkk = slack[k], G[k]
+        if gkk <= 0 or any(s * g >= slack[i] * gkk for i, g in G.items() if g > 0 and i != k):
+            continue
+        y = [gkk * x + s * sum(map(mul, normals[k], col)) for x, col in zip(num, KT)], den * gkk
+        reads = _slacks([B[i] for i in keep], *y)
+        if any(_slacks(A, *y)) or any((x != 0) if i == k else (x <= 0) for i, x in zip(keep, reads)):
+            raise CorrespondenceViolation(f"the ray shot at row {k} misses its facet")
+        proved.add(k)
+    return proved
 
 
 def _basic_points(P: HPolyhedron) -> dict[Direction, list[int]]:
@@ -801,21 +892,28 @@ def project(P: HPolyhedron, pi: LinearMap) -> HPolyhedron:
     The implicit equalities of the pruned rows are then promoted; that
     makes no row redundant (see the module docstring), so the rows are
     not pruned again. Both row blocks come back as primitive integer
-    normals with their right-hand sides.
-
-    Every prune reads the generators of P (`_project`). A pointed P has
-    those of `vrep(P)`. A P with a lineality space L is (P ∩ L^⊥) + L: the
-    primitive lines l of L's basis (the lineality set of its circuit walk),
-    appended to A as the rows l.x = 0, cut out the pointed P ∩ L^⊥, whose
-    `vrep` gives the vertices and rays, and each ±l is one more ray. Every
-    row of P reads 0 on ±l, so their bits sit in every tight set. The work
-    budget caps the double description either way.
+    normals with their right-hand sides. Every prune reads the generators
+    of P (`_project`), cached on P (`_domain_generators`), so projecting
+    one domain again runs no second double description.
     """
     if pi.in_dim(P.n) != P.n:
         raise PreconditionViolation(f"map has domain dimension {pi.in_dim(P.n)}, polyhedron has dimension {P.n}")
+    return _project(P, pi, P._generators)
+
+
+def _domain_generators(P: HPolyhedron) -> VRep:
+    """Vertices and rays whose convex and conic hull is P, for `project`.
+
+    A pointed P has those of `vrep(P)`. A P with a lineality space L is
+    (P ∩ L^⊥) + L: the primitive lines l of L's basis (the lineality set of
+    its circuit walk), appended to A as the rows l.x = 0, cut out the
+    pointed P ∩ L^⊥, whose `vrep` gives the vertices and rays, and each ±l
+    is one more ray. Every row of P reads 0 on ±l, so their bits sit in
+    every tight set. The work budget caps the double description either way.
+    """
     lin = P._circuit_walk.lineality if P._ints.lineality else ()
     V = vrep(replace(P, A=P.A + matrix(lin), b=P.b + zero_vector(len(lin))) if lin else P)
-    return _project(P, pi, VRep(V.lines, V.rays + tuple(tuple(s * x for x in l) for l in lin for s in (1, -1))))
+    return VRep(V.lines, V.rays + tuple(tuple(s * x for x in l) for l in lin for s in (1, -1)))
 
 
 def _project(P: HPolyhedron, pi: LinearMap, V: Optional[VRep]) -> HPolyhedron:
@@ -845,7 +943,7 @@ def _project(P: HPolyhedron, pi: LinearMap, V: Optional[VRep]) -> HPolyhedron:
     x = pi(y)
     if not R.contains(x):
         raise CorrespondenceViolation(f"projection misses pi({', '.join(map(str, y))})")
-    return _promoted(R, _implicit_rows(R, x) if V is None else elim.implicit_rows())
+    return _promoted(R, _implicit_rows(R, x)[0] if V is None else elim.implicit_rows())
 
 
 def preimage_description(P: HPolyhedron, tau: LinearMap) -> HPolyhedron:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from polycircuits import lp
-from polycircuits.constructions import cross_polytope, hypercube, orthant, pi_matrix
+from polycircuits.constructions import cross_polytope, hypercube, orthant, pi_matrix, transportation
 from polycircuits.errors import CorrespondenceViolation
 from polycircuits.inheritance import check_inheritance
 from polycircuits.linalg import ONE, ZERO, dot, rank, solve, vec_sub, vector
@@ -202,15 +202,22 @@ def test_corrupt_certificate_multipliers_are_a_correspondence_violation(case, ch
 @pytest.mark.parametrize(
     "run, expected",
     [
-        (lambda: minimize_description(hypercube(3)), 10),
-        (lambda: minimize_description(cross_polytope(3)), 9),
+        (lambda: minimize_description(hypercube(3)), 4),
+        (lambda: minimize_description(cross_polytope(3)), 1),
+        (lambda: minimize_description(transportation(5, 2, (1, 4))), 10),
         (lambda: check_inheritance(orthant(4), pi_matrix(3, 4)), 0),
     ],
-    ids=["minimize-hypercube3", "minimize-cross-polytope3", "check-orthant4"],
+    ids=["minimize-hypercube3", "minimize-cross-polytope3", "minimize-transport", "check-orthant4"],
 )
 def test_lp_counts_are_pinned(monkeypatch, run, expected):
     # Every LP goes through lp.lp_solve.
     # A change that adds or saves LPs must update these counts on purpose.
+    # minimize_description's LPs are the implicit-row LPs (the feasible
+    # point, then one per row no witness has left slack) and one redundancy
+    # LP per row the rays do not prove. cube3 takes 1 + 3 and cross3 1 (its
+    # start point 0 is slack on every row), both with every row proved.
+    # transport, with equality rows, takes 1 + 4 and then 5 redundancy
+    # LPs, each dropping one of its 5 redundant rows.
     calls = []
     solve_lp = lp.lp_solve
 

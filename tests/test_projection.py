@@ -8,14 +8,20 @@ rows tight on every generator, the implicit equalities, meet an LP, and
 those LPs see only those rows and the equality rows. Its reference is
 the LP route, `_project` with no generators, which tests every row at
 every Fourier-Motzkin step, and that route's reference is
-`minimize_description` on the eliminated rows. All of them must return
+`minimize_description` on the eliminated rows. `minimize_description`
+proves facets by ray shooting from the witnesses' summed point; its
+reference is the same prune with LPs alone. All of them must return
 exactly the same rows in the same order.
 """
 
 import inspect
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -37,14 +43,19 @@ from polycircuits.errors import (
     ProjectionMismatch,
 )
 from polycircuits.inheritance import check_inheritance
-from polycircuits.linalg import dot, vector
+from polycircuits.linalg import dot, primitive, vector
 from polycircuits.polyhedron import (
     HPolyhedron,
     LinearMap,
     _Eliminator,
     _distinct_rows,
+    _feasible_point,
+    _implicit_rows,
     _irredundant_rows,
     _project,
+    _promoted,
+    _reduced,
+    _shot_facets,
     cartesian_product,
     edge_directions,
     implicit_equality_rows,
@@ -521,6 +532,23 @@ def test_the_work_budget_caps_a_lineality_domain():
     assert str(err.value) == "double description pairs: 21 candidates exceed budget 20"
 
 
+def test_projections_of_one_lineality_domain_share_one_double_description(monkeypatch):
+    # The generators of P ∩ L^⊥ and ± each line of L are cached on the
+    # domain, so three projections of cross4 x R run one double description.
+    calls = []
+    walk = polyhedron._vrep
+    monkeypatch.setattr(polyhedron, "_vrep", lambda P: calls.append(P) or walk(P))
+    Q = _cross_times_line(4)
+    maps = [
+        LinearMap(matrix=((1, 0, 0, 0, 0), (0, 1, 0, 0, 0))),
+        LinearMap(matrix=((1, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0))),
+        LinearMap(matrix=((1, 0, 0, 0, 1),)),
+    ]
+    images = [project(Q, pi) for pi in maps]
+    assert len(calls) == 1
+    assert images == [_project(Q, pi, None) for pi in maps]
+
+
 def test_empty_pointed_domain_raises_empty_polyhedron():
     empty = HPolyhedron.make(1, B=[[1], [-1]], d=[-1, 0], name="empty")
     with pytest.raises(EmptyPolyhedron, match="empty"):
@@ -556,3 +584,163 @@ def test_check_calls_the_map_once(monkeypatch):
     monkeypatch.setattr(LinearMap, "__call__", counting)
     check_inheritance(orthant(4), pi_matrix(3, 4))
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# minimize_description's ray shooting against the LP-only prune
+
+
+def _shooting_system(rng):
+    """A nonempty description around a point x0 (the origin, with every rhs
+    0, for a cone): equality rows through x0, rows tight or slack there, and
+    rows made from those: a row in the span of the equality rows, a row
+    that differs from another by an equality row, the sum of two rows, and
+    a scaled copy of a row, maybe looser. Without a box many are unbounded,
+    and with few rows many have a lineality space.
+    """
+    n = rng.randint(1, 4)
+    cone = rng.random() < 0.25
+    x0 = [Fraction(0) if cone else Fraction(rng.randint(-2, 2), rng.choice([1, 1, 2])) for _ in range(n)]
+    slacks = [0] if cone else [0, 0, 1, Fraction(1, 2), 3]
+    A = [[_entry(rng) for _ in range(n)] for _ in range(rng.choice([0, 1, 1, 2]))]
+    b = [dot(vector(row), vector(x0)) for row in A]
+    B, d = [], []
+    if not cone and rng.random() < 0.4:
+        for i in range(n):
+            B += [[-(j == i) for j in range(n)], [int(j == i) for j in range(n)]]
+            d += [-x0[i] + rng.randint(0, 2), x0[i] + rng.randint(0, 2)]
+    for _ in range(rng.randint(1, 5)):
+        B.append([_entry(rng) for _ in range(n)])
+        d.append(dot(vector(B[-1]), vector(x0)) + rng.choice(slacks))
+    for _ in range(rng.randint(0, 3)):
+        kind, s = rng.choice(("span", "modulo", "sum", "copy")), rng.choice(slacks)
+        if kind == "span" and A:
+            lam = [rng.randint(-2, 2) for _ in A]
+            B.append([sum(x * row[j] for x, row in zip(lam, A)) for j in range(n)])
+            d.append(dot(vector(lam), vector(b)) + s)
+        elif kind == "modulo" and A:
+            i, k, lam = rng.randrange(len(B)), rng.randrange(len(A)), rng.choice([-1, 1, 2])
+            B.append([x + lam * y for x, y in zip(B[i], A[k])])
+            d.append(d[i] + lam * b[k])
+        elif kind == "sum" and len(B) > 1:
+            i, k = rng.sample(range(len(B)), 2)
+            B.append([x + y for x, y in zip(B[i], B[k])])
+            d.append(d[i] + d[k] + s)
+        elif kind == "copy":
+            i, c = rng.randrange(len(B)), rng.choice([1, 2, Fraction(1, 3)])
+            B.append([c * x for x in B[i]])
+            d.append(c * d[i] + s)
+    order = list(range(len(B)))
+    rng.shuffle(order)
+    return HPolyhedron.make(n, A=A, b=b, B=[B[i] for i in order], d=[d[i] for i in order])
+
+
+def _shooting_run(P):
+    """The promoted description Q of `minimize_description`, its interior
+    point, and the rows its prune keeps with that point and without it."""
+    implicit, inside = _implicit_rows(P, _feasible_point(P))
+    Q = _promoted(P, implicit)
+    rows = (Q.n, Q._ints.A, Q._ints.B)
+    return Q, inside, _irredundant_rows(*rows, inside), _irredundant_rows(*rows)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_ray_shooting_keeps_the_rows_of_the_lp_prune(seed):
+    # The LP-only prune is the reference: with the interior point, the same
+    # rows stay in the same order, whichever of them the rays prove.
+    rng = random.Random(9000 + seed)
+    for _ in range(30):
+        P = _shooting_system(rng)
+        _, _, shot, reference = _shooting_run(P)
+        assert shot == reference, P
+
+
+def test_ray_shooting_references_cover_every_case():
+    # The seeded systems above have parallel rows, rows in the span of the
+    # equality rows (G_kk = 0), rows that define the same halfspace modulo
+    # the equality rows, redundant rows, cones, unbounded and non-pointed
+    # polyhedra, rows the rays prove and kept rows they leave to an LP.
+    seen = set()
+    for seed in range(10):
+        rng = random.Random(9000 + seed)
+        for _ in range(30):
+            Q, inside, keep, _ = _shooting_run(_shooting_system(rng))
+            B = Q._ints.B
+            _, R, np_ = _reduced(Q.n, Q._ints.A, B)
+            distinct = _distinct_rows(B)
+            proved = _shot_facets(Q.n, Q._ints.A, B, distinct, inside)
+            if len(distinct) < sum(any(row[:-1]) for row in B):
+                seen.add("parallel rows")
+            if any(not any(R[i][:np_]) for i in distinct):
+                seen.add("row in the span of the equality rows")
+            halfspaces = [tuple(primitive(R[i])) for i in distinct if any(R[i][:np_])]
+            if len(set(halfspaces)) < len(halfspaces):
+                seen.add("same halfspace modulo the equality rows")
+            if any(any(R[i][:np_]) and i not in keep for i in distinct):
+                seen.add("redundant row")
+            if B and not any(Q.d) and not any(Q.b):
+                seen.add("cone")
+            if Q._ints.lineality:
+                seen.add("lineality")
+            elif vrep(Q).rays:
+                seen.add("unbounded")
+            if proved:
+                seen.add("proved row")
+            if set(keep) - proved:
+                seen.add("kept row left to an LP")
+    assert seen == {
+        "parallel rows", "row in the span of the equality rows", "same halfspace modulo the equality rows",
+        "redundant row", "cone", "lineality", "unbounded", "proved row", "kept row left to an LP",
+    }, seen
+
+
+_WRONG_SHOTS = """
+from polycircuits import polyhedron
+from polycircuits.constructions import hypercube
+from polycircuits.errors import CorrespondenceViolation
+
+reduced, implicit = polyhedron._reduced, polyhedron._implicit_rows
+
+
+def scaled_directions(c):
+    def wrong(*args):
+        K, R, np_ = reduced(*args)
+        return [[c * x for x in v] for v in K[:np_]] + K[np_:], R, np_
+
+    return wrong
+
+
+for name, attr, wrong in (
+    ("negated", "_reduced", scaled_directions(-1)),
+    ("doubled", "_reduced", scaled_directions(2)),
+    ("vertex", "_implicit_rows", lambda P, x: (implicit(P, x)[0], (1, 0, 0, 0))),
+):
+    setattr(polyhedron, attr, wrong)
+    try:
+        print(name, "returned", polyhedron.minimize_description(hypercube(3)))
+    except CorrespondenceViolation as exc:
+        print(name, "CorrespondenceViolation:", exc)
+    setattr(polyhedron, attr, {"_reduced": reduced, "_implicit_rows": implicit}[attr])
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_a_wrong_ray_shot_is_a_correspondence_violation(flags):
+    # Each proved row's witness is checked on the rows themselves, and the
+    # interior point before any shot, so wrong directions d_k or a point on
+    # a row raise instead of keeping a row unproved; also under -O.
+    src = str(Path(polyhedron.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _WRONG_SHOTS],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "negated CorrespondenceViolation: the ray shot at row 0 misses its facet",
+        "doubled CorrespondenceViolation: the ray shot at row 0 misses its facet",
+        "vertex CorrespondenceViolation: the interior point is not strictly inside every row",
+    ]
