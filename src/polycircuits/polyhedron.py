@@ -46,8 +46,9 @@ leaves the polyhedron that every row was tested against unchanged.
 `_project` without generators is the LP route that `project` is checked
 against. Every prune tests every row against the others that are left
 (`_irredundant_rows`), and the implicit equalities come from LPs: a row
-slack at some known point is not one, so only rows that no LP point has
-shown slack get an LP (`_implicit_rows`).
+slack at some known point is not one, so each round solves one LP, on
+the summed slack of the rows that no LP point or ray has shown slack,
+and stops when that LP shows none of them slack (`_implicit_rows`).
 
 `minimize_description` has no generators, but the witnesses of its
 implicit equalities sum to a point strictly inside every other row. From
@@ -317,27 +318,33 @@ def _implicit_rows(P: HPolyhedron, x: Vector) -> tuple[tuple[int, ...], Directio
     (den, *num) of a point of P strictly inside every other row.
 
     A row that is slack at some point of P is not an implicit equality.
-    x is the first witness; a row that no witness so far leaves slack gets
-    one LP, max -row.x over P. Its optimal point is a further witness, and
-    so is its ray (the line (0, *ray)) when it is unbounded: the ray
-    leaves every row it decreases slack. The witnesses' lines (den, *num)
-    are summed. A row's `_slacks` on the sum is the sum of its `_slacks` on
-    the witnesses, none of them negative, so it is 0 iff every witness is
-    tight on the row: the rows that read 0 on the sum are the implicit
-    equalities, and the sum, a point since x is one, is strictly inside
-    every other row.
+    x is the first witness. The witnesses' lines (den, *num) are summed,
+    a ray as the line (0, *ray): a row's `_slacks` on the sum is the sum of
+    its `_slacks` on the witnesses, none of them negative, so it is 0 iff
+    every witness is tight on the row. Each round takes the rows T that
+    read 0 on the sum and solves one LP, max -sum_{i in T} n_i . x over P,
+    with n_i the `_primitive` normal of row i, so that rescaled rows give
+    the same LP: it maximizes a positively weighted sum of the slacks of T
+    (Schrijver 1986, sec. 8.2). If its optimal point leaves no row of T
+    slack, that maximum is 0, as the LP's certificate proves, so T is
+    exactly the set of implicit equalities. Otherwise the point, or the
+    ray when the LP is unbounded (the objective grows along it, so it
+    leaves some row of T slack), is the next witness and frees at least
+    one row of T. The sum, a point since x is one, is strictly inside
+    every row not in T.
     """
     B = P._ints.B
+    normals = [_primitive(row[:-1])[0] for row in B]
     num, den = _int_vector(x)
     line = [den, *num]
-    for i, row in enumerate(P.B):
-        if _slacks([B[i]], line[1:], line[0])[0]:
-            continue
-        res = lp.lp_solve(tuple(-v for v in row), P)
+    while tight := [i for i, s in enumerate(_slacks(B, line[1:], line[0])) if not s]:
+        res = lp.lp_solve([-sum(col) for col in zip(*(normals[i] for i in tight))], P)
         # P holds x, so the LP is optimal or unbounded
         num, den = _int_vector(res.point) if res.point is not None else (_int_vector(res.ray)[0], 0)
+        if not any(_slacks([B[i] for i in tight], num, den)):
+            break
         line = [a + b for a, b in zip(line, (den, *num))]
-    return tuple(i for i, s in enumerate(_slacks(B, line[1:], line[0])) if not s), tuple(line)
+    return tuple(tight), tuple(line)
 
 
 def dim(P: HPolyhedron) -> int:
@@ -351,11 +358,12 @@ def minimize_description(P: HPolyhedron) -> HPolyhedron:
     """Promote implicit equalities, then drop every redundant row.
 
     The result has full-row-rank A and each inequality row facet-defining.
-    The implicit equalities come from witnesses (`_implicit_rows`), whose
-    summed line is a point strictly inside every row that is not promoted,
-    a relative-interior point of P. `_irredundant_rows` shoots rays from
-    it, so that only the rows it cannot prove to be facets on their own
-    meet a redundancy LP.
+    The implicit equalities come from witnesses (`_implicit_rows`, one LP
+    per round on the summed slack of the rows no witness has left slack),
+    whose summed line is a point strictly inside every row that is not
+    promoted, a relative-interior point of P. `_irredundant_rows` shoots
+    rays from it, so that only the rows it cannot prove to be facets on
+    their own meet a redundancy LP.
     """
     implicit, inside = _implicit_rows(P, _feasible_point(P))  # raises on empty input
     Q = _promoted(P, implicit)

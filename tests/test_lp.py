@@ -13,7 +13,7 @@ from polycircuits.errors import CorrespondenceViolation
 from polycircuits.inheritance import check_inheritance
 from polycircuits.linalg import ONE, ZERO, dot, rank, solve, vec_sub, vector
 from polycircuits.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, is_feasible, is_implied, lp_solve
-from polycircuits.polyhedron import HPolyhedron, minimize_description
+from polycircuits.polyhedron import HPolyhedron, dim, minimize_description
 
 
 def triangle():
@@ -202,22 +202,25 @@ def test_corrupt_certificate_multipliers_are_a_correspondence_violation(case, ch
 @pytest.mark.parametrize(
     "run, expected",
     [
-        (lambda: minimize_description(hypercube(3)), 4),
+        (lambda: minimize_description(hypercube(3)), 2),
         (lambda: minimize_description(cross_polytope(3)), 1),
         (lambda: minimize_description(transportation(5, 2, (1, 4))), 10),
+        (lambda: dim(hypercube(6)), 2),
         (lambda: check_inheritance(orthant(4), pi_matrix(3, 4)), 0),
     ],
-    ids=["minimize-hypercube3", "minimize-cross-polytope3", "minimize-transport", "check-orthant4"],
+    ids=["minimize-hypercube3", "minimize-cross-polytope3", "minimize-transport", "dim-hypercube6", "check-orthant4"],
 )
 def test_lp_counts_are_pinned(monkeypatch, run, expected):
     # Every LP goes through lp.lp_solve.
     # A change that adds or saves LPs must update these counts on purpose.
     # minimize_description's LPs are the implicit-row LPs (the feasible
-    # point, then one per row no witness has left slack) and one redundancy
-    # LP per row the rays do not prove. cube3 takes 1 + 3 and cross3 1 (its
-    # start point 0 is slack on every row), both with every row proved.
-    # transport, with equality rows, takes 1 + 4 and then 5 redundancy
-    # LPs, each dropping one of its 5 redundant rows.
+    # point, then one per round: the summed slack of every row no witness
+    # has left slack) and one redundancy LP per row the rays do not prove.
+    # cube3 takes 1 + 1 (the round's point frees the 3 rows tight at the
+    # start point 0) and cross3 1 (0 is slack on every row), both with
+    # every row proved; dim(cube6) takes 1 + 1 the same way. transport,
+    # with equality rows, takes 1 + 4 (each round's vertex frees one row)
+    # and then 5 redundancy LPs, each dropping one of its 5 redundant rows.
     calls = []
     solve_lp = lp.lp_solve
 

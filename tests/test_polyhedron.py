@@ -126,6 +126,53 @@ def test_eliminator_and_slack_form_checks_are_typed_errors(flags):
     ]
 
 
+_EMPTY_INPUTS = """
+from polycircuits.errors import EmptyPolyhedron
+from polycircuits.polyhedron import HPolyhedron, dim, implicit_equality_rows, minimize_description
+
+inputs = (
+    ("0 <= -1 in R^0", HPolyhedron.make(0, B=[[]], d=[-1])),
+    ("0 <= -1 in R^2", HPolyhedron.make(2, B=[[1, 0], [0, 0]], d=[1, -1])),
+    ("x1 = 0 and x1 = 1", HPolyhedron.make(2, A=[[1, 0], [1, 0]], b=[0, 1], B=[[0, 1]], d=[1])),
+    ("R^0", HPolyhedron.make(0)),
+)
+for name, P in inputs:
+    for f in (implicit_equality_rows, dim, minimize_description):
+        try:
+            print(name, f.__name__, "returned", f(P))
+        except EmptyPolyhedron as exc:
+            print(name, f.__name__, "EmptyPolyhedron:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_empty_inputs_raise_empty_polyhedron(flags):
+    # The implicit-row rounds start from a feasible point, so an empty
+    # polyhedron must raise its typed error before any round, also under
+    # -O: a contradictory zero row in R^0 or R^2, and inconsistent equality
+    # rows. R^0 with no rows is a point and returns normally.
+    src = str(Path(polycircuits.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _EMPTY_INPUTS],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    empty = [
+        f"{name} {f} EmptyPolyhedron: polyhedron is empty"
+        for name in ("0 <= -1 in R^0", "0 <= -1 in R^2", "x1 = 0 and x1 = 1")
+        for f in ("implicit_equality_rows", "dim", "minimize_description")
+    ]
+    assert proc.stdout.splitlines() == empty + [
+        "R^0 implicit_equality_rows returned ()",
+        "R^0 dim returned 0",
+        "R^0 minimize_description returned HPolyhedron(n=0, A=(), b=(), B=(), d=(), name='')",
+    ]
+
+
 def unit_square():
     return HPolyhedron.make(2, B=[[-1, 0], [0, -1], [1, 0], [0, 1]], d=[0, 0, 1, 1])
 

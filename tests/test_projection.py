@@ -1,7 +1,8 @@
 """Projection and implicit equalities against the routes they replaced.
 
-`implicit_equality_rows` runs an LP only for rows that no witness point
-has shown slack; its reference is one LP per row. `project` prunes every
+`implicit_equality_rows` runs one LP per round, on the summed slack of
+the rows that no witness has shown slack; its references are the loop it
+replaced, one LP per such row, and one LP per row. `project` prunes every
 domain, pointed or not, by incidence with its generators: the vertices
 and rays of its double description, and ± each lineality line. Only the
 rows tight on every generator, the implicit equalities, meet an LP, and
@@ -15,6 +16,7 @@ exactly the same rows in the same order.
 """
 
 import inspect
+import itertools
 import os
 import random
 import subprocess
@@ -34,6 +36,7 @@ from polycircuits.constructions import (
     orthant,
     pi_matrix,
     simplex,
+    transportation,
 )
 from polycircuits.errors import (
     BudgetExceeded,
@@ -43,7 +46,7 @@ from polycircuits.errors import (
     ProjectionMismatch,
 )
 from polycircuits.inheritance import check_inheritance
-from polycircuits.linalg import dot, primitive, vector
+from polycircuits.linalg import _int_vector, dot, primitive, vector
 from polycircuits.polyhedron import (
     HPolyhedron,
     LinearMap,
@@ -56,8 +59,10 @@ from polycircuits.polyhedron import (
     _promoted,
     _reduced,
     _shot_facets,
+    _slacks,
     cartesian_product,
     edge_directions,
+    homogenize,
     implicit_equality_rows,
     is_pointed,
     minimize_description,
@@ -157,6 +162,166 @@ def test_implicit_equality_rows_match_per_row_reference(seed):
         except EmptyPolyhedron:
             ref = EmptyPolyhedron
         assert got == ref, P
+
+
+def _per_row_implicit_rows(P, x):
+    """The implicit-row loop that the rounds of `_implicit_rows` replaced: one LP,
+    max -row.x over P, per row that no witness so far leaves slack."""
+    B = P._ints.B
+    num, den = _int_vector(x)
+    line = [den, *num]
+    for i, row in enumerate(P.B):
+        if _slacks([B[i]], line[1:], line[0])[0]:
+            continue
+        res = lp.lp_solve(tuple(-v for v in row), P)
+        num, den = _int_vector(res.point) if res.point is not None else (_int_vector(res.ray)[0], 0)
+        line = [a + b for a, b in zip(line, (den, *num))]
+    return tuple(i for i, s in enumerate(_slacks(B, line[1:], line[0])) if not s), tuple(line)
+
+
+def _implicit_system(rng):
+    """`_random_description`, or one of its cones (every rhs 0), its equality
+    rows alone, or rows 0 <= 0 and 0 <= 1 in R^0."""
+    kind = rng.choice(("rows", "rows", "cone", "no B rows", "n = 0"))
+    if kind == "n = 0":
+        d = [rng.randint(0, 1) for _ in range(rng.randint(0, 3))]
+        return kind, HPolyhedron.make(0, B=[[]] * len(d), d=d)
+    P = _random_description(rng, rng.randint(1, 4))
+    if kind == "cone":
+        return kind, HPolyhedron.make(P.n, A=P.A, b=[0] * len(P.A), B=P.B, d=[0] * len(P.B))
+    if kind == "no B rows":
+        return kind, HPolyhedron(P.n, P.A, P.b)
+    return kind, P
+
+
+def _rounds_run(P):
+    """`_implicit_rows` of P from its feasible point, the per-row loop's rows
+    and the statuses of the rounds' LPs; None when P is empty."""
+    try:
+        x = _feasible_point(P)
+    except EmptyPolyhedron:
+        return None
+    statuses = []
+    solve = lp.lp_solve
+
+    def recording(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        statuses.append(res.status)
+        return res
+
+    lp.lp_solve = recording
+    try:
+        rows, line = _implicit_rows(P, x)
+    finally:
+        lp.lp_solve = solve
+    return rows, line, _per_row_implicit_rows(P, x)[0], statuses
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_implicit_rounds_match_the_per_row_loop(seed):
+    # One LP per round on the summed slack of the rows still tight must
+    # find the rows the per-row loop finds, and its summed line must be a
+    # point on A x = b strictly inside every other row.
+    rng = random.Random(6500 + seed)
+    for _ in range(30):
+        _, P = _implicit_system(rng)
+        run = _rounds_run(P)
+        if run is None:
+            continue
+        rows, (den, *num), reference, _ = run
+        assert rows == reference, P
+        assert den > 0 and not any(_slacks(P._ints.A, num, den)), P
+        assert [i for i, s in enumerate(_slacks(P._ints.B, num, den)) if s <= 0] == list(rows), P
+
+
+def test_implicit_rounds_cover_every_case():
+    # The seeded systems above have equality rows, implicit pairs
+    # a.x <= b, -a.x <= -b, parallel and duplicate rows, cones whose rounds
+    # are unbounded, several rounds, no B rows, n = 0 and empty polyhedra.
+    seen = set()
+    for seed in range(10):
+        rng = random.Random(6500 + seed)
+        for _ in range(30):
+            kind, P = _implicit_system(rng)
+            run = _rounds_run(P)
+            if run is None:
+                seen.add("empty")
+                continue
+            rows, _, _, statuses = run
+            seen.add(kind)
+            if P.A:
+                seen.add("equality rows")
+            normals = [tuple(primitive(row)) for row in P.B]
+            if any(any(normals[i]) and normals[i] == tuple(-x for x in normals[j]) for i in rows for j in rows):
+                seen.add("implicit pair")
+            pairs = list(itertools.combinations(zip(P.B, P.d), 2))
+            if any(r == t and a == c for (r, a), (t, c) in pairs):
+                seen.add("duplicate rows")
+            if any(r != t and any(r) and primitive(r) == primitive(t) for (r, _), (t, _) in pairs):
+                seen.add("parallel rows")
+            if lp.UNBOUNDED in statuses:
+                seen.add("unbounded round")
+            if len(statuses) > 1:
+                seen.add("several rounds")
+    assert seen == {
+        "rows", "cone", "no B rows", "n = 0", "empty", "equality rows", "implicit pair",
+        "duplicate rows", "parallel rows", "unbounded round", "several rounds",
+    }, seen
+
+
+def _scaled(P, rng):
+    """P with every row and its right-hand side times a factor in 1..3."""
+    f = [rng.randint(1, 3) for _ in range(len(P.A) + len(P.B))]
+    return HPolyhedron(
+        P.n,
+        tuple(tuple(c * x for x in row) for c, row in zip(f, P.A)),
+        tuple(c * x for c, x in zip(f, P.b)),
+        tuple(tuple(c * x for x in row) for c, row in zip(f[len(P.A) :], P.B)),
+        tuple(c * x for c, x in zip(f[len(P.A) :], P.d)),
+    )
+
+
+def _augmented(P):
+    """The equality rows [a | b] of P."""
+    return [(*row, rhs) for row, rhs in zip(P.A, P.b)]
+
+
+def _lp_objectives(monkeypatch, P):
+    """minimize_description(P), or EmptyPolyhedron, and the objective of each
+    LP it solved, as a primitive vector."""
+    objectives = []
+    solve = lp.lp_solve
+
+    def recording(c, Q):
+        objectives.append(primitive(vector(c)))
+        return solve(c, Q)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "lp_solve", recording)
+        try:
+            return minimize_description(P), objectives
+        except EmptyPolyhedron:
+            return EmptyPolyhedron, objectives
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_minimize_solves_the_same_lps_after_row_scaling(monkeypatch, seed):
+    # Positive row scaling changes no implicit round's objective, since the
+    # rounds sum primitive normals, and no output. A redundancy LP reads its
+    # row as it is scaled, and a positive multiple of an objective is the
+    # same LP, so objectives are compared as primitive vectors; the outputs
+    # agree up to the scale of the promoted A rows.
+    rng = random.Random(6800 + seed)
+    fixed = [hypercube(4), cropped_cross_polytope(3), transportation(5, 2, (1, 4)), homogenize(cross_polytope(3))]
+    for P in fixed + [_random_description(rng, rng.randint(1, 4)) for _ in range(30)]:
+        Ps = _scaled(P, rng)
+        (out, objectives), (outs, scaled) = _lp_objectives(monkeypatch, P), _lp_objectives(monkeypatch, Ps)
+        assert scaled == objectives, P
+        if out is EmptyPolyhedron:
+            assert outs is EmptyPolyhedron
+            continue
+        assert (outs.B, outs.d) == (out.B, out.d), P
+        assert list(map(primitive, _augmented(outs))) == list(map(primitive, _augmented(out))), P
 
 
 def _project_run(monkeypatch, Q, pi):
