@@ -119,12 +119,10 @@ def _construct_payload(args) -> dict:
 
 def cmd_construct(args) -> int:
     payload = _construct_payload(args)
-    text = jsonio.dumps(payload)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        jsonio.dump(payload, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(jsonio.dumps(payload))
     return EXIT_OK
 
 

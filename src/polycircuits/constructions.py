@@ -22,6 +22,7 @@ from .errors import (
     PreconditionViolation,
 )
 from .linalg import (
+    Matrix,
     Vector,
     _int_vector,
     _scaled_row,
@@ -72,12 +73,7 @@ def pi_matrix(n: int, m: int) -> LinearMap:
     """
     if not m > n >= 3:
         raise PreconditionViolation(f"need m > n >= 3, got n={n}, m={m}")
-    rows = [[0] * m for _ in range(n)]
-    for i, header in enumerate(((2, 1, 0, 0), (0, 0, 2, 1), (0, 1, 0, 1))):
-        rows[i][:4] = header
-    for i in range(3, n):
-        rows[i][i + 1] = 2
-    return LinearMap(matrix(rows), name=f"pi_{n}_{m}")
+    return LinearMap(_pi_rows(n, m, 2), name=f"pi_{n}_{m}")
 
 
 def pi_alpha_matrix(m: int, alpha: int) -> LinearMap:
@@ -91,13 +87,18 @@ def pi_alpha_matrix(m: int, alpha: int) -> LinearMap:
         raise PreconditionViolation(f"need m >= 4, got {m}")
     if not isinstance(alpha, int) or alpha < 2:
         raise PreconditionViolation(f"need integer alpha >= 2, got {alpha!r}")
-    a = alpha
-    rows = [[0] * m for _ in range(m - 1)]
+    return LinearMap(_pi_rows(m - 1, m, alpha), name=f"pi_alpha_{alpha}_{m}")
+
+
+def _pi_rows(n: int, m: int, a: int) -> Matrix:
+    """Rows of the pi layout with scale a: the 3x4 header, then a at (i, i + 1)
+    for i >= 3.  pi_matrix is a = 2; pi_alpha_matrix is n = m - 1."""
+    rows = [[0] * m for _ in range(n)]
     for i, header in enumerate(((a, 1, 0, 0), (0, 0, a, 1), (0, a - 1, 0, a - 1))):
         rows[i][:4] = header
-    for i in range(3, m - 1):
+    for i in range(3, n):
         rows[i][i + 1] = a
-    return LinearMap(matrix(rows), name=f"pi_alpha_{alpha}_{m}")
+    return matrix(rows)
 
 
 def pi_prime_matrix(n: int, m: int) -> LinearMap:
@@ -437,7 +438,7 @@ def _edge_free_cover(hull: HPolyhedron, verts: Sequence[Vector], g: Vector) -> D
     raise CorrespondenceViolation("no parallelogram width admitted the required separations")
 
 
-def _hull_of_vertices(verts: Sequence[Vector], n: int) -> HPolyhedron:
+def _hull_of_vertices(verts: Sequence[Vector]) -> HPolyhedron:
     """Inequality description of conv(verts), via the weight-simplex image."""
     if len(verts) == 1:
         return _point_polyhedron(verts[0], name="hull")
@@ -467,7 +468,7 @@ def non_inheriting_extension(P: HPolyhedron, g: Sequence) -> NonInheritingExtens
         raise EdgeDirectionGiven("an edge direction is inherited from every extension")
     V = vrep(P)
 
-    hull = _hull_of_vertices(V.vertices, P.n) if V.rays else P
+    hull = _hull_of_vertices(V.vertices) if V.rays else P
     family = _edge_free_cover(hull, V.vertices, g)
     Q, proj = balas_extension(family)
     if V.rays:

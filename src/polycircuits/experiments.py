@@ -154,18 +154,6 @@ class Recorder:
         self.artifacts.append(path)
         return path
 
-    def save_poly(self, stem: str, P: HPolyhedron) -> str:
-        return self.save(stem, jsonio.poly_to_dict(P))
-
-    def save_map(self, stem: str, pi: LinearMap) -> str:
-        return self.save(stem, jsonio.map_to_dict(pi))
-
-    def save_circuits(self, stem: str, C: CircuitSet) -> str:
-        return self.save(stem, jsonio.circuits_to_dict(C))
-
-    def save_report(self, stem: str, report) -> str:
-        return self.save(stem, jsonio.report_to_dict(report))
-
     def finish(self, error: str = "") -> ReproductionResult:
         result = ReproductionResult(
             experiment=self.experiment,
@@ -191,16 +179,16 @@ def run_thm1(params: dict, out_dir) -> ReproductionResult:
     m = int(params.get("m", 4))
     rec = Recorder("thm1", {"n": n, "m": m}, out_dir)
     pi = pi_matrix(n, m)
-    rec.save_map("projection", pi)
+    rec.save("projection", jsonio.map_to_dict(pi))
     e3 = unit_vector(n, 2)
     e12 = vector([1, -1] + [0] * (n - 2))
 
     S = simplex(m)
     rep = check_inheritance(S, pi)
     P = rep.P.renamed(f"simplex_image_{n}_{m}")
-    rec.save_poly("simplex_domain", S)
-    rec.save_poly("simplex_image", P)
-    rec.save_report("simplex_report", rep)
+    rec.save("simplex_domain", jsonio.poly_to_dict(S))
+    rec.save("simplex_image", jsonio.poly_to_dict(P))
+    rec.save("simplex_report", jsonio.report_to_dict(rep))
     rec.claim("bounded image is full-dimensional", 0, len(P.A))
     rec.claim(f"bounded image has n+2 = {n + 2} facets", n + 2, len(P.B))
     rec.claim(f"bounded image has n+2 = {n + 2} vertices", n + 2, len(vrep(rep.P).vertices))
@@ -216,8 +204,8 @@ def run_thm1(params: dict, out_dir) -> ReproductionResult:
     repc = check_inheritance(O, pi)
     R = repc.P.renamed(f"orthant_image_{n}_{m}")
     V = vrep(repc.P)
-    rec.save_poly("orthant_image", R)
-    rec.save_report("orthant_report", repc)
+    rec.save("orthant_image", jsonio.poly_to_dict(R))
+    rec.save("orthant_report", jsonio.report_to_dict(repc))
     rec.claim("cone image is full-dimensional", 0, len(R.A))
     rec.claim(f"cone image has n+1 = {n + 1} facets", n + 1, len(R.B))
     rec.claim(f"cone image has n+1 = {n + 1} extreme rays", n + 1, len(V.rays))
@@ -242,7 +230,7 @@ def run_zonotope(params: dict, out_dir) -> ReproductionResult:
     for n, m in ((3, 4), (4, 6)):
         pi = pi_matrix(n, m)
         rep = check_inheritance(hypercube(m), pi)
-        rec.save_report(f"report_{n}_{m}", rep)
+        rec.save(f"report_{n}_{m}", jsonio.report_to_dict(rep))
         e3 = unit_vector(n, 2)
         rec.claim(
             f"cube image under the {n}x{m} map inherits exactly its edge directions",
@@ -264,7 +252,7 @@ def run_thm2(params: dict, out_dir) -> ReproductionResult:
     CH, split = circuits_of_homogenization(Qp)
     verts = vrep(Qp).lines  # by double description, apart from the walks of CH
     basics = split.point_class
-    rec.save_poly("cropped", Qp)
+    rec.save("cropped", jsonio.poly_to_dict(Qp))
     rec.claim(f"vertex count is 4n(n-1) = {4 * n * (n - 1)}", 4 * n * (n - 1), len(verts))
 
     corners = [vector(s) for s in itertools.product((-delta, delta), repeat=n)]
@@ -284,7 +272,7 @@ def run_thm2(params: dict, out_dir) -> ReproductionResult:
             len(split.direction_class) + len(split.point_class) == len(CH),
         )
 
-    rec.save_circuits("hom_circuits", CH)
+    rec.save("hom_circuits", jsonio.circuits_to_dict(CH))
     lifted = CircuitSet(directions=tuple(sorted(verts)))
     rec.claim(
         "orthant extension contributes one inherited line per vertex",
@@ -320,20 +308,20 @@ def run_partpoly(params: dict, out_dir) -> ReproductionResult:
     inst = PartitionInstance.make(X, 2, (1, 4))
     T = transportation(5, 2, (1, 4))
     piX = partition_projection(inst)
-    rec.save_poly("transportation", T)
-    rec.save_map("cluster_projection", piX)
+    rec.save("transportation", jsonio.poly_to_dict(T))
+    rec.save("cluster_projection", jsonio.map_to_dict(piX))
 
     # the report holds T's circuits, and T keeps the vertices it computed
     rep = check_inheritance(T, piX)
     CT = rep.Q_circuits
-    rec.save_circuits("source_circuits", CT)
+    rec.save("source_circuits", jsonio.circuits_to_dict(CT))
     rec.claim(
         "every circuit of the transportation system is an edge direction",
         True,
         set(CT) == set(edge_directions(T)),
     )
 
-    rec.save_report("report", rep)
+    rec.save("report", jsonio.report_to_dict(rep))
     rec.claim("the projected clustering polytope has non-inherited circuits",
               NOT_ALL_INHERITED, rep.verdict)
     rec.claim("at least one witness", True, len(rep.non_inherited) > 0)
@@ -354,20 +342,20 @@ def run_thm3(params: dict, out_dir) -> ReproductionResult:
     rec = Recorder("thm3", {"seed": seed}, out_dir)
     rng = random.Random(seed)
     pi = _random_full_rank_map(rng, 3, 5)
-    rec.save_map("target_map", pi)
+    rec.save("target_map", jsonio.map_to_dict(pi))
     rec.claim("map is surjective", 3, rank(pi.matrix))
     rec.claim("map is not injective", True, len(pi.matrix[0]) > len(pi.matrix))
 
     sigma = pi_matrix(3, 5)
     tau = tau_transfer(pi, sigma)
-    rec.save_map("transfer", tau)
+    rec.save("transfer", jsonio.map_to_dict(tau))
     rec.claim("transfer satisfies sigma . tau = pi", True, matmul(sigma.matrix, tau.matrix) == pi.matrix)
     rec.claim("transfer is invertible", 5, rank(tau.matrix))
 
     Qt = preimage_description(simplex(5), tau).renamed(f"transferred_domain_seed{seed}")
-    rec.save_poly("transferred_domain", Qt)
+    rec.save("transferred_domain", jsonio.poly_to_dict(Qt))
     rep = check_inheritance(Qt, pi)
-    rec.save_report("report", rep)
+    rec.save("report", jsonio.report_to_dict(rep))
     rec.claim("the image has non-inherited circuits", NOT_ALL_INHERITED, rep.verdict)
     rec.claim(
         "inherited circuits are exactly the image's edge directions",
@@ -394,8 +382,8 @@ def run_thm5(params: dict, out_dir) -> ReproductionResult:
         for g in directions:
             tag = f"{P.name}_{'_'.join(str(int(x)) for x in g)}"
             ext = non_inheriting_extension(P, g)
-            rec.save_poly(f"ext_{tag}", ext.polyhedron)
-            rec.save_map(f"proj_{tag}", ext.projection)
+            rec.save(f"ext_{tag}", jsonio.poly_to_dict(ext.polyhedron))
+            rec.save(f"proj_{tag}", jsonio.map_to_dict(ext.projection))
             # every target is a polytope, so ext.polyhedron is the Balas lift
             # of ext.family; its circuits are cached from the certificate
             CQ = enumerate_circuits(ext.polyhedron)
@@ -421,8 +409,8 @@ def run_thm6(params: dict, out_dir) -> ReproductionResult:
     cases = [hypercube(4), simplex(4), perturbed_simple_4polytope(seed)]
     for Q in cases:
         alpha, pi, CQ, CP = find_alpha_projection(Q)
-        rec.save_poly(f"domain_{Q.name}", Q)
-        rec.save_map(f"projection_{Q.name}", pi)
+        rec.save(f"domain_{Q.name}", jsonio.poly_to_dict(Q))
+        rec.save(f"projection_{Q.name}", jsonio.map_to_dict(pi))
         rec.claim(f"{Q.name}: search terminated at an integer scale", True, alpha >= 2)
         m = Q.n
         k1 = vector([-1, alpha] + [0] * (m - 2))
@@ -450,9 +438,9 @@ def run_lemma17(params: dict, out_dir) -> ReproductionResult:
     S = simplex(6)
     rep = check_inheritance(S, pi)
     P = rep.P.renamed("prime_image_3_6")
-    rec.save_poly("image", P)
-    rec.save_map("projection", pi)
-    rec.save_report("report", rep)
+    rec.save("image", jsonio.poly_to_dict(P))
+    rec.save("projection", jsonio.map_to_dict(pi))
+    rec.save("report", jsonio.report_to_dict(rep))
 
     rec.claim("every circuit of the image is inherited", ALL_INHERITED, rep.verdict)
     rec.claim("image has exactly 6 facets", 6, len(P.B) + 2 * len(P.A))

@@ -69,20 +69,6 @@ class InheritanceReport:
     inherited_equals_edges: bool
     verdict: str
 
-    def summary(self) -> str:
-        lines = [
-            f"verdict: {self.verdict}",
-            f"|C(P)| = {len(self.P_circuits)}, |C(Q)| = {len(self.Q_circuits)}, "
-            f"projected lines = {len(self.projected)}",
-            f"inherited = {len(self.inherited)}, non-inherited = {len(self.non_inherited)}, "
-            f"edge directions = {len(self.edge_dirs)}",
-            f"inherited equals edge directions: {self.inherited_equals_edges}",
-        ]
-        if self.non_inherited:
-            shown = ", ".join(str(tuple(map(str, g))) for g in self.non_inherited)
-            lines.append(f"non-inherited witnesses: {shown}")
-        return "\n".join(lines)
-
 
 def _descriptions_match(P_desc: HPolyhedron, image: HPolyhedron) -> bool:
     """Same point set, decided by implying every row in both directions."""

@@ -1,7 +1,8 @@
 """Exact JSON serialization for polyhedra, maps, direction sets, reports.
 
-Rationals travel as strings, "p/q" or just "p" for integers, so every round
-trip is bit-exact.  Direction vectors are primitive integers by construction
+The package writes JSON only through `dumps` and `dump`.  Rationals travel
+as strings, "p/q" or just "p" for integers, so reading a polyhedron or a map
+back is bit-exact.  Direction vectors are primitive integers by construction
 and are emitted as JSON integers.  All dumps are sorted and indented the same
 way, which makes repeated runs byte-identical.
 """
@@ -123,12 +124,6 @@ def circuits_to_dict(C: CircuitSet) -> dict:
     if C.is_subspace:
         return {"lineality": [int_vec(v) for v in C.lineality]}
     return {"directions": [int_vec(v) for v in C.directions]}
-
-
-def circuits_from_dict(data: dict) -> CircuitSet:
-    if "lineality" in data:
-        return CircuitSet.subspace(parse_matrix(data, "lineality"))
-    return CircuitSet.of(parse_matrix(data, "directions"))
 
 
 def basics_to_dict(B: BasicSolutionSet) -> dict:
