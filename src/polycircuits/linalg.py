@@ -219,6 +219,17 @@ def _fold(
 _EMPTY: _Echelon = ([], [], 1)
 
 
+def _independent(rows: Sequence[Sequence[int]], ncols: int) -> list[int]:
+    """The indices of the integer rows independent, in their first `ncols` columns, of
+    the rows before them (the pivot columns of the transpose), up to rank `ncols`."""
+    picked, echelon = [], _EMPTY
+    for i, row in enumerate(rows):
+        if len(picked) < ncols and (grown := _insert(*echelon, row, ncols)):
+            echelon = grown
+            picked.append(i)
+    return picked
+
+
 def _ranks_reach(sets: Sequence[Sequence[int]], rows: Sequence[Sequence[int]], r: int, ncols: int) -> Optional[int]:
     """The position in `sets` of a set whose rows stay below rank r in their
     first `ncols` columns, or None when every set reaches rank r.
@@ -377,16 +388,6 @@ def solve(M: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[
     for R, p in zip(rows, pivots):
         x[p] = Fraction(R[ncols], det)
     return tuple(x)
-
-
-def row_space_basis_indices(M: Sequence[Sequence[Fraction]]) -> list[int]:
-    """Indices of a maximal independent row subset, keeping lowest indices.
-
-    These are the pivot columns of the transpose: a column of an echelon
-    form is a pivot exactly when it is independent of the columns before it.
-    """
-    cols = [list(col) for col in zip(*_int_rows(M))]
-    return sorted(_fold(_EMPTY, cols, len(M))[1]) if cols else []
 
 
 def primitive(v: Sequence[Fraction]) -> Vector:

@@ -12,7 +12,9 @@ redundancy test changes when a row and its right-hand side are scaled by
 a positive number, and no image line when the whole map is, so a
 description's rows become integers once, in its cached view `_IntRows`,
 and a map once, in `LinearMap._ints`; `_IntRows` also eliminates the
-equality block once for every walk and rank test. They stay integers
+equality block once for every walk and rank test, and is the one map
+back from its kernel coordinates: `lift` for directions, `line` for
+points and rays, each checked on the equality rows. They stay integers
 through the walks, the slack tests, the simplex, both row blocks of
 Fourier-Motzkin (`_Eliminator`) and the redundancy pass; the edge walk
 and `project` read the vertex lines. `linalg` makes and reduces the
@@ -69,7 +71,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Container, Iterable, Iterator, Optional, Sequence
 
 from .directions import BasicSolutionSet, CircuitSet
 from .errors import (
@@ -88,6 +90,7 @@ from .linalg import (
     Vector,
     _canonical,
     _fold,
+    _independent,
     _int_vector,
     _kernel,
     _primitive,
@@ -100,7 +103,6 @@ from .linalg import (
     mat_vec,
     matrix,
     rank,
-    row_space_basis_indices,
     transpose,
     vec_scale,
     vector,
@@ -203,11 +205,13 @@ class _IntRows:
     `scale` holds each s, A rows first. `reduced`, built on first use by one
     fold of the A rows, is (K, R, n'): K is their integer kernel in n + 1
     columns, the n' = n - rank(A) vectors of ker(A) (0 in column n), then,
-    iff A x = b is consistent, (-c x0, c) with c > 0 and A x0 = b; R holds
-    each B row times K, so a B row reads on K v what its R row reads on v.
-    With no A rows K is the identity and R is B itself. `lineality`, the
-    kernel of the first n' columns of R, is P's lineality space in kernel
-    coordinates: P is pointed iff it is empty."""
+    iff A x = b is consistent (`consistent`), (-c x0, c) with c > 0 and
+    A x0 = b; R holds each B row times K, so a B row reads on K v what its
+    R row reads on v. With no A rows K is the identity and R is B itself.
+    `lineality`, the kernel of the first n' columns of R, is P's lineality
+    space in kernel coordinates: P is pointed iff it is empty. Every walk
+    runs in these coordinates, and `lift` and `line` are the one map back:
+    no reader outside this class sees K."""
 
     def __init__(self, P: HPolyhedron):
         ints = [_int_vector((*row, rhs)) for row, rhs in zip((*P.A, *P.B), (*P.b, *P.d))]
@@ -217,21 +221,42 @@ class _IntRows:
 
     @cached_property
     def reduced(self) -> tuple[list[list[int]], list[list[int]], int]:
-        return _reduced(self.n, self.A, self.B)
+        K = _kernel(_fold(_EMPTY, self.A, self.n + 1), self.n + 1)
+        R = [[sum(map(mul, row, v)) for v in K] for row in self.B] if self.A else self.B
+        return K, R, sum(not v[-1] for v in K)
+
+    @property
+    def consistent(self) -> bool:
+        K, _, np_ = self.reduced
+        return len(K) > np_
+
+    @cached_property
+    def _columns(self) -> list[tuple[int, ...]]:
+        return list(zip(*self.reduced[0]))  # the n + 1 rows of the matrix whose columns are K
 
     @cached_property
     def lineality(self) -> list[list[int]]:
         _, R, np_ = self.reduced
         return _kernel(_fold(_EMPTY, [row[:np_] for row in R], np_), np_)
 
+    def lift(self, v: Sequence[int]) -> Sequence[int]:
+        """K v = (x, t), missing entries of v read as 0 (so n' of them give t = 0),
+        or v itself with no A rows. K v must read 0 on every A row [a | rhs], or
+        it is off the equality rows and K is wrong (CorrespondenceViolation)."""
+        if not self.A:
+            return v
+        w = [sum(map(mul, col, v)) for col in self._columns]
+        if any(sum(map(mul, row, w)) for row in self.A):
+            raise CorrespondenceViolation(f"lifted vector {tuple(w)} leaves the equality rows")
+        return w
 
-def _reduced(
-    n: int, A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]
-) -> tuple[list[list[int]], list[list[int]], int]:
-    """`_IntRows.reduced` of the integer rows [a | rhs] of A and B over n variables."""
-    K = _kernel(_fold(_EMPTY, A, n + 1), n + 1)
-    R = [[sum(map(mul, row, v)) for v in K] for row in B] if A else B
-    return K, R, sum(not v[-1] for v in K)
+    def line(self, v: Sequence[int]) -> Direction:
+        """The primitive line of what v stands for, read off K v = (-x t, t) (`lift`):
+        (den, *num), den > 0, for the point x = num / den, so that v and -v name
+        the same point, or (0, *r) for t = 0 and the ray r = -(K v)[:n]."""
+        w = _primitive(self.lift(v))[0]
+        s = -1 if w[-1] < 0 else 1
+        return (s * w[-1], *(-s * x for x in w[:-1]))
 
 
 def _slacks(rows: Sequence[Sequence[int]], num: Sequence[int], den: int) -> list[int]:
@@ -361,14 +386,15 @@ def minimize_description(P: HPolyhedron) -> HPolyhedron:
     The implicit equalities come from witnesses (`_implicit_rows`, one LP
     per round on the summed slack of the rows no witness has left slack),
     whose summed line is a point strictly inside every row that is not
-    promoted, a relative-interior point of P. `_irredundant_rows` shoots
-    rays from it, so that only the rows it cannot prove to be facets on
-    their own meet a redundancy LP.
+    promoted, a relative-interior point of P. `_shot_facets` shoots rays
+    from it, so that only the rows it cannot prove to be facets on their
+    own meet a redundancy LP (`_irredundant_rows`).
     """
     implicit, inside = _implicit_rows(P, _feasible_point(P))  # raises on empty input
     Q = _promoted(P, implicit)
-    keep = _irredundant_rows(Q.n, Q._ints.A, Q._ints.B, inside)
-    B, d = tuple(zip(*(_scaled_row(Q._ints.B[i]) for i in keep))) or ((), ())
+    ints, keep = Q._ints, _distinct_rows(Q._ints.B)
+    keep = _irredundant_rows(Q.n, ints.A, ints.B, keep, _shot_facets(ints, keep, inside))
+    B, d = tuple(zip(*(_scaled_row(ints.B[i]) for i in keep))) or ((), ())
     return replace(Q, B=B, d=d)
 
 
@@ -376,7 +402,7 @@ def _promoted(P: HPolyhedron, implicit: Sequence[int]) -> HPolyhedron:
     """P with its implicit equality rows moved to A and dependent A rows dropped."""
     A = P.A + tuple(P.B[i] for i in implicit)
     b = P.b + tuple(P.d[i] for i in implicit)
-    keep = row_space_basis_indices(A) if A else []
+    keep = _independent([row[:-1] for row in (*P._ints.A, *(P._ints.B[i] for i in implicit))], P.n)
     promoted = set(implicit)
     rest = [i for i in range(len(P.B)) if i not in promoted]
     return replace(
@@ -402,29 +428,25 @@ def _distinct_rows(B: Sequence[Sequence[int]]) -> list[int]:
 
 
 def _irredundant_rows(
-    n: int,
-    A: Sequence[Sequence[int]],
-    B: Sequence[Sequence[int]],
-    inside: Optional[Sequence[int]] = None,
+    n: int, A: Sequence[Sequence[int]], B: Sequence[Sequence[int]],
+    keep: Optional[Sequence[int]] = None, proved: Container[int] = (),
 ) -> list[int]:
     """The indices of the integer rows [a | rhs] of B that no other row of {A, B} implies.
 
-    A cheap syntactic pass comes first (`_distinct_rows`): of each group of
-    parallel rows only the tightest stays. Then one LP per remaining row,
-    in that order, drops it when the rest imply it; the LPs read the
-    integer rows as they are, since scaling a row by a positive number
-    changes neither the polyhedron nor the simplex's pivots.
+    A cheap syntactic pass comes first (`_distinct_rows`, or the caller's
+    `keep`, rows that passed it): of each group of parallel rows only the
+    tightest stays. Then one LP per remaining row, in that order, drops it
+    when the rest imply it; the LPs read the integer rows as they are,
+    since scaling a row by a positive number changes neither the
+    polyhedron nor the simplex's pivots.
 
-    Given `inside`, the line (den, *num) of a point strictly inside every
-    row, a row that ray shooting from it proves to define a facet on its
-    own (`_shot_facets`) keeps its place without an LP. The sequential LPs
+    A row of `proved`, one that no other row of `keep` and A implies
+    (`_shot_facets`), keeps its place without an LP. The sequential LPs
     would keep it too: the other rows left when it is tested are rows of
-    the syntactic pass, which the proof's witness holds strictly. Kept
-    rows stay in `rest`, so every other row's LP sees the same rows as
-    without `inside`, and the simplex makes the same pivots.
+    `keep`. Kept rows stay in `rest`, so every other row's LP sees the same
+    rows as without `proved`, and the simplex makes the same pivots.
     """
-    keep = _distinct_rows(B)
-    proved = _shot_facets(n, A, B, keep, inside) if inside is not None else set()
+    keep = _distinct_rows(B) if keep is None else list(keep)
     eqs = tuple(row[:-1] for row in A), tuple(row[-1] for row in A)
     k = 0
     while k < len(keep):
@@ -440,33 +462,31 @@ def _irredundant_rows(
     return keep
 
 
-def _shot_facets(
-    n: int, A: Sequence[Sequence[int]], B: Sequence[Sequence[int]], keep: Sequence[int], inside: Sequence[int]
-) -> set[int]:
-    """The rows of `keep` that no other row of `keep` and A implies, proved by
-    ray shooting from the point x0 of the line `inside` (Fukuda's polyhedral
-    computation notes).
+def _shot_facets(ints: _IntRows, keep: Sequence[int], inside: Sequence[int]) -> set[int]:
+    """The rows of `keep`, indices into `ints.B`, that no other row of `keep`
+    and the A rows imply, proved by ray shooting from the point x0 of the
+    line `inside` (Fukuda's polyhedral computation notes).
 
     Every row must be slack at x0 (its `_slacks` s > 0) and every equality
     row tight, or the point is no proof (CorrespondenceViolation). Row k is
-    shot along d_k = sum_j R_k[j] K_j over the first n' vectors of the
-    reduced rows (K, R, n') of {A, B} (`_reduced`): d_k keeps A x = b, and
-    row i reads a_i . d_k = G_ik = R_i[:n'] . R_k[:n'] on it. With
-    G_kk > 0, row k is the only one the ray meets first iff
-    s_k G_ik < s_i G_kk for every other row i with G_ik > 0. Its witness
-    y = x0 + (s_k / G_kk) d_k then lies in A x = b, on row k and strictly
-    inside every other row, so a step past y leaves row k alone: no set of
-    the other rows implies it, and it alone defines a facet. Each witness is
-    checked on the integer rows themselves (CorrespondenceViolation if
-    not), so a wrong G or d_k cannot drop a row the LPs would keep.
-    A row the ray does not prove this way may be a facet all the same.
+    shot along d_k = `ints.lift`(R_k[:n']) over the reduced rows R of
+    `ints.reduced`: d_k keeps A x = b, and row i reads a_i . d_k = G_ik =
+    R_i[:n'] . R_k[:n'] on it. With G_kk > 0, row k is the only one the ray
+    meets first iff s_k G_ik < s_i G_kk for every other row i with
+    G_ik > 0. Its witness y = x0 + (s_k / G_kk) d_k then lies in A x = b, on
+    row k and strictly inside every other row, so a step past y leaves row
+    k alone: no set of the other rows implies it, and it alone defines a
+    facet. Each witness is checked on the integer rows themselves
+    (CorrespondenceViolation if not), so a wrong G or d_k cannot drop a row
+    the LPs would keep. A row the ray does not prove this way may be a
+    facet all the same.
     """
-    K, R, np_ = _reduced(n, A, B)
+    A, B = ints.A, ints.B
+    _, R, np_ = ints.reduced
     num, den = inside[1:], inside[0]
     slack = _slacks(B, num, den)
     if den <= 0 or any(_slacks(A, num, den)) or any(slack[i] <= 0 for i in keep):
         raise CorrespondenceViolation("the interior point is not strictly inside every row")
-    KT = list(zip(*K[:np_]))[:n]  # n x n', maps reduced coords to ambient
     normals = {i: R[i][:np_] for i in keep}
     proved = set()
     for k in keep:
@@ -474,7 +494,7 @@ def _shot_facets(
         s, gkk = slack[k], G[k]
         if gkk <= 0 or any(s * g >= slack[i] * gkk for i, g in G.items() if g > 0 and i != k):
             continue
-        y = [gkk * x + s * sum(map(mul, normals[k], col)) for x, col in zip(num, KT)], den * gkk
+        y = [gkk * x + s * dx for x, dx in zip(num, ints.lift(normals[k]))], den * gkk
         reads = _slacks([B[i] for i in keep], *y)
         if any(_slacks(A, *y)) or any((x != 0) if i == k else (x <= 0) for i, x in zip(keep, reads)):
             raise CorrespondenceViolation(f"the ray shot at row {k} misses its facet")
@@ -494,25 +514,19 @@ def _basic_points(P: HPolyhedron) -> dict[Direction, list[int]]:
     points gives a line by their cross product. The product's entry in the
     last column must not vanish, or the subset would be dependent in the
     first n' columns. Different subsets reach the same line, so the lines
-    are kept in a set.
-    Each line v maps back to the line w = K v of (x, t), which holds the
-    point x = -w[:n] / w[n], named by its line (den, *num) = ±(w[n], -w[:n]),
-    den > 0, and maps to its `_slacks` on the integer rows of `P._ints`.
-    The work budget caps the row subsets walked, comb(q, n').
+    are kept in a set. Each line maps back to its point's line (den, *num)
+    (`_IntRows.line`), which maps to its `_slacks` on the integer rows of
+    `P._ints`. The work budget caps the row subsets walked, comb(q, n').
     """
-    n, B = P.n, P._ints.B
-    K, R, np_ = P._ints.reduced
-    check_budget(comb(len(B), np_), "basic solution subsets")
-    if len(K) == np_:  # no particular solution
+    ints = P._ints
+    _, R, np_ = ints.reduced
+    check_budget(comb(len(ints.B), np_), "basic solution subsets")
+    if not ints.consistent:
         return {}
-    KT = list(zip(*K))
     pts = {}
     for v in set(_subset_lines(R, np_, np_, np_ + 1)):
-        # with no A rows K is the identity, and v is already primitive
-        w = _primitive([sum(map(mul, row, v)) for row in KT])[0] if P._ints.A else v
-        s = -1 if w[n] > 0 else 1
-        line = (-s * w[n], *(s * x for x in w[:n]))
-        pts[line] = _slacks(B, line[1:], line[0])
+        line = ints.line(v)
+        pts[line] = _slacks(ints.B, line[1:], line[0])
     return pts
 
 
@@ -522,26 +536,25 @@ def _circuit_lines(P: HPolyhedron) -> CircuitSet:
     Works in kernel coordinates of the equality block: each line is the
     one-dimensional kernel of n'-1 independent rows among the first n'
     columns of the reduced rows R of `P._ints.reduced`, n' = n - rank(A),
-    mapped back through the first n' vectors of K to a canonical integer
-    direction. The walk (`_subset_lines`) stops two rows early: each
-    independent (n'-3)-prefix is eliminated once, every later row is
-    reduced to its three coordinates on the prefix's kernel, one point per
-    parallel class, and each pair of distinct points gives one line by
-    their cross product. Different prefixes reach the same line, so the lines
-    are kept in a set. Each line is checked to be support-minimal: the rows
-    zero on it must reach rank n'-1, so that it is their whole kernel
-    (CorrespondenceViolation if not). One `_ranks_reach` pass checks the
-    zero-row sets of all lines, sharing their common prefixes. The work
+    mapped back by `_IntRows.lift` to a canonical integer direction, as is
+    each vector of the lineality basis. The walk (`_subset_lines`) stops two
+    rows early: each independent (n'-3)-prefix is eliminated once, every
+    later row is reduced to its three coordinates on the prefix's kernel,
+    one point per parallel class, and each pair of distinct points gives one
+    line by their cross product. Different prefixes reach the same line, so
+    the lines are kept in a set. Each line is checked to be support-minimal:
+    the rows zero on it must reach rank n'-1, so that it is their whole
+    kernel (CorrespondenceViolation if not). One `_ranks_reach` pass checks
+    the zero-row sets of all lines, sharing their common prefixes. The work
     budget caps the row subsets walked, comb(q, n'-1).
     """
-    K, R, np_ = P._ints.reduced
+    ints, n = P._ints, P.n
+    _, R, np_ = ints.reduced
     if np_ == 0:
         return CircuitSet()
-    NT = list(zip(*K[:np_]))[: P.n]  # n x n', maps reduced coords to ambient
     rows = [row[:np_] for row in R]
-    lin = P._ints.lineality
-    if lin:
-        return CircuitSet.subspace([sum(map(mul, row, v)) for row in NT] for v in lin)
+    if ints.lineality:
+        return CircuitSet.subspace(ints.lift(v)[:n] for v in ints.lineality)
     check_budget(comb(len(rows), np_ - 1), "circuit candidate subsets")
     ghats = list(set(_subset_lines(rows, np_ - 1, np_, np_)))
     zeros = [tuple(i for i, row in enumerate(rows) if not sum(map(mul, row, gh))) for gh in ghats]
@@ -550,7 +563,7 @@ def _circuit_lines(P: HPolyhedron) -> CircuitSet:
     # kept their pages resident, and the circuits of hom(ccp5) peaked at
     # 31.1 MB RSS instead of 27.3 MB
     del zeros
-    lines = [_canonical([sum(map(mul, row, gh)) for row in NT]) for gh in ghats]
+    lines = [_canonical(ints.lift(gh)[:n]) for gh in ghats]
     if bad is not None:
         raise CorrespondenceViolation(f"circuit candidate {lines[bad]} is not support-minimal")
     lines.sort()  # in place: a sorted copy added 2 MB to the peak RSS of thm2 --n 5
@@ -584,14 +597,7 @@ def _extreme_rays(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
     The work budget caps the pairs tested, a running count checked before each
     row's pairs.
     """
-    start, echelon = [], _EMPTY
-    for i, row in enumerate(rows):
-        if len(start) == width:
-            break
-        grown = _fold(echelon, (row,), width)  # `echelon` itself when row depends on it
-        if grown is not echelon:
-            echelon = grown
-            start.append(i)
+    start = _independent(rows, width)
     tight = sum(1 << i for i in start)
     rays, masks = [], []
     for i in start:
@@ -626,36 +632,30 @@ def _vrep(P: HPolyhedron) -> tuple[VRep, tuple[int, ...]]:
     The vertices and extreme rays are read off the extreme rays v of the
     homogenization cone {v : t >= 0, R v >= 0} of the reduced rows R of
     `P._ints.reduced`, t = v[n'] the coefficient of the particular solution
-    (`_extreme_rays`). With t > 0, v maps to the line w = K v of (x, t),
-    which holds the vertex x = -w[:n] / w[n], named by its line (den, *num);
-    with t = 0, to the extreme ray -w[:n] of P. A pointed polyhedron with no
-    vertex is empty (EmptyPolyhedron). Each vertex is checked to have no
-    negative slack and tight rows of rank n' (one `_ranks_reach` pass over
-    the tight-row sets of all vertices), and each ray r to have B r <= 0
-    (CorrespondenceViolation if not).
+    (`_extreme_rays`): `_IntRows.line` maps v with t > 0 to its vertex's
+    line (den, *num), and v with t = 0 to (0, *r), r an extreme ray of P.
+    A pointed polyhedron with no vertex is empty (EmptyPolyhedron). Each
+    vertex is checked to have no negative slack and tight rows of rank n'
+    (one `_ranks_reach` pass over the tight-row sets of all vertices), and
+    each ray r to have B r <= 0 (CorrespondenceViolation if not).
     """
-    ints, n = P._ints, P.n
-    K, R, np_ = ints.reduced
+    ints = P._ints
+    _, R, np_ = ints.reduced
     if ints.lineality:
         raise NotPointed(P.name or "polyhedron")
-    if len(K) == np_:  # no particular solution
+    if not ints.consistent:
         raise EmptyPolyhedron(P.name or "polyhedron")
-    KT = list(zip(*K))
     tights, rays = {}, []
     for v in _extreme_rays([[0] * np_ + [1], *R], np_ + 1):
-        # with no A rows K is the identity, and v is already primitive
-        w = _primitive([sum(map(mul, row, v)) for row in KT])[0] if ints.A else v
-        if not w[n]:
-            r = [-x for x in w[:n]]
-            if any(s < 0 for s in _slacks(ints.B, r, 0)):
-                raise CorrespondenceViolation(f"extreme ray {tuple(r)} leaves the polyhedron")
-            rays.append(tuple(r))
-            continue
-        line = (w[n], *(-x for x in w[:n]))
+        line = ints.line(v)
         slacks = _slacks(ints.B, line[1:], line[0])
         if any(s < 0 for s in slacks):
-            raise CorrespondenceViolation(f"vertex line {line} is not a vertex")
-        tights[line] = tuple(i for i, s in enumerate(slacks) if s == 0)
+            raise CorrespondenceViolation(f"vertex line {line} is not a vertex" if line[0]
+                                          else f"extreme ray {line[1:]} leaves the polyhedron")
+        if line[0]:
+            tights[line] = tuple(i for i, s in enumerate(slacks) if s == 0)
+        else:
+            rays.append(line[1:])
     if not tights:
         raise EmptyPolyhedron(P.name or "polyhedron")
     # the rows tight on v reach rank n' iff v is extreme in the cone
@@ -874,8 +874,7 @@ class _Eliminator:
         faces = [m for m in masks if m != full]
         last = {m: i for i, m in zip(keep, masks) if m & points and not any(m != o and m & o == m for o in faces)}
         if implicit := [i for i, m in zip(keep, masks) if m == full]:
-            rows = _irredundant_rows(len(self.live), self.eqs, [self.ineqs[i] for i in implicit])
-            implicit = [implicit[k] for k in rows]
+            implicit = _irredundant_rows(len(self.live), self.eqs, self.ineqs, implicit)
         return [i for i, m in zip(keep, masks) if (i in implicit if m == full else last.get(m) == i)]
 
     def implicit_rows(self) -> tuple[int, ...]:

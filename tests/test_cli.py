@@ -243,14 +243,13 @@ def test_no_function_takes_a_budget_parameter():
     assert found == []
 
 
-def test_every_public_name_has_a_caller():
-    # unused API is deleted: each public function, class and method is read
-    # as a name or an attribute somewhere in the package, or is exported in
-    # `__all__`; `dim` is called from outside, by perfbench/make_references.py
+def _package_defs_and_reads():
+    """Each top-level function and class and each method of the package, as
+    (qualified name, name), and every name or attribute the package reads."""
     package = Path(polycircuits.__file__).resolve().parent
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
              for path in sorted(package.glob("*.py"))}
-    used = set(polycircuits.__all__)
+    used = set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -258,20 +257,41 @@ def test_every_public_name_has_a_caller():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    public = []
+    found = []
     for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, defs):
-                public.append((f"{module}.{node.name}", node.name))
+                found.append((f"{module}.{node.name}", node.name))
             if isinstance(node, ast.ClassDef):
-                public += [(f"{module}.{node.name}.{item.name}", item.name)
-                           for item in node.body if isinstance(item, defs[:2])]
+                found += [(f"{module}.{node.name}.{item.name}", item.name)
+                          for item in node.body if isinstance(item, defs[:2])]
+    return found, used
+
+
+def test_every_public_name_has_a_caller():
+    # unused API is deleted: each public function, class and method is read
+    # as a name or an attribute somewhere in the package, or is exported in
+    # `__all__`; `dim` is called from outside, by perfbench/make_references.py
+    found, used = _package_defs_and_reads()
+    used |= set(polycircuits.__all__)
     allowed = {"polyhedron.dim"}
     unused = [
-        qualname for qualname, name in public
+        qualname for qualname, name in found
         if not name.startswith("_") and name not in used and qualname not in allowed
     ]
     assert unused == []
+
+
+def test_every_private_name_has_a_caller():
+    # dead private code is deleted too: each private function, class and
+    # method is read as a name or an attribute somewhere in the package;
+    # Python itself calls the dunder methods
+    found, used = _package_defs_and_reads()
+    dead = [
+        qualname for qualname, name in found
+        if name.startswith("_") and not name.endswith("__") and name not in used
+    ]
+    assert dead == []
 
 
 def test_linalg_alone_makes_and_reduces_integers():

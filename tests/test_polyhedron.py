@@ -9,8 +9,8 @@ import pytest
 
 import polycircuits
 from polycircuits import polyhedron
-from polycircuits.circuits import enumerate_circuits
-from polycircuits.constructions import hypercube
+from polycircuits.circuits import basic_solutions, enumerate_circuits
+from polycircuits.constructions import hypercube, simplex, transportation
 from polycircuits.errors import (
     BudgetExceeded,
     CorrespondenceViolation,
@@ -18,7 +18,7 @@ from polycircuits.errors import (
     NotPointed,
     PreconditionViolation,
 )
-from polycircuits.linalg import matrix, primitive, vector
+from polycircuits.linalg import dot, matrix, primitive, vector
 from polycircuits.polyhedron import (
     HPolyhedron,
     LinearMap,
@@ -276,6 +276,90 @@ def test_a_wrong_vertex_is_a_correspondence_violation(monkeypatch, P, bad, line)
     monkeypatch.setattr(polyhedron, "_extreme_rays", with_bad_ray)
     with pytest.raises(CorrespondenceViolation, match=re.escape(f"vertex line {line} is not a vertex")):
         vrep(P)
+
+
+_WRONG_KERNEL = """
+from functools import cached_property
+
+from polycircuits import polyhedron
+from polycircuits.circuits import basic_solutions, enumerate_circuits
+from polycircuits.constructions import transportation
+from polycircuits.errors import CorrespondenceViolation
+
+reduced = polyhedron._IntRows.reduced.func
+
+
+def doubled(self):
+    K, R, np_ = reduced(self)
+    return [[2 * v[0], *v[1:]] for v in K], R, np_
+
+
+wrong = cached_property(doubled)
+wrong.__set_name__(polyhedron._IntRows, "reduced")
+polyhedron._IntRows.reduced = wrong
+for f in (polyhedron.vrep, basic_solutions, enumerate_circuits):
+    try:
+        f(transportation(5, 2, (1, 4)))
+        print(f.__name__, "returned")
+    except CorrespondenceViolation as exc:
+        print(f.__name__, "CorrespondenceViolation:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_a_wrong_kernel_is_a_correspondence_violation(flags):
+    # Every vector a walk maps back from kernel coordinates is checked on
+    # the equality rows (`_IntRows.lift`), also under -O: with the first
+    # entry of every kernel vector doubled, some vertex, basic solution and
+    # circuit of the transportation polytope leaves A x = b, and each walk
+    # raises instead of returning it.
+    src = str(Path(polycircuits.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _WRONG_KERNEL],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(" ", 1)[0] for line in lines] == ["vrep", "basic_solutions", "enumerate_circuits"]
+    for line in lines:
+        assert re.fullmatch(r"\w+ CorrespondenceViolation: lifted vector \(.*\) leaves the equality rows", line), line
+
+
+@pytest.mark.parametrize(
+    "P",
+    [
+        transportation(5, 2, (1, 4)),
+        homogenize(simplex(3)),
+        HPolyhedron.make(2, B=[[-1, 0], [0, -1], [-1, -1]], d=[0, 0, -1]),
+    ],
+    ids=["transportation", "cone", "no-equality-rows"],
+)
+def test_int_rows_line_names_points_and_rays(P):
+    # `_IntRows.line` is the one map back from kernel coordinates: v and -v
+    # name the same point, whose line has den > 0, and a v with t = 0 names
+    # a ray r with B r <= 0; every vertex, ray and basic solution of P comes
+    # out of it. With no equality rows `lift` is the identity.
+    ints = P._ints
+    _, R, np_ = ints.reduced
+    V, lines = vrep(P), basic_solutions(P).lines
+    cone = polyhedron._extreme_rays([[0] * np_ + [1], *R], np_ + 1)
+    basic = set(polyhedron._subset_lines(R, np_, np_, np_ + 1))
+    points = [(v, V.lines) for v in cone if v[np_]] + [(v, lines) for v in basic if v[np_]]
+    rays = [v for v in cone if not v[np_]]
+    assert len(points) == len(V.lines) + len(lines) and len(rays) == len(V.rays)
+    for v, named in points:
+        line = ints.line(v)
+        assert line[0] > 0 and line == ints.line([-x for x in v]) and line in named
+    for v in rays:
+        line = ints.line(v)
+        assert line[0] == 0 and line[1:] in V.rays
+        assert all(dot(row, line[1:]) <= 0 for row in P.B)
+    if not ints.A:
+        assert all(ints.lift(v) == v for v in cone)
 
 
 def test_vrep_requires_pointed():

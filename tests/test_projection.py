@@ -57,7 +57,6 @@ from polycircuits.polyhedron import (
     _irredundant_rows,
     _project,
     _promoted,
-    _reduced,
     _shot_facets,
     _slacks,
     cartesian_product,
@@ -805,8 +804,9 @@ def _shooting_run(P):
     point, and the rows its prune keeps with that point and without it."""
     implicit, inside = _implicit_rows(P, _feasible_point(P))
     Q = _promoted(P, implicit)
-    rows = (Q.n, Q._ints.A, Q._ints.B)
-    return Q, inside, _irredundant_rows(*rows, inside), _irredundant_rows(*rows)
+    rows, distinct = (Q.n, Q._ints.A, Q._ints.B), _distinct_rows(Q._ints.B)
+    shot = _irredundant_rows(*rows, distinct, _shot_facets(Q._ints, distinct, inside))
+    return Q, inside, shot, _irredundant_rows(*rows)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -831,9 +831,9 @@ def test_ray_shooting_references_cover_every_case():
         for _ in range(30):
             Q, inside, keep, _ = _shooting_run(_shooting_system(rng))
             B = Q._ints.B
-            _, R, np_ = _reduced(Q.n, Q._ints.A, B)
+            _, R, np_ = Q._ints.reduced
             distinct = _distinct_rows(B)
-            proved = _shot_facets(Q.n, Q._ints.A, B, distinct, inside)
+            proved = _shot_facets(Q._ints, distinct, inside)
             if len(distinct) < sum(any(row[:-1]) for row in B):
                 seen.add("parallel rows")
             if any(not any(R[i][:np_]) for i in distinct):
@@ -864,28 +864,27 @@ from polycircuits import polyhedron
 from polycircuits.constructions import hypercube
 from polycircuits.errors import CorrespondenceViolation
 
-reduced, implicit = polyhedron._reduced, polyhedron._implicit_rows
+lift, implicit = polyhedron._IntRows.lift, polyhedron._implicit_rows
 
 
 def scaled_directions(c):
-    def wrong(*args):
-        K, R, np_ = reduced(*args)
-        return [[c * x for x in v] for v in K[:np_]] + K[np_:], R, np_
+    def wrong(self, v):
+        return [c * x for x in lift(self, v)]
 
     return wrong
 
 
-for name, attr, wrong in (
-    ("negated", "_reduced", scaled_directions(-1)),
-    ("doubled", "_reduced", scaled_directions(2)),
-    ("vertex", "_implicit_rows", lambda P, x: (implicit(P, x)[0], (1, 0, 0, 0))),
+for name, owner, attr, wrong in (
+    ("negated", polyhedron._IntRows, "lift", scaled_directions(-1)),
+    ("doubled", polyhedron._IntRows, "lift", scaled_directions(2)),
+    ("vertex", polyhedron, "_implicit_rows", lambda P, x: (implicit(P, x)[0], (1, 0, 0, 0))),
 ):
-    setattr(polyhedron, attr, wrong)
+    setattr(owner, attr, wrong)
     try:
         print(name, "returned", polyhedron.minimize_description(hypercube(3)))
     except CorrespondenceViolation as exc:
         print(name, "CorrespondenceViolation:", exc)
-    setattr(polyhedron, attr, {"_reduced": reduced, "_implicit_rows": implicit}[attr])
+    setattr(owner, attr, {"lift": lift, "_implicit_rows": implicit}[attr])
 """
 
 
