@@ -49,9 +49,10 @@ def enumerate_circuits(P: HPolyhedron) -> CircuitSet:
 
     The set is P's cached circuit walk (`_circuit_lines`), so every call on
     one P returns the same object: the lines of the (n'-1)-row subset walk,
-    each checked to be support-minimal (CorrespondenceViolation if not). A
-    non-pointed system yields its lineality basis instead (every nonzero
-    lineality vector is a circuit there).
+    each checked to be support-minimal on the n'-1 rows the walk names with
+    it, which must read 0 on it and have rank n'-1 (CorrespondenceViolation
+    if not). A non-pointed system yields its lineality basis instead (every
+    nonzero lineality vector is a circuit there).
     """
     return P._circuit_walk
 

@@ -21,8 +21,10 @@ and only reduces the row that would reach the target rank. The subset
 walk `_subset_lines` finds the kernel line of every independent k-subset
 of rows, eliminating each shared (k-2)-prefix once and stopping two rows
 early: the last two rows of a subset meet in one cross product of their
-three coordinates on the prefix's kernel. `dot` sums integer products over one common
-denominator, so the costly Fraction normalizations happen once per
+three coordinates on the prefix's kernel. It names each line with its
+certificate, the k rows of the subset that gave it, so that a caller can
+check the line on those rows alone. `dot` sums integer products over one
+common denominator, so the costly Fraction normalizations happen once per
 output entry.
 """
 
@@ -267,8 +269,11 @@ def _ranks_reach(sets: Sequence[Sequence[int]], rows: Sequence[Sequence[int]], r
     return None
 
 
-def _subset_lines(rows: Sequence[Sequence[int]], k: int, ncols: int, width: int) -> Iterator[Direction]:
-    """The kernel line of each independent k-subset of `rows`, as a `_canonical` vector.
+def _subset_lines(
+    rows: Sequence[Sequence[int]], k: int, ncols: int, width: int
+) -> Iterator[tuple[Direction, tuple[int, ...]]]:
+    """The kernel line of each independent k-subset of `rows`, as a `_canonical`
+    vector, with its certificate: the ascending indices of k rows that cut it out.
 
     Rows have `width` columns; independence and pivots count only the first
     `ncols`, and k independent rows must leave one free column, so
@@ -281,19 +286,27 @@ def _subset_lines(rows: Sequence[Sequence[int]], k: int, ncols: int, width: int)
     never pivots. A later row x has the Bareiss residual entries
     r = (x.K_f, x.K_g, x.K_h) in those columns, and rows with parallel r
     meet the prefix's kernel alike, so each later row counts once, as the
-    `_canonical` point of r; a row with r = 0 depends on the prefix. Two
-    distinct points r and s extend the prefix to a k-subset with the kernel
-    line c_f K_f + c_g K_g + c_h K_h, c = r x s, independent in the first
-    `ncols` columns iff c_h != 0 or h < ncols. Each line is yielded once per
-    prefix; different prefixes may still yield the same line. With k = 1
-    the empty prefix leaves the columns 0 and 1 free, and a row (a, b, ...)
-    gives the line (b, -a).
+    `_canonical` point of r, and its class is named by its first row; a row
+    with r = 0 depends on the prefix. Two distinct points r and s extend the
+    prefix to a k-subset with the kernel line c_f K_f + c_g K_g + c_h K_h,
+    c = r x s, independent in the first `ncols` columns iff c_h != 0 or
+    h < ncols. Each line is yielded once per prefix, with the certificate
+    (*prefix, i, j) of the first pair of points that gave it, i < j the first
+    rows of their classes: k rows that read 0 on the line and have rank k in
+    the first `ncols` columns. Different prefixes may still yield the same
+    line, with another certificate. With k = 1 the empty prefix leaves the
+    columns 0 and 1 free, and a row (a, b, ...) gives the line (b, -a), with
+    the first such row as its certificate.
     """
     if k == 0:
-        yield (1,)  # no row to choose: the one column is free
+        yield (1,), ()  # no row to choose: the one column is free
         return
     if k == 1:
-        yield from {_canonical((x[1], -x[0])) for x in rows if x[0] or x[1] and 1 < ncols}
+        lines = {}
+        for i, x in enumerate(rows):
+            if x[0] or x[1] and 1 < ncols:
+                lines.setdefault(_canonical((x[1], -x[0])), (i,))
+        yield from lines.items()
         return
     q = len(rows)
     insert = _insert
@@ -308,22 +321,23 @@ def _subset_lines(rows: Sequence[Sequence[int]], k: int, ncols: int, width: int)
             Kf[f] = Kg[g] = Kh[h] = det
             for R, p in zip(echelon, pivots):
                 Kf[p], Kg[p], Kh[p] = -R[f], -R[g], -R[h]
-            points = set()
-            for x in rows[i:]:
+            points = {}  # each point's first row, so in row order
+            for j, x in enumerate(rows[i:], i):
                 a, b, c = sum(map(mul, x, Kf)), sum(map(mul, x, Kg)), sum(map(mul, x, Kh))
                 if a or b or c:  # `_canonical`, inline: (a or b or c) is the first nonzero entry
                     d = gcd(a, b, c) if (a or b or c) > 0 else -gcd(a, b, c)
-                    points.add((a // d, b // d, c // d))
-            points = list(points)
-            lines = set()
-            for j, (a, b, c) in enumerate(points):
-                for u, v, w in points[j + 1 :]:
+                    points.setdefault((a // d, b // d, c // d), j)
+            points = list(points.items())
+            lines = {}
+            for j, ((a, b, c), ri) in enumerate(points):
+                for (u, v, w), si in points[j + 1 :]:
                     x, y, z = b * w - c * v, c * u - a * w, a * v - b * u
                     if z or h < ncols:  # distinct points are not parallel, so x, y, z are not all 0
                         d = gcd(x, y, z) if (x or y or z) > 0 else -gcd(x, y, z)
-                        lines.add((x // d, y // d, z // d))
-            for a, b, c in lines:
-                yield _canonical([a * u + b * v + c * w for u, v, w in zip(Kf, Kg, Kh)])
+                        lines.setdefault((x // d, y // d, z // d), (ri, si))
+            prefix = tuple(chosen)
+            for (a, b, c), pair in lines.items():
+                yield _canonical([a * u + b * v + c * w for u, v, w in zip(Kf, Kg, Kh)]), prefix + pair
         elif i <= q - k + depth:
             step = insert(*forms[depth], rows[i], ncols)
             if step is not None:

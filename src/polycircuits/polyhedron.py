@@ -513,8 +513,10 @@ def _basic_points(P: HPolyhedron) -> dict[Direction, list[int]]:
     row becomes its three coordinates on it, and each pair of distinct
     points gives a line by their cross product. The product's entry in the
     last column must not vanish, or the subset would be dependent in the
-    first n' columns. Different subsets reach the same line, so the lines
-    are kept in a set. Each line maps back to its point's line (den, *num)
+    first n' columns. Different subsets reach the same line, so each line
+    is kept once. The certificates the walk names with the lines go unread:
+    every slack is computed anyway, since `basic_solutions` reads each
+    point's tight rows. Each line maps back to its point's line (den, *num)
     (`_IntRows.line`), which maps to its `_slacks` on the integer rows of
     `P._ints`. The work budget caps the row subsets walked, comb(q, n').
     """
@@ -524,7 +526,7 @@ def _basic_points(P: HPolyhedron) -> dict[Direction, list[int]]:
     if not ints.consistent:
         return {}
     pts = {}
-    for v in set(_subset_lines(R, np_, np_, np_ + 1)):
+    for v in dict(_subset_lines(R, np_, np_, np_ + 1)):
         line = ints.line(v)
         pts[line] = _slacks(ints.B, line[1:], line[0])
     return pts
@@ -542,10 +544,13 @@ def _circuit_lines(P: HPolyhedron) -> CircuitSet:
     later row is reduced to its three coordinates on the prefix's kernel,
     one point per parallel class, and each pair of distinct points gives one
     line by their cross product. Different prefixes reach the same line, so
-    the lines are kept in a set. Each line is checked to be support-minimal:
-    the rows zero on it must reach rank n'-1, so that it is their whole
-    kernel (CorrespondenceViolation if not). One `_ranks_reach` pass checks
-    the zero-row sets of all lines, sharing their common prefixes. The work
+    each line keeps the certificate the walk names with it first: n'-1 rows,
+    the prefix and the first row of each of the two classes. Each line is
+    checked to be support-minimal on those n'-1 rows alone: it must read 0
+    on them, and they must reach rank n'-1, so that their kernel is the line
+    and any direction of smaller support would lie in it
+    (CorrespondenceViolation if not). One `_ranks_reach` pass checks the
+    certificates of all lines, sharing their common prefixes. The work
     budget caps the row subsets walked, comb(q, n'-1).
     """
     ints, n = P._ints, P.n
@@ -556,13 +561,20 @@ def _circuit_lines(P: HPolyhedron) -> CircuitSet:
     if ints.lineality:
         return CircuitSet.subspace(ints.lift(v)[:n] for v in ints.lineality)
     check_budget(comb(len(rows), np_ - 1), "circuit candidate subsets")
-    ghats = list(set(_subset_lines(rows, np_ - 1, np_, np_)))
-    zeros = [tuple(i for i, row in enumerate(rows) if not sum(map(mul, row, gh))) for gh in ghats]
-    bad = _ranks_reach(zeros, rows, np_ - 1, np_)
-    # the zero sets go before the lines are built: lines stored among them
-    # kept their pages resident, and the circuits of hom(ccp5) peaked at
-    # 31.1 MB RSS instead of 27.3 MB
-    del zeros
+    certs = {}
+    for gh, cert in _subset_lines(rows, np_ - 1, np_, np_):
+        certs.setdefault(gh, cert)
+    for gh, cert in certs.items():
+        if any(sum(map(mul, rows[i], gh)) for i in cert):
+            line = _canonical(ints.lift(gh)[:n])
+            raise CorrespondenceViolation(f"circuit candidate {line} does not read 0 on its certificate rows {cert}")
+    ghats, sets = list(certs), list(certs.values())
+    # the certificates go before the lines are built: held through the
+    # lift, they raised the peak RSS of hom(ccp5)'s circuits from 26.2 to
+    # 30.0 MB
+    del certs
+    bad = _ranks_reach(sets, rows, np_ - 1, np_)
+    del sets
     lines = [_canonical(ints.lift(gh)[:n]) for gh in ghats]
     if bad is not None:
         raise CorrespondenceViolation(f"circuit candidate {lines[bad]} is not support-minimal")

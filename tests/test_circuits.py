@@ -1,8 +1,14 @@
+import os
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import polycircuits
 from polycircuits import circuits, polyhedron
 from polycircuits.circuits import (
     basic_solutions,
@@ -118,20 +124,21 @@ def test_enumerate_circuits_returns_the_cached_set(P):
 
 
 def test_non_minimal_circuit_candidate_is_a_correspondence_violation(monkeypatch):
-    # Every candidate spans the kernel of n'-1 independent rows, so it is
-    # support-minimal; enumerate_circuits reports one that is not instead of
-    # dropping it. Corrupt the first line of the subset walk to (1, 1, 1),
-    # whose support on the cube's rows contains that of (1, 0, 0).
+    # Every candidate spans the kernel of the n'-1 independent rows the walk
+    # names with it, so it is support-minimal; enumerate_circuits reports one
+    # that is not instead of dropping it. Corrupt the first line of the
+    # subset walk to (1, 1, 1), whose support on the cube's rows contains that
+    # of (1, 0, 0), and keep its certificate: no row of the cube reads 0 on it.
     subset_lines = polyhedron._subset_lines
 
     def corrupted(rows, k, ncols, width):
         lines = subset_lines(rows, k, ncols, width)
-        yield (1,) * width
-        next(lines)
+        _, cert = next(lines)
+        yield (1,) * width, cert
         yield from lines
 
     monkeypatch.setattr(polyhedron, "_subset_lines", corrupted)
-    with pytest.raises(CorrespondenceViolation, match="not support-minimal"):
+    with pytest.raises(CorrespondenceViolation, match=r"\(1, 1, 1\) does not read 0 on its certificate rows"):
         enumerate_circuits(cube(3))
     # The brute-force oracle keeps the definitional filter and is untouched.
     assert enumerate_circuits_bruteforce(cube(3)).directions == tuple(
@@ -140,18 +147,97 @@ def test_non_minimal_circuit_candidate_is_a_correspondence_violation(monkeypatch
 
 
 def test_lone_non_minimal_circuit_is_a_correspondence_violation(monkeypatch):
-    # Every line of the square's subset walk corrupted to (1, 1): the
-    # candidates agree with each other, so no comparison among them can see
-    # it. The rank test can: no row of the square is zero on (1, 1).
+    # Every line of the square's subset walk corrupted to (1, 1), each with
+    # its certificate: the candidates agree with each other, so no comparison
+    # among them can see it. The certificate check can: no row of the square
+    # is zero on (1, 1).
     subset_lines = polyhedron._subset_lines
 
     def corrupted(rows, k, ncols, width):
-        for _ in subset_lines(rows, k, ncols, width):
-            yield (1,) * width
+        for _, cert in subset_lines(rows, k, ncols, width):
+            yield (1,) * width, cert
 
     monkeypatch.setattr(polyhedron, "_subset_lines", corrupted)
-    with pytest.raises(CorrespondenceViolation, match="not support-minimal"):
+    with pytest.raises(CorrespondenceViolation, match=r"\(1, 1\) does not read 0 on its certificate rows"):
         enumerate_circuits(cube(2))
+
+
+_WRONG_CERTIFICATE = """
+import itertools
+
+from polycircuits import polyhedron
+from polycircuits.circuits import enumerate_circuits
+from polycircuits.constructions import cropped_cross_polytope
+from polycircuits.errors import CorrespondenceViolation
+from polycircuits.linalg import rank
+
+walk = polyhedron._subset_lines
+
+
+def reads_zero(row, line):
+    return sum(a * b for a, b in zip(row, line)) == 0
+
+
+def off_by_one(rows, line, cert):
+    return (*cert[:-1], cert[-1] + 1)
+
+
+def wrong_class(rows, line, cert):
+    # the first row after the prefix that reads nonzero on the line: the
+    # first row of a class other than those of the two points
+    *prefix, ri, si = cert
+    j = next(j for j in range(prefix[-1] + 1 if prefix else 0, len(rows)) if not reads_zero(rows[j], line))
+    return tuple(sorted((*prefix, j, si)))
+
+
+def low_rank(rows, line, cert):
+    zeros = [i for i, row in enumerate(rows) if reads_zero(row, line)]
+    return next(S for S in itertools.combinations(zeros, len(cert)) if rank([rows[i] for i in S]) < len(cert))
+
+
+for mutate in (off_by_one, wrong_class, low_rank):
+
+    def corrupted(rows, k, ncols, width):
+        lines = walk(rows, k, ncols, width)
+        line, cert = next(lines)
+        wrong = mutate(rows, line, cert)
+        print(mutate.__name__, cert, "->", wrong, end=" ")
+        yield line, wrong
+        yield from lines
+
+    polyhedron._subset_lines = corrupted
+    try:
+        enumerate_circuits(polyhedron.homogenize(cropped_cross_polytope(3)))
+        print("returned")
+    except CorrespondenceViolation as exc:
+        print("CorrespondenceViolation:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_a_wrong_certificate_is_a_correspondence_violation(flags):
+    # Each circuit line is checked on the n'-1 rows the walk names with it,
+    # also under -O. The first line of hom(ccp3)'s walk gets a wrong
+    # certificate: its last row index off by one, a row of another parallel
+    # class than its two points', or n'-1 rows that read 0 on it but have
+    # rank below n'-1. The first two read nonzero on the line, the last
+    # leaves a kernel larger than the line; enumerate_circuits raises each time.
+    src = str(Path(polycircuits.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _WRONG_CERTIFICATE],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(" ", 1)[0] for line in lines] == ["off_by_one", "wrong_class", "low_rank"]
+    misses = "does not read 0 on its certificate rows"
+    for line, caught in zip(lines, [misses, misses, "is not support-minimal"]):
+        m = re.fullmatch(r"\w+ (\(.*\)) -> (\(.*\)) CorrespondenceViolation: circuit candidate \(.*\) (.*)", line)
+        assert m and m[1] != m[2] and m[3].startswith(caught), line
 
 
 def test_lone_non_basic_point_is_a_correspondence_violation(monkeypatch):

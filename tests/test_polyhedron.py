@@ -347,7 +347,7 @@ def test_int_rows_line_names_points_and_rays(P):
     _, R, np_ = ints.reduced
     V, lines = vrep(P), basic_solutions(P).lines
     cone = polyhedron._extreme_rays([[0] * np_ + [1], *R], np_ + 1)
-    basic = set(polyhedron._subset_lines(R, np_, np_, np_ + 1))
+    basic = {v for v, _ in polyhedron._subset_lines(R, np_, np_, np_ + 1)}
     points = [(v, V.lines) for v in cone if v[np_]] + [(v, lines) for v in basic if v[np_]]
     rays = [v for v in cone if not v[np_]]
     assert len(points) == len(V.lines) + len(lines) and len(rays) == len(V.rays)

@@ -9,10 +9,11 @@ runs the double description of the homogenization cone
 The references below are per-subset loops: every subset is eliminated
 from scratch through the public `rank`, `solve` and `kernel_basis`, and
 adjacency is the dimension of the face at the midpoint. Both must return
-exactly the same objects. Every output is checked on its own zero or
-tight rows by one `linalg._ranks_reach` pass over the sorted row sets,
-which resumes each set from the prefix it shares with the set before it;
-its reference folds every set afresh.
+exactly the same objects. Every circuit line is checked on the n'-1 rows
+the walk names with it (its certificate), every basic solution and vertex
+on its own tight rows, by one `linalg._ranks_reach` pass over the sorted
+row sets, which resumes each set from the prefix it shares with the set
+before it; its reference folds every set afresh.
 """
 
 import itertools
@@ -22,7 +23,7 @@ from fractions import Fraction
 
 import pytest
 
-from polycircuits import linalg, lp
+from polycircuits import linalg, lp, polyhedron
 from polycircuits.circuits import basic_solutions, enumerate_circuits
 from polycircuits.constructions import cropped_cross_polytope, hypercube, transportation
 from polycircuits.directions import BasicSolutionSet, CircuitSet
@@ -309,7 +310,9 @@ def _walk_rows(rng, q, width, seen):
 def test_subset_lines_match_per_subset_reference(last_column_pivots):
     # The walk stops two rows early (a cross product of three kernel
     # coordinates per pair of later rows); the reference eliminates every
-    # k-subset through `kernel_basis`.
+    # k-subset through `kernel_basis`. Each line comes with its certificate:
+    # k ascending row indices whose rows have rank k in the first `ncols`
+    # columns and read 0 on the line.
     rng, seen = random.Random(2601 + last_column_pivots), set()
     for trial in range(150):
         k = 1 + trial % 5
@@ -317,7 +320,13 @@ def test_subset_lines_match_per_subset_reference(last_column_pivots):
         ncols = width if last_column_pivots else width - 1
         rows = _walk_rows(rng, rng.randint(0, 8), width, seen)
         expected = _ref_subset_lines(rows, k, ncols, width)
-        assert set(linalg._subset_lines(rows, k, ncols, width)) == expected, (rows, k, ncols)
+        walked = list(linalg._subset_lines(rows, k, ncols, width))
+        assert {line for line, _ in walked} == expected, (rows, k, ncols)
+        for line, cert in walked:
+            S = [rows[i] for i in cert]
+            assert len(cert) == k and list(cert) == sorted(set(cert)), (rows, line, cert)
+            assert rank([r[:ncols] for r in S]) == k, (rows, line, cert)
+            assert all(dot(r, line) == 0 for r in S), (rows, line, cert)
     assert seen == {"random", "zero", "duplicate", "parallel", "dependent"}
 
 
@@ -411,8 +420,9 @@ def test_subset_work_is_pinned(monkeypatch, run, expected):
     # take none: each becomes three coordinates on its prefix's kernel, and
     # a pair of them meets in one cross product. A change that visits
     # more subsets or eliminates more rows must update these counts on purpose.
-    # They include the rank test of every circuit line, basic solution and
-    # vertex on its own zero or tight rows (linalg._ranks_reach, one pass
+    # They include the rank test of every circuit line on its certificate
+    # rows and of every basic solution and vertex on its own tight rows
+    # (linalg._ranks_reach, one pass
     # over the sorted row sets that resumes each from the echelon form of
     # the prefix it shares with the set before it; the last row of each check
     # is reduced, not inserted), and the start cone of the double
@@ -453,3 +463,21 @@ def test_walks_and_rank_tests_read_the_reduced_rows(monkeypatch):
     wide = Counter(w for w in widths if w > 5)
     assert wide == {11: len(P.A), 10: len(P.A) + len(P.B)}
     assert len(widths) == 292
+
+
+def test_circuit_lines_are_checked_on_their_certificates_alone(monkeypatch):
+    # Each circuit line is checked on the n'-1 rows the walk names with it,
+    # not on every row that reads 0 on it: the one `_ranks_reach` pass of
+    # `_circuit_lines` receives one set of exactly n'-1 rows per line.
+    # hom(ccp3) has n' = 4, and 39 of its 151 lines read 0 on 4 to 7 rows.
+    received = []
+    ranks_reach = polyhedron._ranks_reach
+
+    def recording(sets, rows, r, ncols):
+        received.append(sets)
+        return ranks_reach(sets, rows, r, ncols)
+
+    monkeypatch.setattr(polyhedron, "_ranks_reach", recording)
+    C = enumerate_circuits(homogenize(cropped_cross_polytope(3)))
+    (sets,) = received
+    assert len(sets) == len(C) and {len(s) for s in sets} == {3}
