@@ -15,8 +15,12 @@ from typing import Sequence
 from .directions import BasicSolutionSet, CircuitSet
 from .errors import CorrespondenceViolation, NotPointed
 from .linalg import (
+    _EMPTY,
     Direction,
     _canonical,
+    _fold,
+    _independent,
+    _kernel,
     _ranks_reach,
     canonicalize_direction,
     kernel_basis,
@@ -25,6 +29,7 @@ from .linalg import (
 from .polyhedron import (
     HPolyhedron,
     _basic_points,
+    _slacks,
     check_budget,
     homogenize,
     is_pointed,
@@ -87,47 +92,51 @@ def basic_solutions(P: HPolyhedron) -> BasicSolutionSet:
     """All points (feasible or not) whose tight rows have full column rank.
 
     Points satisfy every equality row; only inequality rows may be
-    violated. Each returned point is checked to be basic: its own tight rows
-    must reach rank n', and one `_ranks_reach` pass checks the tight-row
-    sets of all points. A sample of non-basic points is checked to be
-    dominated, their tight set strictly inside that of a basic point, which
-    is the support characterization that makes these the degree-one
-    homogenization circuits.
+    violated. Each returned point is checked to be basic on the n' rows the
+    walk names with it (`_basic_points`): it must read 0 on them, and one
+    `_ranks_reach` pass checks that the certificates of all points reach
+    rank n'. A sample of non-basic points is checked to be dominated, their
+    tight set strictly inside that of a basic point, which is the support
+    characterization that makes these the degree-one homogenization
+    circuits: the sample names that basic point, and the walk must have
+    found it. Slacks are computed only for the at most 51 points the sample
+    reads.
     """
     if not is_pointed(P):
         raise NotPointed(P.name or "polyhedron")
-    _, R, np_ = P._ints.reduced
-
-    def tight(slacks: list[int]) -> tuple[int, ...]:
-        # slacks are the `_slacks` of a point, from `_basic_points`; the point
-        # is basic iff its tight rows of R in `P._ints.reduced` reach rank
-        # n' = n - rank(A)
-        return tuple(i for i, s in enumerate(slacks) if s == 0)
-
+    ints = P._ints
+    _, R, np_ = ints.reduced
     pts = _basic_points(P)
-    sols = BasicSolutionSet.of(pts)  # first, so that its sort keys and the tight sets never coexist
-    tights = [tight(slacks) for slacks in pts.values()]
-    bad = _ranks_reach(tights, R, np_, np_)
+    sols = BasicSolutionSet.of(pts)
+    bad = _ranks_reach(list(pts.values()), R, np_, np_)
     if bad is not None:
         raise CorrespondenceViolation(f"basic solution line {list(pts)[bad]} is not support-minimal")
-    # Every point passed the rank test, so every tight set is maximal, and a
-    # point is dominated iff a basic point's tight set strictly contains its
-    # own. Non-basic sample: midpoints of basic pairs stay on the equality
-    # block; that of (du, *nu) and (dv, *nv) is the line of
-    # (2 du dv, nu dv + nv du), and su * dv + sv * du is its slack vector
-    # times 2 du dv.
-    masks = {sum(1 << i for i in t) for t in tights}
-    for u, v in itertools.islice(itertools.combinations(sols.lines, 2), 50):
+    # Non-basic sample: midpoints of basic pairs stay on the equality block;
+    # that of (du, *nu) and (dv, *nv) is the line of (2 du dv, nu dv + nv du),
+    # and su * dv + sv * du is its `_slacks` vector times 2 du dv. Its tight
+    # rows, extended greedily to rank n' (its own rows first), cut out one
+    # point: the midpoint itself when its own rows reach rank n', else a
+    # basic point tight on every row tight at the midpoint (each such row,
+    # rhs included, is a combination of the independent ones) and on more.
+    pairs = list(itertools.islice(itertools.combinations(sols.lines, 2), 50))
+    slacks = {x: _slacks(ints.B, x[1:], x[0]) for x in set(itertools.chain(*pairs))}
+    for u, v in pairs:
         (du, *nu), (dv, *nv) = u, v
         z = _canonical([2 * du * dv, *(a * dv + b * du for a, b in zip(nu, nv))])
-        t = tight([a * dv + b * du for a, b in zip(pts[u], pts[v])])
-        if _ranks_reach([t], R, np_, np_) is None:
+        t = [i for i, (a, b) in enumerate(zip(slacks[u], slacks[v])) if a * dv + b * du == 0]
+        tight = set(t)
+        order = t + [i for i in range(len(R)) if i not in tight]
+        rows = [order[j] for j in _independent([R[i] for i in order], np_)]
+        if tight.issuperset(rows):  # the midpoint is basic
             if z not in pts:
                 raise CorrespondenceViolation(f"missed basic solution line {z}")
             continue
-        zm = sum(1 << i for i in t)
-        if not any(m != zm and m & zm == zm for m in masks):
-            raise CorrespondenceViolation(f"non-basic midpoint line {z} not dominated")
+        (w,) = _kernel(_fold(_EMPTY, [R[i] for i in rows], np_ + 1), np_ + 1)
+        w = ints.line(w)
+        if w not in pts:
+            raise CorrespondenceViolation(
+                f"non-basic midpoint line {z} not dominated: no basic solution line {w} on its rows {tuple(rows)}"
+            )
     return sols
 
 

@@ -502,8 +502,8 @@ def _shot_facets(ints: _IntRows, keep: Sequence[int], inside: Sequence[int]) -> 
     return proved
 
 
-def _basic_points(P: HPolyhedron) -> dict[Direction, list[int]]:
-    """The basic solutions of P, as lines (den, *num), each mapped to its slacks.
+def _basic_points(P: HPolyhedron) -> dict[Direction, tuple[int, ...]]:
+    """The basic solutions of P, as lines (den, *num), each mapped to its certificate.
 
     A basic solution solves the equality rows with n' = n - rank(A)
     independent inequality rows held tight; there are none when the
@@ -514,21 +514,28 @@ def _basic_points(P: HPolyhedron) -> dict[Direction, list[int]]:
     points gives a line by their cross product. The product's entry in the
     last column must not vanish, or the subset would be dependent in the
     first n' columns. Different subsets reach the same line, so each line
-    is kept once. The certificates the walk names with the lines go unread:
-    every slack is computed anyway, since `basic_solutions` reads each
-    point's tight rows. Each line maps back to its point's line (den, *num)
-    (`_IntRows.line`), which maps to its `_slacks` on the integer rows of
-    `P._ints`. The work budget caps the row subsets walked, comb(q, n').
+    keeps the certificate the walk names with it first: n' ascending row
+    indices, the prefix and the first row of each of the two classes. Each
+    line must read 0 on its certificate rows of R, or the walk is wrong
+    (CorrespondenceViolation); that those rows reach rank n' is checked by
+    `basic_solutions`. Each line maps back to its point's line (den, *num)
+    (`_IntRows.line`). The work budget caps the row subsets walked,
+    comb(q, n').
     """
     ints = P._ints
     _, R, np_ = ints.reduced
     check_budget(comb(len(ints.B), np_), "basic solution subsets")
     if not ints.consistent:
         return {}
+    certs = {}
+    for v, cert in _subset_lines(R, np_, np_, np_ + 1):
+        certs.setdefault(v, cert)
     pts = {}
-    for v in dict(_subset_lines(R, np_, np_, np_ + 1)):
+    for v, cert in certs.items():
         line = ints.line(v)
-        pts[line] = _slacks(ints.B, line[1:], line[0])
+        if any(sum(map(mul, R[i], v)) for i in cert):
+            raise CorrespondenceViolation(f"basic solution line {line} does not read 0 on its certificate rows {cert}")
+        pts[line] = cert
     return pts
 
 

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import re
@@ -19,7 +20,7 @@ from polycircuits.circuits import (
 from polycircuits.constructions import cropped_cross_polytope
 from polycircuits.directions import CircuitSet
 from polycircuits.errors import BudgetExceeded, CorrespondenceViolation, NotPointed, PreconditionViolation
-from polycircuits.linalg import matrix, vector
+from polycircuits.linalg import canonicalize_direction, matrix, rank, solve, vector
 from polycircuits.polyhedron import (
     DEFAULT_BUDGET,
     HPolyhedron,
@@ -166,7 +167,7 @@ _WRONG_CERTIFICATE = """
 import itertools
 
 from polycircuits import polyhedron
-from polycircuits.circuits import enumerate_circuits
+from polycircuits.circuits import basic_solutions, enumerate_circuits
 from polycircuits.constructions import cropped_cross_polytope
 from polycircuits.errors import CorrespondenceViolation
 from polycircuits.linalg import rank
@@ -179,49 +180,68 @@ def reads_zero(row, line):
 
 
 def off_by_one(rows, line, cert):
-    return (*cert[:-1], cert[-1] + 1)
+    # the row after the last one, if it reads nonzero on the line (at a
+    # degenerate basic solution it may be tight as well)
+    j = cert[-1] + 1
+    if j < len(rows) and not reads_zero(rows[j], line):
+        return (*cert[:-1], j)
 
 
 def wrong_class(rows, line, cert):
     # the first row after the prefix that reads nonzero on the line: the
     # first row of a class other than those of the two points
     *prefix, ri, si = cert
-    j = next(j for j in range(prefix[-1] + 1 if prefix else 0, len(rows)) if not reads_zero(rows[j], line))
-    return tuple(sorted((*prefix, j, si)))
+    j = next((j for j in range(prefix[-1] + 1 if prefix else 0, len(rows)) if not reads_zero(rows[j], line)), None)
+    if j is not None:
+        return tuple(sorted((*prefix, j, si)))
 
 
 def low_rank(rows, line, cert):
+    # as many rows as the certificate's that read 0 on the line but have
+    # lower rank: distinct rows if some are dependent, else a row repeated
     zeros = [i for i, row in enumerate(rows) if reads_zero(row, line)]
-    return next(S for S in itertools.combinations(zeros, len(cert)) if rank([rows[i] for i in S]) < len(cert))
+    k = len(cert)
+    subsets = itertools.chain(itertools.combinations(zeros, k), itertools.combinations_with_replacement(zeros, k))
+    return next(S for S in subsets if rank([rows[i] for i in S]) < k)
 
 
-for mutate in (off_by_one, wrong_class, low_rank):
+subjects = {
+    "circuits": lambda: enumerate_circuits(polyhedron.homogenize(cropped_cross_polytope(3))),
+    "basic": lambda: basic_solutions(cropped_cross_polytope(3)),
+}
+for subject, run in subjects.items():
+    for mutate in (off_by_one, wrong_class, low_rank):
 
-    def corrupted(rows, k, ncols, width):
-        lines = walk(rows, k, ncols, width)
-        line, cert = next(lines)
-        wrong = mutate(rows, line, cert)
-        print(mutate.__name__, cert, "->", wrong, end=" ")
-        yield line, wrong
-        yield from lines
+        def corrupted(rows, k, ncols, width):
+            # the first line of the walk that the mutation can give a wrong certificate
+            wrong = None
+            for line, cert in walk(rows, k, ncols, width):
+                if wrong is None and (wrong := mutate(rows, line, cert)) is not None:
+                    print(subject, mutate.__name__, cert, "->", wrong, end=" ")
+                    cert = wrong
+                yield line, cert
 
-    polyhedron._subset_lines = corrupted
-    try:
-        enumerate_circuits(polyhedron.homogenize(cropped_cross_polytope(3)))
-        print("returned")
-    except CorrespondenceViolation as exc:
-        print("CorrespondenceViolation:", exc)
+        polyhedron._subset_lines = corrupted
+        try:
+            run()
+            print("returned")
+        except CorrespondenceViolation as exc:
+            print("CorrespondenceViolation:", exc)
 """
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
 def test_a_wrong_certificate_is_a_correspondence_violation(flags):
     # Each circuit line is checked on the n'-1 rows the walk names with it,
-    # also under -O. The first line of hom(ccp3)'s walk gets a wrong
-    # certificate: its last row index off by one, a row of another parallel
-    # class than its two points', or n'-1 rows that read 0 on it but have
-    # rank below n'-1. The first two read nonzero on the line, the last
-    # leaves a kernel larger than the line; enumerate_circuits raises each time.
+    # and each basic solution on its n' rows, also under -O. In the walk
+    # over hom(ccp3) (circuits) and over ccp3 (basic solutions), the first
+    # line that the mutation can give a wrong certificate gets one: its last
+    # row index off by one, a row of another parallel class than its two
+    # points', or rows as many as the certificate's that read 0 on it but
+    # have lower rank (at ccp3's basic solutions no distinct rows do, so a
+    # row repeats). The first two read nonzero on the line, the last leaves
+    # a kernel larger than the line; enumerate_circuits and basic_solutions
+    # raise each time.
     src = str(Path(polycircuits.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run(
@@ -233,19 +253,54 @@ def test_a_wrong_certificate_is_a_correspondence_violation(flags):
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert [line.split(" ", 1)[0] for line in lines] == ["off_by_one", "wrong_class", "low_rank"]
+    mutations = ["off_by_one", "wrong_class", "low_rank"]
+    assert [line.split(" ", 2)[:2] for line in lines] == [[s, m] for s in ("circuits", "basic") for m in mutations]
     misses = "does not read 0 on its certificate rows"
-    for line, caught in zip(lines, [misses, misses, "is not support-minimal"]):
-        m = re.fullmatch(r"\w+ (\(.*\)) -> (\(.*\)) CorrespondenceViolation: circuit candidate \(.*\) (.*)", line)
-        assert m and m[1] != m[2] and m[3].startswith(caught), line
+    names = {"circuits": "circuit candidate", "basic": "basic solution line"}
+    for line, caught in zip(lines, [misses, misses, "is not support-minimal"] * 2):
+        m = re.fullmatch(r"(\w+) \w+ (\(.*\)) -> (\(.*\)) CorrespondenceViolation: ([a-z ]+) \(.*\) (.*)", line)
+        assert m and m[2] != m[3] and m[4] == names[m[1]] and m[5].startswith(caught), line
 
 
 def test_lone_non_basic_point_is_a_correspondence_violation(monkeypatch):
     # Only the edge midpoint (1/2, 0) of the square, as its line (den, *num)
-    # with its slacks 2 * (d - B x): one tight row, rank 1 < 2, so it is not basic.
-    monkeypatch.setattr(circuits, "_basic_points", lambda P, *rest: {(2, 1, 0): [1, 0, 1, 2]})
+    # with its certificate, the one row tight there (-y <= 0): rank 1 < 2,
+    # so it is not basic.
+    monkeypatch.setattr(circuits, "_basic_points", lambda P, *rest: {(2, 1, 0): (1,)})
     with pytest.raises(CorrespondenceViolation, match="not support-minimal"):
         basic_solutions(cube(2))
+
+
+def _first_sampled_witness(P):
+    """The basic point that dominates the first non-basic midpoint of the
+    pairs `basic_solutions` samples (the first 50 pairs of its points, in
+    order), from Fractions: the rows tight at the midpoint, extended
+    greedily, in row order, to rank n, and solved."""
+    sols = basic_solutions(P)
+    for u, v in itertools.islice(itertools.combinations(sols.points, 2), 50):
+        tight = P.tight_inequality_rows([(a + b) / 2 for a, b in zip(u, v)])
+        if not tight or rank([P.B[i] for i in tight]) < P.n:
+            break
+    rows = []
+    for i in [*tight, *(i for i in range(len(P.B)) if i not in tight)]:
+        if rank([P.B[j] for j in (*rows, i)]) > len(rows):
+            rows.append(i)
+    return canonicalize_direction((1, *solve([P.B[i] for i in rows], [P.d[i] for i in rows])))
+
+
+def test_a_missing_dominating_point_is_a_correspondence_violation(monkeypatch):
+    # Each sampled non-basic midpoint names the basic point that dominates
+    # it, and the walk must have found that point. Drop the one that the
+    # first non-basic midpoint of ccp3's sample names. The midpoint's own
+    # endpoints still have tight sets strictly containing its own, so a
+    # test that some basic point dominates it passes; only the named
+    # witness sees the gap.
+    P = cropped_cross_polytope(3)
+    drop = _first_sampled_witness(P)
+    basic_points = circuits._basic_points
+    monkeypatch.setattr(circuits, "_basic_points", lambda P: {x: c for x, c in basic_points(P).items() if x != drop})
+    with pytest.raises(CorrespondenceViolation, match=f"not dominated: no basic solution line {re.escape(str(drop))}"):
+        basic_solutions(P)
 
 
 def test_budget_exceeded():

@@ -10,19 +10,25 @@ The references below are per-subset loops: every subset is eliminated
 from scratch through the public `rank`, `solve` and `kernel_basis`, and
 adjacency is the dimension of the face at the midpoint. Both must return
 exactly the same objects. Every circuit line is checked on the n'-1 rows
-the walk names with it (its certificate), every basic solution and vertex
-on its own tight rows, by one `linalg._ranks_reach` pass over the sorted
-row sets, which resumes each set from the prefix it shares with the set
-before it; its reference folds every set afresh.
+the walk names with it (its certificate), every basic solution on its n'
+certificate rows, and every vertex on its own tight rows, by one
+`linalg._ranks_reach` pass over the sorted row sets, which resumes each
+set from the prefix it shares with the set before it; its reference folds
+every set afresh.
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import polycircuits
 from polycircuits import linalg, lp, polyhedron
 from polycircuits.circuits import basic_solutions, enumerate_circuits
 from polycircuits.constructions import cropped_cross_polytope, hypercube, transportation
@@ -272,6 +278,53 @@ def test_reference_descriptions_cover_every_case():
     }, seen
 
 
+# `_description` draws n >= 1, so the single-point systems with n' = 0 come
+# here: R^0 with no rows, and two systems whose equality rows fix the point
+# (1, 2), the second infeasible. The walk names that point with the empty
+# certificate, and every enumerator must agree with its reference.
+POINT_SYSTEMS = {
+    "R^0": (HPolyhedron.make(0), (1,)),
+    "fixed": (HPolyhedron.make(2, A=[[1, 0], [1, 1]], b=[1, 3], B=[[1, 1], [-1, 0]], d=[5, 0]), (1, 1, 2)),
+    "fixed, infeasible": (HPolyhedron.make(2, A=[[1, 0], [1, 1]], b=[1, 3], B=[[1, 1], [-1, 0]], d=[2, 0]), (1, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(POINT_SYSTEMS))
+def test_point_systems_match_reference(name):
+    P, line = POINT_SYSTEMS[name]
+    assert basic_solutions(P) == _ref_basic_solutions(P) == BasicSolutionSet(lines=(line,))
+    assert polyhedron._basic_points(P) == {line: ()}
+    assert enumerate_circuits(P) == _ref_enumerate_circuits(P) == CircuitSet()
+    assert _outcome(_vertices_and_rays, P) == _outcome(_ref_vrep, P)
+    assert _outcome(edge_directions, P) == _outcome(_ref_edge_directions, P)
+
+
+_POINT_SYSTEMS_CHECK = """
+from polycircuits import polyhedron
+from polycircuits.circuits import basic_solutions
+from test_subsets import POINT_SYSTEMS
+
+for name, (P, line) in POINT_SYSTEMS.items():
+    got = basic_solutions(P).lines, polyhedron._basic_points(P)
+    if got != ((line,), {line: ()}):
+        raise SystemExit(f"{name}: {got}")
+    print(name, "ok")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_point_systems_have_one_basic_solution(flags):
+    # the same single points, also under -O, where asserts are stripped and
+    # only the checks that raise stay
+    paths = [str(Path(polycircuits.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([*paths, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _POINT_SYSTEMS_CHECK], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [f"{name} ok" for name in POINT_SYSTEMS]
+
+
 def _ref_subset_lines(rows, k, ncols, width):
     """The canonical kernel line of every k-subset of `rows` independent in
     its first `ncols` columns, each subset eliminated from scratch."""
@@ -409,7 +462,7 @@ def test_ranks_reach_matches_a_fold_per_set():
     "run, expected",
     [
         (lambda: enumerate_circuits(homogenize(cropped_cross_polytope(3))), 109),
-        (lambda: basic_solutions(cropped_cross_polytope(3)), 141),
+        (lambda: basic_solutions(cropped_cross_polytope(3)), 402),
         (lambda: edge_directions(hypercube(3)), 33),
     ],
     ids=["circuits-hom-ccp3", "basic-solutions-ccp3", "edges-cube3"],
@@ -420,13 +473,18 @@ def test_subset_work_is_pinned(monkeypatch, run, expected):
     # take none: each becomes three coordinates on its prefix's kernel, and
     # a pair of them meets in one cross product. A change that visits
     # more subsets or eliminates more rows must update these counts on purpose.
-    # They include the rank test of every circuit line on its certificate
-    # rows and of every basic solution and vertex on its own tight rows
+    # They include the rank test of every circuit line and basic solution on
+    # its certificate rows and of every vertex on its own tight rows
     # (linalg._ranks_reach, one pass
     # over the sorted row sets that resumes each from the echelon form of
     # the prefix it shares with the set before it; the last row of each check
     # is reduced, not inserted), and the start cone of the double
     # description; edges are decided by tight-row masks, with no rank test.
+    # Of ccp3's 402 basic-solution steps, 301 name the dominating point of
+    # each sampled non-basic midpoint: its tight rows, then the others, are
+    # inserted greedily until they reach rank n' (`linalg._independent`, 157
+    # steps), and the n' rows picked are folded again for their kernel line
+    # (`linalg._fold`, 144 steps).
     calls = []
     insert = linalg._insert
 
@@ -447,7 +505,10 @@ def test_walks_and_rank_tests_read_the_reduced_rows(monkeypatch):
     # last row of each rank test is reduced, not inserted.
     # transportation(5, 2, (1, 4)) has n = 10 and seven equality rows of
     # rank 6, so n' = 4. The rows n wide are the Fraction `rank` of [A; B]
-    # in `is_pointed`.
+    # in `is_pointed`. Of the 585 steps, 409 name the dominating point of
+    # each non-basic midpoint that `basic_solutions` samples: a greedy pass
+    # over the reduced rows to rank n' (`linalg._independent`, 209 steps)
+    # and a fold of the rows it picks (`linalg._fold`, 200 steps).
     P = transportation(5, 2, (1, 4))
     widths = []
     insert = linalg._insert
@@ -462,7 +523,7 @@ def test_walks_and_rank_tests_read_the_reduced_rows(monkeypatch):
     edge_directions(P)
     wide = Counter(w for w in widths if w > 5)
     assert wide == {11: len(P.A), 10: len(P.A) + len(P.B)}
-    assert len(widths) == 292
+    assert len(widths) == 585
 
 
 def test_circuit_lines_are_checked_on_their_certificates_alone(monkeypatch):
