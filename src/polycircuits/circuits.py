@@ -14,22 +14,10 @@ from typing import Sequence
 
 from .directions import BasicSolutionSet, CircuitSet
 from .errors import CorrespondenceViolation, NotPointed
-from .linalg import (
-    _EMPTY,
-    Direction,
-    _canonical,
-    _fold,
-    _independent,
-    _kernel,
-    _ranks_reach,
-    canonicalize_direction,
-    kernel_basis,
-    mat_vec,
-)
+from .linalg import Direction, canonicalize_direction, kernel_basis, mat_vec
 from .polyhedron import (
     HPolyhedron,
     _basic_points,
-    _slacks,
     check_budget,
     homogenize,
     is_pointed,
@@ -55,9 +43,10 @@ def enumerate_circuits(P: HPolyhedron) -> CircuitSet:
     The set is P's cached circuit walk (`_circuit_lines`), so every call on
     one P returns the same object: the lines of the (n'-1)-row subset walk,
     each checked to be support-minimal on the n'-1 rows the walk names with
-    it, which must read 0 on it and have rank n'-1 (CorrespondenceViolation
-    if not). A non-pointed system yields its lineality basis instead (every
-    nonzero lineality vector is a circuit there).
+    it, which must read 0 on it and have rank n'-1 (`_certified_lines`,
+    which checks basic solutions alike; CorrespondenceViolation if not). A
+    non-pointed system yields its lineality basis instead (every nonzero
+    lineality vector is a circuit there).
     """
     return P._circuit_walk
 
@@ -92,52 +81,15 @@ def basic_solutions(P: HPolyhedron) -> BasicSolutionSet:
     """All points (feasible or not) whose tight rows have full column rank.
 
     Points satisfy every equality row; only inequality rows may be
-    violated. Each returned point is checked to be basic on the n' rows the
-    walk names with it (`_basic_points`): it must read 0 on them, and one
-    `_ranks_reach` pass checks that the certificates of all points reach
-    rank n'. A sample of non-basic points is checked to be dominated, their
-    tight set strictly inside that of a basic point, which is the support
-    characterization that makes these the degree-one homogenization
-    circuits: the sample names that basic point, and the walk must have
-    found it. Slacks are computed only for the at most 51 points the sample
-    reads.
+    violated. The set is the basic solution walk `_basic_points`, which
+    checks each point on the n' rows the walk names with it, as
+    `enumerate_circuits` checks each circuit on its n'-1 rows, and checks
+    that a sample of non-basic points is dominated by a point it found
+    (CorrespondenceViolation if not).
     """
     if not is_pointed(P):
         raise NotPointed(P.name or "polyhedron")
-    ints = P._ints
-    _, R, np_ = ints.reduced
-    pts = _basic_points(P)
-    sols = BasicSolutionSet.of(pts)
-    bad = _ranks_reach(list(pts.values()), R, np_, np_)
-    if bad is not None:
-        raise CorrespondenceViolation(f"basic solution line {list(pts)[bad]} is not support-minimal")
-    # Non-basic sample: midpoints of basic pairs stay on the equality block;
-    # that of (du, *nu) and (dv, *nv) is the line of (2 du dv, nu dv + nv du),
-    # and su * dv + sv * du is its `_slacks` vector times 2 du dv. Its tight
-    # rows, extended greedily to rank n' (its own rows first), cut out one
-    # point: the midpoint itself when its own rows reach rank n', else a
-    # basic point tight on every row tight at the midpoint (each such row,
-    # rhs included, is a combination of the independent ones) and on more.
-    pairs = list(itertools.islice(itertools.combinations(sols.lines, 2), 50))
-    slacks = {x: _slacks(ints.B, x[1:], x[0]) for x in set(itertools.chain(*pairs))}
-    for u, v in pairs:
-        (du, *nu), (dv, *nv) = u, v
-        z = _canonical([2 * du * dv, *(a * dv + b * du for a, b in zip(nu, nv))])
-        t = [i for i, (a, b) in enumerate(zip(slacks[u], slacks[v])) if a * dv + b * du == 0]
-        tight = set(t)
-        order = t + [i for i in range(len(R)) if i not in tight]
-        rows = [order[j] for j in _independent([R[i] for i in order], np_)]
-        if tight.issuperset(rows):  # the midpoint is basic
-            if z not in pts:
-                raise CorrespondenceViolation(f"missed basic solution line {z}")
-            continue
-        (w,) = _kernel(_fold(_EMPTY, [R[i] for i in rows], np_ + 1), np_ + 1)
-        w = ints.line(w)
-        if w not in pts:
-            raise CorrespondenceViolation(
-                f"non-basic midpoint line {z} not dominated: no basic solution line {w} on its rows {tuple(rows)}"
-            )
-    return sols
+    return _basic_points(P)
 
 
 @dataclass(frozen=True)

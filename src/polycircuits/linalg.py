@@ -221,15 +221,16 @@ def _fold(
 _EMPTY: _Echelon = ([], [], 1)
 
 
-def _independent(rows: Sequence[Sequence[int]], ncols: int) -> list[int]:
+def _independent(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[int], _Echelon]:
     """The indices of the integer rows independent, in their first `ncols` columns, of
-    the rows before them (the pivot columns of the transpose), up to rank `ncols`."""
+    the rows before them (the pivot columns of the transpose), up to rank `ncols`, and
+    the echelon form of the rows picked, whose `_kernel` a caller need not fold again."""
     picked, echelon = [], _EMPTY
     for i, row in enumerate(rows):
         if len(picked) < ncols and (grown := _insert(*echelon, row, ncols)):
             echelon = grown
             picked.append(i)
-    return picked
+    return picked, echelon
 
 
 def _ranks_reach(sets: Sequence[Sequence[int]], rows: Sequence[Sequence[int]], r: int, ncols: int) -> Optional[int]:

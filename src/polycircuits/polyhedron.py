@@ -29,7 +29,11 @@ mask; `_edges` the `CircuitSet` of `edge_directions`; and
 `_domain_generators` the generators that `project` prunes by. A cache
 hit runs no walk and charges no work budget; a walk that raises,
 `BudgetExceeded` included, is not cached. The cache belongs to the
-object: a `renamed` copy or any new description walks afresh.
+object: a `renamed` copy or any new description walks afresh. The basic
+solution walk `_basic_points` is not cached; it returns the checked
+`BasicSolutionSet` of `basic_solutions`. Both subset walks go through one
+check, `_certified_lines`: each line on the rows the walk names with it,
+and one `_ranks_reach` pass over all of them.
 
 `project` has one route. It prunes every domain, pointed or not, by the
 rows' incidences with generators of P: the vertices and rays of `vrep(P)`,
@@ -71,7 +75,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 from operator import mul
-from typing import Container, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
 from .directions import BasicSolutionSet, CircuitSet
 from .errors import (
@@ -402,7 +406,7 @@ def _promoted(P: HPolyhedron, implicit: Sequence[int]) -> HPolyhedron:
     """P with its implicit equality rows moved to A and dependent A rows dropped."""
     A = P.A + tuple(P.B[i] for i in implicit)
     b = P.b + tuple(P.d[i] for i in implicit)
-    keep = _independent([row[:-1] for row in (*P._ints.A, *(P._ints.B[i] for i in implicit))], P.n)
+    keep, _ = _independent([row[:-1] for row in (*P._ints.A, *(P._ints.B[i] for i in implicit))], P.n)
     promoted = set(implicit)
     rest = [i for i in range(len(P.B)) if i not in promoted]
     return replace(
@@ -502,41 +506,89 @@ def _shot_facets(ints: _IntRows, keep: Sequence[int], inside: Sequence[int]) -> 
     return proved
 
 
-def _basic_points(P: HPolyhedron) -> dict[Direction, tuple[int, ...]]:
-    """The basic solutions of P, as lines (den, *num), each mapped to its certificate.
+def _certified_lines(
+    rows: Sequence[Sequence[int]], k: int, ncols: int, width: int, what: str,
+    name: Callable[[Sequence[int]], Direction],
+) -> list[Direction]:
+    """The lines of the subset walk `_subset_lines`(rows, k, ncols, width), each
+    checked to be support-minimal on the k rows the walk names with it first.
+
+    Different subsets reach the same line, so each line keeps its first
+    certificate. It must read 0 on those rows, and one `_ranks_reach` pass
+    checks that the certificates of all lines reach rank k in the first
+    `ncols` columns, sharing their common prefixes, so that their kernel is
+    the line and any line of smaller support would lie in it. A line that
+    fails raises CorrespondenceViolation, naming it as `what` `name`(line).
+    The lines come back in walk coordinates, in walk order. The certificates
+    go before they do: held through the lift of hom(ccp5)'s circuits, they
+    raised its peak RSS from 26.2 to 30.0 MB.
+    """
+    certs = {}
+    for v, cert in _subset_lines(rows, k, ncols, width):
+        certs.setdefault(v, cert)
+    for v, cert in certs.items():
+        if any(sum(map(mul, rows[i], v)) for i in cert):
+            raise CorrespondenceViolation(f"{what} {name(v)} does not read 0 on its certificate rows {cert}")
+    lines, sets = list(certs), list(certs.values())
+    del certs  # held through the rank pass, it raised the tracemalloc peak of hom(ccp5)'s circuits by 1 MB
+    bad = _ranks_reach(sets, rows, k, ncols)
+    if bad is not None:
+        raise CorrespondenceViolation(f"{what} {name(lines[bad])} is not support-minimal")
+    return lines
+
+
+def _basic_points(P: HPolyhedron) -> BasicSolutionSet:
+    """The `BasicSolutionSet` of P, its points as lines (den, *num), each checked to be basic.
 
     A basic solution solves the equality rows with n' = n - rank(A)
     independent inequality rows held tight; there are none when the
-    equality rows are inconsistent. The walk (`_subset_lines`) runs on the
-    reduced rows R of `P._ints.reduced`, width n' + 1, and stops two rows
-    early: each (n'-2)-prefix leaves a kernel of dimension three, each later
-    row becomes its three coordinates on it, and each pair of distinct
-    points gives a line by their cross product. The product's entry in the
-    last column must not vanish, or the subset would be dependent in the
-    first n' columns. Different subsets reach the same line, so each line
-    keeps the certificate the walk names with it first: n' ascending row
-    indices, the prefix and the first row of each of the two classes. Each
-    line must read 0 on its certificate rows of R, or the walk is wrong
-    (CorrespondenceViolation); that those rows reach rank n' is checked by
-    `basic_solutions`. Each line maps back to its point's line (den, *num)
-    (`_IntRows.line`). The work budget caps the row subsets walked,
-    comb(q, n').
+    equality rows are inconsistent. The walk (`_certified_lines`) runs on
+    the reduced rows R of `P._ints.reduced`, width n' + 1: each line is the
+    kernel of n' rows independent in the first n' columns, checked on those
+    rows, and maps back to its point's line (den, *num) (`_IntRows.line`).
+    A sample of non-basic points is checked to be dominated, their tight
+    set strictly inside that of a basic point, which is the support
+    characterization that makes these the degree-one homogenization
+    circuits: the sample names that basic point, and the walk must have
+    found it. Slacks are computed only for the at most 51 points the sample
+    reads. The work budget caps the row subsets walked, comb(q, n').
     """
     ints = P._ints
     _, R, np_ = ints.reduced
     check_budget(comb(len(ints.B), np_), "basic solution subsets")
     if not ints.consistent:
-        return {}
-    certs = {}
-    for v, cert in _subset_lines(R, np_, np_, np_ + 1):
-        certs.setdefault(v, cert)
-    pts = {}
-    for v, cert in certs.items():
-        line = ints.line(v)
-        if any(sum(map(mul, R[i], v)) for i in cert):
-            raise CorrespondenceViolation(f"basic solution line {line} does not read 0 on its certificate rows {cert}")
-        pts[line] = cert
-    return pts
+        return BasicSolutionSet()
+    # a dict, not a set, for the sample's lookups: at ccp4's 1,480 points it takes 74 KB, a set 131 KB
+    pts = dict.fromkeys(map(ints.line, _certified_lines(R, np_, np_, np_ + 1, "basic solution line", ints.line)))
+    sols = BasicSolutionSet.of(pts)
+    # Non-basic sample: midpoints of basic pairs stay on the equality block;
+    # that of (du, *nu) and (dv, *nv) is the line of (2 du dv, nu dv + nv du),
+    # and su * dv + sv * du is its `_slacks` vector times 2 du dv. Its tight
+    # rows, extended greedily to rank n' (its own rows first), cut out one
+    # point: the midpoint itself when its own rows reach rank n', else a
+    # basic point tight on every row tight at the midpoint (each such row,
+    # rhs included, is a combination of the independent ones) and on more.
+    pairs = list(itertools.islice(itertools.combinations(sols.lines, 2), 50))
+    slacks = {x: _slacks(ints.B, x[1:], x[0]) for x in set(itertools.chain(*pairs))}
+    for u, v in pairs:
+        (du, *nu), (dv, *nv) = u, v
+        z = _canonical([2 * du * dv, *(a * dv + b * du for a, b in zip(nu, nv))])
+        t = [i for i, (a, b) in enumerate(zip(slacks[u], slacks[v])) if a * dv + b * du == 0]
+        tight = set(t)
+        order = t + [i for i in range(len(R)) if i not in tight]
+        picked, echelon = _independent([R[i] for i in order], np_)
+        rows = [order[j] for j in picked]
+        if tight.issuperset(rows):  # the midpoint is basic
+            if z not in pts:
+                raise CorrespondenceViolation(f"missed basic solution line {z}")
+            continue
+        (w,) = _kernel(echelon, np_ + 1)  # the picked rows are independent in the first n' columns
+        w = ints.line(w)
+        if w not in pts:
+            raise CorrespondenceViolation(
+                f"non-basic midpoint line {z} not dominated: no basic solution line {w} on its rows {tuple(rows)}"
+            )
+    return sols
 
 
 def _circuit_lines(P: HPolyhedron) -> CircuitSet:
@@ -545,46 +597,25 @@ def _circuit_lines(P: HPolyhedron) -> CircuitSet:
     Works in kernel coordinates of the equality block: each line is the
     one-dimensional kernel of n'-1 independent rows among the first n'
     columns of the reduced rows R of `P._ints.reduced`, n' = n - rank(A),
-    mapped back by `_IntRows.lift` to a canonical integer direction, as is
-    each vector of the lineality basis. The walk (`_subset_lines`) stops two
-    rows early: each independent (n'-3)-prefix is eliminated once, every
-    later row is reduced to its three coordinates on the prefix's kernel,
-    one point per parallel class, and each pair of distinct points gives one
-    line by their cross product. Different prefixes reach the same line, so
-    each line keeps the certificate the walk names with it first: n'-1 rows,
-    the prefix and the first row of each of the two classes. Each line is
-    checked to be support-minimal on those n'-1 rows alone: it must read 0
-    on them, and they must reach rank n'-1, so that their kernel is the line
-    and any direction of smaller support would lie in it
-    (CorrespondenceViolation if not). One `_ranks_reach` pass checks the
-    certificates of all lines, sharing their common prefixes. The work
-    budget caps the row subsets walked, comb(q, n'-1).
+    checked on those rows (`_certified_lines`) and mapped back by
+    `_IntRows.lift` to a canonical integer direction, as is each vector of
+    the lineality basis. The work budget caps the row subsets walked,
+    comb(q, n'-1).
     """
     ints, n = P._ints, P.n
     _, R, np_ = ints.reduced
     if np_ == 0:
         return CircuitSet()
-    rows = [row[:np_] for row in R]
     if ints.lineality:
         return CircuitSet.subspace(ints.lift(v)[:n] for v in ints.lineality)
-    check_budget(comb(len(rows), np_ - 1), "circuit candidate subsets")
-    certs = {}
-    for gh, cert in _subset_lines(rows, np_ - 1, np_, np_):
-        certs.setdefault(gh, cert)
-    for gh, cert in certs.items():
-        if any(sum(map(mul, rows[i], gh)) for i in cert):
-            line = _canonical(ints.lift(gh)[:n])
-            raise CorrespondenceViolation(f"circuit candidate {line} does not read 0 on its certificate rows {cert}")
-    ghats, sets = list(certs), list(certs.values())
-    # the certificates go before the lines are built: held through the
-    # lift, they raised the peak RSS of hom(ccp5)'s circuits from 26.2 to
-    # 30.0 MB
-    del certs
-    bad = _ranks_reach(sets, rows, np_ - 1, np_)
-    del sets
-    lines = [_canonical(ints.lift(gh)[:n]) for gh in ghats]
-    if bad is not None:
-        raise CorrespondenceViolation(f"circuit candidate {lines[bad]} is not support-minimal")
+    check_budget(comb(len(R), np_ - 1), "circuit candidate subsets")
+
+    def name(gh: Sequence[int]) -> Direction:
+        return _canonical(ints.lift(gh)[:n])
+
+    lines = _certified_lines([row[:np_] for row in R], np_ - 1, np_, np_, "circuit candidate", name)
+    for i, gh in enumerate(lines):
+        lines[i] = name(gh)  # in place, so each line in walk coordinates goes as its lift comes
     lines.sort()  # in place: a sorted copy added 2 MB to the peak RSS of thm2 --n 5
     return CircuitSet(directions=tuple(lines))
 
@@ -616,7 +647,7 @@ def _extreme_rays(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
     The work budget caps the pairs tested, a running count checked before each
     row's pairs.
     """
-    start = _independent(rows, width)
+    start, _ = _independent(rows, width)
     tight = sum(1 << i for i in start)
     rays, masks = [], []
     for i in start:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import polycircuits
-from polycircuits import circuits, polyhedron
+from polycircuits import polyhedron
 from polycircuits.circuits import (
     basic_solutions,
     circuits_of_homogenization,
@@ -263,11 +263,12 @@ def test_a_wrong_certificate_is_a_correspondence_violation(flags):
 
 
 def test_lone_non_basic_point_is_a_correspondence_violation(monkeypatch):
-    # Only the edge midpoint (1/2, 0) of the square, as its line (den, *num)
-    # with its certificate, the one row tight there (-y <= 0): rank 1 < 2,
-    # so it is not basic.
-    monkeypatch.setattr(circuits, "_basic_points", lambda P, *rest: {(2, 1, 0): (1,)})
-    with pytest.raises(CorrespondenceViolation, match="not support-minimal"):
+    # The square's walk yields only the edge midpoint (1/2, 0), as the
+    # vector (-1, 0, 2) on the rows [a | rhs], whose line (den, *num) is
+    # (2, 1, 0), with its certificate, the one row tight there (-y <= 0):
+    # it reads 0 on the midpoint, but rank 1 < 2, so it is not basic.
+    monkeypatch.setattr(polyhedron, "_subset_lines", lambda rows, k, ncols, width: iter([((-1, 0, 2), (1,))]))
+    with pytest.raises(CorrespondenceViolation, match=re.escape("basic solution line (2, 1, 0) is not support-minimal")):
         basic_solutions(cube(2))
 
 
@@ -297,8 +298,12 @@ def test_a_missing_dominating_point_is_a_correspondence_violation(monkeypatch):
     # witness sees the gap.
     P = cropped_cross_polytope(3)
     drop = _first_sampled_witness(P)
-    basic_points = circuits._basic_points
-    monkeypatch.setattr(circuits, "_basic_points", lambda P: {x: c for x, c in basic_points(P).items() if x != drop})
+    walk = polyhedron._subset_lines
+
+    def without_drop(rows, k, ncols, width):
+        return ((v, cert) for v, cert in walk(rows, k, ncols, width) if P._ints.line(v) != drop)
+
+    monkeypatch.setattr(polyhedron, "_subset_lines", without_drop)
     with pytest.raises(CorrespondenceViolation, match=f"not dominated: no basic solution line {re.escape(str(drop))}"):
         basic_solutions(P)
 

@@ -317,16 +317,16 @@ def test_linalg_alone_makes_and_reduces_integers():
     assert found == []
 
 
-def _private_uses(owners, imports, attributes):
+def _private_uses(owners, imports, attributes, source="polyhedron"):
     """Where a package module other than `owners` imports one of `imports`
-    from `polyhedron` or reads an attribute named in `attributes`."""
+    from the module `source` or reads an attribute named in `attributes`."""
     package = Path(polycircuits.__file__).resolve().parent
     found = []
     for path in sorted(package.glob("*.py")):
         if path.name in owners:
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
-            if isinstance(node, ast.ImportFrom) and node.module in ("polyhedron", "polycircuits.polyhedron"):
+            if isinstance(node, ast.ImportFrom) and node.module in (source, f"polycircuits.{source}"):
                 found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names if alias.name in imports]
             elif isinstance(node, ast.Attribute) and node.attr in attributes:
                 found.append(f"{path.name}:{node.lineno} .{node.attr}")
@@ -337,9 +337,16 @@ def test_only_circuits_imports_the_walk_internals():
     # each description caches its own walks; every other module asks for
     # circuits, vertices and edges through the public functions, so a new
     # walk can replace a cached one without touching its callers
-    internals = {"_circuit_lines", "_basic_points", "_vrep"}
+    internals = {"_circuit_lines", "_basic_points", "_certified_lines", "_vrep"}
     caches = {"_circuit_walk", "_vertex_walk", "_edge_walk"}
     assert _private_uses(("polyhedron.py", "circuits.py"), internals, caches) == []
+
+
+def test_only_polyhedron_imports_the_rank_pass():
+    # the outputs of the subset walks and of the double description are
+    # checked where they are made, so one rank pass serves every walk
+    found = _private_uses(("polyhedron.py", "linalg.py"), {"_ranks_reach"}, {"_ranks_reach"}, source="linalg")
+    assert found == []
 
 
 def test_only_the_projection_law_takes_the_lp_route():
@@ -349,10 +356,11 @@ def test_only_the_projection_law_takes_the_lp_route():
 
 
 def test_only_the_walks_and_the_simplex_read_the_integer_rows():
-    # a description's integer rows and their slack test belong to the walks
-    # and the simplex; every other module reads slacks and vertices through
-    # the public functions and results, so the row format can change in one place
-    assert _private_uses(("polyhedron.py", "circuits.py", "lp.py"), {"_slacks"}, {"_ints"}) == []
+    # a description's integer rows and their slack test belong to the walks,
+    # all in polyhedron, and the simplex; every other module, circuits
+    # included, reads slacks, points and vertices through the public
+    # functions and results, so the row format can change in one place
+    assert _private_uses(("polyhedron.py", "lp.py"), {"_slacks"}, {"_ints"}) == []
 
 
 _FRACTIONAL_DIRECTION = """

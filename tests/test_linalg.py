@@ -113,7 +113,7 @@ def test_matmul_against_identity_and_transpose():
 
 def test_row_space_basis_keeps_lowest_indices():
     M = matrix([[1, 0], [2, 0], [0, 1], [1, 1]])
-    assert linalg._independent(linalg._int_rows(M), 2) == [0, 2]
+    assert linalg._independent(linalg._int_rows(M), 2)[0] == [0, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +239,11 @@ def _check_against_reference(M):
         assert all(x.denominator == 1 for x in v) and gcd(*(int(x) for x in v)) == 1
         assert is_zero(mat_vec(M, v))
 
-    assert linalg._independent(linalg._int_rows(M), n) == _ref_row_space_basis_indices(M)
+    # the rows picked, and their echelon form, which is their own fold
+    ints = linalg._int_rows(M)
+    picked, echelon = linalg._independent(ints, n)
+    assert picked == _ref_row_space_basis_indices(M)
+    assert echelon == linalg._fold(linalg._EMPTY, [ints[i] for i in picked], n)
 
 
 @pytest.mark.parametrize("seed", range(25))

@@ -281,7 +281,8 @@ def test_reference_descriptions_cover_every_case():
 # `_description` draws n >= 1, so the single-point systems with n' = 0 come
 # here: R^0 with no rows, and two systems whose equality rows fix the point
 # (1, 2), the second infeasible. The walk names that point with the empty
-# certificate, and every enumerator must agree with its reference.
+# certificate, which is checked like any other, and every enumerator must
+# agree with its reference.
 POINT_SYSTEMS = {
     "R^0": (HPolyhedron.make(0), (1,)),
     "fixed": (HPolyhedron.make(2, A=[[1, 0], [1, 1]], b=[1, 3], B=[[1, 1], [-1, 0]], d=[5, 0]), (1, 1, 2)),
@@ -293,7 +294,7 @@ POINT_SYSTEMS = {
 def test_point_systems_match_reference(name):
     P, line = POINT_SYSTEMS[name]
     assert basic_solutions(P) == _ref_basic_solutions(P) == BasicSolutionSet(lines=(line,))
-    assert polyhedron._basic_points(P) == {line: ()}
+    assert polyhedron._basic_points(P) == BasicSolutionSet(lines=(line,))
     assert enumerate_circuits(P) == _ref_enumerate_circuits(P) == CircuitSet()
     assert _outcome(_vertices_and_rays, P) == _outcome(_ref_vrep, P)
     assert _outcome(edge_directions, P) == _outcome(_ref_edge_directions, P)
@@ -302,11 +303,12 @@ def test_point_systems_match_reference(name):
 _POINT_SYSTEMS_CHECK = """
 from polycircuits import polyhedron
 from polycircuits.circuits import basic_solutions
+from polycircuits.directions import BasicSolutionSet
 from test_subsets import POINT_SYSTEMS
 
 for name, (P, line) in POINT_SYSTEMS.items():
     got = basic_solutions(P).lines, polyhedron._basic_points(P)
-    if got != ((line,), {line: ()}):
+    if got != ((line,), BasicSolutionSet(lines=(line,))):
         raise SystemExit(f"{name}: {got}")
     print(name, "ok")
 """
@@ -462,7 +464,7 @@ def test_ranks_reach_matches_a_fold_per_set():
     "run, expected",
     [
         (lambda: enumerate_circuits(homogenize(cropped_cross_polytope(3))), 109),
-        (lambda: basic_solutions(cropped_cross_polytope(3)), 402),
+        (lambda: basic_solutions(cropped_cross_polytope(3)), 258),
         (lambda: edge_directions(hypercube(3)), 33),
     ],
     ids=["circuits-hom-ccp3", "basic-solutions-ccp3", "edges-cube3"],
@@ -480,11 +482,10 @@ def test_subset_work_is_pinned(monkeypatch, run, expected):
     # the prefix it shares with the set before it; the last row of each check
     # is reduced, not inserted), and the start cone of the double
     # description; edges are decided by tight-row masks, with no rank test.
-    # Of ccp3's 402 basic-solution steps, 301 name the dominating point of
+    # Of ccp3's 258 basic-solution steps, 157 name the dominating point of
     # each sampled non-basic midpoint: its tight rows, then the others, are
-    # inserted greedily until they reach rank n' (`linalg._independent`, 157
-    # steps), and the n' rows picked are folded again for their kernel line
-    # (`linalg._fold`, 144 steps).
+    # inserted greedily until they reach rank n' (`linalg._independent`),
+    # whose echelon form gives the kernel line with no fold of its own.
     calls = []
     insert = linalg._insert
 
@@ -505,10 +506,10 @@ def test_walks_and_rank_tests_read_the_reduced_rows(monkeypatch):
     # last row of each rank test is reduced, not inserted.
     # transportation(5, 2, (1, 4)) has n = 10 and seven equality rows of
     # rank 6, so n' = 4. The rows n wide are the Fraction `rank` of [A; B]
-    # in `is_pointed`. Of the 585 steps, 409 name the dominating point of
+    # in `is_pointed`. Of the 385 steps, 209 name the dominating point of
     # each non-basic midpoint that `basic_solutions` samples: a greedy pass
-    # over the reduced rows to rank n' (`linalg._independent`, 209 steps)
-    # and a fold of the rows it picks (`linalg._fold`, 200 steps).
+    # over the reduced rows to rank n' (`linalg._independent`), whose
+    # echelon form gives the point's kernel line with no second fold.
     P = transportation(5, 2, (1, 4))
     widths = []
     insert = linalg._insert
@@ -523,13 +524,14 @@ def test_walks_and_rank_tests_read_the_reduced_rows(monkeypatch):
     edge_directions(P)
     wide = Counter(w for w in widths if w > 5)
     assert wide == {11: len(P.A), 10: len(P.A) + len(P.B)}
-    assert len(widths) == 585
+    assert len(widths) == 385
 
 
 def test_circuit_lines_are_checked_on_their_certificates_alone(monkeypatch):
     # Each circuit line is checked on the n'-1 rows the walk names with it,
     # not on every row that reads 0 on it: the one `_ranks_reach` pass of
-    # `_circuit_lines` receives one set of exactly n'-1 rows per line.
+    # `_circuit_lines` (in `_certified_lines`) receives one set of exactly
+    # n'-1 rows per line.
     # hom(ccp3) has n' = 4, and 39 of its 151 lines read 0 on 4 to 7 rows.
     received = []
     ranks_reach = polyhedron._ranks_reach
