@@ -114,7 +114,7 @@ def circuits_of_homogenization(P: HPolyhedron) -> tuple[CircuitSet, Homogenizati
     # and dropping that entry leaves them sorted and canonical; every other
     # line has a positive leading entry
     directions = CircuitSet(directions=tuple(v[1:] for v in CH if v[0] == 0))
-    points = BasicSolutionSet.of(v for v in CH if v[0])
+    points = BasicSolutionSet.of([v for v in CH if v[0]])
     CP = enumerate_circuits(P)
     BP = basic_solutions(P)
     if directions.directions != CP.directions:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .linalg import Direction, Fraction, Vector, canonicalize_direction, rank, vector
 
@@ -78,11 +78,11 @@ class BasicSolutionSet:
     lines: tuple[Direction, ...] = ()
 
     @staticmethod
-    def of(lines: Iterable[Direction]) -> "BasicSolutionSet":
-        """Sorted on integer keys: each point times the lcm of every den, which keeps the order."""
-        lines = set(lines)
+    def of(lines: Collection[Direction]) -> "BasicSolutionSet":
+        """Distinct lines, sorted as they are, with no copy, on integer keys: each
+        point times the lcm of every den, which keeps the order, as a tuple."""
         den = lcm(*(v[0] for v in lines))
-        return BasicSolutionSet(lines=tuple(sorted(lines, key=lambda v: [x * (den // v[0]) for x in v[1:]])))
+        return BasicSolutionSet(lines=tuple(sorted(lines, key=lambda v: tuple([x * (den // v[0]) for x in v[1:]]))))
 
     @cached_property
     def points(self) -> tuple[Vector, ...]:

@@ -41,16 +41,20 @@ or for a P with a lineality space L those of P ∩ L^⊥ and ± each line of
 L. Facets, like the adjacencies of the double description and the edge
 walk (`_adjacent`), are decided by containment of tight-row masks, and
 rank tests only check outputs (vertices, circuit lines, basic solutions).
-Only the implicit equalities of a prune, the rows tight on every
-generator, meet an LP, and those LPs see only them and the equality rows
-(`_Eliminator`). After the last prune the implicit equalities are
+Each row's mask is read once for the domain's rows and then carried
+through the elimination steps, and read again on the rows left, which
+must match. Only the implicit equalities of a prune, the rows tight on
+every generator, meet an LP, and those LPs see only them and the equality
+rows (`_Eliminator`). Both routes prune after the first step and after
+each combination step; a substitution that follows a prune leaves
+nothing to prune. After the last prune the implicit equalities are
 promoted, and the rows are not pruned again. By Farkas, the implicit rows
 have a positive combination that reads 0 <= 0 and uses no other row, so
 dropping any other row keeps them implicit. Promoting them therefore
 leaves the polyhedron that every row was tested against unchanged.
 
 `_project` without generators is the LP route that `project` is checked
-against. Every prune tests every row against the others that are left
+against. Each prune tests every row against the others that are left
 (`_irredundant_rows`), and the implicit equalities come from LPs: a row
 slack at some known point is not one, so each round solves one LP, on
 the summed slack of the rows that no LP point or ray has shown slack,
@@ -636,24 +640,28 @@ def _extreme_rays(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
     primitive integer vectors, by double description (Motzkin, Raiffa, Thompson
     & Thrall 1953; Fukuda & Prodon 1996). `rows` must reach rank `width`.
 
-    The first `width` independent rows cut a simplicial start cone, whose rays
-    are the kernel lines of each `width` - 1 of them, each oriented so that the
-    row left out reads > 0. The other rows are added in order. Adding a row a
-    keeps the rays with a . v >= 0 and adds the ray (a . p) q - (a . q) p, on
-    which a reads 0, for every adjacent pair with a . p > 0 > a . q. Each ray
-    carries the mask of the rows added so far that are tight on it, and p and q
-    are adjacent iff `_adjacent` holds on the masks of the rays so far: a face
-    of the cone with three dimensions or more has three extreme rays or more.
-    The work budget caps the pairs tested, a running count checked before each
-    row's pairs.
+    The first `width` independent rows S cut a simplicial start cone, whose
+    ray j is the kernel line of the rows of S but row j, oriented so that row
+    j reads > 0: column j of S^-1. One fold of the rows [S_j | e_j] gives
+    the echelon form det [I | S^-1] (`_fold`), so ray j is column j of
+    det S^-1, times the sign of det, made primitive. The other rows are
+    added in order. Adding a row a keeps the rays with a . v >= 0 and adds
+    the ray (a . p) q - (a . q) p, on which a reads 0, for every adjacent
+    pair with a . p > 0 > a . q. Each ray carries the mask of the rows added
+    so far that are tight on it, and p and q are adjacent iff `_adjacent`
+    holds on the masks of the rays so far: a face of the cone with three
+    dimensions or more has three extreme rays or more. The work budget caps
+    the pairs tested, a running count checked before each row's pairs.
     """
     start, _ = _independent(rows, width)
+    unit = [[int(k == j) for k in range(width)] for j in range(width)]
+    echelon, pivots, det = _fold(_EMPTY, [[*rows[i], *e] for i, e in zip(start, unit)], width)
+    inverse = [None] * width  # det S^-1, row by row: the echelon row with pivot c holds row c
+    for R, c in zip(echelon, pivots):
+        inverse[c] = R[width:] if det > 0 else [-x for x in R[width:]]
     tight = sum(1 << i for i in start)
-    rays, masks = [], []
-    for i in start:
-        (v,) = _kernel(_fold(_EMPTY, [rows[j] for j in start if j != i], width), width)
-        rays.append(v if sum(map(mul, rows[i], v)) > 0 else [-x for x in v])
-        masks.append(tight & ~(1 << i))
+    rays = [_primitive(column)[0] for column in zip(*inverse)]
+    masks = [tight & ~(1 << i) for i in start]
 
     pairs = 0
     for i in sorted(set(range(len(rows))) - set(start)):
@@ -812,19 +820,39 @@ class _Eliminator:
     Every system the eliminator holds is a coordinate projection of the
     first one, so it can carry generators of its polyhedron, points v and
     rays w with conv(v) + cone(w) equal to it. `gens` holds them as integer
-    vectors [*z, -h], positive multiples of (v, 1) and (w, 0). A row
-    [a | rhs] reads a.z - rhs h <= 0 on each, and a generator is tight on
-    the row where it reads 0. Eliminating a variable deletes its coordinate
-    from every generator. After each step the rows are pruned: by the
-    generators when `gens` is given, else by `_irredundant_rows`, which
-    tests every row in order against the others that are left. Both keep
-    the same rows in the same order.
+    vectors [*z, -h] over the first system's variables, positive multiples
+    of (v, 1) and (w, 0). A row [a | rhs] reads a.z - rhs h <= 0 on each,
+    z read on the live variables, and a generator is tight on the row where
+    it reads 0. Each generator must read 0 on every equality row and no
+    more than 0 on every inequality row of the first system
+    (CorrespondenceViolation).
 
-    The prune by generators reads each row's tight set, the mask of the
-    generators tight on it. A row is an implicit equality iff its tight set
-    is full; let I be those rows. No prune changes the polyhedron, so the
-    sequential LPs drop a row iff the rows left when it is tested still cut
-    out the polyhedron without it.
+    With `gens`, `masks` runs parallel to `ineqs`: each row's tight set,
+    the mask of the generators tight on it. It is read once for the first
+    rows (`_tight`) and then carried, the incidence form of Chernikov's rule
+    (Chernikov 1965). A substitution p r - r[j] prow, p > 0, reads
+    p (r . g) on each generator g, as prow reads 0 there, so it keeps r's
+    mask; a combination of two rows with positive multipliers reads 0 on g
+    iff both rows do, so it gets the intersection of their masks.
+    `implicit_rows` reads each row left on the generators again and raises
+    CorrespondenceViolation where that differs from its carried mask.
+
+    The rows are pruned after the first step and after each combination:
+    by the masks when `gens` is given, else by `_irredundant_rows`, which
+    tests every row in order against the others that are left. Both keep
+    the same rows in the same order. A substitution after a prune needs
+    none: solving prow for x_j maps the affine hull of the equality rows
+    isomorphically onto that of the substituted equality rows, one variable
+    fewer, and each substituted row reads at the image of a point what its
+    row read at the point. So rows imply a row iff the substituted rows
+    imply the substituted row: a pruned set, no row implied by the others,
+    none zero and no two parallel, stays one, and the next prune would keep
+    every row, in order.
+
+    The prune by generators reads each row's tight set. A row is an
+    implicit equality iff its tight set is full; let I be those rows. No
+    prune changes the polyhedron, so the sequential LPs drop a row iff the
+    rows left when it is tested still cut out the polyhedron without it.
     - A row outside I is implied by the rest iff its face holds no point, is
       no facet, or is a facet that a later row also defines: every facet is
       defined by some row, and the earlier rows that define it are gone by
@@ -849,17 +877,24 @@ class _Eliminator:
         ineqs: Iterable[list[int]],
         gens: Optional[list[list[int]]] = None,
     ):
-        self.live = list(range(nvars))
+        self.live, self.width = list(range(nvars)), nvars + 1
         self.eqs = list(eqs)
         self.ineqs = list(ineqs)
         self.gens = gens
+        if gens is not None:
+            if any(sum(map(mul, row, g)) for row in self.eqs for g in gens):
+                raise CorrespondenceViolation("a generator of the domain leaves an equality row")
+            self.masks = [self._tight(row) for row in self.ineqs]
 
     def eliminate(self, target_vars: set[int]) -> None:
-        """Eliminate every target variable, pruning after each step, and at least once."""
-        if not any(v in target_vars for v in self.live):
-            self._prune()
+        """Eliminate every target variable, pruning after each step but a
+        substitution that follows a prune, and at least once."""
+        pruned = False
         while pending := [j for j, v in enumerate(self.live) if v in target_vars]:
-            self._eliminate_one(self._pick(pending))
+            if not self._eliminate_one(self._pick(pending)) or not pruned:
+                self._prune()
+                pruned = True
+        if not pruned:
             self._prune()
 
     def _pick(self, pending: list[int]) -> int:
@@ -874,7 +909,8 @@ class _Eliminator:
                 best, best_cost = j, cost
         return best
 
-    def _eliminate_one(self, j: int) -> None:
+    def _eliminate_one(self, j: int) -> bool:
+        """Eliminate live variable j; whether it was substituted through an equality row."""
         pivot = next((i for i, r in enumerate(self.eqs) if r[j]), None)
         if pivot is not None:
             prow = self.eqs.pop(pivot)
@@ -889,16 +925,17 @@ class _Eliminator:
             self.eqs = [subst(r) for r in self.eqs]
             self.ineqs = [subst(r) for r in self.ineqs]
         else:
-            pos = [r for r in self.ineqs if r[j] > 0]
-            neg = [r for r in self.ineqs if r[j] < 0]
-            rows = [r for r in self.ineqs if r[j] == 0]
-            rows += [_primitive([-rn[j] * x + rp[j] * y for x, y in zip(rp, rn)])[0] for rp in pos for rn in neg]
-            self.ineqs = rows
+            R = self.ineqs
+            pairs = [(p, q) for p, rp in enumerate(R) if rp[j] > 0 for q, rn in enumerate(R) if rn[j] < 0]
+            zero = [k for k, r in enumerate(R) if r[j] == 0]
+            self.ineqs = [R[k] for k in zero]
+            self.ineqs += [_primitive([-R[q][j] * x + R[p][j] * y for x, y in zip(R[p], R[q])])[0] for p, q in pairs]
+            if self.gens is not None:
+                self.masks = [self.masks[k] for k in zero] + [self.masks[p] & self.masks[q] for p, q in pairs]
         del self.live[j]
         self.eqs = [r[:j] + r[j + 1 :] for r in self.eqs]
         self.ineqs = [r[:j] + r[j + 1 :] for r in self.ineqs]
-        if self.gens is not None:
-            self.gens = [g[:j] + g[j + 1 :] for g in self.gens]
+        return pivot is not None
 
     def _prune(self) -> None:
         """Trim duplicates and redundant inequality rows, by the generators when there are any."""
@@ -906,10 +943,17 @@ class _Eliminator:
             keep = _irredundant_rows(len(self.live), self.eqs, self.ineqs)
         else:
             keep = self._incident_rows()
+            self.masks = [self.masks[i] for i in keep]
         self.ineqs = [self.ineqs[i] for i in keep]
 
     def _tight(self, row: Sequence[int]) -> int:
-        """The mask of the generators tight on `row`; CorrespondenceViolation if one violates it."""
+        """The mask of the generators tight on `row`, a row over the live variables;
+        CorrespondenceViolation if one violates it."""
+        if len(row) < self.width:  # eliminated variables read 0
+            full = [0] * self.width
+            for v, x in zip([*self.live, -1], row):
+                full[v] = x
+            row = full
         reads = [sum(map(mul, row, g)) for g in self.gens]
         if any(x > 0 for x in reads):
             raise CorrespondenceViolation("a generator of the domain violates an eliminated row")
@@ -917,10 +961,10 @@ class _Eliminator:
 
     def _incident_rows(self) -> list[int]:
         """The rows `_irredundant_rows` keeps: those outside I read off the
-        generators, and those of I from its LPs on I and the equality rows."""
+        carried masks, and those of I from its LPs on I and the equality rows."""
         full, points = (1 << len(self.gens)) - 1, sum(1 << k for k, g in enumerate(self.gens) if g[-1])
         keep = _distinct_rows(self.ineqs)
-        masks = [self._tight(self.ineqs[i]) for i in keep]
+        masks = [self.masks[i] for i in keep]
         faces = [m for m in masks if m != full]
         last = {m: i for i, m in zip(keep, masks) if m & points and not any(m != o and m & o == m for o in faces)}
         if implicit := [i for i, m in zip(keep, masks) if m == full]:
@@ -928,8 +972,12 @@ class _Eliminator:
         return [i for i, m in zip(keep, masks) if (i in implicit if m == full else last.get(m) == i)]
 
     def implicit_rows(self) -> tuple[int, ...]:
-        """The inequality rows tight on every generator: the implicit equalities."""
-        return tuple(i for i, row in enumerate(self.ineqs) if self._tight(row) == (1 << len(self.gens)) - 1)
+        """The inequality rows tight on every generator: the implicit equalities.
+        Each row's tight set is read again and must equal its carried mask."""
+        masks = [self._tight(row) for row in self.ineqs]
+        if masks != self.masks:
+            raise CorrespondenceViolation("a carried tight set differs from its row's")
+        return tuple(i for i, m in enumerate(masks) if m == (1 << len(self.gens)) - 1)
 
     def result(self, n: int) -> HPolyhedron:
         if len(self.live) != n:
@@ -945,7 +993,8 @@ def project(P: HPolyhedron, pi: LinearMap) -> HPolyhedron:
     Works on the graph system {x = pi(y), y in P} over (x, y), whose rows
     [D e_i | -N_i | 0] come from the map's integer view (N, D), and
     eliminates all y variables, substituting through equality rows when
-    possible and pruning redundant rows after every elimination step.
+    possible and pruning redundant rows after the first step and after
+    each combination step (`_Eliminator`).
     The implicit equalities of the pruned rows are then promoted; that
     makes no row redundant (see the module docstring), so the rows are
     not pruned again. Both row blocks come back as primitive integer

@@ -6,10 +6,13 @@ replaced, one LP per such row, and one LP per row. `project` prunes every
 domain, pointed or not, by incidence with its generators: the vertices
 and rays of its double description, and ± each lineality line. Only the
 rows tight on every generator, the implicit equalities, meet an LP, and
-those LPs see only those rows and the equality rows. Its reference is
-the LP route, `_project` with no generators, which tests every row at
-every Fourier-Motzkin step, and that route's reference is
-`minimize_description` on the eliminated rows. `minimize_description`
+those LPs see only those rows and the equality rows; the tight sets it
+reads are carried through the steps, and their reference is the tight
+sets read afresh. Its reference is the LP route, `_project` with no
+generators, whose prunes test every row, and that route's reference is
+`minimize_description` on the eliminated rows. Both routes skip the
+prune after a substitution that follows a prune; their reference is an
+eliminator that prunes after every step. `minimize_description`
 proves facets by ray shooting from the witnesses' summed point; its
 reference is the same prune with LPs alone. All of them must return
 exactly the same rows in the same order.
@@ -479,10 +482,13 @@ def _random_rational_pair(rng):
 @pytest.mark.parametrize("seed", range(10))
 def test_incidence_prune_matches_lp_prune(monkeypatch, seed):
     # Each prune by incidence keeps the rows that the sequential LPs keep on
-    # the same system, and the projections are equal.
+    # the same system, and the projections are equal. The tight sets it
+    # reads are carried through the steps; at every prune they equal the
+    # tight sets read off the generators afresh.
     incident = _Eliminator._incident_rows
 
     def checked(self):
+        assert self.masks == [self._tight(row) for row in self.ineqs]
         keep = incident(self)
         assert keep == _irredundant_rows(len(self.live), self.eqs, self.ineqs)
         return keep
@@ -533,6 +539,148 @@ def test_incidence_references_cover_every_case(monkeypatch):
         "lineality", "empty", "no LP", "narrowed LPs", "implicit rows kept", "implicit rows dropped",
         "face, not facet", "rays", "equality rows",
     }, seen
+
+
+class _PruneEveryStep(_Eliminator):
+    """A prune after every step, and one when there is no step: the reference
+    for the prunes that `_Eliminator.eliminate` skips."""
+
+    def eliminate(self, target_vars):
+        if not any(v in target_vars for v in self.live):
+            self._prune()
+        while pending := [j for j, v in enumerate(self.live) if v in target_vars]:
+            self._eliminate_one(self._pick(pending))
+            self._prune()
+
+
+def _elimination_run(monkeypatch, cls, Q, pi, V):
+    """_project(Q, pi, V) with the eliminator class `cls`, or EmptyPolyhedron;
+    also the eliminator's `result`, its `implicit_rows` (None on the LP route)
+    and its number of prunes."""
+    made, prunes = [], []
+
+    class Recording(cls):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+        def _prune(self):
+            prunes.append(len(self.ineqs))
+            super()._prune()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(polyhedron, "_Eliminator", Recording)
+        try:
+            P = _project(Q, pi, V)
+        except EmptyPolyhedron:
+            return EmptyPolyhedron, None, None, len(prunes)
+    (elim,) = made
+    return P, elim.result(pi.out_dim), None if V is None else elim.implicit_rows(), len(prunes)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_skipped_prunes_change_nothing(monkeypatch, seed):
+    # A substitution maps the affine hull of the equality rows isomorphically
+    # onto that of the substituted ones, so a pruned set stays irredundant
+    # and the prune that would follow keeps every row: both routes, the
+    # incidence prune and the LP prune, give the same eliminated rows,
+    # implicit rows and projection as a prune after every step.
+    rng = random.Random(8000 + seed)
+    for _ in range(20):
+        Q, pi = _random_rational_pair(rng)
+        try:
+            V = Q._generators
+        except EmptyPolyhedron:
+            V = None
+        runs = [
+            _elimination_run(monkeypatch, cls, Q, pi, gens)
+            for cls in (_Eliminator, _PruneEveryStep)
+            for gens in ((None, V) if V is not None else (None,))
+        ]
+        outs = {run[:2] for run in runs}
+        assert len(outs) == 1, (Q, pi)
+        if V is not None:
+            assert runs[1][2] == runs[3][2], (Q, pi)
+            assert runs[1][0] == project(Q, pi)
+        assert all(new[3] <= every[3] for new, every in zip(runs, runs[len(runs) // 2 :]))
+
+
+def test_skipped_prunes_cover_every_case(monkeypatch):
+    # The seeded pairs above have domains with equality rows, with a
+    # lineality space and with rays, empty domains, implicit rows, and
+    # eliminations that skip a prune and that skip none.
+    seen = set()
+    for seed in range(10):
+        rng = random.Random(8000 + seed)
+        for _ in range(20):
+            Q, pi = _random_rational_pair(rng)
+            try:
+                V = Q._generators
+            except EmptyPolyhedron:
+                seen.add("empty")
+                continue
+            P, _, implicit, prunes = _elimination_run(monkeypatch, _Eliminator, Q, pi, V)
+            every = _elimination_run(monkeypatch, _PruneEveryStep, Q, pi, V)[3]
+            seen.add("prunes skipped" if prunes < every else "no prune skipped")
+            if Q.A:
+                seen.add("equality rows")
+            if not is_pointed(Q):
+                seen.add("lineality")
+            if V.rays:
+                seen.add("rays")
+            if implicit:
+                seen.add("implicit rows")
+    assert seen == {
+        "empty", "prunes skipped", "no prune skipped", "equality rows", "lineality", "rays", "implicit rows",
+    }, seen
+
+
+def test_substitutions_after_a_prune_are_not_pruned(monkeypatch):
+    # The 4-cube under pi_3_4: three variables go by substitution through
+    # the graph rows x = pi(y), the last by one combination step. The first
+    # substitution is pruned, the next two are not, and the combination is.
+    prunes = _elimination_run(monkeypatch, _Eliminator, hypercube(4), pi_matrix(3, 4), hypercube(4)._generators)[3]
+    every = _elimination_run(monkeypatch, _PruneEveryStep, hypercube(4), pi_matrix(3, 4), None)[3]
+    assert (prunes, every) == (2, 4)
+
+
+_WRONG_MASK = """
+from polycircuits import polyhedron
+from polycircuits.constructions import hypercube
+from polycircuits.errors import CorrespondenceViolation
+
+implicit = polyhedron._Eliminator.implicit_rows
+
+
+def flipped(self):
+    self.masks[0] ^= 1
+    return implicit(self)
+
+
+polyhedron._Eliminator.implicit_rows = flipped
+try:
+    print("returned", polyhedron.project(hypercube(3), polyhedron.LinearMap(((1, 0, 0), (0, 1, 1)))))
+except CorrespondenceViolation as exc:
+    print("CorrespondenceViolation:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_a_wrong_carried_mask_is_a_correspondence_violation(flags):
+    # Every row left after elimination is read on the generators again, and
+    # its tight set must equal the one carried through the steps; also
+    # under -O.
+    src = str(Path(polyhedron.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _WRONG_MASK],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["CorrespondenceViolation: a carried tight set differs from its row's"]
 
 
 def test_rows_that_differ_by_an_equality_row_keep_the_last():
@@ -633,6 +781,16 @@ def test_wrong_generators_are_a_correspondence_violation():
     bigger = HPolyhedron.make(2, B=[[-1, 0], [0, -1], [1, 0], [0, 1]], d=[0, 0, 2, 2])
     with pytest.raises(CorrespondenceViolation):
         _project(square, LinearMap(matrix=((1, 1),)), vrep(bigger))
+
+
+def test_a_generator_off_an_equality_row_is_a_correspondence_violation():
+    # The tight sets are carried through substitutions only because every
+    # generator reads 0 on every equality row; the square's vertex (1, 0)
+    # leaves the diagonal x1 = x2.
+    diagonal = HPolyhedron.make(2, A=[[1, -1]], b=[0], B=[[-1, 0], [1, 0]], d=[0, 1])
+    square = HPolyhedron.make(2, B=[[-1, 0], [0, -1], [1, 0], [0, 1]], d=[0, 0, 1, 1])
+    with pytest.raises(CorrespondenceViolation, match="^a generator of the domain leaves an equality row$"):
+        _project(diagonal, LinearMap(matrix=((1, 1),)), vrep(square))
 
 
 @pytest.mark.parametrize(

@@ -100,7 +100,7 @@ def _is_pointed(P):
 def _ref_basic_solutions(P):
     if not _is_pointed(P):
         raise NotPointed(P.name)
-    return BasicSolutionSet.of(canonicalize_direction((1, *x)) for x in _ref_basic_points(P)[0])
+    return BasicSolutionSet.of([canonicalize_direction((1, *x)) for x in _ref_basic_points(P)[0]])
 
 
 def _ref_vrep(P):
@@ -460,12 +460,46 @@ def test_ranks_reach_matches_a_fold_per_set():
     }, seen
 
 
+def _ref_start_rays(rows, width):
+    """The start cone's rays as one fold per ray gave them: the kernel of the
+    start rows but one, oriented so that the row left out reads > 0."""
+    start, _ = linalg._independent(rows, width)
+    rays = []
+    for i in start:
+        (v,) = linalg._kernel(linalg._fold(linalg._EMPTY, [rows[j] for j in start if j != i], width), width)
+        rays.append(v if dot(rows[i], v) > 0 else [-x for x in v])
+    return rays
+
+
+def test_start_rays_match_a_fold_per_ray(monkeypatch):
+    # Rows of which exactly `width` are independent, and the others positive
+    # multiples of earlier rows, cut a simplicial cone: the double
+    # description keeps its start rays. They come from one fold of the start
+    # rows augmented with the identity; the reference folds the other rows
+    # of each ray afresh. The fold's det takes both signs.
+    rng = random.Random(4200)
+    fold, dets = polyhedron._fold, []
+    monkeypatch.setattr(polyhedron, "_fold", lambda *args: dets.append(fold(*args)[2]) or fold(*args))
+    checked = 0
+    while checked < 60:
+        width = rng.randint(1, 5)
+        rows = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(width)]
+        if len(linalg._independent(rows, width)[0]) < width:
+            continue
+        for _ in range(rng.randint(0, 2)):
+            i, c = rng.randrange(len(rows)), rng.randint(1, 3)
+            rows.insert(rng.randint(i + 1, len(rows)), [c * x for x in rows[i]])
+        assert polyhedron._extreme_rays(rows, width) == _ref_start_rays(rows, width), rows
+        checked += 1
+    assert min(dets) < 0 < max(dets)
+
+
 @pytest.mark.parametrize(
     "run, expected",
     [
         (lambda: enumerate_circuits(homogenize(cropped_cross_polytope(3))), 109),
         (lambda: basic_solutions(cropped_cross_polytope(3)), 258),
-        (lambda: edge_directions(hypercube(3)), 33),
+        (lambda: edge_directions(hypercube(3)), 25),
     ],
     ids=["circuits-hom-ccp3", "basic-solutions-ccp3", "edges-cube3"],
 )
@@ -481,7 +515,9 @@ def test_subset_work_is_pinned(monkeypatch, run, expected):
     # over the sorted row sets that resumes each from the echelon form of
     # the prefix it shares with the set before it; the last row of each check
     # is reduced, not inserted), and the start cone of the double
-    # description; edges are decided by tight-row masks, with no rank test.
+    # description, one fold of its n' + 1 rows augmented with the identity
+    # (cube3: 4 steps, where one fold per ray took 12); edges are decided by
+    # tight-row masks, with no rank test.
     # Of ccp3's 258 basic-solution steps, 157 name the dominating point of
     # each sampled non-basic midpoint: its tight rows, then the others, are
     # inserted greedily until they reach rank n' (`linalg._independent`),
@@ -502,11 +538,14 @@ def test_walks_and_rank_tests_read_the_reduced_rows(monkeypatch):
     # The equality block is eliminated once per description: its rows
     # [a | rhs], n + 1 wide, are folded once into `_ints.reduced`, and every
     # subset walk, rank test and double description step after that inserts
-    # reduced rows, at most n' + 1 wide; the edge walk inserts none, and the
-    # last row of each rank test is reduced, not inserted.
+    # reduced rows, with at most n' + 1 columns that can pivot; the edge walk
+    # inserts none, and the last row of each rank test is reduced, not
+    # inserted. The double description's start cone folds its n' + 1 rows
+    # once, each augmented with a row of the identity: 2(n' + 1) wide, of
+    # which n' + 1 columns can pivot.
     # transportation(5, 2, (1, 4)) has n = 10 and seven equality rows of
     # rank 6, so n' = 4. The rows n wide are the Fraction `rank` of [A; B]
-    # in `is_pointed`. Of the 385 steps, 209 name the dominating point of
+    # in `is_pointed`. Of the 370 steps, 209 name the dominating point of
     # each non-basic midpoint that `basic_solutions` samples: a greedy pass
     # over the reduced rows to rank n' (`linalg._independent`), whose
     # echelon form gives the point's kernel line with no second fold.
@@ -515,16 +554,16 @@ def test_walks_and_rank_tests_read_the_reduced_rows(monkeypatch):
     insert = linalg._insert
 
     def recording(rows, pivots, det, x, ncols):
-        widths.append(len(x))
+        widths.append((len(x), ncols))
         return insert(rows, pivots, det, x, ncols)
 
     monkeypatch.setattr(linalg, "_insert", recording)
     basic_solutions(P)
     vrep(P)
     edge_directions(P)
-    wide = Counter(w for w in widths if w > 5)
-    assert wide == {11: len(P.A), 10: len(P.A) + len(P.B)}
-    assert len(widths) == 385
+    wide = Counter(w for w in widths if w[0] > 5)
+    assert wide == {(11, 11): len(P.A), (10, 10): len(P.A) + len(P.B), (10, 5): 5}
+    assert len(widths) == 370
 
 
 def test_circuit_lines_are_checked_on_their_certificates_alone(monkeypatch):
