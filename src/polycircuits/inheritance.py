@@ -54,9 +54,10 @@ class InheritanceReport:
     """Classification of the circuits of P against those lifted from Q.
 
     P is the image description the circuits were computed on: the supplied
-    one, or else the minimized projection of Q. P and Q keep the walks
-    `check_inheritance` and `project` ran, so `vrep(report.P)` or
-    `edge_directions(Q)` afterwards walks nothing.
+    one, or else the minimized projection of Q, whose vertices come from
+    the elimination that made it, with no double description of their own.
+    P and Q keep the walks `check_inheritance` and `project` ran, so
+    `vrep(report.P)` or `edge_directions(Q)` afterwards walks nothing.
     """
 
     P: HPolyhedron
@@ -123,7 +124,8 @@ def check_inheritance(Q: HPolyhedron, pi: LinearMap, P_desc: Optional[HPolyhedro
     non_inherited = CircuitSet(directions=tuple(g for g in CP if g not in lines))
 
     # P and Q are pointed, and their circuit walks and Q's vertices are
-    # cached: only P's vertices are computed here
+    # cached: only P's vertices are computed here, read off the projection's
+    # generators unless P is a supplied description
     edge_dirs = edge_directions(P)
     edges = set(edge_dirs)
     if not edges <= set(inherited):

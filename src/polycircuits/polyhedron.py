@@ -17,15 +17,18 @@ back from its kernel coordinates: `lift` for directions, `line` for
 points and rays, each checked on the equality rows. They stay integers
 through the walks, the slack tests, the simplex, both row blocks of
 Fourier-Motzkin (`_Eliminator`) and the redundancy pass; the edge walk
-and `project` read the vertex lines. `linalg` makes and reduces the
-integers, and Fractions are made only for what a caller gets back.
+and `project` read the vertex lines, and `project` checks its result on
+every generator in integers. `linalg` makes and reduces the integers, and
+Fractions are made only for what a caller gets back.
 
 Each description is walked once. `HPolyhedron` caches each walk on first
 use as the object its reader returns: `_circuit_lines`, a subset walk,
 the `CircuitSet` of `enumerate_circuits`; `_vrep`, a double description
 of the homogenization cone (`_extreme_rays`), not a subset walk, the
 `VRep` of `vrep` (vertex lines and rays) with each vertex's tight-row
-mask; `_edges` the `CircuitSet` of `edge_directions`; and
+mask, or `_image_vrep` for an image that `project` returned, which reads
+that from the elimination's generators and tight sets and runs no double
+description; `_edges` the `CircuitSet` of `edge_directions`; and
 `_domain_generators` the generators that `project` prunes by. A cache
 hit runs no walk and charges no work budget; a walk that raises,
 `BudgetExceeded` included, is not cached. The cache belongs to the
@@ -43,9 +46,11 @@ walk (`_adjacent`), are decided by containment of tight-row masks, and
 rank tests only check outputs (vertices, circuit lines, basic solutions).
 Each row's mask is read once for the domain's rows and then carried
 through the elimination steps, and read again on the rows left, which
-must match. Only the implicit equalities of a prune, the rows tight on
-every generator, meet an LP, and those LPs see only them and the equality
-rows (`_Eliminator`). Both routes prune after the first step and after
+must match; every generator must read 0 on the equality rows left. The
+image keeps the generators and the masks of its inequality rows for its
+vertex walk (`_image_vrep`). Only the implicit equalities of a prune, the
+rows tight on every generator, meet an LP, and those LPs see only them
+and the equality rows (`_Eliminator`). Both routes prune after the first step and after
 each combination step; a substitution that follows a prune leaves
 nothing to prune. After the last prune the implicit equalities are
 promoted, and the rows are not pruned again. By Farkas, the implicit rows
@@ -179,7 +184,8 @@ class HPolyhedron:
 
     @cached_property
     def _vertex_walk(self) -> tuple["VRep", tuple[int, ...]]:
-        return _vrep(self)
+        incidences = self.__dict__.pop("_incidences", None)  # left by `_project` on its image
+        return _vrep(self) if incidences is None else _image_vrep(self, *incidences)
 
     @cached_property
     def _edge_walk(self) -> CircuitSet:
@@ -724,6 +730,60 @@ def _vrep(P: HPolyhedron) -> tuple[VRep, tuple[int, ...]]:
     return VRep(lines=lines, rays=tuple(sorted(rays))), tuple(sum(1 << i for i in tights[v]) for v in lines)
 
 
+def _image_vrep(P: HPolyhedron, gens: Sequence[Sequence[int]], masks: Sequence[int]) -> tuple[VRep, tuple[int, ...]]:
+    """`_vrep` of an image P = pi(Q) read off the elimination that made it
+    (`_project`), with no double description: `gens` are the generators
+    [N num | D num | -D den] and [N w | D w | 0] of Q, and `masks` holds, for
+    each row of P.B in order, the mask of the generators tight on it, read
+    again on the rows left at the end of the elimination.
+
+    Every vertex of P is the image (D den, *N num) of a vertex of Q, and every
+    face of P of dimension 1 or more holds a vertex. A nonempty face strictly
+    inside another has a strictly smaller tight set (Ziegler, Lectures on
+    Polytopes, ch. 2), so the vertices are the image lines whose tight mask
+    over P.B no other vertex image's mask strictly contains (Fukuda & Prodon
+    1996). The extreme rays are found the same way among the nonzero ray
+    images N w, as faces of P's pointed recession cone. The errors are
+    `_vrep`'s, and so are the checks: no negative slack on any vertex or
+    ray (B r <= 0), and one `_ranks_reach` pass over the vertices' tight
+    rows; each mask must also be the zero set of its slacks
+    (CorrespondenceViolation if not). Q's double description paid for the
+    generators, so this charges no work budget.
+    """
+    ints = P._ints
+    if ints.lineality:
+        raise NotPointed(P.name or "polyhedron")
+    tight = [0] * len(gens)  # each generator's mask over P.B, bit by bit from the rows' masks
+    for i, m in enumerate(masks):
+        while m:
+            tight[(m & -m).bit_length() - 1] |= 1 << i
+            m &= m - 1
+
+    def maximal(found: list[tuple[Sequence[int], int]]) -> list[tuple[Sequence[int], int]]:
+        faces = {m for _, m in found}
+        top = {m for m in faces if not any(o != m and o & m == m for o in faces)}
+        return [(g, m) for g, m in found if m in top]
+
+    n = P.n
+    points = [(g, m) for g, m in zip(gens, tight) if g[-1]]
+    directions = [(g, m) for g, m in zip(gens, tight) if not g[-1] and any(g[:n])]
+    tights = {_canonical((-g[-1], *g[:n])): m for g, m in maximal(points)}
+    rays = {(0, *_primitive(g[:n])[0]): m for g, m in maximal(directions)}
+    if not tights:
+        raise EmptyPolyhedron(P.name or "polyhedron")
+    for line, mask in (*tights.items(), *rays.items()):
+        slacks = _slacks(ints.B, line[1:], line[0])
+        if any(s < 0 for s in slacks) or mask != sum(1 << i for i, s in enumerate(slacks) if not s):
+            name = f"vertex line {line}" if line[0] else f"extreme ray {line[1:]}"
+            raise CorrespondenceViolation(f"{name} is off the polyhedron or off its carried tight set")
+    _, R, np_ = ints.reduced
+    bad = _ranks_reach([tuple(i for i in range(len(masks)) if m >> i & 1) for m in tights.values()], R, np_, np_ + 1)
+    if bad is not None:
+        raise CorrespondenceViolation(f"vertex line {list(tights)[bad]} is not a vertex")
+    lines = BasicSolutionSet.of(tights).lines
+    return VRep(lines=lines, rays=tuple(sorted(r[1:] for r in rays))), tuple(tights[v] for v in lines)
+
+
 def vrep(P: HPolyhedron) -> VRep:
     """All vertices and extreme rays of a pointed polyhedron, with no LP (`_vrep`, run once per P)."""
     return P._vertex_walk[0]
@@ -882,8 +942,7 @@ class _Eliminator:
         self.ineqs = list(ineqs)
         self.gens = gens
         if gens is not None:
-            if any(sum(map(mul, row, g)) for row in self.eqs for g in gens):
-                raise CorrespondenceViolation("a generator of the domain leaves an equality row")
+            self._on_equality_rows()
             self.masks = [self._tight(row) for row in self.ineqs]
 
     def eliminate(self, target_vars: set[int]) -> None:
@@ -946,15 +1005,24 @@ class _Eliminator:
             self.masks = [self.masks[i] for i in keep]
         self.ineqs = [self.ineqs[i] for i in keep]
 
-    def _tight(self, row: Sequence[int]) -> int:
-        """The mask of the generators tight on `row`, a row over the live variables;
-        CorrespondenceViolation if one violates it."""
+    def _reads(self, row: Sequence[int]) -> list[int]:
+        """What `row`, a row over the live variables, reads on each generator."""
         if len(row) < self.width:  # eliminated variables read 0
             full = [0] * self.width
             for v, x in zip([*self.live, -1], row):
                 full[v] = x
             row = full
-        reads = [sum(map(mul, row, g)) for g in self.gens]
+        return [sum(map(mul, row, g)) for g in self.gens]
+
+    def _on_equality_rows(self) -> None:
+        """CorrespondenceViolation unless every generator reads 0 on every equality row."""
+        if any(any(self._reads(row)) for row in self.eqs):
+            raise CorrespondenceViolation("a generator of the domain leaves an equality row")
+
+    def _tight(self, row: Sequence[int]) -> int:
+        """The mask of the generators tight on `row`, a row over the live variables;
+        CorrespondenceViolation if one violates it."""
+        reads = self._reads(row)
         if any(x > 0 for x in reads):
             raise CorrespondenceViolation("a generator of the domain violates an eliminated row")
         return sum(1 << k for k, x in enumerate(reads) if not x)
@@ -973,7 +1041,9 @@ class _Eliminator:
 
     def implicit_rows(self) -> tuple[int, ...]:
         """The inequality rows tight on every generator: the implicit equalities.
-        Each row's tight set is read again and must equal its carried mask."""
+        Every generator must still read 0 on every equality row, and each row's
+        tight set is read again and must equal its carried mask."""
+        self._on_equality_rows()
         masks = [self._tight(row) for row in self.ineqs]
         if masks != self.masks:
             raise CorrespondenceViolation("a carried tight set differs from its row's")
@@ -1000,7 +1070,9 @@ def project(P: HPolyhedron, pi: LinearMap) -> HPolyhedron:
     not pruned again. Both row blocks come back as primitive integer
     normals with their right-hand sides. Every prune reads the generators
     of P (`_project`), cached on P (`_domain_generators`), so projecting
-    one domain again runs no second double description.
+    one domain again runs no second double description, and the image's
+    vertices are read off them and the rows' tight sets (`_image_vrep`),
+    so the image needs none of its own.
     """
     if pi.in_dim(P.n) != P.n:
         raise PreconditionViolation(f"map has domain dimension {pi.in_dim(P.n)}, polyhedron has dimension {P.n}")
@@ -1027,18 +1099,22 @@ def _project(P: HPolyhedron, pi: LinearMap, V: Optional[VRep]) -> HPolyhedron:
 
     A vertex line (den, *num) of V.lines and a ray w give the generators
     [N num | D num | -D den] and [N w | D w | 0] (`_Eliminator`). The
-    implicit equalities are the rows tight on every generator, and pi of
-    the first vertex, the one Fraction point `project` makes, is the point
-    the result is checked to hold. Without V, an LP finds that point and
-    `_implicit_rows` the implicit equalities: that route is the reference
-    that `law_two_route_projection` and the tests compare `project` with.
+    implicit equalities are the rows tight on every generator, and the
+    result is checked on every generator in integers: each reads 0 on every
+    equality row left, and each row's tight set is read again
+    (`_Eliminator.implicit_rows`). The image keeps the generators and the
+    tight sets of its inequality rows, in order, in its `__dict__` as
+    `_incidences`, where its vertex walk reads them (`_image_vrep`).
+    Without V, an LP finds a point of P, and the result is checked to hold
+    its image, whose `_implicit_rows` are the implicit equalities: that
+    route is the reference that `law_two_route_projection` and the tests
+    compare `project` with.
     """
     m, nt = P.n, pi.out_dim
     N, D = pi._ints
     if V is None:
         y, gens = _feasible_point(P), None
     else:
-        y = BasicSolutionSet(V.lines[:1]).points[0]
         lines = [*V.lines, *((0, *w) for w in V.rays)]  # a ray w as the line (0, *w)
         gens = [[*(sum(map(mul, row, v[1:])) for row in N), *(D * x for x in v[1:]), -D * v[0]] for v in lines]
     eqs = [[*(D * (k == i) for k in range(nt)), *(-x for x in row), 0] for i, row in enumerate(N)]
@@ -1046,10 +1122,15 @@ def _project(P: HPolyhedron, pi: LinearMap, V: Optional[VRep]) -> HPolyhedron:
     elim = _Eliminator(nt + m, eqs, [[0] * nt + row for row in P._ints.B], gens)
     elim.eliminate(set(range(nt, nt + m)))
     R = elim.result(nt)
+    if V is not None:
+        implicit = elim.implicit_rows()
+        image = _promoted(R, implicit)
+        image.__dict__["_incidences"] = gens, [mask for i, mask in enumerate(elim.masks) if i not in implicit]
+        return image
     x = pi(y)
     if not R.contains(x):
         raise CorrespondenceViolation(f"projection misses pi({', '.join(map(str, y))})")
-    return _promoted(R, _implicit_rows(R, x)[0] if V is None else elim.implicit_rows())
+    return _promoted(R, _implicit_rows(R, x)[0])
 
 
 def preimage_description(P: HPolyhedron, tau: LinearMap) -> HPolyhedron:

@@ -564,10 +564,10 @@ def test_int_rows_counts_are_pinned(monkeypatch):
     # once, one call per row, in its `_ints` view: 12 here. The map is
     # converted once, in `LinearMap._ints`, and its graph rows, generators
     # and direction images are read off that view; the generators' vertices
-    # come as integer lines from the vertex walk. The other call scales the
-    # point the result is checked to hold. So rescaling the rows of a
-    # description that already has its view adds calls, and a change that
-    # does so must update this count on purpose.
+    # come as integer lines from the vertex walk, and the image's vertices
+    # from the generators. The other call converts the map. So rescaling the
+    # rows of a description that already has its view adds calls, and a
+    # change that does so must update this count on purpose.
     from polycircuits import constructions, linalg, lp, polyhedron
     from polycircuits.constructions import orthant, pi_matrix
     from polycircuits.inheritance import check_inheritance
@@ -582,4 +582,4 @@ def test_int_rows_counts_are_pinned(monkeypatch):
     for module in (linalg, polyhedron, lp, constructions):
         monkeypatch.setattr(module, "_int_vector", counting)
     check_inheritance(orthant(4), pi_matrix(3, 4))
-    assert len(calls) == 14
+    assert len(calls) == 13

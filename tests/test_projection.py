@@ -12,10 +12,12 @@ sets read afresh. Its reference is the LP route, `_project` with no
 generators, whose prunes test every row, and that route's reference is
 `minimize_description` on the eliminated rows. Both routes skip the
 prune after a substitution that follows a prune; their reference is an
-eliminator that prunes after every step. `minimize_description`
-proves facets by ray shooting from the witnesses' summed point; its
-reference is the same prune with LPs alone. All of them must return
-exactly the same rows in the same order.
+eliminator that prunes after every step. The image `project` returns
+reads its vertices off the generators and the carried tight sets; its
+reference is `_vrep`, a double description of the image run afresh.
+`minimize_description` proves facets by ray shooting from the witnesses'
+summed point; its reference is the same prune with LPs alone. All of
+them must return exactly the same rows in the same order.
 """
 
 import inspect
@@ -892,8 +894,10 @@ def test_projected_equality_rows_are_primitive_integer_normals(route):
 
 
 def test_check_calls_the_map_once(monkeypatch):
-    # Every internal use of the map reads its integer view; the one Fraction
-    # image is the point the projection is checked to hold.
+    # Every internal use of the map reads its integer view, and no Fraction
+    # image is made: every generator, not one point, is checked in integers
+    # on the projection's rows, and the image's vertices are the generators'
+    # integer images.
     from polycircuits.constructions import orthant, pi_matrix
 
     calls = []
@@ -905,7 +909,149 @@ def test_check_calls_the_map_once(monkeypatch):
 
     monkeypatch.setattr(LinearMap, "__call__", counting)
     check_inheritance(orthant(4), pi_matrix(3, 4))
+    assert len(calls) == 0
+
+
+# ---------------------------------------------------------------------------
+# The image's vertices from the elimination against a double description
+
+
+def _walk_or_error(walk, P):
+    try:
+        return walk(P)
+    except (CorrespondenceViolation, EmptyPolyhedron, NotPointed) as exc:
+        return type(exc)
+
+
+def _image_pair(rng, i):
+    """A seeded pair: every fifth a cube, simplex, cross-polytope or orthant
+    under a map with entries -2..2, the rest `_random_rational_pair`."""
+    if i % 5:
+        return _random_rational_pair(rng)
+    m = rng.randint(2, 4)
+    Q = rng.choice((hypercube, simplex, cross_polytope, orthant))(m)
+    return Q, LinearMap(matrix=tuple(tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(rng.randint(1, 3))))
+
+
+def test_image_vertices_match_a_fresh_double_description():
+    # The image that `project` returns reads its vertices, rays and tight
+    # masks off the elimination's generators and carried masks; `_vrep` run
+    # afresh on the same image is the reference. Both give the same result
+    # or raise the same error. The pairs have images with rays, images that
+    # are not full-dimensional and images that are not pointed, and domains
+    # with equality rows and with a lineality space.
+    seen, compared = set(), 0
+    rng = random.Random(8500)
+    for i in range(600):
+        Q, pi = _image_pair(rng, i)
+        try:
+            P = project(Q, pi)
+        except EmptyPolyhedron:
+            continue
+        assert "_incidences" in vars(P)
+        got = _walk_or_error(lambda P: P._vertex_walk, P)
+        assert "_incidences" not in vars(P)
+        assert got == _walk_or_error(polyhedron._vrep, P), (Q, pi)
+        compared += 1
+        if got is NotPointed:
+            seen.add("not pointed")
+        elif got[0].rays:
+            seen.add("rays")
+        if P.A:
+            seen.add("not full-dimensional")
+        if Q.A:
+            seen.add("domain with equality rows")
+        if not is_pointed(Q):
+            seen.add("domain with a lineality space")
+    assert compared >= 500
+    assert seen == {
+        "not pointed", "rays", "not full-dimensional", "domain with equality rows", "domain with a lineality space",
+    }, seen
+
+
+def test_an_image_runs_no_double_description(monkeypatch):
+    # The domain's double description gives the generators of `project`,
+    # and the image's vertices come from them: one `_extreme_rays` call.
+    calls = []
+    walk = polyhedron._extreme_rays
+    monkeypatch.setattr(polyhedron, "_extreme_rays", lambda *args: calls.append(args) or walk(*args))
+    check_inheritance(orthant(4), pi_matrix(3, 4))
     assert len(calls) == 1
+
+
+def _run_script(flags, script):
+    src = str(Path(polyhedron.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+_WRONG_INCIDENCES = """
+from polycircuits import polyhedron
+from polycircuits.constructions import hypercube
+from polycircuits.errors import CorrespondenceViolation
+
+cube, pi = hypercube(3), polyhedron.LinearMap(((1, 0, 0), (0, 1, 1)))
+for name, row, images, tight in (("set", (1, 0), [[0, 1]], True), ("cleared", (-1, 0), [[0, 0], [0, 2]], False)):
+    P = polyhedron.project(cube, pi)
+    gens, masks = vars(P)["_incidences"]
+    i = P.B.index(row)
+    for k, g in enumerate(gens):
+        if g[-1] and g[:2] in images:
+            masks[i] = masks[i] | 1 << k if tight else masks[i] & ~(1 << k)
+    try:
+        print(name, "returned", polyhedron.vrep(P))
+    except CorrespondenceViolation as exc:
+        print(name, "CorrespondenceViolation:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_a_wrong_image_incidence_is_a_correspondence_violation(flags):
+    # The cube under (x, y + z) is the rectangle [0, 1] x [0, 2]. The cube's
+    # vertices (0, 1, 0) and (0, 0, 1) map to (0, 1), tight only on x >= 0,
+    # and (0, 0) and (0, 2) are the vertices whose masks contain its mask.
+    # Marked tight on x <= 1 as well, (0, 1) has a mask no other contains,
+    # so it passes as a vertex, and its slacks show the wrong tight set.
+    # With x >= 0 cleared on (0, 0) and (0, 2) instead, it passes as a
+    # vertex with its own tight set, and the rank pass finds its rows of
+    # rank 1. Both raise, also under -O.
+    assert _run_script(flags, _WRONG_INCIDENCES) == [
+        "set CorrespondenceViolation: vertex line (1, 0, 1) is off the polyhedron or off its carried tight set",
+        "cleared CorrespondenceViolation: vertex line (1, 0, 1) is not a vertex",
+    ]
+
+
+_OFF_AN_EQUALITY_ROW = """
+from polycircuits import polyhedron
+from polycircuits.constructions import hypercube
+from polycircuits.errors import CorrespondenceViolation
+
+implicit = polyhedron._Eliminator.implicit_rows
+
+
+def shifted(self):
+    self.eqs[0][-1] += 1
+    return implicit(self)
+
+
+polyhedron._Eliminator.implicit_rows = shifted
+try:
+    print("returned", polyhedron.project(hypercube(3), polyhedron.LinearMap(((1, 0, 0), (0, 1, 0), (1, 1, 0)))))
+except CorrespondenceViolation as exc:
+    print("CorrespondenceViolation:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_a_generator_off_a_final_equality_row_is_a_correspondence_violation(flags):
+    # The cube under (x, y, x + y) lies in the plane x3 = x1 + x2, an
+    # equality row left after the elimination. Every generator must read 0
+    # on it; with its rhs shifted none does; also under -O.
+    assert _run_script(flags, _OFF_AN_EQUALITY_ROW) == [
+        "CorrespondenceViolation: a generator of the domain leaves an equality row"
+    ]
 
 
 # ---------------------------------------------------------------------------
