@@ -11,6 +11,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .circuits import enumerate_circuits
@@ -358,8 +359,30 @@ def _separable_orthogonally(g: Vector, left: list[Vector], right: list[Vector]) 
 
     Scale-invariant formulation: find (a, beta) with a.g = 0, a.u <= beta - 1
     on the left and a.v >= beta + 1 on the right.
+
+    One candidate is tried first, in integers: one `_int_vector` over g and
+    every corner gives G = D g, U_l = D u_l and V_r = D v_r for one D > 0;
+    d = |L| sum V - |R| sum U is a positive multiple of the difference of
+    the two centroids, and a = (G.G) d - (d.G) G is its component orthogonal
+    to G, times G.G.  If a.G = 0 and lo = max a.U_l < hi = min a.V_r, the
+    pair is separable, exactly: a times 2D / (hi - lo) with beta =
+    (hi + lo) / (hi - lo) reads 0 on g, at most beta - 1 on every u and at
+    least beta + 1 on every v, a feasible point of the system below.  A
+    checked witness settles what it can, as in Fukuda's polyhedral
+    computation notes; otherwise the system is solved by `is_feasible`,
+    whose answer `lp_solve` certifies (a Farkas certificate for a no).
     """
     n = len(g)
+    ints = _int_vector((*g, *itertools.chain(*left), *itertools.chain(*right)))[0]
+    G = ints[:n]
+    U = [ints[i : i + n] for i in range(n, n + n * len(left), n)]
+    V = [ints[i : i + n] for i in range(n + n * len(left), len(ints), n)]
+    d = [len(left) * sv - len(right) * su for su, sv in zip(map(sum, zip(*U)), map(sum, zip(*V)))]
+    gg, dg = sum(map(mul, G, G)), sum(map(mul, d, G))
+    a = [gg * x - dg * y for x, y in zip(d, G)]
+    if sum(map(mul, a, G)) == 0:
+        if max(sum(map(mul, a, u)) for u in U) < min(sum(map(mul, a, v)) for v in V):
+            return True
     rows, rhs = [], []
     for u in left:
         rows.append(tuple(u) + (frac(-1),))
@@ -396,7 +419,10 @@ def _edge_free_cover(hull: HPolyhedron, verts: Sequence[Vector], g: Vector) -> D
     pieces inside their minimal common face; every other vertex stays a
     singleton.  The parallelogram half-width shrinks by halving until all
     pieces fit and every two pieces admit a strict separating hyperplane
-    orthogonal to g, each checked by an exact feasibility solve.
+    orthogonal to g (`_separable_orthogonally`): proved by one candidate
+    hyperplane checked in integers, or else by an exact feasibility solve,
+    so an LP meets only the pairs the candidate cannot prove, among them
+    every inseparable pair.
     """
     gline = canonicalize_direction(g)
     pairs = [

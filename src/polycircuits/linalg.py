@@ -11,7 +11,8 @@ decides how rationals become integers and how integers are reduced:
 `_int_vector` (row by row, `_int_rows`) writes a vector as integers over
 the lcm of its denominators, `_primitive` divides an integer vector by
 its gcd and keeps its sign, `_scaled_row` gives an integer row [a | rhs]
-as its primitive normal and rhs, and `_canonical` names a line. Rows are
+as its primitive normal and rhs (and `_scaled_ints` that row's
+`_int_vector`, without the Fractions), and `_canonical` names a line. Rows are
 reduced by one fraction-free insertion step (`_insert`, Bareiss 1968),
 folded over a whole matrix by `_fold`; its first half, the residual of a
 row on an echelon form, is `_residual`. `_ranks_reach` checks the rank of
@@ -157,6 +158,14 @@ def _scaled_row(row: Sequence[int]) -> tuple[Vector, Fraction]:
     """A nonzero integer row [a | rhs] as its primitive integer normal and rhs, keeping orientation."""
     normal, g = _primitive(row[:-1])
     return tuple(map(Fraction, normal)), Fraction(row[-1], g)
+
+
+def _scaled_ints(row: Sequence[int]) -> tuple[list[int], int]:
+    """`_int_vector` of the row that `_scaled_row` writes, read off the integer row:
+    with g the gcd of its normal (1 if zero) and c = gcd(g, rhs), the row over c and g / c."""
+    g = gcd(*row[:-1]) or 1
+    c = gcd(g, row[-1])
+    return [x // c for x in row], g // c
 
 
 def _residual(rows: list[list[int]], pivots: list[int], det: int, x: Sequence[int]) -> Sequence[int]:

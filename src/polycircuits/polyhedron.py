@@ -10,8 +10,9 @@ syntactic part (`_distinct_rows`); each skips the LPs whose answer it
 can prove otherwise. No circuit, basic solution, edge, slack sign or
 redundancy test changes when a row and its right-hand side are scaled by
 a positive number, and no image line when the whole map is, so a
-description's rows become integers once, in its cached view `_IntRows`,
-and a map once, in `LinearMap._ints`; `_IntRows` also eliminates the
+description's rows become integers once, in its cached view `_IntRows`
+(an image of `project` and a promoted description take theirs from the
+rows they were made from), and a map once, in `LinearMap._ints`; `_IntRows` also eliminates the
 equality block once for every walk and rank test, and is the one map
 back from its kernel coordinates: `lift` for directions, `line` for
 points and rays, each checked on the equality rows. They stay integers
@@ -108,6 +109,7 @@ from .linalg import (
     _kernel,
     _primitive,
     _ranks_reach,
+    _scaled_ints,
     _scaled_row,
     _subset_lines,
     dot,
@@ -225,10 +227,15 @@ class _IntRows:
     `lineality`, the kernel of the first n' columns of R, is P's lineality
     space in kernel coordinates: P is pointed iff it is empty. Every walk
     runs in these coordinates, and `lift` and `line` are the one map back:
-    no reader outside this class sees K."""
+    no reader outside this class sees K.
 
-    def __init__(self, P: HPolyhedron):
-        ints = [_int_vector((*row, rhs)) for row, rhs in zip((*P.A, *P.B), (*P.b, *P.d))]
+    `ints`, when given, are the rows' (row, s) pairs, A rows first, exactly
+    what `_int_vector` gives for each: `_with_ints` hands an image or a
+    promoted description the view its maker already holds."""
+
+    def __init__(self, P: HPolyhedron, ints: Optional[Sequence[tuple[list[int], int]]] = None):
+        if ints is None:
+            ints = [_int_vector((*row, rhs)) for row, rhs in zip((*P.A, *P.B), (*P.b, *P.d))]
         rows, self.scale = [num for num, _ in ints], [den for _, den in ints]
         self.A, self.B = rows[: len(P.A)], rows[len(P.A) :]
         self.n = P.n
@@ -271,6 +278,12 @@ class _IntRows:
         w = _primitive(self.lift(v))[0]
         s = -1 if w[-1] < 0 else 1
         return (s * w[-1], *(-s * x for x in w[:-1]))
+
+
+def _with_ints(P: HPolyhedron, ints: Sequence[tuple[list[int], int]]) -> HPolyhedron:
+    """P, its `_ints` view built from the ready (row, s) pairs `ints` (`_IntRows`)."""
+    P.__dict__["_ints"] = _IntRows(P, ints)
+    return P
 
 
 def _slacks(rows: Sequence[Sequence[int]], num: Sequence[int], den: int) -> list[int]:
@@ -409,23 +422,28 @@ def minimize_description(P: HPolyhedron) -> HPolyhedron:
     ints, keep = Q._ints, _distinct_rows(Q._ints.B)
     keep = _irredundant_rows(Q.n, ints.A, ints.B, keep, _shot_facets(ints, keep, inside))
     B, d = tuple(zip(*(_scaled_row(ints.B[i]) for i in keep))) or ((), ())
-    return replace(Q, B=B, d=d)
+    return _with_ints(replace(Q, B=B, d=d), [*zip(ints.A, ints.scale), *(_scaled_ints(ints.B[i]) for i in keep)])
 
 
 def _promoted(P: HPolyhedron, implicit: Sequence[int]) -> HPolyhedron:
-    """P with its implicit equality rows moved to A and dependent A rows dropped."""
+    """P with its implicit equality rows moved to A and dependent A rows dropped;
+    it gets the rows of P's `_ints` view that it keeps as its own."""
     A = P.A + tuple(P.B[i] for i in implicit)
     b = P.b + tuple(P.d[i] for i in implicit)
-    keep, _ = _independent([row[:-1] for row in (*P._ints.A, *(P._ints.B[i] for i in implicit))], P.n)
+    ints = P._ints
+    pairs = list(zip((*ints.A, *ints.B), ints.scale))
+    eqs = pairs[: len(P.A)] + [pairs[len(P.A) + i] for i in implicit]
+    keep, _ = _independent([row[:-1] for row, _ in eqs], P.n)
     promoted = set(implicit)
     rest = [i for i in range(len(P.B)) if i not in promoted]
-    return replace(
+    Q = replace(
         P,
         A=tuple(A[i] for i in keep),
         b=tuple(b[i] for i in keep),
         B=tuple(P.B[i] for i in rest),
         d=tuple(P.d[i] for i in rest),
     )
+    return _with_ints(Q, [eqs[i] for i in keep] + [pairs[len(P.A) + i] for i in rest])
 
 
 def _distinct_rows(B: Sequence[Sequence[int]]) -> list[int]:
@@ -1104,7 +1122,9 @@ def _project(P: HPolyhedron, pi: LinearMap, V: Optional[VRep]) -> HPolyhedron:
     equality row left, and each row's tight set is read again
     (`_Eliminator.implicit_rows`). The image keeps the generators and the
     tight sets of its inequality rows, in order, in its `__dict__` as
-    `_incidences`, where its vertex walk reads them (`_image_vrep`).
+    `_incidences`, where its vertex walk reads them (`_image_vrep`), and
+    takes its `_ints` view from the eliminator's integer rows
+    (`_scaled_ints`, `_with_ints`), so no row of it is converted again.
     Without V, an LP finds a point of P, and the result is checked to hold
     its image, whose `_implicit_rows` are the implicit equalities: that
     route is the reference that `law_two_route_projection` and the tests
@@ -1123,6 +1143,7 @@ def _project(P: HPolyhedron, pi: LinearMap, V: Optional[VRep]) -> HPolyhedron:
     elim.eliminate(set(range(nt, nt + m)))
     R = elim.result(nt)
     if V is not None:
+        R = _with_ints(R, [_scaled_ints(row) for row in (*elim.eqs, *elim.ineqs)])
         implicit = elim.implicit_rows()
         image = _promoted(R, implicit)
         image.__dict__["_incidences"] = gens, [mask for i, mask in enumerate(elim.masks) if i not in implicit]

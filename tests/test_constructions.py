@@ -2,18 +2,24 @@
 
 Expected values were computed independently before being pinned here: small
 vertex sets by hand, larger ones through the tight-row enumerator, circuit
-counts through the subset-enumeration oracle.
+counts through the subset-enumeration oracle. A separation that the
+integer candidate hyperplane proves is checked against the LP-only
+separation, which stays here as the reference.
 """
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from polycircuits import constructions, lp
 from polycircuits.circuits import basic_solutions, enumerate_circuits
 from polycircuits.constructions import (
     DisjunctiveFamily,
     PartitionInstance,
+    _hull_of_vertices,
     balas_extension,
     check_orthant_position,
     cropped_cross_polytope,
@@ -37,6 +43,7 @@ from polycircuits.errors import (
     NotPointed,
     PreconditionViolation,
 )
+from polycircuits.experiments import run_experiment
 from polycircuits.linalg import (
     canonicalize_direction,
     frac,
@@ -46,10 +53,11 @@ from polycircuits.linalg import (
     matrix,
     rank,
     transpose,
+    vec_sub,
     vector,
 )
 from polycircuits.inheritance import _descriptions_match
-from polycircuits.polyhedron import HPolyhedron, LinearMap, cartesian_product, dim, project, vrep
+from polycircuits.polyhedron import HPolyhedron, LinearMap, cartesian_product, dim, edge_directions, project, vrep
 
 
 def V(p):
@@ -400,6 +408,146 @@ class TestNonInheritingExtension:
         slab = HPolyhedron.make(2, B=[[1, 0], [-1, 0]], d=[1, 0], name="slab")
         with pytest.raises(NotPointed):
             non_inheriting_extension(slab, (1, 1))
+
+
+# ---------------------------------------------------------------------------
+# separations: the integer candidate hyperplane against the LP
+
+
+def _separable_by_lp(g, left, right):
+    """The LP-only `_separable_orthogonally`: the reference for its candidate."""
+    n = len(g)
+    rows, rhs = [], []
+    for u in left:
+        rows.append(tuple(u) + (frac(-1),))
+        rhs.append(-1)
+    for v in right:
+        rows.append(tuple(-x for x in v) + (frac(1),))
+        rhs.append(-1)
+    system = HPolyhedron.make(n + 1, A=[tuple(g) + (frac(0),)], b=[0], B=rows, d=rhs)
+    return lp.is_feasible(system)
+
+
+def _separation_case(rng, i):
+    """A seeded (g, left, right) in dimension 2..5, 1..4 rational corners a side.
+    Every fourth right side is the left one moved along g, so the centroids
+    differ along g; every fourth, one right corner is a left corner moved
+    along g, so the hulls touch modulo g; the rest are random corners moved
+    along a random direction by 0..6, both sides stretched along another."""
+    n = rng.randint(2, 5)
+    q = lambda: Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+    g = (0,) * n
+    while not any(g):
+        g = tuple(q() for _ in range(n))
+    left = [tuple(q() for _ in range(n)) for _ in range(rng.randint(1, 4))]
+    t = Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2)))
+    along = lambda u: tuple(x + t * y for x, y in zip(u, g))
+    if i % 4 == 0:
+        return g, left, [along(u) for u in left]
+    w, s, e = tuple(q() for _ in range(n)), rng.randint(0, 6), tuple(q() for _ in range(n))
+    stretch = lambda u: tuple(x + rng.randint(-5, 5) * y for x, y in zip(u, e))
+    left = [stretch(u) for u in left]
+    right = [stretch(tuple(q() + s * x for x in w)) for _ in range(rng.randint(1, 4))]
+    if i % 4 == 1:
+        right[0] = along(left[0])
+    return g, left, right
+
+
+def test_separation_candidate_matches_the_lp(monkeypatch):
+    # `_separable_orthogonally` accepts a pair on its integer candidate alone,
+    # or asks the LP; either way it answers as the LP-only reference does.
+    # The counts are pinned: a change that makes the candidate settle fewer
+    # pairs, or accept a wrong one, moves them.
+    lps = []
+    monkeypatch.setattr(constructions, "is_feasible", lambda P: lps.append(P) or lp.is_feasible(P))
+    seen = Counter()
+    rng = random.Random(3900)
+    for i in range(600):
+        g, left, right = _separation_case(rng, i)
+        lps.clear()
+        got = constructions._separable_orthogonally(vector(g), [vector(u) for u in left], [vector(v) for v in right])
+        assert got == _separable_by_lp(g, left, right), (g, left, right)
+        seen[("LP" if lps else "candidate") + (" accepts" if got else " rejects")] += 1
+        centroids = [[sum(xs) / len(side) for xs in zip(*side)] for side in (left, right)]
+        if rank(matrix([[y - x for x, y in zip(*centroids)], g])) < 2:
+            seen["a = 0"] += 1
+            assert not got
+        if any(rank(matrix([[y - x for x, y in zip(u, v)], g])) < 2 for u in left for v in right):
+            seen["touch modulo g"] += 1
+            assert not got
+    assert seen == {
+        "candidate accepts": 195, "LP accepts": 48, "LP rejects": 357, "a = 0": 156, "touch modulo g": 304,
+    }, seen
+
+
+def _thm5_targets():
+    P3 = project(simplex(4), pi_matrix(3, 4))
+    yield from ((P3, g) for g in sorted(set(enumerate_circuits(P3)) - set(edge_directions(P3))))
+    yield hypercube(2), V((1, 1))
+    yield hypercube(3), V((1, 1, 0))
+    yield hypercube(3), V((1, 1, 1))
+
+
+def _seeded_targets(count):
+    """Hulls of 3..6 random integer points in dimension 2 or 3, each with a
+    vertex difference that is not an edge direction."""
+    rng = random.Random(3901)
+    while count:
+        n = rng.choice((2, 2, 3))
+        pts = [V([rng.randint(-3, 3) for _ in range(n)]) for _ in range(rng.randint(n + 1, n + 3))]
+        if rank(matrix([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]])) < n:
+            continue
+        P = _hull_of_vertices(pts)
+        verts, edges = vrep(P).vertices, set(edge_directions(P))
+        diffs = [vec_sub(u, v) for u, v in itertools.combinations(verts, 2)]
+        if diffs := [d for d in diffs if canonicalize_direction(d) not in edges]:
+            count -= 1
+            yield P, rng.choice(diffs)
+
+
+def test_the_lp_reference_builds_the_same_extensions(monkeypatch):
+    # With the LP-only separation patched in, every thm5 target and every
+    # seeded target gets the same extension, family, pieces and eps alike.
+    # Some of the seeded covers halve eps: a piece did not fit or two pieces
+    # were not separable at a larger width.
+    cases = [*_thm5_targets(), *_seeded_targets(24)]
+    built = [non_inheriting_extension(P, g) for P, g in cases]
+    widths, refused = [], []
+    parallelogram = constructions._parallelogram
+
+    def recorded(mid, delta, z, eps, name):
+        widths.append(eps)
+        return parallelogram(mid, delta, z, eps, name)
+
+    def reference(g, left, right):
+        refused.append(not _separable_by_lp(g, left, right))
+        return not refused[-1]
+
+    monkeypatch.setattr(constructions, "_parallelogram", recorded)
+    monkeypatch.setattr(constructions, "_separable_orthogonally", reference)
+    for (P, g), ext in zip(cases, built):
+        assert non_inheriting_extension(P, g) == ext, (P, g)
+    assert min(widths) < 1 and any(refused)
+
+
+def test_separation_lps_are_pinned(monkeypatch, tmp_path):
+    # The integer candidate proves every separation of thm5's covers but two;
+    # the LP-only separation solved 52 (cube (1,1,0) 17, cube (1,1,1) 21,
+    # square (1,1) 4, the simplex image's targets 10). A change that makes
+    # the candidate settle fewer pairs moves these counts.
+    calls = []
+    solve = lp.lp_solve
+    monkeypatch.setattr(lp, "lp_solve", lambda *args, **kwargs: calls.append(args) or solve(*args, **kwargs))
+
+    def lps(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    assert lps(lambda: run_experiment("thm5", {}, tmp_path)) == 2
+    assert lps(lambda: non_inheriting_extension(hypercube(3), (1, 1, 0))) == 1
+    assert lps(lambda: non_inheriting_extension(hypercube(3), (1, 1, 1))) == 0
+    assert lps(lambda: non_inheriting_extension(hypercube(2), (1, 1))) == 1
 
 
 # ---------------------------------------------------------------------------

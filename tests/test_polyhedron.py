@@ -561,13 +561,15 @@ def test_affine_image_and_preimage_roundtrip():
 def test_int_rows_counts_are_pinned(monkeypatch):
     # Every rational vector becomes integers through `linalg._int_vector`
     # (`_int_rows` maps it over rows). A description's rows become integers
-    # once, one call per row, in its `_ints` view: 12 here. The map is
-    # converted once, in `LinearMap._ints`, and its graph rows, generators
-    # and direction images are read off that view; the generators' vertices
-    # come as integer lines from the vertex walk, and the image's vertices
-    # from the generators. The other call converts the map. So rescaling the
-    # rows of a description that already has its view adds calls, and a
-    # change that does so must update this count on purpose.
+    # once, one call per row, in its `_ints` view: 4 here, the domain's. The
+    # image gets its view from the eliminator's integer rows, and keeps it
+    # through the promotion of its implicit equalities, with no call. The
+    # map is converted once, in `LinearMap._ints`, and its graph rows,
+    # generators and direction images are read off that view; the
+    # generators' vertices come as integer lines from the vertex walk, and
+    # the image's vertices from the generators. The other call converts the
+    # map. So rescaling the rows of a description that already has its view
+    # adds calls, and a change that does so must update this count on purpose.
     from polycircuits import constructions, linalg, lp, polyhedron
     from polycircuits.constructions import orthant, pi_matrix
     from polycircuits.inheritance import check_inheritance
@@ -582,4 +584,4 @@ def test_int_rows_counts_are_pinned(monkeypatch):
     for module in (linalg, polyhedron, lp, constructions):
         monkeypatch.setattr(module, "_int_vector", counting)
     check_inheritance(orthant(4), pi_matrix(3, 4))
-    assert len(calls) == 13
+    assert len(calls) == 5

@@ -14,7 +14,9 @@ generators, whose prunes test every row, and that route's reference is
 prune after a substitution that follows a prune; their reference is an
 eliminator that prunes after every step. The image `project` returns
 reads its vertices off the generators and the carried tight sets; its
-reference is `_vrep`, a double description of the image run afresh.
+reference is `_vrep`, a double description of the image run afresh, and
+it takes its integer rows from the eliminator; their reference is the
+view a fresh copy converts.
 `minimize_description` proves facets by ray shooting from the witnesses'
 summed point; its reference is the same prune with LPs alone. All of
 them must return exactly the same rows in the same order.
@@ -27,6 +29,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -977,6 +980,33 @@ def test_an_image_runs_no_double_description(monkeypatch):
     monkeypatch.setattr(polyhedron, "_extreme_rays", lambda *args: calls.append(args) or walk(*args))
     check_inheritance(orthant(4), pi_matrix(3, 4))
     assert len(calls) == 1
+
+
+def _same_view(P):
+    got, fresh = P._ints, replace(P)._ints
+    return (got.A, got.B, got.scale) == (fresh.A, fresh.B, fresh.scale)
+
+
+def test_an_image_gets_its_integer_rows_from_the_eliminator():
+    # `project` hands its image the eliminator's rows as its `_ints` view,
+    # and `_promoted` and `minimize_description` hand theirs the rows they
+    # keep; each must equal the view a fresh copy converts from its rows.
+    seen = Counter()
+    rng = random.Random(8501)
+    for i in range(400):
+        Q, pi = _image_pair(rng, i)
+        try:
+            P = project(Q, pi)
+        except EmptyPolyhedron:
+            continue
+        assert "_ints" in vars(P) and _same_view(P), (Q, pi)
+        seen["images"] += 1
+        seen["with equality rows"] += bool(P.A)
+        if i % 4 == 0:
+            M = minimize_description(Q)
+            assert "_ints" in vars(M) and _same_view(M), Q
+            seen["minimized"] += 1
+    assert seen["images"] >= 300 and seen["with equality rows"] >= 100 and seen["minimized"] >= 50, seen
 
 
 def _run_script(flags, script):
