@@ -157,8 +157,10 @@ def dumps(obj) -> str:
 
 
 def dump(obj, path) -> None:
+    """`dumps(obj)` into the file at `path`, streamed: the text is never held whole."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj))
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def load(path) -> dict:

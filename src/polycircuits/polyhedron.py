@@ -37,7 +37,10 @@ object: a `renamed` copy or any new description walks afresh. The basic
 solution walk `_basic_points` is not cached; it returns the checked
 `BasicSolutionSet` of `basic_solutions`. Both subset walks go through one
 check, `_certified_lines`: each line on the rows the walk names with it,
-and one `_ranks_reach` pass over all of them.
+and one `_ranks_reach` pass over all of them. Both vertex walks hand
+(line, tight mask) pairs to one check too, `_certified_vrep`: each mask
+must be the zero set of its line's slacks, none negative, and one
+`_ranks_reach` pass covers the vertices' tight sets.
 
 `project` has one route. It prunes every domain, pointed or not, by the
 rows' incidences with generators of P: the vertices and rays of `vrep(P)`,
@@ -648,21 +651,31 @@ def _circuit_lines(P: HPolyhedron) -> CircuitSet:
     return CircuitSet(directions=tuple(lines))
 
 
-def _adjacent(masks: Sequence[int], z: int) -> bool:
+def _adjacent(masks: Sequence[int], z: int, k: int) -> bool:
     """Whether two extreme rays of a pointed cone, or two vertices of a pointed
-    polyhedron, are adjacent, given z, the mask of the rows tight on both, and
-    the masks of all its rays, or vertices: iff no third mask contains z
-    (Fukuda & Prodon 1996), as z cuts out the least face holding both, which
-    holds those whose masks contain z. Callers first skip a z of fewer rows
-    than the dimension less one, which no edge has."""
+    polyhedron, are adjacent, given z, the mask of the rows tight on both, the
+    masks of all its rays, or vertices, and k, the dimension less two for a
+    cone's rays or less one for vertices: iff z holds k rows or more and no
+    third mask contains z (Fukuda & Prodon 1996), as z cuts out the least face
+    holding both, which holds those whose masks contain z. A z of fewer rows
+    cuts out a face too large to be an edge, and no mask is scanned."""
+    if z.bit_count() < k:
+        return False
     third = itertools.islice((m for m in masks if m & z == z), 2, None)  # the masks past two that contain z
     return next(third, None) is None
 
 
-def _extreme_rays(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
+def _maximal(masks: Iterable[int]) -> set[int]:
+    """The distinct masks of `masks` that no other of them strictly contains."""
+    masks = set(masks)
+    return {m for m in masks if not any(o != m and o & m == m for o in masks)}
+
+
+def _extreme_rays(rows: Sequence[Sequence[int]], width: int) -> tuple[list[list[int]], list[int]]:
     """The extreme rays of the pointed cone {v : row . v >= 0 for every row}, as
     primitive integer vectors, by double description (Motzkin, Raiffa, Thompson
-    & Thrall 1953; Fukuda & Prodon 1996). `rows` must reach rank `width`.
+    & Thrall 1953; Fukuda & Prodon 1996), and the mask of the rows tight on
+    each, bit i for `rows[i]`. `rows` must reach rank `width`.
 
     The first `width` independent rows S cut a simplicial start cone, whose
     ray j is the kernel line of the rows of S but row j, oriented so that row
@@ -674,8 +687,12 @@ def _extreme_rays(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
     pair with a . p > 0 > a . q. Each ray carries the mask of the rows added
     so far that are tight on it, and p and q are adjacent iff `_adjacent`
     holds on the masks of the rays so far: a face of the cone with three
-    dimensions or more has three extreme rays or more. The work budget caps
-    the pairs tested, a running count checked before each row's pairs.
+    dimensions or more has three extreme rays or more. The new ray's mask is
+    a's bit and the rows tight on both p and q, since a row that reads > 0
+    on either reads > 0 on their positive combination; so each mask returned
+    is the zero set of its ray's reads, which `_certified_vrep` reads again.
+    The work budget caps the pairs tested, a running count checked before
+    each row's pairs.
     """
     start, _ = _independent(rows, width)
     unit = [[int(k == j) for k in range(width)] for j in range(width)]
@@ -699,12 +716,12 @@ def _extreme_rays(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
             (_primitive([reads[p] * x - reads[q] * y for x, y in zip(rays[q], rays[p])])[0], z | bit)
             for p in pos
             for q in neg
-            if (z := masks[p] & masks[q]).bit_count() >= width - 2 and _adjacent(masks, z)
+            if _adjacent(masks, z := masks[p] & masks[q], width - 2)
         ]
         keep = [k for k, s in enumerate(reads) if s >= 0]
         masks = [masks[k] | bit if reads[k] == 0 else masks[k] for k in keep] + [m for _, m in new]
         rays = [rays[k] for k in keep] + [v for v, _ in new]
-    return rays
+    return rays, masks
 
 
 def _vrep(P: HPolyhedron) -> tuple[VRep, tuple[int, ...]]:
@@ -716,10 +733,9 @@ def _vrep(P: HPolyhedron) -> tuple[VRep, tuple[int, ...]]:
     `P._ints.reduced`, t = v[n'] the coefficient of the particular solution
     (`_extreme_rays`): `_IntRows.line` maps v with t > 0 to its vertex's
     line (den, *num), and v with t = 0 to (0, *r), r an extreme ray of P.
-    A pointed polyhedron with no vertex is empty (EmptyPolyhedron). Each
-    vertex is checked to have no negative slack and tight rows of rank n'
-    (one `_ranks_reach` pass over the tight-row sets of all vertices), and
-    each ray r to have B r <= 0 (CorrespondenceViolation if not).
+    Each comes with the mask the double description carried, the t-row's
+    bit dropped, as R row i reads 0 on v iff row i of P.B is tight on the
+    line; `_certified_vrep` checks both and raises as it says.
     """
     ints = P._ints
     _, R, np_ = ints.reduced
@@ -727,25 +743,8 @@ def _vrep(P: HPolyhedron) -> tuple[VRep, tuple[int, ...]]:
         raise NotPointed(P.name or "polyhedron")
     if not ints.consistent:
         raise EmptyPolyhedron(P.name or "polyhedron")
-    tights, rays = {}, []
-    for v in _extreme_rays([[0] * np_ + [1], *R], np_ + 1):
-        line = ints.line(v)
-        slacks = _slacks(ints.B, line[1:], line[0])
-        if any(s < 0 for s in slacks):
-            raise CorrespondenceViolation(f"vertex line {line} is not a vertex" if line[0]
-                                          else f"extreme ray {line[1:]} leaves the polyhedron")
-        if line[0]:
-            tights[line] = tuple(i for i, s in enumerate(slacks) if s == 0)
-        else:
-            rays.append(line[1:])
-    if not tights:
-        raise EmptyPolyhedron(P.name or "polyhedron")
-    # the rows tight on v reach rank n' iff v is extreme in the cone
-    bad = _ranks_reach(list(tights.values()), R, np_, np_ + 1)
-    if bad is not None:
-        raise CorrespondenceViolation(f"vertex line {list(tights)[bad]} is not a vertex")
-    lines = BasicSolutionSet.of(tights).lines
-    return VRep(lines=lines, rays=tuple(sorted(rays))), tuple(sum(1 << i for i in tights[v]) for v in lines)
+    rays, masks = _extreme_rays([[0] * np_ + [1], *R], np_ + 1)
+    return _certified_vrep(P, ((ints.line(v), m >> 1) for v, m in zip(rays, masks)))
 
 
 def _image_vrep(P: HPolyhedron, gens: Sequence[Sequence[int]], masks: Sequence[int]) -> tuple[VRep, tuple[int, ...]]:
@@ -759,47 +758,62 @@ def _image_vrep(P: HPolyhedron, gens: Sequence[Sequence[int]], masks: Sequence[i
     face of P of dimension 1 or more holds a vertex. A nonempty face strictly
     inside another has a strictly smaller tight set (Ziegler, Lectures on
     Polytopes, ch. 2), so the vertices are the image lines whose tight mask
-    over P.B no other vertex image's mask strictly contains (Fukuda & Prodon
-    1996). The extreme rays are found the same way among the nonzero ray
-    images N w, as faces of P's pointed recession cone. The errors are
-    `_vrep`'s, and so are the checks: no negative slack on any vertex or
-    ray (B r <= 0), and one `_ranks_reach` pass over the vertices' tight
-    rows; each mask must also be the zero set of its slacks
-    (CorrespondenceViolation if not). Q's double description paid for the
+    over P.B no other vertex image's mask strictly contains (`_maximal`;
+    Fukuda & Prodon 1996). The extreme rays are found the same way among the
+    nonzero ray images N w, as faces of P's pointed recession cone. The
+    distinct (line, mask) pairs go to `_certified_vrep`, the check a double
+    description's vertices get. Q's double description paid for the
     generators, so this charges no work budget.
     """
-    ints = P._ints
-    if ints.lineality:
+    if P._ints.lineality:
         raise NotPointed(P.name or "polyhedron")
     tight = [0] * len(gens)  # each generator's mask over P.B, bit by bit from the rows' masks
     for i, m in enumerate(masks):
         while m:
             tight[(m & -m).bit_length() - 1] |= 1 << i
             m &= m - 1
-
-    def maximal(found: list[tuple[Sequence[int], int]]) -> list[tuple[Sequence[int], int]]:
-        faces = {m for _, m in found}
-        top = {m for m in faces if not any(o != m and o & m == m for o in faces)}
-        return [(g, m) for g, m in found if m in top]
-
     n = P.n
     points = [(g, m) for g, m in zip(gens, tight) if g[-1]]
     directions = [(g, m) for g, m in zip(gens, tight) if not g[-1] and any(g[:n])]
-    tights = {_canonical((-g[-1], *g[:n])): m for g, m in maximal(points)}
-    rays = {(0, *_primitive(g[:n])[0]): m for g, m in maximal(directions)}
-    if not tights:
-        raise EmptyPolyhedron(P.name or "polyhedron")
-    for line, mask in (*tights.items(), *rays.items()):
+    vertices, extreme = _maximal(m for _, m in points), _maximal(m for _, m in directions)
+    found = [(_canonical((-g[-1], *g[:n])), m) for g, m in points if m in vertices]
+    found += [((0, *_primitive(g[:n])[0]), m) for g, m in directions if m in extreme]
+    return _certified_vrep(P, dict.fromkeys(found))
+
+
+def _certified_vrep(P: HPolyhedron, found: Iterable[tuple[Direction, int]]) -> tuple[VRep, tuple[int, ...]]:
+    """The `VRep` of P and the tight-row mask of each vertex, in `VRep.lines`
+    order, from the (line, mask) pairs of a vertex walk: a vertex line
+    (den, *num), den > 0, or a ray r as (0, *r), with the mask of the rows of
+    P.B the walk found tight on it. Every vertex walk ends here.
+
+    Each line must have no negative `_slacks` (B r <= 0 for a ray), and its
+    mask must be their zero set: CorrespondenceViolation if not. A pointed
+    P with no vertex is empty (EmptyPolyhedron). The rows tight on a vertex
+    reach rank n' iff it is extreme in the homogenization cone, so one
+    `_ranks_reach` pass over the vertices' zero sets, read off their slacks,
+    checks that each is a vertex (CorrespondenceViolation if not).
+    """
+    ints = P._ints
+    tights, rays = {}, []
+    for line, mask in found:
         slacks = _slacks(ints.B, line[1:], line[0])
-        if any(s < 0 for s in slacks) or mask != sum(1 << i for i, s in enumerate(slacks) if not s):
+        zero = tuple(i for i, s in enumerate(slacks) if not s)
+        if any(s < 0 for s in slacks) or mask != sum(1 << i for i in zero):
             name = f"vertex line {line}" if line[0] else f"extreme ray {line[1:]}"
             raise CorrespondenceViolation(f"{name} is off the polyhedron or off its carried tight set")
+        if line[0]:
+            tights[line] = mask, zero
+        else:
+            rays.append(line[1:])
+    if not tights:
+        raise EmptyPolyhedron(P.name or "polyhedron")
     _, R, np_ = ints.reduced
-    bad = _ranks_reach([tuple(i for i in range(len(masks)) if m >> i & 1) for m in tights.values()], R, np_, np_ + 1)
+    bad = _ranks_reach([zero for _, zero in tights.values()], R, np_, np_ + 1)
     if bad is not None:
         raise CorrespondenceViolation(f"vertex line {list(tights)[bad]} is not a vertex")
     lines = BasicSolutionSet.of(tights).lines
-    return VRep(lines=lines, rays=tuple(sorted(r[1:] for r in rays))), tuple(tights[v] for v in lines)
+    return VRep(lines=lines, rays=tuple(sorted(rays))), tuple(tights[v][0] for v in lines)
 
 
 def vrep(P: HPolyhedron) -> VRep:
@@ -816,9 +830,9 @@ def edge_directions(P: HPolyhedron) -> CircuitSet:
 def _edges(P: HPolyhedron) -> CircuitSet:
     """`edge_directions` of P, from its cached vertices and their tight-row masks (`_vrep`).
 
-    Vertices u and v are adjacent iff `_adjacent` holds on the vertex masks,
-    after a pair with fewer than n' - 1 common tight rows, n' = n - rank(A),
-    is skipped. The test is exact although the rays of P take no part: if
+    Vertices u and v are adjacent iff `_adjacent` holds on the vertex masks
+    with k = n' - 1, n' = n - rank(A). The test is exact although the rays
+    of P take no part: if
     the least face F holding u and v has dimension 2 or more, it holds a
     third vertex, since the bounded edges of the pointed F connect its
     vertices and an edge from u to v would be a smaller face holding both.
@@ -831,7 +845,7 @@ def _edges(P: HPolyhedron) -> CircuitSet:
     check_budget(comb(len(V.lines), 2), "vertex pairs")
     dirs = {_canonical(r) for r in V.rays}
     for (u, mu), (v, mv) in itertools.combinations(zip(V.lines, masks), 2):
-        if (z := mu & mv).bit_count() >= np_ - 1 and _adjacent(masks, z):
+        if _adjacent(masks, mu & mv, np_ - 1):
             dirs.add(_canonical([x * v[0] - y * u[0] for x, y in zip(u[1:], v[1:])]))
     return CircuitSet(directions=tuple(sorted(dirs)))
 
@@ -893,7 +907,10 @@ class _Eliminator:
     the live variables, and each substitution or combination divides out
     its gcd: a positive multiple of the row a Fraction elimination would
     hold, which names the same hyperplane or halfspace. `result` writes
-    both blocks as primitive integer normals with their right-hand sides.
+    both blocks as primitive integer normals with their right-hand sides,
+    and gives the description its `_ints` view from these integer rows
+    (`_scaled_ints`, `_with_ints`), on either route, so no row of it is
+    converted again.
 
     Every system the eliminator holds is a coordinate projection of the
     first one, so it can carry generators of its polyhedron, points v and
@@ -1051,8 +1068,8 @@ class _Eliminator:
         full, points = (1 << len(self.gens)) - 1, sum(1 << k for k, g in enumerate(self.gens) if g[-1])
         keep = _distinct_rows(self.ineqs)
         masks = [self.masks[i] for i in keep]
-        faces = [m for m in masks if m != full]
-        last = {m: i for i, m in zip(keep, masks) if m & points and not any(m != o and m & o == m for o in faces)}
+        facets = _maximal(m for m in masks if m != full and m & points)  # a mask holding one holds a point too
+        last = {m: i for i, m in zip(keep, masks) if m in facets}
         if implicit := [i for i, m in zip(keep, masks) if m == full]:
             implicit = _irredundant_rows(len(self.live), self.eqs, self.ineqs, implicit)
         return [i for i, m in zip(keep, masks) if (i in implicit if m == full else last.get(m) == i)]
@@ -1072,7 +1089,7 @@ class _Eliminator:
             raise CorrespondenceViolation(f"{len(self.live)} variables left after elimination, expected {n}")
         A, b = tuple(zip(*map(_scaled_row, self.eqs))) or ((), ())
         B, d = tuple(zip(*map(_scaled_row, self.ineqs))) or ((), ())
-        return HPolyhedron(n, A, b, B, d)
+        return _with_ints(HPolyhedron(n, A, b, B, d), [_scaled_ints(row) for row in (*self.eqs, *self.ineqs)])
 
 
 def project(P: HPolyhedron, pi: LinearMap) -> HPolyhedron:
@@ -1122,9 +1139,9 @@ def _project(P: HPolyhedron, pi: LinearMap, V: Optional[VRep]) -> HPolyhedron:
     equality row left, and each row's tight set is read again
     (`_Eliminator.implicit_rows`). The image keeps the generators and the
     tight sets of its inequality rows, in order, in its `__dict__` as
-    `_incidences`, where its vertex walk reads them (`_image_vrep`), and
-    takes its `_ints` view from the eliminator's integer rows
-    (`_scaled_ints`, `_with_ints`), so no row of it is converted again.
+    `_incidences`, where its vertex walk reads them (`_image_vrep`). On
+    both routes the result takes its `_ints` view from the eliminator's
+    integer rows (`_Eliminator.result`).
     Without V, an LP finds a point of P, and the result is checked to hold
     its image, whose `_implicit_rows` are the implicit equalities: that
     route is the reference that `law_two_route_projection` and the tests
@@ -1143,7 +1160,6 @@ def _project(P: HPolyhedron, pi: LinearMap, V: Optional[VRep]) -> HPolyhedron:
     elim.eliminate(set(range(nt, nt + m)))
     R = elim.result(nt)
     if V is not None:
-        R = _with_ints(R, [_scaled_ints(row) for row in (*elim.eqs, *elim.ineqs)])
         implicit = elim.implicit_rows()
         image = _promoted(R, implicit)
         image.__dict__["_incidences"] = gens, [mask for i, mask in enumerate(elim.masks) if i not in implicit]

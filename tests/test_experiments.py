@@ -173,12 +173,12 @@ def test_thm5_walks_each_target_once(tmp_path, monkeypatch):
 
 
 def test_partpoly_tests_each_vertex_pair_of_the_transportation_polytope_once(tmp_path, monkeypatch):
-    # The edge walk decides each vertex pair that shares n' - 1 tight rows by
-    # one `_adjacent` call, which the double description makes too, so only
-    # the calls inside `_edges` count. The transportation polytope T has five
-    # vertices, any two adjacent: check_inheritance(T, piX) tests its ten
-    # vertex pairs, and the claim that every circuit of T is an edge direction
-    # reads the edge walk cached on T instead of testing them again.
+    # The edge walk decides each vertex pair by one `_adjacent` call, which
+    # the double description makes too, so only the calls inside `_edges`
+    # count. The transportation polytope T has five vertices, any two
+    # adjacent: check_inheritance(T, piX) tests its ten vertex pairs, and the
+    # claim that every circuit of T is an edge direction reads the edge walk
+    # cached on T instead of testing them again.
     walking, calls = [], Counter()
     edges, adjacent = polyhedron._edges, polyhedron._adjacent
 
@@ -189,10 +189,10 @@ def test_partpoly_tests_each_vertex_pair_of_the_transportation_polytope_once(tmp
         finally:
             walking.pop()
 
-    def counting(masks, z):
+    def counting(masks, z, k):
         if walking:
             calls[walking[-1]] += 1
-        return adjacent(masks, z)
+        return adjacent(masks, z, k)
 
     monkeypatch.setattr(polyhedron, "_edges", walk)
     monkeypatch.setattr(polyhedron, "_adjacent", counting)

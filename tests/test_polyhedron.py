@@ -252,30 +252,74 @@ CUT_SQUARE = HPolyhedron.make(2, B=[[-1, 0], [0, -1], [1, 0], [0, 1], [2, 2]], d
 
 
 @pytest.mark.parametrize(
-    "P, bad, line",
+    "P, bad, message",
     [
         # (0, 0, 1) + (-1, 0, 1), the rays of the adjacent vertices (0, 0)
         # and (1, 0): the midpoint (1/2, 0) of their edge, one tight row
-        (unit_square(), [-1, 0, 2], (2, 1, 0)),
+        (unit_square(), [-1, 0, 2], "vertex line (2, 1, 0) is not a vertex"),
         # (1, 1), tight on x <= 1 and y <= 1 (rank 2), violates 2x + 2y <= 3
-        (CUT_SQUARE, [-1, -1, 1], (1, 1, 1)),
+        (CUT_SQUARE, [-1, -1, 1], "vertex line (1, 1, 1) is off the polyhedron or off its carried tight set"),
     ],
     ids=["not-extreme", "negative-slack"],
 )
-def test_a_wrong_vertex_is_a_correspondence_violation(monkeypatch, P, bad, line):
+def test_a_wrong_vertex_is_a_correspondence_violation(monkeypatch, P, bad, message):
     # Every ray of the cone's double description with t > 0 must be a point
-    # of P whose tight rows reach rank n'; one bad ray among the correct ones
-    # is reported, whichever check it fails.
+    # of P whose tight rows reach rank n'; one bad ray among the correct ones,
+    # with the mask of the rows that read 0 on it, is reported by the check
+    # it fails: the rank pass, or the slacks, which `_image_vrep`'s vertices
+    # meet in the same words.
     extreme_rays = polyhedron._extreme_rays
 
     def with_bad_ray(rows, width):
-        rays = extreme_rays(rows, width)
+        rays, masks = extreme_rays(rows, width)
         assert [0, 0, 1] in rays and [-1, 0, 1] in rays and bad not in rays
-        return rays + [bad]
+        return rays + [bad], masks + [sum(1 << i for i, row in enumerate(rows) if dot(row, bad) == 0)]
 
     monkeypatch.setattr(polyhedron, "_extreme_rays", with_bad_ray)
-    with pytest.raises(CorrespondenceViolation, match=re.escape(f"vertex line {line} is not a vertex")):
+    with pytest.raises(CorrespondenceViolation, match=re.escape(message)):
         vrep(P)
+
+
+_WRONG_DD_MASKS = """
+from polycircuits import polyhedron
+from polycircuits.constructions import hypercube
+from polycircuits.errors import CorrespondenceViolation
+
+extreme_rays = polyhedron._extreme_rays
+
+# the cone's rows are the t-row and the square's rows -x <= 0, -y <= 0,
+# x <= 1, y <= 1, so the vertex (0, 0), the ray (0, 0, 1), is tight on
+# bits 1 and 2: bit 3 is set on it, or bit 1 cleared
+for name, change in (("set", lambda m: m | 1 << 3), ("cleared", lambda m: m & ~(1 << 1))):
+    def wrong(rows, width, change=change):
+        rays, masks = extreme_rays(rows, width)
+        k = rays.index([0, 0, 1])
+        masks[k] = change(masks[k])
+        return rays, masks
+
+    polyhedron._extreme_rays = wrong
+    try:
+        print(name, "returned", polyhedron.vrep(hypercube(2)))
+    except CorrespondenceViolation as exc:
+        print(name, "CorrespondenceViolation:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_a_wrong_double_description_mask_is_a_correspondence_violation(flags):
+    # Every mask the double description returns is read again on the slacks
+    # of its line (`_certified_vrep`), also under -O: a bit set on a row the
+    # vertex is slack on, or cleared on a row it is tight on, raises.
+    src = str(Path(polycircuits.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _WRONG_DD_MASKS], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"{name} CorrespondenceViolation: vertex line (1, 0, 0) is off the polyhedron or off its carried tight set"
+        for name in ("set", "cleared")
+    ]
 
 
 _WRONG_KERNEL = """
@@ -346,7 +390,7 @@ def test_int_rows_line_names_points_and_rays(P):
     ints = P._ints
     _, R, np_ = ints.reduced
     V, lines = vrep(P), basic_solutions(P).lines
-    cone = polyhedron._extreme_rays([[0] * np_ + [1], *R], np_ + 1)
+    cone, _ = polyhedron._extreme_rays([[0] * np_ + [1], *R], np_ + 1)
     basic = {v for v, _ in polyhedron._subset_lines(R, np_, np_, np_ + 1)}
     points = [(v, V.lines) for v in cone if v[np_]] + [(v, lines) for v in basic if v[np_]]
     rays = [v for v in cone if not v[np_]]

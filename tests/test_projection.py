@@ -987,11 +987,21 @@ def _same_view(P):
     return (got.A, got.B, got.scale) == (fresh.A, fresh.B, fresh.scale)
 
 
-def test_an_image_gets_its_integer_rows_from_the_eliminator():
-    # `project` hands its image the eliminator's rows as its `_ints` view,
-    # and `_promoted` and `minimize_description` hand theirs the rows they
-    # keep; each must equal the view a fresh copy converts from its rows.
+def test_an_image_gets_its_integer_rows_from_the_eliminator(monkeypatch):
+    # `_Eliminator.result` hands the description it makes the eliminator's
+    # rows as its `_ints` view, on both routes of `_project`, and `_promoted`
+    # and `minimize_description` hand theirs the rows they keep; each must
+    # equal the view a fresh copy converts from its rows.
     seen = Counter()
+    result = _Eliminator.result
+
+    def viewed(self, n):
+        R = result(self, n)
+        assert "_ints" in vars(R) and _same_view(R)
+        seen["eliminator results"] += 1
+        return R
+
+    monkeypatch.setattr(_Eliminator, "result", viewed)
     rng = random.Random(8501)
     for i in range(400):
         Q, pi = _image_pair(rng, i)
@@ -1006,7 +1016,72 @@ def test_an_image_gets_its_integer_rows_from_the_eliminator():
             M = minimize_description(Q)
             assert "_ints" in vars(M) and _same_view(M), Q
             seen["minimized"] += 1
-    assert seen["images"] >= 300 and seen["with equality rows"] >= 100 and seen["minimized"] >= 50, seen
+        if i % 4 == 1:
+            L = _project(Q, pi, None)
+            assert "_ints" in vars(L) and _same_view(L), (Q, pi)
+            seen["LP route"] += 1
+    assert seen["images"] >= 300 and seen["with equality rows"] >= 100, seen
+    assert seen["minimized"] >= 50 and seen["LP route"] >= 50, seen
+    assert seen["eliminator results"] == seen["images"] + seen["LP route"], seen
+
+
+def test_double_description_masks_are_the_zero_sets_of_their_rays():
+    # `_extreme_rays` returns each ray with the mask it carried through the
+    # additions; `_certified_vrep` compares the masks of P.B's rows with the
+    # slacks, and this reference recomputes every bit, the t-row's included,
+    # from the rows' reads on the ray, on the domains and images of the
+    # seeded pairs.
+    seen = Counter()
+    rng = random.Random(8502)
+    for i in range(300):
+        Q, pi = _image_pair(rng, i)
+        try:
+            described = [Q, project(Q, pi)]
+        except EmptyPolyhedron:
+            described = [Q]
+        for P in described:
+            ints = P._ints
+            if ints.lineality or not ints.consistent:
+                continue
+            _, R, np_ = ints.reduced
+            rows = [[0] * np_ + [1], *R]
+            rays, masks = polyhedron._extreme_rays(rows, np_ + 1)
+            assert masks == [sum(1 << k for k, row in enumerate(rows) if not dot(row, v)) for v in rays], P
+            seen["descriptions"] += 1
+            seen["rays at infinity"] += any(not v[np_] for v in rays)
+            seen["with equality rows"] += bool(P.A)
+    assert seen["descriptions"] >= 400 and seen["rays at infinity"] >= 50 and seen["with equality rows"] >= 50, seen
+
+
+def _ref_maximal(masks):
+    sets = {m: frozenset(k for k in range(m.bit_length()) if m >> k & 1) for m in masks}
+    return {m for m, s in sets.items() if not any(s < t for t in sets.values())}
+
+
+def test_maximal_masks_match_a_subset_reference():
+    # `_maximal` is the one maximal tight set filter of the image walk and
+    # the incidence prune; its reference compares the masks as sets of bits.
+    seen = Counter()
+    rng = random.Random(8503)
+    assert polyhedron._maximal([]) == set()
+    for _ in range(500):
+        width = rng.randint(1, 8)
+        masks = [rng.getrandbits(width) for _ in range(rng.randint(0, 6))]
+        for _ in range(rng.randint(0, 2)):  # a nested chain, each mask inside the next
+            m = rng.getrandbits(width)
+            for _ in range(rng.randint(1, 3)):
+                masks.append(m)
+                m |= rng.getrandbits(width)
+        masks += rng.sample(masks, min(len(masks), rng.randint(0, 2)))  # duplicates
+        if rng.random() < 0.3:
+            masks.append(0)
+        rng.shuffle(masks)
+        got = polyhedron._maximal(iter(masks))
+        assert got == _ref_maximal(masks), masks
+        seen["duplicates"] += len(set(masks)) < len(masks)
+        seen["empty mask"] += 0 in masks
+        seen["strictly contained"] += len(got) < len(set(masks))
+    assert min(seen.values()) >= 100, seen
 
 
 def _run_script(flags, script):
