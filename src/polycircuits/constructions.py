@@ -294,31 +294,20 @@ def balas_extension(family: DisjunctiveFamily) -> tuple[HPolyhedron, LinearMap]:
     """
     p, n = family.p, family.n
     nv = p + p * n
-    start = lambda i: p + i * n
 
-    eqs = [[1] * p + [0] * (p * n)]
-    erhs = [1]
-    for i, piece in enumerate(family.pieces):
-        for arow, beta in zip(piece.A, piece.b):
-            row = [frac(0)] * nv
-            row[i] = -beta
-            row[start(i) : start(i) + n] = arow
-            eqs.append(row)
-            erhs.append(0)
-
-    ineqs, irhs = [], []
-    for i in range(p):
+    def lift(i: int, a, rhs) -> list:
+        """The row a . x_i - rhs * lambda_i, over (lambda, x_1, .., x_p)."""
         row = [frac(0)] * nv
-        row[i] = -1
-        ineqs.append(row)
-        irhs.append(0)
-    for i, piece in enumerate(family.pieces):
-        for brow, delta in zip(piece.B, piece.d):
-            row = [frac(0)] * nv
-            row[i] = -delta
-            row[start(i) : start(i) + n] = brow
-            ineqs.append(row)
-            irhs.append(0)
+        row[i] = -rhs
+        row[p + i * n : p + (i + 1) * n] = a
+        return row
+
+    pieces = list(enumerate(family.pieces))
+    eqs = [[1] * p + [0] * (p * n)]
+    eqs += [lift(i, a, beta) for i, piece in pieces for a, beta in zip(piece.A, piece.b)]
+    ineqs = [lift(i, zero_vector(n), 1) for i in range(p)]
+    ineqs += [lift(i, a, delta) for i, piece in pieces for a, delta in zip(piece.B, piece.d)]
+    erhs, irhs = [1] + [0] * (len(eqs) - 1), [0] * len(ineqs)
 
     Q = HPolyhedron.make(nv, A=eqs, b=erhs, B=ineqs, d=irhs, name=f"disjunctive_p{p}")
     summation = [[0] * p + list(u) * p for u in identity(n)]

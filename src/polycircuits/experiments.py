@@ -2,8 +2,10 @@
 
 Each experiment re-derives one published claim from scratch, records a list
 of machine-checkable claims (expected vs observed, exact values only), and
-persists every intermediate object as JSON under a run directory.  The same
-functions back both the command-line `reproduce` verb and the acceptance
+persists every intermediate object as JSON under a run directory.  One run
+is one `Recorder`: `run_experiment` opens it, the experiment records into it,
+and `run_experiment` finishes it, writing `result.json`, and returns it.  The
+same functions back both the command-line `reproduce` verb and the acceptance
 test suite, so there is exactly one implementation of each check.
 """
 
@@ -13,10 +15,9 @@ import itertools
 import os
 import random
 import time
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 from . import jsonio
 from .circuits import (
@@ -96,14 +97,33 @@ class Claim:
         }
 
 
-@dataclass
-class ReproductionResult:
-    experiment: str
-    parameters: dict
-    claims: list[Claim]
-    runtime_seconds: float
-    artifacts: list[str]
-    error: str = ""
+class Recorder:
+    """The record of one run: the parameters, claims and artifacts an experiment
+    records under one run directory, and, once `finish`ed, its runtime and
+    error, written as `result.json`."""
+
+    def __init__(self, experiment: str, parameters: dict, out_dir):
+        self.experiment = experiment
+        self.parameters = parameters
+        self.out_dir = os.fspath(out_dir)
+        self.claims: list[Claim] = []
+        self.artifacts: list[str] = []
+        self.runtime_seconds = 0.0
+        self.error = ""
+        self._start = time.monotonic()
+
+    def claim(self, description: str, expected, observed) -> None:
+        self.claims.append(Claim(description, expected, observed))
+
+    def _path(self, filename: str) -> str:
+        # the directory is made on the first write, so an input error leaves none
+        os.makedirs(self.out_dir, exist_ok=True)
+        return os.path.join(self.out_dir, filename)
+
+    def save(self, stem: str, payload: dict) -> None:
+        path = self._path(f"{stem}.json")
+        jsonio.dump(payload, path)
+        self.artifacts.append(path)
 
     @property
     def passed(self) -> bool:
@@ -120,64 +140,24 @@ class ReproductionResult:
             "error": self.error,
         }
 
-
-# The Recorder opened last in this context: `run_experiment` finishes it
-# when the work budget runs out part way through an experiment.
-_RECORDER: ContextVar[Optional["Recorder"]] = ContextVar("recorder", default=None)
-
-
-class Recorder:
-    """Claim collector and artifact writer for one run directory."""
-
-    def __init__(self, experiment: str, parameters: dict, out_dir):
-        self.experiment = experiment
-        self.parameters = parameters
-        self.out_dir = os.fspath(out_dir)
-        self.claims: list[Claim] = []
-        self.artifacts: list[str] = []
-        self._start = time.monotonic()
-        _RECORDER.set(self)
-
-    def claim(self, description: str, expected, observed) -> bool:
-        c = Claim(description, expected, observed)
-        self.claims.append(c)
-        return c.passed
-
-    def _path(self, filename: str) -> str:
-        # the directory is made on the first write, so an input error leaves none
-        os.makedirs(self.out_dir, exist_ok=True)
-        return os.path.join(self.out_dir, filename)
-
-    def save(self, stem: str, payload: dict) -> str:
-        path = self._path(f"{stem}.json")
-        jsonio.dump(payload, path)
-        self.artifacts.append(path)
-        return path
-
-    def finish(self, error: str = "") -> ReproductionResult:
-        result = ReproductionResult(
-            experiment=self.experiment,
-            parameters=self.parameters,
-            claims=self.claims,
-            runtime_seconds=time.monotonic() - self._start,
-            artifacts=self.artifacts,
-            error=error,
-        )
+    def finish(self, error: str = "") -> Recorder:
+        self.runtime_seconds = time.monotonic() - self._start
+        self.error = error
         # runtime_seconds varies run to run; every other byte is stable
-        jsonio.dump(result.to_dict(), self._path("result.json"))
-        return result
+        jsonio.dump(self.to_dict(), self._path("result.json"))
+        return self
 
 
 # ---------------------------------------------------------------------------
 # experiments
 
 
-def run_thm1(params: dict, out_dir) -> ReproductionResult:
+def run_thm1(params: dict, rec: Recorder) -> None:
     """Bounded and conic images of one projection: facet and vertex counts,
     the non-inherited witnesses, and the inherited-equals-edges identity."""
     n = int(params.get("n", 3))
     m = int(params.get("m", 4))
-    rec = Recorder("thm1", {"n": n, "m": m}, out_dir)
+    rec.parameters = {"n": n, "m": m}
     pi = pi_matrix(n, m)
     rec.save("projection", jsonio.map_to_dict(pi))
     e3 = unit_vector(n, 2)
@@ -221,12 +201,11 @@ def run_thm1(params: dict, out_dir) -> ReproductionResult:
     )
     rec.claim("conic: e3 is not inherited", True, e3 in repc.non_inherited)
     rec.claim("conic: e1 - e2 is not inherited", True, e12 in repc.non_inherited)
-    return rec.finish()
 
 
-def run_zonotope(params: dict, out_dir) -> ReproductionResult:
+def run_zonotope(params: dict, rec: Recorder) -> None:
     """Cube images: inherited circuits collapse to the edge directions."""
-    rec = Recorder("zonotope", {}, out_dir)
+    rec.parameters = {}
     for n, m in ((3, 4), (4, 6)):
         pi = pi_matrix(n, m)
         rep = check_inheritance(hypercube(m), pi)
@@ -238,15 +217,14 @@ def run_zonotope(params: dict, out_dir) -> ReproductionResult:
             rep.inherited_equals_edges,
         )
         rec.claim(f"{n}x{m}: e3 is a non-inherited circuit", True, e3 in rep.non_inherited)
-    return rec.finish()
 
 
-def run_thm2(params: dict, out_dir) -> ReproductionResult:
+def run_thm2(params: dict, rec: Recorder) -> None:
     """Cropped cross-polytope: vertex count, box-corner basic solutions, and
     the circuit surplus of the homogenization over the orthant extension."""
     n = int(params.get("n", 3))
     delta = Fraction(params.get("delta", Fraction(3, 4)))
-    rec = Recorder("thm2", {"n": n, "delta": str(delta)}, out_dir)
+    rec.parameters = {"n": n, "delta": str(delta)}
 
     Qp = cropped_cross_polytope(n, delta)
     CH, split = circuits_of_homogenization(Qp)
@@ -292,15 +270,14 @@ def run_thm2(params: dict, out_dir) -> ReproductionResult:
         rec.claim(
             f"circuit surplus grows from n={n - 1} to n={n}", True, len(CH_prev) - len(vrep(Qprev).lines) < gap
         )
-    return rec.finish()
 
 
-def run_partpoly(params: dict, out_dir) -> ReproductionResult:
+def run_partpoly(params: dict, rec: Recorder) -> None:
     """Clustering projection of the transportation system: its image has new
     circuits even though every circuit of the source is an edge direction."""
     if int(params.get("n", 5)) != 5:
         raise PreconditionViolation("only the five-point clustering instance is scripted")
-    rec = Recorder("partpoly", {"n": 5, "k": 2, "sizes": [1, 4]}, out_dir)
+    rec.parameters = {"n": 5, "k": 2, "sizes": [1, 4]}
     P3 = project(simplex(4), pi_matrix(3, 4))
     X = sorted(vrep(P3).vertices)
     rec.claim("the point set has five points in R^3", (5, 3), (len(X), len(X[0])))
@@ -325,7 +302,6 @@ def run_partpoly(params: dict, out_dir) -> ReproductionResult:
     rec.claim("the projected clustering polytope has non-inherited circuits",
               NOT_ALL_INHERITED, rep.verdict)
     rec.claim("at least one witness", True, len(rep.non_inherited) > 0)
-    return rec.finish()
 
 
 def _random_full_rank_map(rng: random.Random, rows: int, cols: int) -> LinearMap:
@@ -335,11 +311,11 @@ def _random_full_rank_map(rng: random.Random, rows: int, cols: int) -> LinearMap
             return LinearMap(M, name=f"random_{rows}x{cols}")
 
 
-def run_thm3(params: dict, out_dir) -> ReproductionResult:
+def run_thm3(params: dict, rec: Recorder) -> None:
     """Transfer the known counterexample onto a random surjection R^5 -> R^3
     via an invertible change of coordinates."""
     seed = int(params.get("seed", 0))
-    rec = Recorder("thm3", {"seed": seed}, out_dir)
+    rec.parameters = {"seed": seed}
     rng = random.Random(seed)
     pi = _random_full_rank_map(rng, 3, 5)
     rec.save("target_map", jsonio.map_to_dict(pi))
@@ -362,13 +338,12 @@ def run_thm3(params: dict, out_dir) -> ReproductionResult:
         True,
         rep.inherited_equals_edges,
     )
-    return rec.finish()
 
 
-def run_thm5(params: dict, out_dir) -> ReproductionResult:
+def run_thm5(params: dict, rec: Recorder) -> None:
     """Single-direction exclusion: for every target polytope and non-edge
     direction, the disjunctive extension projects no circuit onto it."""
-    rec = Recorder("thm5", {}, out_dir)
+    rec.parameters = {}
     P3 = project(simplex(4), pi_matrix(3, 4)).renamed("simplex_image_3_4")
     cases: list[tuple[HPolyhedron, list]] = []
     non_edge = sorted(set(enumerate_circuits(P3)) - set(edge_directions(P3)))
@@ -398,14 +373,13 @@ def run_thm5(params: dict, out_dir) -> ReproductionResult:
                 True,
                 set(CQ) == set(balas_circuit_prediction(ext.family)),
             )
-    return rec.finish()
 
 
-def run_thm6(params: dict, out_dir) -> ReproductionResult:
+def run_thm6(params: dict, rec: Recorder) -> None:
     """Scaled-projection search: a witness circuit of the image that no
     circuit of the domain maps onto."""
     seed = int(params.get("seed", 0))
-    rec = Recorder("thm6", {"seed": seed}, out_dir)
+    rec.parameters = {"seed": seed}
     cases = [hypercube(4), simplex(4), perturbed_simple_4polytope(seed)]
     for Q in cases:
         alpha, pi, CQ, CP = find_alpha_projection(Q)
@@ -428,12 +402,11 @@ def run_thm6(params: dict, out_dir) -> ReproductionResult:
             False,
             e3 in pi.image_directions(CQ),
         )
-    return rec.finish()
 
 
-def run_lemma17(params: dict, out_dir) -> ReproductionResult:
+def run_lemma17(params: dict, rec: Recorder) -> None:
     """The positive instance: full inheritance without affine triviality."""
-    rec = Recorder("lemma17", {"n": 3, "m": 6}, out_dir)
+    rec.parameters = {"n": 3, "m": 6}
     pi = pi_prime_matrix(3, 6)
     S = simplex(6)
     rep = check_inheritance(S, pi)
@@ -463,7 +436,6 @@ def run_lemma17(params: dict, out_dir) -> ReproductionResult:
         True,
         len(P.B) != len(simplex(6).B),
     )
-    return rec.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -639,11 +611,11 @@ LAW_SUITES: dict[str, Callable[[random.Random], bool]] = {
 }
 
 
-def run_laws(params: dict, out_dir) -> ReproductionResult:
+def run_laws(params: dict, rec: Recorder) -> None:
     """Randomized law suites: every identity on every seeded instance."""
     seed = int(params.get("seed", 0))
     count = int(params.get("count", 100))
-    rec = Recorder("laws", {"seed": seed, "count": count}, out_dir)
+    rec.parameters = {"seed": seed, "count": count}
     for suite_index, (name, fn) in enumerate(sorted(LAW_SUITES.items())):
         failures = []
         for i in range(count):
@@ -657,10 +629,9 @@ def run_laws(params: dict, out_dir) -> ReproductionResult:
             if not ok:
                 failures.append(i)
         rec.claim(f"{name}: failures out of {count} seeded instances", [], failures)
-    return rec.finish()
 
 
-EXPERIMENTS: dict[str, Callable] = {
+EXPERIMENTS: dict[str, Callable[[dict, Recorder], None]] = {
     "thm1": run_thm1,
     "thm2": run_thm2,
     "zonotope": run_zonotope,
@@ -673,19 +644,18 @@ EXPERIMENTS: dict[str, Callable] = {
 }
 
 
-def run_experiment(name: str, params: dict, out_dir) -> ReproductionResult:
-    """Dispatch one experiment; on a blown budget, persist the partial log.
+def run_experiment(name: str, params: dict, out_dir) -> Recorder:
+    """Run one experiment into the `Recorder` opened here and finish it.
 
-    The partial log is the experiment's own Recorder, with the parameters,
-    claims and artifacts it recorded before the budget ran out; a budget
-    that runs out before the experiment opens one gets a fresh Recorder."""
+    The experiment replaces the raw parameters with the ones it records; on
+    a blown budget the record is finished as it stands, a partial log of the
+    claims and artifacts recorded so far, and holds the raw parameters if the
+    budget ran out before the experiment set its own."""
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {name!r}")
-    token = _RECORDER.set(None)
+    rec = Recorder(name, dict(params), out_dir)
     try:
-        return EXPERIMENTS[name](params, out_dir)
+        EXPERIMENTS[name](params, rec)
     except BudgetExceeded as exc:
-        rec = _RECORDER.get() or Recorder(name, dict(params), out_dir)
         return rec.finish(error=f"budget exceeded: {exc}")
-    finally:
-        _RECORDER.reset(token)
+    return rec.finish()

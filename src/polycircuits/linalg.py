@@ -13,12 +13,14 @@ the lcm of its denominators, `_primitive` divides an integer vector by
 its gcd and keeps its sign, `_scaled_row` gives an integer row [a | rhs]
 as its primitive normal and rhs (and `_scaled_ints` that row's
 `_int_vector`, without the Fractions), and `_canonical` names a line. Rows are
-reduced by one fraction-free insertion step (`_insert`, Bareiss 1968),
-folded over a whole matrix by `_fold`; its first half, the residual of a
-row on an echelon form, is `_residual`. `_ranks_reach` checks the rank of
-many row subsets in one pass: it visits them in sorted order, resumes each
-from the echelon form of the prefix it shares with the subset before it,
-and only reduces the row that would reach the target rank. The subset
+reduced by one fraction-free insertion step (`_insert`, Bareiss 1968);
+its first half, the residual of a row on an echelon form, is `_residual`.
+`_independent` inserts the rows of a whole matrix in order until their rank
+fills the columns, and its echelon form serves `rank`, `kernel_basis` and
+`solve`. `_ranks_reach` checks the rank of many row subsets in one pass: it
+visits them in sorted order, resumes each from the echelon form of the
+prefix it shares with the subset before it, and only reduces the row that
+would reach the target rank. The subset
 walk `_subset_lines` finds the kernel line of every independent k-subset
 of rows, eliminating each shared (k-2)-prefix once and stopping two rows
 early: the last two rows of a subset meet in one cross product of their
@@ -216,24 +218,14 @@ def _insert(
     return out, pivots + [c], a
 
 
-def _fold(
-    echelon: _Echelon, rows: Iterable[Sequence[int]], ncols: int
-) -> _Echelon:
-    """Insert `rows` one by one into `echelon`, skipping dependent rows."""
-    for x in rows:
-        step = _insert(*echelon, x, ncols)
-        if step is not None:
-            echelon = step
-    return echelon
-
-
 _EMPTY: _Echelon = ([], [], 1)
 
 
 def _independent(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[int], _Echelon]:
     """The indices of the integer rows independent, in their first `ncols` columns, of
     the rows before them (the pivot columns of the transpose), up to rank `ncols`, and
-    the echelon form of the rows picked, whose `_kernel` a caller need not fold again."""
+    the echelon form of the rows picked: the echelon form of all the rows, since
+    no row after rank `ncols` can pivot, whose `_kernel` and rank it gives."""
     picked, echelon = [], _EMPTY
     for i, row in enumerate(rows):
         if len(picked) < ncols and (grown := _insert(*echelon, row, ncols)):
@@ -385,7 +377,7 @@ def _kernel(echelon: _Echelon, ncols: int) -> list[list[int]]:
 
 
 def rank(M: Sequence[Sequence[Fraction]]) -> int:
-    return len(_fold(_EMPTY, _int_rows(M), len(M[0]))[1]) if M else 0
+    return len(_independent(_int_rows(M), len(M[0]))[0]) if M else 0
 
 
 def kernel_basis(M: Sequence[Sequence[Fraction]], ncols: Optional[int] = None) -> list[Vector]:
@@ -394,7 +386,7 @@ def kernel_basis(M: Sequence[Sequence[Fraction]], ncols: Optional[int] = None) -
         if not M:
             raise ValueError("need ncols for an empty matrix")
         ncols = len(M[0])
-    return [tuple(map(Fraction, v)) for v in _kernel(_fold(_EMPTY, _int_rows(M), ncols), ncols)]
+    return [tuple(map(Fraction, v)) for v in _kernel(_independent(_int_rows(M), ncols)[1], ncols)]
 
 
 def solve(M: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[Vector]:
@@ -405,7 +397,7 @@ def solve(M: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[
     if not M:
         return zero_vector(0) if is_zero(rhs) else None
     ncols = len(M[0])
-    rows, pivots, det = _fold(_EMPTY, _int_rows([tuple(row) + (r,) for row, r in zip(M, rhs)]), ncols + 1)
+    rows, pivots, det = _independent(_int_rows([tuple(row) + (r,) for row, r in zip(M, rhs)]), ncols + 1)[1]
     if ncols in pivots:  # pivot in the rhs column
         return None
     x = [ZERO] * ncols

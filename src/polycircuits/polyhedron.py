@@ -99,14 +99,12 @@ from .errors import (
     PreconditionViolation,
 )
 from .linalg import (
-    _EMPTY,
     ONE,
     ZERO,
     Direction,
     Matrix,
     Vector,
     _canonical,
-    _fold,
     _independent,
     _int_vector,
     _kernel,
@@ -245,7 +243,7 @@ class _IntRows:
 
     @cached_property
     def reduced(self) -> tuple[list[list[int]], list[list[int]], int]:
-        K = _kernel(_fold(_EMPTY, self.A, self.n + 1), self.n + 1)
+        K = _kernel(_independent(self.A, self.n + 1)[1], self.n + 1)
         R = [[sum(map(mul, row, v)) for v in K] for row in self.B] if self.A else self.B
         return K, R, sum(not v[-1] for v in K)
 
@@ -261,7 +259,7 @@ class _IntRows:
     @cached_property
     def lineality(self) -> list[list[int]]:
         _, R, np_ = self.reduced
-        return _kernel(_fold(_EMPTY, [row[:np_] for row in R], np_), np_)
+        return _kernel(_independent([row[:np_] for row in R], np_)[1], np_)
 
     def lift(self, v: Sequence[int]) -> Sequence[int]:
         """K v = (x, t), missing entries of v read as 0 (so n' of them give t = 0),
@@ -679,12 +677,12 @@ def _extreme_rays(rows: Sequence[Sequence[int]], width: int) -> tuple[list[list[
 
     The first `width` independent rows S cut a simplicial start cone, whose
     ray j is the kernel line of the rows of S but row j, oriented so that row
-    j reads > 0: column j of S^-1. One fold of the rows [S_j | e_j] gives
-    the echelon form det [I | S^-1] (`_fold`), so ray j is column j of
-    det S^-1, times the sign of det, made primitive. The other rows are
-    added in order. Adding a row a keeps the rays with a . v >= 0 and adds
-    the ray (a . p) q - (a . q) p, on which a reads 0, for every adjacent
-    pair with a . p > 0 > a . q. Each ray carries the mask of the rows added
+    j reads > 0: column j of S^-1. The rows [S_j | e_j], inserted in order
+    (`_independent`), give the echelon form det [I | S^-1], so ray j is
+    column j of det S^-1, times the sign of det, made primitive. The other
+    rows are added in order. Adding a row a keeps the rays with a . v >= 0
+    and adds the ray (a . p) q - (a . q) p, on which a reads 0, for every
+    adjacent pair with a . p > 0 > a . q. Each ray carries the mask of the rows added
     so far that are tight on it, and p and q are adjacent iff `_adjacent`
     holds on the masks of the rays so far: a face of the cone with three
     dimensions or more has three extreme rays or more. The new ray's mask is
@@ -696,7 +694,7 @@ def _extreme_rays(rows: Sequence[Sequence[int]], width: int) -> tuple[list[list[
     """
     start, _ = _independent(rows, width)
     unit = [[int(k == j) for k in range(width)] for j in range(width)]
-    echelon, pivots, det = _fold(_EMPTY, [[*rows[i], *e] for i, e in zip(start, unit)], width)
+    echelon, pivots, det = _independent([[*rows[i], *e] for i, e in zip(start, unit)], width)[1]
     inverse = [None] * width  # det S^-1, row by row: the echelon row with pivot c holds row c
     for R, c in zip(echelon, pivots):
         inverse[c] = R[width:] if det > 0 else [-x for x in R[width:]]

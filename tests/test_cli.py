@@ -243,6 +243,27 @@ def test_no_function_takes_a_budget_parameter():
     assert found == []
 
 
+def test_the_work_budget_is_the_one_context_variable():
+    # a run's record is handed to the experiment, not found through a
+    # context variable; the work budget is the package's one scoped setting
+    package = Path(polycircuits.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        named = {  # the value of each assignment, by the name it is bound to
+            id(node.value): ast.unparse(target)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in getattr(node, "targets", [getattr(node, "target", None)])
+        }
+        found += [
+            f"{path.stem}.{named.get(id(node), node.lineno)}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", "")) == "ContextVar"
+        ]
+    assert found == ["polyhedron._BUDGET"]
+
+
 def _package_defs_and_reads():
     """Each top-level function and class and each method of the package, as
     (qualified name, name), and every name or attribute the package reads."""

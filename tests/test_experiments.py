@@ -9,7 +9,7 @@ import pytest
 
 from polycircuits import circuits, polyhedron
 from polycircuits.constructions import transportation
-from polycircuits.experiments import Claim, Recorder, run_experiment
+from polycircuits.experiments import EXPERIMENTS, Claim, Recorder, run_experiment
 from polycircuits.polyhedron import work_budget
 
 
@@ -64,6 +64,36 @@ def test_blown_budget_leaves_partial_log(tmp_path):
     assert len(written) == 4
     assert sorted(os.path.basename(p) for p in on_disk["artifacts"]) == written
     assert len(on_disk["claims"]) == len(result.claims) > 0
+
+
+_OWN_PARAMETERS = {
+    "laws": ({"seed": 0, "count": 100}, 0),
+    "lemma17": ({"n": 3, "m": 6}, 0),
+    "partpoly": ({"n": 5, "k": 2, "sizes": [1, 4]}, 0),
+    "thm1": ({"n": 3, "m": 4}, 1),
+    "thm2": ({"n": 3, "delta": "3/4"}, 0),
+    "thm3": ({"seed": 0}, 3),
+    "thm5": ({}, 0),
+    "thm6": ({"seed": 0}, 0),
+    "zonotope": ({}, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_every_experiment_logs_its_own_parameters_when_the_budget_runs_out(tmp_path, name):
+    # A budget of 0 runs out at the first charged step: the partial log holds
+    # the parameters the experiment records (its defaults, from no raw
+    # parameters) and exactly the artifacts written before that step.
+    parameters, artifacts = _OWN_PARAMETERS[name]
+    with work_budget(0):
+        rec = run_experiment(name, {}, tmp_path)
+    assert rec.error.startswith("budget exceeded") and not rec.passed
+    on_disk = json.loads((tmp_path / "result.json").read_text())
+    assert on_disk["parameters"] == parameters
+    written = sorted(str(p) for p in tmp_path.iterdir() if p.name != "result.json")
+    assert len(written) == artifacts
+    assert sorted(on_disk["artifacts"]) == written
+    assert rec.to_dict() == on_disk
 
 
 def test_experiment_artifacts_are_valid_json(tmp_path):

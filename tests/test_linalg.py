@@ -31,7 +31,7 @@ M34_RREF = matrix([["1", "0", "0", "-1/2"], [0, 1, 0, 1], [0, 0, 1, "1/2"]])
 
 def test_rref_hand_eliminated():
     # the fraction-free echelon form over its det, rows in pivot order
-    rows, pivots, det = linalg._fold(linalg._EMPTY, linalg._int_rows(M34), 4)
+    rows, pivots, det = linalg._independent(linalg._int_rows(M34), 4)[1]
     assert sorted(pivots) == [0, 1, 2]
     R = sorted(zip(pivots, rows))
     assert tuple(tuple(Fraction(x, det) for x in row) for _, row in R) == M34_RREF
@@ -223,7 +223,7 @@ def _assert_fractions(values):
 
 def _check_against_reference(M):
     n = len(M[0])
-    rows, pivots, det = linalg._fold(linalg._EMPTY, linalg._int_rows(M), n)
+    rows, pivots, det = linalg._independent(linalg._int_rows(M), n)[1]
     R, ref_pivots = _ref_rref(M)
     assert sorted(pivots) == list(ref_pivots)
     assert [tuple(Fraction(x, det) for x in row) for _, row in sorted(zip(pivots, rows))] == list(R[: len(pivots)])
@@ -239,11 +239,21 @@ def _check_against_reference(M):
         assert all(x.denominator == 1 for x in v) and gcd(*(int(x) for x in v)) == 1
         assert is_zero(mat_vec(M, v))
 
-    # the rows picked, and their echelon form, which is their own fold
+    # the rows picked, and their echelon form, which is that of every row
+    # inserted in order and of the picked rows alone
     ints = linalg._int_rows(M)
     picked, echelon = linalg._independent(ints, n)
     assert picked == _ref_row_space_basis_indices(M)
-    assert echelon == linalg._fold(linalg._EMPTY, [ints[i] for i in picked], n)
+    assert echelon == _insert_all(ints, n) == _insert_all([ints[i] for i in picked], n)
+
+
+def _insert_all(rows, ncols):
+    """Every row inserted in order with `_insert`, dependent rows skipped,
+    with no stop at full rank."""
+    echelon = linalg._EMPTY
+    for x in rows:
+        echelon = linalg._insert(*echelon, x, ncols) or echelon
+    return echelon
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -270,10 +280,10 @@ def test_kernel_sign_with_negative_determinant():
     # One pivot, -2, so the scaled kernel vectors come out negated and must
     # be flipped back: x0 = x1 / 2 gives (1, 2, 0); x2 is free.
     M = matrix([[-2, 1, 0]])
-    assert linalg._fold(linalg._EMPTY, linalg._int_rows(M), 3)[2] == -2
+    assert linalg._independent(linalg._int_rows(M), 3)[1][2] == -2
     assert kernel_basis(M) == [vector([1, 2, 0]), vector([0, 0, 1])]
     M = matrix([[0, -3, 1], ["1/2", 0, 2]])
-    assert linalg._fold(linalg._EMPTY, linalg._int_rows(M), 3)[2] < 0
+    assert linalg._independent(linalg._int_rows(M), 3)[1][2] < 0
     _check_against_reference(M)
 
 

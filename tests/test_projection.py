@@ -761,16 +761,18 @@ def test_pointed_projection_solves_no_lp(monkeypatch):
 )
 def test_faces_are_decided_by_tight_sets_alone(monkeypatch, Q, pi):
     # With vrep(Q) cached, the incidence prunes of `project` and the edge
-    # walk compare tight-row masks: they fold no rows and run no rank test.
+    # walk compare tight-row masks: they eliminate no rows and run no rank
+    # test. The one elimination is `_promoted`'s pick of the image's
+    # equality rows (`_independent`).
     reference = _project(Q, pi, None)
     vrep(Q)
     counts, calls = _counting(monkeypatch), Counter()
-    for name in ("_ranks_reach", "_fold"):
+    for name in ("_ranks_reach", "_independent"):
         fn = getattr(polyhedron, name)
         monkeypatch.setattr(polyhedron, name, lambda *args, fn=fn, name=name: calls.update([name]) or fn(*args))
     assert project(Q, pi) == reference
     assert edge_directions(Q)
-    assert not calls and counts["incidence prune"] > 0 and counts["LP"] == 0
+    assert calls == {"_independent": 1} and counts["incidence prune"] > 0 and counts["LP"] == 0
 
 
 def test_the_work_budget_caps_the_projection():

@@ -466,7 +466,7 @@ def _ref_start_rays(rows, width):
     start, _ = linalg._independent(rows, width)
     rays = []
     for i in start:
-        (v,) = linalg._kernel(linalg._fold(linalg._EMPTY, [rows[j] for j in start if j != i], width), width)
+        (v,) = linalg._kernel(linalg._independent([rows[j] for j in start if j != i], width)[1], width)
         rays.append(v if dot(rows[i], v) > 0 else [-x for x in v])
     return rays
 
@@ -474,12 +474,20 @@ def _ref_start_rays(rows, width):
 def test_start_rays_match_a_fold_per_ray(monkeypatch):
     # Rows of which exactly `width` are independent, and the others positive
     # multiples of earlier rows, cut a simplicial cone: the double
-    # description keeps its start rays. They come from one fold of the start
-    # rows augmented with the identity; the reference folds the other rows
-    # of each ray afresh. The fold's det takes both signs.
+    # description keeps its start rays. They come from one elimination of
+    # the start rows augmented with the identity (`_independent`, the only
+    # call with rows twice `width` wide); the reference folds the other rows
+    # of each ray afresh. The elimination's det takes both signs.
     rng = random.Random(4200)
-    fold, dets = polyhedron._fold, []
-    monkeypatch.setattr(polyhedron, "_fold", lambda *args: dets.append(fold(*args)[2]) or fold(*args))
+    independent, dets = polyhedron._independent, []
+
+    def recording(rows, ncols):
+        picked, echelon = independent(rows, ncols)
+        if len(rows[0]) == 2 * ncols:
+            dets.append(echelon[2])
+        return picked, echelon
+
+    monkeypatch.setattr(polyhedron, "_independent", recording)
     checked = 0
     while checked < 60:
         width = rng.randint(1, 5)
@@ -497,9 +505,9 @@ def test_start_rays_match_a_fold_per_ray(monkeypatch):
 @pytest.mark.parametrize(
     "run, expected",
     [
-        (lambda: enumerate_circuits(homogenize(cropped_cross_polytope(3))), 109),
-        (lambda: basic_solutions(cropped_cross_polytope(3)), 258),
-        (lambda: edge_directions(hypercube(3)), 25),
+        (lambda: enumerate_circuits(homogenize(cropped_cross_polytope(3))), 98),
+        (lambda: basic_solutions(cropped_cross_polytope(3)), 247),
+        (lambda: edge_directions(hypercube(3)), 22),
     ],
     ids=["circuits-hom-ccp3", "basic-solutions-ccp3", "edges-cube3"],
 )
@@ -509,6 +517,8 @@ def test_subset_work_is_pinned(monkeypatch, run, expected):
     # take none: each becomes three coordinates on its prefix's kernel, and
     # a pair of them meets in one cross product. A change that visits
     # more subsets or eliminates more rows must update these counts on purpose.
+    # A whole matrix is eliminated by `linalg._independent`, which stops once
+    # its rank fills the columns that can pivot.
     # They include the rank test of every circuit line and basic solution on
     # its certificate rows and of every vertex on its own tight rows
     # (linalg._ranks_reach, one pass
@@ -518,7 +528,7 @@ def test_subset_work_is_pinned(monkeypatch, run, expected):
     # description, one fold of its n' + 1 rows augmented with the identity
     # (cube3: 4 steps, where one fold per ray took 12); edges are decided by
     # tight-row masks, with no rank test.
-    # Of ccp3's 258 basic-solution steps, 157 name the dominating point of
+    # Of ccp3's 247 basic-solution steps, 157 name the dominating point of
     # each sampled non-basic midpoint: its tight rows, then the others, are
     # inserted greedily until they reach rank n' (`linalg._independent`),
     # whose echelon form gives the kernel line with no fold of its own.
@@ -545,7 +555,8 @@ def test_walks_and_rank_tests_read_the_reduced_rows(monkeypatch):
     # which n' + 1 columns can pivot.
     # transportation(5, 2, (1, 4)) has n = 10 and seven equality rows of
     # rank 6, so n' = 4. The rows n wide are the Fraction `rank` of [A; B]
-    # in `is_pointed`. Of the 370 steps, 209 name the dominating point of
+    # in `is_pointed`, which stops at rank 10, on the 11th row. Of the 358
+    # steps, 209 name the dominating point of
     # each non-basic midpoint that `basic_solutions` samples: a greedy pass
     # over the reduced rows to rank n' (`linalg._independent`), whose
     # echelon form gives the point's kernel line with no second fold.
@@ -562,8 +573,8 @@ def test_walks_and_rank_tests_read_the_reduced_rows(monkeypatch):
     vrep(P)
     edge_directions(P)
     wide = Counter(w for w in widths if w[0] > 5)
-    assert wide == {(11, 11): len(P.A), (10, 10): len(P.A) + len(P.B), (10, 5): 5}
-    assert len(widths) == 370
+    assert wide == {(11, 11): len(P.A), (10, 10): 11, (10, 5): 5}
+    assert len(widths) == 358
 
 
 def test_circuit_lines_are_checked_on_their_certificates_alone(monkeypatch):
