@@ -22,20 +22,23 @@ visits them in sorted order, resumes each from the echelon form of the
 prefix it shares with the subset before it, and only reduces the row that
 would reach the target rank. The subset
 walk `_subset_lines` finds the kernel line of every independent k-subset
-of rows, eliminating each shared (k-2)-prefix once and stopping two rows
-early: the last two rows of a subset meet in one cross product of their
-three coordinates on the prefix's kernel. It names each line with its
-certificate, the k rows of the subset that gave it, so that a caller can
-check the line on those rows alone. `dot` sums integer products over one
-common denominator, so the costly Fraction normalizations happen once per
-output entry.
+of rows. It takes no `_insert` step: down its depth-first walk of the
+(k-2)-prefixes it carries one fraction-free tableau per depth, the
+echelon form of the prefix and the residuals of the rows after it, and a
+step updates each of those rows once, as lrs updates its dictionary at a
+pivot (Avis 2000). It stops two rows early: the last two rows of a subset
+meet in one cross product of their three coordinates on the prefix's
+kernel. It names each line with its certificate, the k rows of the subset
+that gave it, so that a caller can check the line on those rows alone,
+with `_ranks_reach`, which shares no elimination code with the walk.
+`dot` sums integer products over one common denominator, so the costly
+Fraction normalizations happen once per output entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -279,26 +282,35 @@ def _subset_lines(
 
     Rows have `width` columns; independence and pivots count only the first
     `ncols`, and k independent rows must leave one free column, so
-    width = k + 1 and ncols is width or width - 1. The walk stops two rows
-    early: it eliminates the independent (k-2)-prefixes depth first in
-    lexicographic order, one `_insert` step each, and skips the subtree of a
-    row that depends on its prefix. A prefix leaves three free columns
-    f < g < h with the unscaled kernel vectors K_f, K_g and K_h (K[free] =
-    det, K[p] = -R[free]); when ncols < width, h is the last column, which
-    never pivots. A later row x has the Bareiss residual entries
-    r = (x.K_f, x.K_g, x.K_h) in those columns, and rows with parallel r
-    meet the prefix's kernel alike, so each later row counts once, as the
-    `_canonical` point of r, and its class is named by its first row; a row
-    with r = 0 depends on the prefix. Two distinct points r and s extend the
-    prefix to a k-subset with the kernel line c_f K_f + c_g K_g + c_h K_h,
-    c = r x s, independent in the first `ncols` columns iff c_h != 0 or
-    h < ncols. Each line is yielded once per prefix, with the certificate
-    (*prefix, i, j) of the first pair of points that gave it, i < j the first
-    rows of their classes: k rows that read 0 on the line and have rank k in
-    the first `ncols` columns. Different prefixes may still yield the same
-    line, with another certificate. With k = 1 the empty prefix leaves the
-    columns 0 and 1 free, and a row (a, b, ...) gives the line (b, -a), with
-    the first such row as its certificate.
+    width = k + 1 and ncols is width or width - 1. The walk visits the
+    independent (k-2)-prefixes depth first in lexicographic order, and
+    carries one fraction-free tableau per depth, as lrs carries its
+    dictionary (Bareiss 1968; Avis 2000): the echelon form of the prefix
+    (RREF times det) and the Bareiss residuals y_j of the rows j after it,
+    zero in its pivot columns. A row whose residual is zero in the first
+    `ncols` columns depends on the prefix and is no child; one zero in every
+    column stays zero below, so it leaves the subtree. A child at depth d
+    needs k - d - 1 tableau rows after it. Descending by row i, with pivot c
+    the first nonzero column of y_i and a = y_i[c], costs one update per
+    later row and per echelon row, y' = (a y - y[c] y_i) // det, exact since
+    every entry is a minor; a becomes det, and a row with y[c] = 0 is shared
+    when a = det. A (k-2)-prefix leaves three free columns f < g < h with the
+    kernel vectors K_f, K_g and K_h (K[free] = det, K[p] = -R[free]); when
+    ncols < width, h is the last column, which never pivots. The step to
+    such a leaf computes only those three columns: the echelon rows'
+    entries give the K vectors, and a later row's entries r = (y_f, y_g,
+    y_h) are its coordinates on the prefix's kernel, read up to a nonzero
+    factor that `_canonical` removes. Rows with parallel r meet the
+    kernel alike, so each later row counts once, as the `_canonical` point
+    of r, named by its first row; a row with r = 0 depends on the prefix.
+    The lines come from pairs of points (`_pair_lines`), each yielded once
+    per prefix with the certificate (*prefix, i, j) of the first pair that
+    gave it: k rows that read 0 on the line and have rank k in the first
+    `ncols` columns. Different prefixes may still yield the same line, with
+    another certificate. With k = 2 the empty prefix is the leaf, and each
+    row is its own r. With k = 1 the empty prefix leaves the columns 0 and 1
+    free, and a row (a, b, ...) gives the line (b, -a), with the first such
+    row as its certificate.
     """
     if k == 0:
         yield (1,), ()  # no row to choose: the one column is free
@@ -310,48 +322,99 @@ def _subset_lines(
                 lines.setdefault(_canonical((x[1], -x[0])), (i,))
         yield from lines.items()
         return
-    q = len(rows)
-    insert = _insert
-    forms = [_EMPTY] + [None] * (k - 2)
-    chosen = [0] * (k - 2)
-    depth, i = 0, 0
-    while True:
-        if depth == k - 2:
-            echelon, pivots, det = forms[depth]
-            f, g, h = (c for c in range(width) if c not in pivots)
+    if k == 2:  # K is the identity, so each line is its own `_canonical` vector
+        points = {}
+        for j, x in enumerate(rows):
+            if any(x):
+                points.setdefault(_canonical(x), j)
+        yield from _pair_lines(points, 2, ncols).items()
+        return
+    later = [(j, x) for j, x in enumerate(rows) if any(x)]
+    # frames[d]: the tableau of the prefix chosen[:d], as (later, echelon rows, pivots, det),
+    # and an iterator over the positions in `later` of the children still to visit,
+    # each with k - d - 1 rows after it
+    frames = [(later, [], [], 1, iter(range(len(later) - k + 1)))]
+    chosen = []
+    while frames:
+        later, echelon, pivots, det, positions = frames[-1]
+        depth = len(chosen)
+        for pos in positions:
+            i, y = later[pos]
+            a = next(filter(None, y[:ncols]), 0)
+            if not a:
+                continue  # y depends on the prefix
+            c = y.index(a)  # the first nonzero column: the ones before it hold 0
+            if depth < k - 3:  # not yet the step to a leaf
+                tableau = []
+                for j, z in later[pos + 1 :]:
+                    e = z[c]
+                    if e:
+                        z = [(a * u - e * v) // det for u, v in zip(z, y)]
+                        if not any(z):
+                            continue
+                    elif a != det:
+                        z = [a * u // det for u in z]
+                    tableau.append((j, z))
+                steps = []
+                for R in echelon:
+                    e = R[c]
+                    if e:
+                        R = [(a * u - e * v) // det for u, v in zip(R, y)]
+                    elif a != det:
+                        R = [a * u // det for u in R]
+                    steps.append(R)
+                steps.append(y)
+                frames.append((tableau, steps, pivots + [c], a, iter(range(len(tableau) - k + depth + 2))))
+                chosen.append(i)
+                break
+            f, g, h = (col for col in range(width) if col != c and col not in pivots)
+            yf, yg, yh = y[f], y[g], y[h]
             Kf, Kg, Kh = [0] * width, [0] * width, [0] * width
-            Kf[f] = Kg[g] = Kh[h] = det
+            Kf[f] = Kg[g] = Kh[h] = a
+            Kf[c], Kg[c], Kh[c] = -yf, -yg, -yh
             for R, p in zip(echelon, pivots):
-                Kf[p], Kg[p], Kh[p] = -R[f], -R[g], -R[h]
+                e = R[c]
+                Kf[p], Kg[p], Kh[p] = (e * yf - a * R[f]) // det, (e * yg - a * R[g]) // det, (e * yh - a * R[h]) // det
             points = {}  # each point's first row, so in row order
-            for j, x in enumerate(rows[i:], i):
-                a, b, c = sum(map(mul, x, Kf)), sum(map(mul, x, Kg)), sum(map(mul, x, Kh))
-                if a or b or c:  # `_canonical`, inline: (a or b or c) is the first nonzero entry
-                    d = gcd(a, b, c) if (a or b or c) > 0 else -gcd(a, b, c)
-                    points.setdefault((a // d, b // d, c // d), j)
-            points = list(points.items())
-            lines = {}
-            for j, ((a, b, c), ri) in enumerate(points):
-                for (u, v, w), si in points[j + 1 :]:
-                    x, y, z = b * w - c * v, c * u - a * w, a * v - b * u
-                    if z or h < ncols:  # distinct points are not parallel, so x, y, z are not all 0
-                        d = gcd(x, y, z) if (x or y or z) > 0 else -gcd(x, y, z)
-                        lines.setdefault((x // d, y // d, z // d), (ri, si))
-            prefix = tuple(chosen)
-            for (a, b, c), pair in lines.items():
-                yield _canonical([a * u + b * v + c * w for u, v, w in zip(Kf, Kg, Kh)]), prefix + pair
-        elif i <= q - k + depth:
-            step = insert(*forms[depth], rows[i], ncols)
-            if step is not None:
-                chosen[depth] = i
-                depth += 1
-                forms[depth] = step
-            i += 1
-            continue
-        depth -= 1
-        if depth < 0:
-            return
-        i = chosen[depth] + 1
+            for j, z in later[pos + 1 :]:
+                e = z[c]
+                if e:  # r times det
+                    u, v, w = a * z[f] - e * yf, a * z[g] - e * yg, a * z[h] - e * yh
+                else:  # r times det / a
+                    u, v, w = z[f], z[g], z[h]
+                if u or v or w:  # `_canonical`, inline: (u or v or w) is the first nonzero entry
+                    d = gcd(u, v, w) if (u or v or w) > 0 else -gcd(u, v, w)
+                    points.setdefault((u // d, v // d, w // d), j)
+            prefix = (*chosen, i)
+            for (u, v, w), pair in _pair_lines(points, h, ncols).items():
+                yield _canonical([u * kf + v * kg + w * kh for kf, kg, kh in zip(Kf, Kg, Kh)]), prefix + pair
+        else:
+            frames.pop()
+            if chosen:
+                chosen.pop()
+
+
+def _pair_lines(
+    points: dict[tuple[int, int, int], int], h: int, ncols: int
+) -> dict[tuple[int, int, int], tuple[int, int]]:
+    """The lines through pairs of `points`, in the coordinates (f, g, h) of a
+    prefix's kernel, each with the first pair (i, j) of rows that gave it.
+
+    `points` maps each `_canonical` point to its first row, in row order. Two
+    distinct points r and s extend the prefix to a k-subset with the kernel
+    line c = r x s, independent in the first `ncols` columns iff c_h != 0 or
+    h < ncols; each c comes back `_canonical`, once, with the rows of the
+    first pair that gave it, i < j.
+    """
+    items = list(points.items())
+    lines = {}
+    for j, ((a, b, c), ri) in enumerate(items):
+        for (u, v, w), si in items[j + 1 :]:
+            x, y, z = b * w - c * v, c * u - a * w, a * v - b * u
+            if z or h < ncols:  # distinct points are not parallel, so x, y, z are not all 0
+                d = gcd(x, y, z) if (x or y or z) > 0 else -gcd(x, y, z)
+                lines.setdefault((x // d, y // d, z // d), (ri, si))
+    return lines
 
 
 def _kernel_vector(

@@ -1,9 +1,10 @@
 """The subset enumerators and the double description against per-subset references.
 
 `enumerate_circuits` and `basic_solutions` visit row subsets depth first,
-reuse each prefix's echelon form and stop two rows early: each later row
-becomes three coordinates on the kernel of a (k-2)-prefix, and the last two
-rows of a subset meet in one cross product (`linalg._subset_lines`); `vrep`
+carry each prefix's tableau (its echelon form and the residuals of the
+later rows) and stop two rows early: each later row becomes three
+coordinates on the kernel of a (k-2)-prefix, and the last two rows of a
+subset meet in one cross product (`linalg._subset_lines`); `vrep`
 runs the double description of the homogenization cone
 (`polyhedron._extreme_rays`), and edges are decided by tight-row masks.
 The references below are per-subset loops: every subset is eliminated
@@ -338,9 +339,12 @@ def _ref_subset_lines(rows, k, ncols, width):
     return lines
 
 
-def _walk_rows(rng, q, width, seen):
+def _walk_rows(rng, q, width, seen, large=False):
     """q random integer rows, `width` wide, with zero rows, duplicate rows,
-    parallel rows of either sign and rows dependent on two earlier rows."""
+    parallel rows of either sign and rows dependent on two earlier rows.
+    Entries are at most 3 in absolute value, or with `large` a random row's
+    entries are 0, small or up to 10^3, and a dependent row combines three
+    earlier rows."""
     rows = []
     for _ in range(q):
         kind = rng.choice(("random", "random", "random", "zero", "duplicate", "parallel", "dependent"))
@@ -351,9 +355,13 @@ def _walk_rows(rng, q, width, seen):
         elif kind == "parallel" and rows:
             c = rng.choice((-3, -2, -1, 2))
             row = [c * x for x in rng.choice(rows)]
-        elif kind == "dependent" and len(rows) >= 2:
-            (s, t), a, b = rng.sample(rows, 2), rng.choice((-2, -1, 1, 3)), rng.choice((-1, 1, 2))
-            row = [a * x + b * y for x, y in zip(s, t)]
+        elif kind == "dependent" and len(rows) >= 2 + large:
+            picked = rng.sample(rows, 2 + large)
+            coefs = [rng.choice((-2, -1, 1, 3)), rng.choice((-1, 1, 2))] + [rng.choice((-1, 2))] * large
+            row = [sum(a * x for a, x in zip(coefs, col)) for col in zip(*picked)]
+        elif large:  # each entry 0, small or large
+            kind = "random"
+            row = [rng.choice((0, rng.randint(-3, 3), rng.randint(-(10**3), 10**3))) for _ in range(width)]
         else:
             kind, row = "random", [rng.randint(-3, 3) for _ in range(width)]
         seen.add(kind)
@@ -363,17 +371,22 @@ def _walk_rows(rng, q, width, seen):
 
 @pytest.mark.parametrize("last_column_pivots", [True, False], ids=["ncols=width", "ncols=width-1"])
 def test_subset_lines_match_per_subset_reference(last_column_pivots):
-    # The walk stops two rows early (a cross product of three kernel
-    # coordinates per pair of later rows); the reference eliminates every
-    # k-subset through `kernel_basis`. Each line comes with its certificate:
-    # k ascending row indices whose rows have rank k in the first `ncols`
-    # columns and read 0 on the line.
+    # The walk carries a fraction-free tableau down its prefixes and stops
+    # two rows early (a cross product of three kernel coordinates per pair
+    # of later rows); the reference eliminates every k-subset through
+    # `kernel_basis`. Each line comes with its certificate: k ascending row
+    # indices whose rows have rank k in the first `ncols` columns and read 0
+    # on the line. The second half of the trials has up to 11 rows with
+    # entries up to 10^3, so the tableau's exact divisions act on large
+    # minors, and rows that combine three earlier rows, whose residual on a
+    # prefix holding those rows is zero.
     rng, seen = random.Random(2601 + last_column_pivots), set()
-    for trial in range(150):
+    for trial in range(300):
         k = 1 + trial % 5
         width = k + 1
         ncols = width if last_column_pivots else width - 1
-        rows = _walk_rows(rng, rng.randint(0, 8), width, seen)
+        large = trial >= 150
+        rows = _walk_rows(rng, rng.randint(0, 11 if large else 8), width, seen, large)
         expected = _ref_subset_lines(rows, k, ncols, width)
         walked = list(linalg._subset_lines(rows, k, ncols, width))
         assert {line for line, _ in walked} == expected, (rows, k, ncols)
@@ -382,7 +395,46 @@ def test_subset_lines_match_per_subset_reference(last_column_pivots):
             assert len(cert) == k and list(cert) == sorted(set(cert)), (rows, line, cert)
             assert rank([r[:ncols] for r in S]) == k, (rows, line, cert)
             assert all(dot(r, line) == 0 for r in S), (rows, line, cert)
-    assert seen == {"random", "zero", "duplicate", "parallel", "dependent"}
+        if large and len(rows) > 8 and expected:
+            seen.add("more than 8 rows")
+        if large and any(abs(x) > 100 for line in expected for x in line):
+            seen.add("lines with entries over 100")
+    assert seen == {
+        "random", "zero", "duplicate", "parallel", "dependent", "more than 8 rows", "lines with entries over 100",
+    }, seen
+
+
+def _greedy_basis(indices, rows, ncols):
+    """The first basis of the rows `indices` in their first `ncols` columns:
+    each row is kept when it is independent of the rows kept before it."""
+    kept = []
+    for i in indices:
+        if rank([rows[j][:ncols] for j in kept + [i]]) > len(kept):
+            kept.append(i)
+    return tuple(kept)
+
+
+@pytest.mark.parametrize("last_column_pivots", [True, False], ids=["ncols=width", "ncols=width-1"])
+def test_first_certificates_are_greedy_bases(last_column_pivots):
+    # Different subsets reach the same line, and `_certified_lines` keeps the
+    # certificate the walk names with it first. That certificate is the
+    # lexicographically first basis of the rows that read 0 on the line:
+    # those rows in ascending order, each kept when it is independent of the
+    # rows kept before it.
+    rng, checked = random.Random(4301 + last_column_pivots), 0
+    for trial in range(600):
+        k = 1 + trial % 6
+        width = k + 1
+        ncols = width if last_column_pivots else width - 1
+        rows = _walk_rows(rng, rng.randint(0, 9), width, set())
+        first = {}
+        for line, cert in linalg._subset_lines(rows, k, ncols, width):
+            first.setdefault(line, cert)
+        for line, cert in first.items():
+            zeros = [i for i, r in enumerate(rows) if not sum(x * v for x, v in zip(r, line))]
+            assert cert == _greedy_basis(zeros, rows, ncols), (rows, k, ncols, line, cert)
+        checked += len(first)
+    assert checked > 1000, checked
 
 
 def _ref_rank_upto(rows, r, ncols):
@@ -503,59 +555,68 @@ def test_start_rays_match_a_fold_per_ray(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "run, expected",
+    "run, steps, walked",
     [
-        (lambda: enumerate_circuits(homogenize(cropped_cross_polytope(3))), 98),
-        (lambda: basic_solutions(cropped_cross_polytope(3)), 247),
-        (lambda: edge_directions(hypercube(3)), 22),
+        (lambda: enumerate_circuits(homogenize(cropped_cross_polytope(3))), 85, (211, 151)),
+        (lambda: basic_solutions(cropped_cross_polytope(3)), 235, (172, 142)),
+        (lambda: edge_directions(hypercube(3)), 22, (0, 0)),
     ],
     ids=["circuits-hom-ccp3", "basic-solutions-ccp3", "edges-cube3"],
 )
-def test_subset_work_is_pinned(monkeypatch, run, expected):
-    # Every elimination, over whole matrices or along the depth-first subset
-    # walk, is a sequence of linalg._insert steps; the walk's last two rows
-    # take none: each becomes three coordinates on its prefix's kernel, and
-    # a pair of them meets in one cross product. A change that visits
-    # more subsets or eliminates more rows must update these counts on purpose.
-    # A whole matrix is eliminated by `linalg._independent`, which stops once
-    # its rank fills the columns that can pivot.
-    # They include the rank test of every circuit line and basic solution on
-    # its certificate rows and of every vertex on its own tight rows
-    # (linalg._ranks_reach, one pass
-    # over the sorted row sets that resumes each from the echelon form of
-    # the prefix it shares with the set before it; the last row of each check
-    # is reduced, not inserted), and the start cone of the double
-    # description, one fold of its n' + 1 rows augmented with the identity
-    # (cube3: 4 steps, where one fold per ray took 12); edges are decided by
-    # tight-row masks, with no rank test.
-    # Of ccp3's 247 basic-solution steps, 157 name the dominating point of
-    # each sampled non-basic midpoint: its tight rows, then the others, are
+def test_subset_work_is_pinned(monkeypatch, run, steps, walked):
+    # Every elimination of a whole matrix or of a row set is a sequence of
+    # linalg._insert steps. A whole matrix is eliminated by
+    # `linalg._independent`, which stops once its rank fills the columns that
+    # can pivot. The steps include the rank test of every circuit line and
+    # basic solution on its certificate rows and of every vertex on its own
+    # tight rows (linalg._ranks_reach, one pass over the sorted row sets that
+    # resumes each from the echelon form of the prefix it shares with the set
+    # before it; the last row of each check is reduced, not inserted), and
+    # the start cone of the double description, one fold of its n' + 1 rows
+    # augmented with the identity (cube3: 4 steps, where one fold per ray
+    # took 12); edges are decided by tight-row masks, with no rank test. Of
+    # ccp3's 235 basic-solution steps, 157 name the dominating point of each
+    # sampled non-basic midpoint: its tight rows, then the others, are
     # inserted greedily until they reach rank n' (`linalg._independent`),
     # whose echelon form gives the kernel line with no fold of its own.
-    calls = []
-    insert = linalg._insert
+    # The subset walk (`linalg._subset_lines`) takes no _insert step: it
+    # updates its own tableau of residuals at each prefix, so its work is
+    # pinned by what it yields, lines against distinct lines (different
+    # prefixes reach the same line). A change that visits more subsets,
+    # eliminates more rows or yields more lines must update these counts on
+    # purpose.
+    calls, lines = [], []
+    insert, subset_lines = linalg._insert, polyhedron._subset_lines
 
     def counting(*args):
         calls.append(None)
         return insert(*args)
 
+    def recording(*args):
+        for line, cert in subset_lines(*args):
+            lines.append(line)
+            yield line, cert
+
     monkeypatch.setattr(linalg, "_insert", counting)
+    monkeypatch.setattr(polyhedron, "_subset_lines", recording)
     run()
-    assert len(calls) == expected
+    assert len(calls) == steps
+    assert (len(lines), len(set(lines))) == walked
 
 
 def test_walks_and_rank_tests_read_the_reduced_rows(monkeypatch):
     # The equality block is eliminated once per description: its rows
     # [a | rhs], n + 1 wide, are folded once into `_ints.reduced`, and every
-    # subset walk, rank test and double description step after that inserts
-    # reduced rows, with at most n' + 1 columns that can pivot; the edge walk
+    # rank test and double description step after that inserts reduced
+    # rows, with at most n' + 1 columns that can pivot; the subset walks
+    # read the reduced rows through their own tableau and the edge walk
     # inserts none, and the last row of each rank test is reduced, not
     # inserted. The double description's start cone folds its n' + 1 rows
     # once, each augmented with a row of the identity: 2(n' + 1) wide, of
     # which n' + 1 columns can pivot.
     # transportation(5, 2, (1, 4)) has n = 10 and seven equality rows of
     # rank 6, so n' = 4. The rows n wide are the Fraction `rank` of [A; B]
-    # in `is_pointed`, which stops at rank 10, on the 11th row. Of the 358
+    # in `is_pointed`, which stops at rank 10, on the 11th row. Of the 323
     # steps, 209 name the dominating point of
     # each non-basic midpoint that `basic_solutions` samples: a greedy pass
     # over the reduced rows to rank n' (`linalg._independent`), whose
@@ -574,7 +635,7 @@ def test_walks_and_rank_tests_read_the_reduced_rows(monkeypatch):
     edge_directions(P)
     wide = Counter(w for w in widths if w[0] > 5)
     assert wide == {(11, 11): len(P.A), (10, 10): 11, (10, 5): 5}
-    assert len(widths) == 358
+    assert len(widths) == 323
 
 
 def test_circuit_lines_are_checked_on_their_certificates_alone(monkeypatch):
