@@ -28,8 +28,10 @@ echelon form of the prefix and the residuals of the rows after it, and a
 step updates each of those rows once, as lrs updates its dictionary at a
 pivot (Avis 2000). It stops two rows early: the last two rows of a subset
 meet in one cross product of their three coordinates on the prefix's
-kernel. It names each line with its certificate, the k rows of the subset
-that gave it, so that a caller can check the line on those rows alone,
+kernel. It skips each prefix in whose span a row it passed before falls,
+as no line below it has that prefix as the start of its greedy basis. It
+names each line with its certificate, the k rows of the subset that gave
+it, so that a caller can check the line on those rows alone,
 with `_ranks_reach`, which shares no elimination code with the walk.
 `dot` sums integer products over one common denominator, so the costly
 Fraction normalizations happen once per output entry.
@@ -306,11 +308,35 @@ def _subset_lines(
     The lines come from pairs of points (`_pair_lines`), each yielded once
     per prefix with the certificate (*prefix, i, j) of the first pair that
     gave it: k rows that read 0 on the line and have rank k in the first
-    `ncols` columns. Different prefixes may still yield the same line, with
-    another certificate. With k = 2 the empty prefix is the leaf, and each
-    row is its own r. With k = 1 the empty prefix leaves the columns 0 and 1
-    free, and a row (a, b, ...) gives the line (b, -a), with the first such
-    row as its certificate.
+    `ncols` columns.
+
+    The walk skips every prefix that cannot start a line's greedy basis: the
+    rows that read 0 on the line taken in ascending order, each kept when it
+    is independent, in the first `ncols` columns, of the rows kept before it
+    (the lexicographic rule of reverse search; Avis & Fukuda 1996). Each
+    frame carries the residuals of its passed rows: the children that the
+    walk stepped into, or read at a leaf, before the current one, in this
+    frame and in the frames above. A passed row z is not in the prefix and is
+    independent of the prefix rows below it. Each step updates the passed
+    rows as it updates the later rows, and the step to a leaf reads their
+    points as it reads the later rows'. When z's residual is zero in every
+    column, or its point is 0, z lies in the span of the new prefix and
+    reads 0 on every line below it; each of those lines then has a greedy
+    basis that holds z, which this prefix does not start, so the subtree or
+    leaf is skipped. Zero in the first `ncols` columns alone is not enough:
+    with ncols < width, such a z need not read 0 on the point. A skipped
+    child i is not passed: z = p + t y_i with p in the span of the prefix
+    and t != 0, so z falls into every span that i falls into. A greedy
+    prefix is never skipped, so the first certificate of each line is its
+    greedy basis, the lines first come in ascending order of it, and those
+    firsts are the ones a walk that skips nothing would give. Different
+    prefixes may still yield the same line, with another certificate, when
+    the rows they passed that read 0 on it lie outside their span.
+
+    With k = 2 the empty prefix is the leaf, and each row is its own r. With
+    k = 1 the empty prefix leaves the columns 0 and 1 free, and a row
+    (a, b, ...) gives the line (b, -a), with the first such row as its
+    certificate.
     """
     if k == 0:
         yield (1,), ()  # no row to choose: the one column is free
@@ -330,13 +356,14 @@ def _subset_lines(
         yield from _pair_lines(points, 2, ncols).items()
         return
     later = [(j, x) for j, x in enumerate(rows) if any(x)]
-    # frames[d]: the tableau of the prefix chosen[:d], as (later, echelon rows, pivots, det),
-    # and an iterator over the positions in `later` of the children still to visit,
-    # each with k - d - 1 rows after it
-    frames = [(later, [], [], 1, iter(range(len(later) - k + 1)))]
+    # frames[d]: the tableau of the prefix chosen[:d], as (later, passed, echelon rows,
+    # pivots, det), and an iterator over the positions in `later` of the children still
+    # to visit, each with k - d - 1 rows after it; `passed` holds the residuals of the
+    # rows passed above and of the children of this frame not skipped so far
+    frames = [(later, [], [], [], 1, iter(range(len(later) - k + 1)))]
     chosen = []
     while frames:
-        later, echelon, pivots, det, positions = frames[-1]
+        later, passed, echelon, pivots, det, positions = frames[-1]
         depth = len(chosen)
         for pos in positions:
             i, y = later[pos]
@@ -345,6 +372,20 @@ def _subset_lines(
                 continue  # y depends on the prefix
             c = y.index(a)  # the first nonzero column: the ones before it hold 0
             if depth < k - 3:  # not yet the step to a leaf
+                carried = []
+                for z in passed:
+                    e = z[c]
+                    if e:
+                        z = [(a * u - e * v) // det for u, v in zip(z, y)]
+                        if not any(z):  # z is in the span of the new prefix
+                            carried = None
+                            break
+                    elif a != det:
+                        z = [a * u // det for u in z]
+                    carried.append(z)
+                if carried is None:
+                    continue
+                passed.append(y)
                 tableau = []
                 for j, z in later[pos + 1 :]:
                     e = z[c]
@@ -364,11 +405,14 @@ def _subset_lines(
                         R = [a * u // det for u in R]
                     steps.append(R)
                 steps.append(y)
-                frames.append((tableau, steps, pivots + [c], a, iter(range(len(tableau) - k + depth + 2))))
+                frames.append((tableau, carried, steps, pivots + [c], a, iter(range(len(tableau) - k + depth + 2))))
                 chosen.append(i)
                 break
             f, g, h = (col for col in range(width) if col != c and col not in pivots)
             yf, yg, yh = y[f], y[g], y[h]
+            if any(not (a * z[f] - z[c] * yf or a * z[g] - z[c] * yg or a * z[h] - z[c] * yh) for z in passed):
+                continue  # a passed row's point is 0: it lies in the span of the leaf's prefix
+            passed.append(y)
             Kf, Kg, Kh = [0] * width, [0] * width, [0] * width
             Kf[f] = Kg[g] = Kh[h] = a
             Kf[c], Kg[c], Kh[c] = -yf, -yg, -yh

@@ -542,8 +542,10 @@ def _certified_lines(
     """The lines of the subset walk `_subset_lines`(rows, k, ncols, width), each
     checked to be support-minimal on the k rows the walk names with it first.
 
-    Different subsets reach the same line, so each line keeps its first
-    certificate. It must read 0 on those rows, and one `_ranks_reach` pass
+    Different prefixes of the walk may still reach the same line, so each
+    line keeps its first certificate: its greedy basis, since the walk skips
+    no prefix that starts one, and the lines come first in ascending order
+    of it. It must read 0 on those rows, and one `_ranks_reach` pass
     checks that the certificates of all lines reach rank k in the first
     `ncols` columns, sharing their common prefixes, so that their kernel is
     the line and any line of smaller support would lie in it. A line that

@@ -19,6 +19,7 @@ every set afresh.
 """
 
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -32,7 +33,13 @@ import pytest
 import polycircuits
 from polycircuits import linalg, lp, polyhedron
 from polycircuits.circuits import basic_solutions, enumerate_circuits
-from polycircuits.constructions import cropped_cross_polytope, hypercube, transportation
+from polycircuits.constructions import (
+    DisjunctiveFamily,
+    balas_extension,
+    cropped_cross_polytope,
+    hypercube,
+    transportation,
+)
 from polycircuits.directions import BasicSolutionSet, CircuitSet
 from polycircuits.errors import EmptyPolyhedron, NotPointed
 from polycircuits.linalg import (
@@ -330,13 +337,19 @@ def test_point_systems_have_one_basic_solution(flags):
 
 def _ref_subset_lines(rows, k, ncols, width):
     """The canonical kernel line of every k-subset of `rows` independent in
-    its first `ncols` columns, each subset eliminated from scratch."""
-    lines = set()
-    for S in itertools.combinations(rows, k):
-        if len(kernel_basis([r[:ncols] for r in S], ncols)) == ncols - k:
-            (v,) = kernel_basis(S, width)
-            lines.add(canonicalize_direction(v))
-    return lines
+    its first `ncols` columns, each subset eliminated from scratch, and the
+    number of (prefix, line) pairs, a prefix being the subset's first k - 2
+    rows: what a walk yields that gives each line once per prefix and skips
+    no prefix."""
+    lines, pairs = set(), set()
+    for S in itertools.combinations(range(len(rows)), k):
+        M = [rows[i] for i in S]
+        if len(kernel_basis([r[:ncols] for r in M], ncols)) == ncols - k:
+            (v,) = kernel_basis(M, width)
+            line = canonicalize_direction(v)
+            lines.add(line)
+            pairs.add((S[: k - 2], line))
+    return lines, len(pairs)
 
 
 def _walk_rows(rng, q, width, seen, large=False):
@@ -369,6 +382,80 @@ def _walk_rows(rng, q, width, seen, large=False):
     return rows
 
 
+def _box_or_simplex(rng, n):
+    """A seeded box or simplex in R^n: shifted, and stretched by 1 to 3."""
+    shift, scale = [rng.randint(-2, 2) for _ in range(n)], rng.randint(1, 3)
+    if rng.random() < 0.5:
+        B = [[-1 if j == i else 0 for j in range(n)] for i in range(n)] + [[int(j == i) for j in range(n)] for i in range(n)]
+        d = [-x for x in shift] + [x + scale for x in shift]
+    else:
+        B = [[-1 if j == i else 0 for j in range(n)] for i in range(n)] + [[1] * n]
+        d = [-x for x in shift] + [sum(shift) + scale]
+    return HPolyhedron.make(n, B=B, d=d)
+
+
+def _degenerate_systems(rng, last_column_pivots, trials):
+    """Seeded (rows, k, ncols, width, kind) on which many subsets cut out one line.
+
+    "cross": rows +-1 on one of a few random supports, 0 elsewhere, so the
+    rows of a support share their zero set, with right-hand side 1 or 2 in
+    the last column when ncols = width - 1 (the rows of a cropped
+    cross-polytope and of a box); "sums": rows with entries in -1..1 and
+    rows that are sums of two or three earlier rows; "balas": the reduced
+    rows `_ints.reduced` of the `balas_extension` of two or three seeded
+    boxes or simplices, whose k is n' - 1 (circuits) or n' (basic
+    solutions). k runs over 3..7; the rows come in shuffled order."""
+    for trial in range(trials):
+        kind = ("cross", "sums", "balas")[trial % 3]
+        if kind == "balas":
+            p, n = rng.choice(((2, 1), (2, 2), (3, 1), (2, 3))[last_column_pivots:])
+            Q, _ = balas_extension(DisjunctiveFamily.make([_box_or_simplex(rng, n) for _ in range(p)]))
+            _, R, np_ = Q._ints.reduced
+            if last_column_pivots:
+                rows, k, width = [row[:np_] for row in R], np_ - 1, np_
+            else:
+                rows, k, width = [list(row) for row in R], np_, np_ + 1
+        else:
+            k = 3 + trial // 3 % 5
+            width = k + 1
+            free = width if last_column_pivots else width - 1
+            rows = []
+            if kind == "cross":
+                supports = [rng.sample(range(free), rng.randint(2, free)) for _ in range(rng.randint(1, 3))]
+                for _ in range(rng.randint(k + 1, k + 6)):
+                    row = [0] * width
+                    for col in rng.choice(supports):
+                        row[col] = rng.choice((-1, 1))
+                    if free < width:
+                        row[-1] = rng.choice((1, 1, 2))
+                    rows.append(row)
+            else:
+                for _ in range(rng.randint(k + 1, k + 6)):
+                    if len(rows) >= 3 and rng.random() < 0.4:
+                        picked = rng.sample(rows, rng.choice((2, 3)))
+                        rows.append([sum(col) for col in zip(*picked)])
+                    else:
+                        rows.append([rng.randint(-1, 1) for _ in range(width)])
+        rng.shuffle(rows)
+        yield rows, k, (width if last_column_pivots else width - 1), width, kind
+
+
+def _walk_checked(rows, k, ncols, width):
+    """The walk's (line, certificate) pairs, its lines those of the per-subset
+    reference, each certificate k ascending row indices whose rows have rank
+    k in the first `ncols` columns and read 0 on the line; and the
+    reference's (prefix, line) count."""
+    expected, unpruned = _ref_subset_lines(rows, k, ncols, width)
+    walked = list(linalg._subset_lines(rows, k, ncols, width))
+    assert {line for line, _ in walked} == expected, (rows, k, ncols)
+    for line, cert in walked:
+        S = [rows[i] for i in cert]
+        assert len(cert) == k and list(cert) == sorted(set(cert)), (rows, line, cert)
+        assert rank([r[:ncols] for r in S]) == k, (rows, line, cert)
+        assert all(dot(r, line) == 0 for r in S), (rows, line, cert)
+    return walked, unpruned
+
+
 @pytest.mark.parametrize("last_column_pivots", [True, False], ids=["ncols=width", "ncols=width-1"])
 def test_subset_lines_match_per_subset_reference(last_column_pivots):
     # The walk carries a fraction-free tableau down its prefixes and stops
@@ -379,7 +466,8 @@ def test_subset_lines_match_per_subset_reference(last_column_pivots):
     # on the line. The second half of the trials has up to 11 rows with
     # entries up to 10^3, so the tableau's exact divisions act on large
     # minors, and rows that combine three earlier rows, whose residual on a
-    # prefix holding those rows is zero.
+    # prefix holding those rows is zero. Then come the seeded degenerate
+    # systems of `_degenerate_systems`, k = 3..7.
     rng, seen = random.Random(2601 + last_column_pivots), set()
     for trial in range(300):
         k = 1 + trial % 5
@@ -387,21 +475,28 @@ def test_subset_lines_match_per_subset_reference(last_column_pivots):
         ncols = width if last_column_pivots else width - 1
         large = trial >= 150
         rows = _walk_rows(rng, rng.randint(0, 11 if large else 8), width, seen, large)
-        expected = _ref_subset_lines(rows, k, ncols, width)
-        walked = list(linalg._subset_lines(rows, k, ncols, width))
-        assert {line for line, _ in walked} == expected, (rows, k, ncols)
-        for line, cert in walked:
-            S = [rows[i] for i in cert]
-            assert len(cert) == k and list(cert) == sorted(set(cert)), (rows, line, cert)
-            assert rank([r[:ncols] for r in S]) == k, (rows, line, cert)
-            assert all(dot(r, line) == 0 for r in S), (rows, line, cert)
-        if large and len(rows) > 8 and expected:
+        walked, _ = _walk_checked(rows, k, ncols, width)
+        if large and len(rows) > 8 and walked:
             seen.add("more than 8 rows")
-        if large and any(abs(x) > 100 for line in expected for x in line):
+        if large and any(abs(x) > 100 for line, _ in walked for x in line):
             seen.add("lines with entries over 100")
     assert seen == {
         "random", "zero", "duplicate", "parallel", "dependent", "more than 8 rows", "lines with entries over 100",
     }, seen
+    # On degenerate systems many prefixes reach one line. The walk skips a
+    # prefix when a row it passed (a child it took before, independent of
+    # the prefix rows below it) falls into the prefix's span: no line below
+    # has the prefix as the start of its greedy basis. It must still find
+    # every line, and on every kind of system yield fewer lines than one per
+    # (prefix, line) pair, which is what a walk that skips nothing yields.
+    walked, unpruned, ks = Counter(), Counter(), set()
+    for rows, k, ncols, width, kind in _degenerate_systems(rng, last_column_pivots, 90):
+        lines, pairs = _walk_checked(rows, k, ncols, width)
+        walked[kind] += len(lines)
+        unpruned[kind] += pairs
+        ks.add(k)
+    assert ks == {3, 4, 5, 6, 7}, ks
+    assert all(walked[kind] < unpruned[kind] for kind in unpruned), (walked, unpruned)
 
 
 def _greedy_basis(indices, rows, ncols):
@@ -420,19 +515,26 @@ def test_first_certificates_are_greedy_bases(last_column_pivots):
     # certificate the walk names with it first. That certificate is the
     # lexicographically first basis of the rows that read 0 on the line:
     # those rows in ascending order, each kept when it is independent of the
-    # rows kept before it.
+    # rows kept before it. The lines come first in ascending order of those
+    # certificates. The degenerate systems of `_degenerate_systems` follow
+    # the random ones: there the walk skips most prefixes, and must never
+    # skip the start of a greedy basis.
     rng, checked = random.Random(4301 + last_column_pivots), 0
+    systems = []
     for trial in range(600):
         k = 1 + trial % 6
         width = k + 1
         ncols = width if last_column_pivots else width - 1
-        rows = _walk_rows(rng, rng.randint(0, 9), width, set())
+        systems.append((_walk_rows(rng, rng.randint(0, 9), width, set()), k, ncols, width))
+    systems += [system[:4] for system in _degenerate_systems(rng, last_column_pivots, 90)]
+    for rows, k, ncols, width in systems:
         first = {}
         for line, cert in linalg._subset_lines(rows, k, ncols, width):
             first.setdefault(line, cert)
         for line, cert in first.items():
             zeros = [i for i, r in enumerate(rows) if not sum(x * v for x, v in zip(r, line))]
             assert cert == _greedy_basis(zeros, rows, ncols), (rows, k, ncols, line, cert)
+        assert list(first.values()) == sorted(first.values()), (rows, k, ncols)
         checked += len(first)
     assert checked > 1000, checked
 
@@ -554,14 +656,23 @@ def test_start_rays_match_a_fold_per_ray(monkeypatch):
     assert min(dets) < 0 < max(dets)
 
 
+def _thm5_cube3_extension():
+    """The Balas extension of the unit cube that thm5 builds for the direction
+    (1, 1, 0), n = 24 with 15 equality and 14 inequality rows, as the
+    benchmark stores it (`non_inheriting_extension(hypercube(3), (1, 1, 0))`)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "thm5_cube3_110.json"
+    return json.loads(path.read_text())["extension"]
+
+
 @pytest.mark.parametrize(
     "run, steps, walked",
     [
         (lambda: enumerate_circuits(homogenize(cropped_cross_polytope(3))), 85, (211, 151)),
         (lambda: basic_solutions(cropped_cross_polytope(3)), 235, (172, 142)),
         (lambda: edge_directions(hypercube(3)), 22, (0, 0)),
+        (lambda: enumerate_circuits(HPolyhedron.make(**_thm5_cube3_extension())), 168, (160, 58)),
     ],
-    ids=["circuits-hom-ccp3", "basic-solutions-ccp3", "edges-cube3"],
+    ids=["circuits-hom-ccp3", "basic-solutions-ccp3", "edges-cube3", "circuits-thm5-cube3"],
 )
 def test_subset_work_is_pinned(monkeypatch, run, steps, walked):
     # Every elimination of a whole matrix or of a row set is a sequence of
@@ -581,10 +692,14 @@ def test_subset_work_is_pinned(monkeypatch, run, steps, walked):
     # whose echelon form gives the kernel line with no fold of its own.
     # The subset walk (`linalg._subset_lines`) takes no _insert step: it
     # updates its own tableau of residuals at each prefix, so its work is
-    # pinned by what it yields, lines against distinct lines (different
-    # prefixes reach the same line). A change that visits more subsets,
-    # eliminates more rows or yields more lines must update these counts on
-    # purpose.
+    # pinned by what it yields, lines against distinct lines. It skips every
+    # prefix in whose span a row it passed falls, and no such prefix starts
+    # the greedy basis of a line. The repeats that remain come from prefixes
+    # whose passed rows read 0 on the line but lie outside the prefix's own
+    # span, in that of a whole subset (thm5's cube3 lift: 160 lines for 58,
+    # where a walk that skips nothing yields 560). A change that visits more
+    # subsets, eliminates more rows or yields more lines must update these
+    # counts on purpose.
     calls, lines = [], []
     insert, subset_lines = linalg._insert, polyhedron._subset_lines
 
